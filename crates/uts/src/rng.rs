@@ -61,10 +61,10 @@ impl RngState {
     /// Panics if `rounds == 0` — a node must be hashed at least once.
     pub fn spawn(&self, index: u32, rounds: u32) -> Self {
         assert!(rounds > 0, "node creation requires at least one SHA round");
-        let mut hasher = Sha1::new();
-        hasher.update(&self.bytes);
-        hasher.update(&index.to_be_bytes());
-        let mut digest = hasher.finalize();
+        let mut message = [0u8; DIGEST_LEN + 4];
+        message[..DIGEST_LEN].copy_from_slice(&self.bytes);
+        message[DIGEST_LEN..].copy_from_slice(&index.to_be_bytes());
+        let mut digest = Sha1::digest(&message);
         for _ in 1..rounds {
             digest = Sha1::digest(&digest);
         }
