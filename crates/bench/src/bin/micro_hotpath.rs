@@ -1,6 +1,12 @@
 //! Hot-path microbenchmarks for the engine overhaul, measuring the
-//! three quantities the overhaul targets:
+//! quantities the overhaul targets:
 //!
+//! 0. **Send path over ever-new pairs** — the engine's per-message
+//!    cost (egress, pairwise-FIFO state, route, queue) when almost
+//!    every send opens a (source, destination) pair never used before,
+//!    as failed steals do at scale; the binary asserts in-process that
+//!    resident memory does not grow with the number of sends. Runs
+//!    first, while the process's RSS high-water mark is still its own.
 //! 1. **Event throughput** — the calendar queue against the retired
 //!    reference `BinaryHeap` (kept as a differential-test oracle) on a
 //!    deep-queue churn workload: 8,192 concurrently pending timers so
@@ -49,8 +55,14 @@ const SPREAD: u64 = 131_072;
 /// Simulated horizon: each pending timer re-fires every `SPREAD/2` ns
 /// on average, so ≈ `PENDING * LIMIT / (SPREAD/2)` ≈ 1M events.
 const LIMIT_NS: u64 = 2_000_000;
-/// Timed trials per measurement; the minimum is reported.
+/// Timed trials per measurement: the best is printed, the record
+/// carries the mean and 95% CI over all of them.
 const TRIALS: usize = 5;
+
+/// The fastest of a set of per-trial costs: what the tables print.
+fn fastest(ns: &[f64]) -> f64 {
+    ns.iter().copied().fold(f64::INFINITY, f64::min)
+}
 
 /// Message payload sized like the worker protocol's largest variant
 /// (`Msg::StealReply`: two ids plus a chunk vector, 48 bytes). The
@@ -104,16 +116,17 @@ fn bench_queue_throughput(metrics: &mut Vec<BenchMetric>) {
     // queues evenly; report the best rate of each.
     churn_run(false); // warm-up
     churn_run(true);
-    let mut cal = 0.0f64;
-    let mut heap = 0.0f64;
+    let (mut cal_rates, mut heap_rates) = (Vec::new(), Vec::new());
     let mut events = 0;
     for _ in 0..TRIALS {
         let (ev, wall_ns) = churn_run(false);
-        cal = cal.max(ev as f64 / (wall_ns as f64 / 1e9));
+        cal_rates.push(ev as f64 / (wall_ns as f64 / 1e9));
         events = ev;
         let (ev, wall_ns) = churn_run(true);
-        heap = heap.max(ev as f64 / (wall_ns as f64 / 1e9));
+        heap_rates.push(ev as f64 / (wall_ns as f64 / 1e9));
     }
+    let cal = cal_rates.iter().copied().fold(0.0, f64::max);
+    let heap = heap_rates.iter().copied().fold(0.0, f64::max);
     let speedup = cal / heap;
     println!("calendar queue      {:>12.0} events/s", cal);
     println!("reference heap      {:>12.0} events/s", heap);
@@ -123,23 +136,115 @@ fn bench_queue_throughput(metrics: &mut Vec<BenchMetric>) {
         "calendar queue must beat the reference heap by ≥1.5x on deep churn \
          (got {speedup:.2}x) — hot-path regression"
     );
-    metrics.push(BenchMetric::point(
+    let speedups: Vec<f64> = cal_rates
+        .iter()
+        .zip(&heap_rates)
+        .map(|(c, h)| c / h)
+        .collect();
+    metrics.push(BenchMetric::from_samples(
         "churn_events_per_sec_calendar",
         "events/s",
         Polarity::HigherIsBetter,
-        cal,
+        &cal_rates,
     ));
-    metrics.push(BenchMetric::point(
+    metrics.push(BenchMetric::from_samples(
         "churn_events_per_sec_reference_heap",
         "events/s",
         Polarity::Neutral,
-        heap,
+        &heap_rates,
     ));
-    metrics.push(BenchMetric::point(
+    metrics.push(BenchMetric::from_samples(
         "churn_calendar_speedup",
         "x",
         Polarity::HigherIsBetter,
-        speedup,
+        &speedups,
+    ));
+}
+
+/// Ranks in the distinct-pairs workload: 4.2M possible pairs, so 2M
+/// sends to uniformly drawn peers open ~1.6M distinct ones.
+const SPRAY_RANKS: u32 = 2_048;
+/// Sends per run.
+const SPRAY_SENDS: u64 = 2_000_000;
+
+/// One token per rank, forwarded on every delivery to a freshly drawn
+/// peer: [`SPRAY_RANKS`] messages in flight forever, between ever-new
+/// (source, destination) pairs.
+struct Spray;
+
+impl Spray {
+    fn forward(ctx: &mut Ctx<'_, FatMsg>) {
+        let peers = u64::from(ctx.n_ranks()) - 1;
+        let to = ctx.rng().next_below(peers) as Rank;
+        ctx.send(to + Rank::from(to >= ctx.me()), 32, [0; 6]);
+    }
+}
+
+impl Actor for Spray {
+    type Msg = FatMsg;
+    fn on_start(&mut self, ctx: &mut Ctx<'_, FatMsg>) {
+        Self::forward(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, FatMsg>, _from: Rank, _msg: FatMsg) {
+        Self::forward(ctx);
+    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, FatMsg>, _token: u64) {}
+}
+
+/// Run the spray once; returns `(ns per send, RSS high-water growth in
+/// bytes over the last three quarters of the sends)`.
+fn spray_run() -> (f64, u64) {
+    let cfg = SimConfig {
+        seed: 0x5B_4A71 ^ trial_seed(),
+        ..SimConfig::default()
+    };
+    // Pair-dependent latency spreads the deliveries over distinct
+    // timestamps, so this measures the send path and not one crowded
+    // calendar bucket.
+    let lat = |f: Rank, t: Rank, _bytes: usize| 1_000 + u64::from((31 * f + 17 * t) % 1_024);
+    let actors = (0..SPRAY_RANKS).map(|_| Spray).collect();
+    let mut sim = Simulation::new(actors, lat, cfg);
+    let wall = Instant::now();
+    sim.run_with_limits(None, Some(SPRAY_SENDS / 4));
+    let rss_quarter = perflab::peak_rss_bytes().unwrap_or(0);
+    sim.run_with_limits(None, Some(SPRAY_SENDS));
+    let wall_ns = wall.elapsed().as_nanos() as f64;
+    let growth = perflab::peak_rss_bytes().unwrap_or(0) - rss_quarter;
+    (wall_ns / sim.messages_sent() as f64, growth)
+}
+
+fn bench_send_distinct_pairs(metrics: &mut Vec<BenchMetric>) {
+    println!("-- send path: {SPRAY_RANKS} ranks, {SPRAY_SENDS} sends to fresh peers --");
+    let rss_before = perflab::peak_rss_bytes().unwrap_or(0);
+    // The warm-up run is the one that sets the high-water mark.
+    let (_, growth) = spray_run();
+    let rss_delta = perflab::peak_rss_bytes().unwrap_or(0) - rss_before;
+    let samples: Vec<f64> = (0..TRIALS).map(|_| spray_run().0).collect();
+    let best = fastest(&samples);
+    let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+    println!("engine send         {best:>12.1} ns/send");
+    println!(
+        "peak RSS delta      {:>12.1} MiB  (+{:.1} MiB over the last 1.5M sends)",
+        mib(rss_delta),
+        mib(growth)
+    );
+    assert!(
+        growth <= 2 << 20,
+        "RSS grew {:.1} MiB between 0.5M and 2M sends: the engine keeps state per message \
+         sent, not per message in flight",
+        mib(growth)
+    );
+    metrics.push(BenchMetric::from_samples(
+        "engine/send_distinct_pairs",
+        "ns/send",
+        Polarity::LowerIsBetter,
+        &samples,
+    ));
+    metrics.push(BenchMetric::point(
+        "engine/send_distinct_pairs_peak_rss_delta",
+        "MiB",
+        Polarity::LowerIsBetter,
+        mib(rss_delta),
     ));
 }
 
@@ -151,8 +256,13 @@ fn bench_allocs_per_event(metrics: &mut Vec<BenchMetric>) {
     cfg.seed = cfg.seed.wrapping_add(trial_seed());
     cfg.collect_trace = false;
     cfg.profile = true;
-    let result = run_experiment(&cfg);
-    let p = result.profile.expect("profile was requested");
+    let profiles: Vec<_> = (0..TRIALS)
+        .map(|_| run_experiment(&cfg).profile.expect("profile was requested"))
+        .collect();
+    let p = profiles
+        .iter()
+        .max_by(|a, b| a.events_per_sec().total_cmp(&b.events_per_sec()))
+        .expect("TRIALS > 0");
     println!(
         "allocs/event        {:>12.4}  ({} allocs / {} events, {:.0} events/s)",
         p.allocs_per_event(),
@@ -160,37 +270,38 @@ fn bench_allocs_per_event(metrics: &mut Vec<BenchMetric>) {
         p.events,
         p.events_per_sec()
     );
-    metrics.push(BenchMetric::point(
+    let allocs: Vec<f64> = profiles.iter().map(|p| p.allocs_per_event()).collect();
+    let rates: Vec<f64> = profiles.iter().map(|p| p.events_per_sec()).collect();
+    metrics.push(BenchMetric::from_samples(
         "profile_allocs_per_event",
         "allocs/event",
         Polarity::LowerIsBetter,
-        p.allocs_per_event(),
+        &allocs,
     ));
-    metrics.push(BenchMetric::point(
+    metrics.push(BenchMetric::from_samples(
         "profile_events_per_sec",
         "events/s",
         Polarity::HigherIsBetter,
-        p.events_per_sec(),
+        &rates,
     ));
 }
 
-/// Best-of-[`TRIALS`] ns per victim draw.
-fn draw_cost(sel: &mut VictimSelector, seed: u64) -> f64 {
+/// ns per victim draw, one sample per trial after a warm-up pass.
+fn draw_cost(sel: &mut VictimSelector, seed: u64) -> Vec<f64> {
     const DRAWS: u64 = 200_000;
-    let mut best = f64::INFINITY;
+    let mut samples = Vec::with_capacity(TRIALS);
     for trial in 0..=TRIALS {
         let mut rng = DetRng::new(seed ^ trial as u64);
         let wall = Instant::now();
         for _ in 0..DRAWS {
             black_box(sel.next_victim(&mut rng));
         }
-        let ns = wall.elapsed().as_nanos() as f64 / DRAWS as f64;
         if trial > 0 {
             // Trial 0 is the warm-up.
-            best = best.min(ns);
+            samples.push(wall.elapsed().as_nanos() as f64 / DRAWS as f64);
         }
     }
-    best
+    samples
 }
 
 fn bench_victim_draws(metrics: &mut Vec<BenchMetric>) {
@@ -226,13 +337,14 @@ fn bench_victim_draws(metrics: &mut Vec<BenchMetric>) {
         ),
     ];
     for (name, mut sel) in cases {
-        let ns = draw_cost(&mut sel, 7 ^ trial_seed());
-        println!("{name:20} {ns:>12.1} ns/draw");
-        metrics.push(BenchMetric::point(
+        let samples = draw_cost(&mut sel, 7 ^ trial_seed());
+        let best = fastest(&samples);
+        println!("{name:20} {best:>12.1} ns/draw");
+        metrics.push(BenchMetric::from_samples(
             &format!("victim_ns_per_draw_{name}"),
             "ns/draw",
             Polarity::LowerIsBetter,
-            ns,
+            &samples,
         ));
     }
 }
@@ -294,6 +406,7 @@ fn main() {
         }
     }
     let mut metrics = Vec::new();
+    bench_send_distinct_pairs(&mut metrics);
     bench_queue_throughput(&mut metrics);
     bench_allocs_per_event(&mut metrics);
     bench_victim_draws(&mut metrics);

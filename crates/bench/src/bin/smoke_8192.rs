@@ -10,13 +10,15 @@
 //! - the job must be torus-symmetric and take the shared-table path;
 //! - the run must complete (every surviving rank observes
 //!   termination);
-//! - wall clock must stay under [`WALL_BUDGET_S`].
+//! - wall clock must stay under [`WALL_BUDGET_S`];
+//! - peak resident memory must stay under [`RSS_BUDGET_MIB`].
 //!
 //! Results are emitted like any figure (`results/smoke_8192.csv`, plus
 //! a BenchRecord for the trajectory store via `--trajectory`).
 
 use dws_bench::{emit, f, run_logged_streamed, FigArgs};
 use dws_core::VictimPolicy;
+use dws_metrics::perflab::peak_rss_bytes;
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,6 +32,14 @@ const RANKS: u32 = 8_192;
 /// per-rank tables (~8 GB of alias tables) or a super-linear hot-path
 /// regression trips it.
 const WALL_BUDGET_S: f64 = 300.0;
+
+/// Peak-RSS budget for the whole process. Measured: 43 MiB on one
+/// thread (with or without streaming) and 78 MiB at `--threads 4`,
+/// where the allocator keeps an arena per worker — so this is about 3×
+/// and 1.6× those. Engine state that grows with messages sent instead
+/// of messages in flight (the run sends over 20M) costs ~900 MB here and
+/// trips it by a wide margin.
+const RSS_BUDGET_MIB: f64 = 128.0;
 
 fn main() {
     let args = FigArgs::parse();
@@ -73,6 +83,14 @@ fn main() {
          hot-path regression"
     );
 
+    // Reads 0 where procfs is missing: nothing to hold the budget against.
+    let rss_mib = peak_rss_bytes().unwrap_or(0) as f64 / (1 << 20) as f64;
+    assert!(
+        rss_mib < RSS_BUDGET_MIB,
+        "8,192-rank smoke peaked at {rss_mib:.0} MiB resident, budget is \
+         {RSS_BUDGET_MIB:.0} MiB — engine state is growing with the run"
+    );
+
     let t = res.stats.total();
     emit(
         &args,
@@ -85,6 +103,7 @@ fn main() {
             "events",
             "failed_steals",
             "wall_s",
+            "peak_rss_mib",
         ],
         &[vec![
             RANKS.to_string(),
@@ -93,6 +112,7 @@ fn main() {
             res.report.events.to_string(),
             t.steals_failed.to_string(),
             f(wall_s, 1),
+            f(rss_mib, 1),
         ]],
         None,
     );

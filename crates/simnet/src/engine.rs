@@ -63,8 +63,9 @@ use crate::rng::DetRng;
 use crate::time::SimTime;
 
 /// Multiplicative hasher for the (source, destination) FIFO map: the
-/// keys are already well-mixed rank pairs, and this map sits on the
-/// per-message hot path, where SipHash overhead is measurable.
+/// keys are rank pairs the engine packs itself, and the map is probed
+/// once per send, where SipHash overhead is measurable. Dead pairs are
+/// swept out (see `ShardCore::fifo`), so it stays small enough to cache.
 #[derive(Default)]
 struct PairHasher(u64);
 
@@ -84,6 +85,9 @@ impl Hasher for PairHasher {
 }
 
 type PairMap<V> = HashMap<u64, V, BuildHasherDefault<PairHasher>>;
+
+/// Smallest `ShardCore::fifo` length that triggers a dead-entry sweep.
+const FIFO_SWEEP_MIN: usize = 1024;
 
 /// Rank index of an actor (re-exported convention shared with
 /// `dws-topology`).
@@ -939,9 +943,13 @@ struct ShardCore<M> {
     /// Exclusive end of the window currently executing (0 before the
     /// first window); cross-shard sends assert they land at or past it.
     window_end: u64,
-    /// Last scheduled delivery per (from, to) pair, to enforce MPI
-    /// non-overtaking. Only pairs with a local sender appear.
+    /// Earliest delivery time still free per (from, to) pair, one tick
+    /// past its last scheduled delivery, to enforce MPI non-overtaking.
+    /// Only pairs with a local sender appear. No send is scheduled
+    /// before `now`, so an entry at or before `now` is dead; `send`
+    /// sweeps those out when the map reaches `fifo_sweep_at` entries.
     fifo: PairMap<SimTime>,
+    fifo_sweep_at: usize,
     net: Box<dyn NetworkModel>,
     delivered: u64,
     timers: u64,
@@ -1127,11 +1135,16 @@ impl<M: Clone> ShardCore<M> {
         delay += spike_ns;
         let key = ((from as u64) << 32) | to as u64;
         let natural = self.now + extra_delay_ns + delay;
-        let at = match self.fifo.get(&key) {
-            Some(&last) if last >= natural => last + 1,
-            _ => natural,
-        };
-        self.fifo.insert(key, at);
+        if self.fifo.len() >= self.fifo_sweep_at {
+            // The next sweep waits for as many inserts as this one keeps
+            // and the table shrinks with it: amortised O(1) per send.
+            self.fifo.retain(|_, free| *free > self.now);
+            self.fifo_sweep_at = (2 * self.fifo.len()).max(FIFO_SWEEP_MIN);
+            self.fifo.shrink_to(self.fifo_sweep_at);
+        }
+        let free = self.fifo.entry(key).or_default();
+        let at = natural.max(*free);
+        *free = at + 1;
         self.messages_sent += 1;
         let t_rec = if self.log.is_some() || self.net_trace.is_some() || self.flight.is_some() {
             prof_start(&self.profiler)
@@ -1882,6 +1895,7 @@ impl<A: Actor> Simulation<A> {
                 quiet_enabled: false,
                 window_end: 0,
                 fifo: PairMap::default(),
+                fifo_sweep_at: FIFO_SWEEP_MIN,
                 net,
                 delivered: 0,
                 timers: 0,
@@ -2027,6 +2041,7 @@ impl<A: Actor> Simulation<A> {
                     quiet_enabled: true,
                     window_end: 0,
                     fifo: PairMap::default(),
+                    fifo_sweep_at: FIFO_SWEEP_MIN,
                     net,
                     delivered: 0,
                     timers: 0,
@@ -3085,6 +3100,273 @@ mod tests {
         let mut sim = Simulation::new(actors, lat, SimConfig::default());
         sim.run();
         assert_eq!(sim.actor(1).got, vec![1, 2], "messages must not overtake");
+    }
+
+    /// Seeded random traffic between ever-new pairs, for the FIFO
+    /// differential below. Every rank starts eight chains: each delivery
+    /// with hops left forwards to a freshly drawn destination (mixed
+    /// sizes, a quarter of them `send_delayed`). Timers fire a 64 KiB
+    /// message chased by an 8-byte one on the same pair, and rank 0's
+    /// second timer broadcasts to every other rank. The payload is
+    /// `(sender's own send counter, hops left)`.
+    struct PairStorm {
+        n: u32,
+        sent: u64,
+        got: Vec<(SimTime, Rank, u64)>,
+    }
+
+    impl PairStorm {
+        const SIZES: [usize; 4] = [8, 64, 4096, 1 << 16];
+
+        fn fleet(n: u32) -> Vec<PairStorm> {
+            (0..n)
+                .map(|_| PairStorm {
+                    n,
+                    sent: 0,
+                    got: vec![],
+                })
+                .collect()
+        }
+
+        fn draw_peer(&self, ctx: &mut Ctx<'_, (u64, u32)>) -> Rank {
+            let to = ctx.rng().next_below(self.n as u64 - 1) as Rank;
+            to + u32::from(to >= ctx.me())
+        }
+
+        fn emit(&mut self, ctx: &mut Ctx<'_, (u64, u32)>, to: Rank, bytes: usize, hops: u32) {
+            let delay_ns = match ctx.rng().next_below(4) {
+                0 => ctx.rng().next_below(3_000),
+                _ => 0,
+            };
+            self.sent += 1;
+            ctx.send_delayed(to, bytes, delay_ns, (self.sent, hops));
+        }
+    }
+
+    impl Actor for PairStorm {
+        type Msg = (u64, u32);
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
+            for _ in 0..8 {
+                let to = self.draw_peer(ctx);
+                self.emit(ctx, to, 64, 40);
+            }
+            ctx.set_timer(20_000 + 131 * ctx.me() as u64, 1);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: Rank, (seq, hops): Self::Msg) {
+            self.got.push((ctx.now(), from, seq));
+            if hops > 0 {
+                let to = self.draw_peer(ctx);
+                let bytes = Self::SIZES[ctx.rng().next_below(4) as usize];
+                self.emit(ctx, to, bytes, hops - 1);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, token: u64) {
+            if ctx.me() == 0 && token == 2 {
+                for to in 1..self.n {
+                    self.emit(ctx, to, 16, 0);
+                }
+            }
+            let to = self.draw_peer(ctx);
+            self.emit(ctx, to, 1 << 16, 0);
+            self.emit(ctx, to, 8, 0);
+            if token < 8 {
+                ctx.set_timer(20_000, token + 1);
+            }
+        }
+    }
+
+    /// Highest number of messages in flight at any instant of the
+    /// logged run, counting a message from its send up to and including
+    /// its scheduled delivery instant.
+    fn peak_in_flight(log: &[EventRecord]) -> usize {
+        use crate::observer::EventKind as Obs;
+        let mut edges: Vec<(u64, i64)> = Vec::new();
+        for rec in log {
+            if let Obs::Sent { deliver_at, .. } = rec.kind {
+                edges.push((rec.at.ns(), 1));
+                edges.push((deliver_at.ns() + 1, -1));
+            }
+        }
+        edges.sort_unstable();
+        let (mut cur, mut peak) = (0i64, 0i64);
+        for (_, d) in edges {
+            cur += d;
+            peak = peak.max(cur);
+        }
+        peak as usize
+    }
+
+    /// What one [`PairStorm`] run leaves behind: every delivery as
+    /// `(time, dst, src, sender's send counter)` in delivery order per
+    /// destination, the send and fault ledgers, the largest per-shard
+    /// FIFO map seen at a pause or at the end, and — for the oracle,
+    /// which logs — the in-flight high-water mark.
+    struct StormOutcome {
+        deliveries: Vec<(SimTime, Rank, Rank, u64)>,
+        messages_sent: u64,
+        fault_stats: FaultStats,
+        max_retained: usize,
+        peak_in_flight: usize,
+    }
+
+    /// Run the storm over `shards` shards, stepping through
+    /// `run_with_limits` every `pause_every_ns` when set (each pause is
+    /// a window end). With `in_flight_peak` the bounded production state
+    /// runs and its retained entries are checked against that mark at
+    /// every pause; without it the sweep threshold is pushed out of
+    /// reach, which leaves exactly the never-forgetting map — one entry
+    /// per pair ever used — as the oracle.
+    fn run_pair_storm(
+        seed: u64,
+        shards: u32,
+        in_flight_peak: Option<usize>,
+        threaded: bool,
+        pause_every_ns: Option<u64>,
+    ) -> StormOutcome {
+        const N: u32 = 96;
+        let cfg = SimConfig {
+            seed,
+            latency_jitter: 0.3,
+            clock_skew_max_ns: 0,
+            fault: FaultPlan::message_faults(0.03, 0.03, 0.05),
+        };
+        // Size-dependent, so the 8-byte chaser would overtake the
+        // 64 KiB message without the FIFO guard.
+        let lat =
+            |f: Rank, t: Rank, bytes: usize| 500 + bytes as u64 / 4 + u64::from((f ^ t) % 7) * 100;
+        let mut sim = Simulation::new(PairStorm::fleet(N), lat, cfg);
+        sim.configure_parallel(ParallelConfig::new(shards, 500));
+        if in_flight_peak.is_none() {
+            sim.attach_log(1 << 20);
+            for shard in sim.shards.iter_mut() {
+                shard.core.fifo_sweep_at = usize::MAX;
+            }
+        }
+        let mut max_retained = 0;
+        let mut limit = pause_every_ns;
+        loop {
+            let report = match (limit, threaded) {
+                (Some(t), _) => sim.run_with_limits(Some(SimTime(t)), None),
+                (None, true) => sim.run_parallel(),
+                (None, false) => sim.run(),
+            };
+            let retained = sim.shards.iter().map(|s| s.core.fifo.len()).max();
+            let retained = retained.expect("at least one shard");
+            max_retained = max_retained.max(retained);
+            if let Some(peak) = in_flight_peak {
+                assert!(
+                    retained <= (2 * peak).max(FIFO_SWEEP_MIN),
+                    "{retained} pairs retained with at most {peak} messages ever in flight \
+                     (seed {seed}, {shards} shards, t = {limit:?})"
+                );
+            }
+            if !report.halted {
+                break;
+            }
+            limit = limit.map(|t| t + pause_every_ns.expect("a limit implies a step"));
+        }
+        let mut deliveries = Vec::new();
+        for (dst, actor) in sim.actors().into_iter().enumerate() {
+            let mut last_from = vec![0u64; N as usize];
+            for &(at, src, seq) in &actor.got {
+                // A fault-injected duplicate repeats its original's
+                // counter; nothing may ever arrive below it.
+                assert!(
+                    seq >= last_from[src as usize],
+                    "message {seq} from {src} overtook {} at {dst}",
+                    last_from[src as usize]
+                );
+                last_from[src as usize] = seq;
+                deliveries.push((at, dst as Rank, src, seq));
+            }
+        }
+        StormOutcome {
+            deliveries,
+            messages_sent: sim.messages_sent(),
+            fault_stats: sim.fault_stats(),
+            max_retained,
+            peak_in_flight: sim
+                .event_log()
+                .map_or(0, |log| peak_in_flight(&log.window())),
+        }
+    }
+
+    /// Differential property: forgetting dead (from, to) entries changes
+    /// no delivery. The oracle never forgets; the bounded state must
+    /// agree on every `(time, dst, src, counter)` across seeds, shard
+    /// counts, the threaded driver and a paused-and-resumed run, while
+    /// never holding more entries than twice the in-flight high-water
+    /// mark (or the sweep floor).
+    #[test]
+    fn bounded_fifo_state_matches_never_forgetting_oracle() {
+        for seed in [3u64, 0xD15_7EA1, 0xFEED_F00D] {
+            let oracle = run_pair_storm(seed, 1, None, false, None);
+            assert!(
+                oracle.fault_stats.duplicated > 0 && oracle.fault_stats.spiked > 0,
+                "the fault plan must fire for the property to bite"
+            );
+            let peak = oracle.peak_in_flight;
+            assert!(
+                2 * peak > FIFO_SWEEP_MIN && oracle.max_retained > 4 * peak,
+                "traffic must clear the sweep floor and the oracle must dwarf the bound: \
+                 {peak} in flight, {} pairs",
+                oracle.max_retained
+            );
+            for shards in [1u32, 4] {
+                for (threaded, pause) in [(false, None), (true, None), (false, Some(50_000))] {
+                    let bounded = run_pair_storm(seed, shards, Some(peak), threaded, pause);
+                    let what = format!("seed {seed}, {shards} shards, {threaded}, {pause:?}");
+                    assert_eq!(bounded.messages_sent, oracle.messages_sent, "{what}");
+                    assert_eq!(bounded.fault_stats, oracle.fault_stats, "{what}");
+                    assert!(
+                        bounded.deliveries == oracle.deliveries,
+                        "forgetting dead pairs changed a delivery ({what})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The boundary of "dead": with zero latency a delivery scheduled at
+    /// `now` still pushes a same-instant resend back by one tick, so a
+    /// sweep at `now` must keep it. Rank 0 sends to enough ranks to
+    /// trigger sweeps, then to each of them again, all at time zero.
+    #[test]
+    fn same_instant_resend_is_pushed_back_across_a_sweep() {
+        struct Resender {
+            got: Vec<(u32, SimTime)>,
+        }
+        impl Actor for Resender {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                if ctx.me() == 0 {
+                    for round in 0..2 {
+                        for to in 1..ctx.n_ranks() {
+                            ctx.send(to, 8, round);
+                        }
+                    }
+                }
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _f: Rank, msg: u32) {
+                self.got.push((msg, ctx.now()));
+            }
+            fn on_timer(&mut self, _c: &mut Ctx<'_, u32>, _t: u64) {}
+        }
+        let n = 2 * FIFO_SWEEP_MIN as u32;
+        let actors = (0..n).map(|_| Resender { got: vec![] }).collect();
+        let mut sim = Simulation::new(actors, ConstantLatency(0), SimConfig::default());
+        sim.run();
+        assert!(
+            sim.shards[0].core.fifo_sweep_at > FIFO_SWEEP_MIN,
+            "a sweep ran"
+        );
+        for rank in 1..n {
+            assert_eq!(
+                sim.actor(rank).got,
+                vec![(0, SimTime(0)), (1, SimTime(1))],
+                "rank {rank}"
+            );
+        }
     }
 
     /// Timer test actor: schedules three timers out of order.
