@@ -27,7 +27,9 @@
 
 use dws_core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy, VictimSelector};
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, Polarity};
-use dws_simnet::{Actor, ConstantLatency, Ctx, DetRng, Rank, SimConfig, SimTime, Simulation};
+use dws_simnet::{
+    Actor, ConstantLatency, Ctx, DetRng, ParallelConfig, Rank, SimConfig, SimTime, Simulation,
+};
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
 use dws_uts::presets;
 use std::hint::black_box;
@@ -204,6 +206,9 @@ fn spray_run() -> (f64, u64) {
     let lat = |f: Rank, t: Rank, _bytes: usize| 1_000 + u64::from((31 * f + 17 * t) % 1_024);
     let actors = (0..SPRAY_RANKS).map(|_| Spray).collect();
     let mut sim = Simulation::new(actors, lat, cfg);
+    // Event limits are tested between windows; 1,000 ns is the floor
+    // of `lat`, so it is a valid lookahead for the one shard.
+    sim.configure_parallel(ParallelConfig::new(1, 1_000));
     let wall = Instant::now();
     sim.run_with_limits(None, Some(SPRAY_SENDS / 4));
     let rss_quarter = perflab::peak_rss_bytes().unwrap_or(0);

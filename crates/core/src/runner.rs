@@ -947,8 +947,8 @@ pub fn run_experiment_streamed(
     if cfg.reference_queue {
         sim.use_reference_queue();
     }
-    // Always run windowed (even at one thread) with a node-aligned
-    // shard map. The committed schedule is a pure function of the
+    // Always configure a bounded lookahead (even at one thread) with a
+    // node-aligned shard map. The committed schedule is a pure function of the
     // configuration and is *independent of the shard decomposition*
     // (the determinism matrix asserts this), so the shard count is free
     // to follow the host: one shard when single-threaded (no exchange
@@ -1000,12 +1000,14 @@ pub fn run_experiment_streamed(
             .map(|s| (s.shard, s.ranks, s.events, s.windows, s.busy_ns, s.wait_ns))
             .collect(),
     });
+    let makespan = report.end_time;
+    let online_occupancy = sim.finish_streaming(makespan.ns());
+    let workers = sim.actors();
     let crashed_ranks = sim.crashed_ranks();
     let is_crashed = |r: usize| crashed_ranks.contains(&(r as u32));
     // Crashed ranks can never observe termination; a run is complete
     // when every *survivor* has.
-    let completed = sim
-        .actors()
+    let completed = workers
         .iter()
         .enumerate()
         .all(|(r, w)| is_crashed(r) || w.is_done());
@@ -1017,11 +1019,9 @@ pub fn run_experiment_streamed(
         );
     }
 
-    let makespan = report.end_time;
-    let online_occupancy = sim.finish_streaming(makespan.ns());
     let online_steal_rtt = if streaming_on {
         let mut h = Histogram::new();
-        for w in sim.actors() {
+        for w in &workers {
             if let Some(r) = w.rtt_histogram() {
                 h.merge(r);
             }
@@ -1030,8 +1030,7 @@ pub fn run_experiment_streamed(
     } else {
         None
     };
-    let per_rank: Vec<StealStats> = sim
-        .actors()
+    let per_rank: Vec<StealStats> = workers
         .iter()
         .map(|w| to_steal_stats(&w.counters))
         .collect();
@@ -1044,12 +1043,12 @@ pub fn run_experiment_streamed(
     // frontier nodes and expanded to full subtree size.
     let mut lost_frontier: Vec<Node> = Vec::new();
     if completed && !crashed_ranks.is_empty() {
-        for (r, w) in sim.actors().iter().enumerate() {
+        for (r, w) in workers.iter().enumerate() {
             if is_crashed(r) {
                 lost_frontier.extend(w.stack_nodes().copied());
             }
             for (to, xfer, chunks) in w.unconfirmed_transfers() {
-                if !sim.actors()[to as usize].has_absorbed(r as u32, xfer) {
+                if !sim.actor(to).has_absorbed(r as u32, xfer) {
                     lost_frontier.extend(chunks.iter().flatten().copied());
                 }
             }
@@ -1075,7 +1074,7 @@ pub fn run_experiment_streamed(
                     "distributed search found {total_nodes} nodes, expected {expect}"
                 );
             }
-            for (r, w) in sim.actors().iter().enumerate() {
+            for (r, w) in workers.iter().enumerate() {
                 assert_eq!(w.backlog(), 0, "rank {r} left work behind");
             }
         } else {
@@ -1100,7 +1099,7 @@ pub fn run_experiment_streamed(
                      must add up to the tree size {expect}"
                 );
             }
-            for (r, w) in sim.actors().iter().enumerate() {
+            for (r, w) in workers.iter().enumerate() {
                 if !is_crashed(r) {
                     assert_eq!(w.backlog(), 0, "surviving rank {r} left work behind");
                 }
@@ -1110,7 +1109,7 @@ pub fn run_experiment_streamed(
 
     let trace = if cfg.collect_trace {
         let mut t = ActivityTrace::new(n_ranks);
-        for (r, w) in sim.actors().iter().enumerate() {
+        for (r, w) in workers.iter().enumerate() {
             for &(at, active) in w.trace() {
                 t.record(r as u32, at, active);
             }
@@ -1141,14 +1140,14 @@ pub fn run_experiment_streamed(
     };
     let spans = if cfg.collect_spans {
         Some(SpanTrace::from_per_rank(
-            sim.actors().iter().map(|w| w.spans().to_vec()).collect(),
+            workers.iter().map(|w| w.spans().to_vec()).collect(),
         ))
     } else {
         None
     };
     let victim_health = if cfg.victim.is_adaptive() {
         Some(
-            sim.actors()
+            workers
                 .iter()
                 .enumerate()
                 .map(|(r, w)| {

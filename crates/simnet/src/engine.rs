@@ -26,21 +26,24 @@
 //!   offset; traces recorded with [`Ctx::local_now`] then need the same
 //!   skew correction the paper applied to its traces.
 //!
-//! # Parallel execution
+//! # One run loop
 //!
-//! [`Simulation::configure_parallel`] switches the engine into a
-//! conservative parallel-discrete-event mode: ranks are partitioned
-//! into shards, each shard owns a private event queue and a replica of
-//! the network model, and simulated time advances in lookahead windows
-//! `[T, T + W)` where `W` is a lower bound on cross-shard message
-//! latency. Events generated for another shard always land at or after
-//! the window boundary, so exchanging them at a barrier preserves the
-//! global event order exactly. Because the event key and every random
-//! stream are functions of ranks — never of shard layout — the
-//! schedule is bit-identical for any shard count, including one.
-//! [`Simulation::run_parallel_with_limits`] executes one OS thread per
-//! shard; [`Simulation::run_with_limits`] executes the same windowed
-//! algorithm on the calling thread.
+//! The engine is a conservative parallel-discrete-event simulator with
+//! a single driver, [`Simulation::run_parallel_with_limits`]: ranks are
+//! partitioned into shards, each shard owns a private event queue and a
+//! replica of the network model, and simulated time advances in
+//! lookahead windows `[T, T + W)` where `W` is a lower bound on
+//! cross-shard message latency. Events generated for another shard
+//! always land at or after the window boundary, so exchanging them at a
+//! barrier preserves the global event order exactly. Because the event
+//! key and every random stream are functions of ranks — never of shard
+//! layout — the schedule is bit-identical for any shard and thread
+//! count. A simulation that never calls
+//! [`Simulation::configure_parallel`] is the same object with one
+//! shard, one thread and no lookahead bound: a lone shard has no
+//! cross-shard send to bound, so each run call plans a single window.
+//! Worker 0 always runs on the calling thread, so a one-thread run
+//! spawns nothing.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -325,12 +328,13 @@ pub struct RunReport {
     pub messages: u64,
     /// Timers fired.
     pub timers: u64,
-    /// True if an actor called [`Ctx::halt`] or a limit was hit.
+    /// True if a time/event limit or a streaming abort stopped the run
+    /// before the event queue drained.
     pub halted: bool,
 }
 
-/// Host-side execution profile of one shard of a windowed run,
-/// reported by [`Simulation::shard_profiles`].
+/// Host-side execution profile of one shard, reported by
+/// [`Simulation::shard_profiles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardProfile {
     /// Shard index.
@@ -344,7 +348,7 @@ pub struct ShardProfile {
     /// Host nanoseconds spent processing events.
     pub busy_ns: u64,
     /// Host nanoseconds spent waiting at window barriers (zero for
-    /// single-threaded windowed runs).
+    /// single-threaded runs).
     pub wait_ns: u64,
 }
 
@@ -401,16 +405,46 @@ impl Default for StreamingCfg {
 /// free; windows are often microseconds of host time).
 const RSS_CHECK_EVERY_WINDOWS: u32 = 32;
 
+/// Snapshot cadence thresholds. Every worker steps its own copy from
+/// published schedule state, so all threads agree on which windows
+/// emit without extra coordination.
+#[derive(Clone, Copy)]
+struct Cadence {
+    every_sim_ns: Option<u64>,
+    every_events: Option<u64>,
+    /// Next simulated-time snapshot threshold (`u64::MAX` = disabled).
+    next_sim: u64,
+    /// Next event-count snapshot threshold (`u64::MAX` = disabled).
+    next_events: u64,
+}
+
+impl Cadence {
+    /// Whether the window ending at `end_ns` (with `events` processed)
+    /// crosses a snapshot threshold. Pure function of schedule state.
+    fn due(&self, end_ns: u64, events: u64) -> bool {
+        end_ns >= self.next_sim || events >= self.next_events
+    }
+
+    /// Advance the thresholds after emitting at `(end_ns, events)`.
+    /// Window ends are schedule-deterministic, so the emission points
+    /// are identical for every thread count.
+    fn advance(&mut self, end_ns: u64, events: u64) {
+        if let Some(every) = self.every_sim_ns {
+            self.next_sim = end_ns.saturating_add(every);
+        }
+        if let Some(every) = self.every_events {
+            self.next_events = events.saturating_add(every);
+        }
+    }
+}
+
 /// Live state of an attached streaming subsystem.
 struct StreamState {
     cfg: StreamingCfg,
     accounting: OnlineAccounting,
     sink: Option<Box<dyn Write + Send>>,
     seq: u64,
-    /// Next simulated-time snapshot threshold (`u64::MAX` = disabled).
-    next_sim: u64,
-    /// Next event-count snapshot threshold (`u64::MAX` = disabled).
-    next_events: u64,
+    cadence: Cadence,
     run_started: Option<Instant>,
     last_emit: Option<Instant>,
     last_events: u64,
@@ -423,8 +457,12 @@ struct StreamState {
 impl StreamState {
     fn new(cfg: StreamingCfg, sink: Option<Box<dyn Write + Send>>, n_ranks: u32) -> Self {
         Self {
-            next_sim: cfg.snapshot_every_sim_ns.unwrap_or(u64::MAX),
-            next_events: cfg.snapshot_every_events.unwrap_or(u64::MAX),
+            cadence: Cadence {
+                every_sim_ns: cfg.snapshot_every_sim_ns,
+                every_events: cfg.snapshot_every_events,
+                next_sim: cfg.snapshot_every_sim_ns.unwrap_or(u64::MAX),
+                next_events: cfg.snapshot_every_events.unwrap_or(u64::MAX),
+            },
             cfg,
             accounting: OnlineAccounting::new(n_ranks),
             sink,
@@ -440,24 +478,6 @@ impl StreamState {
     fn mark_started(&mut self) {
         if self.run_started.is_none() {
             self.run_started = Some(Instant::now());
-        }
-    }
-
-    /// Whether the window ending at `end_ns` (with `events` processed)
-    /// crosses a snapshot threshold. Pure function of schedule state.
-    fn due(&self, end_ns: u64, events: u64) -> bool {
-        end_ns >= self.next_sim || events >= self.next_events
-    }
-
-    /// Advance the thresholds after emitting at `(end_ns, events)`.
-    /// Window ends are schedule-deterministic, so the emission points
-    /// are identical for every thread count.
-    fn advance(&mut self, end_ns: u64, events: u64) {
-        if let Some(every) = self.cfg.snapshot_every_sim_ns {
-            self.next_sim = end_ns.saturating_add(every);
-        }
-        if let Some(every) = self.cfg.snapshot_every_events {
-            self.next_events = events.saturating_add(every);
         }
     }
 
@@ -537,7 +557,7 @@ impl StreamState {
     }
 }
 
-/// One shard's published contribution to a snapshot (parallel driver).
+/// One shard's published contribution to a snapshot.
 #[derive(Default)]
 struct ShardPub {
     activity: Vec<Transition>,
@@ -547,7 +567,7 @@ struct ShardPub {
 
 /// Drain every shard's published activity into the streaming
 /// accounting and fold; when `collect`, also take the published
-/// snapshot rows and live stats (shard 0, after barrier B).
+/// snapshot rows and live stats (worker 0, after the extra barrier).
 fn drain_published(
     st: &mut StreamState,
     pubs: &[Mutex<ShardPub>],
@@ -568,6 +588,19 @@ fn drain_published(
     }
     st.accounting.fold();
     (snaps, live)
+}
+
+/// Move `shard`'s buffered activity transitions into its publish slot;
+/// with `snap`, also publish its snapshot row and summed live stats.
+fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: bool) {
+    let mut p = slot.lock().expect("publish slot poisoned");
+    if let Some(act) = shard.core.activity.as_mut() {
+        p.activity.append(act);
+    }
+    if snap {
+        p.snap = Some(shard_snap(&shard.core));
+        p.live = shard.live_stats();
+    }
 }
 
 /// Snapshot row for one shard's current engine state.
@@ -909,15 +942,19 @@ impl RankState {
     }
 }
 
-/// Read-only context shared by every shard during a run.
-struct Shared<'a> {
+/// Read-only context every shard shares during a run; one field of
+/// [`Simulation`], borrowed beside the mutably borrowed shards.
+struct Shared {
     n_ranks: u32,
     /// Rank → (shard, slot-within-shard).
-    rank_loc: &'a [(u32, u32)],
-    crash_at: &'a [Option<u64>],
-    fault: &'a FaultPlan,
+    rank_loc: Vec<(u32, u32)>,
+    crash_at: Vec<Option<u64>>,
+    fault: FaultPlan,
     fault_active: bool,
     jitter: f64,
+    /// Lower bound on cross-shard message latency. `u64::MAX` (no
+    /// bound: a lone shard has no cross-shard send) until
+    /// [`Simulation::configure_parallel`] sets one.
     lookahead_ns: u64,
 }
 
@@ -931,15 +968,11 @@ fn crashed_at(crash_at: &[Option<u64>], rank: Rank, at: SimTime) -> bool {
 struct ShardCore<M> {
     id: usize,
     now: SimTime,
-    halted: bool,
     queue: EventQueue<M>,
     /// Quiet-timer slots (≤ 1 per owned rank): timers carrying a
     /// send-silence promise, excluded from the window-plan send floor
     /// until a delivery voids the promise (see [`Ctx::set_timer_quiet`]).
     quiet: QuietSlots,
-    /// True in windowed shards; the legacy serial loop never merges the
-    /// quiet slots, so quiet arming degrades to a plain timer there.
-    quiet_enabled: bool,
     /// Exclusive end of the window currently executing (0 before the
     /// first window); cross-shard sends assert they land at or past it.
     window_end: u64,
@@ -978,6 +1011,42 @@ struct ShardCore<M> {
 }
 
 impl<M> ShardCore<M> {
+    /// A fresh core for shard `id` of `n_shards` owning `n_members`
+    /// ranks, with every observability sink detached.
+    fn new(
+        id: usize,
+        n_members: usize,
+        n_shards: usize,
+        net: Box<dyn NetworkModel>,
+        reference_queue: bool,
+    ) -> Self {
+        Self {
+            id,
+            now: SimTime::ZERO,
+            queue: EventQueue::new(reference_queue),
+            quiet: QuietSlots::new(n_members),
+            window_end: 0,
+            fifo: PairMap::default(),
+            fifo_sweep_at: FIFO_SWEEP_MIN,
+            net,
+            delivered: 0,
+            timers: 0,
+            messages_sent: 0,
+            events: 0,
+            fault_stats: FaultStats::default(),
+            log: None,
+            net_trace: None,
+            activity: None,
+            flight: None,
+            outboxes: (0..n_shards).map(|_| Vec::new()).collect(),
+            dirty_out: Vec::new(),
+            profiler: None,
+            windows: 0,
+            busy_ns: 0,
+            wait_ns: 0,
+        }
+    }
+
     #[inline]
     fn push_local(&mut self, ev: Event<M>) {
         self.queue.push(ev);
@@ -985,7 +1054,7 @@ impl<M> ShardCore<M> {
 
     /// Enqueue locally or hand off to the destination shard's outbox,
     /// asserting the conservative lookahead bound for the latter.
-    fn route(&mut self, shared: &Shared<'_>, ev: Event<M>) {
+    fn route(&mut self, shared: &Shared, ev: Event<M>) {
         let dst_shard = shared.rank_loc[ev.dst as usize].0 as usize;
         if dst_shard == self.id {
             self.push_local(ev);
@@ -1063,7 +1132,7 @@ impl<M: Clone> ShardCore<M> {
     #[allow(clippy::too_many_arguments)]
     fn send(
         &mut self,
-        shared: &Shared<'_>,
+        shared: &Shared,
         state: &mut RankState,
         from: Rank,
         to: Rank,
@@ -1214,7 +1283,7 @@ impl<M: Clone> ShardCore<M> {
 /// Handle passed to actor callbacks.
 pub struct Ctx<'a, M> {
     core: &'a mut ShardCore<M>,
-    shared: &'a Shared<'a>,
+    shared: &'a Shared,
     state: &'a mut RankState,
     me: Rank,
 }
@@ -1251,6 +1320,23 @@ impl<M> Ctx<'_, M> {
         self.state.skew_ns
     }
 
+    /// `delay_ns` stretched by the fault-plan slowdown window this rank
+    /// sits in, if any.
+    fn stretched(&self, delay_ns: u64) -> u64 {
+        if !self.shared.fault_active {
+            return delay_ns;
+        }
+        let f = self
+            .shared
+            .fault
+            .slowdown_factor(self.me, self.core.now.ns());
+        if f != 1.0 {
+            (delay_ns as f64 * f) as u64
+        } else {
+            delay_ns
+        }
+    }
+
     /// Record an active/idle transition for the streaming accounting
     /// ([`Simulation::attach_streaming`]). One branch when streaming is
     /// off. Timestamps use the *global* clock — the exact value the
@@ -1273,20 +1359,7 @@ impl<M> Ctx<'_, M> {
     /// slowdown window, the delay stretches by the window's factor —
     /// the rank's local processing runs slow.
     pub fn set_timer(&mut self, delay_ns: u64, token: u64) {
-        let delay_ns = if self.shared.fault_active {
-            let f = self
-                .shared
-                .fault
-                .slowdown_factor(self.me, self.core.now.ns());
-            if f != 1.0 {
-                (delay_ns as f64 * f) as u64
-            } else {
-                delay_ns
-            }
-        } else {
-            delay_ns
-        };
-        let at = self.core.now + delay_ns;
+        let at = self.core.now + self.stretched(delay_ns);
         // Timers are always shard-local: dst == src == me.
         let ev = Event {
             time: at,
@@ -1314,12 +1387,10 @@ impl<M> Ctx<'_, M> {
     /// cross-shard send oracle panics on it. The promise is ignored —
     /// the timer is armed plain — when `quiet_for_ns` is 0, when this
     /// rank has fault-plan slowdown windows (a stretch factor below 1
-    /// could legally compress the re-arm delay under the promise),
-    /// when the rank already has a quiet timer armed, or outside
-    /// windowed execution.
+    /// could legally compress the re-arm delay under the promise), or
+    /// when the rank already has a quiet timer armed.
     pub fn set_timer_quiet(&mut self, delay_ns: u64, token: u64, quiet_for_ns: u64) {
-        let promise_ok = self.core.quiet_enabled
-            && quiet_for_ns > 0
+        let promise_ok = quiet_for_ns > 0
             && !(self.shared.fault_active
                 && self
                     .shared
@@ -1331,20 +1402,7 @@ impl<M> Ctx<'_, M> {
             self.set_timer(delay_ns, token);
             return;
         }
-        let delay_ns = if self.shared.fault_active {
-            let f = self
-                .shared
-                .fault
-                .slowdown_factor(self.me, self.core.now.ns());
-            if f != 1.0 {
-                (delay_ns as f64 * f) as u64
-            } else {
-                delay_ns
-            }
-        } else {
-            delay_ns
-        };
-        let at = self.core.now + delay_ns;
+        let at = self.core.now + self.stretched(delay_ns);
         let sseq = self.state.next_sseq();
         let slot = self.shared.rank_loc[self.me as usize].1 as usize;
         if !self
@@ -1370,21 +1428,13 @@ impl<M> Ctx<'_, M> {
     /// timeouts; the simulation exposes the oracle so recovery logic
     /// can be studied separately from detection accuracy.
     pub fn is_crashed(&self, rank: Rank) -> bool {
-        crashed_at(self.shared.crash_at, rank, self.core.now)
+        crashed_at(&self.shared.crash_at, rank, self.core.now)
     }
 
     /// This rank's deterministic random stream.
     #[inline]
     pub fn rng(&mut self) -> &mut DetRng {
         &mut self.state.rng
-    }
-
-    /// Stop the whole simulation. In windowed (parallel) mode the stop
-    /// takes effect at the end of the current lookahead window, so the
-    /// set of processed events stays shard-count-invariant; the legacy
-    /// serial path stops after the current event.
-    pub fn halt(&mut self) {
-        self.core.halted = true;
     }
 }
 
@@ -1427,11 +1477,20 @@ struct Shard<A: Actor> {
 }
 
 impl<A: Actor> Shard<A> {
-    fn start(&mut self, shared: &Shared<'_>) {
+    /// Live stats summed over the shard's actors.
+    fn live_stats(&self) -> LiveStats {
+        let mut live = LiveStats::default();
+        for actor in &self.actors {
+            live.absorb(&actor.live_stats());
+        }
+        live
+    }
+
+    fn start(&mut self, shared: &Shared) {
         for slot in 0..self.actors.len() {
             let rank = self.members[slot];
             // A rank crashed at time zero never runs at all.
-            if shared.fault_active && crashed_at(shared.crash_at, rank, SimTime::ZERO) {
+            if shared.fault_active && crashed_at(&shared.crash_at, rank, SimTime::ZERO) {
                 continue;
             }
             let t0 = prof_start(&self.core.profiler);
@@ -1450,7 +1509,7 @@ impl<A: Actor> Shard<A> {
     /// max_time_ns` when set), leaving later events queued. Quiet
     /// timers merge into the pop order by their canonical keys, so the
     /// schedule is identical to one where they sat in the main queue.
-    fn run_window(&mut self, shared: &Shared<'_>, end_ns: u64, max_time_ns: Option<u64>) {
+    fn run_window(&mut self, shared: &Shared, end_ns: u64, max_time_ns: Option<u64>) {
         self.core.window_end = end_ns;
         loop {
             let bk = self.core.queue.peek_key();
@@ -1512,7 +1571,7 @@ impl<A: Actor> Shard<A> {
         self.core.windows += 1;
     }
 
-    fn process(&mut self, shared: &Shared<'_>, ev: Event<A::Msg>) {
+    fn process(&mut self, shared: &Shared, ev: Event<A::Msg>) {
         let Event {
             time,
             dst,
@@ -1548,7 +1607,7 @@ impl<A: Actor> Shard<A> {
                 }
                 self.core.now = time;
                 self.core.events += 1;
-                if shared.fault_active && crashed_at(shared.crash_at, dst, time) {
+                if shared.fault_active && crashed_at(&shared.crash_at, dst, time) {
                     // The destination died before this arrived; the
                     // bytes hit a dead NIC.
                     self.core.fault_stats.crash_lost_deliveries += 1;
@@ -1566,7 +1625,7 @@ impl<A: Actor> Shard<A> {
             EventKind::Timer { token } => {
                 self.core.now = time;
                 self.core.events += 1;
-                if shared.fault_active && crashed_at(shared.crash_at, dst, time) {
+                if shared.fault_active && crashed_at(&shared.crash_at, dst, time) {
                     self.core.fault_stats.crash_lost_timers += 1;
                     self.core.log_fault(ObsKind::CrashLost {
                         rank: dst,
@@ -1582,7 +1641,7 @@ impl<A: Actor> Shard<A> {
         }
     }
 
-    fn dispatch_message(&mut self, shared: &Shared<'_>, rank: Rank, from: Rank, msg: A::Msg) {
+    fn dispatch_message(&mut self, shared: &Shared, rank: Rank, from: Rank, msg: A::Msg) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
         let t0 = prof_start(&self.core.profiler);
         let mut ctx = Ctx {
@@ -1595,7 +1654,7 @@ impl<A: Actor> Shard<A> {
         prof_record(&self.core.profiler, Phase::Dispatch, t0);
     }
 
-    fn dispatch_timer(&mut self, shared: &Shared<'_>, rank: Rank, token: u64) {
+    fn dispatch_timer(&mut self, shared: &Shared, rank: Rank, token: u64) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
         let t0 = prof_start(&self.core.profiler);
         let mut ctx = Ctx {
@@ -1613,7 +1672,7 @@ impl<A: Actor> Shard<A> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
     /// Stop the run; `limit` marks a time/event limit rather than a
-    /// drained queue or a halt.
+    /// drained queue.
     Stop { limit: bool },
     /// Execute one more window ending (exclusively) at `end`.
     Window { end: u64 },
@@ -1633,14 +1692,10 @@ fn decide(
     min_next: Option<u64>,
     s_floor: u64,
     events: u64,
-    halted: bool,
     max_time_ns: Option<u64>,
     max_events: Option<u64>,
     lookahead_ns: u64,
 ) -> Verdict {
-    if halted {
-        return Verdict::Stop { limit: false };
-    }
     if let Some(me) = max_events {
         if events >= me {
             return Verdict::Stop { limit: true };
@@ -1707,6 +1762,11 @@ impl Planner {
         }
     }
 
+    /// The shards thread `tid` currently owns, ascending.
+    fn owned(&self, tid: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.owners.len()).filter(move |&g| self.owners[g] == tid as u32)
+    }
+
     /// Fold the last window's per-shard loads and (maybe) rebalance.
     /// Pure function of the load history — identical on every thread.
     fn step(&mut self, loads: impl Iterator<Item = u64>) {
@@ -1751,7 +1811,7 @@ impl Planner {
 }
 
 /// One shard's published window-plan inputs, one parity copy. The
-/// parallel driver keeps two copies per shard ([`GroupSlot`]s are
+/// driver keeps two copies per shard ([`GroupSlot`]s are
 /// double-buffered by window parity): iteration `k` reads parity
 /// `k & 1` and writes parity `(k + 1) & 1`, and the per-window barrier
 /// fences each slot's reuse — a writer touches parity `p` again only
@@ -1766,7 +1826,6 @@ struct GroupSlot {
     /// Events processed in the window just executed (the rebalancer's
     /// load signal).
     load: AtomicU64,
-    halted: AtomicBool,
 }
 
 impl GroupSlot {
@@ -1776,7 +1835,6 @@ impl GroupSlot {
             s_floor: AtomicU64::new(u64::MAX),
             events: AtomicU64::new(0),
             load: AtomicU64::new(0),
-            halted: AtomicBool::new(false),
         }
     }
 }
@@ -1798,20 +1856,10 @@ fn owner_rank(kind: &ObsKind) -> u32 {
 /// A discrete-event simulation over `n` actors.
 pub struct Simulation<A: Actor> {
     shards: Vec<Shard<A>>,
-    /// Rank → (shard, slot-within-shard).
-    rank_loc: Vec<(u32, u32)>,
+    shared: Shared,
     skews: Vec<u64>,
-    crash_at: Vec<Option<u64>>,
-    fault: FaultPlan,
-    fault_active: bool,
-    jitter: f64,
-    n_ranks: u32,
-    /// True once `configure_parallel` switched the engine to windowed
-    /// execution (used even at one shard, so thread count can never
-    /// change results).
-    windowed: bool,
-    /// Worker threads for the parallel driver (≤ shard count); purely
-    /// a host execution knob, never consulted by the schedule.
+    /// Worker threads for the driver (≤ shard count); purely a host
+    /// execution knob, never consulted by the schedule.
     exec_threads: u32,
     /// FNV-1a hash over the sequence of window end times (the window
     /// *plan*), plus the window count — schedule-invariant, so every
@@ -1821,7 +1869,6 @@ pub struct Simulation<A: Actor> {
     /// Shard-ownership moves the deterministic rebalancer made across
     /// the run (0 for single-threaded runs).
     steals: u64,
-    lookahead_ns: u64,
     started: bool,
     log_cap: Option<usize>,
     net_trace_on: bool,
@@ -1832,9 +1879,6 @@ pub struct Simulation<A: Actor> {
     merged_log: Option<EventLog>,
     merged_net: Option<NetTrace>,
     streaming: Option<StreamState>,
-    /// Recycled buffer for the single-threaded outbox exchange, so
-    /// windowed execution allocates nothing per window.
-    exchange_scratch: Vec<Event<A::Msg>>,
 }
 
 impl<A: Actor> Simulation<A> {
@@ -1880,55 +1924,28 @@ impl<A: Actor> Simulation<A> {
                 sseq: 0,
             })
             .collect();
-        let crash_at: Vec<Option<u64>> = (0..n).map(|r| config.fault.crash_time(r)).collect();
-        let fault_active = config.fault.is_active();
         let shard = Shard {
             members: (0..n).collect(),
             actors,
             states,
-            core: ShardCore {
-                id: 0,
-                now: SimTime::ZERO,
-                halted: false,
-                queue: EventQueue::new(false),
-                quiet: QuietSlots::new(n as usize),
-                quiet_enabled: false,
-                window_end: 0,
-                fifo: PairMap::default(),
-                fifo_sweep_at: FIFO_SWEEP_MIN,
-                net,
-                delivered: 0,
-                timers: 0,
-                messages_sent: 0,
-                events: 0,
-                fault_stats: FaultStats::default(),
-                log: None,
-                net_trace: None,
-                activity: None,
-                flight: None,
-                outboxes: Vec::new(),
-                dirty_out: Vec::new(),
-                profiler: None,
-                windows: 0,
-                busy_ns: 0,
-                wait_ns: 0,
-            },
+            core: ShardCore::new(0, n as usize, 1, net, false),
         };
         Self {
             shards: vec![shard],
-            rank_loc: (0..n).map(|r| (0, r)).collect(),
+            shared: Shared {
+                n_ranks: n,
+                rank_loc: (0..n).map(|r| (0, r)).collect(),
+                crash_at: (0..n).map(|r| config.fault.crash_time(r)).collect(),
+                fault_active: config.fault.is_active(),
+                fault: config.fault,
+                jitter: config.latency_jitter,
+                lookahead_ns: u64::MAX,
+            },
             skews,
-            crash_at,
-            fault: config.fault,
-            fault_active,
-            jitter: config.latency_jitter,
-            n_ranks: n,
-            windowed: false,
             exec_threads: 1,
             plan_digest: FNV_OFFSET,
             plan_windows: 0,
             steals: 0,
-            lookahead_ns: 0,
             started: false,
             log_cap: None,
             net_trace_on: false,
@@ -1937,7 +1954,6 @@ impl<A: Actor> Simulation<A> {
             merged_log: None,
             merged_net: None,
             streaming: None,
-            exchange_scratch: Vec::new(),
         }
     }
 
@@ -1961,25 +1977,32 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
-    /// Switch to windowed (conservative PDES) execution over `cfg`
-    /// shards. Must be called before the first run and at most once.
-    /// The schedule of a windowed run is identical for every shard
-    /// count; use windowed execution even for one shard whenever a
-    /// multi-shard run of the same configuration must match it.
+    /// Partition the ranks into `cfg`'s shards and bound the lookahead
+    /// windows by `cfg.lookahead_ns`. Must be called before the first
+    /// run (and before [`attach_streaming`](Self::attach_streaming))
+    /// and at most once. The schedule is identical for every shard and
+    /// thread count, and identical to the unconfigured one; what
+    /// configuring changes is host execution and limit granularity
+    /// (see [`run_parallel_with_limits`](Self::run_parallel_with_limits)).
     ///
     /// # Panics
-    /// Panics if the simulation already ran, on a second call, or if an
-    /// explicit shard map is malformed.
+    /// Panics if the simulation already ran, on a second call, after
+    /// streaming was attached, or if an explicit shard map is
+    /// malformed.
     pub fn configure_parallel(&mut self, cfg: ParallelConfig) {
         assert!(
             !self.started,
             "configure_parallel must be called before the first run"
         );
         assert!(
-            self.shards.len() == 1 && !self.windowed,
+            self.shared.lookahead_ns == u64::MAX,
             "configure_parallel may only be called once"
         );
-        let n = self.n_ranks as usize;
+        assert!(
+            self.streaming.is_none(),
+            "configure_parallel must be called before attach_streaming"
+        );
+        let n = self.shared.n_ranks as usize;
         let shardable = self.shards[0].core.net.shardable();
         let threads = if shardable { cfg.threads.max(1) } else { 1 };
         let map: Vec<u32> = match cfg.shard_of {
@@ -2025,232 +2048,21 @@ impl<A: Actor> Simulation<A> {
                 .map(|&r| state_slots[r as usize].take().expect("each rank once"))
                 .collect();
             for (slot, &r) in members.iter().enumerate() {
-                self.rank_loc[r as usize] = (id as u32, slot as u32);
+                self.shared.rank_loc[r as usize] = (id as u32, slot as u32);
             }
-            let n_members = members.len();
+            let mut core = ShardCore::new(id, members.len(), s_count, net, self.reference_queue);
+            core.log = self.log_cap.map(|_| EventLog::unbounded());
+            core.net_trace = self.net_trace_on.then(NetTrace::default);
+            core.profiler = self.profiler.clone();
             self.shards.push(Shard {
                 members,
                 actors: shard_actors,
                 states: shard_states,
-                core: ShardCore {
-                    id,
-                    now: SimTime::ZERO,
-                    halted: false,
-                    queue: EventQueue::new(self.reference_queue),
-                    quiet: QuietSlots::new(n_members),
-                    quiet_enabled: true,
-                    window_end: 0,
-                    fifo: PairMap::default(),
-                    fifo_sweep_at: FIFO_SWEEP_MIN,
-                    net,
-                    delivered: 0,
-                    timers: 0,
-                    messages_sent: 0,
-                    events: 0,
-                    fault_stats: FaultStats::default(),
-                    log: self.log_cap.map(|_| EventLog::unbounded()),
-                    net_trace: if self.net_trace_on {
-                        Some(NetTrace::default())
-                    } else {
-                        None
-                    },
-                    activity: None,
-                    flight: None,
-                    outboxes: (0..s_count).map(|_| Vec::new()).collect(),
-                    dirty_out: Vec::new(),
-                    profiler: self.profiler.clone(),
-                    windows: 0,
-                    busy_ns: 0,
-                    wait_ns: 0,
-                },
+                core,
             });
         }
-        self.windowed = true;
         self.exec_threads = threads.min(s_count as u32).max(1);
-        self.lookahead_ns = cfg.lookahead_ns.max(1);
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let shared = Shared {
-            n_ranks: self.n_ranks,
-            rank_loc: &self.rank_loc,
-            crash_at: &self.crash_at,
-            fault: &self.fault,
-            fault_active: self.fault_active,
-            jitter: self.jitter,
-            lookahead_ns: self.lookahead_ns,
-        };
-        for shard in self.shards.iter_mut() {
-            let b0 = Instant::now();
-            shard.start(&shared);
-            shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
-        }
-        self.exchange_outboxes();
-    }
-
-    /// Move every shard's outbox contents into the destination shards'
-    /// queues (the single-threaded equivalent of the barrier exchange).
-    /// Only outboxes on the dirty list are touched, and buffers are
-    /// swapped through one recycled scratch vector, so the exchange
-    /// costs O(traffic), allocating nothing in steady state.
-    fn exchange_outboxes(&mut self) {
-        let n = self.shards.len();
-        if n <= 1 {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.exchange_scratch);
-        for i in 0..n {
-            let mut dirty = std::mem::take(&mut self.shards[i].core.dirty_out);
-            for &j in &dirty {
-                let j = j as usize;
-                std::mem::swap(&mut scratch, &mut self.shards[i].core.outboxes[j]);
-                for ev in scratch.drain(..) {
-                    self.shards[j].core.push_local(ev);
-                }
-            }
-            dirty.clear();
-            self.shards[i].core.dirty_out = dirty;
-        }
-        self.exchange_scratch = scratch;
-    }
-
-    /// Run until the event queue drains, an actor halts, or a limit is
-    /// reached.
-    pub fn run(&mut self) -> RunReport {
-        self.run_with_limits(None, None)
-    }
-
-    /// [`run`](Self::run) with optional wall limits on simulated time
-    /// and event count. After [`Self::configure_parallel`] this
-    /// executes the windowed algorithm on the calling thread; otherwise
-    /// the legacy serial loop runs (same schedule, but halts and event
-    /// limits apply per event rather than per window).
-    pub fn run_with_limits(
-        &mut self,
-        max_time: Option<SimTime>,
-        max_events: Option<u64>,
-    ) -> RunReport {
-        if self.windowed {
-            self.run_windowed_local(max_time, max_events)
-        } else {
-            self.run_legacy(max_time, max_events)
-        }
-    }
-
-    fn run_legacy(&mut self, max_time: Option<SimTime>, max_events: Option<u64>) -> RunReport {
-        self.ensure_started();
-        let mut limit_hit = false;
-        let shared = Shared {
-            n_ranks: self.n_ranks,
-            rank_loc: &self.rank_loc,
-            crash_at: &self.crash_at,
-            fault: &self.fault,
-            fault_active: self.fault_active,
-            jitter: self.jitter,
-            lookahead_ns: self.lookahead_ns,
-        };
-        let shard = &mut self.shards[0];
-        while let Some(t) = shard.core.queue.peek_time_ns() {
-            if let Some(mt) = max_time {
-                if t > mt.ns() {
-                    // Event not processed; it stays queued for resume.
-                    limit_hit = true;
-                    break;
-                }
-            }
-            let ev = shard.core.queue.pop().expect("peeked");
-            shard.process(&shared, ev);
-            if shard.core.halted {
-                break;
-            }
-            if let Some(me) = max_events {
-                if shard.core.events >= me {
-                    limit_hit = true;
-                    break;
-                }
-            }
-        }
-        let core = &self.shards[0].core;
-        RunReport {
-            end_time: core.now,
-            events: core.events,
-            messages: core.delivered,
-            timers: core.timers,
-            halted: core.halted || limit_hit,
-        }
-    }
-
-    fn run_windowed_local(
-        &mut self,
-        max_time: Option<SimTime>,
-        max_events: Option<u64>,
-    ) -> RunReport {
-        self.ensure_started();
-        if let Some(st) = self.streaming.as_mut() {
-            st.mark_started();
-        }
-        let mt = max_time.map(|t| t.ns());
-        let limit_hit;
-        let mut aborted = false;
-        loop {
-            if let Some(reason) = self.streaming.as_mut().and_then(|st| st.abort_reason()) {
-                self.stream_abort_local(reason);
-                limit_hit = true;
-                aborted = true;
-                break;
-            }
-            let (mut min_next, mut s_floor) = (u64::MAX, u64::MAX);
-            for s in self.shards.iter_mut() {
-                let (mn, sf) = s.core.plan_inputs();
-                min_next = min_next.min(mn);
-                s_floor = s_floor.min(sf);
-            }
-            let min_next = Some(min_next).filter(|&t| t != u64::MAX);
-            let events: u64 = self.shards.iter().map(|s| s.core.events).sum();
-            let any_halt = self.shards.iter().any(|s| s.core.halted);
-            match decide(
-                min_next,
-                s_floor,
-                events,
-                any_halt,
-                mt,
-                max_events,
-                self.lookahead_ns,
-            ) {
-                Verdict::Stop { limit } => {
-                    limit_hit = limit;
-                    break;
-                }
-                Verdict::Window { end } => {
-                    self.plan_digest = fnv1a(self.plan_digest, end);
-                    self.plan_windows += 1;
-                    let shared = Shared {
-                        n_ranks: self.n_ranks,
-                        rank_loc: &self.rank_loc,
-                        crash_at: &self.crash_at,
-                        fault: &self.fault,
-                        fault_active: self.fault_active,
-                        jitter: self.jitter,
-                        lookahead_ns: self.lookahead_ns,
-                    };
-                    for shard in self.shards.iter_mut() {
-                        let b0 = Instant::now();
-                        shard.run_window(&shared, end, mt);
-                        shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
-                    }
-                    self.exchange_outboxes();
-                    self.stream_tick_local(end, false);
-                }
-            }
-        }
-        if !aborted {
-            self.stream_final();
-        }
-        self.finish_windowed(limit_hit)
+        self.shared.lookahead_ns = cfg.lookahead_ns.max(1);
     }
 
     /// Closing snapshot at normal completion: every streamed run ends
@@ -2259,19 +2071,24 @@ impl<A: Actor> Simulation<A> {
     /// in the stream. The end time is the schedule-derived maximum
     /// shard clock, so the line is identical across thread counts.
     fn stream_final(&mut self) {
-        if self.streaming.is_none() {
+        let Some(st) = self.streaming.as_mut() else {
             return;
+        };
+        let events: u64 = self.shards.iter().map(|s| s.core.events).sum();
+        let rows: Vec<ShardSnap> = self.shards.iter().map(|s| shard_snap(&s.core)).collect();
+        let end_ns = rows.iter().map(|s| s.now_ns).max().unwrap_or(0);
+        st.cadence.advance(end_ns, events);
+        let mut live = LiveStats::default();
+        for shard in &self.shards {
+            live.absorb(&shard.live_stats());
         }
-        let end_ns = self
-            .shards
-            .iter()
-            .map(|s| s.core.now.ns())
-            .max()
-            .unwrap_or(0);
-        self.stream_tick_local(end_ns, true);
+        let snap = st.make_snapshot(events, rows, live);
+        st.emit(&snap);
     }
 
-    fn finish_windowed(&mut self, limit_hit: bool) -> RunReport {
+    /// Rebuild the merged observability artifacts and sum the shards'
+    /// counters into the run report.
+    fn finish_run(&mut self, limit_hit: bool) -> RunReport {
         if self.log_cap.is_some() {
             self.rebuild_merged_log();
         }
@@ -2289,7 +2106,7 @@ impl<A: Actor> Simulation<A> {
             events: self.shards.iter().map(|s| s.core.events).sum(),
             messages: self.shards.iter().map(|s| s.core.delivered).sum(),
             timers: self.shards.iter().map(|s| s.core.timers).sum(),
-            halted: self.shards.iter().any(|s| s.core.halted) || limit_hit,
+            halted: limit_hit,
         }
     }
 
@@ -2327,13 +2144,13 @@ impl<A: Actor> Simulation<A> {
     /// Access an actor after (or during) a run — e.g. to harvest per-rank
     /// statistics.
     pub fn actor(&self, rank: Rank) -> &A {
-        let (s, slot) = self.rank_loc[rank as usize];
+        let (s, slot) = self.shared.rank_loc[rank as usize];
         &self.shards[s as usize].actors[slot as usize]
     }
 
     /// All actors, in rank order.
     pub fn actors(&self) -> Vec<&A> {
-        (0..self.n_ranks).map(|r| self.actor(r)).collect()
+        (0..self.shared.n_ranks).map(|r| self.actor(r)).collect()
     }
 
     /// Per-rank clock skew applied in this simulation (for trace
@@ -2364,36 +2181,27 @@ impl<A: Actor> Simulation<A> {
             .map(|s| s.core.now)
             .max()
             .unwrap_or(SimTime::ZERO);
-        (0..self.n_ranks)
-            .filter(|&r| crashed_at(&self.crash_at, r, now))
+        (0..self.shared.n_ranks)
+            .filter(|&r| crashed_at(&self.shared.crash_at, r, now))
             .collect()
     }
 
     /// Attach a bounded event log keeping the `cap` most recent engine
-    /// events (sends, deliveries, timers). Call before `run`. Windowed
-    /// runs buffer each shard's full stream and truncate to `cap` at
-    /// merge time, so the retained window is shard-count-invariant.
+    /// events (sends, deliveries, timers). Call before `run`. Each
+    /// shard buffers its full stream and the merge truncates to `cap`,
+    /// so the retained window is shard-count-invariant.
     pub fn attach_log(&mut self, cap: usize) {
         self.log_cap = Some(cap);
         self.merged_log = Some(EventLog::new(cap));
-        let windowed = self.windowed;
         for shard in self.shards.iter_mut() {
-            shard.core.log = Some(if windowed {
-                EventLog::unbounded()
-            } else {
-                EventLog::new(cap)
-            });
+            shard.core.log = Some(EventLog::unbounded());
         }
     }
 
-    /// The attached event log, if any. After windowed runs this is the
-    /// canonical cross-shard merge.
+    /// The attached event log, if any: the canonical cross-shard merge
+    /// as of the end of the last run call.
     pub fn event_log(&self) -> Option<&EventLog> {
-        if self.windowed {
-            self.merged_log.as_ref()
-        } else {
-            self.shards[0].core.log.as_ref()
-        }
+        self.merged_log.as_ref()
     }
 
     /// Attach a network trace (delivery-latency histogram + per-pair
@@ -2401,22 +2209,16 @@ impl<A: Actor> Simulation<A> {
     /// one branch per send and records nothing.
     pub fn attach_net_trace(&mut self) {
         self.net_trace_on = true;
+        self.merged_net = Some(NetTrace::default());
         for shard in self.shards.iter_mut() {
             shard.core.net_trace = Some(NetTrace::default());
         }
-        if self.windowed {
-            self.merged_net = Some(NetTrace::default());
-        }
     }
 
-    /// The attached network trace, if any. After windowed runs this is
-    /// the cross-shard merge.
+    /// The attached network trace, if any: the cross-shard merge as of
+    /// the end of the last run call.
     pub fn net_trace(&self) -> Option<&NetTrace> {
-        if self.windowed {
-            self.merged_net.as_ref()
-        } else {
-            self.shards[0].core.net_trace.as_ref()
-        }
+        self.merged_net.as_ref()
     }
 
     /// Attach a self-profiling probe (shared with the schedulers via
@@ -2434,8 +2236,8 @@ impl<A: Actor> Simulation<A> {
     /// occupancy accounting, a periodic snapshot stream written to
     /// `sink` as JSONL (one [`Snapshot`] per line), a per-shard flight
     /// recorder, and the emergency-abort budgets. Call after
-    /// [`configure_parallel`](Self::configure_parallel) and before the
-    /// first run.
+    /// [`configure_parallel`](Self::configure_parallel), if that is
+    /// called at all, and before the first run.
     ///
     /// Streaming only ever *reads* engine state at window barriers —
     /// the event schedule, every RNG stream, and all other run
@@ -2443,15 +2245,11 @@ impl<A: Actor> Simulation<A> {
     /// by property tests in `tests/`).
     ///
     /// # Panics
-    /// Panics if the simulation already started or is not windowed.
+    /// Panics if the simulation already started.
     pub fn attach_streaming(&mut self, cfg: StreamingCfg, sink: Option<Box<dyn Write + Send>>) {
         assert!(
             !self.started,
             "attach_streaming must be called before the first run"
-        );
-        assert!(
-            self.windowed,
-            "attach_streaming requires configure_parallel (windowed execution)"
         );
         let mut rings = Vec::new();
         for shard in self.shards.iter_mut() {
@@ -2468,7 +2266,7 @@ impl<A: Actor> Simulation<A> {
             }
             abort::install_sigterm_hook();
         }
-        self.streaming = Some(StreamState::new(cfg, sink, self.n_ranks));
+        self.streaming = Some(StreamState::new(cfg, sink, self.shared.n_ranks));
     }
 
     /// Close the streaming accounting at `end_ns` and return the
@@ -2487,82 +2285,24 @@ impl<A: Actor> Simulation<A> {
         Some(st.accounting.finish(end_ns))
     }
 
-    /// The per-shard flight-recorder rings, when attached.
-    fn flight_rings(&self) -> Vec<Arc<FlightRecorder>> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.core.flight.as_ref().map(Arc::clone))
-            .collect()
-    }
-
-    /// Single-threaded streaming hook, called at each window barrier:
-    /// drain per-shard activity, fold, and emit a snapshot when due
-    /// (or when `force` is set — the abort path). Returns the emitted
-    /// snapshot.
-    fn stream_tick_local(&mut self, end_ns: u64, force: bool) -> Option<Snapshot> {
-        let st = self.streaming.as_mut()?;
-        for shard in self.shards.iter_mut() {
-            if let Some(act) = shard.core.activity.as_mut() {
-                st.accounting.record_all(act);
-                act.clear();
-            }
-        }
-        st.accounting.fold();
-        let events: u64 = self.shards.iter().map(|s| s.core.events).sum();
-        if !force && !st.due(end_ns, events) {
-            return None;
-        }
-        st.advance(end_ns, events);
-        let shard_snaps: Vec<ShardSnap> = self.shards.iter().map(|s| shard_snap(&s.core)).collect();
-        let mut live = LiveStats::default();
-        for shard in &self.shards {
-            for actor in &shard.actors {
-                live.absorb(&actor.live_stats());
-            }
-        }
-        let snap = st.make_snapshot(events, shard_snaps, live);
-        st.emit(&snap);
-        Some(snap)
-    }
-
-    /// Abort path shared by the single-threaded driver: emit a final
-    /// snapshot and write the flight dump.
-    fn stream_abort_local(&mut self, reason: &str) {
-        let end_ns = self
-            .shards
-            .iter()
-            .map(|s| s.core.now.ns())
-            .max()
-            .unwrap_or(0);
-        let snap = self.stream_tick_local(end_ns, true);
-        let path = self
-            .streaming
-            .as_ref()
-            .and_then(|st| st.cfg.flight_dump_path.clone());
-        if let Some(path) = path {
-            let rings = self.flight_rings();
-            let _ = abort::write_flight_dump(&path, reason, &rings, snap.as_ref());
-        }
-    }
-
     /// The window plan executed so far, as `(fnv1a digest of the
     /// window-end sequence, window count)`. The plan is a pure function
-    /// of schedule state, so for one configuration every thread count —
-    /// and both the local and the threaded driver — must return the
+    /// of schedule state and the lookahead bound, so for one
+    /// configuration every shard and thread count must return the
     /// identical pair; the window-planner property tests assert it.
     pub fn window_plan(&self) -> (u64, u64) {
         (self.plan_digest, self.plan_windows)
     }
 
     /// Shard-ownership moves the deterministic rebalancer performed
-    /// across all parallel runs of this simulation (0 when single
-    /// threaded — there is nobody to steal from).
+    /// across all runs of this simulation (0 when single threaded —
+    /// there is nobody to steal from).
     pub fn steal_count(&self) -> u64 {
         self.steals
     }
 
     /// Host-side execution profile per shard (events, windows, busy and
-    /// barrier-wait time). Meaningful after a windowed run.
+    /// barrier-wait time).
     pub fn shard_profiles(&self) -> Vec<ShardProfile> {
         self.shards
             .iter()
@@ -2583,18 +2323,37 @@ where
     A: Actor + Send,
     A::Msg: Send,
 {
-    /// [`run_parallel_with_limits`](Self::run_parallel_with_limits)
-    /// without limits.
-    pub fn run_parallel(&mut self) -> RunReport {
+    /// Run until the event queue drains or a streaming abort fires.
+    pub fn run(&mut self) -> RunReport {
         self.run_parallel_with_limits(None, None)
     }
 
-    /// Execute the windowed run across worker threads. Requires
-    /// [`configure_parallel`](Self::configure_parallel) first; with one
-    /// shard, one thread, or unconfigured this falls back to the
-    /// single-threaded path. The result is bit-identical to
-    /// [`run_with_limits`](Self::run_with_limits) on the same
-    /// configuration.
+    /// [`run_parallel_with_limits`](Self::run_parallel_with_limits)
+    /// under its historical serial name.
+    pub fn run_with_limits(
+        &mut self,
+        max_time: Option<SimTime>,
+        max_events: Option<u64>,
+    ) -> RunReport {
+        self.run_parallel_with_limits(max_time, max_events)
+    }
+
+    /// [`run`](Self::run) under its historical parallel name.
+    pub fn run_parallel(&mut self) -> RunReport {
+        self.run()
+    }
+
+    /// The engine's one run loop: execute lookahead windows until the
+    /// event queues drain, a limit is reached or a streaming abort
+    /// fires. A limit-stopped simulation resumes where it paused on
+    /// the next call. `max_time` clips per event — no event past it is
+    /// processed — while `max_events` is tested between windows, so an
+    /// unconfigured simulation (one window per call) only honours it
+    /// between calls.
+    ///
+    /// Worker 0 runs on the calling thread and workers `1..T` in a
+    /// thread scope, so a one-thread run spawns nothing; the result is
+    /// bit-identical for every thread count.
     ///
     /// Protocol: ONE barrier per window. Each iteration reads last
     /// window's published plan inputs from parity `k & 1` slots,
@@ -2609,29 +2368,16 @@ where
         max_time: Option<SimTime>,
         max_events: Option<u64>,
     ) -> RunReport {
-        let n_threads = (self.exec_threads as usize).min(self.shards.len()).max(1);
-        if !self.windowed || self.shards.len() <= 1 || n_threads <= 1 {
-            return self.run_with_limits(max_time, max_events);
-        }
-        self.ensure_started();
+        let first_run = !std::mem::replace(&mut self.started, true);
         let m = self.shards.len();
+        let n_threads = self.exec_threads as usize;
         let mt = max_time.map(|t| t.ns());
-        let lookahead = self.lookahead_ns;
-        let digest0 = self.plan_digest;
-        let windows0 = self.plan_windows;
+        let (digest0, windows0) = (self.plan_digest, self.plan_windows);
         // Published plan inputs, double-buffered by window parity.
         let slots: [Vec<GroupSlot>; 2] = [
             (0..m).map(|_| GroupSlot::new()).collect(),
             (0..m).map(|_| GroupSlot::new()).collect(),
         ];
-        for (g, shard) in self.shards.iter_mut().enumerate() {
-            let (mn, sf) = shard.core.plan_inputs();
-            let s = &slots[0][g];
-            s.min_next.store(mn, Ordering::SeqCst);
-            s.s_floor.store(sf, Ordering::SeqCst);
-            s.events.store(shard.core.events, Ordering::SeqCst);
-            s.halted.store(shard.core.halted, Ordering::SeqCst);
-        }
         // Earliest event each thread deposited into the exchange cells
         // last window (`u64::MAX` = none): events in flight between
         // queues, folded into the global minima so the verdict never
@@ -2657,339 +2403,239 @@ where
             .map(|_| (0..m).map(|_| AtomicBool::new(false)).collect())
             .collect();
         let barrier = WindowBarrier::new(n_threads);
-        let limit_flag = AtomicBool::new(false);
-        // (plan digest, window count, steals) copied out by thread 0.
-        let plan_out: Mutex<(u64, u64, u64)> = Mutex::new((digest0, windows0, 0));
-        // --- streaming telemetry scaffolding (inert when detached) ---
-        // Snapshot cadence is derived from published schedule state, so
-        // every thread computes the identical `due` without extra
-        // coordination; thread 0 is only special for the fold/write.
+        // --- streaming telemetry scaffolding (empty when detached) ---
+        // Only worker 0 holds the stream state (it folds and writes);
+        // the others see its cadence copy and the abort flag.
         if let Some(st) = self.streaming.as_mut() {
             st.mark_started();
         }
-        let cadence = self
+        let cadence0 = self.streaming.as_ref().map(|st| st.cadence);
+        let dump_path = self
             .streaming
             .as_ref()
-            .map(|st| (st.next_sim, st.next_events, &st.cfg));
-        let cadence = cadence.map(|(ns, ne, cfg)| {
-            (
-                ns,
-                ne,
-                cfg.snapshot_every_sim_ns,
-                cfg.snapshot_every_events,
-                cfg.flight_dump_path.clone(),
-            )
-        });
-        let rings = self.flight_rings();
-        let stream_central = self.streaming.as_mut().map(Mutex::new);
-        let pubs: [Vec<Mutex<ShardPub>>; 2] = [
-            (0..m).map(|_| Mutex::new(ShardPub::default())).collect(),
-            (0..m).map(|_| Mutex::new(ShardPub::default())).collect(),
-        ];
-        let snap_pubs: Vec<Mutex<ShardPub>> =
-            (0..m).map(|_| Mutex::new(ShardPub::default())).collect();
-        let abort_flag = AtomicBool::new(false);
-        let abort_why = Mutex::new("");
-        let probe_master = self.profiler.clone();
-        let shared = Shared {
-            n_ranks: self.n_ranks,
-            rank_loc: &self.rank_loc,
-            crash_at: &self.crash_at,
-            fault: &self.fault,
-            fault_active: self.fault_active,
-            jitter: self.jitter,
-            lookahead_ns: self.lookahead_ns,
+            .and_then(|st| st.cfg.flight_dump_path.clone());
+        let rings: Vec<Arc<FlightRecorder>> = self
+            .shards
+            .iter()
+            .filter_map(|s| s.core.flight.clone())
+            .collect();
+        let pub_slots = || -> Vec<Mutex<ShardPub>> {
+            let n = if cadence0.is_some() { m } else { 0 };
+            (0..n).map(|_| Mutex::new(ShardPub::default())).collect()
         };
+        let pubs = [pub_slots(), pub_slots()];
+        let snap_pubs = pub_slots();
+        let abort_flag = AtomicBool::new(false);
+        let probe = &self.profiler;
+        let shared = &self.shared;
         // Shards live in ownership cells. The rebalance plan is a pure
         // function of published loads, so all threads agree on every
         // owner and the locks are uncontended — `try_lock` doubles as
         // a runtime assertion of that agreement.
         let cells: Vec<Mutex<&mut Shard<A>>> = self.shards.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for tid in 0..n_threads {
-                let shared = &shared;
-                let slots = &slots;
-                let dep_floor = &dep_floor;
-                let xchg = &xchg;
-                let xchg_flag = &xchg_flag;
-                let cells = &cells;
-                let barrier = &barrier;
-                let limit_flag = &limit_flag;
-                let plan_out = &plan_out;
-                let stream_central = &stream_central;
-                let pubs = &pubs;
-                let snap_pubs = &snap_pubs;
-                let abort_flag = &abort_flag;
-                let abort_why = &abort_why;
-                let rings = &rings;
-                let cadence = cadence.clone();
-                let probe = probe_master.clone();
-                scope.spawn(move || {
-                    let mut sense = false;
-                    let mut planner = Planner::new(m, n_threads as u32);
-                    let mut par = 0usize;
-                    let mut end_prev: Option<u64> = None;
-                    let mut digest = digest0;
-                    let mut windows = windows0;
-                    let streaming_on = cadence.is_some();
-                    let (mut next_sim, mut next_events, every_sim, every_events, dump_path) =
-                        cadence.unwrap_or((u64::MAX, u64::MAX, None, None, None));
-                    loop {
-                        // Thread 0 checks the emergency-abort budgets and
-                        // publishes the flag before the barrier; everyone
-                        // reads it after, so all threads agree.
-                        if streaming_on && tid == 0 {
-                            let mut st = stream_central
-                                .as_ref()
-                                .expect("streaming on")
-                                .lock()
-                                .expect("stream state poisoned");
-                            if let Some(reason) = st.abort_reason() {
-                                *abort_why.lock().expect("abort reason poisoned") = reason;
-                                abort_flag.store(true, Ordering::SeqCst);
-                            }
+        let own = |g: usize| cells[g].try_lock().expect("shard ownership disagreement");
+        // Deposit `shard`'s cross-shard sends into thread `tid`'s batch
+        // buffers (only dirty outboxes are touched), then publish its
+        // plan inputs and window `load` into `slot`. Returns the
+        // earliest deposited event time.
+        let deposit_and_publish =
+            |tid: usize, shard: &mut Shard<A>, slot: &GroupSlot, load: u64| -> u64 {
+                let mut floor = u64::MAX;
+                if !shard.core.dirty_out.is_empty() {
+                    let x0 = prof_start(probe);
+                    let mut dirty = std::mem::take(&mut shard.core.dirty_out);
+                    for &dst in &dirty {
+                        let dst = dst as usize;
+                        let out = &mut shard.core.outboxes[dst];
+                        for ev in out.iter() {
+                            floor = floor.min(ev.time.ns());
                         }
-                        // THE barrier — one per window. Everything below
-                        // reads parity `par` (written last iteration)
-                        // and writes parity `1 - par`, so this single
-                        // rendezvous fences the whole protocol: a slow
-                        // reader of slot p must arrive here before any
-                        // fast writer can touch p again.
-                        let w0 = Instant::now();
+                        let mut cell = xchg[tid][dst].lock().expect("exchange cell poisoned");
+                        if cell.is_empty() {
+                            std::mem::swap(&mut *cell, out);
+                        } else {
+                            cell.append(out);
+                        }
+                        xchg_flag[tid][dst].store(true, Ordering::Release);
+                    }
+                    dirty.clear();
+                    shard.core.dirty_out = dirty;
+                    prof_record(probe, Phase::Exchange, x0);
+                }
+                let (mn, sf) = shard.core.plan_inputs();
+                slot.min_next.store(mn, Ordering::SeqCst);
+                slot.s_floor.store(sf, Ordering::SeqCst);
+                slot.events.store(shard.core.events, Ordering::SeqCst);
+                slot.load.store(load, Ordering::SeqCst);
+                floor
+            };
+        // One worker; every thread runs an identical copy and returns
+        // the identical `(plan digest, windows, steals, limit hit,
+        // aborted)`. `stream` is `Some` on worker 0 of a streamed run.
+        let worker = |tid: usize, mut stream: Option<&mut StreamState>| {
+            let mut sense = false;
+            let mut planner = Planner::new(m, n_threads as u32);
+            let (mut digest, mut windows) = (digest0, windows0);
+            let mut cadence = cadence0;
+            let mut abort_why = "";
+            let mut par = 0usize;
+            let mut end_prev: Option<u64> = None;
+            // Prologue: the first run call starts the owned shards'
+            // actors; every call publishes the initial plan inputs.
+            let mut my_floor = u64::MAX;
+            for g in planner.owned(tid) {
+                let mut shard = own(g);
+                if first_run {
+                    let b0 = Instant::now();
+                    shard.start(shared);
+                    shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
+                }
+                my_floor = my_floor.min(deposit_and_publish(tid, &mut shard, &slots[par][g], 0));
+            }
+            dep_floor[par][tid].store(my_floor, Ordering::SeqCst);
+            loop {
+                // Worker 0 checks the emergency-abort budgets and
+                // publishes the flag before the barrier; everyone
+                // reads it after, so all threads agree.
+                if let Some(reason) = stream.as_deref_mut().and_then(|st| st.abort_reason()) {
+                    abort_why = reason;
+                    abort_flag.store(true, Ordering::SeqCst);
+                }
+                // THE barrier — one per window. Everything below
+                // reads parity `par` (written last iteration)
+                // and writes parity `1 - par`, so this single
+                // rendezvous fences the whole protocol: a slow
+                // reader of slot p must arrive here before any
+                // fast writer can touch p again. A lone worker has
+                // nobody to meet, so it reads no clock and reports no
+                // barrier wait.
+                let mut waited = Duration::ZERO;
+                if n_threads > 1 {
+                    let w0 = Instant::now();
+                    barrier.wait(tid, &mut sense);
+                    waited = w0.elapsed();
+                    if let Some(p) = probe {
+                        p.add(Phase::Barrier, waited);
+                    }
+                }
+                // Fold the published plan inputs (read parity).
+                // Every thread derives the identical verdict —
+                // leaderless by design.
+                let mut min_next = u64::MAX;
+                let mut s_floor = u64::MAX;
+                let mut events = 0u64;
+                for slot in &slots[par] {
+                    min_next = min_next.min(slot.min_next.load(Ordering::SeqCst));
+                    s_floor = s_floor.min(slot.s_floor.load(Ordering::SeqCst));
+                    events += slot.events.load(Ordering::SeqCst);
+                }
+                for f in &dep_floor[par] {
+                    let f = f.load(Ordering::SeqCst);
+                    min_next = min_next.min(f);
+                    s_floor = s_floor.min(f);
+                }
+                // Streaming: worker 0 folds last window's activity; a
+                // due tick (or an abort) snapshots the post-window
+                // state.
+                if let Some(cad) = cadence.as_mut() {
+                    let aborting = abort_flag.load(Ordering::SeqCst);
+                    if let Some(st) = stream.as_deref_mut() {
+                        drain_published(st, &pubs[par], false);
+                    }
+                    let due = end_prev.filter(|&ep| cad.due(ep, events));
+                    if let Some(ep) = due {
+                        cad.advance(ep, events);
+                    }
+                    if aborting || due.is_some() {
+                        for g in planner.owned(tid) {
+                            publish_rows(&mut own(g), &snap_pubs[g], true);
+                        }
+                        // Rare extra barrier: due windows and aborts
+                        // only, so snapshot rows are all published
+                        // before worker 0 reads.
                         barrier.wait(tid, &mut sense);
-                        let waited = w0.elapsed();
-                        if let Some(p) = &probe {
-                            p.add(Phase::Barrier, waited);
-                        }
-                        if abort_flag.load(Ordering::SeqCst) {
-                            // Publish final rows for the shards this
-                            // thread currently owns, meet at one more
-                            // barrier, then thread 0 dumps.
-                            for g in 0..m {
-                                if planner.owners[g] != tid as u32 {
-                                    continue;
-                                }
-                                let mut shard =
-                                    cells[g].try_lock().expect("shard ownership disagreement");
-                                {
-                                    let mut p = pubs[par][g].lock().expect("publish slot poisoned");
-                                    if let Some(act) = shard.core.activity.as_mut() {
-                                        p.activity.append(act);
-                                    }
-                                }
-                                let mut sp = snap_pubs[g].lock().expect("publish slot poisoned");
-                                sp.snap = Some(shard_snap(&shard.core));
-                                let mut live = LiveStats::default();
-                                for actor in &shard.actors {
-                                    live.absorb(&actor.live_stats());
-                                }
-                                sp.live = live;
-                            }
-                            barrier.wait(tid, &mut sense);
-                            if tid == 0 {
-                                limit_flag.store(true, Ordering::SeqCst);
-                                *plan_out.lock().expect("plan slot poisoned") =
-                                    (digest, windows, planner.steals);
-                                let mut st = stream_central
-                                    .as_ref()
-                                    .expect("streaming on")
-                                    .lock()
-                                    .expect("stream state poisoned");
-                                drain_published(&mut st, &pubs[par], false);
-                                let (snaps, live) = drain_published(&mut st, snap_pubs, true);
-                                let events: u64 = snaps.iter().map(|s| s.events).sum();
-                                let snap = st.make_snapshot(events, snaps, live);
-                                st.emit(&snap);
-                                let reason = *abort_why.lock().expect("abort reason poisoned");
-                                if let Some(path) = &dump_path {
-                                    let _ =
-                                        abort::write_flight_dump(path, reason, rings, Some(&snap));
-                                }
-                            }
-                            break;
-                        }
-                        // Fold the published plan inputs (read parity).
-                        // Every thread derives the identical verdict —
-                        // leaderless by design.
-                        let mut min_next = u64::MAX;
-                        let mut s_floor = u64::MAX;
-                        let mut events = 0u64;
-                        let mut any_halt = false;
-                        for slot in &slots[par] {
-                            min_next = min_next.min(slot.min_next.load(Ordering::SeqCst));
-                            s_floor = s_floor.min(slot.s_floor.load(Ordering::SeqCst));
-                            events += slot.events.load(Ordering::SeqCst);
-                            any_halt |= slot.halted.load(Ordering::SeqCst);
-                        }
-                        for f in &dep_floor[par] {
-                            let f = f.load(Ordering::SeqCst);
-                            min_next = min_next.min(f);
-                            s_floor = s_floor.min(f);
-                        }
-                        // Streaming: thread 0 folds last window's
-                        // activity; a due tick snapshots the post-window
-                        // state, exactly like the single-threaded
-                        // driver's cadence.
-                        if streaming_on {
-                            if tid == 0 {
-                                let mut st = stream_central
-                                    .as_ref()
-                                    .expect("streaming on")
-                                    .lock()
-                                    .expect("stream state poisoned");
-                                drain_published(&mut st, &pubs[par], false);
-                            }
-                            if let Some(ep) = end_prev {
-                                let due = ep >= next_sim || events >= next_events;
-                                if due {
-                                    if let Some(every) = every_sim {
-                                        next_sim = ep.saturating_add(every);
-                                    }
-                                    if let Some(every) = every_events {
-                                        next_events = events.saturating_add(every);
-                                    }
-                                    for g in 0..m {
-                                        if planner.owners[g] != tid as u32 {
-                                            continue;
-                                        }
-                                        let shard = cells[g]
-                                            .try_lock()
-                                            .expect("shard ownership disagreement");
-                                        let mut sp =
-                                            snap_pubs[g].lock().expect("publish slot poisoned");
-                                        sp.snap = Some(shard_snap(&shard.core));
-                                        let mut live = LiveStats::default();
-                                        for actor in &shard.actors {
-                                            live.absorb(&actor.live_stats());
-                                        }
-                                        sp.live = live;
-                                    }
-                                    // Rare extra barrier: due windows
-                                    // only, so snapshot rows are all
-                                    // published before thread 0 reads.
-                                    barrier.wait(tid, &mut sense);
-                                    if tid == 0 {
-                                        let mut st = stream_central
-                                            .as_ref()
-                                            .expect("streaming on")
-                                            .lock()
-                                            .expect("stream state poisoned");
-                                        let (snaps, live) =
-                                            drain_published(&mut st, snap_pubs, true);
-                                        let snap = st.make_snapshot(events, snaps, live);
-                                        st.emit(&snap);
-                                    }
-                                }
-                            }
-                        }
-                        let min_next = Some(min_next).filter(|&t| t != u64::MAX);
-                        match decide(
-                            min_next, s_floor, events, any_halt, mt, max_events, lookahead,
-                        ) {
-                            Verdict::Stop { limit } => {
-                                if tid == 0 {
-                                    limit_flag.store(limit, Ordering::SeqCst);
-                                    *plan_out.lock().expect("plan slot poisoned") =
-                                        (digest, windows, planner.steals);
-                                }
-                                break;
-                            }
-                            Verdict::Window { end } => {
-                                digest = fnv1a(digest, end);
-                                windows += 1;
-                                // Rebalance shard ownership on last
-                                // window's published loads — pure
-                                // function, identical on every thread.
-                                planner
-                                    .step(slots[par].iter().map(|s| s.load.load(Ordering::SeqCst)));
-                                let wpar = 1 - par;
-                                let owned =
-                                    planner.owners.iter().filter(|&&o| o == tid as u32).count();
-                                let wait_share = if owned > 0 {
-                                    waited.as_nanos() as u64 / owned as u64
-                                } else {
-                                    0
-                                };
-                                let mut my_floor = u64::MAX;
-                                for g in 0..m {
-                                    if planner.owners[g] != tid as u32 {
-                                        continue;
-                                    }
-                                    let mut shard =
-                                        cells[g].try_lock().expect("shard ownership disagreement");
-                                    let b0 = Instant::now();
-                                    // Ingest batched cross-shard events
-                                    // deposited for this shard; the
-                                    // flag keeps empty cells lock-free.
-                                    for (row, flags) in xchg.iter().zip(xchg_flag.iter()) {
-                                        if !flags[g].load(Ordering::Acquire) {
-                                            continue;
-                                        }
-                                        let x0 = prof_start(&probe);
-                                        let mut cell =
-                                            row[g].lock().expect("exchange cell poisoned");
-                                        flags[g].store(false, Ordering::SeqCst);
-                                        for ev in cell.drain(..) {
-                                            shard.core.push_local(ev);
-                                        }
-                                        drop(cell);
-                                        prof_record(&probe, Phase::Exchange, x0);
-                                    }
-                                    let before = shard.core.events;
-                                    shard.run_window(shared, end, mt);
-                                    // Deposit this window's cross-shard
-                                    // sends into the batch buffers;
-                                    // only dirty outboxes are touched.
-                                    if !shard.core.dirty_out.is_empty() {
-                                        let x1 = prof_start(&probe);
-                                        let mut dirty = std::mem::take(&mut shard.core.dirty_out);
-                                        for &dst in &dirty {
-                                            let dst = dst as usize;
-                                            let out = &mut shard.core.outboxes[dst];
-                                            for ev in out.iter() {
-                                                my_floor = my_floor.min(ev.time.ns());
-                                            }
-                                            let mut cell = xchg[tid][dst]
-                                                .lock()
-                                                .expect("exchange cell poisoned");
-                                            if cell.is_empty() {
-                                                std::mem::swap(&mut *cell, out);
-                                            } else {
-                                                cell.append(out);
-                                            }
-                                            xchg_flag[tid][dst].store(true, Ordering::Release);
-                                        }
-                                        dirty.clear();
-                                        shard.core.dirty_out = dirty;
-                                        prof_record(&probe, Phase::Exchange, x1);
-                                    }
-                                    shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
-                                    shard.core.wait_ns += wait_share;
-                                    // Publish next-parity plan inputs.
-                                    let (mn, sf) = shard.core.plan_inputs();
-                                    let slot = &slots[wpar][g];
-                                    slot.min_next.store(mn, Ordering::SeqCst);
-                                    slot.s_floor.store(sf, Ordering::SeqCst);
-                                    slot.events.store(shard.core.events, Ordering::SeqCst);
-                                    slot.load
-                                        .store(shard.core.events - before, Ordering::SeqCst);
-                                    slot.halted.store(shard.core.halted, Ordering::SeqCst);
-                                    if streaming_on {
-                                        let mut p =
-                                            pubs[wpar][g].lock().expect("publish slot poisoned");
-                                        if let Some(act) = shard.core.activity.as_mut() {
-                                            p.activity.append(act);
-                                        }
-                                    }
-                                }
-                                dep_floor[wpar][tid].store(my_floor, Ordering::SeqCst);
-                                end_prev = Some(end);
-                                par = wpar;
+                        if let Some(st) = stream.as_deref_mut() {
+                            let (rows, live) = drain_published(st, &snap_pubs, true);
+                            let snap = st.make_snapshot(events, rows, live);
+                            st.emit(&snap);
+                            if let Some(path) = dump_path.as_ref().filter(|_| aborting) {
+                                let _ =
+                                    abort::write_flight_dump(path, abort_why, &rings, Some(&snap));
                             }
                         }
                     }
-                });
+                    if aborting {
+                        return (digest, windows, planner.steals, true, true);
+                    }
+                }
+                let min_next = Some(min_next).filter(|&t| t != u64::MAX);
+                let end = match decide(
+                    min_next,
+                    s_floor,
+                    events,
+                    mt,
+                    max_events,
+                    shared.lookahead_ns,
+                ) {
+                    Verdict::Stop { limit } => {
+                        return (digest, windows, planner.steals, limit, false);
+                    }
+                    Verdict::Window { end } => end,
+                };
+                digest = fnv1a(digest, end);
+                windows += 1;
+                // Rebalance shard ownership on last window's published
+                // loads — pure function, identical on every thread.
+                planner.step(slots[par].iter().map(|s| s.load.load(Ordering::SeqCst)));
+                let wpar = 1 - par;
+                let owned = planner.owned(tid).count();
+                let wait_share = if owned > 0 {
+                    waited.as_nanos() as u64 / owned as u64
+                } else {
+                    0
+                };
+                let mut my_floor = u64::MAX;
+                for g in planner.owned(tid) {
+                    let mut shard = own(g);
+                    let b0 = Instant::now();
+                    // Ingest batched cross-shard events deposited for
+                    // this shard; the flag keeps empty cells lock-free.
+                    for (row, flags) in xchg.iter().zip(xchg_flag.iter()) {
+                        if !flags[g].load(Ordering::Acquire) {
+                            continue;
+                        }
+                        let x0 = prof_start(probe);
+                        let mut cell = row[g].lock().expect("exchange cell poisoned");
+                        flags[g].store(false, Ordering::SeqCst);
+                        for ev in cell.drain(..) {
+                            shard.core.push_local(ev);
+                        }
+                        drop(cell);
+                        prof_record(probe, Phase::Exchange, x0);
+                    }
+                    let before = shard.core.events;
+                    shard.run_window(shared, end, mt);
+                    let load = shard.core.events - before;
+                    my_floor =
+                        my_floor.min(deposit_and_publish(tid, &mut shard, &slots[wpar][g], load));
+                    shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
+                    shard.core.wait_ns += wait_share;
+                    if cadence.is_some() {
+                        publish_rows(&mut shard, &pubs[wpar][g], false);
+                    }
+                }
+                dep_floor[wpar][tid].store(my_floor, Ordering::SeqCst);
+                end_prev = Some(end);
+                par = wpar;
             }
+        };
+        let stream = self.streaming.as_mut();
+        let (digest, windows, steals, limit_hit, aborted) = std::thread::scope(|scope| {
+            for tid in 1..n_threads {
+                let worker = &worker;
+                scope.spawn(move || worker(tid, None));
+            }
+            worker(0, stream)
         });
         drop(cells);
         // Events still parked in the exchange buffers (a limit stop can
@@ -3003,18 +2649,15 @@ where
                 }
             }
         }
-        let (digest, windows, steals) = *plan_out.lock().expect("plan slot poisoned");
         self.plan_digest = digest;
         self.plan_windows = windows;
         self.steals += steals;
-        // The abort branch already emitted its final snapshot (and the
-        // flight dump) inside the scope; a normal stop emits the
-        // closing one here, from the main thread, exactly like the
-        // single-threaded driver.
-        if !abort_flag.load(Ordering::SeqCst) {
+        // An abort already emitted its final snapshot (and the flight
+        // dump) inside the loop; a normal stop emits the closing one.
+        if !aborted {
             self.stream_final();
         }
-        self.finish_windowed(limit_flag.load(Ordering::SeqCst))
+        self.finish_run(limit_hit)
     }
 }
 
@@ -3209,9 +2852,9 @@ mod tests {
         peak_in_flight: usize,
     }
 
-    /// Run the storm over `shards` shards, stepping through
-    /// `run_with_limits` every `pause_every_ns` when set (each pause is
-    /// a window end). With `in_flight_peak` the bounded production state
+    /// Run the storm over `shards` shards on `threads` worker threads,
+    /// stepping through `run_with_limits` every `pause_every_ns` when
+    /// set (each pause is a window end). With `in_flight_peak` the bounded production state
     /// runs and its retained entries are checked against that mark at
     /// every pause; without it the sweep threshold is pushed out of
     /// reach, which leaves exactly the never-forgetting map — one entry
@@ -3220,7 +2863,7 @@ mod tests {
         seed: u64,
         shards: u32,
         in_flight_peak: Option<usize>,
-        threaded: bool,
+        threads: u32,
         pause_every_ns: Option<u64>,
     ) -> StormOutcome {
         const N: u32 = 96;
@@ -3235,7 +2878,7 @@ mod tests {
         let lat =
             |f: Rank, t: Rank, bytes: usize| 500 + bytes as u64 / 4 + u64::from((f ^ t) % 7) * 100;
         let mut sim = Simulation::new(PairStorm::fleet(N), lat, cfg);
-        sim.configure_parallel(ParallelConfig::new(shards, 500));
+        sim.configure_parallel(layout(N, shards, threads, 500));
         if in_flight_peak.is_none() {
             sim.attach_log(1 << 20);
             for shard in sim.shards.iter_mut() {
@@ -3245,11 +2888,7 @@ mod tests {
         let mut max_retained = 0;
         let mut limit = pause_every_ns;
         loop {
-            let report = match (limit, threaded) {
-                (Some(t), _) => sim.run_with_limits(Some(SimTime(t)), None),
-                (None, true) => sim.run_parallel(),
-                (None, false) => sim.run(),
-            };
+            let report = sim.run_with_limits(limit.map(SimTime), None);
             let retained = sim.shards.iter().map(|s| s.core.fifo.len()).max();
             let retained = retained.expect("at least one shard");
             max_retained = max_retained.max(retained);
@@ -3300,7 +2939,7 @@ mod tests {
     #[test]
     fn bounded_fifo_state_matches_never_forgetting_oracle() {
         for seed in [3u64, 0xD15_7EA1, 0xFEED_F00D] {
-            let oracle = run_pair_storm(seed, 1, None, false, None);
+            let oracle = run_pair_storm(seed, 1, None, 1, None);
             assert!(
                 oracle.fault_stats.duplicated > 0 && oracle.fault_stats.spiked > 0,
                 "the fault plan must fire for the property to bite"
@@ -3313,9 +2952,10 @@ mod tests {
                 oracle.max_retained
             );
             for shards in [1u32, 4] {
-                for (threaded, pause) in [(false, None), (true, None), (false, Some(50_000))] {
-                    let bounded = run_pair_storm(seed, shards, Some(peak), threaded, pause);
-                    let what = format!("seed {seed}, {shards} shards, {threaded}, {pause:?}");
+                for (threads, pause) in [(1, None), (shards, None), (1, Some(50_000))] {
+                    let bounded = run_pair_storm(seed, shards, Some(peak), threads, pause);
+                    let what =
+                        format!("seed {seed}, {shards} shards, {threads} threads, {pause:?}");
                     assert_eq!(bounded.messages_sent, oracle.messages_sent, "{what}");
                     assert_eq!(bounded.fault_stats, oracle.fault_stats, "{what}");
                     assert!(
@@ -3401,31 +3041,6 @@ mod tests {
         );
     }
 
-    struct Halter;
-    impl Actor for Halter {
-        type Msg = ();
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-            ctx.set_timer(10, 0);
-            ctx.set_timer(20, 1);
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _f: Rank, _m: ()) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
-            if token == 0 {
-                ctx.halt();
-            } else {
-                panic!("second timer must never fire after halt");
-            }
-        }
-    }
-
-    #[test]
-    fn halt_stops_processing() {
-        let mut sim = Simulation::new(vec![Halter], ConstantLatency(1), SimConfig::default());
-        let report = sim.run();
-        assert!(report.halted);
-        assert_eq!(report.timers, 1);
-    }
-
     #[test]
     fn max_time_limit_pauses_and_resumes() {
         let mut sim = Simulation::new(
@@ -3447,13 +3062,7 @@ mod tests {
             clock_skew_max_ns: 5_000,
             ..SimConfig::default()
         };
-        let mk = || {
-            Simulation::new(
-                vec![Halter, Halter, Halter, Halter],
-                ConstantLatency(1),
-                cfg.clone(),
-            )
-        };
+        let mk = || Simulation::new(Chatter::fleet(4), ConstantLatency(1), cfg.clone());
         let a = mk();
         let b = mk();
         assert_eq!(a.skews_ns(), b.skews_ns());
@@ -3644,7 +3253,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Windowed / parallel execution tests
+    // Sharded / multi-threaded execution tests
     // ------------------------------------------------------------------
 
     /// A chatty workload exercising per-rank RNG streams, timers,
@@ -3708,15 +3317,22 @@ mod tests {
         }
     }
 
-    /// Run the chatter fleet windowed over `shards` shards; `threaded`
-    /// picks the OS-thread driver. Returns everything observable.
+    /// `n` ranks in `shards` contiguous equal blocks driven by
+    /// `threads` workers, with lookahead `lookahead_ns`.
+    fn layout(n: u32, shards: u32, threads: u32, lookahead_ns: u64) -> ParallelConfig {
+        ParallelConfig::new(threads, lookahead_ns)
+            .with_shard_map((0..n).map(|r| r * shards / n).collect())
+    }
+
+    /// Run the chatter fleet over `shards` shards on `threads` worker
+    /// threads. Returns everything observable.
     fn run_chatter(
         n: u32,
         shards: u32,
-        threaded: bool,
+        threads: u32,
         fault: FaultPlan,
     ) -> (RunReport, Vec<Chatter>, FaultStats, u64, Vec<EventRecord>) {
-        run_chatter_queued(n, shards, threaded, fault, SimConfig::default().seed, false)
+        run_chatter_queued(n, shards, threads, fault, SimConfig::default().seed, false)
     }
 
     /// Like [`run_chatter`] but with an explicit master seed and queue
@@ -3725,7 +3341,7 @@ mod tests {
     fn run_chatter_queued(
         n: u32,
         shards: u32,
-        threaded: bool,
+        threads: u32,
         fault: FaultPlan,
         seed: u64,
         reference: bool,
@@ -3740,14 +3356,10 @@ mod tests {
         if reference {
             sim.use_reference_queue();
         }
-        sim.configure_parallel(ParallelConfig::new(shards, 1_000));
+        sim.configure_parallel(layout(n, shards, threads, 1_000));
         sim.attach_log(1 << 16);
         sim.attach_net_trace();
-        let report = if threaded {
-            sim.run_parallel()
-        } else {
-            sim.run()
-        };
+        let report = sim.run();
         let actors: Vec<Chatter> = sim.actors().into_iter().cloned().collect();
         let log = sim.event_log().expect("attached").window();
         (report, actors, sim.fault_stats(), sim.messages_sent(), log)
@@ -3755,9 +3367,9 @@ mod tests {
 
     #[test]
     fn windowed_schedule_is_shard_count_invariant() {
-        let base = run_chatter(8, 1, false, FaultPlan::default());
+        let base = run_chatter(8, 1, 1, FaultPlan::default());
         for shards in [2u32, 3, 8] {
-            let other = run_chatter(8, shards, false, FaultPlan::default());
+            let other = run_chatter(8, shards, 1, FaultPlan::default());
             assert_eq!(base, other, "shard count {shards} diverged");
         }
     }
@@ -3765,13 +3377,13 @@ mod tests {
     #[test]
     fn windowed_schedule_is_shard_count_invariant_under_faults() {
         let plan = FaultPlan::message_faults(0.1, 0.1, 0.1);
-        let base = run_chatter(8, 1, false, plan.clone());
+        let base = run_chatter(8, 1, 1, plan.clone());
         assert!(
             base.2.dropped + base.2.duplicated + base.2.spiked > 0,
             "fault plan must actually fire for this test to mean anything"
         );
         for shards in [2u32, 3, 8] {
-            let other = run_chatter(8, shards, false, plan.clone());
+            let other = run_chatter(8, shards, 1, plan.clone());
             assert_eq!(base, other, "shard count {shards} diverged under faults");
         }
     }
@@ -3790,7 +3402,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let base = run_chatter(8, 1, false, plan.clone());
+        let base = run_chatter(8, 1, 1, plan.clone());
         assert!(
             base.2.partition_drops > 0,
             "partition window must actually cut traffic for this test to mean anything"
@@ -3800,7 +3412,7 @@ mod tests {
             "crash domain must actually kill events"
         );
         for shards in [2u32, 3, 8] {
-            let other = run_chatter(8, shards, false, plan.clone());
+            let other = run_chatter(8, shards, 1, plan.clone());
             assert_eq!(
                 base, other,
                 "shard count {shards} diverged under partition/domain faults"
@@ -3823,8 +3435,8 @@ mod tests {
         for (label, plan) in &plans {
             for seed in [SimConfig::default().seed, 1, 0xD15_7EA1] {
                 for shards in [1u32, 4] {
-                    let cal = run_chatter_queued(8, shards, false, plan.clone(), seed, false);
-                    let heap = run_chatter_queued(8, shards, false, plan.clone(), seed, true);
+                    let cal = run_chatter_queued(8, shards, 1, plan.clone(), seed, false);
+                    let heap = run_chatter_queued(8, shards, 1, plan.clone(), seed, true);
                     assert_eq!(
                         cal, heap,
                         "calendar vs reference heap diverged ({label}, seed {seed}, {shards} shards)"
@@ -3833,31 +3445,22 @@ mod tests {
             }
         }
         // The faulty plan must actually fire for the property to bite.
-        let probe = run_chatter_queued(8, 1, false, plans[1].1.clone(), 1, false);
+        let probe = run_chatter_queued(8, 1, 1, plans[1].1.clone(), 1, false);
         assert!(probe.2.dropped + probe.2.duplicated + probe.2.spiked > 0);
     }
 
     #[test]
     fn threaded_run_matches_single_threaded_windowed() {
-        for shards in [2u32, 4] {
-            let local = run_chatter(8, shards, false, FaultPlan::default());
-            let threaded = run_chatter(8, shards, true, FaultPlan::default());
+        // Every shard on its own thread, and fewer threads than shards
+        // (ownership multiplexed and rebalanced between windows).
+        for (shards, threads) in [(2u32, 2u32), (4, 4), (4, 2), (8, 3)] {
+            let local = run_chatter(8, shards, 1, FaultPlan::default());
+            let threaded = run_chatter(8, shards, threads, FaultPlan::default());
             assert_eq!(
                 local, threaded,
-                "threaded driver diverged at {shards} shards"
+                "{threads} threads diverged from one at {shards} shards"
             );
         }
-    }
-
-    #[test]
-    fn windowed_single_shard_halts_at_window_boundary() {
-        // Windowed halt is window-granular: both timers of the Halter
-        // sit in separate windows here, so only the first fires.
-        let mut sim = Simulation::new(vec![Halter], ConstantLatency(1), SimConfig::default());
-        sim.configure_parallel(ParallelConfig::new(1, 5));
-        let report = sim.run();
-        assert!(report.halted);
-        assert_eq!(report.timers, 1);
     }
 
     #[test]
@@ -3878,7 +3481,7 @@ mod tests {
 
     #[test]
     fn shard_profiles_account_all_events() {
-        let (report, ..) = run_chatter(8, 3, false, FaultPlan::default());
+        let (report, ..) = run_chatter(8, 3, 1, FaultPlan::default());
         let mut sim = Simulation::new(
             Chatter::fleet(8),
             ConstantLatency(1_000),
@@ -3908,14 +3511,14 @@ mod tests {
         // Cross-shard latency (10 ns) below the declared lookahead
         // (1000 ns) must be caught, not silently mis-simulated.
         let mut sim = Simulation::new(Chatter::fleet(4), ConstantLatency(10), SimConfig::default());
-        sim.configure_parallel(ParallelConfig::new(2, 1_000));
+        sim.configure_parallel(layout(4, 2, 1, 1_000));
         sim.run();
     }
 
     #[test]
     #[should_panic(expected = "before the first run")]
     fn configure_parallel_after_run_is_rejected() {
-        let mut sim = Simulation::new(vec![Halter], ConstantLatency(1), SimConfig::default());
+        let mut sim = Simulation::new(Chatter::fleet(2), ConstantLatency(1), SimConfig::default());
         sim.run();
         sim.configure_parallel(ParallelConfig::new(2, 100));
     }
@@ -3990,18 +3593,14 @@ mod tests {
     fn run_flicker_streamed(
         n: u32,
         shards: u32,
-        threaded: bool,
+        threads: u32,
         cfg: StreamingCfg,
     ) -> (RunReport, Simulation<Flicker>, SharedBuf) {
         let mut sim = Simulation::new(flicker_fleet(n), ConstantLatency(100), SimConfig::default());
-        sim.configure_parallel(ParallelConfig::new(shards, 100));
+        sim.configure_parallel(layout(n, shards, threads, 100));
         let buf = SharedBuf::default();
         sim.attach_streaming(cfg, Some(Box::new(buf.clone())));
-        let report = if threaded {
-            sim.run_parallel()
-        } else {
-            sim.run()
-        };
+        let report = sim.run();
         (report, sim, buf)
     }
 
@@ -4010,7 +3609,7 @@ mod tests {
         let (report, mut sim, _) = run_flicker_streamed(
             6,
             2,
-            false,
+            1,
             StreamingCfg {
                 snapshot_every_sim_ns: Some(100),
                 flight_ring: 0,
@@ -4050,11 +3649,11 @@ mod tests {
         let base_oracles: Vec<Vec<(u64, bool)>> =
             plain.actors().iter().map(|a| a.oracle.clone()).collect();
 
-        for threaded in [false, true] {
+        for threads in [1, 2] {
             let (report, sim, buf) = run_flicker_streamed(
                 6,
                 2,
-                threaded,
+                threads,
                 StreamingCfg {
                     snapshot_every_sim_ns: Some(100),
                     ..StreamingCfg::default()
@@ -4086,15 +3685,15 @@ mod tests {
 
     #[test]
     fn wall_budget_abort_dumps_the_flight_recorder() {
-        for threaded in [false, true] {
+        for threads in [1, 2, 3] {
             let dir = std::env::temp_dir().join("dws_engine_abort_test");
             std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join(format!("dump_{threaded}.jsonl"));
+            let path = dir.join(format!("dump_{threads}.jsonl"));
             let _ = std::fs::remove_file(&path);
             let (report, _, buf) = run_flicker_streamed(
                 6,
                 3,
-                threaded,
+                threads,
                 StreamingCfg {
                     snapshot_every_sim_ns: Some(100),
                     flight_ring: 64,

@@ -43,10 +43,11 @@
 //!
 //! ## Parallel execution
 //!
-//! The engine can shard ranks across worker threads and advance time
-//! in conservative lookahead windows: [`Simulation::configure_parallel`]
-//! then [`Simulation::run_parallel`]. The schedule is bit-identical
-//! for any shard count, including one:
+//! The engine has one run loop. [`Simulation::configure_parallel`]
+//! shards the ranks across worker threads and bounds the conservative
+//! lookahead windows time advances in; without it the simulation is
+//! one shard on the calling thread. The schedule is bit-identical for
+//! any shard and thread count, configured or not:
 //!
 //! ```
 //! use dws_simnet::{Actor, ConstantLatency, Ctx, ParallelConfig, Rank, SimConfig, Simulation};
@@ -74,7 +75,7 @@
 //!     );
 //!     // Lookahead = the minimum cross-shard latency (1_000 ns here).
 //!     sim.configure_parallel(ParallelConfig::new(threads, 1_000));
-//!     sim.run_parallel()
+//!     sim.run()
 //! };
 //! assert_eq!(run(1), run(2));
 //! ```

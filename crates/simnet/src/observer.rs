@@ -112,9 +112,9 @@ impl EventLog {
         }
     }
 
-    /// Log with no eviction: every record is retained. The windowed
-    /// (parallel) engine uses this per shard so the cross-shard merge
-    /// can truncate canonically instead of per-shard.
+    /// Log with no eviction: every record is retained. The engine uses
+    /// this per shard so the cross-shard merge can truncate canonically
+    /// instead of per-shard.
     pub fn unbounded() -> Self {
         Self {
             buf: Vec::new(),
