@@ -31,7 +31,7 @@ use dws_core::{
 };
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, Polarity};
 use dws_metrics::{ascii_chart, render_table, write_csv};
-use dws_simnet::StreamingCfg;
+use dws_simnet::{parse_duration_ns, StreamingCfg};
 use dws_topology::RankMapping;
 use dws_uts::Workload;
 use std::path::PathBuf;
@@ -218,31 +218,6 @@ impl FigArgs {
         });
         Some(StreamingSetup { cfg, sink })
     }
-}
-
-/// Parse a duration with a unit suffix (`ns`, `us`, `ms`, `s`) into
-/// nanoseconds; a bare number is nanoseconds.
-pub fn parse_duration_ns(s: &str) -> Result<u64, String> {
-    let t = s.trim();
-    let (num, mult) = if let Some(x) = t.strip_suffix("ns") {
-        (x, 1u64)
-    } else if let Some(x) = t.strip_suffix("us") {
-        (x, 1_000)
-    } else if let Some(x) = t.strip_suffix("ms") {
-        (x, 1_000_000)
-    } else if let Some(x) = t.strip_suffix('s') {
-        (x, 1_000_000_000)
-    } else {
-        (t, 1)
-    };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad duration {s:?} (expected e.g. 500ms, 2s, 250us)"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!("bad duration {s:?} (must be non-negative)"));
-    }
-    Ok((v * mult as f64) as u64)
 }
 
 /// The strategy axes the paper sweeps, with its legend names.

@@ -1,12 +1,13 @@
 //! Subcommand implementations.
 
-use crate::args::{parse, parse_duration_ns, parse_mapping, parse_steal, parse_victim, Flags};
+use crate::args::{parse, parse_mapping, parse_steal, parse_victim, Flags};
 use dws_core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, FaultToleranceCfg,
     StreamingSetup,
 };
 use dws_simnet::{
-    Brownout, Crash, CrashDomain, FaultPlan, Partition, SlowdownWindow, StreamingCfg,
+    parse_duration_ns, Brownout, Crash, CrashDomain, FaultPlan, Partition, SlowdownWindow,
+    StreamingCfg,
 };
 
 use dws_metrics::export::link_matrix_json;

@@ -864,19 +864,7 @@ impl Worker {
             self.computing = true;
             let cost = expanded as u64 * self.cfg.workload.node_ns()
                 + std::mem::take(&mut self.service_debt_ns);
-            // Quiet promise: if nothing intervenes, this timer's handler
-            // sends no message and its follow-up batch timer lands at
-            // least one node-expansion later — the stack is non-empty
-            // (the fire path expands and re-arms rather than going
-            // idle, which could send a steal request) and no lifeline
-            // waiter is parked (serving one sends work). Any delivery
-            // before the fire voids and demotes the promise in the
-            // engine, so this is purely a lookahead hint.
-            if !self.stack.is_empty() && self.lifeline_waiters.is_empty() {
-                ctx.set_timer_quiet(cost, TIMER_WORK, self.cfg.workload.node_ns());
-            } else {
-                ctx.set_timer(cost, TIMER_WORK);
-            }
+            ctx.set_timer(cost, TIMER_WORK);
         } else {
             self.service_debt_ns = 0;
             self.go_idle(ctx);

@@ -184,16 +184,15 @@ fn span_traces_reconcile_across_thread_counts() {
     assert_eq!(tally(na), tally(nb), "traffic matrices differ");
 }
 
-/// Property: the adaptive lookahead window *plan* — the sequence of
+/// Property: the lookahead window *plan* — the sequence of
 /// committed window ends, folded into an order-sensitive digest by the
 /// engine — is a pure function of the configuration, identical for
 /// every thread count. This is the load-bearing fact behind shard-level
 /// work stealing: because every thread steps the same plan, the
 /// deterministic rebalance at each barrier assigns shards identically
 /// no matter how many threads execute them. The engine's always-on
-/// lookahead assertions (`route` panics if a shard schedules below the
-/// window floor, and a quiet timer that breaks its send-silence promise
-/// aborts the run) act as the safety oracle while the plan is
+/// lookahead assertion (`route` panics if a shard schedules below the
+/// window floor) acts as the safety oracle while the plan is
 /// exercised; this test adds the cross-thread-count equality on top.
 #[test]
 fn window_plan_is_identical_across_thread_counts() {

@@ -234,15 +234,6 @@ impl<P> CalendarQueue<P> {
         Some(self.min_key.t)
     }
 
-    /// Full canonical key of the minimum pending entry, without
-    /// removing it. Used by the engine to merge-pop against the
-    /// quiet-timer slots in canonical `(t, dst, src, sseq)` order.
-    #[inline]
-    pub(crate) fn peek_key(&mut self) -> Option<EvKey> {
-        self.locate_min()?;
-        Some(self.min_key)
-    }
-
     /// Remove and return the minimum pending entry.
     pub(crate) fn pop(&mut self) -> Option<(EvKey, P)> {
         let b = self.locate_min()?;

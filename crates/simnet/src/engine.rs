@@ -610,7 +610,7 @@ fn shard_snap<M>(core: &ShardCore<M>) -> ShardSnap {
         now_ns: core.now.ns(),
         windows: core.windows,
         events: core.events,
-        queue_depth: core.queue.len() as u64 + core.quiet.len() as u64,
+        queue_depth: core.queue.len() as u64,
         busy_ns: core.busy_ns,
         wait_ns: core.wait_ns,
     }
@@ -746,21 +746,6 @@ impl<M> EventQueue<M> {
             EventQueue::ReferenceHeap(h) => h.len(),
         }
     }
-
-    /// Full canonical key of the next pending event, for merge-popping
-    /// against the quiet-timer slots.
-    #[inline]
-    fn peek_key(&mut self) -> Option<EvKey> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_key(),
-            EventQueue::ReferenceHeap(h) => h.peek().map(|r| EvKey {
-                t: r.0.time.ns(),
-                dst: r.0.dst,
-                src: r.0.src,
-                sseq: r.0.sseq,
-            }),
-        }
-    }
 }
 
 /// FNV-1a basis/prime for the window-plan digest.
@@ -775,150 +760,6 @@ fn fnv1a(mut h: u64, x: u64) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// Sanity cap on a quiet promise: beyond this the promise no longer
-/// buys wider windows, and capping keeps `t + quiet_for` far from
-/// `u64::MAX` arithmetic.
-const QUIET_FOR_CAP: u64 = 1 << 40;
-
-/// Per-shard quiet-timer slots: at most one pending *quiet* timer per
-/// owned rank. A quiet timer fires exactly like a plain timer (same
-/// canonical key, merged into the pop order), but carries the sender's
-/// promise that, absent an intervening delivery, its handler will send
-/// nothing and will arm further timers no earlier than `fire +
-/// quiet_for`. The window planner may therefore plan past a quiet
-/// timer's fire time up to `fire + quiet_for` — the *send floor* —
-/// while the timer still bounds [`Verdict`] progress checks through
-/// its plain fire time.
-///
-/// Slots are keyed by the rank's slot index within the shard; since
-/// shard members are stored in ascending rank order, ordering by
-/// `(t, slot, sseq)` coincides with the canonical `(t, dst, src,
-/// sseq)` order for the timers' keys (`dst == src == rank`). Two lazy
-/// binary heaps index the slots: one by fire time (pop order), one by
-/// `t + quiet_for` (the floor); stale heap entries are dropped when
-/// they surface.
-struct QuietSlots {
-    /// Fire time per slot; `u64::MAX` marks a vacant slot.
-    t: Vec<u64>,
-    tok: Vec<u64>,
-    sseq: Vec<u64>,
-    qfor: Vec<u64>,
-    rank: Vec<Rank>,
-    occupied: usize,
-    /// Lazy min-heap by `(t, slot, sseq)`.
-    by_time: BinaryHeap<Reverse<(u64, u32, u64)>>,
-    /// Lazy min-heap by `(t + qfor, slot, sseq)`.
-    by_floor: BinaryHeap<Reverse<(u64, u32, u64)>>,
-}
-
-impl QuietSlots {
-    fn new(n_slots: usize) -> Self {
-        Self {
-            t: vec![u64::MAX; n_slots],
-            tok: vec![0; n_slots],
-            sseq: vec![0; n_slots],
-            qfor: vec![0; n_slots],
-            rank: vec![0; n_slots],
-            occupied: 0,
-            by_time: BinaryHeap::new(),
-            by_floor: BinaryHeap::new(),
-        }
-    }
-
-    /// Arm a quiet timer in `slot`; false if the slot is occupied (the
-    /// caller falls back to a plain timer).
-    fn arm(&mut self, slot: usize, rank: Rank, t: u64, token: u64, sseq: u64, qfor: u64) -> bool {
-        if self.t[slot] != u64::MAX {
-            return false;
-        }
-        let qfor = qfor.min(QUIET_FOR_CAP);
-        self.t[slot] = t;
-        self.tok[slot] = token;
-        self.sseq[slot] = sseq;
-        self.qfor[slot] = qfor;
-        self.rank[slot] = rank;
-        self.occupied += 1;
-        self.by_time.push(Reverse((t, slot as u32, sseq)));
-        self.by_floor
-            .push(Reverse((t.saturating_add(qfor), slot as u32, sseq)));
-        true
-    }
-
-    /// Void `slot`'s promise (a delivery intervened): vacate it and
-    /// return `(t, token, sseq)` so the caller re-enqueues the timer as
-    /// a plain event under its *original* canonical key — the schedule
-    /// is untouched, only the planner's floor narrows.
-    fn demote(&mut self, slot: usize) -> Option<(u64, u64, u64)> {
-        if self.t[slot] == u64::MAX {
-            return None;
-        }
-        let out = (self.t[slot], self.tok[slot], self.sseq[slot]);
-        self.t[slot] = u64::MAX;
-        self.occupied -= 1;
-        Some(out)
-    }
-
-    /// Canonical key of the earliest armed quiet timer.
-    fn peek_key(&mut self) -> Option<EvKey> {
-        while let Some(&Reverse((t, slot, sseq))) = self.by_time.peek() {
-            let s = slot as usize;
-            if self.t[s] == t && self.sseq[s] == sseq {
-                let r = self.rank[s];
-                return Some(EvKey {
-                    t,
-                    dst: r,
-                    src: r,
-                    sseq,
-                });
-            }
-            self.by_time.pop();
-        }
-        None
-    }
-
-    /// Vacate and return the earliest armed quiet timer as
-    /// `(t, rank, token, sseq)`. Call only after [`peek_key`] returned
-    /// `Some`.
-    fn pop_min(&mut self) -> (u64, Rank, u64, u64) {
-        loop {
-            let Reverse((t, slot, sseq)) = self.by_time.pop().expect("peeked before pop");
-            let s = slot as usize;
-            if self.t[s] == t && self.sseq[s] == sseq {
-                self.t[s] = u64::MAX;
-                self.occupied -= 1;
-                return (t, self.rank[s], self.tok[s], sseq);
-            }
-        }
-    }
-
-    /// `(earliest fire time, earliest send floor)` over the armed
-    /// slots, both `u64::MAX` when none are armed.
-    fn mins(&mut self) -> (u64, u64) {
-        let t = self.peek_key().map_or(u64::MAX, |k| k.t);
-        let f = loop {
-            match self.by_floor.peek() {
-                None => break u64::MAX,
-                Some(&Reverse((f, slot, sseq))) => {
-                    let s = slot as usize;
-                    if self.t[s] != u64::MAX
-                        && self.sseq[s] == sseq
-                        && self.t[s].saturating_add(self.qfor[s]) == f
-                    {
-                        break f;
-                    }
-                    self.by_floor.pop();
-                }
-            }
-        };
-        (t, f)
-    }
-
-    /// Armed quiet timers (part of the snapshot queue depth).
-    fn len(&self) -> usize {
-        self.occupied
-    }
 }
 
 /// Per-rank deterministic state. Every stream is a function of the
@@ -969,13 +810,6 @@ struct ShardCore<M> {
     id: usize,
     now: SimTime,
     queue: EventQueue<M>,
-    /// Quiet-timer slots (≤ 1 per owned rank): timers carrying a
-    /// send-silence promise, excluded from the window-plan send floor
-    /// until a delivery voids the promise (see [`Ctx::set_timer_quiet`]).
-    quiet: QuietSlots,
-    /// Exclusive end of the window currently executing (0 before the
-    /// first window); cross-shard sends assert they land at or past it.
-    window_end: u64,
     /// Earliest delivery time still free per (from, to) pair, one tick
     /// past its last scheduled delivery, to enforce MPI non-overtaking.
     /// Only pairs with a local sender appear. No send is scheduled
@@ -1011,21 +845,13 @@ struct ShardCore<M> {
 }
 
 impl<M> ShardCore<M> {
-    /// A fresh core for shard `id` of `n_shards` owning `n_members`
-    /// ranks, with every observability sink detached.
-    fn new(
-        id: usize,
-        n_members: usize,
-        n_shards: usize,
-        net: Box<dyn NetworkModel>,
-        reference_queue: bool,
-    ) -> Self {
+    /// A fresh core for shard `id` of `n_shards`, with every
+    /// observability sink detached.
+    fn new(id: usize, n_shards: usize, net: Box<dyn NetworkModel>, reference_queue: bool) -> Self {
         Self {
             id,
             now: SimTime::ZERO,
             queue: EventQueue::new(reference_queue),
-            quiet: QuietSlots::new(n_members),
-            window_end: 0,
             fifo: PairMap::default(),
             fifo_sweep_at: FIFO_SWEEP_MIN,
             net,
@@ -1068,19 +894,6 @@ impl<M> ShardCore<M> {
                 shared.lookahead_ns,
                 self.now.ns(),
             );
-            // The adaptive-window oracle: every cross-shard event must
-            // land at or past the current window's end. With no quiet
-            // timers the window end is `min_next + lookahead` and this
-            // is implied by the lookahead bound above; with quiet
-            // timers it additionally checks the send-silence promise
-            // that justified planning past their fire times.
-            assert!(
-                self.window_end == 0 || ev.time.ns() >= self.window_end,
-                "cross-shard event at {} lands inside the current window (end {}): \
-                 a quiet timer's send-silence promise was broken",
-                ev.time.ns(),
-                self.window_end,
-            );
             if self.outboxes[dst_shard].is_empty() {
                 self.dirty_out.push(dst_shard as u32);
             }
@@ -1109,19 +922,6 @@ impl<M> ShardCore<M> {
             log.record(rec);
         }
         prof_record(&self.profiler, Phase::TraceRecord, t0);
-    }
-
-    /// This shard's inputs to the window plan: `(min_next, s_floor)`.
-    /// `min_next` is the earliest pending event (queue or quiet slot);
-    /// `s_floor` is the earliest time a local event could *send* at —
-    /// queued events at their own time, quiet timers not before
-    /// `fire + quiet_for`. Both `u64::MAX` when idle. The next window
-    /// ends at `global_s_floor + lookahead`, which widens past quiet
-    /// fire times while every reachable send still lands outside.
-    fn plan_inputs(&mut self) -> (u64, u64) {
-        let qb = self.queue.peek_time_ns().unwrap_or(u64::MAX);
-        let (qt, qf) = self.quiet.mins();
-        (qb.min(qt), qb.min(qf))
     }
 }
 
@@ -1371,57 +1171,6 @@ impl<M> Ctx<'_, M> {
         self.core.push_local(ev);
     }
 
-    /// Arm a timer like [`set_timer`](Self::set_timer), additionally
-    /// promising that — unless a message is delivered to this rank
-    /// first — the timer's handler will send nothing and will arm
-    /// further timers no earlier than `quiet_for_ns` past its own fire
-    /// time. The engine uses the promise to widen lookahead windows
-    /// past the fire time (quiet phases pay fewer barriers); a
-    /// delivery to this rank silently voids the promise and the timer
-    /// reverts to a plain one under the same canonical key, so the
-    /// event schedule is bit-identical to arming with `set_timer`
-    /// either way.
-    ///
-    /// A broken promise (the handler sends, or arms an earlier timer,
-    /// with no delivery in between) is a caller bug; the engine's
-    /// cross-shard send oracle panics on it. The promise is ignored —
-    /// the timer is armed plain — when `quiet_for_ns` is 0, when this
-    /// rank has fault-plan slowdown windows (a stretch factor below 1
-    /// could legally compress the re-arm delay under the promise), or
-    /// when the rank already has a quiet timer armed.
-    pub fn set_timer_quiet(&mut self, delay_ns: u64, token: u64, quiet_for_ns: u64) {
-        let promise_ok = quiet_for_ns > 0
-            && !(self.shared.fault_active
-                && self
-                    .shared
-                    .fault
-                    .slowdowns
-                    .iter()
-                    .any(|w| w.rank == self.me));
-        if !promise_ok {
-            self.set_timer(delay_ns, token);
-            return;
-        }
-        let at = self.core.now + self.stretched(delay_ns);
-        let sseq = self.state.next_sseq();
-        let slot = self.shared.rank_loc[self.me as usize].1 as usize;
-        if !self
-            .core
-            .quiet
-            .arm(slot, self.me, at.ns(), token, sseq, quiet_for_ns)
-        {
-            // Slot occupied: fall back to a plain timer with the sseq
-            // already drawn, so the key stream is identical either way.
-            self.core.push_local(Event {
-                time: at,
-                dst: self.me,
-                src: self.me,
-                sseq,
-                kind: EventKind::Timer { token },
-            });
-        }
-    }
-
     /// Perfect failure detector: true if `rank` has crashed by now.
     ///
     /// Real systems approximate this with heartbeats and suspicion
@@ -1506,67 +1255,14 @@ impl<A: Actor> Shard<A> {
     }
 
     /// Process queued events with `time < end_ns` (and `time <=
-    /// max_time_ns` when set), leaving later events queued. Quiet
-    /// timers merge into the pop order by their canonical keys, so the
-    /// schedule is identical to one where they sat in the main queue.
+    /// max_time_ns` when set), leaving later events queued.
     fn run_window(&mut self, shared: &Shared, end_ns: u64, max_time_ns: Option<u64>) {
-        self.core.window_end = end_ns;
-        loop {
-            let bk = self.core.queue.peek_key();
-            let qk = self.core.quiet.peek_key();
-            let (key_t, from_quiet) = match (bk, qk) {
-                (None, None) => break,
-                (Some(b), None) => (b.t, false),
-                (None, Some(q)) => (q.t, true),
-                (Some(b), Some(q)) => {
-                    if q < b {
-                        (q.t, true)
-                    } else {
-                        (b.t, false)
-                    }
-                }
-            };
-            if key_t >= end_ns {
+        while let Some(t) = self.core.queue.peek_time_ns() {
+            if t >= end_ns || max_time_ns.is_some_and(|mt| t > mt) {
                 break;
             }
-            if let Some(mt) = max_time_ns {
-                if key_t > mt {
-                    break;
-                }
-            }
-            if from_quiet {
-                let (t, rank, token, sseq) = self.core.quiet.pop_min();
-                self.process(
-                    shared,
-                    Event {
-                        time: SimTime(t),
-                        dst: rank,
-                        src: rank,
-                        sseq,
-                        kind: EventKind::Timer { token },
-                    },
-                );
-            } else {
-                let ev = self.core.queue.pop().expect("peeked");
-                if let EventKind::Deliver { .. } = ev.kind {
-                    // A delivery voids the destination rank's quiet
-                    // promise: demote its quiet timer (if any) to a
-                    // plain queued timer under the original key. The
-                    // pop order — hence the schedule — is unchanged;
-                    // only the next window plan's floor narrows.
-                    let slot = shared.rank_loc[ev.dst as usize].1 as usize;
-                    if let Some((t, token, sseq)) = self.core.quiet.demote(slot) {
-                        self.core.push_local(Event {
-                            time: SimTime(t),
-                            dst: ev.dst,
-                            src: ev.dst,
-                            sseq,
-                            kind: EventKind::Timer { token },
-                        });
-                    }
-                }
-                self.process(shared, ev);
-            }
+            let ev = self.core.queue.pop().expect("peeked");
+            self.process(shared, ev);
         }
         self.core.windows += 1;
     }
@@ -1682,15 +1378,13 @@ enum Verdict {
 /// identically published values, so all shards always agree — the
 /// driver needs no leader.
 ///
-/// `s_floor` is the global send floor (earliest time any rank could
-/// send at, `>= min_next`): with no quiet timers armed it equals
-/// `min_next` and the window is the classic `min_next + lookahead`;
-/// quiet promises raise the floor and *widen* the window adaptively.
-/// Both inputs are pure functions of schedule state, so the window
-/// plan is identical for every thread count.
+/// A window ends at `min_next + lookahead`: no event before
+/// `min_next` exists and a cross-shard send lands at least `lookahead`
+/// past its sender's clock, so nothing sent inside the window can land
+/// inside it. `min_next` is a pure function of schedule state, so the
+/// window plan is identical for every thread count.
 fn decide(
     min_next: Option<u64>,
-    s_floor: u64,
     events: u64,
     max_time_ns: Option<u64>,
     max_events: Option<u64>,
@@ -1710,9 +1404,8 @@ fn decide(
             return Verdict::Stop { limit: true };
         }
     }
-    debug_assert!(s_floor >= t && s_floor != u64::MAX);
     Verdict::Window {
-        end: s_floor.saturating_add(lookahead_ns),
+        end: t.saturating_add(lookahead_ns),
     }
 }
 
@@ -1819,8 +1512,6 @@ impl Planner {
 struct GroupSlot {
     /// Earliest pending event time (`u64::MAX` = idle).
     min_next: AtomicU64,
-    /// Earliest possible send time (quiet promises raise it).
-    s_floor: AtomicU64,
     /// Cumulative events processed by the shard.
     events: AtomicU64,
     /// Events processed in the window just executed (the rebalancer's
@@ -1832,7 +1523,6 @@ impl GroupSlot {
     fn new() -> Self {
         Self {
             min_next: AtomicU64::new(u64::MAX),
-            s_floor: AtomicU64::new(u64::MAX),
             events: AtomicU64::new(0),
             load: AtomicU64::new(0),
         }
@@ -1928,7 +1618,7 @@ impl<A: Actor> Simulation<A> {
             members: (0..n).collect(),
             actors,
             states,
-            core: ShardCore::new(0, n as usize, 1, net, false),
+            core: ShardCore::new(0, 1, net, false),
         };
         Self {
             shards: vec![shard],
@@ -2050,7 +1740,7 @@ impl<A: Actor> Simulation<A> {
             for (slot, &r) in members.iter().enumerate() {
                 self.shared.rank_loc[r as usize] = (id as u32, slot as u32);
             }
-            let mut core = ShardCore::new(id, members.len(), s_count, net, self.reference_queue);
+            let mut core = ShardCore::new(id, s_count, net, self.reference_queue);
             core.log = self.log_cap.map(|_| EventLog::unbounded());
             core.net_trace = self.net_trace_on.then(NetTrace::default);
             core.profiler = self.profiler.clone();
@@ -2462,9 +2152,8 @@ where
                     shard.core.dirty_out = dirty;
                     prof_record(probe, Phase::Exchange, x0);
                 }
-                let (mn, sf) = shard.core.plan_inputs();
+                let mn = shard.core.queue.peek_time_ns().unwrap_or(u64::MAX);
                 slot.min_next.store(mn, Ordering::SeqCst);
-                slot.s_floor.store(sf, Ordering::SeqCst);
                 slot.events.store(shard.core.events, Ordering::SeqCst);
                 slot.load.store(load, Ordering::SeqCst);
                 floor
@@ -2512,7 +2201,7 @@ where
                 let mut waited = Duration::ZERO;
                 if n_threads > 1 {
                     let w0 = Instant::now();
-                    barrier.wait(tid, &mut sense);
+                    barrier.wait(&mut sense);
                     waited = w0.elapsed();
                     if let Some(p) = probe {
                         p.add(Phase::Barrier, waited);
@@ -2522,17 +2211,13 @@ where
                 // Every thread derives the identical verdict —
                 // leaderless by design.
                 let mut min_next = u64::MAX;
-                let mut s_floor = u64::MAX;
                 let mut events = 0u64;
                 for slot in &slots[par] {
                     min_next = min_next.min(slot.min_next.load(Ordering::SeqCst));
-                    s_floor = s_floor.min(slot.s_floor.load(Ordering::SeqCst));
                     events += slot.events.load(Ordering::SeqCst);
                 }
                 for f in &dep_floor[par] {
-                    let f = f.load(Ordering::SeqCst);
-                    min_next = min_next.min(f);
-                    s_floor = s_floor.min(f);
+                    min_next = min_next.min(f.load(Ordering::SeqCst));
                 }
                 // Streaming: worker 0 folds last window's activity; a
                 // due tick (or an abort) snapshots the post-window
@@ -2553,7 +2238,7 @@ where
                         // Rare extra barrier: due windows and aborts
                         // only, so snapshot rows are all published
                         // before worker 0 reads.
-                        barrier.wait(tid, &mut sense);
+                        barrier.wait(&mut sense);
                         if let Some(st) = stream.as_deref_mut() {
                             let (rows, live) = drain_published(st, &snap_pubs, true);
                             let snap = st.make_snapshot(events, rows, live);
@@ -2569,14 +2254,7 @@ where
                     }
                 }
                 let min_next = Some(min_next).filter(|&t| t != u64::MAX);
-                let end = match decide(
-                    min_next,
-                    s_floor,
-                    events,
-                    mt,
-                    max_events,
-                    shared.lookahead_ns,
-                ) {
+                let end = match decide(min_next, events, mt, max_events, shared.lookahead_ns) {
                     Verdict::Stop { limit } => {
                         return (digest, windows, planner.steals, limit, false);
                     }

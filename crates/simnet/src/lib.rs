@@ -101,4 +101,4 @@ pub use fault::{Brownout, Crash, CrashDomain, FaultPlan, FaultStats, Partition, 
 pub use observer::{EventKind, EventLog, EventRecord, FlightRecorder, NetTrace, PairTally};
 pub use profiler::{allocation_count, CountingAlloc, PerfProbe, Phase};
 pub use rng::DetRng;
-pub use time::{SimTime, MS, SEC, US};
+pub use time::{parse_duration_ns, SimTime, MS, SEC, US};

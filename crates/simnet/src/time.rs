@@ -87,6 +87,33 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Parse a duration with a unit suffix (`ns`, `us`, `ms`, `s`) into
+/// nanoseconds; a bare number is nanoseconds. Used for both simulated
+/// cadences (`--snapshot-every 500ms`) and wall budgets
+/// (`--wall-budget 30s`).
+pub fn parse_duration_ns(s: &str) -> Result<u64, String> {
+    let t = s.trim();
+    let (num, mult) = if let Some(x) = t.strip_suffix("ns") {
+        (x, 1u64)
+    } else if let Some(x) = t.strip_suffix("us") {
+        (x, US)
+    } else if let Some(x) = t.strip_suffix("ms") {
+        (x, MS)
+    } else if let Some(x) = t.strip_suffix('s') {
+        (x, SEC)
+    } else {
+        (t, 1)
+    };
+    let v: f64 = num
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad duration {s:?} (expected e.g. 500ms, 2s, 250us)"))?;
+    if !v.is_finite() || v < 0.0 {
+        return Err(format!("bad duration {s:?} (must be non-negative)"));
+    }
+    Ok((v * mult as f64) as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,5 +147,17 @@ mod tests {
     fn conversions() {
         assert_eq!(SimTime(SEC).as_secs_f64(), 1.0);
         assert_eq!(SimTime(MS).as_millis_f64(), 1.0);
+    }
+
+    #[test]
+    fn duration_suffixes() {
+        assert_eq!(parse_duration_ns("500ms").expect("ok"), 500_000_000);
+        assert_eq!(parse_duration_ns("2s").expect("ok"), 2_000_000_000);
+        assert_eq!(parse_duration_ns("250us").expect("ok"), 250_000);
+        assert_eq!(parse_duration_ns("40ns").expect("ok"), 40);
+        assert_eq!(parse_duration_ns("1234").expect("ok"), 1234);
+        assert_eq!(parse_duration_ns("0.5ms").expect("ok"), 500_000);
+        assert!(parse_duration_ns("fast").is_err());
+        assert!(parse_duration_ns("-1s").is_err());
     }
 }

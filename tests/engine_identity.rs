@@ -5,7 +5,11 @@
 //! The literals below were recorded at the commit before the engine's
 //! per-pair FIFO state was bounded (PR 13), with `engine.rs` untouched,
 //! so they are the parent's schedule rather than this code checked
-//! against itself. The bit-identity matrix proper lives in
+//! against itself. Only the two `window_plan` pairs are younger: they
+//! were re-recorded at the commit before the quiet-timer planner was
+//! deleted (PR 16), again with `engine.rs` untouched and the scheduler
+//! arming plain timers, so they are that engine's `min_next +
+//! lookahead` plan. The bit-identity matrix proper lives in
 //! `crates/core/tests` and runs only under `--workspace`; this slice is
 //! what the root `cargo test -q` sees.
 
@@ -58,7 +62,7 @@ fn starved_storm_schedule_is_pinned_at_one_and_two_threads() {
     for threads in [1, 2] {
         assert_eq!(
             identity(&storm(FaultPlan::default(), threads)),
-            "makespan_ns=4190655 window_plan=17f6dc8c63e41890/2663 events=29097 delivered=15891 \
+            "makespan_ns=4190655 window_plan=ee746ed2b4f1d702/2706 events=29097 delivered=15891 \
              dropped=0 duplicated=0 nodes=22235 stats=58a93fcc5dcd22da",
             "clean storm diverged from the recorded schedule at {threads} thread(s)"
         );
@@ -70,10 +74,35 @@ fn lossy_duplicating_storm_schedule_is_pinned_at_one_and_two_threads() {
     for threads in [1, 2] {
         assert_eq!(
             identity(&storm(FaultPlan::message_faults(0.01, 0.01, 0.0), threads)),
-            "makespan_ns=14045868 window_plan=e6ccc8edf5df299a/2952 events=37999 delivered=16563 \
+            "makespan_ns=14045868 window_plan=504cd4dd659d8915/2982 events=37999 delivered=16563 \
              dropped=145 duplicated=171 nodes=22235 stats=e113ff432e50dc5b",
             "1% drop + duplicate storm diverged from the recorded schedule at {threads} thread(s)"
         );
+    }
+}
+
+/// Plan purity, the tier-1 slice of `crates/core/tests`'
+/// `window_plan_is_identical_across_thread_counts`: on 32 ranks the
+/// window plan, makespan and per-rank stats digest are the same at
+/// every thread count, clean and under 1% drop + 1% duplication.
+#[test]
+fn window_plan_and_schedule_are_pure_across_thread_counts() {
+    for seed in [7, 0xBEEF] {
+        for plan in [
+            FaultPlan::default(),
+            FaultPlan::message_faults(0.01, 0.01, 0.0),
+        ] {
+            let at = |threads| {
+                let mut cfg = storm(plan.clone(), threads);
+                cfg.n_nodes = 32;
+                cfg.seed = seed;
+                identity(&cfg)
+            };
+            let one = at(1);
+            for threads in [2, 3] {
+                assert_eq!(at(threads), one, "seed {seed}, {threads} threads");
+            }
+        }
     }
 }
 
@@ -87,17 +116,17 @@ fn lossy_duplicating_storm_schedule_is_pinned_at_one_and_two_threads() {
 use dws::simnet::{
     Actor, ConstantLatency, Ctx, ParallelConfig, Rank, RunReport, SimConfig, SimTime, Simulation,
 };
+use std::collections::BTreeSet;
 
 const GOSSIP_RANKS: u32 = 12;
 /// Flat latency of the gossip fleet, which is also its lookahead.
 const GOSSIP_LATENCY_NS: u64 = 1_000;
-/// Token of the quiet poll timer; plain timers count 1, 2, 3, 4.
+/// Token of the poll timer; the other timers count 1, 2, 3, 4.
 const QUIET: u64 = 100;
 
-/// Messages, plain and quiet timers and per-rank RNG draws, timestamped
-/// on the skewed local clock. The quiet timer keeps its promise: its
-/// handler only sends when a delivery arrived since it was armed, and
-/// re-arms no earlier than its quiet span.
+/// Messages, two kinds of timers and per-rank RNG draws, timestamped
+/// on the skewed local clock. The poll timer's handler only sends when
+/// a delivery arrived since it was armed.
 struct Gossip {
     heard: bool,
     got: Vec<(Rank, u64, u64)>,
@@ -127,7 +156,7 @@ impl Actor for Gossip {
         let me = ctx.me();
         ctx.send((me + 1) % GOSSIP_RANKS, 64, 6);
         ctx.set_timer(500 + 37 * u64::from(me), 1);
-        ctx.set_timer_quiet(900 + 11 * u64::from(me), QUIET, 400);
+        ctx.set_timer(900 + 11 * u64::from(me), QUIET);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: Rank, msg: u64) {
         self.heard = true;
@@ -149,7 +178,7 @@ impl Actor for Gossip {
                 ctx.send(to, 16, 1);
             }
             if ctx.now().ns() < 8_000 {
-                ctx.set_timer_quiet(400, QUIET, 400);
+                ctx.set_timer(400, QUIET);
             }
         } else if token < 4 {
             let to = Self::peer(ctx);
@@ -163,9 +192,29 @@ impl Actor for Gossip {
 /// simulation unconfigured.
 type Layout = Option<(u32, u32)>;
 
-/// One gossip run as `(pinned line, window plan)`: uninterrupted
-/// through `run_parallel`, or stepped through `run_with_limits` every
-/// `pause_every_ns` until the queue drains.
+/// Run `sim` to completion: uninterrupted through `run_parallel`, or
+/// stepped through `run_with_limits` every `pause_every_ns` until the
+/// queue drains.
+fn drive<A>(sim: &mut Simulation<A>, pause_every_ns: Option<u64>) -> RunReport
+where
+    A: Actor + Send,
+    A::Msg: Send,
+{
+    let Some(step) = pause_every_ns else {
+        return sim.run_parallel();
+    };
+    let mut until = step;
+    loop {
+        let r = sim.run_with_limits(Some(SimTime(until)), None);
+        if !r.halted {
+            return r;
+        }
+        until += step;
+    }
+}
+
+/// One gossip run as `(pinned line, window plan)`, [`drive`]n
+/// uninterrupted or paused.
 fn gossip(fault: FaultPlan, layout: Layout, pause_every_ns: Option<u64>) -> (String, (u64, u64)) {
     let cfg = SimConfig {
         seed: 0xD15_7EA1,
@@ -180,19 +229,7 @@ fn gossip(fault: FaultPlan, layout: Layout, pause_every_ns: Option<u64>) -> (Str
             ParallelConfig::new(threads, GOSSIP_LATENCY_NS).with_shard_map(map.collect()),
         );
     }
-    let report: RunReport = match pause_every_ns {
-        None => sim.run_parallel(),
-        Some(step) => {
-            let mut until = step;
-            loop {
-                let r = sim.run_with_limits(Some(SimTime(until)), None);
-                if !r.halted {
-                    break r;
-                }
-                until += step;
-            }
-        }
-    };
+    let report = drive(&mut sim, pause_every_ns);
     let lists: String = sim
         .actors()
         .iter()
@@ -249,4 +286,94 @@ fn raw_engine_fleet_under_message_faults_is_pinned_to_the_serial_loop_across_lay
          partition_drops: 0, crash_lost_deliveries: 0, crash_lost_timers: 0 } \
          lists=46e9d4b668649bfb",
     );
+}
+
+// ---------------------------------------------------------------------
+// The window planner against a model that is not the planner.
+// ---------------------------------------------------------------------
+
+const TICK_RANKS: u32 = 8;
+const TICK_LOOKAHEAD_NS: u64 = 1_000;
+/// Timers each rank fires before it falls silent.
+const TICKS_PER_RANK: u64 = 40;
+
+/// Delay of `rank`'s `k`-th timer: 300..2,000 ns, so a window holds
+/// several chained successors of some ranks and none of others.
+fn tick_delay_ns(rank: Rank, k: u64) -> u64 {
+    300 + (u64::from(rank) * 97 + k * 61) % 1_700
+}
+
+/// A rank that only arms timers, each from the handler of the last.
+struct Ticker;
+
+impl Actor for Ticker {
+    type Msg = ();
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        ctx.set_timer(tick_delay_ns(ctx.me(), 0), 0);
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: Rank, _: ()) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, k: u64) {
+        if k + 1 < TICKS_PER_RANK {
+            ctx.set_timer(tick_delay_ns(ctx.me(), k + 1), k + 1);
+        }
+    }
+}
+
+/// The plan the ticker fleet must produce, `(FNV-1a fold of the window
+/// ends, window count)`: a window ends one lookahead past the earliest
+/// pending timer and retires every timer before that end (and, when
+/// paused, not past the pause), successors included. A paused run stops
+/// planning when the earliest timer lies past the pause and resumes
+/// there on the next call.
+fn model_plan(pause_every_ns: Option<u64>) -> (u64, u64) {
+    let mut pending: BTreeSet<(u64, Rank, u64)> = (0..TICK_RANKS)
+        .map(|r| (tick_delay_ns(r, 0), r, 0))
+        .collect();
+    let (mut digest, mut windows) = (0xcbf2_9ce4_8422_2325_u64, 0);
+    let mut until = pause_every_ns.unwrap_or(u64::MAX);
+    while let Some(&(first, ..)) = pending.first() {
+        if first > until {
+            until += pause_every_ns.expect("only a paused run has a limit");
+            continue;
+        }
+        let end = first + TICK_LOOKAHEAD_NS;
+        for byte in end.to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        windows += 1;
+        while let Some(&(t, rank, k)) = pending.first().filter(|e| e.0 < end && e.0 <= until) {
+            pending.remove(&(t, rank, k));
+            if k + 1 < TICKS_PER_RANK {
+                pending.insert((t + tick_delay_ns(rank, k + 1), rank, k + 1));
+            }
+        }
+    }
+    (digest, windows)
+}
+
+#[test]
+fn window_plan_of_a_timer_fleet_matches_the_min_next_plus_lookahead_model() {
+    for pause in [None, Some(700)] {
+        let model = model_plan(pause);
+        assert!(model.1 > 10, "the fleet spans many windows");
+        for (shards, threads) in [(1, 1), (4, 1), (4, 2)] {
+            let fleet = (0..TICK_RANKS).map(|_| Ticker).collect();
+            let mut sim = Simulation::new(
+                fleet,
+                ConstantLatency(TICK_LOOKAHEAD_NS),
+                SimConfig::default(),
+            );
+            let map = (0..TICK_RANKS).map(|r| r * shards / TICK_RANKS);
+            sim.configure_parallel(
+                ParallelConfig::new(threads, TICK_LOOKAHEAD_NS).with_shard_map(map.collect()),
+            );
+            let report = drive(&mut sim, pause);
+            assert_eq!(report.timers, u64::from(TICK_RANKS) * TICKS_PER_RANK);
+            assert_eq!(
+                sim.window_plan(),
+                model,
+                "{shards} shards on {threads} threads, pause {pause:?}"
+            );
+        }
+    }
 }
