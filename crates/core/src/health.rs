@@ -6,7 +6,7 @@
 //! [`VictimPolicy::Adaptive`](crate::victim::VictimPolicy::Adaptive):
 //! a per-victim health record
 //! fed from the exact sites where the scheduler already bumps its
-//! [`Counters`](crate::scheduler::Counters), driving
+//! [`StealStats`](dws_metrics::StealStats) counters, driving
 //!
 //! - a **score EWMA** over steal outcomes (success = 1, answered-empty
 //!   = 0.5, timeout = 0) that re-weights the base policy's draws via

@@ -15,13 +15,13 @@
 //! - every rank must have observed termination with an empty stack.
 
 use crate::health::{AdaptiveCfg, VictimHealth};
-use crate::scheduler::{Counters, FaultToleranceCfg, SchedulerCfg, StealAmount, Worker};
+use crate::scheduler::{FaultToleranceCfg, SchedulerCfg, StealAmount, Worker};
 use crate::victim::VictimPolicy;
 use dws_metrics::export::{chrome_trace_with_critpath, histograms_json, span_counts_json};
 use dws_metrics::perflab::{self, ProfileReport};
 use dws_metrics::{
-    ActivityTrace, BlameReport, CriticalPath, Histogram, JsonValue, LatencyHistograms,
-    OccupancyCurve, OnlineOccupancy, Perf, RunStats, SpanTrace, StealStats,
+    ActivityTrace, BlameReport, CriticalPath, JsonValue, LatencyHistograms, OccupancyCurve,
+    OnlineOccupancy, Perf, RunStats, SpanTrace, StealStats,
 };
 use dws_simnet::profiler::{allocation_count, PerfProbe};
 use dws_simnet::{
@@ -84,7 +84,10 @@ pub struct ExperimentConfig {
     pub jitter: f64,
     /// Maximum per-rank clock skew in ns (0 = synchronized).
     pub clock_skew_max_ns: u64,
-    /// Record the activity trace (cheap; disable for huge sweeps).
+    /// Harvest the workers' activity transitions into
+    /// [`ExperimentResult::trace`], skew-corrected and checked, after
+    /// the run. Workers record transitions either way; turning this
+    /// off only skips that harvest and check.
     pub collect_trace: bool,
     /// Causal observability: record a span per steal-protocol step on
     /// every rank plus an engine-level network trace (delivery-latency
@@ -120,12 +123,6 @@ pub struct ExperimentConfig {
     /// excluded from the config fingerprint. Link-level networks keep
     /// global per-link state and silently run on one thread.
     pub threads: u32,
-    /// Differential-test hook: run on the reference binary-heap event
-    /// queue instead of the calendar queue. The two are required to
-    /// produce byte-identical schedules (a property test holds them to
-    /// it), so like `threads` this is excluded from the fingerprint.
-    #[doc(hidden)]
-    pub reference_queue: bool,
 }
 
 impl ExperimentConfig {
@@ -162,7 +159,6 @@ impl ExperimentConfig {
             fault_tolerance: None,
             profile: false,
             threads: 1,
-            reference_queue: false,
         }
     }
 
@@ -462,11 +458,6 @@ pub struct ExperimentResult {
     /// [`OccupancyCurve`] built from `trace` — a property test holds
     /// the two paths to it.
     pub online_occupancy: Option<OnlineOccupancy>,
-    /// Steal-RTT histogram recorded online at the scheduler's
-    /// `StealOk`/`StealEmpty` sites and merged over ranks in rank
-    /// order, when the run streamed telemetry. Element-identical to
-    /// `latency_histograms().steal_rtt_ns`.
-    pub online_steal_rtt: Option<Histogram>,
     /// Window-planner identity: `(fnv1a digest of the window-end
     /// sequence, window count)`. The plan is a pure function of the
     /// configuration, so every `threads` setting must produce the
@@ -775,35 +766,6 @@ fn steal_stats_json(s: &StealStats) -> JsonValue {
     ])
 }
 
-fn to_steal_stats(c: &Counters) -> StealStats {
-    StealStats {
-        steal_attempts: c.steal_attempts,
-        steals_ok: c.steals_ok,
-        steals_failed: c.steals_failed,
-        chunks_received: c.chunks_received,
-        nodes_received: c.nodes_received,
-        chunks_given: c.chunks_given,
-        nodes_given: c.nodes_given,
-        search_ns: c.search_ns,
-        sessions: c.sessions,
-        session_ns: c.session_ns,
-        nodes_processed: c.nodes_processed,
-        lifeline_dormancies: c.lifeline_dormancies,
-        lifeline_pushes: c.lifeline_pushes,
-        steal_timeouts: c.steal_timeouts,
-        retransmits: c.retransmits,
-        dup_replies_dropped: c.dup_replies_dropped,
-        stale_replies_dropped: c.stale_replies_dropped,
-        late_work_absorbed: c.late_work_absorbed,
-        token_regenerations: c.token_regenerations,
-        nodes_stranded: c.nodes_stranded,
-        nodes_refused: c.nodes_refused,
-        quarantines: c.quarantines,
-        probe_steals: c.probe_steals,
-        overlay_rejections: c.overlay_rejections,
-    }
-}
-
 /// Exact number of tree nodes in the subtrees rooted at `roots`
 /// (iterative DFS over the deterministic tree spec) — the work a
 /// faulty run lost.
@@ -848,9 +810,9 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
 }
 
 /// [`run_experiment`] with streaming telemetry attached: periodic
-/// [`dws_metrics::Snapshot`] lines to the sink, online occupancy and
-/// steal-RTT aggregates in the result, and the flight-recorder /
-/// budget-abort machinery from [`StreamingCfg`].
+/// [`dws_metrics::Snapshot`] lines to the sink, online occupancy
+/// aggregates in the result, and the flight-recorder / budget-abort
+/// machinery from [`StreamingCfg`].
 ///
 /// # Panics
 /// Same integrity panics as [`run_experiment`].
@@ -912,9 +874,6 @@ pub fn run_experiment_streamed(
             if cfg.collect_spans {
                 w = w.with_tracing();
             }
-            if streaming.is_some() {
-                w = w.with_rtt_histogram();
-            }
             if let Some(p) = &probe {
                 w = w.with_profiler(Arc::clone(p));
             }
@@ -944,9 +903,6 @@ pub fn run_experiment_streamed(
         Box::new(PureNetwork(JobLatency(Arc::clone(&job))))
     };
     let mut sim: Simulation<Worker> = Simulation::with_network(workers, net, sim_cfg);
-    if cfg.reference_queue {
-        sim.use_reference_queue();
-    }
     // Always configure a bounded lookahead (even at one thread) with a
     // node-aligned shard map. The committed schedule is a pure function of the
     // configuration and is *independent of the shard decomposition*
@@ -969,7 +925,6 @@ pub fn run_experiment_streamed(
     if cfg.collect_spans {
         sim.attach_net_trace();
     }
-    let streaming_on = streaming.is_some();
     if let Some(s) = streaming {
         sim.attach_streaming(s.cfg, s.sink);
     }
@@ -1019,22 +974,7 @@ pub fn run_experiment_streamed(
         );
     }
 
-    let online_steal_rtt = if streaming_on {
-        let mut h = Histogram::new();
-        for w in &workers {
-            if let Some(r) = w.rtt_histogram() {
-                h.merge(r);
-            }
-        }
-        Some(h)
-    } else {
-        None
-    };
-    let per_rank: Vec<StealStats> = workers
-        .iter()
-        .map(|w| to_steal_stats(&w.counters))
-        .collect();
-    let stats = RunStats::new(per_rank);
+    let stats = RunStats::new(workers.iter().map(|w| w.counters).collect());
     let total_nodes = stats.nodes_processed();
 
     // Lost-work reconciliation: everything a crash took down — the
@@ -1191,7 +1131,6 @@ pub fn run_experiment_streamed(
         profile,
         victim_health,
         online_occupancy,
-        online_steal_rtt,
         window_plan,
         engine_steals,
     }

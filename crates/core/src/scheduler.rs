@@ -42,7 +42,7 @@ use crate::health::{AdaptiveCfg, Gate, HealthTracker};
 use crate::stack::{Chunk, ChunkedStack};
 use crate::termination::{TerminationState, Token, TokenAction};
 use crate::victim::VictimSelector;
-use dws_metrics::{trace_id, Histogram, SpanKind, SpanRecord, Tracer};
+use dws_metrics::{trace_id, SpanKind, SpanRecord, StealStats, Tracer};
 use dws_simnet::profiler::{prof_record, prof_start, PerfProbe, Phase};
 use dws_simnet::{Actor, Ctx, Rank};
 use dws_topology::Job;
@@ -273,70 +273,6 @@ fn classed_timer(class: u64, id: u64) -> u64 {
     (class << 56) | id
 }
 
-/// Per-rank counters mirrored into `dws_metrics::StealStats` after the
-/// run (kept local to avoid a hard dependency in the hot path).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counters {
-    /// Steal requests issued.
-    pub steal_attempts: u64,
-    /// Requests answered with work.
-    pub steals_ok: u64,
-    /// Requests answered empty.
-    pub steals_failed: u64,
-    /// Chunks received.
-    pub chunks_received: u64,
-    /// Nodes received.
-    pub nodes_received: u64,
-    /// Chunks given to thieves.
-    pub chunks_given: u64,
-    /// Nodes given to thieves.
-    pub nodes_given: u64,
-    /// Time spent waiting for steal answers.
-    pub search_ns: u64,
-    /// Completed work-discovery sessions.
-    pub sessions: u64,
-    /// Total session duration.
-    pub session_ns: u64,
-    /// Nodes expanded locally.
-    pub nodes_processed: u64,
-    /// Lifeline extension: times this rank went dormant.
-    pub lifeline_dormancies: u64,
-    /// Lifeline extension: chunks pushed to dormant buddies.
-    pub lifeline_pushes: u64,
-    /// Fault tolerance: steal requests that timed out (also counted
-    /// in `steals_failed` so attempts still balance).
-    pub steal_timeouts: u64,
-    /// Fault tolerance: work transfers re-sent after an ack timeout.
-    pub retransmits: u64,
-    /// Fault tolerance: duplicated deliveries of an already-absorbed
-    /// transfer, dropped by the `xfer` dedup.
-    pub dup_replies_dropped: u64,
-    /// Fault tolerance: empty replies to requests that had already
-    /// timed out, dropped on arrival.
-    pub stale_replies_dropped: u64,
-    /// Fault tolerance: work-carrying replies that arrived after their
-    /// request timed out and were absorbed anyway (work is work).
-    pub late_work_absorbed: u64,
-    /// Fault tolerance: termination tokens regenerated by rank 0's
-    /// watchdog after the circulating token was presumed lost.
-    pub token_regenerations: u64,
-    /// Fault tolerance: nodes in transfers addressed to a rank that
-    /// crashed before acknowledging (given up on, counted as lost).
-    pub nodes_stranded: u64,
-    /// Fault tolerance: nodes refused because they straggled in after
-    /// degraded (lossy) termination; the sender's unacknowledged
-    /// transfer accounts them as lost.
-    pub nodes_refused: u64,
-    /// Adaptive selection: victims this rank pushed into quarantine.
-    pub quarantines: u64,
-    /// Adaptive selection: probe steals sent to quarantined victims
-    /// whose probation window had expired.
-    pub probe_steals: u64,
-    /// Adaptive selection: base-policy draws rejected by the health
-    /// overlay (quarantined victim, or acceptance-weight miss).
-    pub overlay_rejections: u64,
-}
-
 /// One rank of the distributed work-stealing computation.
 pub struct Worker {
     cfg: Arc<SchedulerCfg>,
@@ -426,7 +362,7 @@ pub struct Worker {
     /// Causal span recorder. Off by default: recording is one branch
     /// and nothing else in the scheduler may depend on it, so the
     /// event schedule is identical with tracing on or off. Spans are
-    /// recorded at exactly the sites that bump [`Counters`], which is
+    /// recorded at exactly the sites that bump [`StealStats`], which is
     /// what lets `SpanTrace::reconcile` cross-check them exactly.
     tracer: Tracer,
     /// Optional self-profiling probe shared with the engine. Only ever
@@ -437,13 +373,8 @@ pub struct Worker {
     /// (the default) keeps the draw path exactly the base policy's —
     /// zero extra RNG draws, so the schedule is untouched.
     health: Option<HealthTracker>,
-    /// Online steal-RTT histogram for streaming runs. Recorded at
-    /// exactly the span sites that feed
-    /// `SpanTrace::histograms().steal_rtt_ns`, so merging every rank's
-    /// histogram in rank order reproduces the post-hoc value.
-    rtt_hist: Option<Histogram>,
     /// Statistics counters.
-    pub counters: Counters,
+    pub counters: StealStats,
 }
 
 /// Hypercube lifeline graph: rank `me`'s buddies are `me XOR 2^k` for
@@ -507,8 +438,7 @@ impl Worker {
             tracer: Tracer::off(),
             probe: None,
             health: None,
-            rtt_hist: None,
-            counters: Counters::default(),
+            counters: StealStats::default(),
             cfg,
         }
     }
@@ -537,31 +467,6 @@ impl Worker {
     /// [`with_tracing`](Self::with_tracing) was used).
     pub fn spans(&self) -> &[SpanRecord] {
         self.tracer.records()
-    }
-
-    /// Record steal round-trips into an online histogram (builder
-    /// style). One branch per steal reply when off; when on, the
-    /// recording sites mirror the span tracer's `StealOk`/`StealEmpty`
-    /// exactly, including the duplicated-reply `StealOk` under fault
-    /// tolerance, so the merged per-rank histograms are
-    /// element-identical to the post-hoc span-derived ones.
-    pub fn with_rtt_histogram(mut self) -> Self {
-        self.rtt_hist = Some(Histogram::new());
-        self
-    }
-
-    /// The online steal-RTT histogram, if enabled.
-    pub fn rtt_histogram(&self) -> Option<&Histogram> {
-        self.rtt_hist.as_ref()
-    }
-
-    /// Mirror one steal round-trip into the online histogram. Call
-    /// only beside a `StealOk`/`StealEmpty` span site.
-    #[inline]
-    fn record_rtt(&mut self, rtt_ns: u64) {
-        if let Some(h) = self.rtt_hist.as_mut() {
-            h.record(rtt_ns);
-        }
     }
 
     /// Share the engine's self-profiling probe with this rank (builder
@@ -1151,7 +1056,6 @@ impl Worker {
                         // transfer; count the attempt as served.
                         self.counters.steals_ok += 1;
                         self.counters.dup_replies_dropped += 1;
-                        self.record_rtt(rtt_ns);
                         self.span(
                             ctx,
                             attempt_id,
@@ -1182,7 +1086,6 @@ impl Worker {
                 if chunks.is_empty() {
                     self.counters.steals_failed += 1;
                     self.consecutive_fails += 1;
-                    self.record_rtt(rtt_ns);
                     self.span(
                         ctx,
                         attempt_id,
@@ -1228,7 +1131,6 @@ impl Worker {
                 } else {
                     self.counters.steals_ok += 1;
                     let nodes: usize = chunks.iter().map(|c| c.len()).sum();
-                    self.record_rtt(rtt_ns);
                     self.span(
                         ctx,
                         attempt_id,

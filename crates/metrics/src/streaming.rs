@@ -26,15 +26,12 @@
 //! last-drop marks per occupancy level. No event log survives a fold.
 //!
 //! The post-hoc path is deliberately kept alive as a *differential
-//! oracle* (like the engine's `reference_queue`): tests run both and
-//! assert element-identical results.
+//! oracle*: tests run both and assert element-identical results.
 //!
 //! Delivery-latency histograms and the per-pair traffic matrix are
 //! already maintained incrementally at send time by the network layer's
 //! `NetTrace` (commutative merge across shards); this module does not
-//! duplicate them. Steal-RTT histograms are recorded online at the
-//! scheduler's reply sites and merged in rank order, matching
-//! [`SpanTrace::histograms`](crate::SpanTrace::histograms) exactly.
+//! duplicate them.
 //!
 //! [`ActivityTrace::sorted`]: crate::ActivityTrace::sorted
 //! [`SortedTrace::busy_ns_per_rank`]: crate::SortedTrace::busy_ns_per_rank
@@ -390,7 +387,7 @@ pub struct ShardSnap {
     pub windows: u64,
     /// Events processed so far.
     pub events: u64,
-    /// Events waiting in the shard's calendar queue.
+    /// Events waiting in the shard's event queue.
     pub queue_depth: u64,
     /// Wall-clock nanoseconds spent executing windows.
     pub busy_ns: u64,

@@ -58,7 +58,6 @@ use dws_metrics::{OnlineAccounting, ShardSnap, Snapshot, Transition};
 
 use crate::abort;
 use crate::barrier::WindowBarrier;
-use crate::calqueue::{CalendarQueue, EvKey};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::observer::{EventKind as ObsKind, EventLog, EventRecord, FlightRecorder, NetTrace};
 use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
@@ -666,88 +665,6 @@ impl<M> Ord for Event<M> {
     }
 }
 
-/// The per-shard pending-event set. The production implementation is
-/// the zero-steady-state-allocation [`CalendarQueue`]; the reference
-/// binary heap is kept as a differential-test oracle (see
-/// [`Simulation::use_reference_queue`]). Both are exact priority
-/// queues over the canonical key, so they pop the identical sequence —
-/// the differential tests in `tests/` assert exactly that, end to end.
-enum EventQueue<M> {
-    /// Calendar queue with arena-allocated payloads (the default).
-    Calendar(CalendarQueue<EventKind<M>>),
-    /// Reference `BinaryHeap` ordering whole events (the pre-overhaul
-    /// scheduler, bit-for-bit).
-    ReferenceHeap(BinaryHeap<Reverse<Event<M>>>),
-}
-
-impl<M> EventQueue<M> {
-    fn new(reference: bool) -> Self {
-        if reference {
-            EventQueue::ReferenceHeap(BinaryHeap::new())
-        } else {
-            EventQueue::Calendar(CalendarQueue::new())
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Event<M>) {
-        match self {
-            EventQueue::Calendar(q) => {
-                let Event {
-                    time,
-                    dst,
-                    src,
-                    sseq,
-                    kind,
-                } = ev;
-                q.push(
-                    EvKey {
-                        t: time.ns(),
-                        dst,
-                        src,
-                        sseq,
-                    },
-                    kind,
-                );
-            }
-            EventQueue::ReferenceHeap(h) => h.push(Reverse(ev)),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Event<M>> {
-        match self {
-            EventQueue::Calendar(q) => q.pop().map(|(k, kind)| Event {
-                time: SimTime(k.t),
-                dst: k.dst,
-                src: k.src,
-                sseq: k.sseq,
-                kind,
-            }),
-            EventQueue::ReferenceHeap(h) => h.pop().map(|r| r.0),
-        }
-    }
-
-    /// Time of the next pending event. `&mut` because the calendar
-    /// caches the located minimum for the pop that typically follows.
-    #[inline]
-    fn peek_time_ns(&mut self) -> Option<u64> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_time_ns(),
-            EventQueue::ReferenceHeap(h) => h.peek().map(|r| r.0.time.ns()),
-        }
-    }
-
-    /// Number of pending events (the snapshot stream's queue depth).
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::ReferenceHeap(h) => h.len(),
-        }
-    }
-}
-
 /// FNV-1a basis/prime for the window-plan digest.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -809,7 +726,8 @@ fn crashed_at(crash_at: &[Option<u64>], rank: Rank, at: SimTime) -> bool {
 struct ShardCore<M> {
     id: usize,
     now: SimTime,
-    queue: EventQueue<M>,
+    /// Pending events, minimum canonical key first.
+    queue: BinaryHeap<Reverse<Event<M>>>,
     /// Earliest delivery time still free per (from, to) pair, one tick
     /// past its last scheduled delivery, to enforce MPI non-overtaking.
     /// Only pairs with a local sender appear. No send is scheduled
@@ -847,11 +765,11 @@ struct ShardCore<M> {
 impl<M> ShardCore<M> {
     /// A fresh core for shard `id` of `n_shards`, with every
     /// observability sink detached.
-    fn new(id: usize, n_shards: usize, net: Box<dyn NetworkModel>, reference_queue: bool) -> Self {
+    fn new(id: usize, n_shards: usize, net: Box<dyn NetworkModel>) -> Self {
         Self {
             id,
             now: SimTime::ZERO,
-            queue: EventQueue::new(reference_queue),
+            queue: BinaryHeap::new(),
             fifo: PairMap::default(),
             fifo_sweep_at: FIFO_SWEEP_MIN,
             net,
@@ -875,7 +793,7 @@ impl<M> ShardCore<M> {
 
     #[inline]
     fn push_local(&mut self, ev: Event<M>) {
-        self.queue.push(ev);
+        self.queue.push(Reverse(ev));
     }
 
     /// Enqueue locally or hand off to the destination shard's outbox,
@@ -1257,11 +1175,12 @@ impl<A: Actor> Shard<A> {
     /// Process queued events with `time < end_ns` (and `time <=
     /// max_time_ns` when set), leaving later events queued.
     fn run_window(&mut self, shared: &Shared, end_ns: u64, max_time_ns: Option<u64>) {
-        while let Some(t) = self.core.queue.peek_time_ns() {
+        while let Some(Reverse(next)) = self.core.queue.peek() {
+            let t = next.time.ns();
             if t >= end_ns || max_time_ns.is_some_and(|mt| t > mt) {
                 break;
             }
-            let ev = self.core.queue.pop().expect("peeked");
+            let Reverse(ev) = self.core.queue.pop().expect("peeked");
             self.process(shared, ev);
         }
         self.core.windows += 1;
@@ -1562,9 +1481,6 @@ pub struct Simulation<A: Actor> {
     started: bool,
     log_cap: Option<usize>,
     net_trace_on: bool,
-    /// True when [`use_reference_queue`](Self::use_reference_queue)
-    /// selected the heap oracle instead of the calendar queue.
-    reference_queue: bool,
     profiler: Option<Arc<PerfProbe>>,
     merged_log: Option<EventLog>,
     merged_net: Option<NetTrace>,
@@ -1618,7 +1534,7 @@ impl<A: Actor> Simulation<A> {
             members: (0..n).collect(),
             actors,
             states,
-            core: ShardCore::new(0, 1, net, false),
+            core: ShardCore::new(0, 1, net),
         };
         Self {
             shards: vec![shard],
@@ -1639,31 +1555,10 @@ impl<A: Actor> Simulation<A> {
             started: false,
             log_cap: None,
             net_trace_on: false,
-            reference_queue: false,
             profiler: None,
             merged_log: None,
             merged_net: None,
             streaming: None,
-        }
-    }
-
-    /// Swap the calendar-queue scheduler for the reference
-    /// `BinaryHeap` — the pre-overhaul event queue, kept as a
-    /// differential-test oracle. Both are exact priority queues over
-    /// the canonical event key, so every run artifact must be
-    /// byte-identical between the two; the differential tests assert
-    /// it. Call before the first run.
-    ///
-    /// # Panics
-    /// Panics if the simulation already started.
-    pub fn use_reference_queue(&mut self) {
-        assert!(
-            !self.started,
-            "use_reference_queue must be called before the first run"
-        );
-        self.reference_queue = true;
-        for shard in self.shards.iter_mut() {
-            shard.core.queue = EventQueue::new(true);
         }
     }
 
@@ -1740,7 +1635,7 @@ impl<A: Actor> Simulation<A> {
             for (slot, &r) in members.iter().enumerate() {
                 self.shared.rank_loc[r as usize] = (id as u32, slot as u32);
             }
-            let mut core = ShardCore::new(id, s_count, net, self.reference_queue);
+            let mut core = ShardCore::new(id, s_count, net);
             core.log = self.log_cap.map(|_| EventLog::unbounded());
             core.net_trace = self.net_trace_on.then(NetTrace::default);
             core.profiler = self.profiler.clone();
@@ -2152,7 +2047,7 @@ where
                     shard.core.dirty_out = dirty;
                     prof_record(probe, Phase::Exchange, x0);
                 }
-                let mn = shard.core.queue.peek_time_ns().unwrap_or(u64::MAX);
+                let mn = shard.core.queue.peek().map_or(u64::MAX, |e| e.0.time.ns());
                 slot.min_next.store(mn, Ordering::SeqCst);
                 slot.events.store(shard.core.events, Ordering::SeqCst);
                 slot.load.store(load, Ordering::SeqCst);
@@ -3010,30 +2905,13 @@ mod tests {
         threads: u32,
         fault: FaultPlan,
     ) -> (RunReport, Vec<Chatter>, FaultStats, u64, Vec<EventRecord>) {
-        run_chatter_queued(n, shards, threads, fault, SimConfig::default().seed, false)
-    }
-
-    /// Like [`run_chatter`] but with an explicit master seed and queue
-    /// choice: `reference` swaps the calendar queue for the oracle
-    /// `BinaryHeap`.
-    fn run_chatter_queued(
-        n: u32,
-        shards: u32,
-        threads: u32,
-        fault: FaultPlan,
-        seed: u64,
-        reference: bool,
-    ) -> (RunReport, Vec<Chatter>, FaultStats, u64, Vec<EventRecord>) {
         let cfg = SimConfig {
-            seed,
             latency_jitter: 0.3,
             clock_skew_max_ns: 2_000,
             fault,
+            ..SimConfig::default()
         };
         let mut sim = Simulation::new(Chatter::fleet(n), ConstantLatency(1_000), cfg);
-        if reference {
-            sim.use_reference_queue();
-        }
         sim.configure_parallel(layout(n, shards, threads, 1_000));
         sim.attach_log(1 << 16);
         sim.attach_net_trace();
@@ -3096,35 +2974,6 @@ mod tests {
                 "shard count {shards} diverged under partition/domain faults"
             );
         }
-    }
-
-    /// Differential property: the calendar queue and the reference
-    /// `BinaryHeap` are both exact priority queues over the canonical
-    /// `(time, dst, src, sseq)` key, so every observable run artifact —
-    /// report, actor state, fault ledger, message count, and the merged
-    /// event-log window — must be identical across seeds, fault plans,
-    /// and shard counts.
-    #[test]
-    fn calendar_queue_matches_reference_heap() {
-        let plans = [
-            ("clean", FaultPlan::default()),
-            ("faulty", FaultPlan::message_faults(0.1, 0.1, 0.1)),
-        ];
-        for (label, plan) in &plans {
-            for seed in [SimConfig::default().seed, 1, 0xD15_7EA1] {
-                for shards in [1u32, 4] {
-                    let cal = run_chatter_queued(8, shards, 1, plan.clone(), seed, false);
-                    let heap = run_chatter_queued(8, shards, 1, plan.clone(), seed, true);
-                    assert_eq!(
-                        cal, heap,
-                        "calendar vs reference heap diverged ({label}, seed {seed}, {shards} shards)"
-                    );
-                }
-            }
-        }
-        // The faulty plan must actually fire for the property to bite.
-        let probe = run_chatter_queued(8, 1, 1, plans[1].1.clone(), 1, false);
-        assert!(probe.2.dropped + probe.2.duplicated + probe.2.spiked > 0);
     }
 
     #[test]

@@ -84,7 +84,6 @@
 
 pub mod abort;
 mod barrier;
-mod calqueue;
 pub mod engine;
 pub mod fault;
 pub mod observer;

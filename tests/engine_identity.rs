@@ -9,15 +9,19 @@
 //! were re-recorded at the commit before the quiet-timer planner was
 //! deleted (PR 16), again with `engine.rs` untouched and the scheduler
 //! arming plain timers, so they are that engine's `min_next +
-//! lookahead` plan. The bit-identity matrix proper lives in
+//! lookahead` plan. The three span-collecting lines were recorded at
+//! the commit before the calendar queue was deleted (PR 19), with
+//! `crates/` untouched and the calendar as the engine's queue, so they
+//! are the calendar's schedule and hold the `BinaryHeap` that replaced
+//! it to account. The bit-identity matrix proper lives in
 //! `crates/core/tests` and runs only under `--workspace`; this slice is
 //! what the root `cargo test -q` sees.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
 use dws::metrics::perflab::fingerprint;
-use dws::simnet::FaultPlan;
-use dws::topology::AllocationPolicy;
-use dws::uts::presets;
+use dws::simnet::{Crash, FaultPlan};
+use dws::topology::{AllocationPolicy, RankMapping};
+use dws::uts::{presets, TreeSpec, Workload};
 
 /// The `steal_storm` shape at test size: T3SIM-S starves 64
 /// torus-filled ranks, so most traffic is failed steal round trips
@@ -33,7 +37,9 @@ fn storm(fault_plan: FaultPlan, threads: u32) -> ExperimentConfig {
     cfg
 }
 
-/// Everything pinned about one run, as one comparable line.
+/// Everything pinned about one run, as one comparable line. A run that
+/// collected spans also pins its serialized report, its span records
+/// and its fault ledger.
 fn identity(cfg: &ExperimentConfig) -> String {
     let r = run_experiment(cfg);
     assert!(r.completed, "the pinned run must terminate");
@@ -42,7 +48,7 @@ fn identity(cfg: &ExperimentConfig) -> String {
         .fault
         .as_ref()
         .map_or((0, 0), |f| (f.stats.dropped, f.stats.duplicated));
-    format!(
+    let mut line = format!(
         "makespan_ns={} window_plan={:016x}/{} events={} delivered={} \
          dropped={} duplicated={} nodes={} stats={}",
         r.makespan.ns(),
@@ -54,7 +60,19 @@ fn identity(cfg: &ExperimentConfig) -> String {
         duplicated,
         r.total_nodes,
         fingerprint(&stats),
-    )
+    );
+    if let Some(spans) = &r.spans {
+        let ledger = r
+            .fault
+            .as_ref()
+            .map(|f| (f.stats, &f.crashed_ranks, f.lost_subtree_nodes));
+        line += &format!(
+            " json={} spans={} fault={ledger:?}",
+            fingerprint(&r.json_report().to_string()),
+            fingerprint(&format!("{:?}", spans.records())),
+        );
+    }
+    line
 }
 
 #[test]
@@ -103,6 +121,77 @@ fn window_plan_and_schedule_are_pure_across_thread_counts() {
                 assert_eq!(at(threads), one, "seed {seed}, {threads} threads");
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Calendar-queue pins (PR 19): the configurations the deleted
+// `crates/core/tests/queue_differential.rs` compared queue against
+// queue, as the calendar queue ran them.
+// ---------------------------------------------------------------------
+
+fn binomial(b0: u32) -> Workload {
+    Workload {
+        name: "queue-diff",
+        spec: TreeSpec::Binomial { b0, m: 2, q: 0.47 },
+        seed: 23,
+        gen_rounds: 1,
+        base_node_ns: 1_000,
+    }
+}
+
+#[test]
+fn jittered_skewed_span_runs_are_pinned_to_the_calendar_queue_at_one_and_four_threads() {
+    for (seed, pinned) in [
+        (
+            3,
+            "makespan_ns=2558728 window_plan=2f54bcda8b8a7439/1379 events=5864 delivered=1639 \
+             dropped=0 duplicated=0 nodes=13951 stats=4bc77f87fafa422f json=6b86f0cfb6d7a199 \
+             spans=f6249463c0628b6c fault=None",
+        ),
+        (
+            0xACE,
+            "makespan_ns=2529414 window_plan=512905dd911f8cd8/1351 events=5812 delivered=1597 \
+             dropped=0 duplicated=0 nodes=13951 stats=58f24845a249a29f json=4ab50b7fc0a8bce2 \
+             spans=700ae337fccd200e fault=None",
+        ),
+    ] {
+        for threads in [1, 4] {
+            let mut cfg = ExperimentConfig::new(binomial(900), 8)
+                .with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 });
+            cfg.seed = seed;
+            cfg.jitter = 0.2;
+            cfg.clock_skew_max_ns = 1_500;
+            cfg.collect_spans = true;
+            cfg.threads = threads;
+            assert_eq!(identity(&cfg), pinned, "seed {seed}, {threads} thread(s)");
+        }
+    }
+}
+
+#[test]
+fn faulty_crash_run_is_pinned_to_the_calendar_queue_at_one_and_four_threads() {
+    let mut plan = FaultPlan::message_faults(0.05, 0.02, 0.05);
+    plan.crashes.push(Crash {
+        rank: 5,
+        at_ns: 400_000,
+    });
+    for threads in [1, 4] {
+        let mut cfg = ExperimentConfig::new(binomial(1200), 8)
+            .with_mapping(RankMapping::Grouped { ppn: 2 })
+            .with_victim(VictimPolicy::Uniform);
+        cfg.fault_plan = plan.clone();
+        cfg.collect_spans = true;
+        cfg.threads = threads;
+        assert_eq!(
+            identity(&cfg),
+            "makespan_ns=3518586 window_plan=e38a3addf3831abd/1855 events=10866 delivered=3262 \
+             dropped=177 duplicated=58 nodes=18789 stats=b1c900c3abf3b5c8 json=4d424c5e67db1f68 \
+             spans=e1c40cc2c3ad09c2 fault=Some((FaultStats { dropped: 177, duplicated: 58, \
+             spiked: 160, brownout_drops: 0, partition_drops: 0, crash_lost_deliveries: 2, \
+             crash_lost_timers: 1 }, [5], 20))",
+            "{threads} thread(s)"
+        );
     }
 }
 

@@ -66,9 +66,9 @@ fn streamed(sink: &SharedSink, every_ns: u64) -> Option<StreamingSetup> {
 
 /// The tentpole acceptance property: across seeds × fault plans ×
 /// thread counts, the occupancy aggregates folded incrementally at
-/// window barriers (O(ranks) memory, no retained log) and the online
-/// steal-RTT histogram must be *element-identical* to the post-hoc
-/// path that sorts the full activity trace and distills the span log.
+/// window barriers (O(ranks) memory, no retained log) must be
+/// *element-identical* to the post-hoc path that sorts the full
+/// activity trace.
 #[test]
 fn online_aggregates_match_posthoc_across_seeds_faults_threads() {
     let plans = [
@@ -116,20 +116,6 @@ fn online_aggregates_match_posthoc_across_seeds_faults_threads() {
                         "{tag}: last reach at {p}"
                     );
                 }
-
-                // Steal RTT: online per-rank histograms merged in rank
-                // order vs the span-derived distribution.
-                let online_rtt = r.online_steal_rtt.as_ref().expect("streamed run");
-                let posthoc = r.latency_histograms().expect("spans collected");
-                assert_eq!(
-                    online_rtt.buckets(),
-                    posthoc.steal_rtt_ns.buckets(),
-                    "{tag}: steal-RTT buckets"
-                );
-                assert_eq!(online_rtt.count(), posthoc.steal_rtt_ns.count(), "{tag}");
-                assert_eq!(online_rtt.sum(), posthoc.steal_rtt_ns.sum(), "{tag}");
-                assert_eq!(online_rtt.min(), posthoc.steal_rtt_ns.min(), "{tag}");
-                assert_eq!(online_rtt.max(), posthoc.steal_rtt_ns.max(), "{tag}");
             }
         }
     }
