@@ -30,6 +30,7 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let started = std::time::Instant::now();
     let result = match cmd {
         "run" => commands::run(rest),
         "trace" => commands::trace(rest),
@@ -51,6 +52,18 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+    if matches!(cmd, "run" | "trace" | "profile") {
+        // What the host paid for the whole command, reports included.
+        // On stderr: stdout stays byte-deterministic for a seed.
+        let rss = dws_metrics::perflab::peak_rss_bytes().map_or_else(
+            || "unavailable".to_string(),
+            |bytes| format!("{:.1} MiB", bytes as f64 / (1024.0 * 1024.0)),
+        );
+        eprintln!(
+            "host: wall {:.2} s, peak RSS {rss}",
+            started.elapsed().as_secs_f64()
+        );
     }
 }
 
@@ -144,5 +157,8 @@ commands:
           dws why <report.json>      render an existing run report
           dws why --tree ... [run flags]  run + explain in one step
           exit code 2 if the attribution-sum invariant fails (CI gate)
-  help    this text"
+  help    this text
+
+run, trace and profile end with one line on stderr saying what the
+host paid: `host: wall <s> s, peak RSS <MiB> MiB`"
 }

@@ -31,7 +31,7 @@ use dws_simnet::{
 use dws_topology::routing::LinkLoad;
 use dws_topology::{AllocationPolicy, Job, LatencyParams, RankMapping};
 use dws_uts::{Node, Workload};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Full description of one experiment.
@@ -466,6 +466,9 @@ pub struct ExperimentResult {
     /// Shard-ownership moves the engine's deterministic rebalancer
     /// performed (always 0 single-threaded — nobody to steal from).
     pub engine_steals: u64,
+    /// [`blame_report`](Self::blame_report), computed on first use: the
+    /// JSON report embeds the same one.
+    blame: OnceLock<Option<BlameReport>>,
 }
 
 /// Per-rank adaptive health ledgers: `(rank, [(victim, health), …])`.
@@ -673,7 +676,7 @@ impl ExperimentResult {
                 ]),
             ));
         }
-        if let Some(blame) = self.blame_report() {
+        if let Some(blame) = self.blame() {
             pairs.push(("blame", blame.to_json()));
         }
         JsonValue::obj(pairs)
@@ -685,21 +688,32 @@ impl ExperimentResult {
     /// both spans and the activity trace. Read-only over recorded
     /// data — computing it cannot perturb the schedule.
     pub fn blame_report(&self) -> Option<BlameReport> {
-        let spans = self.spans.as_ref()?;
-        let trace = self.trace.as_ref()?;
-        let mut blame = BlameReport::from_run(spans, trace, self.makespan.ns());
-        if let Some(profile) = &self.profile {
-            if !profile.shards.is_empty() {
-                blame = blame.with_shards(
-                    profile
-                        .shards
-                        .iter()
-                        .map(|&(shard, _, _, _, busy_ns, wait_ns)| (shard, busy_ns, wait_ns))
-                        .collect(),
-                );
-            }
-        }
-        Some(blame)
+        self.blame().cloned()
+    }
+
+    /// The blame report, built at most once per result.
+    fn blame(&self) -> Option<&BlameReport> {
+        self.blame
+            .get_or_init(|| {
+                let spans = self.spans.as_ref()?;
+                let trace = self.trace.as_ref()?;
+                let mut blame = BlameReport::from_run(spans, trace, self.makespan.ns());
+                if let Some(profile) = &self.profile {
+                    if !profile.shards.is_empty() {
+                        blame = blame.with_shards(
+                            profile
+                                .shards
+                                .iter()
+                                .map(|&(shard, _, _, _, busy_ns, wait_ns)| {
+                                    (shard, busy_ns, wait_ns)
+                                })
+                                .collect(),
+                        );
+                    }
+                }
+                Some(blame)
+            })
+            .as_ref()
     }
 
     /// The Chrome trace-event document for this run (`dws trace`).
@@ -871,9 +885,6 @@ pub fn run_experiment_streamed(
             if cfg.victim.is_adaptive() {
                 w = w.with_health(AdaptiveCfg::default());
             }
-            if cfg.collect_spans {
-                w = w.with_tracing();
-            }
             if let Some(p) = &probe {
                 w = w.with_profiler(Arc::clone(p));
             }
@@ -923,6 +934,7 @@ pub fn run_experiment_streamed(
             .with_shard_map(node_aligned_shards(&job, max_shards)),
     );
     if cfg.collect_spans {
+        sim.attach_spans();
         sim.attach_net_trace();
     }
     if let Some(s) = streaming {
@@ -957,6 +969,9 @@ pub fn run_experiment_streamed(
     });
     let makespan = report.end_time;
     let online_occupancy = sim.finish_streaming(makespan.ns());
+    let spans = cfg
+        .collect_spans
+        .then(|| SpanTrace::from_shard_logs(n_ranks as usize, sim.take_spans()));
     let workers = sim.actors();
     let crashed_ranks = sim.crashed_ranks();
     let is_crashed = |r: usize| crashed_ranks.contains(&(r as u32));
@@ -1078,13 +1093,6 @@ pub fn run_experiment_streamed(
     } else {
         None
     };
-    let spans = if cfg.collect_spans {
-        Some(SpanTrace::from_per_rank(
-            workers.iter().map(|w| w.spans().to_vec()).collect(),
-        ))
-    } else {
-        None
-    };
     let victim_health = if cfg.victim.is_adaptive() {
         Some(
             workers
@@ -1133,6 +1141,7 @@ pub fn run_experiment_streamed(
         online_occupancy,
         window_plan,
         engine_steals,
+        blame: OnceLock::new(),
     }
 }
 

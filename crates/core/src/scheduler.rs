@@ -42,7 +42,7 @@ use crate::health::{AdaptiveCfg, Gate, HealthTracker};
 use crate::stack::{Chunk, ChunkedStack};
 use crate::termination::{TerminationState, Token, TokenAction};
 use crate::victim::VictimSelector;
-use dws_metrics::{trace_id, SpanKind, SpanRecord, StealStats, Tracer};
+use dws_metrics::{trace_id, SpanKind, StealStats};
 use dws_simnet::profiler::{prof_record, prof_start, PerfProbe, Phase};
 use dws_simnet::{Actor, Ctx, Rank};
 use dws_topology::Job;
@@ -359,12 +359,6 @@ pub struct Worker {
     watchdog_attempts: u32,
     /// Rank 0: a crash has been observed; termination runs lossy.
     crash_seen: bool,
-    /// Causal span recorder. Off by default: recording is one branch
-    /// and nothing else in the scheduler may depend on it, so the
-    /// event schedule is identical with tracing on or off. Spans are
-    /// recorded at exactly the sites that bump [`StealStats`], which is
-    /// what lets `SpanTrace::reconcile` cross-check them exactly.
-    tracer: Tracer,
     /// Optional self-profiling probe shared with the engine. Only ever
     /// reads the host clock; one branch per site when absent, so the
     /// event schedule is identical with profiling on or off.
@@ -435,7 +429,6 @@ impl Worker {
             absorbed: HashSet::new(),
             watchdog_attempts: 0,
             crash_seen: false,
-            tracer: Tracer::off(),
             probe: None,
             health: None,
             counters: StealStats::default(),
@@ -457,37 +450,11 @@ impl Worker {
         self.health.as_ref()
     }
 
-    /// Enable causal span recording for this rank (builder style).
-    pub fn with_tracing(mut self) -> Self {
-        self.tracer = Tracer::on();
-        self
-    }
-
-    /// The spans recorded so far (empty unless
-    /// [`with_tracing`](Self::with_tracing) was used).
-    pub fn spans(&self) -> &[SpanRecord] {
-        self.tracer.records()
-    }
-
     /// Share the engine's self-profiling probe with this rank (builder
-    /// style): victim draws and span-record time get phase-accounted.
+    /// style): victim draws and activity-trace time get phase-accounted.
     pub fn with_profiler(mut self, probe: Arc<PerfProbe>) -> Self {
         self.probe = Some(probe);
         self
-    }
-
-    /// Record one span at the current global time (no-op when tracing
-    /// is off).
-    #[inline]
-    fn span(&mut self, ctx: &Ctx<'_, Msg>, trace: u64, kind: SpanKind) {
-        let t0 = if self.tracer.enabled() {
-            prof_start(&self.probe)
-        } else {
-            None
-        };
-        self.tracer
-            .record(ctx.now().ns(), ctx.me() as usize, trace, kind);
-        prof_record(&self.probe, Phase::TraceRecord, t0);
     }
 
     /// Attach the topology latency model so fault-tolerance timeouts
@@ -648,8 +615,7 @@ impl Worker {
         } else {
             0
         };
-        self.span(
-            ctx,
+        ctx.record_span(
             0,
             SpanKind::TokenHop {
                 to: next as usize,
@@ -681,8 +647,7 @@ impl Worker {
             return;
         }
         self.counters.retransmits += 1;
-        self.span(
-            ctx,
+        ctx.record_span(
             0,
             SpanKind::Retransmit {
                 to: to as usize,
@@ -825,7 +790,7 @@ impl Worker {
             let dur = ctx.now().ns().saturating_sub(since);
             self.counters.sessions += 1;
             self.counters.session_ns += dur;
-            self.span(ctx, 0, SpanKind::SessionEnd { dur_ns: dur });
+            ctx.record_span(0, SpanKind::SessionEnd { dur_ns: dur });
         }
         if !self.traced_active {
             let t0 = prof_start(&self.probe);
@@ -945,8 +910,7 @@ impl Worker {
         self.outstanding_seq = seq;
         self.wait_since_ns = Some(ctx.now().ns());
         self.counters.steal_attempts += 1;
-        self.span(
-            ctx,
+        ctx.record_span(
             trace_id(ctx.me() as usize, seq),
             SpanKind::StealRequestSent {
                 victim: victim as usize,
@@ -970,8 +934,7 @@ impl Worker {
                 // The thief minted trace_id(from, seq); recomputing it
                 // here links both sides of the attempt with no extra
                 // wire fields.
-                self.span(
-                    ctx,
+                ctx.record_span(
                     trace_id(from as usize, seq),
                     SpanKind::StealRequestRecv {
                         thief: from as usize,
@@ -1002,16 +965,14 @@ impl Worker {
                     xfer = self.track_transfer(ctx, from, &chunks);
                 }
                 let reply_nodes: usize = chunks.iter().map(|c| c.len()).sum();
-                self.span(
-                    ctx,
+                ctx.record_span(
                     trace_id(from as usize, seq),
                     SpanKind::StealReplySent {
                         thief: from as usize,
                         nodes: reply_nodes as u64,
                     },
                 );
-                self.span(
-                    ctx,
+                ctx.record_span(
                     trace_id(from as usize, seq),
                     SpanKind::StealServiced {
                         thief: from as usize,
@@ -1056,8 +1017,7 @@ impl Worker {
                         // transfer; count the attempt as served.
                         self.counters.steals_ok += 1;
                         self.counters.dup_replies_dropped += 1;
-                        self.span(
-                            ctx,
+                        ctx.record_span(
                             attempt_id,
                             SpanKind::StealOk {
                                 victim: from as usize,
@@ -1086,8 +1046,7 @@ impl Worker {
                 if chunks.is_empty() {
                     self.counters.steals_failed += 1;
                     self.consecutive_fails += 1;
-                    self.span(
-                        ctx,
+                    ctx.record_span(
                         attempt_id,
                         SpanKind::StealEmpty {
                             victim: from as usize,
@@ -1131,8 +1090,7 @@ impl Worker {
                 } else {
                     self.counters.steals_ok += 1;
                     let nodes: usize = chunks.iter().map(|c| c.len()).sum();
-                    self.span(
-                        ctx,
+                    ctx.record_span(
                         attempt_id,
                         SpanKind::StealOk {
                             victim: from as usize,
@@ -1158,8 +1116,7 @@ impl Worker {
             Msg::StealAck { xfer } => {
                 if let Some(pos) = self.unacked.iter().position(|(x, ..)| *x == xfer) {
                     self.unacked.swap_remove(pos);
-                    self.span(
-                        ctx,
+                    ctx.record_span(
                         0,
                         SpanKind::TransferAcked {
                             thief: from as usize,
@@ -1322,15 +1279,14 @@ impl Worker {
             let dur = ctx.now().ns().saturating_sub(since);
             self.counters.sessions += 1;
             self.counters.session_ns += dur;
-            self.span(ctx, 0, SpanKind::SessionEnd { dur_ns: dur });
+            ctx.record_span(0, SpanKind::SessionEnd { dur_ns: dur });
         }
         if self.ft_on() {
             if let Some(victim) = self.outstanding.take() {
                 // A request still in flight at termination will never be
                 // served; charge it as failed so attempts stay balanced.
                 self.counters.steals_failed += 1;
-                self.span(
-                    ctx,
+                ctx.record_span(
                     trace_id(ctx.me() as usize, self.outstanding_seq),
                     SpanKind::StealAbandoned {
                         victim: victim as usize,
@@ -1341,7 +1297,7 @@ impl Worker {
                 }
             }
         }
-        self.span(ctx, 0, SpanKind::Done);
+        ctx.record_span(0, SpanKind::Done);
         assert!(
             self.stack.is_empty(),
             "rank {} terminated with {} nodes unprocessed",
@@ -1364,8 +1320,7 @@ impl Worker {
         if let Some(h) = self.health.as_mut() {
             if h.on_timeout(victim, ctx.now().ns()) {
                 self.counters.quarantines += 1;
-                self.span(
-                    ctx,
+                ctx.record_span(
                     trace_id(ctx.me() as usize, seq),
                     SpanKind::Quarantined {
                         victim: victim as usize,
@@ -1373,8 +1328,7 @@ impl Worker {
                 );
             }
         }
-        self.span(
-            ctx,
+        ctx.record_span(
             trace_id(ctx.me() as usize, seq),
             SpanKind::StealTimeout {
                 victim: victim as usize,
@@ -1408,8 +1362,7 @@ impl Worker {
         self.unacked[pos].3 += 1;
         let attempt = self.unacked[pos].3;
         self.counters.retransmits += 1;
-        self.span(
-            ctx,
+        ctx.record_span(
             0,
             SpanKind::Retransmit {
                 to: to as usize,
@@ -1443,8 +1396,7 @@ impl Worker {
         self.refresh_lossy(ctx);
         let token = self.term.regenerate_probe();
         self.counters.token_regenerations += 1;
-        self.span(
-            ctx,
+        ctx.record_span(
             0,
             SpanKind::TokenRegenerated {
                 generation: token.generation as u64,

@@ -12,7 +12,7 @@
 //! bound on accuracy but directly comparable across configurations —
 //! exactly what ranking victim-selection policies needs.
 
-use crate::critpath::{rank_waterfall, Component, CriticalPath, Segment};
+use crate::critpath::{attribute, Component, Segment};
 use crate::export::JsonValue;
 use crate::span::SpanTrace;
 use crate::trace::ActivityTrace;
@@ -66,10 +66,10 @@ pub struct BlameReport {
 impl BlameReport {
     /// Build the report from a run's spans and activity trace.
     pub fn from_run(spans: &SpanTrace, activity: &ActivityTrace, makespan_ns: u64) -> BlameReport {
-        let cp = CriticalPath::extract(spans, activity, makespan_ns);
+        let (cp, waterfall) = attribute(spans, activity, makespan_ns);
         let components = cp.totals();
         let whatif = whatif_table(&components, makespan_ns);
-        let per_rank = rank_waterfall(spans, activity, makespan_ns)
+        let per_rank = waterfall
             .into_iter()
             .map(|w| (w.rank, w.by_component))
             .collect();
@@ -532,7 +532,7 @@ mod tests {
                 },
             },
         ];
-        let spans = SpanTrace::from_per_rank(vec![r0, r1]);
+        let spans = SpanTrace::from_shard_logs(2, vec![r0, r1]);
         let mut act = ActivityTrace::new(2);
         act.record(0, 0, true);
         act.record(0, 600, false);

@@ -46,7 +46,6 @@
 
 use crate::span::{SpanKind, SpanRecord, SpanTrace};
 use crate::trace::ActivityTrace;
-use std::collections::HashMap;
 
 /// What a stretch of the critical path (or of one rank's timeline) was
 /// spent on. Every nanosecond of the makespan lands in exactly one of
@@ -92,6 +91,13 @@ impl Component {
         Component::TerminationTail,
         Component::IdleOther,
     ];
+
+    /// Position in [`ALL`](Self::ALL), the order the variants are
+    /// declared in.
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
 
     /// Human-readable label.
     pub fn label(self) -> &'static str {
@@ -162,10 +168,8 @@ impl CriticalPath {
     /// Extract the critical path of a run from its spans and
     /// (skew-corrected) activity trace.
     pub fn extract(spans: &SpanTrace, activity: &ActivityTrace, makespan_ns: u64) -> CriticalPath {
-        let analyzer = Analyzer::new(spans, activity, makespan_ns);
-        let segments = analyzer.critical_path();
         CriticalPath {
-            segments,
+            segments: Analyzer::new(spans, activity, makespan_ns).critical_path(),
             makespan_ns,
         }
     }
@@ -189,14 +193,11 @@ impl CriticalPath {
     /// Total nanoseconds attributed to each component, in
     /// [`Component::ALL`] order. The values sum to the makespan.
     pub fn totals(&self) -> Vec<(Component, u64)> {
-        let mut by: HashMap<Component, u64> = HashMap::new();
+        let mut by = [0u64; 8];
         for s in &self.segments {
-            *by.entry(s.component).or_insert(0) += s.dur_ns();
+            by[s.component.index()] += s.dur_ns();
         }
-        Component::ALL
-            .into_iter()
-            .map(|c| (c, by.get(&c).copied().unwrap_or(0)))
-            .collect()
+        Component::ALL.into_iter().zip(by).collect()
     }
 
     /// Verify the exactness invariant: segments are contiguous,
@@ -269,8 +270,7 @@ pub struct RankWaterfall {
 impl RankWaterfall {
     /// Nanoseconds this rank spent on `c`.
     pub fn get(&self, c: Component) -> u64 {
-        let idx = Component::ALL.iter().position(|&x| x == c).expect("in ALL");
-        self.by_component[idx]
+        self.by_component[c.index()]
     }
 
     /// Sum across components (equals the makespan).
@@ -287,38 +287,65 @@ pub fn rank_waterfall(
     activity: &ActivityTrace,
     makespan_ns: u64,
 ) -> Vec<RankWaterfall> {
-    let analyzer = Analyzer::new(spans, activity, makespan_ns);
-    analyzer.waterfall()
+    Analyzer::new(spans, activity, makespan_ns).waterfall()
 }
 
-/// Victim-side steal-chain facts for one trace ID, stitched from both
-/// ranks' spans.
-struct Chain {
-    /// When (and by whom) the request was sent.
-    req_at: Option<u64>,
-    /// Victim-side service records: `(at_ns, victim, queue_ns,
-    /// depart_delay_ns)`. Usually one; duplicated deliveries can yield
-    /// more.
-    serviced: Vec<(u64, u32, u64, u64)>,
+/// The critical path and the per-rank waterfall of one run from one
+/// pass over its traces — what a blame report needs.
+pub(crate) fn attribute(
+    spans: &SpanTrace,
+    activity: &ActivityTrace,
+    makespan_ns: u64,
+) -> (CriticalPath, Vec<RankWaterfall>) {
+    let analyzer = Analyzer::new(spans, activity, makespan_ns);
+    let path = CriticalPath {
+        segments: analyzer.critical_path(),
+        makespan_ns,
+    };
+    (path, analyzer.waterfall())
+}
+
+/// One victim-side service record of a steal chain.
+struct Serviced {
+    trace: u64,
+    at_ns: u64,
+    victim: u32,
+    queue_ns: u64,
+    depart_delay_ns: u64,
+}
+
+/// The entries of `table` (sorted by trace ID) that belong to `trace`.
+fn chain_of<T>(table: &[T], trace_of: impl Fn(&T) -> u64, trace: u64) -> &[T] {
+    let start = table.partition_point(|e| trace_of(e) < trace);
+    let len = table[start..].partition_point(|e| trace_of(e) == trace);
+    &table[start..start + len]
 }
 
 /// Shared preprocessing for path extraction and the per-rank
-/// waterfall.
-struct Analyzer {
+/// waterfall: built once per report, read by both.
+struct Analyzer<'a> {
     makespan_ns: u64,
     n_ranks: usize,
     /// Per-rank busy intervals, ascending, zero-length dropped; open
     /// intervals closed at the makespan.
     busy: Vec<Vec<(u64, u64)>>,
-    /// Per-rank span records relevant to idle classification and chain
-    /// lookup, ascending in time.
-    rank_spans: Vec<Vec<SpanRecord>>,
-    /// Trace ID → stitched steal chain.
-    chains: HashMap<u64, Chain>,
+    /// The run's span records, `(at_ns, rank)` ascending.
+    records: &'a [SpanRecord],
+    /// Per rank, the indices into `records` of the spans relevant to
+    /// idle classification and chain lookup, ascending in time.
+    rank_spans: Vec<Vec<u32>>,
+    /// `(trace ID, at_ns)` of every steal request sent, sorted: the
+    /// first entry of a trace is its first send (a retransmitted seq
+    /// reuses the ID, and the thief started waiting at the first).
+    requests: Vec<(u64, u64)>,
+    /// Every victim-side service record, grouped by trace ID and in
+    /// time order within one. Usually one per trace; duplicated
+    /// deliveries can yield more.
+    serviced: Vec<Serviced>,
 }
 
-impl Analyzer {
-    fn new(spans: &SpanTrace, activity: &ActivityTrace, makespan_ns: u64) -> Analyzer {
+impl<'a> Analyzer<'a> {
+    fn new(spans: &'a SpanTrace, activity: &ActivityTrace, makespan_ns: u64) -> Analyzer<'a> {
         let n_ranks = (activity.n_ranks() as usize).max(spans.n_ranks()).max(1);
 
         // Busy intervals from the sorted activity trace.
@@ -347,35 +374,28 @@ impl Analyzer {
         }
 
         // Per-rank spans and cross-rank chains.
-        let mut rank_spans: Vec<Vec<SpanRecord>> = vec![Vec::new(); n_ranks];
-        let mut chains: HashMap<u64, Chain> = HashMap::new();
-        for rec in spans.records() {
+        let records = spans.records();
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "span indices are 32-bit"
+        );
+        let mut rank_spans: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
+        let mut requests: Vec<(u64, u64)> = Vec::new();
+        let mut serviced: Vec<Serviced> = Vec::new();
+        for (i, rec) in records.iter().enumerate() {
             match rec.kind {
-                SpanKind::StealRequestSent { .. } => {
-                    let c = chains.entry(rec.trace).or_insert(Chain {
-                        req_at: None,
-                        serviced: Vec::new(),
-                    });
-                    // A retransmitted seq reuses the ID; keep the first
-                    // send (that is when the thief started waiting).
-                    if c.req_at.is_none() {
-                        c.req_at = Some(rec.at_ns);
-                    }
-                }
+                SpanKind::StealRequestSent { .. } => requests.push((rec.trace, rec.at_ns)),
                 SpanKind::StealServiced {
                     queue_ns,
                     depart_delay_ns,
                     ..
-                } => {
-                    chains
-                        .entry(rec.trace)
-                        .or_insert(Chain {
-                            req_at: None,
-                            serviced: Vec::new(),
-                        })
-                        .serviced
-                        .push((rec.at_ns, rec.rank as u32, queue_ns, depart_delay_ns));
-                }
+                } => serviced.push(Serviced {
+                    trace: rec.trace,
+                    at_ns: rec.at_ns,
+                    victim: rec.rank as u32,
+                    queue_ns,
+                    depart_delay_ns,
+                }),
                 _ => {}
             }
             if rec.rank < n_ranks
@@ -389,17 +409,32 @@ impl Analyzer {
                         | SpanKind::Quarantined { .. }
                 )
             {
-                rank_spans[rec.rank].push(*rec);
+                rank_spans[rec.rank].push(i as u32);
             }
         }
+        requests.sort_unstable();
+        serviced.sort_by_key(|s| s.trace);
 
         Analyzer {
             makespan_ns,
             n_ranks,
             busy,
+            records,
             rank_spans,
-            chains,
+            requests,
+            serviced,
         }
+    }
+
+    /// The record behind an entry of `rank_spans`.
+    #[inline]
+    fn rec(&self, i: u32) -> &'a SpanRecord {
+        &self.records[i as usize]
+    }
+
+    /// How many of `rank`'s relevant spans lie at or before `t`.
+    fn spans_until(&self, rank: usize, t: u64) -> usize {
+        self.rank_spans[rank].partition_point(|&i| self.rec(i).at_ns <= t)
     }
 
     /// The busy interval of `rank` with `start < t <= end`, if any.
@@ -423,11 +458,13 @@ impl Analyzer {
     }
 
     /// The latest `StealOk` on `rank` in `(lo, hi]`, if any.
-    fn last_ok_in(&self, rank: usize, lo: u64, hi: u64) -> Option<&SpanRecord> {
-        self.rank_spans[rank]
+    fn last_ok_in(&self, rank: usize, lo: u64, hi: u64) -> Option<&'a SpanRecord> {
+        self.rank_spans[rank][..self.spans_until(rank, hi)]
             .iter()
             .rev()
-            .find(|r| r.at_ns > lo && r.at_ns <= hi && matches!(r.kind, SpanKind::StealOk { .. }))
+            .map(|&i| self.rec(i))
+            .take_while(|r| r.at_ns > lo)
+            .find(|r| matches!(r.kind, SpanKind::StealOk { .. }))
     }
 
     /// Tile the idle window `[lo, hi]` of `rank` by its own steal
@@ -438,10 +475,10 @@ impl Analyzer {
         }
         let mut prev = lo;
         let mut last_kind: Option<&SpanKind> = None;
-        for rec in &self.rank_spans[rank] {
-            if rec.at_ns <= lo {
-                continue;
-            }
+        for rec in self.rank_spans[rank][self.spans_until(rank, lo)..]
+            .iter()
+            .map(|&i| self.rec(i))
+        {
             if rec.at_ns > hi {
                 break;
             }
@@ -527,17 +564,22 @@ impl Analyzer {
         out: &mut Vec<Segment>,
     ) -> Option<(usize, u64)> {
         let ok = self.last_ok_in(rank, lo, s)?;
-        let chain = self.chains.get(&ok.trace)?;
-        let req = chain.req_at?;
+        let &(_, req) = chain_of(&self.requests, |r| r.0, ok.trace).first()?;
         // With duplicated deliveries the victim can service one
         // request twice; the reply that won is the latest one at or
         // before the thief's wake-up.
-        let &(svc_at, victim, queue_ns, depart_delay_ns) = chain
-            .serviced
+        let serviced = chain_of(&self.serviced, |v| v.trace, ok.trace);
+        let &Serviced {
+            at_ns: svc_at,
+            victim,
+            queue_ns,
+            depart_delay_ns,
+            ..
+        } = serviced
             .iter()
-            .filter(|&&(at, ..)| at <= s)
-            .max_by_key(|&&(at, ..)| at)
-            .or_else(|| chain.serviced.first())?;
+            .filter(|v| v.at_ns <= s)
+            .max_by_key(|v| v.at_ns)
+            .or_else(|| serviced.first())?;
         let victim = victim as usize;
         if victim >= self.n_ranks {
             return None;
@@ -591,9 +633,9 @@ impl Analyzer {
     /// [`classify_idle`], but appending in backward order (the walk
     /// builds the path back-to-front).
     fn classify_idle_rev(&self, rank: usize, lo: u64, hi: u64, out: &mut Vec<Segment>) {
-        let mut fwd = Vec::new();
-        self.classify_idle(rank, lo, hi, &mut fwd);
-        out.extend(fwd.into_iter().rev());
+        let start = out.len();
+        self.classify_idle(rank, lo, hi, out);
+        out[start..].reverse();
     }
 
     /// Extract the critical path: backward walk from the termination
@@ -698,24 +740,20 @@ impl Analyzer {
     /// Per-rank waterfall: tile every rank's `[0, makespan]`.
     fn waterfall(&self) -> Vec<RankWaterfall> {
         let t_end = self.makespan_ns;
+        // One rank's segments at a time; only their sums are kept, so
+        // the backward order `resolve_chain` appends in is left as is.
+        let mut segs: Vec<Segment> = Vec::new();
         (0..self.n_ranks)
             .map(|r| {
-                let mut segs: Vec<Segment> = Vec::new();
+                segs.clear();
                 let mut cursor = 0u64;
                 for &(s, e) in &self.busy[r] {
-                    if s > cursor {
-                        // Idle window [cursor, s] ending at a busy
-                        // start: attribute via the steal chain when it
-                        // resolves, else via the rank's own attempts.
-                        let mut chain_rev: Vec<Segment> = Vec::new();
-                        if self
-                            .resolve_chain(r, cursor, s, false, &mut chain_rev)
-                            .is_some()
-                        {
-                            segs.extend(chain_rev.into_iter().rev());
-                        } else {
-                            self.classify_idle(r, cursor, s, &mut segs);
-                        }
+                    // Idle window [cursor, s] ending at a busy start:
+                    // attribute via the steal chain when it resolves
+                    // (it appends nothing when it does not), else via
+                    // the rank's own attempts.
+                    if s > cursor && self.resolve_chain(r, cursor, s, false, &mut segs).is_none() {
+                        self.classify_idle(r, cursor, s, &mut segs);
                     }
                     segs.push(Segment {
                         from_ns: s,
@@ -728,7 +766,9 @@ impl Analyzer {
                 if t_end > cursor {
                     // Trailing idle: after this rank's last work, the
                     // run was winding down (or the rank kept hunting).
-                    let has_attempts = self.rank_spans[r].iter().any(|rec| rec.at_ns > cursor);
+                    let has_attempts = self.rank_spans[r]
+                        .last()
+                        .is_some_and(|&i| self.rec(i).at_ns > cursor);
                     if has_attempts {
                         self.classify_idle(r, cursor, t_end, &mut segs);
                     } else {
@@ -742,11 +782,7 @@ impl Analyzer {
                 }
                 let mut by_component = [0u64; 8];
                 for seg in &segs {
-                    let idx = Component::ALL
-                        .iter()
-                        .position(|&c| c == seg.component)
-                        .expect("component in ALL");
-                    by_component[idx] += seg.dur_ns();
+                    by_component[seg.component.index()] += seg.dur_ns();
                 }
                 RankWaterfall {
                     rank: r as u32,
@@ -813,7 +849,7 @@ mod tests {
                 depart_delay_ns: 100,
             },
         }];
-        let spans = SpanTrace::from_per_rank(vec![r0, r1]);
+        let spans = SpanTrace::from_shard_logs(2, vec![r0, r1]);
         let mut act = ActivityTrace::new(2);
         act.record(0, 0, true);
         act.record(0, 1000, false);
@@ -893,7 +929,7 @@ mod tests {
                 },
             },
         ];
-        let spans = SpanTrace::from_per_rank(vec![r0, r1]);
+        let spans = SpanTrace::from_shard_logs(2, vec![r0, r1]);
         let mut act = ActivityTrace::new(2);
         // Rank 0 idle throughout (it had stashed work to give away but
         // the trace says idle — fine for the test); rank 1 computes
@@ -951,7 +987,7 @@ mod tests {
                 kind: SpanKind::StealRequestSent { victim: 2 },
             },
         ];
-        let spans = SpanTrace::from_per_rank(vec![r0]);
+        let spans = SpanTrace::from_shard_logs(1, vec![r0]);
         let mut segs = Vec::new();
         let analyzer = Analyzer::new(&spans, &ActivityTrace::new(1), 800);
         analyzer.classify_idle(0, 0, 800, &mut segs);
@@ -970,6 +1006,128 @@ mod tests {
         );
         let total: u64 = comps.iter().map(|&(_, d)| d).sum();
         assert_eq!(total, 800);
+    }
+
+    #[test]
+    fn idle_windows_are_open_at_lo_and_closed_at_hi() {
+        // Rank 0: a failed attempt resolving exactly at 200, a second
+        // request at 300 answered with work exactly at 500.
+        let (id0, id1) = (trace_id(0, 0), trace_id(0, 1));
+        let span = |at_ns, trace, kind| SpanRecord {
+            at_ns,
+            rank: 0,
+            trace,
+            kind,
+        };
+        let ok = SpanKind::StealOk {
+            victim: 1,
+            rtt_ns: 200,
+            nodes: 1,
+        };
+        let log = vec![
+            span(100, id0, SpanKind::StealRequestSent { victim: 1 }),
+            span(
+                200,
+                id0,
+                SpanKind::StealEmpty {
+                    victim: 1,
+                    rtt_ns: 100,
+                },
+            ),
+            span(300, id1, SpanKind::StealRequestSent { victim: 1 }),
+            span(500, id1, ok),
+        ];
+        let spans = SpanTrace::from_shard_logs(1, vec![log]);
+        let analyzer = Analyzer::new(&spans, &ActivityTrace::new(1), 1000);
+
+        // A StealOk exactly at `hi` is inside, exactly at `lo` outside.
+        assert_eq!(analyzer.last_ok_in(0, 0, 500).map(|r| r.at_ns), Some(500));
+        assert_eq!(analyzer.last_ok_in(0, 499, 500).map(|r| r.at_ns), Some(500));
+        assert_eq!(analyzer.last_ok_in(0, 0, 499).map(|r| r.at_ns), None);
+        assert_eq!(analyzer.last_ok_in(0, 500, 1000).map(|r| r.at_ns), None);
+
+        let tiles = |lo, hi| {
+            let mut segs = Vec::new();
+            analyzer.classify_idle(0, lo, hi, &mut segs);
+            segs.iter()
+                .map(|s| (s.from_ns, s.to_ns, s.component))
+                .collect::<Vec<_>>()
+        };
+        // The record at `lo` = 200 neither cuts the window nor sets
+        // the kind the trailing stretch inherits; the one at `hi` =
+        // 300 closes the last segment.
+        assert_eq!(tiles(200, 300), vec![(200, 300, Component::TimeoutRetry)]);
+        // Without a record inside, the window is unexplained — also
+        // when records sit exactly on its lower edge.
+        assert_eq!(tiles(200, 299), vec![(200, 299, Component::IdleOther)]);
+        assert_eq!(tiles(500, 1000), vec![(500, 1000, Component::IdleOther)]);
+        // A record at `hi` counts: [100, 200] is the in-flight wait.
+        assert_eq!(
+            tiles(50, 200),
+            vec![
+                (50, 100, Component::TimeoutRetry),
+                (100, 200, Component::TimeoutRetry)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_chain_serviced_twice_takes_the_latest_service_before_the_wakeup() {
+        // A duplicated request is serviced at 300 and again at 450; the
+        // thief wakes at 600, so the reply that counts left after the
+        // second service. A third service at 700 is after the wake-up
+        // and cannot have caused it.
+        let id = trace_id(1, 0);
+        let service = |at_ns, depart_delay_ns| SpanRecord {
+            at_ns,
+            rank: 0,
+            trace: id,
+            kind: SpanKind::StealServiced {
+                thief: 1,
+                queue_ns: 0,
+                depart_delay_ns,
+            },
+        };
+        let r0 = vec![service(300, 10), service(450, 50), service(700, 10)];
+        let r1 = vec![
+            SpanRecord {
+                at_ns: 100,
+                rank: 1,
+                trace: id,
+                kind: SpanKind::StealRequestSent { victim: 0 },
+            },
+            SpanRecord {
+                at_ns: 600,
+                rank: 1,
+                trace: id,
+                kind: SpanKind::StealOk {
+                    victim: 0,
+                    rtt_ns: 500,
+                    nodes: 2,
+                },
+            },
+        ];
+        let spans = SpanTrace::from_shard_logs(2, vec![r0, r1]);
+        let mut act = ActivityTrace::new(2);
+        act.record(1, 600, true);
+        act.record(1, 900, false);
+        let cp = CriticalPath::extract(&spans, &act, 900);
+        cp.check().unwrap();
+        let tiles: Vec<(u64, u64, Component)> = cp
+            .segments()
+            .iter()
+            .map(|s| (s.from_ns, s.to_ns, s.component))
+            .collect();
+        assert_eq!(
+            tiles,
+            vec![
+                (0, 100, Component::TimeoutRetry),
+                (100, 450, Component::RequestTravel),
+                (450, 500, Component::QueueAtVictim),
+                (500, 600, Component::ReplyTravel),
+                (600, 900, Component::Compute),
+            ]
+        );
     }
 
     #[test]
@@ -999,8 +1157,9 @@ mod tests {
 
     #[test]
     fn component_keys_roundtrip() {
-        for c in Component::ALL {
+        for (i, c) in Component::ALL.into_iter().enumerate() {
             assert_eq!(Component::from_key(c.key()), Some(c));
+            assert_eq!(c.index(), i);
         }
         assert_eq!(Component::from_key("nope"), None);
     }

@@ -311,12 +311,17 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.b[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Consume the run up to the next quote or escape in
+                    // one step. Both are ASCII and the input is a
+                    // `&str`, so the run ends on a char boundary.
+                    let rest = &self.b[self.i..];
+                    let len = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.i += len;
                 }
             }
         }
@@ -949,6 +954,58 @@ mod tests {
     fn parse_decodes_surrogate_pairs() {
         let v = parse("\"\\ud83d\\ude00\"").unwrap();
         assert_eq!(v.as_str(), Some("😀"));
+        // A surrogate on its own is not a scalar value.
+        assert!(parse("\"\\ud83d\"").is_err());
+        assert!(parse("\"\\ud83d rest\"").is_err());
+        assert!(parse("\"\\ude00\"").is_err());
+    }
+
+    #[test]
+    fn parse_keeps_multibyte_runs_whole() {
+        // 2-, 3- and 4-byte scalars, next to quotes, escapes and each
+        // other, in values and in keys.
+        let v = parse("{\"clé\": \"é→😀\\n→\\\"é\\\"😀\", \"→\": \"\", \"😀\": \"a😀\"}").unwrap();
+        assert_eq!(v.get("clé").unwrap().as_str(), Some("é→😀\n→\"é\"😀"));
+        assert_eq!(v.get("→").unwrap().as_str(), Some(""));
+        assert_eq!(v.get("😀").unwrap().as_str(), Some("a😀"));
+        let doc = JsonValue::obj(vec![("k", "naïve — ∑ 😀 \\ \" \u{7f}".into())]);
+        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn parse_decodes_every_escape() {
+        let v = parse(r#""q\" b\\ s\/ \b \f \n \r \t \u00e9 \u2192 end""#).unwrap();
+        assert_eq!(v.as_str(), Some("q\" b\\ s/ \u{8} \u{c} \n \r \t é → end"));
+        for bad in [r#""\x""#, r#""\u12""#, r#""\u12g4""#, r#""\"#, r#""abc\"#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn parse_reports_unterminated_strings() {
+        for open in ["\"", "\"abc", "\"abc é→😀", "{\"k\": \"v", "[\"a\", \"b"] {
+            assert_eq!(parse(open).unwrap_err(), "unterminated string", "{open}");
+        }
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_bytes() {
+        // 2 MB of mostly string bytes. A parser that revalidates the
+        // rest of the input for every character of every string needs
+        // minutes here; one pass takes about 0.1 s in a debug build.
+        let word = "steal→reply é😀 0123456789 abcdefghijklmnopqrstuvwxyz";
+        let rows: Vec<JsonValue> = (0..32_000u64)
+            .map(|i| JsonValue::obj(vec![("name", word.into()), ("ts", i.into())]))
+            .collect();
+        let text = JsonValue::obj(vec![("traceEvents", JsonValue::Arr(rows))]).to_string();
+        assert!(text.len() > 2_000_000, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        let doc = parse(&text).unwrap();
+        let took = t0.elapsed();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!(events.len(), 32_000);
+        assert_eq!(events[31_999].get("name").unwrap().as_str(), Some(word));
+        assert!(took.as_secs() < 10, "2 MB took {took:?}");
     }
 
     #[test]
@@ -971,32 +1028,35 @@ mod tests {
 
     fn sample_spans() -> SpanTrace {
         let id = trace_id(0, 0);
-        SpanTrace::from_per_rank(vec![
+        SpanTrace::from_shard_logs(
+            2,
             vec![
-                SpanRecord {
-                    at_ns: 100,
-                    rank: 0,
-                    trace: id,
-                    kind: SpanKind::StealRequestSent { victim: 1 },
-                },
-                SpanRecord {
-                    at_ns: 900,
-                    rank: 0,
-                    trace: id,
-                    kind: SpanKind::StealOk {
-                        victim: 1,
-                        rtt_ns: 800,
-                        nodes: 4,
+                vec![
+                    SpanRecord {
+                        at_ns: 100,
+                        rank: 0,
+                        trace: id,
+                        kind: SpanKind::StealRequestSent { victim: 1 },
                     },
-                },
+                    SpanRecord {
+                        at_ns: 900,
+                        rank: 0,
+                        trace: id,
+                        kind: SpanKind::StealOk {
+                            victim: 1,
+                            rtt_ns: 800,
+                            nodes: 4,
+                        },
+                    },
+                ],
+                vec![SpanRecord {
+                    at_ns: 500,
+                    rank: 1,
+                    trace: id,
+                    kind: SpanKind::StealRequestRecv { thief: 0 },
+                }],
             ],
-            vec![SpanRecord {
-                at_ns: 500,
-                rank: 1,
-                trace: id,
-                kind: SpanKind::StealRequestRecv { thief: 0 },
-            }],
-        ])
+        )
     }
 
     #[test]
@@ -1026,12 +1086,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_closes_attempts_left_open() {
-        let spans = SpanTrace::from_per_rank(vec![vec![SpanRecord {
-            at_ns: 100,
-            rank: 0,
-            trace: trace_id(0, 0),
-            kind: SpanKind::StealRequestSent { victim: 1 },
-        }]]);
+        let spans = SpanTrace::from_shard_logs(
+            1,
+            vec![vec![SpanRecord {
+                at_ns: 100,
+                rank: 0,
+                trace: trace_id(0, 0),
+                kind: SpanKind::StealRequestSent { victim: 1 },
+            }]],
+        );
         let doc = chrome_trace(&spans, None, 1000);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let closes: Vec<_> = events

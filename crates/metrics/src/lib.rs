@@ -10,8 +10,8 @@
 //!   starting/ending latencies `SL(x)` / `EL(x)` of §III;
 //! - [`steal_stats`] — failed steals, search time, and work-discovery
 //!   sessions (§V-A);
-//! - [`span`] — causal per-steal-attempt tracing with a
-//!   zero-cost-when-disabled [`Tracer`] hook;
+//! - [`span`] — causal per-steal-attempt span records and the run's
+//!   merged [`SpanTrace`] (the engine records them, one log per shard);
 //! - [`critpath`] — happens-before reconstruction and critical-path
 //!   extraction: tiles the makespan into contiguous attributed
 //!   segments that sum to the measured makespan exactly;
@@ -73,7 +73,7 @@ pub use perflab::{
     BENCH_SCHEMA_MIN_VERSION, BENCH_SCHEMA_VERSION,
 };
 pub use report::{ascii_chart, render_table, write_csv, Perf};
-pub use span::{trace_id, SpanKind, SpanRecord, SpanTrace, Tracer};
+pub use span::{trace_id, SpanKind, SpanRecord, SpanTrace};
 pub use steal_stats::{RunStats, StealStats};
 pub use streaming::{
     OnlineAccounting, OnlineOccupancy, ShardSnap, Snapshot, SNAPSHOT_SCHEMA_VERSION,

@@ -8,11 +8,14 @@
 //! termination events ride the same record stream so a post-mortem can
 //! interleave protocol recovery with steal traffic.
 //!
-//! The paper can only be reproduced if observation is free: recording
-//! happens through [`Tracer`], a zero-cost-when-disabled hook — a
-//! disabled tracer is a `None` and `record` is one branch; no timers,
-//! messages, or RNG draws depend on it, so the simulated event
-//! schedule is bit-for-bit identical with tracing on or off.
+//! The paper can only be reproduced if observation is free. Spans are
+//! recorded where the order already is: the engine keeps one log per
+//! shard beside its activity and network traces, a span site is one
+//! branch when the log is detached, and no timer, message or RNG draw
+//! depends on it, so the simulated event schedule is bit-for-bit
+//! identical with spans on or off. A shard dispatches in `(time, rank)`
+//! order, so [`SpanTrace::from_shard_logs`] takes the logs by move and
+//! its sort finds them (all but) sorted already.
 //!
 //! Spans are emitted at exactly the sites where the scheduler bumps
 //! its [`StealStats`](crate::StealStats) counters, which is what makes
@@ -161,66 +164,6 @@ pub struct SpanRecord {
     pub kind: SpanKind,
 }
 
-/// Per-rank span buffer behind a [`Tracer`].
-#[derive(Debug, Clone, Default)]
-pub struct SpanBuf {
-    records: Vec<SpanRecord>,
-}
-
-/// The recording hook a scheduler carries. Disabled (`Tracer::off`) it
-/// is a `None` and every `record` call is a single branch; no other
-/// scheduler behavior may depend on it.
-#[derive(Debug, Clone, Default)]
-pub struct Tracer {
-    buf: Option<SpanBuf>,
-}
-
-impl Tracer {
-    /// A disabled tracer: records nothing, costs one branch per call.
-    pub fn off() -> Self {
-        Self { buf: None }
-    }
-
-    /// An enabled tracer accumulating spans in memory.
-    pub fn on() -> Self {
-        Self {
-            buf: Some(SpanBuf::default()),
-        }
-    }
-
-    /// Whether spans are being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.buf.is_some()
-    }
-
-    /// Record one span (no-op when disabled).
-    #[inline]
-    pub fn record(&mut self, at_ns: u64, rank: usize, trace: u64, kind: SpanKind) {
-        if let Some(buf) = &mut self.buf {
-            buf.records.push(SpanRecord {
-                at_ns,
-                rank,
-                trace,
-                kind,
-            });
-        }
-    }
-
-    /// Take the accumulated records, leaving the tracer disabled.
-    pub fn take(&mut self) -> Vec<SpanRecord> {
-        self.buf.take().map(|b| b.records).unwrap_or_default()
-    }
-
-    /// The accumulated records (empty when disabled).
-    pub fn records(&self) -> &[SpanRecord] {
-        self.buf
-            .as_ref()
-            .map(|b| b.records.as_slice())
-            .unwrap_or(&[])
-    }
-}
-
 /// All spans of one run, merged across ranks.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTrace {
@@ -229,10 +172,18 @@ pub struct SpanTrace {
 }
 
 impl SpanTrace {
-    /// Build from per-rank record batches (index = rank).
-    pub fn from_per_rank(per_rank: Vec<Vec<SpanRecord>>) -> Self {
-        let n_ranks = per_rank.len();
-        let mut records: Vec<SpanRecord> = per_rank.into_iter().flatten().collect();
+    /// Build from the engine's per-shard logs over `n_ranks` ranks.
+    /// Each rank's records must sit in one log, in the order the rank
+    /// wrote them; the stable sort keeps that order among records with
+    /// equal `(at_ns, rank)`. A log in dispatch order is one sorted run
+    /// (the sort is then a linear pass, and a lone log is never
+    /// copied), but nothing here depends on it.
+    pub fn from_shard_logs(n_ranks: usize, logs: Vec<Vec<SpanRecord>>) -> Self {
+        let mut logs = logs.into_iter();
+        let mut records = logs.next().unwrap_or_default();
+        for log in logs {
+            records.extend(log);
+        }
         records.sort_by_key(|r| (r.at_ns, r.rank));
         Self { records, n_ranks }
     }
@@ -267,57 +218,39 @@ impl SpanTrace {
     ///
     /// [`StealStats`]: crate::StealStats
     pub fn reconcile(&self, stats: &crate::RunStats) -> Result<(), String> {
-        for (rank, s) in stats.per_rank.iter().enumerate() {
-            let checks: [(&str, u64, u64); 8] = [
-                (
-                    "steal_attempts",
-                    s.steal_attempts,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::StealRequestSent { .. })),
-                ),
-                (
-                    "steals_ok",
-                    s.steals_ok,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::StealOk { .. })),
-                ),
-                (
-                    "steals_failed",
-                    s.steals_failed,
-                    self.count_rank(rank, |k| {
-                        matches!(
-                            k,
-                            SpanKind::StealEmpty { .. }
-                                | SpanKind::StealTimeout { .. }
-                                | SpanKind::StealAbandoned { .. }
-                        )
-                    }),
-                ),
-                (
-                    "steal_timeouts",
-                    s.steal_timeouts,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::StealTimeout { .. })),
-                ),
-                (
-                    "retransmits",
-                    s.retransmits,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::Retransmit { .. })),
-                ),
-                (
-                    "token_regenerations",
-                    s.token_regenerations,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::TokenRegenerated { .. })),
-                ),
-                (
-                    "sessions",
-                    s.sessions,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::SessionEnd { .. })),
-                ),
-                (
-                    "quarantines",
-                    s.quarantines,
-                    self.count_rank(rank, |k| matches!(k, SpanKind::Quarantined { .. })),
-                ),
+        // One pass over the records; a row's columns follow `checks`.
+        let mut seen = vec![[0u64; 8]; stats.per_rank.len()];
+        for r in &self.records {
+            let Some(row) = seen.get_mut(r.rank) else {
+                continue;
+            };
+            match r.kind {
+                SpanKind::StealRequestSent { .. } => row[0] += 1,
+                SpanKind::StealOk { .. } => row[1] += 1,
+                SpanKind::StealEmpty { .. } | SpanKind::StealAbandoned { .. } => row[2] += 1,
+                SpanKind::StealTimeout { .. } => {
+                    row[2] += 1;
+                    row[3] += 1;
+                }
+                SpanKind::Retransmit { .. } => row[4] += 1,
+                SpanKind::TokenRegenerated { .. } => row[5] += 1,
+                SpanKind::SessionEnd { .. } => row[6] += 1,
+                SpanKind::Quarantined { .. } => row[7] += 1,
+                _ => {}
+            }
+        }
+        for (rank, (s, row)) in stats.per_rank.iter().zip(seen).enumerate() {
+            let checks = [
+                ("steal_attempts", s.steal_attempts),
+                ("steals_ok", s.steals_ok),
+                ("steals_failed", s.steals_failed),
+                ("steal_timeouts", s.steal_timeouts),
+                ("retransmits", s.retransmits),
+                ("token_regenerations", s.token_regenerations),
+                ("sessions", s.sessions),
+                ("quarantines", s.quarantines),
             ];
-            for (name, counter, spans) in checks {
+            for ((name, counter), spans) in checks.into_iter().zip(row) {
                 if counter != spans {
                     return Err(format!(
                         "rank {rank}: {name} counter {counter} != {spans} matching spans"
@@ -364,31 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::off();
-        assert!(!t.enabled());
-        t.record(5, 0, 1, SpanKind::Done);
-        assert!(t.take().is_empty());
-    }
-
-    #[test]
-    fn enabled_tracer_accumulates() {
-        let mut t = Tracer::on();
-        assert!(t.enabled());
-        t.record(
-            5,
-            0,
-            trace_id(0, 1),
-            SpanKind::StealRequestSent { victim: 1 },
-        );
-        t.record(9, 0, 0, SpanKind::Done);
-        let recs = t.take();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].at_ns, 5);
-        assert!(!t.enabled());
-    }
-
-    #[test]
     fn merge_orders_by_time_then_rank() {
         let r0 = vec![SpanRecord {
             at_ns: 10,
@@ -410,10 +318,99 @@ mod tests {
                 kind: SpanKind::Done,
             },
         ];
-        let trace = SpanTrace::from_per_rank(vec![r0, r1]);
+        let trace = SpanTrace::from_shard_logs(2, vec![r0, r1]);
         let at: Vec<(u64, usize)> = trace.records().iter().map(|r| (r.at_ns, r.rank)).collect();
         assert_eq!(at, vec![(5, 1), (10, 0), (10, 1)]);
         assert_eq!(trace.n_ranks(), 2);
+    }
+
+    fn rec(at_ns: u64, rank: usize, kind: SpanKind) -> SpanRecord {
+        SpanRecord {
+            at_ns,
+            rank,
+            trace: 0,
+            kind,
+        }
+    }
+
+    #[test]
+    fn a_rank_keeps_its_write_order_among_ties() {
+        // Rank 1 writes a timeout and then the quarantine it caused at
+        // one instant; rank 0's record of that instant sits between
+        // them in the log and must sort ahead of both.
+        let timeout = SpanKind::StealTimeout {
+            victim: 0,
+            backoff_doublings: 1,
+        };
+        let quarantined = SpanKind::Quarantined { victim: 0 };
+        let log = vec![
+            rec(400, 1, timeout),
+            rec(400, 0, SpanKind::Done),
+            rec(400, 1, quarantined),
+        ];
+        let trace = SpanTrace::from_shard_logs(2, vec![log]);
+        let kinds: Vec<(usize, SpanKind)> =
+            trace.records().iter().map(|r| (r.rank, r.kind)).collect();
+        assert_eq!(
+            kinds,
+            vec![(0, SpanKind::Done), (1, timeout), (1, quarantined)]
+        );
+    }
+
+    #[test]
+    fn shard_logs_interleave_by_time_then_rank() {
+        let done = SpanKind::Done;
+        let shard0 = vec![rec(5, 0, done), rec(20, 1, done), rec(30, 0, done)];
+        let shard1 = vec![rec(5, 2, done), rec(10, 3, done), rec(20, 2, done)];
+        let shard2 = vec![rec(1, 4, done), rec(30, 4, done)];
+        let trace = SpanTrace::from_shard_logs(5, vec![shard0, shard1, shard2]);
+        let at: Vec<(u64, usize)> = trace.records().iter().map(|r| (r.at_ns, r.rank)).collect();
+        assert_eq!(
+            at,
+            vec![
+                (1, 4),
+                (5, 0),
+                (5, 2),
+                (10, 3),
+                (20, 1),
+                (20, 2),
+                (30, 0),
+                (30, 4)
+            ]
+        );
+        assert_eq!(trace.n_ranks(), 5);
+        assert!(SpanTrace::from_shard_logs(3, vec![]).records().is_empty());
+    }
+
+    #[test]
+    fn a_log_that_is_not_one_run_is_sorted() {
+        // `on_start` runs for every rank before the first event is
+        // dispatched, so a time-0 event of a lower rank lands behind
+        // the start-up records of the higher ones.
+        let sent = |victim| SpanKind::StealRequestSent { victim };
+        let log = vec![
+            rec(0, 1, sent(0)),
+            rec(0, 2, sent(0)),
+            rec(0, 3, sent(1)),
+            rec(0, 1, SpanKind::SessionEnd { dur_ns: 0 }),
+            rec(7, 0, SpanKind::Done),
+        ];
+        let trace = SpanTrace::from_shard_logs(4, vec![log]);
+        let got: Vec<(u64, usize, SpanKind)> = trace
+            .records()
+            .iter()
+            .map(|r| (r.at_ns, r.rank, r.kind))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 1, sent(0)),
+                (0, 1, SpanKind::SessionEnd { dur_ns: 0 }),
+                (0, 2, sent(0)),
+                (0, 3, sent(1)),
+                (7, 0, SpanKind::Done),
+            ]
+        );
     }
 
     fn attempt(rank: usize, victim: usize, seq: u64, at: u64, ok: bool) -> Vec<SpanRecord> {
@@ -455,7 +452,7 @@ mod tests {
             trace: 0,
             kind: SpanKind::SessionEnd { dur_ns: 490 },
         });
-        let trace = SpanTrace::from_per_rank(vec![r0, vec![]]);
+        let trace = SpanTrace::from_shard_logs(2, vec![r0]);
         let stats = RunStats::new(vec![
             StealStats {
                 steal_attempts: 2,
@@ -471,15 +468,38 @@ mod tests {
 
     #[test]
     fn reconcile_rejects_mismatch() {
-        let trace = SpanTrace::from_per_rank(vec![attempt(0, 1, 0, 10, true)]);
+        let trace = SpanTrace::from_shard_logs(1, vec![attempt(0, 1, 0, 10, true)]);
         let stats = RunStats::new(vec![StealStats {
             steal_attempts: 2, // trace only has 1
             steals_ok: 1,
             steals_failed: 1,
             ..StealStats::default()
         }]);
-        let err = trace.reconcile(&stats).unwrap_err();
-        assert!(err.contains("steal_attempts"), "{err}");
+        // Two counters are off; the first in counter order is named.
+        assert_eq!(
+            trace.reconcile(&stats).unwrap_err(),
+            "rank 0: steal_attempts counter 2 != 1 matching spans"
+        );
+    }
+
+    #[test]
+    fn reconcile_reports_the_lowest_rank_first() {
+        let mut log = attempt(0, 1, 0, 10, true);
+        log.extend(attempt(1, 0, 0, 10, false));
+        let trace = SpanTrace::from_shard_logs(2, vec![log]);
+        let stats = RunStats::new(vec![
+            StealStats {
+                steal_attempts: 1,
+                steals_ok: 1,
+                sessions: 3, // no SessionEnd span
+                ..StealStats::default()
+            },
+            StealStats::default(), // misses rank 1's attempt altogether
+        ]);
+        assert_eq!(
+            trace.reconcile(&stats).unwrap_err(),
+            "rank 0: sessions counter 3 != 0 matching spans"
+        );
     }
 
     #[test]
@@ -500,7 +520,7 @@ mod tests {
             trace: 0,
             kind: SpanKind::SessionEnd { dur_ns: 590 },
         });
-        let h = SpanTrace::from_per_rank(vec![recs]).histograms();
+        let h = SpanTrace::from_shard_logs(1, vec![recs]).histograms();
         assert_eq!(h.steal_rtt_ns.count(), 1);
         assert_eq!(h.steal_rtt_ns.max(), 100);
         assert_eq!(h.backoff_doublings.count(), 1);

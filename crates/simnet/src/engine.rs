@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dws_metrics::{OnlineAccounting, ShardSnap, Snapshot, Transition};
+use dws_metrics::{OnlineAccounting, ShardSnap, Snapshot, SpanKind, SpanRecord, Transition};
 
 use crate::abort;
 use crate::barrier::WindowBarrier;
@@ -747,6 +747,9 @@ struct ShardCore<M> {
     /// Activity transitions recorded via [`Ctx::record_activity`] since
     /// the last window barrier; drained into the streaming accounting.
     activity: Option<Vec<Transition>>,
+    /// Causal spans recorded via [`Ctx::record_span`], in dispatch
+    /// order: `(time, rank)` ascending except for `on_start`'s batch.
+    spans: Option<Vec<SpanRecord>>,
     /// Fixed-size ring of the last K canonical events (crash forensics).
     flight: Option<Arc<FlightRecorder>>,
     /// Events destined for other shards, exchanged at window barriers.
@@ -781,6 +784,7 @@ impl<M> ShardCore<M> {
             log: None,
             net_trace: None,
             activity: None,
+            spans: None,
             flight: None,
             outboxes: (0..n_shards).map(|_| Vec::new()).collect(),
             dirty_out: Vec::new(),
@@ -1069,6 +1073,24 @@ impl<M> Ctx<'_, M> {
                 at_ns: self.core.now.ns(),
                 active,
             });
+        }
+    }
+
+    /// Record one causal span of this rank at the current *global*
+    /// time ([`Simulation::attach_spans`]). One branch when detached;
+    /// no timer, message or RNG draw depends on it, so the schedule is
+    /// identical with spans on or off.
+    #[inline]
+    pub fn record_span(&mut self, trace: u64, kind: SpanKind) {
+        if let Some(log) = self.core.spans.as_mut() {
+            let t0 = prof_start(&self.core.profiler);
+            log.push(SpanRecord {
+                at_ns: self.core.now.ns(),
+                rank: self.me as usize,
+                trace,
+                kind,
+            });
+            prof_record(&self.core.profiler, Phase::TraceRecord, t0);
         }
     }
 
@@ -1617,6 +1639,7 @@ impl<A: Actor> Simulation<A> {
             core,
             ..
         } = old;
+        let spans_on = core.spans.is_some();
         let mut nets: Vec<Box<dyn NetworkModel>> =
             (1..s_count).map(|_| core.net.replicate()).collect();
         nets.insert(0, core.net);
@@ -1636,6 +1659,7 @@ impl<A: Actor> Simulation<A> {
                 self.shared.rank_loc[r as usize] = (id as u32, slot as u32);
             }
             let mut core = ShardCore::new(id, s_count, net);
+            core.spans = spans_on.then(Vec::new);
             core.log = self.log_cap.map(|_| EventLog::unbounded());
             core.net_trace = self.net_trace_on.then(NetTrace::default);
             core.profiler = self.profiler.clone();
@@ -1804,6 +1828,28 @@ impl<A: Actor> Simulation<A> {
     /// the end of the last run call.
     pub fn net_trace(&self) -> Option<&NetTrace> {
         self.merged_net.as_ref()
+    }
+
+    /// Attach the causal span log: every [`Ctx::record_span`] from now
+    /// on is kept, one log per shard. Call before `run`; unattached,
+    /// a span site costs one branch and records nothing.
+    pub fn attach_spans(&mut self) {
+        for shard in self.shards.iter_mut() {
+            shard.core.spans = Some(Vec::new());
+        }
+    }
+
+    /// Detach the span log and hand it over, one `Vec` per shard in
+    /// shard order (empty when [`attach_spans`](Self::attach_spans) was
+    /// never called). A rank lives in one shard, so its records sit in
+    /// one log in the order it wrote them; a shard dispatches in
+    /// `(time, rank)` order, so each log is already sorted that way
+    /// apart from the `on_start` batch at time zero.
+    pub fn take_spans(&mut self) -> Vec<Vec<SpanRecord>> {
+        self.shards
+            .iter_mut()
+            .filter_map(|shard| shard.core.spans.take())
+            .collect()
     }
 
     /// Attach a self-profiling probe (shared with the schedulers via
@@ -3072,6 +3118,97 @@ mod tests {
                 .lines()
                 .map(str::to_string)
                 .collect()
+        }
+    }
+
+    /// Actor that records one span per callback, numbered in the order
+    /// it wrote them. Rank 0 arms a zero-delay timer at start, so its
+    /// second record is written at time 0 after every other rank's
+    /// first.
+    struct Spanner {
+        n: u32,
+        wrote: u64,
+    }
+
+    impl Spanner {
+        fn span(&mut self, ctx: &mut Ctx<'_, u64>) {
+            ctx.record_span(self.wrote, SpanKind::Done);
+            self.wrote += 1;
+        }
+    }
+
+    impl Actor for Spanner {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.span(ctx);
+            ctx.send((ctx.me() + 1) % self.n, 16, 3);
+            ctx.set_timer(if ctx.me() == 0 { 0 } else { 150 }, 0);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: Rank, hops: u64) {
+            self.span(ctx);
+            if hops > 0 {
+                ctx.send(from, 16, hops - 1);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _token: u64) {
+            self.span(ctx);
+            self.span(ctx);
+        }
+    }
+
+    /// `(report, span logs)` of a Spanner fleet; `attach` is 0 for
+    /// never, 1 for before `configure_parallel`, 2 for after.
+    fn run_spanners(shards: u32, threads: u32, attach: u8) -> (RunReport, Vec<Vec<SpanRecord>>) {
+        let fleet = (0..6).map(|_| Spanner { n: 6, wrote: 0 }).collect();
+        let mut sim = Simulation::new(fleet, ConstantLatency(100), SimConfig::default());
+        if attach == 1 {
+            sim.attach_spans();
+        }
+        sim.configure_parallel(layout(6, shards, threads, 100));
+        if attach == 2 {
+            sim.attach_spans();
+        }
+        let report = sim.run();
+        let logs = sim.take_spans();
+        assert!(sim.take_spans().is_empty(), "taking detaches the log");
+        (report, logs)
+    }
+
+    #[test]
+    fn span_logs_follow_the_shards_and_keep_each_ranks_order() {
+        let (plain, none) = run_spanners(1, 1, 0);
+        assert!(none.is_empty());
+
+        let (report, one) = run_spanners(1, 1, 2);
+        assert_eq!(report, plain, "recording spans must not move the schedule");
+        assert_eq!(one.len(), 1);
+        // Rank 0's zero-delay timer fires after the last `on_start`:
+        // the log is in dispatch order, not one sorted run.
+        let key = |r: &SpanRecord| (r.at_ns, r.rank);
+        assert!(one[0].windows(2).any(|w| key(&w[0]) > key(&w[1])));
+        let merged = dws_metrics::SpanTrace::from_shard_logs(6, one);
+        // Per rank: one start, two at its timer, four deliveries of the
+        // 3-hop ping-pong it starts.
+        assert_eq!(merged.records().len(), 6 * (1 + 2 + 4));
+
+        for (threads, attach) in [(1, 1), (2, 2)] {
+            let (report, logs) = run_spanners(3, threads, attach);
+            assert_eq!(report, plain);
+            assert_eq!(logs.len(), 3);
+            for (shard, log) in logs.iter().enumerate() {
+                assert!(log.iter().all(|r| r.rank * 3 / 6 == shard));
+                // Every rank's records sit in the order it wrote them.
+                for rank in 0..6 {
+                    let seq: Vec<u64> = log
+                        .iter()
+                        .filter(|r| r.rank == rank)
+                        .map(|r| r.trace)
+                        .collect();
+                    assert!(seq.windows(2).all(|w| w[0] + 1 == w[1]), "{seq:?}");
+                }
+            }
+            let sharded = dws_metrics::SpanTrace::from_shard_logs(6, logs);
+            assert_eq!(sharded.records(), merged.records());
         }
     }
 

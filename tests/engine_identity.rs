@@ -13,11 +13,14 @@
 //! the commit before the calendar queue was deleted (PR 19), with
 //! `crates/` untouched and the calendar as the engine's queue, so they
 //! are the calendar's schedule and hold the `BinaryHeap` that replaced
-//! it to account. The bit-identity matrix proper lives in
+//! it to account. A fourth, in the benchmark's `observed_faulty` shape,
+//! was recorded at the commit before spans moved from per-rank buffers
+//! into the engine's per-shard log (PR 21), with `crates/` untouched.
+//! The bit-identity matrix proper lives in
 //! `crates/core/tests` and runs only under `--workspace`; this slice is
 //! what the root `cargo test -q` sees.
 
-use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
+use dws::core::{run_experiment, ExperimentConfig, FaultToleranceCfg, StealAmount, VictimPolicy};
 use dws::metrics::perflab::fingerprint;
 use dws::simnet::{Crash, FaultPlan};
 use dws::topology::{AllocationPolicy, RankMapping};
@@ -190,6 +193,39 @@ fn faulty_crash_run_is_pinned_to_the_calendar_queue_at_one_and_four_threads() {
              spans=e1c40cc2c3ad09c2 fault=Some((FaultStats { dropped: 177, duplicated: 58, \
              spiked: 160, brownout_drops: 0, partition_drops: 0, crash_lost_deliveries: 2, \
              crash_lost_timers: 1 }, [5], 20))",
+            "{threads} thread(s)"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Span-spine pin (PR 21): the benchmark's `observed_faulty` shape at
+// test size, recorded at the parent commit with `crates/` untouched —
+// spans pushed into per-rank buffers, copied out and merged by the
+// runner — so it holds the per-shard span log to that stream.
+// ---------------------------------------------------------------------
+
+#[test]
+fn observed_faulty_span_run_is_pinned_at_one_two_and_four_threads() {
+    for threads in [1, 2, 4] {
+        let mut cfg = ExperimentConfig::new(presets::t3sim_s(), 8)
+            .with_mapping(RankMapping::RoundRobin { ppn: 8 })
+            .with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 })
+            .with_steal(StealAmount::Half);
+        cfg.fault_plan = FaultPlan::message_faults(0.01, 0.0, 0.0);
+        cfg.fault_tolerance = Some(FaultToleranceCfg {
+            timeout_mult: 8,
+            ..FaultToleranceCfg::default()
+        });
+        cfg.collect_spans = true;
+        cfg.threads = threads;
+        assert_eq!(
+            identity(&cfg),
+            "makespan_ns=8131138 window_plan=21ba9864da7c5f11/3541 events=45584 delivered=20170 \
+             dropped=180 duplicated=0 nodes=22235 stats=dfd59d89ab6bd425 json=6fd9730bf9823118 \
+             spans=6eb6064b69a0853d fault=Some((FaultStats { dropped: 180, duplicated: 0, \
+             spiked: 0, brownout_drops: 0, partition_drops: 0, crash_lost_deliveries: 0, \
+             crash_lost_timers: 0 }, [], 0))",
             "{threads} thread(s)"
         );
     }
