@@ -13,19 +13,15 @@
 //! honestly report speedups near (or below) 1. The host's available
 //! parallelism is therefore recorded in the CSV and the bench record,
 //! and rows whose thread count exceeds it are marked
-//! `insufficient_cores` instead of being held to the scaling band. The
-//! calibrated 2.5–3.5× band at 4 threads is only *asserted* when the
-//! host actually has ≥ 4 cores.
+//! `insufficient_cores`: the number is reported, but says nothing about
+//! scaling. No speedup is asserted — no host this figure has run on had
+//! the cores to calibrate a band against.
 
 use dws_bench::{emit, f, record_metric, run_logged, strategy, FigArgs};
 use dws_metrics::perflab::{BenchMetric, Polarity};
 use std::time::Instant;
 
 const THREAD_COUNTS: [u32; 4] = [1, 2, 4, 8];
-
-/// Calibrated wall-clock speedup band for `--threads 4` on a host with
-/// at least four hardware threads (see EXPERIMENTS.md scaling table).
-const BAND_4T: (f64, f64) = (2.5, 3.5);
 
 fn main() {
     let args = FigArgs::parse();
@@ -89,13 +85,6 @@ fn main() {
                     Polarity::HigherIsBetter,
                     wall_speedup,
                 ));
-                assert!(
-                    wall_speedup >= BAND_4T.0 && wall_speedup <= BAND_4T.1,
-                    "wall speedup {wall_speedup:.2}x at 4 threads is outside the \
-                     calibrated {:.1}-{:.1}x band (host has {cores} cores)",
-                    BAND_4T.0,
-                    BAND_4T.1,
-                );
             }
             "ok"
         };

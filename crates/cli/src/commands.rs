@@ -880,8 +880,14 @@ fn print_profile(r: &ExperimentResult, threads: u32) {
         p.events_per_sec()
     );
     println!(
-        "threads       : {threads} resolved, {} lookahead windows, {} shard rebalances",
-        r.window_plan.1, r.engine_steals
+        "threads       : {threads} resolved, {} cut (units {}, shards {}, lookahead {} ns), \
+         {} lookahead windows, {} shard rebalances",
+        r.cut.class.name(),
+        r.cut.units,
+        r.cut.shards,
+        r.cut.lookahead_ns,
+        r.window_plan.1,
+        r.engine_steals
     );
     if p.allocs > 0 {
         println!(

@@ -55,8 +55,8 @@ pub use alias::AliasTable;
 pub use health::{AdaptiveCfg, Gate, HealthTracker, VictimHealth};
 pub use network::{LinkContendedNetwork, NicContendedNetwork};
 pub use runner::{
-    run_experiment, run_experiment_streamed, sequential_baseline, ExperimentConfig,
-    ExperimentResult, FaultReport, StreamingSetup,
+    run_experiment, run_experiment_streamed, sequential_baseline, shard_plan, CutReport,
+    ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup,
 };
 pub use scheduler::{FaultToleranceCfg, Msg, SchedulerCfg, StealAmount, Worker};
 pub use stack::{Chunk, ChunkedStack};

@@ -29,7 +29,7 @@ use dws_simnet::{
     SimConfig, SimTime, Simulation, StreamingCfg,
 };
 use dws_topology::routing::LinkLoad;
-use dws_topology::{AllocationPolicy, Job, LatencyParams, RankMapping};
+use dws_topology::{AllocationPolicy, CutClass, Job, LatencyParams, RankMapping};
 use dws_uts::{Node, Workload};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -116,9 +116,10 @@ pub struct ExperimentConfig {
     /// section. Off by default; like tracing, turning it on changes
     /// not a single simulated event.
     pub profile: bool,
-    /// Simulation worker threads. The engine shards ranks node-aligned
-    /// across this many OS threads and advances them in conservative
-    /// lookahead windows; the schedule is bit-identical for every
+    /// Simulation worker threads. The engine shards the job along its
+    /// locality cut (see [`shard_plan`]) across this many OS threads and
+    /// advances them in conservative lookahead windows; the schedule,
+    /// and the window plan with it, is bit-identical for every
     /// value, so — like the observability switches — `threads` is
     /// excluded from the config fingerprint. Link-level networks keep
     /// global per-link state and silently run on one thread.
@@ -463,6 +464,9 @@ pub struct ExperimentResult {
     /// configuration, so every `threads` setting must produce the
     /// identical pair — the window-planner property test asserts it.
     pub window_plan: (u64, u64),
+    /// What the job was cut into to produce that plan: class, unit and
+    /// shard counts, window width.
+    pub cut: CutReport,
     /// Shard-ownership moves the engine's deterministic rebalancer
     /// performed (always 0 single-threaded — nobody to steal from).
     pub engine_steals: u64,
@@ -913,26 +917,15 @@ pub fn run_experiment_streamed(
     } else {
         Box::new(PureNetwork(JobLatency(Arc::clone(&job))))
     };
+    // Always configure a bounded lookahead (even at one thread). The
+    // committed schedule is a pure function of the configuration and is
+    // *independent of the shard decomposition* (the determinism matrix
+    // asserts this), so the shard count is free to follow the host; an
+    // unshardable network model runs on one shard whatever was asked.
+    let threads = if net.shardable() { cfg.threads } else { 1 };
+    let (cut, shard_of) = shard_plan(&job, threads);
     let mut sim: Simulation<Worker> = Simulation::with_network(workers, net, sim_cfg);
-    // Always configure a bounded lookahead (even at one thread) with a
-    // node-aligned shard map. The committed schedule is a pure function of the
-    // configuration and is *independent of the shard decomposition*
-    // (the determinism matrix asserts this), so the shard count is free
-    // to follow the host: one shard when single-threaded (no exchange
-    // or ownership bookkeeping to pay for), several shards per worker
-    // thread otherwise so the engine's deterministic rebalancer has
-    // whole (window, shard) units to move between threads.
-    let max_shards = if cfg.threads <= 1 {
-        1
-    } else {
-        // Several steal units per worker, bounded so per-window
-        // bookkeeping stays cheap.
-        (cfg.threads.saturating_mul(8)).min(MAX_SHARDS)
-    };
-    sim.configure_parallel(
-        ParallelConfig::new(cfg.threads, job.lookahead_ns())
-            .with_shard_map(node_aligned_shards(&job, max_shards)),
-    );
+    sim.configure_parallel(ParallelConfig::new(threads, cut.lookahead_ns).with_shard_map(shard_of));
     if cfg.collect_spans {
         sim.attach_spans();
         sim.attach_net_trace();
@@ -1140,6 +1133,7 @@ pub fn run_experiment_streamed(
         victim_health,
         online_occupancy,
         window_plan,
+        cut,
         engine_steals,
         blame: OnceLock::new(),
     }
@@ -1151,26 +1145,58 @@ pub fn run_experiment_streamed(
 /// slots, exchange cells) stops paying for itself.
 const MAX_SHARDS: u32 = 64;
 
-/// Shard map keeping every rank of a physical node on one shard — the
-/// precondition under which per-node NIC state needs no cross-shard
-/// synchronization. Nodes are striped over `min(n_nodes, max_shards)`
-/// shards in node-id order, so the map is a pure function of the
-/// placement alone — thread count does not appear.
-fn node_aligned_shards(job: &Arc<Job>, max_shards: u32) -> Vec<u32> {
-    let n_ranks = job.n_ranks();
-    let mut nodes: Vec<u32> = (0..n_ranks).map(|r| job.node_of(r).0).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let n_nodes = nodes.len() as u64;
-    let k = (n_nodes as u32).min(max_shards).max(1) as u64;
-    (0..n_ranks)
-        .map(|r| {
-            let idx = nodes
-                .binary_search(&job.node_of(r).0)
-                .expect("rank's node is in the node list") as u64;
-            (idx * k / n_nodes) as u32
-        })
-        .collect()
+/// Fewest units a cut class must offer before the job is cut along it:
+/// enough that two worker threads get their eight shards each. A
+/// coarser class with fewer units would buy a wider window by leaving
+/// threads without shards.
+const MIN_CUT_UNITS: u32 = 16;
+
+/// What a job was cut into for the engine: the locality class its
+/// shards are whole units of, and the lookahead that cut buys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CutReport {
+    /// Hardware class no shard boundary splits.
+    pub class: CutClass,
+    /// Units of `class` the job occupies.
+    pub units: u32,
+    /// Shards those units were striped over.
+    pub shards: u32,
+    /// Window width: the cheapest message between two units of `class`.
+    pub lookahead_ns: u64,
+}
+
+/// Cut `job` for `threads` worker threads: the report and the
+/// rank → shard map. Whole units of the job's
+/// [locality cut](Job::locality_cut) are striped, in the cut's slab
+/// order, over `min(units, threads × 8, MAX_SHARDS)` shards — one shard
+/// when single-threaded (no exchange or ownership bookkeeping to pay
+/// for), several per worker otherwise so the engine's deterministic
+/// rebalancer has whole (window, shard) units to move between threads.
+/// Every rank of a physical node lands on one shard, the precondition
+/// under which per-node NIC state needs no cross-shard synchronization.
+/// Class and lookahead depend on the placement alone; only the shard
+/// count follows `threads`.
+pub fn shard_plan(job: &Job, threads: u32) -> (CutReport, Vec<u32>) {
+    let cut = job.locality_cut(MIN_CUT_UNITS);
+    let max_shards = if threads <= 1 {
+        1
+    } else {
+        threads.saturating_mul(8).min(MAX_SHARDS)
+    };
+    let units = cut.n_units as u64;
+    let shards = units.min(max_shards as u64);
+    let shard_of = cut
+        .unit_of_rank
+        .iter()
+        .map(|&unit| (unit as u64 * shards / units) as u32)
+        .collect();
+    let report = CutReport {
+        class: cut.class,
+        units: cut.n_units,
+        shards: shards as u32,
+        lookahead_ns: cut.lookahead_ns,
+    };
+    (report, shard_of)
 }
 
 /// Newtype forwarding latency queries to the placed job (orphan-rule

@@ -380,8 +380,21 @@ impl<'a> Analyzer<'a> {
             "span indices are 32-bit"
         );
         let mut rank_spans: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
-        let mut requests: Vec<(u64, u64)> = Vec::new();
-        let mut serviced: Vec<Serviced> = Vec::new();
+        // The two chain tables are megabytes on an observed run. A
+        // counting pass sizes them exactly, so the report's peak memory
+        // follows the span count: grown by doubling, a table leaves its
+        // old copies behind and jumps in size whenever its count
+        // crosses a power of two.
+        let (n_requests, n_serviced) =
+            records
+                .iter()
+                .fold((0, 0), |(req, srv), rec| match rec.kind {
+                    SpanKind::StealRequestSent { .. } => (req + 1, srv),
+                    SpanKind::StealServiced { .. } => (req, srv + 1),
+                    _ => (req, srv),
+                });
+        let mut requests: Vec<(u64, u64)> = Vec::with_capacity(n_requests);
+        let mut serviced: Vec<Serviced> = Vec::with_capacity(n_serviced);
         for (i, rec) in records.iter().enumerate() {
             match rec.kind {
                 SpanKind::StealRequestSent { .. } => requests.push((rec.trace, rec.at_ns)),

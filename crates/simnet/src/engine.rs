@@ -424,15 +424,21 @@ impl Cadence {
         end_ns >= self.next_sim || events >= self.next_events
     }
 
-    /// Advance the thresholds after emitting at `(end_ns, events)`.
-    /// Window ends are schedule-deterministic, so the emission points
-    /// are identical for every thread count.
+    /// Advance the thresholds after emitting at `(end_ns, events)` to
+    /// the next marks of the fixed grids `k · every`, so how far a
+    /// window overshot one mark never moves the next. Window ends are
+    /// schedule-deterministic, so the emission points are identical for
+    /// every thread count.
     fn advance(&mut self, end_ns: u64, events: u64) {
+        let next_mark = |at: u64, every: u64| {
+            let every = every.max(1);
+            (at / every).saturating_add(1).saturating_mul(every)
+        };
         if let Some(every) = self.every_sim_ns {
-            self.next_sim = end_ns.saturating_add(every);
+            self.next_sim = next_mark(end_ns, every);
         }
         if let Some(every) = self.every_events {
-            self.next_events = events.saturating_add(every);
+            self.next_events = next_mark(events, every);
         }
     }
 }
@@ -3345,6 +3351,25 @@ mod tests {
                 last_seq = Some(snap.seq);
             }
         }
+    }
+
+    #[test]
+    fn snapshot_marks_stay_on_the_grid_whatever_the_window_overshoot() {
+        let mut cadence = Cadence {
+            every_sim_ns: Some(1_000),
+            every_events: Some(10),
+            next_sim: 1_000,
+            next_events: 10,
+        };
+        // A window ending 399 ns and 3 events past the marks does not
+        // push the next marks out by that much.
+        assert!(cadence.due(1_399, 13));
+        cadence.advance(1_399, 13);
+        assert_eq!((cadence.next_sim, cadence.next_events), (2_000, 20));
+        // One window may cross several marks: one emission, next mark
+        // the first still ahead.
+        cadence.advance(4_000, 47);
+        assert_eq!((cadence.next_sim, cadence.next_events), (5_000, 50));
     }
 
     #[test]

@@ -239,16 +239,6 @@ impl Job {
             rank_cell,
         })
     }
-
-    /// Conservative lookahead bound for parallel simulation: no message
-    /// between ranks on *different nodes* can take less than this
-    /// (see [`LatencyParams::min_remote_ns`]). Sharding that keeps each
-    /// node's ranks together may therefore advance shards independently
-    /// within windows of this width.
-    #[inline]
-    pub fn lookahead_ns(&self) -> u64 {
-        self.latency.params().min_remote_ns()
-    }
 }
 
 #[cfg(test)]

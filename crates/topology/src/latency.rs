@@ -15,6 +15,7 @@
 //! go through more than 10 hops").
 
 use crate::coord::TofuCoord;
+use crate::cut::CutClass;
 use crate::machine::Machine;
 
 /// Locality class of a point-to-point link, coarsest to finest.
@@ -111,16 +112,23 @@ impl LatencyParams {
         }
     }
 
-    /// A lower bound on the latency of any message between *distinct*
-    /// nodes: the cheapest off-node base class plus the fixed software
-    /// overhead (the size-dependent transfer term only adds to it).
-    /// This is the conservative lookahead bound the parallel simulation
-    /// engine uses — any cross-node (hence cross-shard) message sent at
-    /// time `t` arrives no earlier than `t + min_remote_ns()`.
-    pub fn min_remote_ns(&self) -> u64 {
-        // check() enforces blade <= cube <= rack <= inter-rack, so the
-        // blade class is the cheapest a remote message can be.
-        self.same_blade_ns + self.software_overhead_ns
+    /// A lower bound on the latency of any message between two
+    /// *different units* of `class`: the cheapest link class such a
+    /// message can use, plus the fixed software overhead (the
+    /// size-dependent transfer term only adds to it). Two racks are at
+    /// least one hop apart, and [`check`](Self::check) orders the base
+    /// latencies, so no coarser link undercuts the one named here.
+    /// This is the conservative lookahead of a parallel simulation
+    /// whose shards are whole units of `class`: a cross-shard message
+    /// sent at time `t` arrives no earlier than `t + min_crossing_ns`.
+    pub fn min_crossing_ns(&self, class: CutClass) -> u64 {
+        let base = match class {
+            CutClass::Rack => self.inter_rack_ns + self.per_hop_ns,
+            CutClass::Cube => self.same_rack_ns,
+            CutClass::Blade => self.same_cube_ns,
+            CutClass::Node => self.same_blade_ns,
+        };
+        base + self.software_overhead_ns
     }
 
     /// Validate internal consistency (ordering and positivity).
@@ -255,6 +263,19 @@ mod tests {
             model.latency_ns(&m, a, near, 64),
             model.latency_ns(&m, a, far, 64)
         );
+    }
+
+    #[test]
+    fn crossing_bounds_follow_the_ladder() {
+        let p = LatencyParams::default();
+        assert_eq!(p.min_crossing_ns(CutClass::Rack), 8_400);
+        assert_eq!(p.min_crossing_ns(CutClass::Cube), 2_100);
+        assert_eq!(p.min_crossing_ns(CutClass::Blade), 1_700);
+        assert_eq!(p.min_crossing_ns(CutClass::Node), 1_400);
+        let flat = LatencyParams::flat(1_000);
+        for class in CutClass::COARSEST_FIRST {
+            assert_eq!(flat.min_crossing_ns(class), 1_400);
+        }
     }
 
     #[test]

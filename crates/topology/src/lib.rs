@@ -15,6 +15,8 @@
 //!   ([`mapping`]);
 //! - a latency model ordered `node < blade < cube < rack < inter-rack`
 //!   with per-hop growth ([`latency`]);
+//! - the locality cut a parallel simulation may shard the job along,
+//!   with the lookahead that cut buys ([`cut`]);
 //! - and a [`Job`] facade combining them, exposing the Euclidean
 //!   distance `e(i, j)` that the skewed victim selector weights by.
 //!
@@ -33,6 +35,7 @@
 
 pub mod allocation;
 pub mod coord;
+pub mod cut;
 pub mod job;
 pub mod latency;
 pub mod machine;
@@ -41,6 +44,7 @@ pub mod routing;
 
 pub use allocation::{AllocationPolicy, JobAllocation};
 pub use coord::TofuCoord;
+pub use cut::{CutClass, LocalityCut};
 pub use job::{Job, TorusSymmetry};
 pub use latency::{LatencyModel, LatencyParams, LinkClass};
 pub use machine::{Machine, NodeId};

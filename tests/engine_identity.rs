@@ -9,7 +9,15 @@
 //! were re-recorded at the commit before the quiet-timer planner was
 //! deleted (PR 16), again with `engine.rs` untouched and the scheduler
 //! arming plain timers, so they are that engine's `min_next +
-//! lookahead` plan. The three span-collecting lines were recorded at
+//! lookahead` plan — and once more, in that field alone and from the
+//! new code, when the lookahead became the locality cut's (PR 22): the
+//! storm's 64 torus-filled nodes are cut along 16 blades, so its
+//! windows are 1,700 ns wide where they were 1,400. Every other field
+//! of every literal is as first recorded; the other pins run on 8 nodes
+//! (node cut, 1,400 ns) and did not move. The rack-cut pin at the end
+//! of the storm block is new with that PR and recorded from it: what it
+//! holds is that threads 1, 2 and 3 agree. The three span-collecting
+//! lines were recorded at
 //! the commit before the calendar queue was deleted (PR 19), with
 //! `crates/` untouched and the calendar as the engine's queue, so they
 //! are the calendar's schedule and hold the `BinaryHeap` that replaced
@@ -20,10 +28,13 @@
 //! `crates/core/tests` and runs only under `--workspace`; this slice is
 //! what the root `cargo test -q` sees.
 
-use dws::core::{run_experiment, ExperimentConfig, FaultToleranceCfg, StealAmount, VictimPolicy};
+use dws::core::{
+    run_experiment, ExperimentConfig, ExperimentResult, FaultToleranceCfg, StealAmount,
+    VictimPolicy,
+};
 use dws::metrics::perflab::fingerprint;
 use dws::simnet::{Crash, FaultPlan};
-use dws::topology::{AllocationPolicy, RankMapping};
+use dws::topology::{AllocationPolicy, CutClass, RankMapping};
 use dws::uts::{presets, TreeSpec, Workload};
 
 /// The `steal_storm` shape at test size: T3SIM-S starves 64
@@ -44,7 +55,10 @@ fn storm(fault_plan: FaultPlan, threads: u32) -> ExperimentConfig {
 /// collected spans also pins its serialized report, its span records
 /// and its fault ledger.
 fn identity(cfg: &ExperimentConfig) -> String {
-    let r = run_experiment(cfg);
+    identity_of(&run_experiment(cfg))
+}
+
+fn identity_of(r: &ExperimentResult) -> String {
     assert!(r.completed, "the pinned run must terminate");
     let stats: String = r.stats.per_rank.iter().map(|s| format!("{s:?}")).collect();
     let (dropped, duplicated) = r
@@ -83,7 +97,7 @@ fn starved_storm_schedule_is_pinned_at_one_and_two_threads() {
     for threads in [1, 2] {
         assert_eq!(
             identity(&storm(FaultPlan::default(), threads)),
-            "makespan_ns=4190655 window_plan=ee746ed2b4f1d702/2706 events=29097 delivered=15891 \
+            "makespan_ns=4190655 window_plan=bcb1954881fe07fb/2261 events=29097 delivered=15891 \
              dropped=0 duplicated=0 nodes=22235 stats=58a93fcc5dcd22da",
             "clean storm diverged from the recorded schedule at {threads} thread(s)"
         );
@@ -95,9 +109,33 @@ fn lossy_duplicating_storm_schedule_is_pinned_at_one_and_two_threads() {
     for threads in [1, 2] {
         assert_eq!(
             identity(&storm(FaultPlan::message_faults(0.01, 0.01, 0.0), threads)),
-            "makespan_ns=14045868 window_plan=504cd4dd659d8915/2982 events=37999 delivered=16563 \
+            "makespan_ns=14045868 window_plan=53bd64f3144587fa/2488 events=37999 delivered=16563 \
              dropped=145 duplicated=171 nodes=22235 stats=e113ff432e50dc5b",
             "1% drop + duplicate storm diverged from the recorded schedule at {threads} thread(s)"
+        );
+    }
+}
+
+/// The storm on 1,024 torus-filled nodes (4×4×8 cubes, 16 racks) is
+/// cut along racks, so this is tier-1's run at the widest window,
+/// 8,400 ns: one schedule and one plan whether the 16 racks sit on one
+/// shard or on sixteen.
+#[test]
+fn rack_cut_storm_is_pinned_at_one_two_and_three_threads() {
+    for threads in [1, 2, 3] {
+        let mut cfg = storm(FaultPlan::default(), threads);
+        cfg.n_nodes = 1024;
+        let r = run_experiment(&cfg);
+        assert_eq!(
+            (r.cut.class, r.cut.units, r.cut.lookahead_ns),
+            (CutClass::Rack, 16, 8_400)
+        );
+        assert_eq!(r.cut.shards, if threads == 1 { 1 } else { 16 });
+        assert_eq!(
+            identity_of(&r),
+            "makespan_ns=17430170 window_plan=e147ad77d4ad7367/2069 events=905433 \
+             delivered=602005 dropped=0 duplicated=0 nodes=22235 stats=d5f7558574cf8149",
+            "rack-cut storm diverged from the recorded schedule at {threads} thread(s)"
         );
     }
 }
