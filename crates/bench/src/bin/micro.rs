@@ -96,6 +96,14 @@ fn bench_uts_generation() {
             black_box(root.state.spawn(i, 1));
         }
     });
+    // Per digest, like `spawn_child`: 50,000 pairs are 100,000 children.
+    bench("uts/spawn_pair", 100_000, || {
+        let mut i = 0u32;
+        for _ in 0..50_000 {
+            i = i.wrapping_add(2);
+            black_box(root.state.spawn_pair(i, 1));
+        }
+    });
     bench("uts/children_of_root_b0_2000", 10, || {
         let mut buf = Vec::new();
         for _ in 0..10 {

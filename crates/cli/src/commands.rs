@@ -867,9 +867,10 @@ pub fn topo(rest: &[String]) -> Result<(), String> {
 }
 
 /// Render the engine self-profile of a run: per-phase wall time,
-/// throughput, allocation rate, peak RSS. `threads` is the *resolved*
-/// worker count (after `--threads auto`), so the table is honest about
-/// what actually ran.
+/// throughput, allocation rate, peak RSS, and the tree floor (what the
+/// run's nodes cost to generate with nothing around them). `threads`
+/// is the *resolved* worker count (after `--threads auto`), so the
+/// table is honest about what actually ran.
 fn print_profile(r: &ExperimentResult, threads: u32) {
     let p = r.profile.as_ref().expect("print_profile needs a profile");
     println!();
@@ -904,6 +905,13 @@ fn print_profile(r: &ExperimentResult, threads: u32) {
             p.peak_rss_bytes as f64 / (1024.0 * 1024.0)
         );
     }
+    println!(
+        "tree floor    : {} nodes × {:.1} ns/child = {:.1} ms ({:.1}% of wall)",
+        p.tree_nodes,
+        p.child_ns,
+        p.tree_floor_ns() / 1e6,
+        100.0 * p.tree_floor_share()
+    );
     let rows: Vec<Vec<String>> = p
         .phases
         .iter()

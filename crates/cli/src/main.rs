@@ -130,9 +130,10 @@ commands:
           --tree <preset> --workers <n>
   profile run once with the engine self-profiler on: per-phase wall
           time (dispatch, fault_eval, victim_draw, trace_record),
-          events/sec, allocations per event, peak RSS, and — when
-          --threads > 1 — a per-shard table (ranks, events, windows,
-          busy vs barrier-wait time)
+          events/sec, allocations per event, peak RSS, the tree
+          floor (nodes × measured ns per child: what the tree alone
+          costs the host), and — when --threads > 1 — a per-shard
+          table (ranks, events, windows, busy vs barrier-wait time)
           (accepts the same configuration flags as run)
           --spans              also enable the causal tracer so the
                                trace_record phase measures real cost

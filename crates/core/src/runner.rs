@@ -31,8 +31,9 @@ use dws_simnet::{
 use dws_topology::routing::LinkLoad;
 use dws_topology::{AllocationPolicy, CutClass, Job, LatencyParams, RankMapping};
 use dws_uts::{Node, Workload};
+use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Full description of one experiment.
 #[derive(Debug, Clone)]
@@ -801,6 +802,32 @@ fn subtree_nodes(workload: &Workload, roots: Vec<Node>) -> u64 {
     count
 }
 
+/// Host nanoseconds to generate one child of `workload`'s root, timed
+/// for a few milliseconds on the expansion routine the workers run: the
+/// per-node cost under `dws profile`'s tree floor. Zero for a childless
+/// root.
+fn measure_child_ns(workload: &Workload) -> f64 {
+    const BUDGET: Duration = Duration::from_millis(4);
+    let root = workload.spec.root(workload.seed);
+    let mut children = 0u64;
+    let start = Instant::now();
+    while start.elapsed() < BUDGET {
+        // A few expansions per clock read, for roots with few children.
+        for _ in 0..8 {
+            let n = workload
+                .spec
+                .expand(black_box(&root), workload.gen_rounds, |child| {
+                    black_box(child);
+                });
+            children += u64::from(n);
+        }
+        if children == 0 {
+            return 0.0;
+        }
+    }
+    start.elapsed().as_nanos() as f64 / children as f64
+}
+
 /// Streaming-telemetry attachment for one run: the engine-side
 /// configuration plus an optional JSONL snapshot sink.
 ///
@@ -936,6 +963,7 @@ pub fn run_experiment_streamed(
     if let Some(p) = &probe {
         sim.attach_profiler(Arc::clone(p));
     }
+    let child_ns = probe.as_ref().map(|_| measure_child_ns(&cfg.workload));
     // Wall-clock and allocation accounting bracket only the simulation
     // loop; both reads are no-ops for the simulated schedule.
     let allocs_before = probe.as_ref().map(|_| allocation_count());
@@ -949,6 +977,12 @@ pub fn run_experiment_streamed(
         events: report.events,
         allocs: allocation_count() - allocs_before.expect("allocs_before set whenever probe is"),
         peak_rss_bytes: perflab::peak_rss_bytes().unwrap_or(0),
+        tree_nodes: sim
+            .actors()
+            .iter()
+            .map(|w| w.counters.nodes_processed)
+            .sum(),
+        child_ns: child_ns.expect("child_ns set whenever probe is"),
         phases: p
             .snapshot()
             .into_iter()

@@ -306,8 +306,6 @@ pub struct Worker {
     /// cost that makes deterministic victim selection collapse at
     /// scale.
     service_offset_ns: u64,
-    /// Reusable child buffer.
-    scratch: Vec<Node>,
     /// Activity trace: (local time, became-active) pairs.
     trace: Vec<(u64, bool)>,
     /// Last state written to the trace; keeps transitions alternating
@@ -405,7 +403,6 @@ impl Worker {
             done: false,
             service_debt_ns: 0,
             service_offset_ns: 0,
-            scratch: Vec::new(),
             trace: Vec::new(),
             traced_active: false,
             lifelines: if cfg.lifeline_threshold.is_some() {
@@ -719,14 +716,11 @@ impl Worker {
         let mut expanded = 0u32;
         while expanded < self.cfg.poll_interval {
             let Some(node) = self.stack.pop() else { break };
-            self.cfg.workload.spec.children_into(
-                &node,
-                self.cfg.workload.gen_rounds,
-                &mut self.scratch,
-            );
-            for child in self.scratch.drain(..) {
-                self.stack.push(child);
-            }
+            let workload = &self.cfg.workload;
+            let stack = &mut self.stack;
+            workload
+                .spec
+                .expand(&node, workload.gen_rounds, |child| stack.push(child));
             expanded += 1;
         }
         if expanded > 0 {

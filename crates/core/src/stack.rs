@@ -168,15 +168,14 @@ impl ChunkedStack {
         }
     }
 
-    /// Nodes contained in the `n` oldest chunks (what a thief would
-    /// get), without taking them. Used for message-size accounting.
     /// Iterate over every node currently in the stack, oldest chunk
     /// first (lost-work accounting after a faulty run).
     pub fn iter_nodes(&self) -> impl Iterator<Item = &Node> + '_ {
         self.chunks.iter().flat_map(|c| c.iter())
     }
 
-    /// Total nodes in the `n` oldest (most stealable) chunks.
+    /// Nodes contained in the `n` oldest chunks (what a thief would
+    /// get), without taking them. Used for message-size accounting.
     pub fn nodes_in_oldest(&self, n: usize) -> usize {
         self.chunks.iter().take(n).map(|c| c.len()).sum()
     }

@@ -602,6 +602,11 @@ pub struct ProfileReport {
     pub allocs: u64,
     /// Peak resident set size in bytes (0 when unavailable).
     pub peak_rss_bytes: u64,
+    /// Tree nodes the run expanded.
+    pub tree_nodes: u64,
+    /// Host nanoseconds to generate one child of the run's own root,
+    /// timed outside the simulation loop (0 for a childless root).
+    pub child_ns: f64,
     /// Per-phase timing: `(name, calls, total_ns)`.
     pub phases: Vec<(String, u64, u64)>,
     /// Per-shard execution profile of a windowed (parallel) run:
@@ -629,6 +634,21 @@ impl ProfileReport {
         self.allocs as f64 / self.events as f64
     }
 
+    /// The tree floor in host nanoseconds: what generating the run's
+    /// nodes costs with no engine, scheduler or network around it —
+    /// nodes × the measured cost of one child.
+    pub fn tree_floor_ns(&self) -> f64 {
+        self.tree_nodes as f64 * self.child_ns
+    }
+
+    /// The tree floor as a fraction of the run's wall time.
+    pub fn tree_floor_share(&self) -> f64 {
+        if self.wall_ns == 0 {
+            return 0.0;
+        }
+        self.tree_floor_ns() / self.wall_ns as f64
+    }
+
     /// Serialize for the run report's `profile` section.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
@@ -638,6 +658,15 @@ impl ProfileReport {
             ("allocs", self.allocs.into()),
             ("allocs_per_event", self.allocs_per_event().into()),
             ("peak_rss_bytes", self.peak_rss_bytes.into()),
+            (
+                "tree_floor",
+                JsonValue::obj(vec![
+                    ("nodes", self.tree_nodes.into()),
+                    ("ns_per_child", self.child_ns.into()),
+                    ("floor_ms", (self.tree_floor_ns() / 1e6).into()),
+                    ("share_of_wall", self.tree_floor_share().into()),
+                ]),
+            ),
             (
                 "phases",
                 JsonValue::Arr(
@@ -896,13 +925,19 @@ mod tests {
             events: 4_000_000,
             allocs: 1_000_000,
             peak_rss_bytes: 1 << 20,
+            tree_nodes: 10_000_000,
+            child_ns: 40.0,
             phases: vec![("dispatch".into(), 4_000_000, 1_500_000_000)],
             shards: vec![(0, 8, 2_000_000, 300, 900_000_000, 100_000_000)],
         };
         assert!((p.events_per_sec() - 2_000_000.0).abs() < 1e-6);
         assert!((p.allocs_per_event() - 0.25).abs() < 1e-12);
+        assert!((p.tree_floor_share() - 0.2).abs() < 1e-12);
         let j = p.to_json();
         assert_eq!(j.get("events").unwrap().as_u64(), Some(4_000_000));
+        let floor = j.get("tree_floor").unwrap();
+        assert_eq!(floor.get("nodes").unwrap().as_u64(), Some(10_000_000));
+        assert_eq!(floor.get("floor_ms").unwrap().as_num(), Some(400.0));
         let phases = j.get("phases").unwrap().as_arr().unwrap();
         assert_eq!(
             phases[0].get("name").and_then(|v| v.as_str()),

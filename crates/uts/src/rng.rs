@@ -8,11 +8,18 @@
 //! can generate exactly that node's subtree, which is what allows work
 //! items to be stolen freely with no data dependencies.
 //!
+//! The stream is *not* upstream's byte for byte. ROADMAP item 1 found
+//! the two layouts that differ — what [`RngState::from_seed`] hashes
+//! and which state bytes [`RngState::rand`] reads — and both are kept
+//! in this file, outside the SHA-1 kernels, so that aligning them
+//! stays a two-line change. The child message (`state ‖ index`) is the
+//! one layout the kernels know, and it already agrees with upstream.
+//!
 //! The paper's granularity experiment (Figure 16) varies "the number of
 //! SHA rounds to execute when creating a node"; [`RngState::spawn`]
 //! takes that count and chains extra digest rounds accordingly.
 
-use crate::sha1::{Digest, Sha1, DIGEST_LEN};
+use crate::sha1::{self, Digest, Sha1, DIGEST_LEN};
 
 /// Mask selecting the non-negative 31-bit value UTS draws from a state.
 pub const POS_MASK: u32 = 0x7FFF_FFFF;
@@ -30,8 +37,10 @@ pub struct RngState {
 }
 
 impl RngState {
-    /// Root state for a tree seed, matching UTS `rng_init`: the digest
-    /// of the 4-byte big-endian seed.
+    /// Root state for a tree seed: the digest of the 4-byte big-endian
+    /// seed alone. Upstream UTS `rng_init` hashes 16 zero bytes ‖ those
+    /// four, so roots (and with them whole trees) differ from upstream's
+    /// until ROADMAP item 1 lands.
     pub fn from_seed(seed: i32) -> Self {
         Self {
             bytes: Sha1::digest(&seed.to_be_bytes()),
@@ -55,7 +64,10 @@ impl RngState {
     /// Round 1 hashes `parent_state ‖ index`; each further round hashes
     /// the previous digest. All rounds are real SHA-1 evaluations, so
     /// the simulated *and actual* cost of node creation scales with
-    /// `rounds`, as in the paper's §V-B experiment.
+    /// `rounds`, as in the paper's §V-B experiment. Chaining is the
+    /// legacy form: it makes the tree depend on `rounds`, where
+    /// upstream repeats the same spawn and discards the result, and
+    /// ROADMAP item 1 replaces it.
     ///
     /// # Panics
     /// Panics if `rounds == 0` — a node must be hashed at least once.
@@ -71,8 +83,31 @@ impl RngState {
         Self { bytes: digest }
     }
 
-    /// The node's 31-bit non-negative random value, as UTS `rng_rand`:
-    /// the first four state bytes, big-endian, masked positive.
+    /// The states of children `index` and `index + 1`, each exactly
+    /// what [`spawn`](Self::spawn) returns for it. Siblings are
+    /// independent digests of one parent, so a CPU with the SHA
+    /// extensions hashes the two in one pass (the two-lane kernel of
+    /// [`crate::sha1`]); any other runs `spawn` once per child.
+    ///
+    /// # Panics
+    /// Panics if `rounds == 0`, or if `index + 1` is not a `u32`.
+    pub fn spawn_pair(&self, index: u32, rounds: u32) -> [Self; 2] {
+        assert!(rounds > 0, "node creation requires at least one SHA round");
+        assert!(index < u32::MAX, "child {index} has no next sibling");
+        match sha1::child_pair(&self.bytes, index, rounds) {
+            Some(pair) => pair.map(Self::from_bytes),
+            None => self.spawn_pair_one_lane(index, rounds),
+        }
+    }
+
+    /// [`spawn_pair`](Self::spawn_pair) where there is no pair kernel.
+    fn spawn_pair_one_lane(&self, index: u32, rounds: u32) -> [Self; 2] {
+        [self.spawn(index, rounds), self.spawn(index + 1, rounds)]
+    }
+
+    /// The node's 31-bit non-negative random value: the *first* four
+    /// state bytes, big-endian, masked positive. Upstream UTS
+    /// `rng_rand` reads bytes 16..20 instead (ROADMAP item 1).
     #[inline]
     pub fn rand(&self) -> u32 {
         let word = u32::from_be_bytes(
@@ -97,6 +132,7 @@ pub const STATE_WIRE_BYTES: usize = DIGEST_LEN;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha1::tests::pair_cases;
 
     #[test]
     fn seeds_produce_distinct_roots() {
@@ -128,6 +164,30 @@ mod tests {
             &crate::sha1::Sha1::digest(one.bytes()),
             "extra rounds must re-hash the previous digest"
         );
+    }
+
+    #[test]
+    fn spawn_pair_is_two_spawns_on_every_path() {
+        for (bytes, index, rounds) in pair_cases(0x51B1) {
+            let state = RngState::from_bytes(bytes);
+            let want = [state.spawn(index, rounds), state.spawn(index + 1, rounds)];
+            assert_eq!(
+                state.spawn_pair(index, rounds),
+                want,
+                "dispatching pair: index {index}, {rounds} rounds"
+            );
+            assert_eq!(
+                state.spawn_pair_one_lane(index, rounds),
+                want,
+                "one-lane pair: index {index}, {rounds} rounds"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no next sibling")]
+    fn pair_past_the_last_index_rejected() {
+        RngState::from_seed(0).spawn_pair(u32::MAX, 1);
     }
 
     #[test]

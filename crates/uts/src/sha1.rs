@@ -195,15 +195,42 @@ fn compress_portable(h: &mut [u32; 5], block: &[u8; 64]) {
     }
 }
 
+/// The states of children `index` and `index + 1` of a UTS node on the
+/// two-lane SHA-NI kernel, or `None` on a CPU without it: each is the
+/// digest of `state ‖ index` (big-endian), re-hashed `rounds − 1` more
+/// times, exactly as [`Sha1::digest`] computes them one at a time
+/// (`rounds` below 1 counts as 1; `RngState::spawn_pair` rejects it).
+///
+/// Two lanes because a binomial node has `m = 2` children (every tree
+/// of the paper's Table I) and one SHA-1 is a serial chain of twenty
+/// `sha1rnds4`: a second, independent chain fills the cycles the first
+/// leaves the SHA unit idle.
+#[inline]
+pub(crate) fn child_pair(state: &Digest, index: u32, rounds: u32) -> Option<[Digest; 2]> {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `detected` has just confirmed at run time that this
+        // CPU has the `sha`, `sse2`, `ssse3` and `sse4.1` features that
+        // `sha_ni::child_pair` is compiled with.
+        return Some(unsafe { sha_ni::child_pair(state, index, rounds) });
+    }
+    // Unused where there is no kernel to pass them to.
+    let _ = (state, index, rounds);
+    None
+}
+
 /// The compress function on the x86 SHA extensions, which run four
 /// rounds (`sha1rnds4`) or schedule four words (`sha1msg1`/`sha1msg2`)
-/// per instruction.
+/// per instruction, and the two-lane kernel that hashes sibling UTS
+/// children together.
 #[cfg(target_arch = "x86_64")]
 mod sha_ni {
+    use super::{Digest, DIGEST_LEN, H0};
     use std::arch::x86_64::{
-        _mm_add_epi32, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x,
-        _mm_setzero_si128, _mm_sha1msg1_epu32, _mm_sha1msg2_epu32, _mm_sha1nexte_epu32,
-        _mm_sha1rnds4_epu32, _mm_shuffle_epi8, _mm_xor_si128,
+        _mm_add_epi32, _mm_extract_epi32, _mm_loadu_si128, _mm_or_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_sha1msg1_epu32, _mm_sha1msg2_epu32,
+        _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_shuffle_epi8, _mm_storeu_si128,
+        _mm_xor_si128,
     };
 
     /// Whether this CPU has every feature [`compress`] is compiled with.
@@ -284,6 +311,126 @@ mod sha_ni {
         h[3] = _mm_extract_epi32(abcd, 0) as u32;
         h[4] = _mm_extract_epi32(e, 3) as u32;
     }
+
+    /// The states of children `index` and `index + 1` of `state`, both
+    /// lanes in one pass (see [`super::child_pair`] for the messages).
+    ///
+    /// Lane `x` hashes child `index`, lane `y` its sibling. Both start
+    /// from `H0` and each message is one block, so the schedule vectors
+    /// are built from the parent's words in registers — `state ‖ index
+    /// ‖ 0x80 ‖ 0… ‖ 192` — and a further round takes the digest it
+    /// just produced as `abcd ‖ e ‖ 0x80 ‖ 0… ‖ 160` without storing
+    /// it. The two chains share no value after the first vector; they
+    /// are written out side by side, one named variable per lane, so
+    /// that each `sha1rnds4` has the other lane's to overlap with.
+    ///
+    /// # Safety
+    /// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// features, i.e. [`detected`] must have returned `true`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn child_pair(state: &Digest, index: u32, rounds: u32) -> [Digest; 2] {
+        const MARK: i32 = 0x8000_0000_u32 as i32;
+        let reverse = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0A0B_0C0D_0E0F);
+        let abcd_in = _mm_set_epi32(H0[0] as i32, H0[1] as i32, H0[2] as i32, H0[3] as i32);
+        let e_in = _mm_set_epi32(H0[4] as i32, 0, 0, 0);
+        let zero = _mm_setzero_si128();
+
+        // SAFETY: `state` is 20 readable bytes, so the unaligned
+        // 16-byte load from its start is in bounds.
+        let head = unsafe { _mm_loadu_si128(state.as_ptr().cast()) };
+        let tail = u32::from_be_bytes([state[16], state[17], state[18], state[19]]) as i32;
+        let sibling = index.wrapping_add(1) as i32;
+        // Four schedule vectors per lane, earliest word in lane 3.
+        let mut x0 = _mm_shuffle_epi8(head, reverse);
+        let mut y0 = x0;
+        let mut x1 = _mm_set_epi32(tail, index as i32, MARK, 0);
+        let mut y1 = _mm_set_epi32(tail, sibling, MARK, 0);
+        let (mut x2, mut y2) = (zero, zero);
+        let bits_192 = _mm_set_epi32(0, 0, 0, 192);
+        let (mut x3, mut y3) = (bits_192, bits_192);
+
+        let mut left = rounds;
+        let (x_abcd, x_e, y_abcd, y_e) = loop {
+            let (mut xs, mut ys) = (abcd_in, abcd_in);
+            // ABCD as it was before the latest four rounds.
+            let (mut xb, mut yb) = (xs, ys);
+            // Rounds 0..4: E joins the first schedule word directly.
+            let mut xe = _mm_add_epi32(e_in, x0);
+            let mut ye = _mm_add_epi32(e_in, y0);
+            xs = _mm_sha1rnds4_epu32(xs, xe, 0);
+            ys = _mm_sha1rnds4_epu32(ys, ye, 0);
+
+            // Four rounds on both lanes over the schedule words `$x`
+            // and `$y`, with round function and constant number `$f`.
+            macro_rules! rounds4 {
+                ($f:literal, $x:ident, $y:ident) => {
+                    xe = _mm_sha1nexte_epu32(xb, $x);
+                    ye = _mm_sha1nexte_epu32(yb, $y);
+                    xb = xs;
+                    yb = ys;
+                    xs = _mm_sha1rnds4_epu32(xs, xe, $f);
+                    ys = _mm_sha1rnds4_epu32(ys, ye, $f);
+                };
+            }
+            // The next four words into the oldest vector (the first
+            // named) from the sixteen before them, then their rounds.
+            macro_rules! scheduled4 {
+                ($f:literal, $x0:ident $x1:ident $x2:ident $x3:ident,
+                 $y0:ident $y1:ident $y2:ident $y3:ident) => {
+                    $x0 = _mm_sha1msg1_epu32($x0, $x1);
+                    $y0 = _mm_sha1msg1_epu32($y0, $y1);
+                    $x0 = _mm_sha1msg2_epu32(_mm_xor_si128($x0, $x2), $x3);
+                    $y0 = _mm_sha1msg2_epu32(_mm_xor_si128($y0, $y2), $y3);
+                    rounds4!($f, $x0, $y0);
+                };
+            }
+            // Sixteen rounds: one trip round the four vectors.
+            macro_rules! scheduled16 {
+                ($f0:literal, $f1:literal, $f2:literal, $f3:literal) => {
+                    scheduled4!($f0, x0 x1 x2 x3, y0 y1 y2 y3);
+                    scheduled4!($f1, x1 x2 x3 x0, y1 y2 y3 y0);
+                    scheduled4!($f2, x2 x3 x0 x1, y2 y3 y0 y1);
+                    scheduled4!($f3, x3 x0 x1 x2, y3 y0 y1 y2);
+                };
+            }
+            rounds4!(0, x1, y1);
+            rounds4!(0, x2, y2);
+            rounds4!(0, x3, y3);
+            // The round function changes every twenty rounds.
+            scheduled16!(0, 1, 1, 1);
+            scheduled16!(1, 1, 2, 2);
+            scheduled16!(2, 2, 2, 3);
+            scheduled16!(3, 3, 3, 3);
+
+            let x_abcd = _mm_add_epi32(xs, abcd_in);
+            let y_abcd = _mm_add_epi32(ys, abcd_in);
+            // Lane 3 is the fifth digest word; lanes 2..0 stay zero.
+            let x_e = _mm_sha1nexte_epu32(xb, e_in);
+            let y_e = _mm_sha1nexte_epu32(yb, e_in);
+            if left <= 1 {
+                break (x_abcd, x_e, y_abcd, y_e);
+            }
+            left -= 1;
+            // The digest is the next message: 20 bytes, 160 bits.
+            let mark = _mm_set_epi32(0, MARK, 0, 0);
+            (x0, y0) = (x_abcd, y_abcd);
+            (x1, y1) = (_mm_or_si128(x_e, mark), _mm_or_si128(y_e, mark));
+            (x2, y2) = (zero, zero);
+            let bits_160 = _mm_set_epi32(0, 0, 0, 160);
+            (x3, y3) = (bits_160, bits_160);
+        };
+
+        let mut out = [[0u8; DIGEST_LEN]; 2];
+        for (bytes, (abcd, e)) in out.iter_mut().zip([(x_abcd, x_e), (y_abcd, y_e)]) {
+            // SAFETY: `bytes` is 20 writable bytes, so the unaligned
+            // 16-byte store to its start is in bounds.
+            unsafe {
+                _mm_storeu_si128(bytes.as_mut_ptr().cast(), _mm_shuffle_epi8(abcd, reverse));
+            }
+            bytes[16..].copy_from_slice(&(_mm_extract_epi32(e, 3) as u32).to_be_bytes());
+        }
+        out
+    }
 }
 
 /// Render a digest as lowercase hex (for tests and debugging).
@@ -297,7 +444,7 @@ pub fn to_hex(d: &Digest) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The textbook compress function of RFC 3174 section 6.1: the full
@@ -380,6 +527,61 @@ mod tests {
                 unsafe { sha_ni::compress(&mut got, &block) };
                 assert_eq!(got, want, "SHA-NI compress, case {case}");
             }
+        }
+    }
+
+    /// Child `index` of `state` after `rounds` rounds, padded by hand
+    /// and folded with the reference compress: what UTS defines, with
+    /// no production code in it.
+    #[cfg(target_arch = "x86_64")]
+    fn child_reference(state: &Digest, index: u32, rounds: u32) -> Digest {
+        let mut message = state.to_vec();
+        message.extend_from_slice(&index.to_be_bytes());
+        for _ in 0..rounds {
+            let bits = message.len() as u64 * 8;
+            message.push(0x80);
+            message.resize(56, 0);
+            message.extend_from_slice(&bits.to_be_bytes());
+            let mut h = H0;
+            compress_reference(&mut h, message.as_slice().try_into().expect("one block"));
+            message = state_bytes(&h).to_vec();
+        }
+        message.try_into().expect("a digest")
+    }
+
+    /// 10,000 seeded `(state, index, rounds)` triples for the sibling-pair
+    /// checks here and in `rng`: the last pair a `u32` index allows, the
+    /// first, then arbitrary ones, with `rounds` cycling through 1..=4.
+    pub(crate) fn pair_cases(mut rng: u64) -> impl Iterator<Item = (Digest, u32, u32)> {
+        (0..10_000u32).map(move |case| {
+            let mut state = [0u8; DIGEST_LEN];
+            for chunk in state.chunks_mut(8) {
+                chunk.copy_from_slice(&next_u64(&mut rng).to_le_bytes()[..chunk.len()]);
+            }
+            let index = match case {
+                0 => u32::MAX - 1,
+                1 => 0,
+                _ => (next_u64(&mut rng) as u32).min(u32::MAX - 1),
+            };
+            (state, index, 1 + case % 4)
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pair_kernel_matches_the_reference() {
+        if !sha_ni::detected() {
+            return;
+        }
+        for (state, index, rounds) in pair_cases(0x2_1A9E) {
+            let want = [
+                child_reference(&state, index, rounds),
+                child_reference(&state, index + 1, rounds),
+            ];
+            // SAFETY: `detected` confirmed the `sha`, `sse2`, `ssse3`
+            // and `sse4.1` features on this CPU.
+            let got = unsafe { sha_ni::child_pair(&state, index, rounds) };
+            assert_eq!(got, want, "index {index}, {rounds} rounds");
         }
     }
 

@@ -124,20 +124,34 @@ impl TreeSpec {
         }
     }
 
-    /// Generate the children of `node` into `out` (cleared first),
-    /// doing `gen_rounds` SHA evaluations per child (the granularity
-    /// knob of Figure 16). Returns the number of children.
-    pub fn children_into(&self, node: &Node, gen_rounds: u32, out: &mut Vec<Node>) -> u32 {
-        out.clear();
+    /// Expand `node`: decide its child count once and hand the
+    /// children to `sink` in index order, doing `gen_rounds` SHA
+    /// evaluations per child (the granularity knob of Figure 16).
+    /// Returns the number of children.
+    ///
+    /// Children are hashed two siblings at a time
+    /// ([`RngState::spawn_pair`]), an odd last one alone; every state is
+    /// the one [`RngState::spawn`] gives for its index.
+    pub fn expand(&self, node: &Node, gen_rounds: u32, mut sink: impl FnMut(Node)) -> u32 {
         let n = self.num_children(node);
-        out.reserve(n as usize);
-        for i in 0..n {
-            out.push(Node {
-                state: node.state.spawn(i, gen_rounds),
-                height: node.height + 1,
-            });
+        let height = node.height + 1;
+        for first in (0..n - n % 2).step_by(2) {
+            for state in node.state.spawn_pair(first, gen_rounds) {
+                sink(Node { state, height });
+            }
+        }
+        if n % 2 == 1 {
+            let state = node.state.spawn(n - 1, gen_rounds);
+            sink(Node { state, height });
         }
         n
+    }
+
+    /// Generate the children of `node` into `out` (cleared first):
+    /// [`expand`](Self::expand) with a `Vec` as the sink.
+    pub fn children_into(&self, node: &Node, gen_rounds: u32, out: &mut Vec<Node>) -> u32 {
+        out.clear();
+        self.expand(node, gen_rounds, |child| out.push(child))
     }
 
     /// Validate parameters (probabilities in range, non-divergence is
@@ -419,6 +433,61 @@ mod tests {
         .check()
         .is_err());
         assert!(bin(0.5).check().is_ok());
+    }
+
+    #[test]
+    fn expansion_equals_a_per_child_spawn_loop() {
+        let parent = |seed: i32, height: u32| Node {
+            state: RngState::from_seed(seed),
+            height,
+        };
+        // Every parity and both ends of the pair loop: the root of a
+        // binomial tree has exactly `b0` children.
+        let mut cases: Vec<(TreeSpec, Node)> = [0, 1, 2, 3, 8, 2_000, 2_001]
+            .into_iter()
+            .map(|b0| (TreeSpec::Binomial { b0, m: 2, q: 0.4 }, parent(316, 0)))
+            .collect();
+        let geometric = TreeSpec::Geometric {
+            b0: 6.0,
+            gen_mx: 10,
+            shape: GeoShape::Linear,
+        };
+        let hybrid = TreeSpec::Hybrid {
+            b0: 5.0,
+            gen_mx: 10,
+            shape: GeoShape::Fixed,
+            shift_depth: 0.5,
+            m: 3,
+            q: 0.6,
+        };
+        for seed in 0..40 {
+            cases.push((geometric, parent(seed, 2)));
+            // Both sides of the hybrid's switch at depth 5.
+            cases.push((hybrid, parent(seed, 3)));
+            cases.push((hybrid, parent(seed, 7)));
+        }
+        let mut counts = std::collections::BTreeSet::new();
+        for (spec, node) in cases {
+            for rounds in [1, 3] {
+                let want: Vec<Node> = (0..spec.num_children(&node))
+                    .map(|i| Node {
+                        state: node.state.spawn(i, rounds),
+                        height: node.height + 1,
+                    })
+                    .collect();
+                let mut sunk = Vec::new();
+                let n = spec.expand(&node, rounds, |child| sunk.push(child));
+                assert_eq!(n as usize, want.len(), "{spec:?} at {node:?}");
+                assert_eq!(sunk, want, "{spec:?} at {node:?}, {rounds} rounds");
+                // `children_into` is the same routine and clears first.
+                let mut out = vec![node; 3];
+                assert_eq!(spec.children_into(&node, rounds, &mut out), n);
+                assert_eq!(out, want);
+                counts.insert(n);
+            }
+        }
+        // The random specs must have exercised more than the empty case.
+        assert!(counts.len() > 8, "child counts seen: {counts:?}");
     }
 
     #[test]

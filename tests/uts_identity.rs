@@ -70,6 +70,39 @@ fn child_states_are_pinned() {
 }
 
 #[test]
+fn sibling_pairs_are_pinned() {
+    // Recorded at the commit before the two-lane kernel landed, one
+    // `spawn` per state: (first index, SHA rounds) → both siblings.
+    let pins = [
+        (
+            0,
+            1,
+            [
+                "86699693a469c9f0bf2fa25826aae20762628ee9",
+                "d2c5d7ef552d6cda5e7335e74e4d10e6c2c580e5",
+            ],
+        ),
+        (
+            1998,
+            24,
+            [
+                "eddf810b16917c86a39a267dd480052a99f4964a",
+                "aceb7b929d4251c7e60f4feec4c440a83810cd11",
+            ],
+        ),
+    ];
+    for (index, rounds, want) in pins {
+        let pair = RngState::from_seed(316).spawn_pair(index, rounds);
+        assert_eq!(
+            [hex(&pair[0]), hex(&pair[1])],
+            want,
+            "seed 316 children {index} and {}, rounds {rounds}",
+            index + 1
+        );
+    }
+}
+
+#[test]
 fn t3sim_s_tree_is_pinned() {
     assert_eq!(
         search(&presets::t3sim_s()),
