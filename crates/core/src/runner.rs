@@ -20,8 +20,8 @@ use crate::victim::VictimPolicy;
 use dws_metrics::export::{chrome_trace_with_critpath, histograms_json, span_counts_json};
 use dws_metrics::perflab::{self, ProfileReport};
 use dws_metrics::{
-    ActivityTrace, BlameReport, CriticalPath, JsonValue, LatencyHistograms, OccupancyCurve,
-    OnlineOccupancy, Perf, RunStats, SpanTrace, StealStats,
+    ActivityTrace, BlameReport, CriticalPath, JsonValue, LatencyHistograms, OccupancyCurve, Perf,
+    RunStats, SpanTrace, StealStats,
 };
 use dws_simnet::profiler::{allocation_count, PerfProbe};
 use dws_simnet::{
@@ -85,10 +85,9 @@ pub struct ExperimentConfig {
     pub jitter: f64,
     /// Maximum per-rank clock skew in ns (0 = synchronized).
     pub clock_skew_max_ns: u64,
-    /// Harvest the workers' activity transitions into
-    /// [`ExperimentResult::trace`], skew-corrected and checked, after
-    /// the run. Workers record transitions either way; turning this
-    /// off only skips that harvest and check.
+    /// Keep the engine's activity log and merge it into
+    /// [`ExperimentResult::trace`], checked, after the run. Off, an
+    /// activity site costs one branch unless streaming folds it live.
     pub collect_trace: bool,
     /// Causal observability: record a span per steal-protocol step on
     /// every rank plus an engine-level network trace (delivery-latency
@@ -428,7 +427,7 @@ pub struct ExperimentResult {
     pub perf: Perf,
     /// Per-rank steal statistics.
     pub stats: RunStats,
-    /// Skew-corrected activity trace, when collected.
+    /// Activity trace on the global clock, when collected.
     pub trace: Option<ActivityTrace>,
     /// Engine-level counts (events, messages).
     pub report: RunReport,
@@ -454,12 +453,10 @@ pub struct ExperimentResult {
     /// records at the end of the run, in rank order. `None` unless the
     /// run used a [`VictimPolicy::Adaptive`] policy.
     pub victim_health: Option<VictimHealthLedger>,
-    /// Occupancy aggregates folded incrementally at window barriers
-    /// (O(ranks) memory, no retained transition log), when the run
-    /// streamed telemetry. Element-identical to the post-hoc
-    /// [`OccupancyCurve`] built from `trace` — a property test holds
-    /// the two paths to it.
-    pub online_occupancy: Option<OnlineOccupancy>,
+    /// Occupancy folded live at window barriers (O(ranks) memory, no
+    /// step list), when the run streamed telemetry. The same fold as
+    /// the one over `trace` — a property test holds the two to it.
+    pub online_occupancy: Option<OccupancyCurve>,
     /// Window-planner identity: `(fnv1a digest of the window-end
     /// sequence, window count)`. The plan is a pure function of the
     /// configuration, so every `threads` setting must produce the
@@ -474,6 +471,9 @@ pub struct ExperimentResult {
     /// [`blame_report`](Self::blame_report), computed on first use: the
     /// JSON report embeds the same one.
     blame: OnceLock<Option<BlameReport>>,
+    /// The fold over `trace` behind [`occupancy`](Self::occupancy),
+    /// computed on first use.
+    traced_occupancy: OnceLock<OccupancyCurve>,
 }
 
 /// Per-rank adaptive health ledgers: `(rank, [(victim, health), …])`.
@@ -496,11 +496,17 @@ pub struct FaultReport {
 }
 
 impl ExperimentResult {
-    /// Build the occupancy curve (requires a collected trace).
-    pub fn occupancy(&self) -> Option<OccupancyCurve> {
-        self.trace
-            .as_ref()
-            .map(|t| OccupancyCurve::from_trace(t, self.makespan.ns()))
+    /// The run's occupancy: the fold over the trace when one was
+    /// collected (step list included, computed once), else the live
+    /// fold of a streamed run; `None` when the run kept neither.
+    pub fn occupancy(&self) -> Option<&OccupancyCurve> {
+        match &self.trace {
+            Some(trace) => Some(
+                self.traced_occupancy
+                    .get_or_init(|| OccupancyCurve::from_trace(trace, self.makespan.ns())),
+            ),
+            None => self.online_occupancy.as_ref(),
+        }
     }
 
     /// Latency histograms distilled from the spans, with the
@@ -567,50 +573,24 @@ impl ExperimentResult {
             ),
             ("config", self.config.clone()),
         ];
-        // Occupancy section: post-hoc curve when a trace was collected;
-        // otherwise fall back to the online aggregates from a streamed
-        // run (the two are element-identical, so the section is the
-        // same either way).
-        let occ_values = if let Some(occ) = self.occupancy() {
-            Some((
-                occ.w_max(),
-                occ.average_occupancy(),
-                [0.25, 0.50, 0.90].map(|p| occ.starting_latency(p)),
-                [0.25, 0.50, 0.90].map(|p| occ.ending_latency(p)),
-            ))
-        } else {
-            self.online_occupancy.as_ref().map(|occ| {
-                (
-                    occ.w_max(),
-                    occ.average_occupancy(),
-                    [0.25, 0.50, 0.90].map(|p| occ.starting_latency(p)),
-                    [0.25, 0.50, 0.90].map(|p| occ.ending_latency(p)),
-                )
-            })
-        };
-        if let Some((w_max, average, sl, el)) = occ_values {
-            let latency = |v: Option<f64>| v.map(JsonValue::from).unwrap_or(JsonValue::Null);
+        // Occupancy section: one fold, over the trace or live, reads
+        // the same either way.
+        if let Some(occ) = self.occupancy() {
+            let at = |latency: fn(&OccupancyCurve, f64) -> Option<f64>| {
+                let value = |x| latency(occ, x).map_or(JsonValue::Null, JsonValue::from);
+                JsonValue::obj(vec![
+                    ("25", value(0.25)),
+                    ("50", value(0.50)),
+                    ("90", value(0.90)),
+                ])
+            };
             pairs.push((
                 "occupancy",
                 JsonValue::obj(vec![
-                    ("w_max", w_max.into()),
-                    ("average", average.into()),
-                    (
-                        "sl",
-                        JsonValue::obj(vec![
-                            ("25", latency(sl[0])),
-                            ("50", latency(sl[1])),
-                            ("90", latency(sl[2])),
-                        ]),
-                    ),
-                    (
-                        "el",
-                        JsonValue::obj(vec![
-                            ("25", latency(el[0])),
-                            ("50", latency(el[1])),
-                            ("90", latency(el[2])),
-                        ]),
-                    ),
+                    ("w_max", occ.w_max().into()),
+                    ("average", occ.average_occupancy().into()),
+                    ("sl", at(OccupancyCurve::starting_latency)),
+                    ("el", at(OccupancyCurve::ending_latency)),
                 ]),
             ));
         }
@@ -953,6 +933,9 @@ pub fn run_experiment_streamed(
     let (cut, shard_of) = shard_plan(&job, threads);
     let mut sim: Simulation<Worker> = Simulation::with_network(workers, net, sim_cfg);
     sim.configure_parallel(ParallelConfig::new(threads, cut.lookahead_ns).with_shard_map(shard_of));
+    if cfg.collect_trace {
+        sim.attach_activity();
+    }
     if cfg.collect_spans {
         sim.attach_spans();
         sim.attach_net_trace();
@@ -996,6 +979,12 @@ pub fn run_experiment_streamed(
     });
     let makespan = report.end_time;
     let online_occupancy = sim.finish_streaming(makespan.ns());
+    let trace = cfg.collect_trace.then(|| {
+        let t = ActivityTrace::from_shard_logs(n_ranks, sim.take_activity());
+        t.check()
+            .unwrap_or_else(|e| panic!("scheduler produced a malformed trace: {e}"));
+        t
+    });
     let spans = cfg
         .collect_spans
         .then(|| SpanTrace::from_shard_logs(n_ranks as usize, sim.take_spans()));
@@ -1089,21 +1078,6 @@ pub fn run_experiment_streamed(
         }
     }
 
-    let trace = if cfg.collect_trace {
-        let mut t = ActivityTrace::new(n_ranks);
-        for (r, w) in workers.iter().enumerate() {
-            for &(at, active) in w.trace() {
-                t.record(r as u32, at, active);
-            }
-        }
-        t.correct_skew(sim.skews_ns());
-        t.check()
-            .unwrap_or_else(|e| panic!("scheduler produced a malformed trace: {e}"));
-        Some(t)
-    } else {
-        None
-    };
-
     let t1_ns = total_nodes * cfg.workload.node_ns();
     let perf = Perf {
         n_ranks,
@@ -1170,6 +1144,7 @@ pub fn run_experiment_streamed(
         cut,
         engine_steals,
         blame: OnceLock::new(),
+        traced_occupancy: OnceLock::new(),
     }
 }
 

@@ -35,8 +35,9 @@
 //!   *then* advances the clock by their cost. Thieves arriving
 //!   mid-batch see the post-batch stack — a half-batch skew that is
 //!   far below the latency scale the paper studies.
-//! - **Tracing**: active ⇄ idle transitions are recorded with the
-//!   rank's *local* (possibly skewed) clock, as a real tracer would.
+//! - **Tracing**: active ⇄ idle transitions go to the engine's
+//!   per-shard activity log through `Ctx::record_activity`, on the
+//!   global clock; the rank keeps no trace of its own.
 
 use crate::health::{AdaptiveCfg, Gate, HealthTracker};
 use crate::stack::{Chunk, ChunkedStack};
@@ -293,7 +294,7 @@ pub struct Worker {
     /// accounting: "the portion of the execution time a process was
     /// waiting for a steal answer").
     wait_since_ns: Option<u64>,
-    /// Local time at which the current work-discovery session began.
+    /// Time at which the current work-discovery session began.
     search_since_ns: Option<u64>,
     /// Global termination flag.
     done: bool,
@@ -306,11 +307,9 @@ pub struct Worker {
     /// cost that makes deterministic victim selection collapse at
     /// scale.
     service_offset_ns: u64,
-    /// Activity trace: (local time, became-active) pairs.
-    trace: Vec<(u64, bool)>,
-    /// Last state written to the trace; keeps transitions alternating
-    /// even when work arrives in the window between a stack running dry
-    /// and the idle transition being recorded.
+    /// Last state written to the activity trace; keeps transitions
+    /// alternating even when work arrives in the window between a stack
+    /// running dry and the idle transition being recorded.
     traced_active: bool,
     /// Lifeline buddies this rank registers with (hypercube neighbours).
     lifelines: Vec<Rank>,
@@ -403,7 +402,6 @@ impl Worker {
             done: false,
             service_debt_ns: 0,
             service_offset_ns: 0,
-            trace: Vec::new(),
             traced_active: false,
             lifelines: if cfg.lifeline_threshold.is_some() {
                 hypercube_lifelines(me, n_ranks)
@@ -459,11 +457,6 @@ impl Worker {
     pub fn with_job(mut self, job: Arc<Job>) -> Self {
         self.job = Some(job);
         self
-    }
-
-    /// The recorded activity trace (local clock).
-    pub fn trace(&self) -> &[(u64, bool)] {
-        &self.trace
     }
 
     /// True once this rank has observed global termination.
@@ -741,7 +734,6 @@ impl Worker {
         debug_assert!(self.stack.is_empty() && !self.computing);
         if self.traced_active {
             let t0 = prof_start(&self.probe);
-            self.trace.push((ctx.local_now().ns(), false));
             ctx.record_activity(false);
             self.traced_active = false;
             prof_record(&self.probe, Phase::TraceRecord, t0);
@@ -788,7 +780,6 @@ impl Worker {
         }
         if !self.traced_active {
             let t0 = prof_start(&self.probe);
-            self.trace.push((ctx.local_now().ns(), true));
             ctx.record_activity(true);
             self.traced_active = true;
             prof_record(&self.probe, Phase::TraceRecord, t0);
@@ -1446,7 +1437,6 @@ impl Actor for Worker {
         if ctx.me() == 0 {
             self.stack
                 .push(self.cfg.workload.spec.root(self.cfg.workload.seed));
-            self.trace.push((ctx.local_now().ns(), true));
             ctx.record_activity(true);
             self.traced_active = true;
             self.start_batch(ctx);

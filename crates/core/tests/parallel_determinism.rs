@@ -2,12 +2,14 @@
 //! work-stealing experiment produces a **bit-identical** outcome for
 //! every simulation thread count — same makespan, same per-rank steal
 //! counters, same spans, same machine-readable report — across seeds,
-//! fault plans, and rank mappings.
+//! fault plans, and rank mappings. The faulty, crashing slice of the
+//! matrix lives in the root `tests/engine_identity.rs`, where tier-1
+//! `cargo test -q` runs it.
 
 use dws_core::{
     run_experiment, BaseVictimPolicy, ExperimentConfig, ExperimentResult, VictimPolicy,
 };
-use dws_simnet::{Crash, CrashDomain, FaultPlan, Partition};
+use dws_simnet::{CrashDomain, FaultPlan, Partition};
 use dws_topology::RankMapping;
 use dws_uts::{TreeSpec, Workload};
 
@@ -75,37 +77,6 @@ fn report_is_identical_across_thread_counts() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn faulty_runs_are_identical_across_thread_counts() {
-    let mut plan = FaultPlan::message_faults(0.05, 0.02, 0.05);
-    plan.crashes.push(Crash {
-        rank: 5,
-        at_ns: 400_000,
-    });
-    let mut cfg = ExperimentConfig::new(workload(1200), 8)
-        .with_mapping(RankMapping::Grouped { ppn: 2 })
-        .with_victim(VictimPolicy::Uniform);
-    cfg.fault_plan = plan;
-    cfg.collect_spans = true;
-    let baseline = run_at(&cfg, 1);
-    let fr = baseline.fault.as_ref().expect("fault plan was active");
-    assert!(
-        fr.stats.dropped + fr.stats.spiked + fr.stats.duplicated > 0,
-        "faults must actually fire for this test to mean anything"
-    );
-    assert_eq!(fr.crashed_ranks, vec![5]);
-    for threads in [2, 3, 8] {
-        let parallel = run_at(&cfg, threads);
-        assert_identical(&baseline, &parallel, &format!("faulty, {threads} threads"));
-        let pf = parallel.fault.as_ref().expect("fault plan was active");
-        assert_eq!(pf.stats, fr.stats, "fault counters differ at {threads}");
-        assert_eq!(
-            pf.lost_subtree_nodes, fr.lost_subtree_nodes,
-            "loss reconciliation differs at {threads}"
-        );
     }
 }
 

@@ -535,8 +535,8 @@ mod tests {
         let spans = SpanTrace::from_shard_logs(2, vec![r0, r1]);
         let mut act = ActivityTrace::new(2);
         act.record(0, 0, true);
-        act.record(0, 600, false);
         act.record(1, 500, true);
+        act.record(0, 600, false);
         act.record(1, 800, false);
         (spans, act, 1000)
     }

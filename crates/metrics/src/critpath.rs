@@ -6,8 +6,8 @@
 //! response travel and failed-attempt overhead. This module performs
 //! that decomposition *exactly* on a recorded run: it reconstructs the
 //! happens-before chain that bounds the makespan from the
-//! [`SpanTrace`] and the (skew-corrected) [`ActivityTrace`], and tiles
-//! the interval `[0, makespan]` with contiguous segments, each
+//! [`SpanTrace`] and the [`ActivityTrace`] (both on the global clock),
+//! and tiles the interval `[0, makespan]` with contiguous segments, each
 //! attributed to one [`Component`].
 //!
 //! ## The walk
@@ -166,7 +166,7 @@ pub struct CriticalPath {
 
 impl CriticalPath {
     /// Extract the critical path of a run from its spans and
-    /// (skew-corrected) activity trace.
+    /// activity trace.
     pub fn extract(spans: &SpanTrace, activity: &ActivityTrace, makespan_ns: u64) -> CriticalPath {
         CriticalPath {
             segments: Analyzer::new(spans, activity, makespan_ns).critical_path(),
@@ -348,10 +348,10 @@ impl<'a> Analyzer<'a> {
     fn new(spans: &'a SpanTrace, activity: &ActivityTrace, makespan_ns: u64) -> Analyzer<'a> {
         let n_ranks = (activity.n_ranks() as usize).max(spans.n_ranks()).max(1);
 
-        // Busy intervals from the sorted activity trace.
+        // Busy intervals from the activity trace.
         let mut busy: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_ranks];
         let mut since: Vec<Option<u64>> = vec![None; n_ranks];
-        for t in activity.sorted().iter() {
+        for t in activity.transitions() {
             let r = t.rank as usize;
             match (t.active, since[r]) {
                 (true, None) => since[r] = Some(t.at_ns),
@@ -865,8 +865,8 @@ mod tests {
         let spans = SpanTrace::from_shard_logs(2, vec![r0, r1]);
         let mut act = ActivityTrace::new(2);
         act.record(0, 0, true);
-        act.record(0, 1000, false);
         act.record(1, 900, true);
+        act.record(0, 1000, false);
         act.record(1, 1400, false);
         (spans, act, 1500)
     }

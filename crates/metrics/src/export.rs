@@ -547,8 +547,8 @@ fn flow_event(ph: &str, ts_ns: u64, rank: usize, trace: u64) -> JsonValue {
 /// `chrome://tracing` or Perfetto.
 ///
 /// One thread track per rank: `B`/`E` "working" phases come from the
-/// (skew-corrected) `activity` trace, with any phase still open at
-/// `makespan_ns` closed there; steal attempts appear as async `b`/`e`
+/// `activity` trace, with any phase still open at `makespan_ns` closed
+/// there; steal attempts appear as async `b`/`e`
 /// pairs matched on the attempt's trace ID (attempts left open by a
 /// crash close at `makespan_ns` with outcome `"unresolved"`); protocol
 /// recovery shows up as `i` instants.
@@ -596,9 +596,8 @@ pub fn chrome_trace_with_critpath(
 
     // Working phases from the activity trace.
     if let Some(trace) = activity {
-        let sorted = trace.sorted();
         let mut open: Vec<bool> = vec![false; trace.n_ranks() as usize];
-        for t in sorted.iter() {
+        for t in trace.transitions() {
             let rank = t.rank as usize;
             if t.active && !open[rank] {
                 events.push((

@@ -4,10 +4,13 @@
 //! scheduling-latency metric and the per-run statistics its figures are
 //! drawn from.
 //!
-//! - [`trace`] — lightweight per-rank activity traces (active ⇄ idle
-//!   transitions) with clock-skew correction;
-//! - [`occupancy`] — `workers(t)`, `Wmax`, occupancy `O(t)`, and the
-//!   starting/ending latencies `SL(x)` / `EL(x)` of §III;
+//! - [`trace`] — lightweight activity traces (active ⇄ idle
+//!   transitions on the global clock), merged from the engine's
+//!   per-shard logs in `(time, rank)` order;
+//! - [`occupancy`] — the one occupancy fold ([`OnlineAccounting`]), fed
+//!   live at window barriers or once from a retained trace, and the
+//!   [`OccupancyCurve`] it finishes into: `Wmax`, occupancy `O(t)`, and
+//!   the starting/ending latencies `SL(x)` / `EL(x)` of §III;
 //! - [`steal_stats`] — failed steals, search time, and work-discovery
 //!   sessions (§V-A);
 //! - [`span`] — causal per-steal-attempt span records and the run's
@@ -23,9 +26,7 @@
 //!   session durations;
 //! - [`export`] — dependency-free JSON, Chrome trace-event output and
 //!   machine-readable run reports;
-//! - [`streaming`] — online (incremental) occupancy/busy-time
-//!   accounting proven element-identical to the sorted-log path, plus
-//!   the periodic [`Snapshot`] JSONL stream;
+//! - [`streaming`] — the periodic [`Snapshot`] JSONL stream;
 //! - [`report`] — efficiency/speedup math, text tables, CSV output and
 //!   terminal ASCII charts for regenerating the paper's figures;
 //! - [`perflab`] — benchmark trajectory records ([`BenchRecord`]),
@@ -35,16 +36,25 @@
 //! ## Example: computing a starting latency
 //!
 //! ```
-//! use dws_metrics::{ActivityTrace, OccupancyCurve};
+//! use dws_metrics::{ActivityTrace, OccupancyCurve, OnlineAccounting};
 //!
+//! // Transitions go in (time, rank) order, as the engine's merge has them.
 //! let mut trace = ActivityTrace::new(2);
 //! trace.record(0, 0, true);      // rank 0 active at t=0
 //! trace.record(1, 50, true);     // rank 1 gets work at t=50
 //! trace.record(0, 100, false);
 //! trace.record(1, 100, false);
+//! // One fold over the trace, closed at the run's end.
 //! let curve = OccupancyCurve::from_trace(&trace, 100);
 //! // 100% occupancy is first reached at t=50 of a 100ns run: SL = 50%.
 //! assert_eq!(curve.starting_latency(1.0), Some(0.5));
+//!
+//! // The same fold fed live, as the engine does at window barriers.
+//! let mut live = OnlineAccounting::new(2);
+//! for t in trace.transitions() {
+//!     live.record(t.rank, t.at_ns, t.active);
+//! }
+//! assert_eq!(live.finish(100).starting_latency(1.0), Some(0.5));
 //! ```
 
 #![warn(missing_docs)]
@@ -67,7 +77,7 @@ pub use blame::{BlameReport, WhatIf, BLAME_SCHEMA_VERSION};
 pub use critpath::{rank_waterfall, Component, CriticalPath, RankWaterfall, Segment};
 pub use export::JsonValue;
 pub use histogram::{Histogram, LatencyHistograms};
-pub use occupancy::OccupancyCurve;
+pub use occupancy::{OccupancyCurve, OnlineAccounting};
 pub use perflab::{
     BenchMetric, BenchRecord, MetricDelta, Polarity, ProfileReport, Verdict,
     BENCH_SCHEMA_MIN_VERSION, BENCH_SCHEMA_VERSION,
@@ -75,8 +85,6 @@ pub use perflab::{
 pub use report::{ascii_chart, render_table, write_csv, Perf};
 pub use span::{trace_id, SpanKind, SpanRecord, SpanTrace};
 pub use steal_stats::{RunStats, StealStats};
-pub use streaming::{
-    OnlineAccounting, OnlineOccupancy, ShardSnap, Snapshot, SNAPSHOT_SCHEMA_VERSION,
-};
+pub use streaming::{ShardSnap, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use summary::Summary;
-pub use trace::{ActivityTrace, SortedTrace, Transition};
+pub use trace::{ActivityTrace, Transition};

@@ -21,9 +21,7 @@ pub fn render(trace: &ActivityTrace, total_ns: u64, width: usize, max_rows: usiz
     // Per-rank busy intervals.
     let mut intervals: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n as usize];
     let mut open: Vec<Option<u64>> = vec![None; n as usize];
-    let mut sorted: Vec<_> = trace.transitions().to_vec();
-    sorted.sort_by_key(|t| (t.at_ns, t.rank));
-    for t in sorted {
+    for t in trace.transitions() {
         let r = t.rank as usize;
         match (t.active, open[r]) {
             (true, None) => open[r] = Some(t.at_ns),
@@ -89,8 +87,8 @@ mod tests {
     fn two_rank_trace() -> ActivityTrace {
         let mut t = ActivityTrace::new(2);
         t.record(0, 0, true);
-        t.record(0, 100, false);
         t.record(1, 50, true);
+        t.record(0, 100, false);
         t.record(1, 100, false);
         t
     }
@@ -123,6 +121,8 @@ mod tests {
         let mut t = ActivityTrace::new(100);
         for r in 0..100 {
             t.record(r, 0, true);
+        }
+        for r in 0..100 {
             t.record(r, 10, false);
         }
         let chart = render(&t, 100, 20, 5);

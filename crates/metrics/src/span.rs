@@ -22,6 +22,7 @@
 //! [`SpanTrace::reconcile`] an exact (not statistical) cross-check.
 
 use crate::histogram::LatencyHistograms;
+use crate::trace::merge_shard_logs;
 
 /// Width of the per-thief sequence-number field in a trace ID.
 const SEQ_BITS: u32 = 40;
@@ -179,13 +180,10 @@ impl SpanTrace {
     /// (the sort is then a linear pass, and a lone log is never
     /// copied), but nothing here depends on it.
     pub fn from_shard_logs(n_ranks: usize, logs: Vec<Vec<SpanRecord>>) -> Self {
-        let mut logs = logs.into_iter();
-        let mut records = logs.next().unwrap_or_default();
-        for log in logs {
-            records.extend(log);
+        Self {
+            records: merge_shard_logs(logs, |r| (r.at_ns, r.rank)),
+            n_ranks,
         }
-        records.sort_by_key(|r| (r.at_ns, r.rank));
-        Self { records, n_ranks }
     }
 
     /// All records, time-ordered (ties broken by rank).

@@ -1,379 +1,25 @@
-//! Streaming (online) run accounting: the post-hoc sorted-log metrics,
-//! maintained incrementally while the run executes.
+//! The periodic snapshot stream: a run's vital signs at window
+//! barriers, one JSONL line each, consumed live by `dws run --live` and
+//! replayed by `dws top`.
 //!
-//! The post-hoc pipeline — harvest every activity transition, sort
-//! once, derive busy time and the occupancy curve — retains the whole
-//! event history, which cannot survive the 82k/1M-rank scale push
-//! (ROADMAP item 1). The Khatiri/Trystram work-stealing simulator
-//! (arXiv:1910.02803) ships an online per-processor state timeline as a
-//! first-class output, and Gast et al. (arXiv:1805.00857) frame their
-//! latency analysis in time-decomposed processor states; both argue the
-//! right primitive is an incrementally maintained occupancy stream.
-//!
-//! [`OnlineAccounting`] is that primitive. The engine feeds it raw
-//! transitions as they are recorded and *folds* at every conservative
-//! window barrier. Folding is legal exactly because the windowed engine
-//! partitions simulated time: every transition recorded after a window
-//! barrier carries a timestamp no earlier than any transition recorded
-//! before it, so each fold consumes a complete, final segment of the
-//! global timeline. Within the fold, the pending buffer is stable-sorted
-//! by `(time, rank)` — the same key, with the same tie-breaking, as the
-//! post-hoc [`ActivityTrace::sorted`] pass — and then walked with
-//! literally the same two loops as [`SortedTrace::busy_ns_per_rank`]
-//! and [`OccupancyCurve::from_sorted`]. The retained state between
-//! folds is O(ranks): per-rank open intervals and busy totals, the
-//! current/peak worker count, the occupancy integral, and first-reach /
-//! last-drop marks per occupancy level. No event log survives a fold.
-//!
-//! The post-hoc path is deliberately kept alive as a *differential
-//! oracle*: tests run both and assert element-identical results.
+//! Each snapshot carries the occupancy fold's current and peak worker
+//! counts: the engine feeds [`OnlineAccounting`](crate::OnlineAccounting)
+//! at every window barrier. Folding there is legal because the windowed
+//! engine partitions simulated time: every transition recorded after a
+//! barrier carries a timestamp no earlier than any recorded before it,
+//! so each fold consumes a complete, final segment of the global
+//! timeline.
 //!
 //! Delivery-latency histograms and the per-pair traffic matrix are
 //! already maintained incrementally at send time by the network layer's
 //! `NetTrace` (commutative merge across shards); this module does not
 //! duplicate them.
-//!
-//! [`ActivityTrace::sorted`]: crate::ActivityTrace::sorted
-//! [`SortedTrace::busy_ns_per_rank`]: crate::SortedTrace::busy_ns_per_rank
-//! [`OccupancyCurve::from_sorted`]: crate::OccupancyCurve::from_sorted
 
 use crate::export::JsonValue;
-use crate::trace::Transition;
 
 /// Schema version stamped on every snapshot JSONL line (the bench
 /// record schema and the snapshot stream move together).
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 3;
-
-/// Incrementally maintained occupancy and busy-time accounting.
-///
-/// Feed transitions with [`record`](Self::record), fold at every point
-/// where the producer can guarantee no earlier-timestamped transition
-/// will ever arrive ([`fold`](Self::fold)), and close the run with
-/// [`finish`](Self::finish). Between folds the memory footprint is
-/// O(ranks) plus the unfolded pending buffer of the open window.
-#[derive(Debug, Clone)]
-pub struct OnlineAccounting {
-    n_ranks: u32,
-    /// Transitions recorded since the last fold, in arrival order.
-    pending: Vec<Transition>,
-    /// Largest timestamp ever folded; folds assert monotonicity.
-    watermark_ns: u64,
-    // --- busy walk state (mirrors SortedTrace::busy_ns_per_rank) ---
-    since: Vec<Option<u64>>,
-    busy: Vec<u64>,
-    // --- curve walk state (mirrors OccupancyCurve::from_sorted) ---
-    current: u32,
-    w_max: u32,
-    /// ∫ workers(t) dt over the folded prefix, up to `last_step_ns`.
-    busy_integral: u128,
-    last_step_ns: u64,
-    /// `first_reach[k]`: first time the worker count reached `k`.
-    /// Index 0 is `Some(0)` by construction (the curve starts at 0).
-    first_reach: Vec<Option<u64>>,
-    /// `last_drop[k]`: last time the worker count stepped from `>= k`
-    /// down to `< k`.
-    last_drop: Vec<Option<u64>>,
-    /// When set, the full `(time, workers)` step list is retained —
-    /// only for differential tests; production callers keep this off
-    /// to preserve the O(ranks) bound.
-    steps: Option<Vec<(u64, u32)>>,
-    folded: u64,
-}
-
-impl OnlineAccounting {
-    /// Empty accounting for `n_ranks` processes.
-    pub fn new(n_ranks: u32) -> Self {
-        let levels = n_ranks as usize + 1;
-        let mut first_reach = vec![None; levels];
-        first_reach[0] = Some(0);
-        Self {
-            n_ranks,
-            pending: Vec::new(),
-            watermark_ns: 0,
-            since: vec![None; n_ranks as usize],
-            busy: vec![0; n_ranks as usize],
-            current: 0,
-            w_max: 0,
-            busy_integral: 0,
-            last_step_ns: 0,
-            first_reach,
-            last_drop: vec![None; levels],
-            steps: None,
-            folded: 0,
-        }
-    }
-
-    /// Also retain the full step list (test/differential mode; defeats
-    /// the O(ranks) bound on purpose).
-    pub fn with_retained_steps(mut self) -> Self {
-        self.steps = Some(vec![(0, 0)]);
-        self
-    }
-
-    /// Number of ranks covered.
-    #[inline]
-    pub fn n_ranks(&self) -> u32 {
-        self.n_ranks
-    }
-
-    /// Transitions folded so far (pending ones excluded).
-    #[inline]
-    pub fn folded(&self) -> u64 {
-        self.folded
-    }
-
-    /// Transitions recorded but not yet folded.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Current (settled-as-of-last-fold) worker count.
-    #[inline]
-    pub fn current_workers(&self) -> u32 {
-        self.current
-    }
-
-    /// Peak worker count over the folded prefix.
-    #[inline]
-    pub fn w_max(&self) -> u32 {
-        self.w_max
-    }
-
-    /// Record one transition. O(1); buffered until the next fold.
-    #[inline]
-    pub fn record(&mut self, rank: u32, at_ns: u64, active: bool) {
-        debug_assert!(rank < self.n_ranks);
-        self.pending.push(Transition {
-            rank,
-            at_ns,
-            active,
-        });
-    }
-
-    /// Record a batch of transitions (a shard's per-window buffer).
-    pub fn record_all(&mut self, batch: &[Transition]) {
-        self.pending.extend_from_slice(batch);
-    }
-
-    /// Fold the pending buffer into the O(ranks) aggregates.
-    ///
-    /// The caller guarantees that every transition recorded *after*
-    /// this call carries a timestamp `>=` every transition folded by
-    /// it — the conservative engine's window barrier provides exactly
-    /// this (all events of window `k+1` are timestamped at or after
-    /// the end of window `k`). Violations are caught in debug builds.
-    pub fn fold(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // Same key, same stability as ActivityTrace::sorted: ties in
-        // (time, rank) keep their recording order, which for a single
-        // rank is its own chronological order — exactly the order the
-        // post-hoc harvest produces.
-        self.pending.sort_by_key(|t| (t.at_ns, t.rank));
-        debug_assert!(
-            self.pending.first().map(|t| t.at_ns).unwrap_or(u64::MAX) >= self.watermark_ns
-                || self.folded == 0,
-            "fold saw a timestamp below the previous fold's watermark"
-        );
-        let pending = std::mem::take(&mut self.pending);
-        let mut i = 0;
-        while i < pending.len() {
-            let t = pending[i].at_ns;
-            // One pass serves both walks: per-transition busy intervals
-            // (SortedTrace::busy_ns_per_rank), then the netted
-            // same-instant occupancy step (OccupancyCurve::from_sorted).
-            let mut delta: i64 = 0;
-            while i < pending.len() && pending[i].at_ns == t {
-                let tr = pending[i];
-                let r = tr.rank as usize;
-                match (tr.active, self.since[r]) {
-                    (true, None) => self.since[r] = Some(tr.at_ns),
-                    (false, Some(s)) => {
-                        self.busy[r] += tr.at_ns.saturating_sub(s);
-                        self.since[r] = None;
-                    }
-                    // Duplicate state changes are tolerated exactly as
-                    // in the oracle: keep first activation, ignore
-                    // repeats.
-                    _ => {}
-                }
-                delta += if tr.active { 1 } else { -1 };
-                i += 1;
-            }
-            self.step(t, delta);
-        }
-        self.folded += pending.len() as u64;
-        self.watermark_ns = self.watermark_ns.max(self.last_step_ns);
-    }
-
-    /// Apply one netted occupancy step at time `t`.
-    fn step(&mut self, t: u64, delta: i64) {
-        let prev = self.current;
-        // Accumulate the integral for the interval [last_step_ns, t) at
-        // the outgoing worker count; a same-instant revision (only the
-        // initial (0,0) step can collide, since folds consume all equal
-        // timestamps at once) contributes zero width.
-        self.busy_integral += (t - self.last_step_ns) as u128 * prev as u128;
-        let cur = (prev as i64 + delta).max(0) as u32;
-        debug_assert!(prev as i64 + delta >= 0, "negative worker count at {t}");
-        self.current = cur;
-        self.last_step_ns = t;
-        if cur > prev {
-            self.w_max = self.w_max.max(cur);
-            for k in prev + 1..=cur {
-                let slot = &mut self.first_reach[k as usize];
-                if slot.is_none() {
-                    *slot = Some(t);
-                }
-            }
-        } else if cur < prev {
-            for k in cur + 1..=prev {
-                self.last_drop[k as usize] = Some(t);
-            }
-        }
-        if let Some(steps) = &mut self.steps {
-            // Verbatim OccupancyCurve::from_sorted step emission.
-            match steps.last_mut() {
-                Some(last) if last.0 == t => last.1 = cur,
-                _ => steps.push((t, cur)),
-            }
-        }
-    }
-
-    /// Close the run at `end_ns`: fold any pending transitions and
-    /// return the finished query object. Open busy intervals are billed
-    /// to `end_ns`, exactly like the oracle's
-    /// [`busy_ns_per_rank`](crate::SortedTrace::busy_ns_per_rank).
-    pub fn finish(mut self, end_ns: u64) -> OnlineOccupancy {
-        self.fold();
-        let mut busy = self.busy;
-        for (r, s) in self.since.iter().enumerate() {
-            if let Some(s) = s {
-                busy[r] += end_ns.saturating_sub(*s);
-            }
-        }
-        // Tail of the integral: the final worker count holds from the
-        // last step to the end of the run.
-        let busy_integral = self.busy_integral
-            + end_ns.saturating_sub(self.last_step_ns) as u128 * self.current as u128;
-        OnlineOccupancy {
-            n_ranks: self.n_ranks,
-            total_ns: end_ns,
-            busy_ns_per_rank: busy,
-            w_max: self.w_max,
-            final_workers: self.current,
-            busy_integral,
-            first_reach: self.first_reach,
-            last_drop: self.last_drop,
-            steps: self.steps,
-        }
-    }
-}
-
-/// The finished streaming accounting of one run: every quantity the
-/// post-hoc [`OccupancyCurve`](crate::OccupancyCurve) answers for the
-/// run report, held in O(ranks) memory.
-#[derive(Debug, Clone)]
-pub struct OnlineOccupancy {
-    n_ranks: u32,
-    total_ns: u64,
-    busy_ns_per_rank: Vec<u64>,
-    w_max: u32,
-    final_workers: u32,
-    busy_integral: u128,
-    first_reach: Vec<Option<u64>>,
-    last_drop: Vec<Option<u64>>,
-    steps: Option<Vec<(u64, u32)>>,
-}
-
-impl OnlineOccupancy {
-    /// Number of processes in the run.
-    #[inline]
-    pub fn n_ranks(&self) -> u32 {
-        self.n_ranks
-    }
-
-    /// Run length in nanoseconds.
-    #[inline]
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns
-    }
-
-    /// Total busy time per rank.
-    pub fn busy_ns_per_rank(&self) -> &[u64] {
-        &self.busy_ns_per_rank
-    }
-
-    /// Maximum simultaneous workers (paper: `Wmax`).
-    #[inline]
-    pub fn w_max(&self) -> u32 {
-        self.w_max
-    }
-
-    /// ∫ workers(t) dt over the run, in worker-nanoseconds.
-    #[inline]
-    pub fn busy_integral_ns(&self) -> u128 {
-        self.busy_integral
-    }
-
-    /// Average occupancy over the run, in `[0, 1]`.
-    pub fn average_occupancy(&self) -> f64 {
-        if self.total_ns == 0 || self.n_ranks == 0 {
-            return 0.0;
-        }
-        self.busy_integral as f64 / (self.total_ns as f64 * self.n_ranks as f64)
-    }
-
-    /// First time occupancy reaches at least `x` (fraction of ranks);
-    /// `None` if it never does.
-    pub fn first_reach_ns(&self, x: f64) -> Option<u64> {
-        let need = self.required_workers(x);
-        self.first_reach[need as usize]
-    }
-
-    /// Last time occupancy is at least `x`; `None` if never reached.
-    ///
-    /// Matches the curve semantics: the last moment the count is `>= x`
-    /// is the step where it drops below — or `total_ns` when the run
-    /// ends with the count still there.
-    pub fn last_reach_ns(&self, x: f64) -> Option<u64> {
-        let need = self.required_workers(x);
-        if self.final_workers >= need {
-            return Some(self.total_ns);
-        }
-        // The count ends below `need`, so the last qualifying interval
-        // (if any) closed at the final downward crossing of `need`.
-        self.last_drop[need as usize]
-    }
-
-    /// Starting latency `SL(x)` as a fraction of the run.
-    pub fn starting_latency(&self, x: f64) -> Option<f64> {
-        self.first_reach_ns(x)
-            .map(|t| t as f64 / self.total_ns.max(1) as f64)
-    }
-
-    /// Ending latency `EL(x)` as a fraction of the run.
-    pub fn ending_latency(&self, x: f64) -> Option<f64> {
-        self.last_reach_ns(x)
-            .map(|t| (self.total_ns.saturating_sub(t)) as f64 / self.total_ns.max(1) as f64)
-    }
-
-    /// The retained step list, when built
-    /// [`with_retained_steps`](OnlineAccounting::with_retained_steps).
-    pub fn steps(&self) -> Option<&[(u64, u32)]> {
-        self.steps.as_deref()
-    }
-
-    fn required_workers(&self, x: f64) -> u32 {
-        assert!(
-            (0.0..=1.0).contains(&x),
-            "occupancy fraction {x} outside [0,1]"
-        );
-        (x * self.n_ranks as f64).ceil().max(1.0) as u32
-    }
-}
 
 /// Per-shard slice of one [`Snapshot`]: window progress and the
 /// busy/barrier-wait split of that shard's driver thread.
@@ -391,7 +37,7 @@ pub struct ShardSnap {
     pub queue_depth: u64,
     /// Wall-clock nanoseconds spent executing windows.
     pub busy_ns: u64,
-    /// Wall-clock nanoseconds spent waiting at the two window barriers.
+    /// Wall-clock nanoseconds spent waiting at the window barrier.
     pub wait_ns: u64,
 }
 
@@ -574,143 +220,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::occupancy::OccupancyCurve;
-    use crate::trace::ActivityTrace;
-
-    /// Drive both pipelines from the same transition stream, folding
-    /// the online side at `fold_at` boundaries, and assert
-    /// element-identical outputs.
-    fn assert_identical(
-        transitions: &[(u32, u64, bool)],
-        n_ranks: u32,
-        end_ns: u64,
-        folds: &[u64],
-    ) {
-        let mut trace = ActivityTrace::new(n_ranks);
-        let mut online = OnlineAccounting::new(n_ranks).with_retained_steps();
-        let mut fold_iter = folds.iter().copied().peekable();
-        for &(rank, at, active) in transitions {
-            while let Some(&f) = fold_iter.peek() {
-                if at >= f {
-                    online.fold();
-                    fold_iter.next();
-                } else {
-                    break;
-                }
-            }
-            trace.record(rank, at, active);
-            online.record(rank, at, active);
-        }
-        let finished = online.finish(end_ns);
-        let sorted = trace.sorted();
-        let curve = OccupancyCurve::from_sorted(&sorted, end_ns);
-        assert_eq!(
-            finished.busy_ns_per_rank(),
-            &sorted.busy_ns_per_rank(end_ns)[..]
-        );
-        assert_eq!(finished.w_max(), curve.w_max());
-        assert_eq!(finished.busy_integral_ns(), curve.busy_integral_ns());
-        assert_eq!(finished.average_occupancy(), curve.average_occupancy());
-        for p in 1..=100u32 {
-            let x = p as f64 / 100.0;
-            assert_eq!(
-                finished.first_reach_ns(x),
-                curve.first_reach_ns(x),
-                "SL at {p}%"
-            );
-            assert_eq!(
-                finished.last_reach_ns(x),
-                curve.last_reach_ns(x),
-                "EL at {p}%"
-            );
-            assert_eq!(finished.starting_latency(x), curve.starting_latency(x));
-            assert_eq!(finished.ending_latency(x), curve.ending_latency(x));
-        }
-        // Element-identical step list, not just identical summaries.
-        assert_eq!(finished.steps().expect("retained"), curve.steps());
-    }
-
-    #[test]
-    fn staircase_matches_oracle_under_any_fold_schedule() {
-        let transitions = [
-            (0u32, 0u64, true),
-            (1, 10, true),
-            (2, 20, true),
-            (3, 30, true),
-            (3, 70, false),
-            (2, 80, false),
-            (1, 90, false),
-            (0, 100, false),
-        ];
-        assert_identical(&transitions, 4, 100, &[]);
-        assert_identical(&transitions, 4, 100, &[15, 75]);
-        assert_identical(&transitions, 4, 100, &[10, 20, 30, 70, 80, 90, 100]);
-    }
-
-    #[test]
-    fn tied_timestamps_and_reactivation_match_oracle() {
-        let transitions = [
-            (0u32, 0u64, true),
-            (1, 0, true),
-            (1, 0, false), // same-instant swap nets to +1 at t=0
-            (2, 5, true),
-            (0, 5, false), // net 0 at t=5
-            (2, 9, false),
-            (1, 9, true),
-            (1, 12, false),
-            (0, 12, true), // rank 0 comes back
-        ];
-        assert_identical(&transitions, 3, 20, &[]);
-        assert_identical(&transitions, 3, 20, &[5, 9, 12]);
-    }
-
-    #[test]
-    fn open_intervals_bill_to_end() {
-        // Rank 1 never goes idle; both paths bill it to end_ns.
-        let transitions = [(0u32, 3u64, true), (1, 7, true), (0, 11, false)];
-        assert_identical(&transitions, 2, 50, &[10]);
-    }
-
-    #[test]
-    fn pseudorandom_oscillation_matches_oracle() {
-        // A deterministic LCG drives many ranks through active/idle
-        // cycles with frequent timestamp collisions, folded mid-stream.
-        let n_ranks = 16u32;
-        let mut state: Vec<bool> = vec![false; n_ranks as usize];
-        let mut transitions = Vec::new();
-        let mut x: u64 = 0x2545F491;
-        let mut t = 0u64;
-        for _ in 0..600 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            t += (x >> 33) % 4; // collisions on purpose
-            let r = ((x >> 13) % n_ranks as u64) as u32;
-            let s = &mut state[r as usize];
-            *s = !*s;
-            transitions.push((r, t, *s));
-        }
-        let end = t + 10;
-        assert_identical(&transitions, n_ranks, end, &[]);
-        assert_identical(&transitions, n_ranks, end, &[end / 4, end / 2, 3 * end / 4]);
-    }
-
-    #[test]
-    fn aggregates_without_retained_steps_match() {
-        let mut online = OnlineAccounting::new(2);
-        online.record(0, 0, true);
-        online.record(1, 10, true);
-        online.fold();
-        online.record(1, 30, false);
-        let fin = online.finish(40);
-        assert_eq!(fin.busy_ns_per_rank(), &[40, 20]);
-        assert_eq!(fin.w_max(), 2);
-        assert_eq!(fin.busy_integral_ns(), 60);
-        assert!(fin.steps().is_none());
-        assert_eq!(fin.first_reach_ns(1.0), Some(10));
-        assert_eq!(fin.last_reach_ns(1.0), Some(30));
-        assert_eq!(fin.last_reach_ns(0.5), Some(40));
-    }
 
     #[test]
     fn snapshot_round_trips_through_json() {

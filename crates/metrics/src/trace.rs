@@ -8,23 +8,25 @@
 //! work — including time spent answering steal requests — and *idle*
 //! otherwise.
 //!
-//! Each rank records its own transitions with its own (possibly skewed)
-//! clock; the paper notes that "the trace modified to account for clock
-//! skew". [`ActivityTrace::correct_skew`] applies exactly that
-//! correction.
+//! The paper's ranks stamped transitions with their own clocks and
+//! corrected the trace for clock skew afterwards. A simulator has the
+//! true clock: the engine records every transition on the global
+//! simulated clock (`Ctx::record_activity`), one log per shard, and
+//! [`ActivityTrace::from_shard_logs`] merges the logs once, so there is
+//! no skew to correct and the trace is sorted by construction.
 
 /// One recorded phase transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// Rank that transitioned.
     pub rank: u32,
-    /// Local timestamp in nanoseconds.
+    /// Global simulated time in nanoseconds.
     pub at_ns: u64,
     /// New state: `true` = became active (has work), `false` = idle.
     pub active: bool,
 }
 
-/// A full activity trace of a run.
+/// A full activity trace of a run, in `(time, rank)` order.
 ///
 /// The trace is "lightweight" (paper: "as the trace only contains a
 /// time and the new state at each phase transition"): two words per
@@ -44,18 +46,37 @@ impl ActivityTrace {
         }
     }
 
+    /// Build from the engine's per-shard logs over `n_ranks` ranks.
+    /// Each rank's transitions must sit in one log, in the order the
+    /// rank recorded them; the merge keeps that order among transitions
+    /// with equal `(at_ns, rank)`.
+    pub fn from_shard_logs(n_ranks: u32, logs: Vec<Vec<Transition>>) -> Self {
+        Self {
+            transitions: merge_shard_logs(logs, |t| (t.at_ns, t.rank)),
+            n_ranks,
+        }
+    }
+
     /// Number of ranks this trace covers.
     #[inline]
     pub fn n_ranks(&self) -> u32 {
         self.n_ranks
     }
 
-    /// Record a transition. Ranks must alternate states; violations are
-    /// caught by [`check`](Self::check), not here, so recording stays
-    /// O(1) on the hot path.
-    #[inline]
+    /// Append a transition. States must alternate per rank; violations
+    /// are caught by [`check`](Self::check), not here.
+    ///
+    /// # Panics
+    /// Panics if the transition sorts before the last one by
+    /// `(at_ns, rank)`: the trace stays in that order.
     pub fn record(&mut self, rank: u32, at_ns: u64, active: bool) {
-        debug_assert!(rank < self.n_ranks);
+        assert!(rank < self.n_ranks, "rank {rank} outside the trace");
+        if let Some(last) = self.transitions.last() {
+            assert!(
+                (last.at_ns, last.rank) <= (at_ns, rank),
+                "transition of rank {rank} at {at_ns} recorded out of (time, rank) order"
+            );
+        }
         self.transitions.push(Transition {
             rank,
             at_ns,
@@ -63,200 +84,67 @@ impl ActivityTrace {
         });
     }
 
-    /// All transitions, in recording order.
+    /// All transitions, in `(at_ns, rank)` order; one rank's transitions
+    /// at one instant keep the order it recorded them in.
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
 
-    /// Append another trace (e.g. per-rank buffers gathered after a
-    /// run).
-    pub fn extend(&mut self, other: &ActivityTrace) {
-        assert_eq!(self.n_ranks, other.n_ranks, "trace rank counts differ");
-        self.transitions.extend_from_slice(&other.transitions);
-    }
-
-    /// Subtract each rank's known clock offset, as the paper did before
-    /// computing latencies. Offsets are saturating-subtracted so a
-    /// transition recorded at local time earlier than the skew clamps
-    /// to zero rather than wrapping.
-    pub fn correct_skew(&mut self, skews_ns: &[u64]) {
-        assert_eq!(
-            skews_ns.len(),
-            self.n_ranks as usize,
-            "need one skew per rank"
-        );
-        for t in &mut self.transitions {
-            t.at_ns = t.at_ns.saturating_sub(skews_ns[t.rank as usize]);
-        }
-    }
-
-    /// Validate the trace: per rank, states must alternate and times
-    /// must be non-decreasing. Returns the number of transitions.
+    /// Validate the trace: every rank starts idle and its states
+    /// alternate. Returns the number of transitions.
     pub fn check(&self) -> Result<usize, String> {
-        let mut last: Vec<Option<(u64, bool)>> = vec![None; self.n_ranks as usize];
-        let mut per_rank: Vec<Vec<(u64, bool)>> = vec![Vec::new(); self.n_ranks as usize];
+        let mut active = vec![false; self.n_ranks as usize];
         for t in &self.transitions {
-            per_rank[t.rank as usize].push((t.at_ns, t.active));
-        }
-        for (rank, events) in per_rank.iter().enumerate() {
-            for &(at, active) in events {
-                match last[rank] {
-                    Some((pat, pactive)) => {
-                        if at < pat {
-                            return Err(format!("rank {rank}: time went backwards at {at}"));
-                        }
-                        if pactive == active {
-                            return Err(format!(
-                                "rank {rank}: repeated {} transition at {at}",
-                                if active { "active" } else { "idle" }
-                            ));
-                        }
-                    }
-                    None => {
-                        // Convention: every rank starts idle, so its
-                        // first recorded transition must be to active.
-                        if !active {
-                            return Err(format!(
-                                "rank {rank}: first transition at {at} must be to active"
-                            ));
-                        }
-                    }
-                }
-                last[rank] = Some((at, active));
+            let state = &mut active[t.rank as usize];
+            if *state == t.active {
+                return Err(format!(
+                    "rank {}: repeated {} transition at {} (ranks start idle)",
+                    t.rank,
+                    if t.active { "active" } else { "idle" },
+                    t.at_ns
+                ));
             }
+            *state = t.active;
         }
         Ok(self.transitions.len())
     }
-
-    /// Sort the trace once, by `(time, rank)`, for post-mortem
-    /// analysis. Both busy-time accounting
-    /// ([`SortedTrace::busy_ns_per_rank`]) and occupancy-curve
-    /// construction ([`OccupancyCurve::from_sorted`]) consume the same
-    /// sorted pass, so analyzing a large trace costs one sort instead
-    /// of one per question.
-    ///
-    /// The view *borrows* the trace: only a permutation index (4 bytes
-    /// per transition) is allocated, not a second copy of the 16-byte
-    /// transitions themselves.
-    ///
-    /// The sort is stable, so each rank's transitions keep their
-    /// recording order at equal timestamps.
-    ///
-    /// [`OccupancyCurve::from_sorted`]: crate::OccupancyCurve::from_sorted
-    pub fn sorted(&self) -> SortedTrace<'_> {
-        assert!(
-            self.transitions.len() <= u32::MAX as usize,
-            "trace too large for a u32 permutation index"
-        );
-        let mut order: Vec<u32> = (0..self.transitions.len() as u32).collect();
-        order.sort_by_key(|&i| {
-            let t = self.transitions[i as usize];
-            (t.at_ns, t.rank)
-        });
-        SortedTrace {
-            transitions: &self.transitions,
-            order,
-            n_ranks: self.n_ranks,
-        }
-    }
-
-    /// Total busy time per rank, assuming the run ends at `end_ns` (an
-    /// active rank at the end is counted busy until then).
-    ///
-    /// Convenience wrapper that sorts internally; when also building an
-    /// occupancy curve, call [`sorted`](Self::sorted) once and share
-    /// the result.
-    pub fn busy_ns_per_rank(&self, end_ns: u64) -> Vec<u64> {
-        self.sorted().busy_ns_per_rank(end_ns)
-    }
 }
 
-/// A sorted *view* of a trace: transitions in `(time, rank)` order —
-/// the shared single sorted pass behind every post-mortem computation.
-///
-/// The view borrows the underlying trace and carries only a
-/// permutation index, so sorting a large trace costs one `u32` per
-/// transition instead of cloning every 16-byte record.
-#[derive(Debug, Clone)]
-pub struct SortedTrace<'a> {
-    transitions: &'a [Transition],
-    order: Vec<u32>,
-    n_ranks: u32,
-}
-
-impl SortedTrace<'_> {
-    /// Number of ranks the trace covers.
-    #[inline]
-    pub fn n_ranks(&self) -> u32 {
-        self.n_ranks
+/// Concatenate per-shard logs and stable-sort them by `key`, so records
+/// with equal keys — one rank's, hence one log's — keep their order. A
+/// log in dispatch order is one sorted run apart from the `on_start`
+/// batch, so the sort is close to a linear pass, and a lone log is
+/// never copied.
+pub(crate) fn merge_shard_logs<T, K: Ord>(logs: Vec<Vec<T>>, key: impl FnMut(&T) -> K) -> Vec<T> {
+    let mut logs = logs.into_iter();
+    let mut merged = logs.next().unwrap_or_default();
+    for log in logs {
+        merged.extend(log);
     }
-
-    /// Number of transitions in the view.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the view is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The `i`-th transition in `(time, rank)` order.
-    #[inline]
-    pub fn get(&self, i: usize) -> Transition {
-        self.transitions[self.order[i] as usize]
-    }
-
-    /// Iterate the transitions in `(time, rank)` order.
-    pub fn iter(&self) -> impl Iterator<Item = Transition> + '_ {
-        self.order.iter().map(|&i| self.transitions[i as usize])
-    }
-
-    /// Total busy time per rank, assuming the run ends at `end_ns` (an
-    /// active rank at the end is counted busy until then).
-    pub fn busy_ns_per_rank(&self, end_ns: u64) -> Vec<u64> {
-        let mut busy = vec![0u64; self.n_ranks as usize];
-        let mut since: Vec<Option<u64>> = vec![None; self.n_ranks as usize];
-        for t in self.iter() {
-            let r = t.rank as usize;
-            match (t.active, since[r]) {
-                (true, None) => since[r] = Some(t.at_ns),
-                (false, Some(s)) => {
-                    busy[r] += t.at_ns.saturating_sub(s);
-                    since[r] = None;
-                }
-                // Duplicate state changes are tolerated here (check()
-                // reports them); keep first activation, ignore repeats.
-                _ => {}
-            }
-        }
-        for (r, s) in since.iter().enumerate() {
-            if let Some(s) = s {
-                busy[r] += end_ns.saturating_sub(*s);
-            }
-        }
-        busy
-    }
+    merged.sort_by_key(key);
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn simple_trace() -> ActivityTrace {
+    fn tr(rank: u32, at_ns: u64, active: bool) -> Transition {
+        Transition {
+            rank,
+            at_ns,
+            active,
+        }
+    }
+
+    #[test]
+    fn check_accepts_alternating_trace() {
         let mut t = ActivityTrace::new(2);
         t.record(0, 0, true);
         t.record(1, 50, true);
         t.record(0, 100, false);
         t.record(1, 150, false);
-        t
-    }
-
-    #[test]
-    fn check_accepts_alternating_trace() {
-        assert_eq!(simple_trace().check(), Ok(4));
+        assert_eq!(t.check(), Ok(4));
     }
 
     #[test]
@@ -265,88 +153,45 @@ mod tests {
         t.record(0, 0, true);
         t.record(0, 10, true);
         assert!(t.check().is_err());
+        let mut idle_first = ActivityTrace::new(1);
+        idle_first.record(0, 0, false);
+        assert!(idle_first.check().is_err());
     }
 
     #[test]
-    fn check_rejects_time_travel() {
+    #[should_panic(expected = "out of (time, rank) order")]
+    fn record_rejects_time_travel() {
         let mut t = ActivityTrace::new(1);
         t.record(0, 10, true);
         t.record(0, 5, false);
-        assert!(t.check().is_err());
     }
 
     #[test]
-    fn skew_correction_shifts_per_rank() {
-        let mut t = simple_trace();
-        t.correct_skew(&[0, 40]);
-        let times: Vec<(u32, u64)> = t
+    fn shard_logs_merge_into_time_rank_order() {
+        // Rank 2 lives in the second log; each log in dispatch order.
+        let t = ActivityTrace::from_shard_logs(
+            3,
+            vec![
+                vec![tr(1, 50, true), tr(0, 0, true), tr(0, 100, false)],
+                vec![tr(2, 50, true), tr(2, 50, false)],
+            ],
+        );
+        let order: Vec<(u32, u64, bool)> = t
             .transitions()
             .iter()
-            .map(|tr| (tr.rank, tr.at_ns))
+            .map(|t| (t.rank, t.at_ns, t.active))
             .collect();
-        assert_eq!(times, vec![(0, 0), (1, 10), (0, 100), (1, 110)]);
-    }
-
-    #[test]
-    fn skew_correction_saturates() {
-        let mut t = ActivityTrace::new(1);
-        t.record(0, 5, true);
-        t.correct_skew(&[10]);
-        assert_eq!(t.transitions()[0].at_ns, 0);
-    }
-
-    #[test]
-    fn busy_time_accounts_open_intervals() {
-        let t = simple_trace();
-        let busy = t.busy_ns_per_rank(200);
-        assert_eq!(busy, vec![100, 100]);
-        // A rank still active at the end is billed to end_ns.
-        let mut open = ActivityTrace::new(1);
-        open.record(0, 20, true);
-        assert_eq!(open.busy_ns_per_rank(120), vec![100]);
-    }
-
-    #[test]
-    fn sorted_trace_matches_direct_busy_accounting() {
-        // Record out of time order; sorted() must put it right.
-        let mut t = ActivityTrace::new(2);
-        t.record(1, 50, true);
-        t.record(0, 0, true);
-        t.record(1, 150, false);
-        t.record(0, 100, false);
-        let sorted = t.sorted();
-        let at: Vec<u64> = sorted.iter().map(|tr| tr.at_ns).collect();
-        assert_eq!(at, vec![0, 50, 100, 150]);
-        assert_eq!(sorted.busy_ns_per_rank(200), t.busy_ns_per_rank(200));
-        assert_eq!(sorted.busy_ns_per_rank(200), vec![100, 100]);
-    }
-
-    #[test]
-    fn sorted_is_stable_within_a_rank() {
-        // Two same-time transitions of one rank keep recording order.
-        let mut t = ActivityTrace::new(1);
-        t.record(0, 10, true);
-        t.record(0, 10, false);
-        let sorted = t.sorted();
-        assert!(sorted.get(0).active);
-        assert!(!sorted.get(1).active);
-    }
-
-    #[test]
-    fn extend_merges_traces() {
-        let mut a = ActivityTrace::new(2);
-        a.record(0, 0, true);
-        let mut b = ActivityTrace::new(2);
-        b.record(1, 5, true);
-        a.extend(&b);
-        assert_eq!(a.transitions().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank counts differ")]
-    fn extend_rejects_mismatched_sizes() {
-        let mut a = ActivityTrace::new(2);
-        let b = ActivityTrace::new(3);
-        a.extend(&b);
+        assert_eq!(
+            order,
+            vec![
+                (0, 0, true),
+                (1, 50, true),
+                // One rank's same-instant pair keeps its order.
+                (2, 50, true),
+                (2, 50, false),
+                (0, 100, false),
+            ]
+        );
+        assert_eq!(t.check(), Ok(5));
     }
 }

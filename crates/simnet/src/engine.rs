@@ -23,8 +23,9 @@
 //!   `dws-core` buffers arrivals and services them at its polling
 //!   points, exactly like the reference `mpi_workstealing.c`.
 //! - **Clock skew.** Each rank can be given a deterministic clock
-//!   offset; traces recorded with [`Ctx::local_now`] then need the same
-//!   skew correction the paper applied to its traces.
+//!   offset, visible through [`Ctx::local_now`]. The activity trace is
+//!   recorded on the global clock ([`Ctx::record_activity`]), so it
+//!   needs none of the skew correction the paper applied to its traces.
 //!
 //! # One run loop
 //!
@@ -595,13 +596,14 @@ fn drain_published(
     (snaps, live)
 }
 
-/// Move `shard`'s buffered activity transitions into its publish slot;
-/// with `snap`, also publish its snapshot row and summed live stats.
+/// Copy `shard`'s activity transitions since the last barrier into its
+/// publish slot; with `snap`, also publish its snapshot row and summed
+/// live stats.
 fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: bool) {
     let mut p = slot.lock().expect("publish slot poisoned");
-    if let Some(act) = shard.core.activity.as_mut() {
-        p.activity.append(act);
-    }
+    shard
+        .core
+        .drain_activity(|new| p.activity.extend_from_slice(new));
     if snap {
         p.snap = Some(shard_snap(&shard.core));
         p.live = shard.live_stats();
@@ -750,9 +752,16 @@ struct ShardCore<M> {
     fault_stats: FaultStats,
     log: Option<EventLog>,
     net_trace: Option<NetTrace>,
-    /// Activity transitions recorded via [`Ctx::record_activity`] since
-    /// the last window barrier; drained into the streaming accounting.
+    /// Activity transitions recorded via [`Ctx::record_activity`], in
+    /// dispatch order: `(time, rank)` ascending except for `on_start`'s
+    /// batch. Kept for the whole run when `keep_activity`; otherwise
+    /// only streaming reads it, and empties it at every window barrier.
     activity: Option<Vec<Transition>>,
+    /// Whether `activity` is retained for [`Simulation::take_activity`].
+    keep_activity: bool,
+    /// Length of the retained `activity` prefix the streaming fold has
+    /// already been handed.
+    activity_streamed: usize,
     /// Causal spans recorded via [`Ctx::record_span`], in dispatch
     /// order: `(time, rank)` ascending except for `on_start`'s batch.
     spans: Option<Vec<SpanRecord>>,
@@ -790,6 +799,8 @@ impl<M> ShardCore<M> {
             log: None,
             net_trace: None,
             activity: None,
+            keep_activity: false,
+            activity_streamed: 0,
             spans: None,
             flight: None,
             outboxes: (0..n_shards).map(|_| Vec::new()).collect(),
@@ -798,6 +809,20 @@ impl<M> ShardCore<M> {
             windows: 0,
             busy_ns: 0,
             wait_ns: 0,
+        }
+    }
+
+    /// Hand the activity recorded since the last call to `sink`, the
+    /// streaming fold's input: a retained log moves its cursor past it,
+    /// a streaming-only log is emptied.
+    fn drain_activity(&mut self, sink: impl FnOnce(&[Transition])) {
+        if let Some(log) = self.activity.as_mut() {
+            sink(&log[self.activity_streamed..]);
+            if self.keep_activity {
+                self.activity_streamed = log.len();
+            } else {
+                log.clear();
+            }
         }
     }
 
@@ -1036,7 +1061,6 @@ impl<M> Ctx<'_, M> {
     }
 
     /// This rank's *local* clock: global time plus the rank's skew.
-    /// Use this when recording traces that should need skew correction.
     #[inline]
     pub fn local_now(&self) -> SimTime {
         self.core.now + self.state.skew_ns
@@ -1065,12 +1089,11 @@ impl<M> Ctx<'_, M> {
         }
     }
 
-    /// Record an active/idle transition for the streaming accounting
-    /// ([`Simulation::attach_streaming`]). One branch when streaming is
-    /// off. Timestamps use the *global* clock — the exact value the
-    /// post-hoc pipeline arrives at after harvesting the skewed
-    /// [`local_now`](Self::local_now) trace and correcting skew — so
-    /// the streaming and sorted-log paths see element-identical input.
+    /// Record an active/idle transition of this rank at the current
+    /// *global* time, into its shard's activity log
+    /// ([`Simulation::attach_activity`], [`Simulation::attach_streaming`]).
+    /// One branch when neither is attached; no timer, message or RNG
+    /// draw depends on it, so the schedule is identical either way.
     #[inline]
     pub fn record_activity(&mut self, active: bool) {
         if let Some(buf) = self.core.activity.as_mut() {
@@ -1646,6 +1669,7 @@ impl<A: Actor> Simulation<A> {
             ..
         } = old;
         let spans_on = core.spans.is_some();
+        let activity_on = core.keep_activity;
         let mut nets: Vec<Box<dyn NetworkModel>> =
             (1..s_count).map(|_| core.net.replicate()).collect();
         nets.insert(0, core.net);
@@ -1666,6 +1690,8 @@ impl<A: Actor> Simulation<A> {
             }
             let mut core = ShardCore::new(id, s_count, net);
             core.spans = spans_on.then(Vec::new);
+            core.activity = activity_on.then(Vec::new);
+            core.keep_activity = activity_on;
             core.log = self.log_cap.map(|_| EventLog::unbounded());
             core.net_trace = self.net_trace_on.then(NetTrace::default);
             core.profiler = self.profiler.clone();
@@ -1768,8 +1794,8 @@ impl<A: Actor> Simulation<A> {
         (0..self.shared.n_ranks).map(|r| self.actor(r)).collect()
     }
 
-    /// Per-rank clock skew applied in this simulation (for trace
-    /// correction).
+    /// Per-rank clock skew applied in this simulation (what
+    /// [`Ctx::local_now`] adds to the global clock).
     pub fn skews_ns(&self) -> &[u64] {
         &self.skews
     }
@@ -1858,6 +1884,31 @@ impl<A: Actor> Simulation<A> {
             .collect()
     }
 
+    /// Attach the activity log: every [`Ctx::record_activity`] from now
+    /// on is kept, one log per shard, until
+    /// [`take_activity`](Self::take_activity). Call before `run`; with
+    /// neither this nor streaming attached, an activity site costs one
+    /// branch and records nothing.
+    pub fn attach_activity(&mut self) {
+        for shard in self.shards.iter_mut() {
+            shard.core.activity.get_or_insert_with(Vec::new);
+            shard.core.keep_activity = true;
+        }
+    }
+
+    /// Detach the activity log and hand it over, one `Vec` per shard in
+    /// shard order (empty when [`attach_activity`](Self::attach_activity)
+    /// was never called). Each log keeps its ranks' transitions in the
+    /// order they were recorded, like [`take_spans`](Self::take_spans);
+    /// call [`finish_streaming`](Self::finish_streaming) first.
+    pub fn take_activity(&mut self) -> Vec<Vec<Transition>> {
+        self.shards
+            .iter_mut()
+            .filter(|shard| shard.core.keep_activity)
+            .filter_map(|shard| shard.core.activity.take())
+            .collect()
+    }
+
     /// Attach a self-profiling probe (shared with the schedulers via
     /// `Arc`). Call before `run`; unattached, every instrumentation
     /// site costs one branch and the schedule is unaffected either
@@ -1890,7 +1941,8 @@ impl<A: Actor> Simulation<A> {
         );
         let mut rings = Vec::new();
         for shard in self.shards.iter_mut() {
-            shard.core.activity = Some(Vec::new());
+            // The fold reads the shard's activity log, attached or not.
+            shard.core.activity.get_or_insert_with(Vec::new);
             if cfg.flight_ring > 0 {
                 let ring = Arc::new(FlightRecorder::new(cfg.flight_ring));
                 shard.core.flight = Some(Arc::clone(&ring));
@@ -1906,18 +1958,17 @@ impl<A: Actor> Simulation<A> {
         self.streaming = Some(StreamState::new(cfg, sink, self.shared.n_ranks));
     }
 
-    /// Close the streaming accounting at `end_ns` and return the
-    /// finished O(ranks) occupancy aggregates; `None` when streaming
+    /// Close the streaming accounting at `end_ns` and return the live
+    /// fold's occupancy (O(ranks), no step list); `None` when streaming
     /// was never attached. Call once, after the run.
-    pub fn finish_streaming(&mut self, end_ns: u64) -> Option<dws_metrics::OnlineOccupancy> {
+    pub fn finish_streaming(&mut self, end_ns: u64) -> Option<dws_metrics::OccupancyCurve> {
         let mut st = self.streaming.take()?;
         // Catch transitions recorded after the last barrier (e.g. a
         // zero-window run whose only activity came from `on_start`).
         for shard in self.shards.iter_mut() {
-            if let Some(act) = shard.core.activity.as_mut() {
-                st.accounting.record_all(act);
-                act.clear();
-            }
+            shard
+                .core
+                .drain_activity(|new| st.accounting.record_all(new));
         }
         Some(st.accounting.finish(end_ns))
     }
@@ -3219,7 +3270,8 @@ mod tests {
     }
 
     /// Actor that toggles activity on a timer chain and mirrors every
-    /// transition into its own oracle buffer for differential checks.
+    /// transition into its own oracle buffer for differential checks,
+    /// stamped `local_now − skew`.
     #[derive(Clone)]
     struct Flicker {
         n: u32,
@@ -3230,7 +3282,8 @@ mod tests {
         type Msg = u64;
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
             ctx.record_activity(true);
-            self.oracle.push((ctx.now().ns(), true));
+            self.oracle
+                .push((ctx.local_now().ns() - ctx.skew_ns(), true));
             let to = (ctx.me() + 1) % self.n;
             if to != ctx.me() {
                 ctx.send(to, 16, 1);
@@ -3241,7 +3294,8 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, token: u64) {
             let active = token.is_multiple_of(2);
             ctx.record_activity(active);
-            self.oracle.push((ctx.now().ns(), active));
+            self.oracle
+                .push((ctx.local_now().ns() - ctx.skew_ns(), active));
             if token < 6 {
                 ctx.set_timer(50 + (7 * ctx.me() as u64) % 40, token + 1);
             }
@@ -3275,37 +3329,54 @@ mod tests {
     }
 
     #[test]
-    fn streaming_occupancy_matches_posthoc_oracle() {
-        let (report, mut sim, _) = run_flicker_streamed(
-            6,
-            2,
-            1,
-            StreamingCfg {
+    fn activity_log_is_the_global_clock_trace_and_both_folds_agree() {
+        for (threads, attach_first) in [(1, true), (2, false)] {
+            let cfg = SimConfig {
+                clock_skew_max_ns: 2_000,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(flicker_fleet(6), ConstantLatency(100), cfg);
+            if attach_first {
+                sim.attach_activity();
+            }
+            sim.configure_parallel(layout(6, 2, threads, 100));
+            if !attach_first {
+                sim.attach_activity();
+            }
+            let streaming = StreamingCfg {
                 snapshot_every_sim_ns: Some(100),
                 flight_ring: 0,
                 ..StreamingCfg::default()
-            },
-        );
-        let end_ns = report.end_time.ns();
-        let online = sim.finish_streaming(end_ns).expect("streaming attached");
-        let mut trace = dws_metrics::ActivityTrace::new(6);
-        for (rank, actor) in sim.actors().iter().enumerate() {
-            for &(at, active) in &actor.oracle {
-                trace.record(rank as u32, at, active);
+            };
+            sim.attach_streaming(streaming, None);
+            let end_ns = sim.run().end_time.ns();
+            let live = sim.finish_streaming(end_ns).expect("streaming attached");
+            let logs = sim.take_activity();
+            assert_eq!(logs.len(), 2);
+            assert!(sim.take_activity().is_empty(), "taking detaches the log");
+            let trace = dws_metrics::ActivityTrace::from_shard_logs(6, logs);
+            trace.check().expect("the log is well-formed");
+            // Every rank's transitions are its mirror on the skewed
+            // clock, minus the skew.
+            assert!(sim.skews_ns().iter().any(|&s| s > 0));
+            for (rank, actor) in sim.actors().iter().enumerate() {
+                let mine: Vec<(u64, bool)> = trace
+                    .transitions()
+                    .iter()
+                    .filter(|t| t.rank == rank as u32)
+                    .map(|t| (t.at_ns, t.active))
+                    .collect();
+                assert_eq!(mine, actor.oracle, "rank {rank}");
             }
-        }
-        trace.check().expect("oracle trace is well-formed");
-        let sorted = trace.sorted();
-        let curve = dws_metrics::OccupancyCurve::from_sorted(&sorted, end_ns);
-        assert_eq!(
-            online.busy_ns_per_rank(),
-            &sorted.busy_ns_per_rank(end_ns)[..]
-        );
-        assert_eq!(online.w_max(), curve.w_max());
-        assert_eq!(online.busy_integral_ns(), curve.busy_integral_ns());
-        for p in [0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(online.first_reach_ns(p), curve.first_reach_ns(p));
-            assert_eq!(online.last_reach_ns(p), curve.last_reach_ns(p));
+            // The live fold and the fold over the taken log agree.
+            let posthoc = dws_metrics::OccupancyCurve::from_trace(&trace, end_ns);
+            assert_eq!(live.busy_ns_per_rank(), posthoc.busy_ns_per_rank());
+            assert_eq!(live.w_max(), posthoc.w_max());
+            assert_eq!(live.busy_integral_ns(), posthoc.busy_integral_ns());
+            for p in [0.25, 0.5, 0.9, 1.0] {
+                assert_eq!(live.first_reach_ns(p), posthoc.first_reach_ns(p));
+                assert_eq!(live.last_reach_ns(p), posthoc.last_reach_ns(p));
+            }
         }
     }
 

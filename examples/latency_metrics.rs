@@ -1,7 +1,6 @@
-//! The paper's measurement contribution, §III: from a per-rank activity
+//! The paper's measurement contribution, §III: from the run's activity
 //! trace, compute the occupancy curve and the starting/ending latency
-//! metrics, then render the Figure-4-style chart in the terminal —
-//! including the clock-skew correction step the paper mentions.
+//! metrics, then render the Figure-4-style chart in the terminal.
 //!
 //! ```text
 //! cargo run --release --example latency_metrics
@@ -12,8 +11,9 @@ use dws::metrics::ascii_chart;
 use dws::uts::presets;
 
 fn main() {
-    // Give the ranks skewed clocks to exercise the correction path the
-    // paper describes ("the trace modified to account for clock skew").
+    // Skewed rank clocks do not move the metrics: the paper had to
+    // correct its traces for skew, the engine records this one on the
+    // global clock.
     let mut cfg = ExperimentConfig::new(presets::t3xxl(), 128)
         .with_victim(VictimPolicy::RoundRobin)
         .with_steal(StealAmount::OneChunk);

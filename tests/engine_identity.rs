@@ -24,14 +24,19 @@
 //! it to account. A fourth, in the benchmark's `observed_faulty` shape,
 //! was recorded at the commit before spans moved from per-rank buffers
 //! into the engine's per-shard log (PR 21), with `crates/` untouched.
-//! The bit-identity matrix proper lives in
-//! `crates/core/tests` and runs only under `--workspace`; this slice is
-//! what the root `cargo test -q` sees.
+//! A fifth, a skewed faulty run's activity trace and everything read
+//! from it, was recorded at the commit before the `Worker`'s own trace
+//! and the sorted sweep were deleted (PR 26), again with `crates/`
+//! untouched. The bit-identity matrix proper lives in
+//! `crates/core/tests` and runs only under `--workspace`; this slice
+//! (its faulty thread-count check included) is what the root
+//! `cargo test -q` sees.
 
 use dws::core::{
     run_experiment, ExperimentConfig, ExperimentResult, FaultToleranceCfg, StealAmount,
     VictimPolicy,
 };
+use dws::metrics::lifestory;
 use dws::metrics::perflab::fingerprint;
 use dws::simnet::{Crash, FaultPlan};
 use dws::topology::{AllocationPolicy, CutClass, RankMapping};
@@ -165,6 +170,43 @@ fn window_plan_and_schedule_are_pure_across_thread_counts() {
     }
 }
 
+/// The faulty slice of the thread matrix, moved here from
+/// `crates/core/tests/parallel_determinism.rs` so tier-1 sees it: 5%
+/// drop, 2% duplication, 5% spikes and a crash, and one report —
+/// occupancy and blame included — at one and three threads.
+#[test]
+fn faulty_runs_are_identical_across_thread_counts() {
+    let mut plan = FaultPlan::message_faults(0.05, 0.02, 0.05);
+    plan.crashes.push(Crash {
+        rank: 5,
+        at_ns: 400_000,
+    });
+    let at = |threads| {
+        let workload = Workload {
+            name: "par-det",
+            seed: 19,
+            ..binomial(1200)
+        };
+        let mut cfg = ExperimentConfig::new(workload, 8)
+            .with_mapping(RankMapping::Grouped { ppn: 2 })
+            .with_victim(VictimPolicy::Uniform);
+        cfg.fault_plan = plan.clone();
+        cfg.collect_spans = true;
+        cfg.threads = threads;
+        run_experiment(&cfg)
+    };
+    let baseline = at(1);
+    let fr = baseline.fault.as_ref().expect("fault plan was active");
+    assert!(
+        fr.stats.dropped + fr.stats.spiked + fr.stats.duplicated > 0,
+        "faults must actually fire for this test to mean anything"
+    );
+    assert_eq!(fr.crashed_ranks, vec![5]);
+    let report = baseline.json_report();
+    assert!(report.get("occupancy").is_some() && report.get("blame").is_some());
+    assert_eq!(identity_of(&at(3)), identity_of(&baseline));
+}
+
 // ---------------------------------------------------------------------
 // Calendar-queue pins (PR 19): the configurations the deleted
 // `crates/core/tests/queue_differential.rs` compared queue against
@@ -264,6 +306,68 @@ fn observed_faulty_span_run_is_pinned_at_one_two_and_four_threads() {
              spans=6eb6064b69a0853d fault=Some((FaultStats { dropped: 180, duplicated: 0, \
              spiked: 0, brownout_drops: 0, partition_drops: 0, crash_lost_deliveries: 0, \
              crash_lost_timers: 0 }, [], 0))",
+            "{threads} thread(s)"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Activity pin (PR 26): a traced run on skewed clocks with drops and a
+// crash, recorded at the parent commit with `crates/` untouched — every
+// `Worker` pushing its transitions into its own local-clock buffer, the
+// runner copying them out and subtracting the skew, and a sorted sweep
+// beside the streaming fold building the curve — so it holds the
+// engine's per-shard activity log and the one occupancy fold to that
+// trace and to everything read from it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn skewed_faulty_activity_trace_is_pinned_at_one_two_and_four_threads() {
+    const CRASH_NS: u64 = 1_000_000;
+    let mut plan = FaultPlan::message_faults(0.02, 0.0, 0.0);
+    plan.crashes.push(Crash {
+        rank: 5,
+        at_ns: CRASH_NS,
+    });
+    for threads in [1, 2, 4] {
+        let mut cfg = ExperimentConfig::new(presets::t3sim_s(), 8)
+            .with_mapping(RankMapping::RoundRobin { ppn: 4 })
+            .with_victim(VictimPolicy::Uniform)
+            .with_steal(StealAmount::Half);
+        cfg.jitter = 0.2;
+        cfg.clock_skew_max_ns = 1_500;
+        cfg.fault_plan = plan.clone();
+        cfg.collect_spans = true;
+        cfg.threads = threads;
+        let r = run_experiment(&cfg);
+        let trace = r.trace.as_ref().expect("trace on by default");
+        // Sorted here, so the pin does not depend on harvest order.
+        let mut transitions = trace.transitions().to_vec();
+        transitions.sort_by_key(|t| (t.at_ns, t.rank));
+        let occ = r.occupancy().expect("traced run");
+        let chrome = r.chrome_trace_json().expect("spans on").to_string();
+        let line = format!(
+            "{} transitions={}/{} latency={} w_max={} average={:?} recovery={:?} \
+             lifestory={} chrome={}",
+            identity_of(&r),
+            transitions.len(),
+            fingerprint(&format!("{transitions:?}")),
+            fingerprint(&format!("{:?}", occ.latency_series(100))),
+            occ.w_max(),
+            occ.average_occupancy(),
+            [0.5, 0.75, 0.85].map(|x| occ.recovery_time_ns(CRASH_NS, x)),
+            fingerprint(&lifestory::render(trace, r.makespan.ns(), 72, 24)),
+            fingerprint(&chrome),
+        );
+        assert_eq!(
+            line,
+            "makespan_ns=4887239 window_plan=1beb72d3d3849de2/2104 events=25179 delivered=9910 \
+             dropped=195 duplicated=0 nodes=22235 stats=3cdab436d10c8e68 json=710adee6d31c54ac \
+             spans=0bd6dd98c812f27d fault=Some((FaultStats { dropped: 195, duplicated: 0, \
+             spiked: 0, brownout_drops: 0, partition_drops: 0, crash_lost_deliveries: 1, \
+             crash_lost_timers: 4 }, [5], 0)) transitions=278/2995101448c62058 \
+             latency=eed4925d2fd3f68d w_max=28 average=0.15078992581496423 \
+             recovery=[Some(26275), None, None] lifestory=3368c7beb2fc33a5 chrome=f924c7bbefcd2b79",
             "{threads} thread(s)"
         );
     }

@@ -8,7 +8,7 @@
 //! always names the case seed so it can be replayed.
 
 use dws::core::{AliasTable, ChunkedStack, TerminationState, Token, TokenAction};
-use dws::metrics::{ActivityTrace, OccupancyCurve};
+use dws::metrics::{ActivityTrace, OccupancyCurve, Transition};
 use dws::simnet::DetRng;
 use dws::topology::{coord::torus_delta, Machine, NodeId};
 use dws::uts::{sha1::Sha1, Node, RngState};
@@ -233,7 +233,9 @@ fn occupancy_over_random_traces() {
         let n_spans = rng.next_range(1, 50);
         let mut per_rank_busy = vec![0u64; n_ranks as usize];
         let mut cursor = vec![0u64; n_ranks as usize];
-        let mut trace = ActivityTrace::new(n_ranks);
+        // One rank's spans in order, ranks interleaved at random: the
+        // shape of one shard's log.
+        let mut log = Vec::new();
         let mut end = 0u64;
         for _ in 0..n_spans {
             let rank = rng.next_below(n_ranks as u64) as u32;
@@ -242,12 +244,18 @@ fn occupancy_over_random_traces() {
             let r = rank as usize;
             let start = cursor[r] + gap;
             let stop = start + len;
-            trace.record(rank, start, true);
-            trace.record(rank, stop, false);
+            for (at_ns, active) in [(start, true), (stop, false)] {
+                log.push(Transition {
+                    rank,
+                    at_ns,
+                    active,
+                });
+            }
             per_rank_busy[r] += len;
             cursor[r] = stop;
             end = end.max(stop);
         }
+        let trace = ActivityTrace::from_shard_logs(n_ranks, vec![log]);
         if let Err(e) = trace.check() {
             panic!("case {case}: malformed trace: {e}");
         }

@@ -1,7 +1,7 @@
 //! Invariant checks over full distributed runs: work conservation,
-//! trace well-formedness (including under clock skew and latency
-//! jitter), and the mathematical properties of the occupancy/latency
-//! metrics.
+//! trace well-formedness (the trace is on the global clock whatever the
+//! ranks' clock skew, and under latency jitter), and the mathematical
+//! properties of the occupancy/latency metrics.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
 use dws::uts::presets;
@@ -31,18 +31,22 @@ fn conservation_under_noise() {
 }
 
 #[test]
-fn trace_is_well_formed_after_skew_correction() {
+fn skewed_run_traces_on_the_global_clock() {
     let r = run_experiment(&noisy_config());
     let trace = r.trace.as_ref().expect("trace on by default");
     let n = trace.check().expect("valid trace");
     assert!(n > 0);
-    // Busy time per rank must equal what the occupancy curve integrates.
-    let busy: u128 = trace
-        .busy_ns_per_rank(r.makespan.ns())
-        .iter()
-        .map(|&b| b as u128)
-        .sum();
+    // Recorded on the global clock and merged once: sorted, and no
+    // transition past the makespan whatever the ranks' skew.
+    let key = |t: &dws::metrics::Transition| (t.at_ns, t.rank);
+    assert!(trace
+        .transitions()
+        .windows(2)
+        .all(|w| key(&w[0]) <= key(&w[1])));
+    assert!(trace.transitions().last().unwrap().at_ns <= r.makespan.ns());
+    // Busy time per rank must sum to what the occupancy curve integrates.
     let occ = r.occupancy().expect("curve");
+    let busy: u128 = occ.busy_ns_per_rank().iter().map(|&b| b as u128).sum();
     assert_eq!(busy, occ.busy_integral_ns());
 }
 

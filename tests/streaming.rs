@@ -1,16 +1,16 @@
-//! End-to-end checks of the streaming-telemetry subsystem: the online
-//! (barrier-folded) aggregates must be element-identical to the
-//! post-hoc trace-derived ones across seeds, fault plans, and thread
-//! counts; attaching streaming must leave the schedule — and the
-//! machine-readable report — byte-identical; and an induced budget
-//! abort must leave behind a well-formed flight dump.
+//! End-to-end checks of the streaming-telemetry subsystem: the occupancy
+//! fold fed live at window barriers must agree field by field with the
+//! same fold run over the retained activity trace, across seeds, fault
+//! plans, and thread counts; attaching streaming must leave the
+//! schedule — and the machine-readable report — byte-identical; and an
+//! induced budget abort must leave behind a well-formed flight dump.
 
 use dws::core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, StealAmount, StreamingSetup,
     VictimPolicy,
 };
 use dws::metrics::export::parse;
-use dws::metrics::{OccupancyCurve, Snapshot};
+use dws::metrics::Snapshot;
 use dws::simnet::{FaultPlan, StreamingCfg};
 use dws::uts::presets;
 use std::io::Write;
@@ -64,11 +64,10 @@ fn streamed(sink: &SharedSink, every_ns: u64) -> Option<StreamingSetup> {
     })
 }
 
-/// The tentpole acceptance property: across seeds × fault plans ×
-/// thread counts, the occupancy aggregates folded incrementally at
-/// window barriers (O(ranks) memory, no retained log) must be
-/// *element-identical* to the post-hoc path that sorts the full
-/// activity trace.
+/// Across seeds × fault plans × thread counts, the occupancy folded
+/// live at window barriers (O(ranks) memory, no retained log) must
+/// equal, field by field, the fold over the run's retained activity
+/// trace.
 #[test]
 fn online_aggregates_match_posthoc_across_seeds_faults_threads() {
     let plans = [
@@ -87,33 +86,30 @@ fn online_aggregates_match_posthoc_across_seeds_faults_threads() {
                 assert!(r.completed, "{tag}: run must complete");
                 assert!(!sink.lines().is_empty(), "{tag}: snapshots emitted");
 
-                // Occupancy: online fold vs post-hoc sorted trace.
-                let online = r.online_occupancy.as_ref().expect("streamed run");
-                let trace = r.trace.as_ref().expect("trace collected");
-                let end = r.makespan.ns();
-                let sorted = trace.sorted();
-                let curve = OccupancyCurve::from_sorted(&sorted, end);
+                // Occupancy: the live fold vs the fold over the trace.
+                let live = r.online_occupancy.as_ref().expect("streamed run");
+                assert!(r.trace.is_some(), "{tag}: trace collected");
+                let traced = r.occupancy().expect("traced run");
+                assert!(live.steps().is_none() && traced.steps().is_some());
+                assert_eq!(live.n_ranks(), traced.n_ranks(), "{tag}: ranks");
+                assert_eq!(live.total_ns(), traced.total_ns(), "{tag}: run length");
                 assert_eq!(
-                    online.busy_ns_per_rank(),
-                    &sorted.busy_ns_per_rank(end)[..],
+                    live.busy_ns_per_rank(),
+                    traced.busy_ns_per_rank(),
                     "{tag}: busy time per rank"
                 );
-                assert_eq!(online.w_max(), curve.w_max(), "{tag}: w_max");
+                assert_eq!(live.w_max(), traced.w_max(), "{tag}: w_max");
                 assert_eq!(
-                    online.busy_integral_ns(),
-                    curve.busy_integral_ns(),
+                    live.busy_integral_ns(),
+                    traced.busy_integral_ns(),
                     "{tag}: busy integral"
                 );
-                for p in [0.25, 0.5, 0.9, 1.0] {
+                for p in 1..=100 {
+                    let x = f64::from(p) / 100.0;
                     assert_eq!(
-                        online.first_reach_ns(p),
-                        curve.first_reach_ns(p),
-                        "{tag}: first reach at {p}"
-                    );
-                    assert_eq!(
-                        online.last_reach_ns(p),
-                        curve.last_reach_ns(p),
-                        "{tag}: last reach at {p}"
+                        (live.first_reach_ns(x), live.last_reach_ns(x)),
+                        (traced.first_reach_ns(x), traced.last_reach_ns(x)),
+                        "{tag}: first/last reach at {p}%"
                     );
                 }
             }
@@ -176,6 +172,19 @@ fn streaming_off_is_schedule_and_byte_identical() {
         streamed_run.json_report().to_string(),
         "machine-readable report must be byte-identical"
     );
+    // Without a trace the report's occupancy section comes from the
+    // live fold, and reads the same.
+    let mut untraced = base_config(42, 2, FaultPlan::default());
+    untraced.collect_trace = false;
+    let live_run = run_experiment_streamed(&untraced, streamed(&SharedSink::default(), 50_000));
+    assert!(live_run.trace.is_none());
+    let occupancy = |r: &dws::core::ExperimentResult| {
+        r.json_report()
+            .get("occupancy")
+            .map(|o| o.to_string())
+            .expect("occupancy section")
+    };
+    assert_eq!(occupancy(&live_run), occupancy(&plain));
 }
 
 /// An induced budget abort must halt the run and leave a well-formed
