@@ -2,7 +2,7 @@
 //! windowed run's wall clock goes, at `--threads 1` and `--threads 4`,
 //! broken into the phases the engine self-profiles — event dispatch,
 //! barrier waits, and the cross-shard exchange — plus the window count
-//! and shard-rebalance count from the committed plan.
+//! from the committed plan.
 //!
 //! Unlike `ablation_threads` (which sweeps thread counts for the
 //! scaling *figure*), this binary exists to feed the `dws diff`
@@ -100,12 +100,6 @@ fn main() {
                 Polarity::LowerIsBetter,
                 exchange_ns as f64 / 1e6,
             ));
-            record_metric(BenchMetric::point(
-                &format!("shard_rebalances_{suffix}"),
-                "count",
-                Polarity::Neutral,
-                r.engine_steals as f64,
-            ));
         }
         rows.push(vec![
             threads.to_string(),
@@ -115,7 +109,6 @@ fn main() {
             f(barrier_ns as f64 / 1e6, 1),
             f(100.0 * barrier_share, 1),
             f(exchange_ns as f64 / 1e6, 1),
-            r.engine_steals.to_string(),
         ]);
     }
     record_metric(BenchMetric::point(
@@ -136,7 +129,6 @@ fn main() {
             "barrier ms",
             "barrier %",
             "exchange ms",
-            "rebalances",
         ],
         &rows,
         None,

@@ -882,13 +882,12 @@ fn print_profile(r: &ExperimentResult, threads: u32) {
     );
     println!(
         "threads       : {threads} resolved, {} cut (units {}, shards {}, lookahead {} ns), \
-         {} lookahead windows, {} shard rebalances",
+         {} lookahead windows",
         r.cut.class.name(),
         r.cut.units,
         r.cut.shards,
         r.cut.lookahead_ns,
-        r.window_plan.1,
-        r.engine_steals
+        r.window_plan.1
     );
     if p.allocs > 0 {
         println!(

@@ -282,9 +282,9 @@ pub struct ParallelConfig {
     /// Clamped to at least 1, capped at the shard count, and forced to
     /// 1 when the network model is not
     /// [`shardable`](NetworkModel::shardable). Thread count never
-    /// affects the shard layout (or any run artifact): with more
-    /// shards than threads the driver multiplexes shards over threads
-    /// and rebalances ownership deterministically each window.
+    /// affects the shard layout (or any run artifact): with `M` shards
+    /// on `T` threads, thread `t` owns the contiguous run of shards `g`
+    /// with `g·T/M == t` for the whole run.
     pub threads: u32,
     /// Conservative lookahead window width: a lower bound on the
     /// latency of any cross-shard message. The engine asserts the bound
@@ -1379,98 +1379,24 @@ fn decide(
     }
 }
 
-/// Deterministic shard-ownership rebalancer — the engine's own
-/// work-stealing layer. Every worker thread runs an identical
-/// instance, stepped each window with the identical published
-/// per-shard load vector, so all threads always agree on who owns
-/// which shard next window without any coordination beyond the barrier
-/// they were already meeting.
-///
-/// Loads are smoothed with an integer EWMA (`ewma = (3·ewma +
-/// load·256) / 4` — Q8 fixed point, integer arithmetic so every
-/// thread computes bit-identical values), and ownership only moves
-/// when the heaviest thread exceeds the mean by 25% (hysteresis
-/// against churn). Rebalancing is LPT greedy: shards in decreasing
-/// EWMA order, each to the currently lightest thread — idle threads
-/// thereby *steal* whole (window, shard) units from the most loaded
-/// one, which is exactly the latency-free half of the tradeoff the
-/// simulated protocol itself navigates.
-struct Planner {
-    /// Q8 fixed-point smoothed load per shard.
-    ewma: Vec<u64>,
-    /// Current shard → thread ownership.
-    owners: Vec<u32>,
-    threads: u32,
-    /// Ownership moves performed so far.
-    steals: u64,
-    /// Scratch: shard ids in assignment order.
-    order: Vec<u32>,
-    /// Scratch: per-thread assigned load.
-    load: Vec<u64>,
-}
-
-impl Planner {
-    fn new(n_shards: usize, threads: u32) -> Self {
-        Self {
-            ewma: vec![0; n_shards],
-            // Initial ownership: contiguous blocks, shard g to thread
-            // g·T/M — the same striping the default shard map uses.
-            owners: (0..n_shards)
-                .map(|g| ((g as u64 * threads as u64) / n_shards as u64) as u32)
-                .collect(),
-            threads,
-            steals: 0,
-            order: (0..n_shards as u32).collect(),
-            load: vec![0; threads as usize],
-        }
+/// Split `shards` into the runs `threads` worker threads own: thread
+/// `t` gets the contiguous shards `g` with `g·T/M == t`, as one `&mut`
+/// slice together with the index of its first shard. Ownership never
+/// moves, so no two threads can ever reach the same shard. With
+/// `1 <= T <= M` every run is non-empty.
+fn split_by_thread<S>(mut rest: &mut [S], threads: usize) -> Vec<(usize, &mut [S])> {
+    let m = rest.len();
+    let mut runs = Vec::with_capacity(threads);
+    let mut first = 0;
+    for t in 0..threads {
+        // `g·T/M <= t` exactly when `g < ⌈(t+1)·M/T⌉`.
+        let end = ((t + 1) * m).div_ceil(threads);
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+        runs.push((first, run));
+        rest = tail;
+        first = end;
     }
-
-    /// The shards thread `tid` currently owns, ascending.
-    fn owned(&self, tid: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.owners.len()).filter(move |&g| self.owners[g] == tid as u32)
-    }
-
-    /// Fold the last window's per-shard loads and (maybe) rebalance.
-    /// Pure function of the load history — identical on every thread.
-    fn step(&mut self, loads: impl Iterator<Item = u64>) {
-        for (e, l) in self.ewma.iter_mut().zip(loads) {
-            *e = (3 * *e + (l << 8)) / 4;
-        }
-        if self.threads <= 1 {
-            return;
-        }
-        self.load.iter_mut().for_each(|l| *l = 0);
-        for (g, &o) in self.owners.iter().enumerate() {
-            self.load[o as usize] += self.ewma[g];
-        }
-        let max = self.load.iter().copied().max().unwrap_or(0);
-        let total: u64 = self.load.iter().sum();
-        let mean = total / self.threads as u64;
-        // Hysteresis: leave ownership alone until the heaviest thread
-        // carries >1.25× the mean load.
-        if max * 4 <= mean * 5 || max == 0 {
-            return;
-        }
-        self.order.sort_by_key(|&g| {
-            let g = g as usize;
-            (Reverse(self.ewma[g]), g)
-        });
-        self.load.iter_mut().for_each(|l| *l = 0);
-        for &g in &self.order {
-            let g = g as usize;
-            let mut best = 0u32;
-            for t in 1..self.threads {
-                if self.load[t as usize] < self.load[best as usize] {
-                    best = t;
-                }
-            }
-            if self.owners[g] != best {
-                self.owners[g] = best;
-                self.steals += 1;
-            }
-            self.load[best as usize] += self.ewma[g];
-        }
-    }
+    runs
 }
 
 /// One shard's published window-plan inputs, one parity copy. The
@@ -1484,9 +1410,6 @@ struct GroupSlot {
     min_next: AtomicU64,
     /// Cumulative events processed by the shard.
     events: AtomicU64,
-    /// Events processed in the window just executed (the rebalancer's
-    /// load signal).
-    load: AtomicU64,
 }
 
 impl GroupSlot {
@@ -1494,7 +1417,6 @@ impl GroupSlot {
         Self {
             min_next: AtomicU64::new(u64::MAX),
             events: AtomicU64::new(0),
-            load: AtomicU64::new(0),
         }
     }
 }
@@ -1526,9 +1448,6 @@ pub struct Simulation<A: Actor> {
     /// thread count must derive the identical pair.
     plan_digest: u64,
     plan_windows: u64,
-    /// Shard-ownership moves the deterministic rebalancer made across
-    /// the run (0 for single-threaded runs).
-    steals: u64,
     started: bool,
     log_cap: Option<usize>,
     net_trace_on: bool,
@@ -1602,7 +1521,6 @@ impl<A: Actor> Simulation<A> {
             exec_threads: 1,
             plan_digest: FNV_OFFSET,
             plan_windows: 0,
-            steals: 0,
             started: false,
             log_cap: None,
             net_trace_on: false,
@@ -1982,13 +1900,6 @@ impl<A: Actor> Simulation<A> {
         (self.plan_digest, self.plan_windows)
     }
 
-    /// Shard-ownership moves the deterministic rebalancer performed
-    /// across all runs of this simulation (0 when single threaded —
-    /// there is nobody to steal from).
-    pub fn steal_count(&self) -> u64 {
-        self.steals
-    }
-
     /// Host-side execution profile per shard (events, windows, busy and
     /// barrier-wait time).
     pub fn shard_profiles(&self) -> Vec<ShardProfile> {
@@ -2041,16 +1952,18 @@ where
     ///
     /// Worker 0 runs on the calling thread and workers `1..T` in a
     /// thread scope, so a one-thread run spawns nothing; the result is
-    /// bit-identical for every thread count.
+    /// bit-identical for every thread count. The shards are split once,
+    /// before any worker starts: worker `t` gets the `&mut` slice of
+    /// shards `g` with `g·T/M == t` and keeps it for the whole call.
     ///
     /// Protocol: ONE barrier per window. Each iteration reads last
     /// window's published plan inputs from parity `k & 1` slots,
-    /// derives the identical verdict on every thread, steps the
-    /// deterministic ownership rebalancer, runs the owned shards, and
-    /// publishes into the other parity. Cross-shard events travel
-    /// through per-(source thread, destination shard) batch buffers;
-    /// each thread's earliest deposit is published as an in-flight
-    /// floor so no pending event ever escapes the global minimum.
+    /// derives the identical verdict on every thread, runs the
+    /// worker's own shards, and publishes into the other parity.
+    /// Cross-shard events travel through per-(source thread,
+    /// destination shard) batch buffers; each thread's earliest deposit
+    /// is published as an in-flight floor so no pending event ever
+    /// escapes the global minimum.
     pub fn run_parallel_with_limits(
         &mut self,
         max_time: Option<SimTime>,
@@ -2116,68 +2029,62 @@ where
         let abort_flag = AtomicBool::new(false);
         let probe = &self.profiler;
         let shared = &self.shared;
-        // Shards live in ownership cells. The rebalance plan is a pure
-        // function of published loads, so all threads agree on every
-        // owner and the locks are uncontended — `try_lock` doubles as
-        // a runtime assertion of that agreement.
-        let cells: Vec<Mutex<&mut Shard<A>>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let own = |g: usize| cells[g].try_lock().expect("shard ownership disagreement");
         // Deposit `shard`'s cross-shard sends into thread `tid`'s batch
         // buffers (only dirty outboxes are touched), then publish its
-        // plan inputs and window `load` into `slot`. Returns the
-        // earliest deposited event time.
-        let deposit_and_publish =
-            |tid: usize, shard: &mut Shard<A>, slot: &GroupSlot, load: u64| -> u64 {
-                let mut floor = u64::MAX;
-                if !shard.core.dirty_out.is_empty() {
-                    let x0 = prof_start(probe);
-                    let mut dirty = std::mem::take(&mut shard.core.dirty_out);
-                    for &dst in &dirty {
-                        let dst = dst as usize;
-                        let out = &mut shard.core.outboxes[dst];
-                        for ev in out.iter() {
-                            floor = floor.min(ev.time.ns());
-                        }
-                        let mut cell = xchg[tid][dst].lock().expect("exchange cell poisoned");
-                        if cell.is_empty() {
-                            std::mem::swap(&mut *cell, out);
-                        } else {
-                            cell.append(out);
-                        }
-                        xchg_flag[tid][dst].store(true, Ordering::Release);
+        // plan inputs into `slot`. Returns the earliest deposited event
+        // time.
+        let deposit_and_publish = |tid: usize, shard: &mut Shard<A>, slot: &GroupSlot| -> u64 {
+            let mut floor = u64::MAX;
+            if !shard.core.dirty_out.is_empty() {
+                let x0 = prof_start(probe);
+                let mut dirty = std::mem::take(&mut shard.core.dirty_out);
+                for &dst in &dirty {
+                    let dst = dst as usize;
+                    let out = &mut shard.core.outboxes[dst];
+                    for ev in out.iter() {
+                        floor = floor.min(ev.time.ns());
                     }
-                    dirty.clear();
-                    shard.core.dirty_out = dirty;
-                    prof_record(probe, Phase::Exchange, x0);
+                    let mut cell = xchg[tid][dst].lock().expect("exchange cell poisoned");
+                    if cell.is_empty() {
+                        std::mem::swap(&mut *cell, out);
+                    } else {
+                        cell.append(out);
+                    }
+                    xchg_flag[tid][dst].store(true, Ordering::Release);
                 }
-                let mn = shard.core.queue.peek().map_or(u64::MAX, |e| e.0.time.ns());
-                slot.min_next.store(mn, Ordering::SeqCst);
-                slot.events.store(shard.core.events, Ordering::SeqCst);
-                slot.load.store(load, Ordering::SeqCst);
-                floor
-            };
-        // One worker; every thread runs an identical copy and returns
-        // the identical `(plan digest, windows, steals, limit hit,
-        // aborted)`. `stream` is `Some` on worker 0 of a streamed run.
-        let worker = |tid: usize, mut stream: Option<&mut StreamState>| {
+                dirty.clear();
+                shard.core.dirty_out = dirty;
+                prof_record(probe, Phase::Exchange, x0);
+            }
+            let mn = shard.core.queue.peek().map_or(u64::MAX, |e| e.0.time.ns());
+            slot.min_next.store(mn, Ordering::SeqCst);
+            slot.events.store(shard.core.events, Ordering::SeqCst);
+            floor
+        };
+        // One worker over its own shards `first..first + own.len()`;
+        // every thread runs an identical copy and returns the identical
+        // `(plan digest, windows, limit hit, aborted)`. `stream` is
+        // `Some` on worker 0 of a streamed run.
+        let worker = |tid: usize,
+                      first: usize,
+                      own: &mut [Shard<A>],
+                      mut stream: Option<&mut StreamState>| {
             let mut sense = false;
-            let mut planner = Planner::new(m, n_threads as u32);
             let (mut digest, mut windows) = (digest0, windows0);
             let mut cadence = cadence0;
             let mut abort_why = "";
             let mut par = 0usize;
             let mut end_prev: Option<u64> = None;
-            // Prologue: the first run call starts the owned shards'
+            // Prologue: the first run call starts the worker's shards'
             // actors; every call publishes the initial plan inputs.
             let mut my_floor = u64::MAX;
-            for g in planner.owned(tid) {
-                let mut shard = own(g);
+            for (g, shard) in (first..).zip(own.iter_mut()) {
                 if first_run {
                     let b0 = Instant::now();
                     shard.start(shared);
                     shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
                 }
-                my_floor = my_floor.min(deposit_and_publish(tid, &mut shard, &slots[par][g], 0));
+                my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[par][g]));
             }
             dep_floor[par][tid].store(my_floor, Ordering::SeqCst);
             loop {
@@ -2230,8 +2137,8 @@ where
                         cad.advance(ep, events);
                     }
                     if aborting || due.is_some() {
-                        for g in planner.owned(tid) {
-                            publish_rows(&mut own(g), &snap_pubs[g], true);
+                        for (g, shard) in (first..).zip(own.iter_mut()) {
+                            publish_rows(shard, &snap_pubs[g], true);
                         }
                         // Rare extra barrier: due windows and aborts
                         // only, so snapshot rows are all published
@@ -2248,31 +2155,20 @@ where
                         }
                     }
                     if aborting {
-                        return (digest, windows, planner.steals, true, true);
+                        return (digest, windows, true, true);
                     }
                 }
                 let min_next = Some(min_next).filter(|&t| t != u64::MAX);
                 let end = match decide(min_next, events, mt, max_events, shared.lookahead_ns) {
-                    Verdict::Stop { limit } => {
-                        return (digest, windows, planner.steals, limit, false);
-                    }
+                    Verdict::Stop { limit } => return (digest, windows, limit, false),
                     Verdict::Window { end } => end,
                 };
                 digest = fnv1a(digest, end);
                 windows += 1;
-                // Rebalance shard ownership on last window's published
-                // loads — pure function, identical on every thread.
-                planner.step(slots[par].iter().map(|s| s.load.load(Ordering::SeqCst)));
                 let wpar = 1 - par;
-                let owned = planner.owned(tid).count();
-                let wait_share = if owned > 0 {
-                    waited.as_nanos() as u64 / owned as u64
-                } else {
-                    0
-                };
+                let wait_share = waited.as_nanos() as u64 / own.len() as u64;
                 let mut my_floor = u64::MAX;
-                for g in planner.owned(tid) {
-                    let mut shard = own(g);
+                for (g, shard) in (first..).zip(own.iter_mut()) {
                     let b0 = Instant::now();
                     // Ingest batched cross-shard events deposited for
                     // this shard; the flag keeps empty cells lock-free.
@@ -2289,15 +2185,12 @@ where
                         drop(cell);
                         prof_record(probe, Phase::Exchange, x0);
                     }
-                    let before = shard.core.events;
                     shard.run_window(shared, end, mt);
-                    let load = shard.core.events - before;
-                    my_floor =
-                        my_floor.min(deposit_and_publish(tid, &mut shard, &slots[wpar][g], load));
+                    my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[wpar][g]));
                     shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
                     shard.core.wait_ns += wait_share;
                     if cadence.is_some() {
-                        publish_rows(&mut shard, &pubs[wpar][g], false);
+                        publish_rows(shard, &pubs[wpar][g], false);
                     }
                 }
                 dep_floor[wpar][tid].store(my_floor, Ordering::SeqCst);
@@ -2306,14 +2199,15 @@ where
             }
         };
         let stream = self.streaming.as_mut();
-        let (digest, windows, steals, limit_hit, aborted) = std::thread::scope(|scope| {
-            for tid in 1..n_threads {
+        let mut runs = split_by_thread(&mut self.shards, n_threads).into_iter();
+        let (digest, windows, limit_hit, aborted) = std::thread::scope(|scope| {
+            let (first0, own0) = runs.next().expect("at least one worker");
+            for (tid, (first, own)) in (1..).zip(runs) {
                 let worker = &worker;
-                scope.spawn(move || worker(tid, None));
+                scope.spawn(move || worker(tid, first, own, None));
             }
-            worker(0, stream)
+            worker(0, first0, own0, stream)
         });
-        drop(cells);
         // Events still parked in the exchange buffers (a limit stop can
         // land between deposit and ingest) go back into their owners'
         // queues so a resumed run sees them.
@@ -2327,7 +2221,6 @@ where
         }
         self.plan_digest = digest;
         self.plan_windows = windows;
-        self.steals += steals;
         // An abort already emitted its final snapshot (and the flight
         // dump) inside the loop; a normal stop emits the closing one.
         if !aborted {
@@ -3082,7 +2975,7 @@ mod tests {
     #[test]
     fn threaded_run_matches_single_threaded_windowed() {
         // Every shard on its own thread, and fewer threads than shards
-        // (ownership multiplexed and rebalanced between windows).
+        // (each thread running a contiguous run of them, 8 on 3 uneven).
         for (shards, threads) in [(2u32, 2u32), (4, 4), (4, 2), (8, 3)] {
             let local = run_chatter(8, shards, 1, FaultPlan::default());
             let threaded = run_chatter(8, shards, threads, FaultPlan::default());
@@ -3090,6 +2983,28 @@ mod tests {
                 local, threaded,
                 "{threads} threads diverged from one at {shards} shards"
             );
+        }
+    }
+
+    #[test]
+    fn thread_runs_cover_every_shard_once_in_order() {
+        for m in 1..=20usize {
+            for t in 1..=m {
+                let mut shards: Vec<usize> = (0..m).collect();
+                let runs = split_by_thread(&mut shards, t);
+                assert_eq!(runs.len(), t, "{m} shards on {t} threads");
+                let mut next = 0;
+                for (tid, (first, run)) in runs.into_iter().enumerate() {
+                    assert_eq!(first, next, "{m} shards on {t} threads: gap before {tid}");
+                    assert!(!run.is_empty(), "{m} shards on {t} threads: {tid} idle");
+                    for &g in run.iter() {
+                        assert_eq!(g, next, "{m} shards on {t} threads: out of order");
+                        assert_eq!(g * t / m, tid, "shard {g} of {m} on the wrong thread");
+                        next += 1;
+                    }
+                }
+                assert_eq!(next, m, "{m} shards on {t} threads: shards left over");
+            }
         }
     }
 
