@@ -20,8 +20,8 @@ use crate::victim::VictimPolicy;
 use dws_metrics::export::{chrome_trace_with_critpath, histograms_json, span_counts_json};
 use dws_metrics::perflab::{self, ProfileReport};
 use dws_metrics::{
-    ActivityTrace, BlameReport, CriticalPath, JsonValue, LatencyHistograms, OccupancyCurve, Perf,
-    RunStats, SpanTrace, StealStats,
+    ActivityTrace, BlameReport, JsonValue, LatencyHistograms, OccupancyCurve, Perf, RunStats,
+    SpanTrace, StealStats,
 };
 use dws_simnet::profiler::{allocation_count, PerfProbe};
 use dws_simnet::{
@@ -706,18 +706,15 @@ impl ExperimentResult {
     /// The Chrome trace-event document for this run (`dws trace`).
     /// `None` unless the run collected spans. When the activity trace
     /// is also present, the document gains a dedicated "critical path"
-    /// track with flow arrows hopping rank tracks along the path.
+    /// track with flow arrows hopping rank tracks along the path — the
+    /// blame report's path, so the run is analyzed once.
     pub fn chrome_trace_json(&self) -> Option<JsonValue> {
         let spans = self.spans.as_ref()?;
-        let cp = self
-            .trace
-            .as_ref()
-            .map(|t| CriticalPath::extract(spans, t, self.makespan.ns()));
         Some(chrome_trace_with_critpath(
             spans,
             self.trace.as_ref(),
             self.makespan.ns(),
-            cp.as_ref(),
+            self.blame().map(|b| &b.critical_path),
         ))
     }
 }
@@ -990,6 +987,7 @@ pub fn run_experiment_streamed(
     let spans = cfg
         .collect_spans
         .then(|| SpanTrace::from_shard_logs(n_ranks as usize, sim.take_spans()));
+    let net = sim.take_net_trace();
     let workers = sim.actors();
     let crashed_ranks = sim.crashed_ranks();
     let is_crashed = |r: usize| crashed_ranks.contains(&(r as u32));
@@ -1113,7 +1111,6 @@ pub fn run_experiment_streamed(
     } else {
         None
     };
-    let net = sim.net_trace().cloned();
     let window_plan = sim.window_plan();
     let config = cfg.config_json();
     let fingerprint = config

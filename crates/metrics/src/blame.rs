@@ -12,7 +12,7 @@
 //! bound on accuracy but directly comparable across configurations —
 //! exactly what ranking victim-selection policies needs.
 
-use crate::critpath::{attribute, Component, Segment};
+use crate::critpath::{attribute, Component, CriticalPath, Segment};
 use crate::export::JsonValue;
 use crate::span::SpanTrace;
 use crate::trace::ActivityTrace;
@@ -49,10 +49,8 @@ pub struct BlameReport {
     /// Nanoseconds per component on the critical path, in
     /// [`Component::ALL`] order. Sums to `makespan_ns` exactly.
     pub components: Vec<(Component, u64)>,
-    /// Segment count of the extracted path.
-    pub n_segments: usize,
-    /// The longest path segments, by duration descending.
-    pub top_segments: Vec<Segment>,
+    /// The extracted critical path, every segment of it.
+    pub critical_path: CriticalPath,
     /// Per-rank decomposition (each row sums to `makespan_ns`).
     pub per_rank: Vec<(u32, [u64; 8])>,
     /// What-if virtual speedups.
@@ -76,8 +74,7 @@ impl BlameReport {
         BlameReport {
             makespan_ns,
             components,
-            n_segments: cp.segments().len(),
-            top_segments: cp.top_segments(TOP_K_SEGMENTS),
+            critical_path: cp,
             per_rank,
             whatif,
             shards: None,
@@ -137,10 +134,16 @@ impl BlameReport {
             (
                 "critical_path",
                 JsonValue::obj(vec![
-                    ("n_segments", self.n_segments.into()),
+                    ("n_segments", self.critical_path.segments().len().into()),
                     (
                         "top_segments",
-                        JsonValue::Arr(self.top_segments.iter().map(segment_json).collect()),
+                        JsonValue::Arr(
+                            self.critical_path
+                                .top_segments(TOP_K_SEGMENTS)
+                                .iter()
+                                .map(segment_json)
+                                .collect(),
+                        ),
                     ),
                 ]),
             ),

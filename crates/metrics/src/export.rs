@@ -449,48 +449,51 @@ pub fn link_matrix_json(links: &[(String, u64)], hotspot_factor: f64) -> JsonVal
     ])
 }
 
-/// Predicate selecting one span kind.
-type KindPred = fn(&SpanKind) -> bool;
-
-/// Span counts per kind — the machine-readable reconciliation surface.
+/// Span counts per kind — the machine-readable reconciliation surface —
+/// from one pass over the records.
 pub fn span_counts_json(spans: &SpanTrace) -> JsonValue {
-    let kinds: [(&str, KindPred); 15] = [
-        ("steal_request_sent", |k| {
-            matches!(k, SpanKind::StealRequestSent { .. })
-        }),
-        ("steal_request_recv", |k| {
-            matches!(k, SpanKind::StealRequestRecv { .. })
-        }),
-        ("steal_reply_sent", |k| {
-            matches!(k, SpanKind::StealReplySent { .. })
-        }),
-        ("steal_serviced", |k| {
-            matches!(k, SpanKind::StealServiced { .. })
-        }),
-        ("steal_ok", |k| matches!(k, SpanKind::StealOk { .. })),
-        ("steal_empty", |k| matches!(k, SpanKind::StealEmpty { .. })),
-        ("steal_timeout", |k| {
-            matches!(k, SpanKind::StealTimeout { .. })
-        }),
-        ("steal_abandoned", |k| {
-            matches!(k, SpanKind::StealAbandoned { .. })
-        }),
-        ("transfer_acked", |k| {
-            matches!(k, SpanKind::TransferAcked { .. })
-        }),
-        ("retransmit", |k| matches!(k, SpanKind::Retransmit { .. })),
-        ("token_hop", |k| matches!(k, SpanKind::TokenHop { .. })),
-        ("token_regenerated", |k| {
-            matches!(k, SpanKind::TokenRegenerated { .. })
-        }),
-        ("quarantined", |k| matches!(k, SpanKind::Quarantined { .. })),
-        ("session_end", |k| matches!(k, SpanKind::SessionEnd { .. })),
-        ("done", |k| matches!(k, SpanKind::Done)),
+    const KEYS: [&str; 15] = [
+        "steal_request_sent",
+        "steal_request_recv",
+        "steal_reply_sent",
+        "steal_serviced",
+        "steal_ok",
+        "steal_empty",
+        "steal_timeout",
+        "steal_abandoned",
+        "transfer_acked",
+        "retransmit",
+        "token_hop",
+        "token_regenerated",
+        "quarantined",
+        "session_end",
+        "done",
     ];
+    let mut counts = [0u64; KEYS.len()];
+    for r in spans.records() {
+        let key = match r.kind {
+            SpanKind::StealRequestSent { .. } => 0,
+            SpanKind::StealRequestRecv { .. } => 1,
+            SpanKind::StealReplySent { .. } => 2,
+            SpanKind::StealServiced { .. } => 3,
+            SpanKind::StealOk { .. } => 4,
+            SpanKind::StealEmpty { .. } => 5,
+            SpanKind::StealTimeout { .. } => 6,
+            SpanKind::StealAbandoned { .. } => 7,
+            SpanKind::TransferAcked { .. } => 8,
+            SpanKind::Retransmit { .. } => 9,
+            SpanKind::TokenHop { .. } => 10,
+            SpanKind::TokenRegenerated { .. } => 11,
+            SpanKind::Quarantined { .. } => 12,
+            SpanKind::SessionEnd { .. } => 13,
+            SpanKind::Done => 14,
+        };
+        counts[key] += 1;
+    }
     JsonValue::Obj(
-        kinds
-            .iter()
-            .map(|(name, pred)| (name.to_string(), spans.count(pred).into()))
+        KEYS.iter()
+            .zip(counts)
+            .map(|(name, n)| (name.to_string(), n.into()))
             .collect(),
     )
 }

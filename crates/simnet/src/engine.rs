@@ -60,7 +60,7 @@ use dws_metrics::{OnlineAccounting, ShardSnap, Snapshot, SpanKind, SpanRecord, T
 use crate::abort;
 use crate::barrier::WindowBarrier;
 use crate::fault::{FaultPlan, FaultStats};
-use crate::observer::{EventKind as ObsKind, EventLog, EventRecord, FlightRecorder, NetTrace};
+use crate::observer::{EventKind as ObsKind, EventRecord, FlightRecorder, NetTrace};
 use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
 use crate::rng::DetRng;
 use crate::time::SimTime;
@@ -750,7 +750,6 @@ struct ShardCore<M> {
     /// Events processed (deliveries + timers + crash-lost), cumulative.
     events: u64,
     fault_stats: FaultStats,
-    log: Option<EventLog>,
     net_trace: Option<NetTrace>,
     /// Activity transitions recorded via [`Ctx::record_activity`], in
     /// dispatch order: `(time, rank)` ascending except for `on_start`'s
@@ -796,7 +795,6 @@ impl<M> ShardCore<M> {
             messages_sent: 0,
             events: 0,
             fault_stats: FaultStats::default(),
-            log: None,
             net_trace: None,
             activity: None,
             keep_activity: false,
@@ -854,26 +852,20 @@ impl<M> ShardCore<M> {
         }
     }
 
-    /// Record a fault-injection outcome in the event log, if attached.
-    fn log_fault(&mut self, kind: ObsKind) {
-        let at = self.now;
-        self.log_event(at, kind);
+    /// Record a fault-injection outcome in the flight ring, if attached.
+    fn log_fault(&self, kind: ObsKind) {
+        self.log_event(self.now, kind);
     }
 
-    /// Record an engine event in the event log and/or flight ring, if
-    /// attached; the append is accounted to the trace-record phase.
-    fn log_event(&mut self, at: SimTime, kind: ObsKind) {
-        if self.log.is_none() && self.flight.is_none() {
+    /// Record an engine event in the flight ring, if attached; the
+    /// append is accounted to the trace-record phase.
+    #[inline]
+    fn log_event(&self, at: SimTime, kind: ObsKind) {
+        let Some(flight) = &self.flight else {
             return;
-        }
+        };
         let t0 = prof_start(&self.profiler);
-        let rec = EventRecord { at, kind };
-        if let Some(flight) = &self.flight {
-            flight.record(&rec);
-        }
-        if let Some(log) = &mut self.log {
-            log.record(rec);
-        }
+        flight.record(&EventRecord { at, kind });
         prof_record(&self.profiler, Phase::TraceRecord, t0);
     }
 }
@@ -968,35 +960,23 @@ impl<M: Clone> ShardCore<M> {
         let at = natural.max(*free);
         *free = at + 1;
         self.messages_sent += 1;
-        let t_rec = if self.log.is_some() || self.net_trace.is_some() || self.flight.is_some() {
-            prof_start(&self.profiler)
-        } else {
-            None
-        };
-        if self.log.is_some() || self.flight.is_some() {
-            let rec = EventRecord {
-                at: self.now,
-                kind: ObsKind::Sent {
-                    from,
-                    to,
-                    bytes: bytes as u32,
-                    deliver_at: at,
-                },
-            };
-            if let Some(flight) = &self.flight {
-                flight.record(&rec);
-            }
-            if let Some(log) = &mut self.log {
-                log.record(rec);
-            }
-        }
+        self.log_event(
+            self.now,
+            ObsKind::Sent {
+                from,
+                to,
+                bytes: bytes as u32,
+                deliver_at: at,
+            },
+        );
         if let Some(nt) = &mut self.net_trace {
+            let t0 = prof_start(&self.profiler);
             // Network latency as experienced by the message: scheduled
             // arrival minus departure, so FIFO pushback and spikes are
             // included (receive-side NIC admission is charged later).
             nt.record(from, to, bytes as u64, at.ns() - depart_ns);
+            prof_record(&self.profiler, Phase::TraceRecord, t0);
         }
-        prof_record(&self.profiler, Phase::TraceRecord, t_rec);
         let sseq = state.next_sseq();
         if duplicate {
             // The duplicate rides one tick behind the original and is
@@ -1421,20 +1401,6 @@ impl GroupSlot {
     }
 }
 
-/// Map an observed event to the rank whose history it belongs to; used
-/// to merge per-shard event logs into one canonical order.
-fn owner_rank(kind: &ObsKind) -> u32 {
-    match *kind {
-        ObsKind::Sent { from, .. }
-        | ObsKind::Dropped { from, .. }
-        | ObsKind::Partitioned { from, .. }
-        | ObsKind::Duplicated { from, .. }
-        | ObsKind::Delayed { from, .. } => from,
-        ObsKind::Delivered { to, .. } => to,
-        ObsKind::Timer { rank, .. } | ObsKind::CrashLost { rank, .. } => rank,
-    }
-}
-
 /// A discrete-event simulation over `n` actors.
 pub struct Simulation<A: Actor> {
     shards: Vec<Shard<A>>,
@@ -1449,11 +1415,7 @@ pub struct Simulation<A: Actor> {
     plan_digest: u64,
     plan_windows: u64,
     started: bool,
-    log_cap: Option<usize>,
-    net_trace_on: bool,
     profiler: Option<Arc<PerfProbe>>,
-    merged_log: Option<EventLog>,
-    merged_net: Option<NetTrace>,
     streaming: Option<StreamState>,
 }
 
@@ -1522,11 +1484,7 @@ impl<A: Actor> Simulation<A> {
             plan_digest: FNV_OFFSET,
             plan_windows: 0,
             started: false,
-            log_cap: None,
-            net_trace_on: false,
             profiler: None,
-            merged_log: None,
-            merged_net: None,
             streaming: None,
         }
     }
@@ -1587,6 +1545,7 @@ impl<A: Actor> Simulation<A> {
             ..
         } = old;
         let spans_on = core.spans.is_some();
+        let net_on = core.net_trace.is_some();
         let activity_on = core.keep_activity;
         let mut nets: Vec<Box<dyn NetworkModel>> =
             (1..s_count).map(|_| core.net.replicate()).collect();
@@ -1608,10 +1567,9 @@ impl<A: Actor> Simulation<A> {
             }
             let mut core = ShardCore::new(id, s_count, net);
             core.spans = spans_on.then(Vec::new);
+            core.net_trace = net_on.then(NetTrace::default);
             core.activity = activity_on.then(Vec::new);
             core.keep_activity = activity_on;
-            core.log = self.log_cap.map(|_| EventLog::unbounded());
-            core.net_trace = self.net_trace_on.then(NetTrace::default);
             core.profiler = self.profiler.clone();
             self.shards.push(Shard {
                 members,
@@ -1645,15 +1603,8 @@ impl<A: Actor> Simulation<A> {
         st.emit(&snap);
     }
 
-    /// Rebuild the merged observability artifacts and sum the shards'
-    /// counters into the run report.
-    fn finish_run(&mut self, limit_hit: bool) -> RunReport {
-        if self.log_cap.is_some() {
-            self.rebuild_merged_log();
-        }
-        if self.net_trace_on {
-            self.rebuild_merged_net();
-        }
+    /// Sum the shards' counters into the run report.
+    fn finish_run(&self, limit_hit: bool) -> RunReport {
         let end_time = self
             .shards
             .iter()
@@ -1667,37 +1618,6 @@ impl<A: Actor> Simulation<A> {
             timers: self.shards.iter().map(|s| s.core.timers).sum(),
             halted: limit_hit,
         }
-    }
-
-    /// Rebuild the canonical merged event log: concatenate the
-    /// per-shard logs and stable-sort by `(time, owning rank)`. Records
-    /// with equal keys always come from one rank — hence one shard —
-    /// so the stable sort preserves their original order and the merge
-    /// is shard-count-invariant.
-    fn rebuild_merged_log(&mut self) {
-        let cap = self.log_cap.expect("checked by caller");
-        let mut all: Vec<EventRecord> = Vec::new();
-        for shard in &self.shards {
-            if let Some(log) = &shard.core.log {
-                all.extend(log.iter().copied());
-            }
-        }
-        all.sort_by_key(|r| (r.at.ns(), owner_rank(&r.kind)));
-        let mut merged = EventLog::new(cap);
-        for r in all {
-            merged.record(r);
-        }
-        self.merged_log = Some(merged);
-    }
-
-    fn rebuild_merged_net(&mut self) {
-        let mut merged = NetTrace::default();
-        for shard in &self.shards {
-            if let Some(nt) = &shard.core.net_trace {
-                merged.merge(nt);
-            }
-        }
-        self.merged_net = Some(merged);
     }
 
     /// Access an actor after (or during) a run — e.g. to harvest per-rank
@@ -1745,39 +1665,30 @@ impl<A: Actor> Simulation<A> {
             .collect()
     }
 
-    /// Attach a bounded event log keeping the `cap` most recent engine
-    /// events (sends, deliveries, timers). Call before `run`. Each
-    /// shard buffers its full stream and the merge truncates to `cap`,
-    /// so the retained window is shard-count-invariant.
-    pub fn attach_log(&mut self, cap: usize) {
-        self.log_cap = Some(cap);
-        self.merged_log = Some(EventLog::new(cap));
-        for shard in self.shards.iter_mut() {
-            shard.core.log = Some(EventLog::unbounded());
-        }
-    }
-
-    /// The attached event log, if any: the canonical cross-shard merge
-    /// as of the end of the last run call.
-    pub fn event_log(&self) -> Option<&EventLog> {
-        self.merged_log.as_ref()
-    }
-
     /// Attach a network trace (delivery-latency histogram + per-pair
-    /// traffic matrix). Call before `run`; unattached, the engine pays
-    /// one branch per send and records nothing.
+    /// traffic matrix), one per shard, until
+    /// [`take_net_trace`](Self::take_net_trace). Call before `run`;
+    /// unattached, the engine pays one branch per send and records
+    /// nothing.
     pub fn attach_net_trace(&mut self) {
-        self.net_trace_on = true;
-        self.merged_net = Some(NetTrace::default());
         for shard in self.shards.iter_mut() {
             shard.core.net_trace = Some(NetTrace::default());
         }
     }
 
-    /// The attached network trace, if any: the cross-shard merge as of
-    /// the end of the last run call.
-    pub fn net_trace(&self) -> Option<&NetTrace> {
-        self.merged_net.as_ref()
+    /// Detach the network trace and hand it over, the shards' traces
+    /// summed into one (`None` when
+    /// [`attach_net_trace`](Self::attach_net_trace) was never called).
+    /// Histogram bins and pair tallies add, so the sum is the same for
+    /// every shard count.
+    pub fn take_net_trace(&mut self) -> Option<NetTrace> {
+        self.shards
+            .iter_mut()
+            .filter_map(|shard| shard.core.net_trace.take())
+            .reduce(|mut total, nt| {
+                total.merge(&nt);
+                total
+            })
     }
 
     /// Attach the causal span log: every [`Ctx::record_span`] from now
@@ -1935,11 +1846,6 @@ where
         max_events: Option<u64>,
     ) -> RunReport {
         self.run_parallel_with_limits(max_time, max_events)
-    }
-
-    /// [`run`](Self::run) under its historical parallel name.
-    pub fn run_parallel(&mut self) -> RunReport {
-        self.run()
     }
 
     /// The engine's one run loop: execute lookahead windows until the
@@ -2320,10 +2226,11 @@ mod tests {
     /// sizes, a quarter of them `send_delayed`). Timers fire a 64 KiB
     /// message chased by an 8-byte one on the same pair, and rank 0's
     /// second timer broadcasts to every other rank. The payload is
-    /// `(sender's own send counter, hops left)`.
+    /// `(sender's own send counter, hops left)`; send `k` (from 1) was
+    /// made at `sent_at[k - 1]`.
     struct PairStorm {
         n: u32,
-        sent: u64,
+        sent_at: Vec<SimTime>,
         got: Vec<(SimTime, Rank, u64)>,
     }
 
@@ -2334,7 +2241,7 @@ mod tests {
             (0..n)
                 .map(|_| PairStorm {
                     n,
-                    sent: 0,
+                    sent_at: vec![],
                     got: vec![],
                 })
                 .collect()
@@ -2350,8 +2257,9 @@ mod tests {
                 0 => ctx.rng().next_below(3_000),
                 _ => 0,
             };
-            self.sent += 1;
-            ctx.send_delayed(to, bytes, delay_ns, (self.sent, hops));
+            self.sent_at.push(ctx.now());
+            let seq = self.sent_at.len() as u64;
+            ctx.send_delayed(to, bytes, delay_ns, (seq, hops));
         }
     }
 
@@ -2387,16 +2295,20 @@ mod tests {
         }
     }
 
-    /// Highest number of messages in flight at any instant of the
-    /// logged run, counting a message from its send up to and including
-    /// its scheduled delivery instant.
-    fn peak_in_flight(log: &[EventRecord]) -> usize {
-        use crate::observer::EventKind as Obs;
+    /// Highest number of messages in flight at any instant of a storm,
+    /// counting a message from its send up to and including its first
+    /// delivery. A dropped message never lands and is not counted; a
+    /// duplicate lands one tick behind its original.
+    fn peak_in_flight(fleet: &[&PairStorm]) -> usize {
+        let mut landed = std::collections::HashSet::new();
         let mut edges: Vec<(u64, i64)> = Vec::new();
-        for rec in log {
-            if let Obs::Sent { deliver_at, .. } = rec.kind {
-                edges.push((rec.at.ns(), 1));
-                edges.push((deliver_at.ns() + 1, -1));
+        for actor in fleet {
+            for &(at, src, seq) in &actor.got {
+                if landed.insert((src, seq)) {
+                    let sent = fleet[src as usize].sent_at[seq as usize - 1];
+                    edges.push((sent.ns(), 1));
+                    edges.push((at.ns() + 1, -1));
+                }
             }
         }
         edges.sort_unstable();
@@ -2411,8 +2323,8 @@ mod tests {
     /// What one [`PairStorm`] run leaves behind: every delivery as
     /// `(time, dst, src, sender's send counter)` in delivery order per
     /// destination, the send and fault ledgers, the largest per-shard
-    /// FIFO map seen at a pause or at the end, and — for the oracle,
-    /// which logs — the in-flight high-water mark.
+    /// FIFO map seen at a pause or at the end, and the in-flight
+    /// high-water mark.
     struct StormOutcome {
         deliveries: Vec<(SimTime, Rank, Rank, u64)>,
         messages_sent: u64,
@@ -2449,7 +2361,6 @@ mod tests {
         let mut sim = Simulation::new(PairStorm::fleet(N), lat, cfg);
         sim.configure_parallel(layout(N, shards, threads, 500));
         if in_flight_peak.is_none() {
-            sim.attach_log(1 << 20);
             for shard in sim.shards.iter_mut() {
                 shard.core.fifo_sweep_at = usize::MAX;
             }
@@ -2473,8 +2384,9 @@ mod tests {
             }
             limit = limit.map(|t| t + pause_every_ns.expect("a limit implies a step"));
         }
+        let fleet = sim.actors();
         let mut deliveries = Vec::new();
-        for (dst, actor) in sim.actors().into_iter().enumerate() {
+        for (dst, actor) in fleet.iter().enumerate() {
             let mut last_from = vec![0u64; N as usize];
             for &(at, src, seq) in &actor.got {
                 // A fault-injected duplicate repeats its original's
@@ -2493,9 +2405,7 @@ mod tests {
             messages_sent: sim.messages_sent(),
             fault_stats: sim.fault_stats(),
             max_retained,
-            peak_in_flight: sim
-                .event_log()
-                .map_or(0, |log| peak_in_flight(&log.window())),
+            peak_in_flight: peak_in_flight(&fleet),
         }
     }
 
@@ -2644,8 +2554,7 @@ mod tests {
     }
 
     #[test]
-    fn event_log_observes_sends_deliveries_and_timers() {
-        use crate::observer::EventKind as Obs;
+    fn flight_ring_observes_sends_and_deliveries() {
         let actors = vec![
             PingPong {
                 hops_left: 3,
@@ -2657,23 +2566,37 @@ mod tests {
             },
         ];
         let mut sim = Simulation::new(actors, ConstantLatency(100), SimConfig::default());
-        sim.attach_log(64);
+        let streaming = StreamingCfg {
+            flight_ring: 64,
+            ..StreamingCfg::default()
+        };
+        sim.attach_streaming(streaming, None);
         sim.run();
-        let log = sim.event_log().expect("attached");
-        assert_eq!(
-            log.count_matching(|r| matches!(r.kind, Obs::Sent { .. })),
-            3
-        );
-        assert_eq!(
-            log.count_matching(|r| matches!(r.kind, Obs::Delivered { .. })),
-            3
-        );
-        // Delivery times match the schedule recorded at send time.
-        for rec in log.window() {
-            if let Obs::Sent { deliver_at, .. } = rec.kind {
-                assert_eq!(deliver_at.ns(), rec.at.ns() + 100);
-            }
-        }
+        let ring = sim.shards[0].core.flight.as_ref().expect("attached");
+        // Three hops, each a send stamped with its scheduled delivery
+        // and then that delivery, 100 ns later.
+        let expected: Vec<EventRecord> = (0..3u32)
+            .flat_map(|hop| {
+                let (from, to) = (hop % 2, 1 - hop % 2);
+                let at = SimTime(100 * u64::from(hop));
+                [
+                    EventRecord {
+                        at,
+                        kind: ObsKind::Sent {
+                            from,
+                            to,
+                            bytes: 8,
+                            deliver_at: at + 100,
+                        },
+                    },
+                    EventRecord {
+                        at: at + 100,
+                        kind: ObsKind::Delivered { from, to },
+                    },
+                ]
+            })
+            .collect();
+        assert_eq!(ring.dump(), expected);
     }
 
     #[test]
@@ -2691,7 +2614,8 @@ mod tests {
         let mut sim = Simulation::new(actors, ConstantLatency(250), SimConfig::default());
         sim.attach_net_trace();
         sim.run();
-        let nt = sim.net_trace().expect("attached");
+        let nt = sim.take_net_trace().expect("attached");
+        assert!(sim.take_net_trace().is_none(), "taking detaches the trace");
         assert_eq!(nt.messages(), 3);
         // Constant latency, no contention: every delivery takes 250ns.
         assert_eq!(nt.delivery_histogram().min(), 250);
@@ -2827,10 +2751,12 @@ mod tests {
 
     /// A chatty workload exercising per-rank RNG streams, timers,
     /// variable message sizes and all-to-all traffic — the schedule is
-    /// sensitive to any ordering or stream regression.
+    /// sensitive to any ordering or stream regression. Each rank keeps
+    /// its own sends as `(to, bytes, time)`.
     #[derive(Clone, PartialEq, Eq, Debug)]
     struct Chatter {
         n: u32,
+        sent: Vec<(Rank, usize, SimTime)>,
         got: Vec<(Rank, u64, SimTime)>,
         fired: Vec<(u64, SimTime)>,
     }
@@ -2840,10 +2766,16 @@ mod tests {
             (0..n)
                 .map(|_| Chatter {
                     n,
+                    sent: vec![],
                     got: vec![],
                     fired: vec![],
                 })
                 .collect()
+        }
+
+        fn send(&mut self, ctx: &mut Ctx<'_, u64>, to: Rank, bytes: usize, msg: u64) {
+            self.sent.push((to, bytes, ctx.now()));
+            ctx.send(to, bytes, msg);
         }
     }
 
@@ -2853,7 +2785,7 @@ mod tests {
             let me = ctx.me();
             let to = (me + 1) % self.n;
             if to != me {
-                ctx.send(to, 64, 6);
+                self.send(ctx, to, 64, 6);
             }
             ctx.set_timer(500 + 37 * me as u64, 1);
         }
@@ -2866,7 +2798,7 @@ mod tests {
                     to = (to + 1) % n;
                 }
                 if to != ctx.me() {
-                    ctx.send(to, 32 + 8 * msg as usize, msg - 1);
+                    self.send(ctx, to, 32 + 8 * msg as usize, msg - 1);
                 }
             }
         }
@@ -2879,7 +2811,7 @@ mod tests {
                     to = (to + 1) % n;
                 }
                 if to != ctx.me() {
-                    ctx.send(to, 16, 2);
+                    self.send(ctx, to, 16, 2);
                 }
                 ctx.set_timer(700, token + 1);
             }
@@ -2893,14 +2825,18 @@ mod tests {
             .with_shard_map((0..n).map(|r| r * shards / n).collect())
     }
 
+    /// One `(from, to)` row of a network trace's traffic matrix.
+    type PairRow = ((Rank, Rank), crate::observer::PairTally);
+
     /// Run the chatter fleet over `shards` shards on `threads` worker
-    /// threads. Returns everything observable.
+    /// threads. Returns everything observable, the network trace as its
+    /// per-pair tallies in pair order.
     fn run_chatter(
         n: u32,
         shards: u32,
         threads: u32,
         fault: FaultPlan,
-    ) -> (RunReport, Vec<Chatter>, FaultStats, u64, Vec<EventRecord>) {
+    ) -> (RunReport, Vec<Chatter>, FaultStats, u64, Vec<PairRow>) {
         let cfg = SimConfig {
             latency_jitter: 0.3,
             clock_skew_max_ns: 2_000,
@@ -2909,12 +2845,19 @@ mod tests {
         };
         let mut sim = Simulation::new(Chatter::fleet(n), ConstantLatency(1_000), cfg);
         sim.configure_parallel(layout(n, shards, threads, 1_000));
-        sim.attach_log(1 << 16);
         sim.attach_net_trace();
         let report = sim.run();
         let actors: Vec<Chatter> = sim.actors().into_iter().cloned().collect();
-        let log = sim.event_log().expect("attached").window();
-        (report, actors, sim.fault_stats(), sim.messages_sent(), log)
+        let net = sim.take_net_trace().expect("attached");
+        let mut pairs: Vec<PairRow> = net.pair_tallies().map(|(k, t)| (*k, *t)).collect();
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        (
+            report,
+            actors,
+            sim.fault_stats(),
+            sim.messages_sent(),
+            pairs,
+        )
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! Event observation: taps into the simulation for debugging and
-//! offline analysis (message logs, link-load studies, protocol
-//! visualizations) without touching actor code.
+//! Event observation: taps into the simulation for crash forensics and
+//! offline analysis (link-load studies, latency distributions) without
+//! touching actor code.
 //!
-//! An [`EventLog`] records a bounded window of engine events; the
-//! engine calls [`EventLog::record`] when attached via
-//! [`Simulation::attach_log`](crate::Simulation::attach_log).
+//! A [`FlightRecorder`] ring per shard is the engine's one event-level
+//! tap: every send, delivery, timer and fault outcome is one
+//! [`EventRecord`], kept while it is among the ring's last K. It is
+//! attached with streaming
+//! ([`Simulation::attach_streaming`](crate::Simulation::attach_streaming)).
+//! A [`NetTrace`] per shard tallies scheduled deliveries and is handed
+//! over, merged, by
+//! [`Simulation::take_net_trace`](crate::Simulation::take_net_trace).
 
 use crate::time::SimTime;
 use dws_metrics::Histogram;
@@ -89,80 +94,6 @@ pub struct EventRecord {
     pub at: SimTime,
     /// What happened.
     pub kind: EventKind,
-}
-
-/// Bounded in-memory event log (ring buffer: keeps the latest events).
-#[derive(Debug)]
-pub struct EventLog {
-    buf: Vec<EventRecord>,
-    cap: usize,
-    next: usize,
-    total: u64,
-}
-
-impl EventLog {
-    /// Log keeping at most `cap` most-recent events.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "event log capacity must be positive");
-        Self {
-            buf: Vec::with_capacity(cap),
-            cap,
-            next: 0,
-            total: 0,
-        }
-    }
-
-    /// Log with no eviction: every record is retained. The engine uses
-    /// this per shard so the cross-shard merge can truncate canonically
-    /// instead of per-shard.
-    pub fn unbounded() -> Self {
-        Self {
-            buf: Vec::new(),
-            cap: usize::MAX,
-            next: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one event.
-    pub fn record(&mut self, rec: EventRecord) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.next] = rec;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    /// Events observed in total (including evicted ones).
-    pub fn total_observed(&self) -> u64 {
-        self.total
-    }
-
-    /// The retained window, oldest first.
-    ///
-    /// Allocates a fresh `Vec`; iterate with [`iter`](Self::iter) to
-    /// walk the window without copying it.
-    pub fn window(&self) -> Vec<EventRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
-    }
-
-    /// Iterate the retained window, oldest first, without allocating:
-    /// the ring buffer's two halves are chained in place.
-    pub fn iter(&self) -> impl Iterator<Item = &EventRecord> {
-        self.buf[self.next..]
-            .iter()
-            .chain(self.buf[..self.next].iter())
-    }
-
-    /// Count retained events matching a predicate.
-    pub fn count_matching<F: Fn(&EventRecord) -> bool>(&self, f: F) -> usize {
-        self.buf.iter().filter(|r| f(r)).count()
-    }
 }
 
 /// Flight-recorder ring: the last K canonical engine events of one
@@ -386,64 +317,6 @@ impl NetTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(t: u64) -> EventRecord {
-        EventRecord {
-            at: SimTime(t),
-            kind: EventKind::Timer { rank: 0, token: t },
-        }
-    }
-
-    #[test]
-    fn keeps_latest_window() {
-        let mut log = EventLog::new(3);
-        for t in 0..5 {
-            log.record(rec(t));
-        }
-        assert_eq!(log.total_observed(), 5);
-        let window: Vec<u64> = log.window().iter().map(|r| r.at.ns()).collect();
-        assert_eq!(window, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn under_capacity_is_in_order() {
-        let mut log = EventLog::new(10);
-        for t in 0..4 {
-            log.record(rec(t));
-        }
-        let window: Vec<u64> = log.window().iter().map(|r| r.at.ns()).collect();
-        assert_eq!(window, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn count_matching_filters() {
-        let mut log = EventLog::new(10);
-        log.record(EventRecord {
-            at: SimTime(1),
-            kind: EventKind::Delivered { from: 0, to: 1 },
-        });
-        log.record(rec(2));
-        assert_eq!(
-            log.count_matching(|r| matches!(r.kind, EventKind::Delivered { .. })),
-            1
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        EventLog::new(0);
-    }
-
-    #[test]
-    fn iter_matches_window_across_wraparound() {
-        let mut log = EventLog::new(3);
-        for t in 0..5 {
-            log.record(rec(t));
-            let via_iter: Vec<EventRecord> = log.iter().copied().collect();
-            assert_eq!(via_iter, log.window());
-        }
-    }
 
     #[test]
     fn flight_ring_round_trips_every_kind() {

@@ -34,8 +34,8 @@ pub enum Phase {
     /// Victim selection draws in the scheduler (`next_victim`,
     /// including re-draw loops).
     VictimDraw,
-    /// Observability recording: span tracer, activity trace, event
-    /// log, and network trace appends.
+    /// Observability recording: span log, activity log, flight ring
+    /// and network trace appends.
     TraceRecord,
     /// Parallel-driver barrier waits: time a worker thread spends
     /// parked at the per-window barrier (and the rare streaming /

@@ -459,16 +459,16 @@ impl Actor for Gossip {
 /// simulation unconfigured.
 type Layout = Option<(u32, u32)>;
 
-/// Run `sim` to completion: uninterrupted through `run_parallel`, or
-/// stepped through `run_with_limits` every `pause_every_ns` until the
-/// queue drains.
+/// Run `sim` to completion: uninterrupted through `run`, or stepped
+/// through `run_with_limits` every `pause_every_ns` until the queue
+/// drains.
 fn drive<A>(sim: &mut Simulation<A>, pause_every_ns: Option<u64>) -> RunReport
 where
     A: Actor + Send,
     A::Msg: Send,
 {
     let Some(step) = pause_every_ns else {
-        return sim.run_parallel();
+        return sim.run();
     };
     let mut until = step;
     loop {

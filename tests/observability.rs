@@ -3,7 +3,8 @@
 //! run report, and the zero-overhead guarantee when tracing is off.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
-use dws::metrics::export::parse;
+use dws::metrics::export::{chrome_trace_with_critpath, parse};
+use dws::metrics::CriticalPath;
 use dws::simnet::{Crash, FaultPlan};
 use dws::uts::presets;
 
@@ -169,6 +170,35 @@ fn chrome_trace_is_well_formed() {
         "critical-path track must end at the makespan \
          ({critpath_cursor} vs {makespan_us})"
     );
+}
+
+/// The Chrome document's critical-path track is the blame report's
+/// cached path: the bytes are the same whether the report was built
+/// first or by the document itself, and the same as with a path
+/// extracted afresh.
+#[test]
+fn chrome_trace_is_the_same_whether_blame_ran_first() {
+    let cfg = traced_config(16);
+    let cold = run_experiment(&cfg);
+    let cold_doc = cold
+        .chrome_trace_json()
+        .expect("spans collected")
+        .to_string();
+    let warm = run_experiment(&cfg);
+    let blame = warm.blame_report().expect("spans and trace collected");
+    assert!(!blame.critical_path.segments().is_empty());
+    let warm_doc = warm
+        .chrome_trace_json()
+        .expect("spans collected")
+        .to_string();
+    assert_eq!(cold_doc, warm_doc);
+
+    let spans = warm.spans.as_ref().expect("spans collected");
+    let trace = warm.trace.as_ref().expect("trace collected");
+    let makespan_ns = warm.makespan.ns();
+    let fresh = CriticalPath::extract(spans, trace, makespan_ns);
+    let fresh_doc = chrome_trace_with_critpath(spans, Some(trace), makespan_ns, Some(&fresh));
+    assert_eq!(warm_doc, fresh_doc.to_string());
 }
 
 /// The machine-readable report round-trips through our own parser and
