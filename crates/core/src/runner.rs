@@ -895,9 +895,6 @@ pub fn run_experiment_streamed(
             if cfg.victim.is_adaptive() {
                 w = w.with_health(AdaptiveCfg::default());
             }
-            if let Some(p) = &probe {
-                w = w.with_profiler(Arc::clone(p));
-            }
             w
         })
         .collect();
@@ -921,7 +918,10 @@ pub fn run_experiment_streamed(
             cfg.nic_bytes_per_ns,
         ))
     } else {
-        Box::new(PureNetwork(JobLatency(Arc::clone(&job))))
+        let job = Arc::clone(&job);
+        Box::new(PureNetwork(move |from, to, bytes| {
+            job.latency_ns(from, to, bytes)
+        }))
     };
     // Always configure a bounded lookahead (even at one thread). The
     // committed schedule is a pure function of the configuration and is
@@ -1205,17 +1205,6 @@ pub fn shard_plan(job: &Job, threads: u32) -> (CutReport, Vec<u32>) {
         lookahead_ns: cut.lookahead_ns,
     };
     (report, shard_of)
-}
-
-/// Newtype forwarding latency queries to the placed job (orphan-rule
-/// helper so `Simulation` can own it).
-#[derive(Clone)]
-struct JobLatency(Arc<Job>);
-
-impl dws_simnet::LatencyFn for JobLatency {
-    fn latency_ns(&self, from: u32, to: u32, bytes: usize, _now_ns: u64) -> u64 {
-        self.0.latency_ns(from, to, bytes)
-    }
 }
 
 /// Measure the sequential baseline: tree size and exact `T₁`.

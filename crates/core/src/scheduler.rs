@@ -44,7 +44,7 @@ use crate::stack::{Chunk, ChunkedStack};
 use crate::termination::{TerminationState, Token, TokenAction};
 use crate::victim::VictimSelector;
 use dws_metrics::{trace_id, SpanKind, StealStats};
-use dws_simnet::profiler::{prof_record, prof_start, PerfProbe, Phase};
+use dws_simnet::profiler::{prof_record, prof_start, Phase};
 use dws_simnet::{Actor, Ctx, Rank};
 use dws_topology::Job;
 use dws_uts::{Node, TreeSpec, Workload, NODE_WIRE_BYTES};
@@ -356,10 +356,6 @@ pub struct Worker {
     watchdog_attempts: u32,
     /// Rank 0: a crash has been observed; termination runs lossy.
     crash_seen: bool,
-    /// Optional self-profiling probe shared with the engine. Only ever
-    /// reads the host clock; one branch per site when absent, so the
-    /// event schedule is identical with profiling on or off.
-    probe: Option<Arc<PerfProbe>>,
     /// Adaptive victim selection: per-victim health ledger. `None`
     /// (the default) keeps the draw path exactly the base policy's —
     /// zero extra RNG draws, so the schedule is untouched.
@@ -424,7 +420,6 @@ impl Worker {
             absorbed: HashSet::new(),
             watchdog_attempts: 0,
             crash_seen: false,
-            probe: None,
             health: None,
             counters: StealStats::default(),
             cfg,
@@ -443,13 +438,6 @@ impl Worker {
     /// The adaptive health ledger, if the overlay is enabled.
     pub fn health(&self) -> Option<&HealthTracker> {
         self.health.as_ref()
-    }
-
-    /// Share the engine's self-profiling probe with this rank (builder
-    /// style): victim draws and activity-trace time get phase-accounted.
-    pub fn with_profiler(mut self, probe: Arc<PerfProbe>) -> Self {
-        self.probe = Some(probe);
-        self
     }
 
     /// Attach the topology latency model so fault-tolerance timeouts
@@ -733,10 +721,8 @@ impl Worker {
     fn go_idle(&mut self, ctx: &mut Ctx<'_, Msg>) {
         debug_assert!(self.stack.is_empty() && !self.computing);
         if self.traced_active {
-            let t0 = prof_start(&self.probe);
             ctx.record_activity(false);
             self.traced_active = false;
-            prof_record(&self.probe, Phase::TraceRecord, t0);
         }
         self.search_since_ns = Some(ctx.now().ns());
         if self.passive() {
@@ -779,10 +765,8 @@ impl Worker {
             ctx.record_span(0, SpanKind::SessionEnd { dur_ns: dur });
         }
         if !self.traced_active {
-            let t0 = prof_start(&self.probe);
             ctx.record_activity(true);
             self.traced_active = true;
-            prof_record(&self.probe, Phase::TraceRecord, t0);
         }
         self.start_batch(ctx);
     }
@@ -853,12 +837,12 @@ impl Worker {
 
     fn send_steal_request(&mut self, ctx: &mut Ctx<'_, Msg>) {
         debug_assert!(self.outstanding.is_none());
-        let t_draw = prof_start(&self.probe);
+        let t_draw = prof_start(ctx.profiler());
         let victim = if self.health.is_some() {
             match self.draw_victim_adaptive(ctx) {
                 Some(v) => v,
                 None => {
-                    prof_record(&self.probe, Phase::VictimDraw, t_draw);
+                    prof_record(ctx.profiler(), Phase::VictimDraw, t_draw);
                     return; // nobody left to steal from
                 }
             }
@@ -880,7 +864,7 @@ impl Worker {
                     match (0..n).find(|&r| r != me && !ctx.is_crashed(r)) {
                         Some(live) => victim = live,
                         None => {
-                            prof_record(&self.probe, Phase::VictimDraw, t_draw);
+                            prof_record(ctx.profiler(), Phase::VictimDraw, t_draw);
                             return; // nobody left to steal from
                         }
                     }
@@ -888,7 +872,7 @@ impl Worker {
             }
             victim
         };
-        prof_record(&self.probe, Phase::VictimDraw, t_draw);
+        prof_record(ctx.profiler(), Phase::VictimDraw, t_draw);
         let seq = self.req_seq;
         self.req_seq += 1;
         self.outstanding = Some(victim);

@@ -127,7 +127,7 @@ impl Polarity {
 /// repeated trials with its 95% confidence half-width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchMetric {
-    /// Metric name (e.g. `"makespan_ns"`, `"sha1/digest_64B"`).
+    /// Metric name (e.g. `"makespan_ns"`, `"chase_lev/uncontended_steal"`).
     pub name: String,
     /// Unit label (e.g. `"ns"`, `"ns_per_iter"`, `"events_per_sec"`).
     pub unit: String,

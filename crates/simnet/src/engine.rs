@@ -127,12 +127,6 @@ impl LatencyFn for ConstantLatency {
     }
 }
 
-impl LatencyFn for dws_topology::Job {
-    fn latency_ns(&self, from: Rank, to: Rank, bytes: usize, _now_ns: u64) -> u64 {
-        dws_topology::Job::latency_ns(self, from, to, bytes)
-    }
-}
-
 impl<F> LatencyFn for F
 where
     F: Fn(Rank, Rank, usize) -> u64,
@@ -1077,12 +1071,21 @@ impl<M> Ctx<'_, M> {
     #[inline]
     pub fn record_activity(&mut self, active: bool) {
         if let Some(buf) = self.core.activity.as_mut() {
+            let t0 = prof_start(&self.core.profiler);
             buf.push(Transition {
                 rank: self.me,
                 at_ns: self.core.now.ns(),
                 active,
             });
+            prof_record(&self.core.profiler, Phase::TraceRecord, t0);
         }
+    }
+
+    /// The shard's self-profiling probe ([`Simulation::attach_profiler`]),
+    /// for actors that time their own phases, such as victim draws.
+    #[inline]
+    pub fn profiler(&self) -> &Option<Arc<PerfProbe>> {
+        &self.core.profiler
     }
 
     /// Record one causal span of this rank at the current *global*

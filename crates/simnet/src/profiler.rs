@@ -70,8 +70,8 @@ struct PhaseCell {
     total_ns: AtomicU64,
 }
 
-/// Wall-clock phase accumulator, shared between the engine and the
-/// per-rank schedulers via `Arc`.
+/// Wall-clock phase accumulator, shared between the engine's shards via
+/// `Arc`; actors time their own phases through [`crate::Ctx::profiler`].
 ///
 /// Counters are relaxed atomics: the simulation is single-threaded,
 /// the atomics only buy `Sync` for the shared handle, and relaxed

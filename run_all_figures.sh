@@ -19,7 +19,7 @@ for bin in table1 fig02_efficiency_small fig03_reference_large fig04_latency_sma
            fig16_granularity ablation_polling ablation_chunk_size ablation_skew_exponent \
            ablation_flat_network ablation_nic ablation_skew_impl ablation_future_selection \
            ablation_link_load ablation_lifelines ablation_network_model ablation_threads \
-           ablation_adaptive ablation_blame micro_parallel smoke_8192; do
+           ablation_adaptive ablation_blame smoke_8192; do
     echo "=== $bin ==="
     ./target/release/$bin "$@" | tee results/$bin.out
 done

@@ -170,8 +170,7 @@ fn window_plan_and_schedule_are_pure_across_thread_counts() {
     }
 }
 
-/// The faulty slice of the thread matrix, moved here from
-/// `crates/core/tests/parallel_determinism.rs` so tier-1 sees it: 5%
+/// The faulty slice of the thread matrix in `parallel_determinism.rs`: 5%
 /// drop, 2% duplication, 5% spikes and a crash, and one report —
 /// occupancy and blame included — at one and three threads.
 #[test]
