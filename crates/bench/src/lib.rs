@@ -1,9 +1,15 @@
 //! # dws-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper. Each `fig*`/`table*`/`ablation_*` binary prints the rows the
-//! paper plots (plus an ASCII rendition of the chart) and writes a CSV
-//! under `results/`.
+//! paper. Every figure prints the rows the paper plots (plus an ASCII
+//! rendition of the chart) and writes a CSV and a [`BenchRecord`] under
+//! `results/`. Figures whose rows each come from one run are entries of
+//! [`figures::FIGURES`], run by the `figures <id>` binary. The rest keep
+//! one binary each: rows folded from several runs (fig16,
+//! `ablation_fault_tolerance`, `ablation_adaptive`), many rows from one
+//! run's occupancy (fig04, fig05, fig12, fig13), no simulation
+//! (`table1`, fig08, `ablation_skew_impl`, `ablation_link_load`), and
+//! the engine gates `smoke_8192`, `ablation_threads` and `micro`.
 //!
 //! ## Scale mapping
 //!
@@ -21,9 +27,13 @@
 //! Run a figure:
 //!
 //! ```text
-//! cargo run --release -p dws-bench --bin fig03_reference_large
-//! cargo run --release -p dws-bench --bin fig03_reference_large -- --full
+//! cargo run --release -p dws-bench --bin figures             # list the ids
+//! cargo run --release -p dws-bench --bin figures -- fig03
+//! cargo run --release -p dws-bench --bin figures -- fig03 --full
+//! cargo run --release -p dws-bench --bin fig16_granularity
 //! ```
+
+pub mod figures;
 
 use dws_core::{
     run_experiment_streamed, ExperimentConfig, ExperimentResult, StealAmount, StreamingSetup,
@@ -66,13 +76,11 @@ pub struct FigArgs {
     pub started: Instant,
 }
 
-impl FigArgs {
-    /// Parse from `std::env::args`: recognizes `--full`,
-    /// `--no-csv`, `--csv-dir <dir>`, `--seed <n>`,
-    /// `--trajectory <path>`, `--threads <n>`.
-    pub fn parse() -> Self {
-        let mut args = std::env::args().skip(1);
-        let mut out = Self {
+impl Default for FigArgs {
+    /// Compressed scale, CSVs under `results/`, the figures' seed, one
+    /// thread, no streaming.
+    fn default() -> Self {
+        Self {
             full: false,
             csv_dir: Some(PathBuf::from("results")),
             seed: 0xD15_7EA1,
@@ -84,7 +92,21 @@ impl FigArgs {
             flight_dump: None,
             wall_budget_ns: None,
             started: Instant::now(),
-        };
+        }
+    }
+}
+
+impl FigArgs {
+    /// Parse from `std::env::args` (see [`FigArgs::from_args`]).
+    pub fn parse() -> Self {
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    /// Parse options: recognizes `--full`, `--no-csv`,
+    /// `--csv-dir <dir>`, `--seed <n>`, `--trajectory <path>`,
+    /// `--threads <n>` and the streaming flags.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Self {
+        let mut out = Self::default();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--full" => out.full = true,
@@ -467,22 +489,10 @@ mod tests {
 
     #[test]
     fn scale_mapping() {
-        let quick = FigArgs {
-            full: false,
-            csv_dir: None,
-            seed: 0,
-            trajectory: None,
-            threads: 1,
-            live: false,
-            snapshot_every_ns: None,
-            snapshot: None,
-            flight_dump: None,
-            wall_budget_ns: None,
-            started: Instant::now(),
-        };
+        let quick = FigArgs::default();
         let full = FigArgs {
             full: true,
-            ..quick.clone()
+            ..FigArgs::default()
         };
         assert_eq!(quick.large_ranks(), vec![64, 128, 256, 512]);
         assert_eq!(full.large_ranks(), vec![1024, 2048, 4096, 8192]);
