@@ -394,24 +394,6 @@ pub const FIGURES: &[Figure] = &[
         row: ranks_speedup,
         chart: None,
     },
-    // Contention model: mean-field (per-hop constant plus NIC queueing)
-    // vs link-level queueing on dimension-ordered paths.
-    Figure {
-        id: "ablation_network_model",
-        title: "Mean-field vs link-level contention model",
-        header: &["model", "strategy", "speedup", "session_us"],
-        cells: |a| {
-            let models = [
-                ("mean-field", None),
-                ("link-level", Some((1_000u64, 800u64))),
-            ];
-            knob_sweep(a, models, &["Reference", "Rand", "Tofu Half"], |c, &l| {
-                c.link_level_network = l
-            })
-        },
-        row: |r| vec![f(speedup(r), 1), session_us(r, 0)],
-        chart: None,
-    },
     // Lifelines (Saraswat et al., the paper's §VI): past a threshold of
     // failed attempts, idle ranks wait for their lifelines instead.
     Figure {
@@ -634,7 +616,6 @@ mod tests {
         ("ablation_skew_exponent", "4588e88a5666150d"),
         ("ablation_flat_network", "60b9ea9bb89be973"),
         ("ablation_nic", "02e45f4921774b94"),
-        ("ablation_network_model", "d611de6d96cf62ad"),
         ("ablation_lifelines", "cbb893476014a2b3"),
         ("ablation_future_selection", "0d6ef4b096aeaf30"),
         ("ablation_blame", "0d03b34f6a22254d"),

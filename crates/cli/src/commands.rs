@@ -382,19 +382,21 @@ const STREAM_FLAGS: &[&str] = &[
     "rss-budget-mb",
 ];
 
+/// Valued output-file flags of `dws run`.
+const OUTPUT_FLAGS: &[&str] = &["csv", "trace", "json", "links"];
+
+/// Boolean flags of `dws run`.
+const RUN_SWITCHES: &[&str] = &["lifestory", "fault-tolerant", "profile", "no-trace", "live"];
+
 /// `dws run`
 pub fn run(rest: &[String]) -> Result<(), String> {
     let valued: Vec<&str> = CONFIG_FLAGS
         .iter()
-        .chain(["csv", "trace", "json", "links"].iter())
-        .chain(STREAM_FLAGS.iter())
+        .chain(OUTPUT_FLAGS)
+        .chain(STREAM_FLAGS)
         .copied()
         .collect();
-    let flags = parse(
-        rest,
-        &valued,
-        &["lifestory", "fault-tolerant", "profile", "no-trace", "live"],
-    )?;
+    let flags = parse(rest, &valued, RUN_SWITCHES)?;
     let mut cfg = config_from(&flags)?;
     // Any observability artifact turns the span/network tracer on.
     cfg.collect_spans =
@@ -531,121 +533,6 @@ pub fn run(rest: &[String]) -> Result<(), String> {
     if let Some(path) = flags.get("snapshot") {
         println!("[snapshot stream written to {path}; replay with `dws top {path}`]");
     }
-    Ok(())
-}
-
-/// `dws trace` — run one experiment with the causal tracer on and
-/// write the Chrome trace-event document (plus, optionally, the JSON
-/// run report and per-link load matrix).
-pub fn trace(rest: &[String]) -> Result<(), String> {
-    let valued: Vec<&str> = CONFIG_FLAGS
-        .iter()
-        .chain(["out", "json", "links"].iter())
-        .copied()
-        .collect();
-    let flags = parse(rest, &valued, &["fault-tolerant", "no-trace"])?;
-    let mut cfg = config_from(&flags)?;
-    cfg.collect_spans = true;
-    eprintln!(
-        "tracing {} on {} nodes ({} ranks), tree {}...",
-        cfg.label(),
-        cfg.n_nodes,
-        cfg.mapping.rank_count(cfg.n_nodes),
-        cfg.workload.name
-    );
-    let r = run_experiment(&cfg);
-    let out = flags.get("out").unwrap_or("trace.json");
-    let doc = r.chrome_trace_json().expect("spans were collected");
-    write_json(out, &doc)?;
-    let spans = r.spans.as_ref().expect("spans were collected");
-    println!(
-        "traced {} spans across {} ranks over {} — chrome trace written to {out}",
-        spans.records().len(),
-        r.n_ranks,
-        r.makespan
-    );
-    println!("load it in Perfetto (https://ui.perfetto.dev) or chrome://tracing");
-    // `--json` / `--links` ride along exactly as on `dws run`.
-    write_observability(&flags, &r)?;
-    Ok(())
-}
-
-/// `dws sweep`
-pub fn sweep(rest: &[String]) -> Result<(), String> {
-    let flags = parse(
-        rest,
-        &["tree", "ranks", "seeds", "mapping", "steal", "gen-rounds"],
-        &[],
-    )?;
-    let ranks: Vec<u32> = flags
-        .get("ranks")
-        .unwrap_or("64,128,256")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("bad rank count {s:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let seeds: u64 = flags.parse_or("seeds", 3u64)?;
-    let mapping = parse_mapping(flags.get("mapping").unwrap_or("1/N"))?;
-    let steal = parse_steal(flags.get("steal").unwrap_or("half"))?;
-    let workload =
-        workload_flag(&flags, "t3wl")?.with_gen_rounds(flags.parse_or("gen-rounds", 1u32)?);
-    let sweep = dws_core::Sweep {
-        workload,
-        ranks,
-        strategies: vec![
-            (
-                "Reference".into(),
-                dws_core::VictimPolicy::RoundRobin,
-                steal,
-            ),
-            ("Rand".into(), dws_core::VictimPolicy::Uniform, steal),
-            (
-                "Tofu".into(),
-                dws_core::VictimPolicy::DistanceSkewed { alpha: 1.0 },
-                steal,
-            ),
-        ],
-        mapping,
-        seeds,
-        base_seed: 0xBA5E,
-    };
-    let cells = sweep.run(|cfg| {
-        eprint!(
-            "  {} ranks={} seed={}...        \r",
-            cfg.label(),
-            cfg.mapping.rank_count(cfg.n_nodes),
-            cfg.seed
-        );
-    });
-    eprintln!();
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.label.clone(),
-                c.ranks.to_string(),
-                c.speedup.display(1),
-                format!("{:.0}", c.failed_steals.mean()),
-                format!("{:.0}", c.session_us.mean()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "strategy",
-                "ranks",
-                "speedup (mean ± sd)",
-                "failed steals",
-                "session (us)"
-            ],
-            &rows
-        )
-    );
     Ok(())
 }
 
@@ -963,40 +850,6 @@ fn print_profile(r: &ExperimentResult, threads: u32) {
     }
 }
 
-/// `dws profile` — run one experiment with the engine self-profiler on
-/// and report where the harness itself spends host time.
-pub fn profile(rest: &[String]) -> Result<(), String> {
-    let valued: Vec<&str> = CONFIG_FLAGS
-        .iter()
-        .chain(["json"].iter())
-        .copied()
-        .collect();
-    let flags = parse(rest, &valued, &["spans", "fault-tolerant", "no-trace"])?;
-    let mut cfg = config_from(&flags)?;
-    cfg.profile = true;
-    // `--spans` turns the causal tracer on so the trace_record phase
-    // measures real recording cost (off, the phase stays near zero).
-    cfg.collect_spans = flags.has("spans");
-    eprintln!(
-        "profiling {} on {} nodes ({} ranks), tree {}...",
-        cfg.label(),
-        cfg.n_nodes,
-        cfg.mapping.rank_count(cfg.n_nodes),
-        cfg.workload.name
-    );
-    let r = run_experiment(&cfg);
-    println!("configuration : {}", r.label);
-    println!("fingerprint   : {}", r.fingerprint);
-    println!("makespan      : {}", r.makespan);
-    println!("speedup       : {:.1}", r.perf.speedup());
-    print_profile(&r, cfg.threads);
-    if let Some(path) = flags.get("json") {
-        write_json(path, &r.json_report())?;
-        println!("[run report written to {path}]");
-    }
-    Ok(())
-}
-
 /// One side of a `dws diff`: its comparable metrics, its config
 /// fingerprint when known, and a human label.
 struct DiffSide {
@@ -1265,56 +1118,24 @@ fn print_histogram_quantiles(histograms: &JsonValue) {
     );
 }
 
-/// `dws why` — explain where a run's makespan went. With a positional
-/// run-report path (from `dws run --json`), render its blame section;
-/// with configuration flags, run the experiment with the causal tracer
-/// on and explain it directly. Exits 2 when the attribution-sum
-/// invariant fails, so CI can gate on it.
+/// `dws why <report.json>` — explain where a run's makespan went by
+/// rendering the blame section of a run report (from `dws run --json`).
+/// Exits 2 when the attribution-sum invariant fails, so CI can gate on
+/// it.
 pub fn why(rest: &[String]) -> Result<(), String> {
-    if let Some((p, flag_rest)) = rest.split_first() {
-        if !p.starts_with("--") {
-            // Report mode: a positional path, no further flags.
-            parse(flag_rest, &[], &[])?;
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-            let doc = dws_metrics::export::parse(text.trim()).map_err(|e| format!("{p}: {e}"))?;
-            return render_blame(&doc);
-        }
-    }
-    // Run mode: the same configuration flags as `dws run`.
-    let valued: Vec<&str> = CONFIG_FLAGS
-        .iter()
-        .chain(["json", "trace", "links"].iter())
-        .copied()
-        .collect();
-    let flags = parse(rest, &valued, &["fault-tolerant"])?;
-    let mut cfg = config_from(&flags)?;
-    // Blame needs both the causal spans and the activity trace; the
-    // analyzer is read-only, so turning them on cannot change the
-    // simulated schedule.
-    cfg.collect_spans = true;
-    cfg.collect_trace = true;
-    eprintln!(
-        "explaining {} on {} nodes ({} ranks), tree {}...",
-        cfg.label(),
-        cfg.n_nodes,
-        cfg.mapping.rank_count(cfg.n_nodes),
-        cfg.workload.name
-    );
-    let r = run_experiment(&cfg);
-    write_observability(&flags, &r)?;
-    render_blame(&r.json_report())
-}
-
-/// Verify and render a report's blame section. An attribution-sum
-/// violation exits 2 (distinct from usage errors at 1) so CI can gate
-/// on the exactness invariant.
-fn render_blame(doc: &JsonValue) -> Result<(), String> {
-    if let Err(e) = dws_metrics::blame::verify_report(doc) {
+    let (p, flag_rest) = rest
+        .split_first()
+        .filter(|(p, _)| !p.starts_with("--"))
+        .ok_or("usage: dws why <report.json> (write one with `dws run --json`)")?;
+    parse(flag_rest, &[], &[])?;
+    let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+    let doc = dws_metrics::export::parse(text.trim()).map_err(|e| format!("{p}: {e}"))?;
+    if let Err(e) = dws_metrics::blame::verify_report(&doc) {
+        // Distinct from usage errors (exit 1).
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    let text = dws_metrics::blame::render_report(doc)?;
-    print!("{text}");
+    print!("{}", dws_metrics::blame::render_report(&doc)?);
     Ok(())
 }
 
@@ -1347,4 +1168,29 @@ pub fn shmem(rest: &[String]) -> Result<(), String> {
         render_table(&["worker", "nodes", "steals", "failed"], &rows)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_run_flag() {
+        let usage = crate::usage();
+        // `--name` must appear whole: `--fault-spike` does not count as
+        // written out by `--fault-spike-min-ns`.
+        let listed = |name: &str| {
+            let flag = format!("--{name}");
+            usage.match_indices(&flag).any(|(at, _)| {
+                !usage[at + flag.len()..]
+                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            })
+        };
+        let missing: Vec<&str> = [CONFIG_FLAGS, STREAM_FLAGS, OUTPUT_FLAGS, RUN_SWITCHES]
+            .concat()
+            .into_iter()
+            .filter(|name| !listed(name))
+            .collect();
+        assert!(missing.is_empty(), "`dws help` omits {missing:?}");
+    }
 }

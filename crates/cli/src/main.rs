@@ -2,22 +2,23 @@
 //!
 //! ```text
 //! dws run    --tree t3wl --nodes 256 --victim tofu --steal half [--lifestory]
-//! dws trace  --tree t3sim-l --ranks 64 --out trace.json --json report.json
-//! dws sweep  --tree t3wl --ranks 64,128,256 --seeds 3
+//! dws run    --tree t3sim-l --ranks 64 --trace trace.json --json report.json
+//! dws run    --tree t3sim-l --ranks 64 --threads 2 --profile
 //! dws chaos  --tree t3sim-l --nodes 64 --rates 0,0.01,0.05
 //! dws tree   --tree t3sim-l
 //! dws topo   --nodes 1024 [--rank 0]
 //! dws shmem  --tree t3sim-l --workers 8
 //! dws top    snapshots.jsonl
 //! dws why    report.json
+//! dws diff   a.json b.json
 //! ```
 
 mod args;
 mod commands;
 
-/// Counting allocator so `dws profile` can report allocations-per-event.
-/// Delegates straight to the system allocator; the only overhead is one
-/// relaxed atomic increment per allocation.
+/// Counting allocator so `dws run --profile` can report allocations per
+/// event. Delegates straight to the system allocator; the only overhead
+/// is one relaxed atomic increment per allocation.
 #[global_allocator]
 static ALLOC: dws_simnet::CountingAlloc = dws_simnet::CountingAlloc;
 
@@ -33,13 +34,10 @@ fn main() {
     let started = std::time::Instant::now();
     let result = match cmd {
         "run" => commands::run(rest),
-        "trace" => commands::trace(rest),
-        "sweep" => commands::sweep(rest),
         "chaos" => commands::chaos(rest),
         "tree" => commands::tree(rest),
         "topo" | "topology" => commands::topo(rest),
         "shmem" => commands::shmem(rest),
-        "profile" => commands::profile(rest),
         "diff" => commands::diff(rest),
         "top" => commands::top(rest),
         "why" => commands::why(rest),
@@ -53,7 +51,7 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    if matches!(cmd, "run" | "trace" | "profile") {
+    if cmd == "run" {
         // What the host paid for the whole command, reports included.
         // On stderr: stdout stays byte-deterministic for a seed.
         let rss = dws_metrics::perflab::peak_rss_bytes().map_or_else(
@@ -74,8 +72,14 @@ commands:
   run     run one simulated experiment and report the paper's metrics
           --tree <preset>      workload (default t3wl; see `dws tree`)
           --nodes <n>          physical nodes (default 128)
+          --ranks <n>          rank count (converted via the mapping's
+                               ranks per node; overrides --nodes)
           --mapping <m>        1/N | 8RR | 8G | <k>RR | <k>G (default 1/N)
-          --victim <v>         reference | rand | tofu | latskew | hier
+          --alloc <a>          compact | strip | scatter[:seed] | torus
+                               (default compact)
+          --victim <v>         reference | rand | tofu | latskew | hier,
+                               or adaptive[-<v>] for the failure-aware
+                               overlay on <v> (bare adaptive = tofu)
           --alpha <f>          skew exponent (default 1.0)
           --local-tries <n>    hier: local burst length (default 4)
           --steal <s>          one | half (default one)
@@ -86,38 +90,51 @@ commands:
           --gen-rounds <n>     SHA rounds per node creation (default 1)
           --jitter <f>         latency jitter fraction
           --skew-ns <n>        max per-rank clock skew
-          --threads <n>        simulation worker threads (default 1);
-                               results are bit-identical for every n
-          --lifestory          print the per-rank activity chart
-          --csv <path>         write per-rank statistics as CSV
-          --fault-drop/-dup/-spike <p> message fault probabilities
-          --fault-spike-min-ns / --fault-spike-cap-ns   spike tail shape
+          --threads <n>        simulation worker threads (default 1;
+                               auto = the host's); results are
+                               bit-identical for every n
+          --fault-drop <p>     message drop probability
+          --fault-dup <p>      message duplication probability
+          --fault-spike <p>    latency-spike probability
+          --fault-spike-min-ns <n>      spike tail minimum
+          --fault-spike-cap-ns <n>      spike tail cap
           --fault-crash <r@ns,..>       crash rank r at time ns
+          --fault-node-crash <k@ns,..>  crash every rank of node k
           --fault-brownout <r@a:b,..>   NIC brownout window on rank r
           --fault-slowdown <r@a:b:f,..> slow rank r by factor f in [a,b)
+          --fault-partition <r@a:b,..>  cut ranks below r off from the
+                                        rest during [a,b)
           --fault-tolerant     force the failure-tolerant protocol on
           --fault-timeout-mult <n>      steal-timeout RTT multiplier
-          --ranks <n>          rank count (converted via the mapping's
-                               ranks per node; overrides --nodes)
+          --no-trace           keep no activity trace (no occupancy,
+                               SL/EL or --lifestory)
+          --lifestory          print the per-rank activity chart
+          --csv <path>         write per-rank statistics as CSV
           --trace <path>       write a Chrome trace-event file (Perfetto)
           --json <path>        write the machine-readable run report
           --links <path>       write the per-link Tofu load matrix
+                               (any of these three turns the causal
+                               tracer on)
+          --profile            engine self-profile: per-phase wall time
+                               (dispatch, fault_eval, victim_draw,
+                               trace_record, barrier_wait, exchange),
+                               events/sec, allocations per event, peak
+                               RSS, the locality cut and window count
+                               (`threads :` line), the tree floor
+                               (nodes × measured ns per child: what the
+                               tree alone costs the host), and — when
+                               --threads > 1 — a per-shard table
           --live               print a live progress line per snapshot
           --snapshot <path>    stream periodic JSONL snapshots to a file
           --snapshot-every <d> simulated-time cadence (500ms, 2s, ... ;
                                default 1ms of simulated time)
           --snapshot-events <n> event-count cadence instead
           --flight-dump <path> crash flight recorder: dump the last
-                               --flight-ring events per shard (default
-                               1024) on panic, budget overrun, or SIGTERM
+                               --flight-ring <n> events per shard
+                               (default 1024) on panic, budget overrun,
+                               or SIGTERM
           --wall-budget <d>    abort (with dump) past this wall time
           --rss-budget-mb <n>  abort (with dump) past this peak RSS
-  trace   run once with the causal steal-protocol tracer on
-          (accepts the same configuration flags as run)
-          --out <path>         Chrome trace output (default trace.json)
-          --json / --links     as on run
-  sweep   sweep rank counts x strategies, multiple seeds, mean +/- sd
-          --tree --seeds <k> --ranks <a,b,c> --mapping as above
   chaos   sweep message-fault rates x victim policies
           --tree --nodes --steal --seeds <k> --rates <p,p,..>
           --dup-frac <f> --spike-frac <f>  dup/spike rate as a
@@ -128,16 +145,6 @@ commands:
           --nodes <n> [--mapping <m>] [--rank <r>]
   shmem   run the threaded shared-memory executor
           --tree <preset> --workers <n>
-  profile run once with the engine self-profiler on: per-phase wall
-          time (dispatch, fault_eval, victim_draw, trace_record),
-          events/sec, allocations per event, peak RSS, the tree
-          floor (nodes × measured ns per child: what the tree alone
-          costs the host), and — when --threads > 1 — a per-shard
-          table (ranks, events, windows, busy vs barrier-wait time)
-          (accepts the same configuration flags as run)
-          --spans              also enable the causal tracer so the
-                               trace_record phase measures real cost
-          --json <path>        write the run report (includes profile)
   diff    compare two runs or bench records metric by metric
           dws diff <a> <b> [--tol <f>]
           each side is a run report (dws run --json), a bench record,
@@ -155,11 +162,10 @@ commands:
           attribution (components sum to the makespan exactly), the
           per-rank idle waterfall, top critical-path segments, and a
           Coz-style what-if table of predicted speedups
-          dws why <report.json>      render an existing run report
-          dws why --tree ... [run flags]  run + explain in one step
+          dws why <report.json>      (write one with dws run --json)
           exit code 2 if the attribution-sum invariant fails (CI gate)
   help    this text
 
-run, trace and profile end with one line on stderr saying what the
-host paid: `host: wall <s> s, peak RSS <MiB> MiB`"
+run ends with one line on stderr saying what the host paid:
+`host: wall <s> s, peak RSS <MiB> MiB`"
 }

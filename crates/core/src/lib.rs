@@ -47,20 +47,18 @@ pub mod network;
 pub mod runner;
 pub mod scheduler;
 pub mod stack;
-pub mod sweep;
 pub mod termination;
 pub mod victim;
 
 pub use alias::AliasTable;
 pub use health::{AdaptiveCfg, Gate, HealthTracker, VictimHealth};
-pub use network::{LinkContendedNetwork, NicContendedNetwork};
+pub use network::NicContendedNetwork;
 pub use runner::{
     run_experiment, run_experiment_streamed, sequential_baseline, shard_plan, CutReport,
     ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup,
 };
 pub use scheduler::{FaultToleranceCfg, Msg, SchedulerCfg, StealAmount, Worker};
 pub use stack::{Chunk, ChunkedStack};
-pub use sweep::{Cell, Sweep};
 pub use termination::{Colour, TerminationState, Token, TokenAction};
 pub use victim::{
     skew_weight, BaseVictimPolicy, OffsetAliasSet, VictimContext, VictimPolicy, VictimSelector,

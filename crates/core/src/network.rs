@@ -1,4 +1,4 @@
-//! Contended network models (NIC-level and link-level).
+//! The NIC-contended network model.
 //!
 //! Each compute node has **one** network interface, shared by every
 //! rank placed on it. When several MPI processes per node generate
@@ -8,7 +8,7 @@
 //! a single process per node" (§I) hinges on exactly this contention,
 //! which a pure point-to-point latency function cannot express.
 //!
-//! Both models implement [`NetworkModel`], which splits a delivery into
+//! The model implements [`NetworkModel`], which splits a delivery into
 //! an **egress** half (transmit queueing plus wire time, charged on the
 //! sender's shard in send order) and an **ingress** half (receive-NIC
 //! admission, charged on the destination's shard in arrival order).
@@ -96,86 +96,6 @@ impl NetworkModel for NicContendedNetwork {
     }
 }
 
-/// Link-level contended network: every message walks its
-/// dimension-ordered route and queues at each link.
-///
-/// Where [`NicContendedNetwork`] folds path contention into a per-hop
-/// constant, this model keeps a free-time register per directed link
-/// and serializes traffic through it: a message arriving at a busy link
-/// waits, then occupies the link for its transmission time. Hotspots
-/// emerge naturally — many long routes crossing the same bisection link
-/// queue up behind each other, which is precisely the effect that makes
-/// distant steals expensive on a loaded torus.
-///
-/// Link state is global (two distant node pairs can share a bisection
-/// link), so the model reports `shardable() == false` and the parallel
-/// engine runs it on a single shard.
-///
-/// Costs O(hops) per message plus a hash lookup per link, so it is the
-/// high-fidelity/slow option; `ablation_network_model` compares it to
-/// the mean-field default.
-pub struct LinkContendedNetwork {
-    job: Arc<Job>,
-    /// Per-link wire time for one message of `bytes`:
-    /// `link_latency_ns + bytes / bytes_per_ns`.
-    link_latency_ns: u64,
-    bytes_per_ns: f64,
-    /// Software/NIC overhead per message (sender + receiver halves).
-    overhead_ns: u64,
-    /// Free time per directed link.
-    free: std::collections::HashMap<dws_topology::Link, u64>,
-}
-
-impl LinkContendedNetwork {
-    /// Wrap a placed job with per-link queueing.
-    pub fn new(job: Arc<Job>, link_latency_ns: u64, bytes_per_ns: f64, overhead_ns: u64) -> Self {
-        assert!(bytes_per_ns > 0.0, "link bandwidth must be positive");
-        Self {
-            job,
-            link_latency_ns,
-            bytes_per_ns,
-            overhead_ns,
-            free: std::collections::HashMap::new(),
-        }
-    }
-}
-
-impl NetworkModel for LinkContendedNetwork {
-    fn egress_ns(&mut self, from: u32, to: u32, bytes: usize, depart_ns: u64) -> u64 {
-        let src = self.job.coord_of(from);
-        let dst = self.job.coord_of(to);
-        let occupancy = (bytes as f64 / self.bytes_per_ns) as u64;
-        if src == dst {
-            // Same node: shared-memory transport, no links involved.
-            return self.overhead_ns + occupancy;
-        }
-        let mut cursor = depart_ns + self.overhead_ns / 2;
-        for link in dws_topology::route(self.job.machine(), src, dst) {
-            let link_free = self.free.entry(link).or_insert(0);
-            // Wait for the link, then traverse it.
-            let start = cursor.max(*link_free);
-            *link_free = start + occupancy;
-            cursor = start + self.link_latency_ns + occupancy;
-        }
-        cursor + self.overhead_ns / 2 - depart_ns
-    }
-
-    fn replicate(&self) -> Box<dyn NetworkModel> {
-        Box::new(Self::new(
-            Arc::clone(&self.job),
-            self.link_latency_ns,
-            self.bytes_per_ns,
-            self.overhead_ns,
-        ))
-    }
-
-    fn shardable(&self) -> bool {
-        // Distant node pairs share bisection links, so per-link state
-        // cannot be partitioned by node; run serial.
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,65 +176,5 @@ mod tests {
         // A shard replica sees its nodes idle, like a fresh model.
         let mut replica = net.replicate();
         assert_eq!(full(replica.as_mut(), 0, 8, 64, 0), first);
-    }
-
-    #[test]
-    fn link_model_scales_with_hops() {
-        let job = Arc::new(Job::compact(512, RankMapping::OneToOne));
-        let mut net = LinkContendedNetwork::new(Arc::clone(&job), 1_000, 5.0, 400);
-        // A farther destination crosses more links, each adding its
-        // latency.
-        let mut best: Option<(u32, u32)> = None;
-        for j in 1..512u32 {
-            let h = job.hops(0, j);
-            best = Some(match best {
-                None => (j, h),
-                Some((_, bh)) if h > bh => (j, h),
-                Some(b) => b,
-            });
-        }
-        let (far, far_hops) = best.expect("some rank");
-        let near = (1..512u32).min_by_key(|&j| job.hops(0, j)).expect("near");
-        let near_lat = net.egress_ns(0, near, 64, 0);
-        let far_lat = net.egress_ns(0, far, 64, 0);
-        assert!(
-            far_lat > near_lat,
-            "{far_hops}-hop path {far_lat} must beat {near_lat}"
-        );
-    }
-
-    #[test]
-    fn link_model_queues_shared_links() {
-        let job = Arc::new(Job::compact(512, RankMapping::OneToOne));
-        let mut net = LinkContendedNetwork::new(Arc::clone(&job), 1_000, 0.005, 0);
-        // Two big messages from rank 0 to the same destination at the
-        // same instant share every link: the second queues.
-        let first = net.egress_ns(0, 100, 10_000, 0);
-        let second = net.egress_ns(0, 100, 10_000, 0);
-        assert!(
-            second > first,
-            "second message must queue ({second} vs {first})"
-        );
-        // After a long quiet period links are free again.
-        let later = net.egress_ns(0, 100, 10_000, u64::MAX / 2);
-        assert_eq!(later, first);
-    }
-
-    #[test]
-    fn link_model_same_node_is_cheap() {
-        let job = grouped_job(); // ranks 0..8 share node 0
-        let mut net = LinkContendedNetwork::new(Arc::clone(&job), 1_000, 5.0, 400);
-        let intra = net.egress_ns(0, 1, 64, 0);
-        let inter = net.egress_ns(0, 8, 64, 0);
-        assert!(intra < inter);
-    }
-
-    #[test]
-    fn link_model_is_not_shardable() {
-        let job = grouped_job();
-        let nic = NicContendedNetwork::new(Arc::clone(&job), 500, 5.0);
-        let link = LinkContendedNetwork::new(job, 1_000, 5.0, 400);
-        assert!(NetworkModel::shardable(&nic));
-        assert!(!NetworkModel::shardable(&link));
     }
 }

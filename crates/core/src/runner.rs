@@ -74,11 +74,6 @@ pub struct ExperimentConfig {
     pub nic_occupancy_ns: u64,
     /// NIC serialization bandwidth in bytes per nanosecond.
     pub nic_bytes_per_ns: f64,
-    /// High-fidelity alternative to the mean-field contention model:
-    /// route every message over its dimension-ordered path and queue at
-    /// each link. `Some((link_latency_ns, overhead_ns))` enables it and
-    /// replaces both the class-based latency model and the NIC model.
-    pub link_level_network: Option<(u64, u64)>,
     /// Master seed for all randomness.
     pub seed: u64,
     /// Latency jitter fraction (0 disables).
@@ -121,8 +116,7 @@ pub struct ExperimentConfig {
     /// advances them in conservative lookahead windows; the schedule,
     /// and the window plan with it, is bit-identical for every
     /// value, so — like the observability switches — `threads` is
-    /// excluded from the config fingerprint. Link-level networks keep
-    /// global per-link state and silently run on one thread.
+    /// excluded from the config fingerprint.
     pub threads: u32,
 }
 
@@ -147,7 +141,6 @@ impl ExperimentConfig {
             lifeline_threshold: None,
             nic_occupancy_ns: 2_000,
             nic_bytes_per_ns: 5.0,
-            link_level_network: None,
             seed: 0xD15_7EA1,
             jitter: 0.0,
             clock_skew_max_ns: 0,
@@ -299,13 +292,10 @@ impl ExperimentConfig {
             ),
             ("nic_occupancy_ns", self.nic_occupancy_ns.into()),
             ("nic_bytes_per_ns", self.nic_bytes_per_ns.into()),
-            (
-                "link_level_network",
-                match self.link_level_network {
-                    Some((link, overhead)) => JsonValue::Arr(vec![link.into(), overhead.into()]),
-                    None => JsonValue::Null,
-                },
-            ),
+            // No model reads this key; it stays so every pinned
+            // fingerprint stays byte-equal until ROADMAP item 1(iii)'s
+            // re-pin drops it.
+            ("link_level_network", JsonValue::Null),
             ("jitter", self.jitter.into()),
             ("clock_skew_max_ns", self.clock_skew_max_ns.into()),
             ("max_sim_time_ns", opt_u64(self.max_sim_time_ns)),
@@ -703,7 +693,7 @@ impl ExperimentResult {
             .as_ref()
     }
 
-    /// The Chrome trace-event document for this run (`dws trace`).
+    /// The Chrome trace-event document for this run (`dws run --trace`).
     /// `None` unless the run collected spans. When the activity trace
     /// is also present, the document gains a dedicated "critical path"
     /// track with flow arrows hopping rank tracks along the path — the
@@ -783,7 +773,7 @@ fn subtree_nodes(workload: &Workload, roots: Vec<Node>) -> u64 {
 
 /// Host nanoseconds to generate one child of `workload`'s root, timed
 /// for a few milliseconds on the expansion routine the workers run: the
-/// per-node cost under `dws profile`'s tree floor. Zero for a childless
+/// per-node cost under `dws run --profile`'s tree floor. Zero for a childless
 /// root.
 fn measure_child_ns(workload: &Workload) -> f64 {
     const BUDGET: Duration = Duration::from_millis(4);
@@ -904,14 +894,7 @@ pub fn run_experiment_streamed(
         clock_skew_max_ns: cfg.clock_skew_max_ns,
         fault: cfg.fault_plan.clone(),
     };
-    let net: Box<dyn NetworkModel> = if let Some((link_ns, overhead_ns)) = cfg.link_level_network {
-        Box::new(crate::network::LinkContendedNetwork::new(
-            Arc::clone(&job),
-            link_ns,
-            cfg.nic_bytes_per_ns,
-            overhead_ns,
-        ))
-    } else if cfg.nic_occupancy_ns > 0 {
+    let net: Box<dyn NetworkModel> = if cfg.nic_occupancy_ns > 0 {
         Box::new(crate::network::NicContendedNetwork::new(
             Arc::clone(&job),
             cfg.nic_occupancy_ns,
@@ -926,12 +909,12 @@ pub fn run_experiment_streamed(
     // Always configure a bounded lookahead (even at one thread). The
     // committed schedule is a pure function of the configuration and is
     // *independent of the shard decomposition* (the determinism matrix
-    // asserts this), so the shard count is free to follow the host; an
-    // unshardable network model runs on one shard whatever was asked.
-    let threads = if net.shardable() { cfg.threads } else { 1 };
-    let (cut, shard_of) = shard_plan(&job, threads);
+    // asserts this), so the shard count is free to follow the host.
+    let (cut, shard_of) = shard_plan(&job, cfg.threads);
     let mut sim: Simulation<Worker> = Simulation::with_network(workers, net, sim_cfg);
-    sim.configure_parallel(ParallelConfig::new(threads, cut.lookahead_ns).with_shard_map(shard_of));
+    sim.configure_parallel(
+        ParallelConfig::new(cfg.threads, cut.lookahead_ns).with_shard_map(shard_of),
+    );
     if cfg.collect_trace {
         sim.attach_activity();
     }

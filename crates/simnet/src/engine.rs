@@ -140,7 +140,7 @@ where
 /// (evaluated on the sender's shard at send time) and an ingress half
 /// (evaluated on the destination's shard in arrival order).
 ///
-/// The split is what makes contention models shardable: transmit-side
+/// The split is what lets contention models run sharded: transmit-side
 /// state is keyed by the *sender's* node and receive-side state by the
 /// *destination's* node, so each shard only ever touches the state of
 /// the nodes it owns and the evaluation order of each half is
@@ -165,14 +165,6 @@ pub trait NetworkModel: Send {
     /// shard's ranks, so per-node state never needs cross-shard
     /// synchronization (provided ranks of one node share a shard).
     fn replicate(&self) -> Box<dyn NetworkModel>;
-
-    /// False if the model keeps genuinely global state (e.g. per-link
-    /// queues shared by all node pairs) and therefore must run on a
-    /// single shard. [`Simulation::configure_parallel`] collapses the
-    /// shard count to one for such models.
-    fn shardable(&self) -> bool {
-        true
-    }
 }
 
 /// Adapter lifting a pure [`LatencyFn`] into a [`NetworkModel`] with
@@ -273,12 +265,10 @@ impl Default for SimConfig {
 pub struct ParallelConfig {
     /// Number of worker threads for
     /// [`run_parallel_with_limits`](Simulation::run_parallel_with_limits).
-    /// Clamped to at least 1, capped at the shard count, and forced to
-    /// 1 when the network model is not
-    /// [`shardable`](NetworkModel::shardable). Thread count never
-    /// affects the shard layout (or any run artifact): with `M` shards
-    /// on `T` threads, thread `t` owns the contiguous run of shards `g`
-    /// with `g·T/M == t` for the whole run.
+    /// Clamped to at least 1 and capped at the shard count. Thread
+    /// count never affects the shard layout (or any run artifact): with
+    /// `M` shards on `T` threads, thread `t` owns the contiguous run of
+    /// shards `g` with `g·T/M == t` for the whole run.
     pub threads: u32,
     /// Conservative lookahead window width: a lower bound on the
     /// latency of any cross-shard message. The engine asserts the bound
@@ -1518,16 +1508,12 @@ impl<A: Actor> Simulation<A> {
             "configure_parallel must be called before attach_streaming"
         );
         let n = self.shared.n_ranks as usize;
-        let shardable = self.shards[0].core.net.shardable();
-        let threads = if shardable { cfg.threads.max(1) } else { 1 };
+        let threads = cfg.threads.max(1);
         let map: Vec<u32> = match cfg.shard_of {
-            Some(m) if shardable => {
+            Some(m) => {
                 assert_eq!(m.len(), n, "shard map length must equal rank count");
                 m
             }
-            // An unshardable network model collapses every explicit map
-            // to one shard: its contended state cannot be replicated.
-            Some(_) => vec![0; n],
             None => (0..n)
                 .map(|r| ((r as u64 * threads as u64) / n as u64) as u32)
                 .collect(),

@@ -5,10 +5,11 @@
 //! itself: a victim-selection policy that looks cheap in simulated
 //! nanoseconds but doubles host wall time per event is a harness
 //! regression waiting to be misread as a scheduling result. The
-//! [`PerfProbe`] accounts host wall time to four engine phases —
-//! event-loop dispatch, fault evaluation, victim drawing, and trace
-//! recording — plus events/sec and allocations-per-event, and feeds
-//! the `profile` section of the JSON run report and `dws profile`.
+//! [`PerfProbe`] accounts host wall time to six engine phases —
+//! event-loop dispatch, fault evaluation, victim drawing, trace
+//! recording, barrier wait and cross-shard exchange — plus events/sec
+//! and allocations-per-event, and feeds
+//! the `profile` section of the JSON run report and `dws run --profile`.
 //!
 //! The discipline mirrors the PR 2 tracer exactly: the probe handle is
 //! an `Option<Arc<PerfProbe>>`, every instrumentation site is a single

@@ -57,24 +57,31 @@ fn assert_identical(a: &ExperimentResult, b: &ExperimentResult, what: &str) {
     );
 }
 
+/// Both network models the runner builds: NIC contention (the default
+/// occupancy) and, at zero occupancy, the pure latency function. Every
+/// run at two or more threads must really be sharded.
 #[test]
 fn report_is_identical_across_thread_counts() {
     for seed in [7u64, 0xBEEF] {
         for mapping in [RankMapping::OneToOne, RankMapping::RoundRobin { ppn: 4 }] {
-            let mut cfg = ExperimentConfig::new(workload(900), 8).with_mapping(mapping);
-            cfg.seed = seed;
-            cfg.victim = VictimPolicy::Uniform;
-            cfg.jitter = 0.2;
-            cfg.clock_skew_max_ns = 1_500;
-            cfg.collect_spans = true;
-            let baseline = run_at(&cfg, 1);
-            for threads in [2, 3, 8] {
-                let parallel = run_at(&cfg, threads);
-                assert_identical(
-                    &baseline,
-                    &parallel,
-                    &format!("seed {seed} {} threads {threads}", cfg.label()),
-                );
+            for nic_occupancy_ns in [2_000, 0] {
+                let mut cfg = ExperimentConfig::new(workload(900), 8).with_mapping(mapping);
+                cfg.seed = seed;
+                cfg.victim = VictimPolicy::Uniform;
+                cfg.jitter = 0.2;
+                cfg.clock_skew_max_ns = 1_500;
+                cfg.collect_spans = true;
+                cfg.nic_occupancy_ns = nic_occupancy_ns;
+                let baseline = run_at(&cfg, 1);
+                for threads in [2, 3, 8] {
+                    let parallel = run_at(&cfg, threads);
+                    let what = format!(
+                        "seed {seed} {} nic {nic_occupancy_ns} threads {threads}",
+                        cfg.label()
+                    );
+                    assert!(parallel.cut.shards > 1, "{what}: ran on one shard");
+                    assert_identical(&baseline, &parallel, &what);
+                }
             }
         }
     }
