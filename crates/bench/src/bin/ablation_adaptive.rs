@@ -34,13 +34,10 @@
 //! as that plus token-ring latency.
 
 use dws_bench::{emit, f, run_logged, FigArgs, MAPPINGS};
-use dws_core::{BaseVictimPolicy, ExperimentResult, VictimPolicy};
+use dws_core::{ExperimentResult, VictimPolicy};
 use dws_simnet::{Brownout, CrashDomain, FaultPlan, Partition};
 
-const STATIC_TOFU: VictimPolicy = VictimPolicy::DistanceSkewed { alpha: 1.0 };
-const ADAPT_TOFU: VictimPolicy = VictimPolicy::Adaptive {
-    base: BaseVictimPolicy::DistanceSkewed { alpha: 1.0 },
-};
+const TOFU: VictimPolicy = VictimPolicy::DistanceSkewed { alpha: 1.0 };
 
 /// Time the last tree node was processed, before the termination wave.
 fn work_done_ns(r: &ExperimentResult) -> u64 {
@@ -86,13 +83,14 @@ fn main() {
         // Clean baselines: the static one also sets the fault-timing
         // scale T, shared by both policies so cells stay comparable.
         let mut runs = Vec::new();
-        for (pname, policy) in [("Tofu", STATIC_TOFU), ("AdaptTofu", ADAPT_TOFU)] {
-            let cfg = args
+        for (pname, adaptive) in [("Tofu", false), ("AdaptTofu", true)] {
+            let mut cfg = args
                 .config(tree.clone(), n_nodes)
                 .with_mapping(mapping)
-                .with_victim(policy);
+                .with_victim(TOFU);
+            cfg.adaptive = adaptive;
             let r = run_logged(&cfg);
-            runs.push((pname, policy, r));
+            runs.push((pname, adaptive, r));
         }
         let t_ns = runs[0].2.makespan.ns();
         let (from_ns, until_ns) = (t_ns / 4, t_ns * 3 / 4);
@@ -144,11 +142,12 @@ fn main() {
             rows.push(row(&label, "none", pname, clean, work_done_ns(clean)));
         }
         for (fname, plan) in &plans {
-            for (pname, policy, clean) in &runs {
+            for (pname, adaptive, clean) in &runs {
                 let mut cfg = args
                     .config(tree.clone(), n_nodes)
                     .with_mapping(mapping)
-                    .with_victim(*policy);
+                    .with_victim(TOFU);
+                cfg.adaptive = *adaptive;
                 cfg.fault_plan = plan.clone();
                 let r = run_logged(&cfg);
                 rows.push(row(&label, fname, pname, &r, work_done_ns(clean)));

@@ -228,7 +228,7 @@ impl FigArgs {
         }
         let mut cfg = StreamingCfg::default();
         if let Some(every) = self.snapshot_every_ns {
-            cfg.snapshot_every_sim_ns = Some(every);
+            cfg.snapshot_every_sim_ns = every;
         }
         cfg.live = self.live;
         cfg.flight_dump_path = self.flight_dump.clone();

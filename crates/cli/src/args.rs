@@ -95,37 +95,32 @@ pub fn parse_mapping(s: &str) -> Result<dws_topology::RankMapping, String> {
     Err(format!("bad mapping {s:?} (expected 1/N, 8RR, 8G, ...)"))
 }
 
-/// Parse a victim-policy name with an optional `--alpha`/`--local-tries`.
-/// An `adaptive-` prefix (or bare `adaptive`, which defaults to the
-/// Tofu base) wraps the base policy in the failure-aware health
-/// overlay.
+/// Parse a victim-policy name with an optional `--alpha`/`--local-tries`,
+/// and whether it asks for the failure-aware health overlay: an
+/// `adaptive-` prefix overlays it on the named policy, and bare
+/// `adaptive` on the Tofu policy.
 pub fn parse_victim(
     name: &str,
     alpha: f64,
     local_tries: u32,
-) -> Result<dws_core::VictimPolicy, String> {
-    use dws_core::{BaseVictimPolicy, VictimPolicy};
+) -> Result<(dws_core::VictimPolicy, bool), String> {
+    use dws_core::VictimPolicy;
     let lower = name.to_ascii_lowercase();
-    if let Some(base) = lower.strip_prefix("adaptive") {
-        let base = match base.strip_prefix('-').unwrap_or(base) {
-            // Bare `adaptive`: the paper's best static policy, learned.
-            "" | "tofu" | "skew" | "distance" => BaseVictimPolicy::DistanceSkewed { alpha },
-            "reference" | "roundrobin" | "rr" => BaseVictimPolicy::RoundRobin,
-            "rand" | "uniform" => BaseVictimPolicy::Uniform,
-            "latskew" | "latency" => BaseVictimPolicy::LatencySkewed { alpha },
-            "hier" | "hierarchical" => BaseVictimPolicy::Hierarchical { local_tries },
-            other => return Err(format!("unknown adaptive base policy {other:?}")),
-        };
-        return Ok(VictimPolicy::Adaptive { base });
-    }
-    Ok(match lower.as_str() {
+    let (base, adaptive) = match lower.strip_prefix("adaptive") {
+        // Bare `adaptive`: the paper's best static policy, learned.
+        Some("") => ("tofu", true),
+        Some(rest) => (rest.strip_prefix('-').unwrap_or(rest), true),
+        None => (lower.as_str(), false),
+    };
+    let victim = match base {
         "reference" | "roundrobin" | "rr" => VictimPolicy::RoundRobin,
         "rand" | "uniform" => VictimPolicy::Uniform,
         "tofu" | "skew" | "distance" => VictimPolicy::DistanceSkewed { alpha },
         "latskew" | "latency" => VictimPolicy::LatencySkewed { alpha },
         "hier" | "hierarchical" => VictimPolicy::Hierarchical { local_tries },
-        other => return Err(format!("unknown victim policy {other:?}")),
-    })
+        _ => return Err(format!("unknown victim policy {name:?}")),
+    };
+    Ok((victim, adaptive))
 }
 
 /// Parse a steal-amount name.
@@ -184,30 +179,27 @@ mod tests {
 
     #[test]
     fn victim_names() {
-        assert_eq!(parse_victim("tofu", 2.0, 4).expect("ok").label(), "Tofu");
-        assert_eq!(
-            parse_victim("reference", 1.0, 4).expect("ok").label(),
-            "Reference"
-        );
+        let (tofu, adaptive) = parse_victim("tofu", 2.0, 4).expect("ok");
+        assert_eq!((tofu.label(), adaptive), ("Tofu", false));
+        let (reference, adaptive) = parse_victim("reference", 1.0, 4).expect("ok");
+        assert_eq!((reference.label(), adaptive), ("Reference", false));
         assert!(parse_victim("nope", 1.0, 4).is_err());
     }
 
     #[test]
     fn adaptive_victim_names() {
-        assert_eq!(
-            parse_victim("adaptive", 1.0, 4).expect("ok").label(),
-            "AdaptTofu"
-        );
-        assert_eq!(
-            parse_victim("adaptive-rand", 1.0, 4).expect("ok").label(),
-            "AdaptRand"
-        );
-        assert_eq!(
-            parse_victim("adaptive-reference", 1.0, 4)
-                .expect("ok")
-                .label(),
-            "AdaptRef"
-        );
+        for (name, label) in [
+            ("adaptive", "AdaptTofu"),
+            ("adaptive-tofu", "AdaptTofu"),
+            ("adaptive-reference", "AdaptRef"),
+            ("adaptive-rand", "AdaptRand"),
+            ("adaptive-latskew", "AdaptLat"),
+            ("adaptive-hier", "AdaptHier"),
+        ] {
+            let (victim, adaptive) = parse_victim(name, 1.0, 4).expect(name);
+            assert!(adaptive, "{name}");
+            assert_eq!(victim.adaptive_label(), label, "{name}");
+        }
         assert!(parse_victim("adaptive-nope", 1.0, 4).is_err());
     }
 

@@ -6,15 +6,13 @@ use dws_core::{
     StreamingSetup,
 };
 use dws_simnet::{
-    parse_duration_ns, Brownout, Crash, CrashDomain, FaultPlan, Partition, SlowdownWindow,
-    StreamingCfg,
+    parse_duration_ns, Brownout, Crash, CrashDomain, FaultPlan, Partition, StreamingCfg,
 };
 
 use dws_metrics::export::link_matrix_json;
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, MetricDelta, Verdict};
 use dws_metrics::{lifestory, render_table, write_csv, JsonValue, Summary};
 use dws_topology::routing::Link;
-use dws_topology::{Job, LatencyParams};
 use dws_uts::Workload;
 
 /// Flags every experiment-running subcommand understands.
@@ -41,7 +39,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "fault-spike-cap-ns",
     "fault-crash",
     "fault-brownout",
-    "fault-slowdown",
     "fault-partition",
     "fault-node-crash",
     "fault-timeout-mult",
@@ -111,27 +108,6 @@ fn fault_plan_from(
                 until_ns: until
                     .parse()
                     .map_err(|_| format!("bad brownout {spec:?}"))?,
-            });
-        }
-    }
-    if let Some(list) = flags.get("fault-slowdown") {
-        for spec in list.split(',') {
-            let (rank, rest) = rank_at(spec.trim())?;
-            let parts: Vec<&str> = rest.split(':').collect();
-            let [from, until, factor] = parts[..] else {
-                return Err(format!(
-                    "bad slowdown {spec:?} (expected rank@from:until:factor)"
-                ));
-            };
-            plan.slowdowns.push(SlowdownWindow {
-                rank,
-                from_ns: from.parse().map_err(|_| format!("bad slowdown {spec:?}"))?,
-                until_ns: until
-                    .parse()
-                    .map_err(|_| format!("bad slowdown {spec:?}"))?,
-                factor: factor
-                    .parse()
-                    .map_err(|_| format!("bad slowdown {spec:?}"))?,
             });
         }
     }
@@ -218,7 +194,7 @@ fn config_from(flags: &Flags) -> Result<ExperimentConfig, String> {
     }
     let alpha: f64 = flags.parse_or("alpha", 1.0)?;
     let local_tries: u32 = flags.parse_or("local-tries", 4)?;
-    cfg.victim = parse_victim(
+    (cfg.victim, cfg.adaptive) = parse_victim(
         flags.get("victim").unwrap_or("reference"),
         alpha,
         local_tries,
@@ -330,27 +306,16 @@ fn write_observability(flags: &Flags, r: &ExperimentResult) -> Result<(), String
 /// or `None` when no streaming flag was given.
 fn streaming_from(flags: &Flags) -> Result<Option<StreamingSetup>, String> {
     let wanted = flags.has("live")
-        || [
-            "snapshot",
-            "snapshot-every",
-            "snapshot-events",
-            "flight-dump",
-            "wall-budget",
-        ]
-        .iter()
-        .any(|f| flags.get(f).is_some())
+        || ["snapshot", "snapshot-every", "flight-dump", "wall-budget"]
+            .iter()
+            .any(|f| flags.get(f).is_some())
         || flags.get("rss-budget-mb").is_some();
     if !wanted {
         return Ok(None);
     }
     let mut cfg = StreamingCfg::default();
     if let Some(every) = flags.get("snapshot-every") {
-        cfg.snapshot_every_sim_ns = Some(parse_duration_ns(every)?);
-    }
-    cfg.snapshot_every_events = flags.parse_opt("snapshot-events")?;
-    if cfg.snapshot_every_events.is_some() && flags.get("snapshot-every").is_none() {
-        // An explicit event cadence replaces the default sim-time one.
-        cfg.snapshot_every_sim_ns = None;
+        cfg.snapshot_every_sim_ns = parse_duration_ns(every)?;
     }
     cfg.live = flags.has("live");
     cfg.flight_ring = flags.parse_or("flight-ring", cfg.flight_ring)?;
@@ -375,7 +340,6 @@ fn streaming_from(flags: &Flags) -> Result<Option<StreamingSetup>, String> {
 const STREAM_FLAGS: &[&str] = &[
     "snapshot",
     "snapshot-every",
-    "snapshot-events",
     "flight-dump",
     "flight-ring",
     "wall-budget",
@@ -581,38 +545,36 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
     let structural = fault_plan_from(&flags, mapping, n_nodes)?;
     // `--victim` narrows the sweep to one policy (e.g. `adaptive` for
     // the failure-aware overlay); default is the paper's static trio.
-    let strategies: Vec<(String, dws_core::VictimPolicy)> = if let Some(name) = flags.get("victim")
-    {
+    let strategies: Vec<(dws_core::VictimPolicy, bool)> = if let Some(name) = flags.get("victim") {
         let alpha: f64 = flags.parse_or("alpha", 1.0)?;
         let local_tries: u32 = flags.parse_or("local-tries", 4)?;
-        let victim = parse_victim(name, alpha, local_tries)?;
-        vec![(victim.label().to_string(), victim)]
+        vec![parse_victim(name, alpha, local_tries)?]
     } else {
         vec![
-            ("Reference".into(), dws_core::VictimPolicy::RoundRobin),
-            ("Rand".into(), dws_core::VictimPolicy::Uniform),
-            (
-                "Tofu".into(),
-                dws_core::VictimPolicy::DistanceSkewed { alpha: 1.0 },
-            ),
+            (dws_core::VictimPolicy::RoundRobin, false),
+            (dws_core::VictimPolicy::Uniform, false),
+            (dws_core::VictimPolicy::DistanceSkewed { alpha: 1.0 }, false),
         ]
     };
     let mut rows = Vec::new();
     for &rate in &rates {
-        for (label, victim) in &strategies {
+        for &(victim, adaptive) in &strategies {
+            let mut base = ExperimentConfig::new(workload.clone(), n_nodes);
+            base.mapping = mapping;
+            base.victim = victim;
+            base.adaptive = adaptive;
+            base.steal = steal;
+            base.collect_trace = false;
+            base.threads = threads;
+            let label = base.victim_label();
             let mut makespan_ms = Summary::new();
             let mut timeouts = Summary::new();
             let mut retransmits = Summary::new();
             let mut stale = Summary::new();
             let mut quarantines = Summary::new();
             for k in 0..seeds {
-                let mut cfg = ExperimentConfig::new(workload.clone(), n_nodes);
-                cfg.mapping = mapping;
-                cfg.victim = *victim;
-                cfg.steal = steal;
+                let mut cfg = base.clone();
                 cfg.seed = 0xC4A0_5000 + k;
-                cfg.collect_trace = false;
-                cfg.threads = threads;
                 let mut plan = FaultPlan::message_faults(rate, rate * dup_frac, rate * spike_frac);
                 plan.partitions = structural.partitions.clone();
                 plan.crash_domains = structural.crash_domains.clone();
@@ -681,75 +643,6 @@ pub fn tree(rest: &[String]) -> Result<(), String> {
         "feedable ranks  : ~{} (at 2 chunks of 20 per rank)",
         shape.feedable_ranks(40)
     );
-    Ok(())
-}
-
-/// `dws topo`
-pub fn topo(rest: &[String]) -> Result<(), String> {
-    let flags = parse(rest, &["nodes", "mapping", "rank"], &[])?;
-    let n_nodes: u32 = flags.parse_or("nodes", 1024)?;
-    let mapping = parse_mapping(flags.get("mapping").unwrap_or("1/N"))?;
-    let job = Job::place(
-        dws_topology::Machine::k_computer(),
-        n_nodes,
-        dws_topology::AllocationPolicy::CompactRectangle,
-        mapping,
-        LatencyParams::default(),
-    );
-    let me: u32 = flags.parse_or("rank", 0u32)?;
-    if me >= job.n_ranks() {
-        return Err(format!(
-            "--rank {me} out of range ({} ranks)",
-            job.n_ranks()
-        ));
-    }
-    println!(
-        "job: {} nodes, {} ranks ({}), machine {:?} cubes",
-        n_nodes,
-        job.n_ranks(),
-        mapping.label(),
-        job.machine().dims()
-    );
-    println!("rank {me} at {:?}", job.coord_of(me));
-    let mut dist = Summary::new();
-    let mut lat = Summary::new();
-    for j in 0..job.n_ranks() {
-        if j == me {
-            continue;
-        }
-        dist.add(job.euclidean(me, j));
-        lat.add(job.latency_ns(me, j, 16) as f64 / 1000.0);
-    }
-    println!(
-        "distance e({me},*) : mean {:.2}, max {:.2}",
-        dist.mean(),
-        dist.max()
-    );
-    println!(
-        "latency  (us)     : mean {:.2}, min {:.2}, max {:.2}",
-        lat.mean(),
-        lat.min(),
-        lat.max()
-    );
-    // Nearest and farthest ranks.
-    let mut by_dist: Vec<(u32, f64)> = (0..job.n_ranks())
-        .filter(|&j| j != me)
-        .map(|j| (j, job.euclidean(me, j)))
-        .collect();
-    by_dist.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let near: Vec<String> = by_dist
-        .iter()
-        .take(5)
-        .map(|(j, d)| format!("{j}({d:.1})"))
-        .collect();
-    let far: Vec<String> = by_dist
-        .iter()
-        .rev()
-        .take(5)
-        .map(|(j, d)| format!("{j}({d:.1})"))
-        .collect();
-    println!("nearest ranks     : {}", near.join(" "));
-    println!("farthest ranks    : {}", far.join(" "));
     Ok(())
 }
 

@@ -6,7 +6,6 @@
 //! dws run    --tree t3sim-l --ranks 64 --threads 2 --profile
 //! dws chaos  --tree t3sim-l --nodes 64 --rates 0,0.01,0.05
 //! dws tree   --tree t3sim-l
-//! dws topo   --nodes 1024 [--rank 0]
 //! dws shmem  --tree t3sim-l --workers 8
 //! dws top    snapshots.jsonl
 //! dws why    report.json
@@ -36,7 +35,6 @@ fn main() {
         "run" => commands::run(rest),
         "chaos" => commands::chaos(rest),
         "tree" => commands::tree(rest),
-        "topo" | "topology" => commands::topo(rest),
         "shmem" => commands::shmem(rest),
         "diff" => commands::diff(rest),
         "top" => commands::top(rest),
@@ -101,7 +99,6 @@ commands:
           --fault-crash <r@ns,..>       crash rank r at time ns
           --fault-node-crash <k@ns,..>  crash every rank of node k
           --fault-brownout <r@a:b,..>   NIC brownout window on rank r
-          --fault-slowdown <r@a:b:f,..> slow rank r by factor f in [a,b)
           --fault-partition <r@a:b,..>  cut ranks below r off from the
                                         rest during [a,b)
           --fault-tolerant     force the failure-tolerant protocol on
@@ -128,7 +125,6 @@ commands:
           --snapshot <path>    stream periodic JSONL snapshots to a file
           --snapshot-every <d> simulated-time cadence (500ms, 2s, ... ;
                                default 1ms of simulated time)
-          --snapshot-events <n> event-count cadence instead
           --flight-dump <path> crash flight recorder: dump the last
                                --flight-ring <n> events per shard
                                (default 1024) on panic, budget overrun,
@@ -141,8 +137,6 @@ commands:
                                            fraction of the drop rate
   tree    measure a workload preset (size, depth, imbalance, frontier)
           --tree <preset> [--limit <nodes>]
-  topo    inspect a placed job's distances and latencies
-          --nodes <n> [--mapping <m>] [--rank <r>]
   shmem   run the threaded shared-memory executor
           --tree <preset> --workers <n>
   diff    compare two runs or bench records metric by metric

@@ -2,9 +2,9 @@
 //!
 //! The paper's policies are static: they keep hammering crashed,
 //! browned-out, or partitioned victims exactly as if they were healthy.
-//! This module is the learning half of
-//! [`VictimPolicy::Adaptive`](crate::victim::VictimPolicy::Adaptive):
-//! a per-victim health record
+//! This module is the learning half of the overlay
+//! [`ExperimentConfig::adaptive`](crate::ExperimentConfig::adaptive)
+//! switches on over any policy: a per-victim health record
 //! fed from the exact sites where the scheduler already bumps its
 //! [`StealStats`](dws_metrics::StealStats) counters, driving
 //!

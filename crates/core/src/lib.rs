@@ -61,6 +61,5 @@ pub use scheduler::{FaultToleranceCfg, Msg, SchedulerCfg, StealAmount, Worker};
 pub use stack::{Chunk, ChunkedStack};
 pub use termination::{Colour, TerminationState, Token, TokenAction};
 pub use victim::{
-    skew_weight, BaseVictimPolicy, OffsetAliasSet, VictimContext, VictimPolicy, VictimSelector,
-    FALLBACK_LIMIT,
+    skew_weight, OffsetAliasSet, VictimContext, VictimPolicy, VictimSelector, FALLBACK_LIMIT,
 };

@@ -50,6 +50,14 @@ pub struct ExperimentConfig {
     pub latency: LatencyParams,
     /// Victim-selection strategy.
     pub victim: VictimPolicy,
+    /// Extension (robustness): overlay failure-aware adaptive selection
+    /// on `victim`. Draws come from `victim` exactly as without it; the
+    /// scheduler then filters them through an online per-victim health
+    /// record (bounded rejection against learned outcome scores, plus
+    /// quarantine of repeatedly timed-out victims — see
+    /// `dws_core::health`). The label becomes `victim`'s
+    /// [`adaptive_label`](VictimPolicy::adaptive_label).
+    pub adaptive: bool,
     /// Steal granularity.
     pub steal: StealAmount,
     /// Nodes per chunk (paper: 20).
@@ -131,6 +139,7 @@ impl ExperimentConfig {
             alloc: AllocationPolicy::CompactRectangle,
             latency: LatencyParams::default(),
             victim: VictimPolicy::RoundRobin,
+            adaptive: false,
             steal: StealAmount::OneChunk,
             chunk_size: 20,
             poll_interval: 4,
@@ -160,7 +169,7 @@ impl ExperimentConfig {
     pub fn label(&self) -> String {
         format!(
             "{}{}{} {}",
-            self.victim.label(),
+            self.victim_label(),
             self.steal.label(),
             if self.lifeline_threshold.is_some() {
                 " LL"
@@ -169,6 +178,15 @@ impl ExperimentConfig {
             },
             self.mapping.label()
         )
+    }
+
+    /// The victim policy's legend name, `Adapt…` under the overlay.
+    pub fn victim_label(&self) -> &'static str {
+        if self.adaptive {
+            self.victim.adaptive_label()
+        } else {
+            self.victim.label()
+        }
     }
 
     /// Set the victim policy (builder style).
@@ -276,7 +294,7 @@ impl ExperimentConfig {
             ("mapping", self.mapping.label().into()),
             ("alloc", format!("{:?}", self.alloc).into()),
             ("latency", format!("{:?}", self.latency).into()),
-            ("victim", self.victim.label().into()),
+            ("victim", self.victim_label().into()),
             ("steal", self.steal.label().into()),
             ("chunk_size", self.chunk_size.into()),
             ("poll_interval", self.poll_interval.into()),
@@ -336,22 +354,9 @@ fn fault_plan_json(plan: &FaultPlan) -> JsonValue {
         ("spike_min_ns", plan.spike_min_ns.into()),
         ("spike_alpha", plan.spike_alpha.into()),
         ("spike_cap_ns", plan.spike_cap_ns.into()),
-        (
-            "slowdowns",
-            JsonValue::Arr(
-                plan.slowdowns
-                    .iter()
-                    .map(|w| {
-                        JsonValue::Arr(vec![
-                            w.rank.into(),
-                            w.from_ns.into(),
-                            w.until_ns.into(),
-                            w.factor.into(),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        // No fault reads this key; it stays so every pinned fingerprint
+        // stays byte-equal until ROADMAP item 1(iii)'s re-pin drops it.
+        ("slowdowns", JsonValue::Arr(Vec::new())),
         (
             "brownouts",
             JsonValue::Arr(
@@ -441,7 +446,7 @@ pub struct ExperimentResult {
     pub profile: Option<ProfileReport>,
     /// Adaptive victim selection: each rank's learned per-victim health
     /// records at the end of the run, in rank order. `None` unless the
-    /// run used a [`VictimPolicy::Adaptive`] policy.
+    /// run used the [`ExperimentConfig::adaptive`] overlay.
     pub victim_health: Option<VictimHealthLedger>,
     /// Occupancy folded live at window barriers (O(ranks) memory, no
     /// step list), when the run streamed telemetry. The same fold as
@@ -882,7 +887,7 @@ pub fn run_experiment_streamed(
                 // Timeouts derive from the placed job's latency model.
                 w = w.with_job(Arc::clone(&job));
             }
-            if cfg.victim.is_adaptive() {
+            if cfg.adaptive {
                 w = w.with_health(AdaptiveCfg::default());
             }
             w
@@ -1077,7 +1082,7 @@ pub fn run_experiment_streamed(
     } else {
         None
     };
-    let victim_health = if cfg.victim.is_adaptive() {
+    let victim_health = if cfg.adaptive {
         Some(
             workers
                 .iter()

@@ -47,7 +47,7 @@ use dws_metrics::{trace_id, SpanKind, StealStats};
 use dws_simnet::profiler::{prof_record, prof_start, Phase};
 use dws_simnet::{Actor, Ctx, Rank};
 use dws_topology::Job;
-use dws_uts::{Node, TreeSpec, Workload, NODE_WIRE_BYTES};
+use dws_uts::{Node, Workload, NODE_WIRE_BYTES};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -1506,10 +1506,4 @@ impl Actor for Worker {
             },
         }
     }
-}
-
-/// Convenience: the tree specification this worker expands (used by
-/// tests).
-pub fn spec_of(worker: &Worker) -> &TreeSpec {
-    &worker.cfg.workload.spec
 }

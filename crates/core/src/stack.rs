@@ -174,12 +174,6 @@ impl ChunkedStack {
         self.chunks.iter().flat_map(|c| c.iter())
     }
 
-    /// Nodes contained in the `n` oldest chunks (what a thief would
-    /// get), without taking them. Used for message-size accounting.
-    pub fn nodes_in_oldest(&self, n: usize) -> usize {
-        self.chunks.iter().take(n).map(|c| c.len()).sum()
-    }
-
     /// Number of recycled chunks currently pooled (test visibility).
     #[cfg(test)]
     fn pooled(&self) -> usize {
@@ -347,18 +341,6 @@ mod tests {
             assert_eq!(s.len(), expected_len);
             s.check().expect("consistent");
         }
-    }
-
-    #[test]
-    fn nodes_in_oldest_counts_prefix() {
-        let mut s = ChunkedStack::new(2);
-        for i in 0..5 {
-            s.push(node(i));
-        }
-        // Chunks: [0,1] [2,3] [4].
-        assert_eq!(s.nodes_in_oldest(1), 2);
-        assert_eq!(s.nodes_in_oldest(2), 4);
-        assert_eq!(s.nodes_in_oldest(10), 5);
     }
 
     #[test]

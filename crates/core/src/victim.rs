@@ -79,59 +79,6 @@ pub enum VictimPolicy {
         /// Consecutive local attempts before widening the search.
         local_tries: u32,
     },
-    /// Extension (robustness): failure-aware adaptive selection. Draws
-    /// come from the `base` static policy exactly as they would without
-    /// this wrapper; the scheduler then overlays an online per-victim
-    /// health filter on top (bounded rejection against learned outcome
-    /// scores, plus quarantine of repeatedly timed-out victims — see
-    /// `dws_core::health`). The base draw path, including the shared
-    /// offset-alias tables, is reused untouched, so the overlay stays
-    /// O(1) per draw.
-    Adaptive {
-        /// The static policy whose draws are re-weighted.
-        base: BaseVictimPolicy,
-    },
-}
-
-/// The static strategy an adaptive policy composes over — a flat copy
-/// of the non-adaptive [`VictimPolicy`] variants. (`VictimPolicy` is
-/// `Copy`, which rules out a recursive `Box<VictimPolicy>` field.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BaseVictimPolicy {
-    /// See [`VictimPolicy::RoundRobin`].
-    RoundRobin,
-    /// See [`VictimPolicy::Uniform`].
-    Uniform,
-    /// See [`VictimPolicy::DistanceSkewed`].
-    DistanceSkewed {
-        /// Skew exponent; the paper uses 1.0.
-        alpha: f64,
-    },
-    /// See [`VictimPolicy::LatencySkewed`].
-    LatencySkewed {
-        /// Skew exponent.
-        alpha: f64,
-    },
-    /// See [`VictimPolicy::Hierarchical`].
-    Hierarchical {
-        /// Consecutive local attempts before widening the search.
-        local_tries: u32,
-    },
-}
-
-impl BaseVictimPolicy {
-    /// The equivalent plain [`VictimPolicy`].
-    pub fn to_policy(self) -> VictimPolicy {
-        match self {
-            BaseVictimPolicy::RoundRobin => VictimPolicy::RoundRobin,
-            BaseVictimPolicy::Uniform => VictimPolicy::Uniform,
-            BaseVictimPolicy::DistanceSkewed { alpha } => VictimPolicy::DistanceSkewed { alpha },
-            BaseVictimPolicy::LatencySkewed { alpha } => VictimPolicy::LatencySkewed { alpha },
-            BaseVictimPolicy::Hierarchical { local_tries } => {
-                VictimPolicy::Hierarchical { local_tries }
-            }
-        }
-    }
 }
 
 impl VictimPolicy {
@@ -143,33 +90,22 @@ impl VictimPolicy {
             VictimPolicy::DistanceSkewed { .. } => "Tofu",
             VictimPolicy::LatencySkewed { .. } => "LatSkew",
             VictimPolicy::Hierarchical { .. } => "Hier",
-            // Each base keeps a distinct label: the config fingerprint
-            // serializes the victim policy by label alone, so adaptive
-            // runs must never collide with their static base (or with
-            // each other).
-            VictimPolicy::Adaptive { base } => match base {
-                BaseVictimPolicy::RoundRobin => "AdaptRef",
-                BaseVictimPolicy::Uniform => "AdaptRand",
-                BaseVictimPolicy::DistanceSkewed { .. } => "AdaptTofu",
-                BaseVictimPolicy::LatencySkewed { .. } => "AdaptLat",
-                BaseVictimPolicy::Hierarchical { .. } => "AdaptHier",
-            },
         }
     }
 
-    /// The static policy whose draw path this policy uses: the `base`
-    /// for [`VictimPolicy::Adaptive`], the policy itself otherwise.
-    pub fn base_policy(&self) -> VictimPolicy {
-        match *self {
-            VictimPolicy::Adaptive { base } => base.to_policy(),
-            other => other,
+    /// The label of this policy under the failure-aware health overlay
+    /// ([`ExperimentConfig::adaptive`](crate::ExperimentConfig::adaptive)).
+    /// Each base keeps a distinct label: the config fingerprint
+    /// serializes the victim policy by label alone, so adaptive runs
+    /// must never collide with their static base (or with each other).
+    pub fn adaptive_label(&self) -> &'static str {
+        match self {
+            VictimPolicy::RoundRobin => "AdaptRef",
+            VictimPolicy::Uniform => "AdaptRand",
+            VictimPolicy::DistanceSkewed { .. } => "AdaptTofu",
+            VictimPolicy::LatencySkewed { .. } => "AdaptLat",
+            VictimPolicy::Hierarchical { .. } => "AdaptHier",
         }
-    }
-
-    /// True for [`VictimPolicy::Adaptive`]: the scheduler should build
-    /// a health tracker and overlay it on the draws.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, VictimPolicy::Adaptive { .. })
     }
 
     /// Build the job-wide shared selector state, once per experiment.
@@ -179,7 +115,7 @@ impl VictimPolicy {
     /// memory, total); every other combination needs no shared state.
     /// Hand the result to each rank's [`build`](Self::build) call.
     pub fn prepare(&self, job: &Arc<Job>) -> VictimContext {
-        if let VictimPolicy::DistanceSkewed { alpha } = self.base_policy() {
+        if let VictimPolicy::DistanceSkewed { alpha } = *self {
             if job.torus_symmetry().is_some() {
                 return VictimContext {
                     shared: Some(Arc::new(OffsetAliasSet::new(job, alpha))),
@@ -199,7 +135,7 @@ impl VictimPolicy {
     pub fn build(&self, job: &Arc<Job>, me: Rank, ctx: &VictimContext) -> VictimSelector {
         let n = job.n_ranks();
         assert!(n >= 2, "victim selection needs at least two ranks");
-        match self.base_policy() {
+        match *self {
             VictimPolicy::RoundRobin => VictimSelector::RoundRobin {
                 n,
                 cursor: (me + 1) % n,
@@ -254,8 +190,6 @@ impl VictimPolicy {
                     tries_left: local_tries,
                 }
             }
-            // base_policy() already unwrapped the adaptive wrapper.
-            VictimPolicy::Adaptive { .. } => unreachable!("base_policy never returns Adaptive"),
         }
     }
 
@@ -284,9 +218,8 @@ impl VictimPolicy {
                 Some(latency_weight(job, i, j, alpha) / total)
             }
             // The hierarchical scheme's draw distribution depends on
-            // its retry state, so a static PDF is not defined; the
-            // adaptive overlay's depends on the learned health state.
-            VictimPolicy::Hierarchical { .. } | VictimPolicy::Adaptive { .. } => None,
+            // its retry state, so a static PDF is not defined.
+            VictimPolicy::Hierarchical { .. } => None,
         }
     }
 }
@@ -931,58 +864,24 @@ mod tests {
     #[test]
     fn adaptive_labels_are_distinct_from_bases() {
         let bases = [
-            BaseVictimPolicy::RoundRobin,
-            BaseVictimPolicy::Uniform,
-            BaseVictimPolicy::DistanceSkewed { alpha: 1.0 },
-            BaseVictimPolicy::LatencySkewed { alpha: 1.0 },
-            BaseVictimPolicy::Hierarchical { local_tries: 3 },
+            VictimPolicy::RoundRobin,
+            VictimPolicy::Uniform,
+            VictimPolicy::DistanceSkewed { alpha: 1.0 },
+            VictimPolicy::LatencySkewed { alpha: 1.0 },
+            VictimPolicy::Hierarchical { local_tries: 3 },
         ];
         let mut labels = std::collections::HashSet::new();
         for base in bases {
-            let adaptive = VictimPolicy::Adaptive { base };
-            assert!(adaptive.is_adaptive());
-            assert_ne!(
-                adaptive.label(),
-                base.to_policy().label(),
+            assert!(
+                labels.insert(base.adaptive_label()),
                 "fingerprints distinguish adaptive runs by label alone"
             );
-            assert!(labels.insert(adaptive.label()), "labels must be unique");
-            assert!(labels.insert(base.to_policy().label()));
+            assert!(labels.insert(base.label()), "labels must be unique");
         }
         assert_eq!(
-            VictimPolicy::Adaptive {
-                base: BaseVictimPolicy::DistanceSkewed { alpha: 1.0 }
-            }
-            .label(),
+            VictimPolicy::DistanceSkewed { alpha: 1.0 }.adaptive_label(),
             "AdaptTofu"
         );
-    }
-
-    #[test]
-    fn adaptive_draw_path_matches_its_base() {
-        // The adaptive wrapper's prepare/build must be the base's,
-        // bit for bit: the same shared-table decision and the same
-        // draw sequence under the same RNG stream.
-        let job = symmetric_job(96, RankMapping::OneToOne);
-        let base = VictimPolicy::DistanceSkewed { alpha: 1.0 };
-        let adaptive = VictimPolicy::Adaptive {
-            base: BaseVictimPolicy::DistanceSkewed { alpha: 1.0 },
-        };
-        let ctx_b = base.prepare(&job);
-        let ctx_a = adaptive.prepare(&job);
-        assert_eq!(ctx_b.uses_shared_table(), ctx_a.uses_shared_table());
-        let mut sel_b = base.build(&job, 7, &ctx_b);
-        let mut sel_a = adaptive.build(&job, 7, &ctx_a);
-        let mut rng_b = DetRng::new(17);
-        let mut rng_a = DetRng::new(17);
-        for draw in 0..2_000 {
-            assert_eq!(
-                sel_b.next_victim(&mut rng_b),
-                sel_a.next_victim(&mut rng_a),
-                "draw {draw} diverged"
-            );
-        }
-        assert!(adaptive.probability(&job, 0, 1).is_none());
     }
 
     #[test]

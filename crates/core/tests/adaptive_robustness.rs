@@ -7,9 +7,7 @@
 //! partition window, while adaptive thieves quarantine them after two
 //! timeouts and only send bounded probe steals until the network heals.
 
-use dws_core::{
-    run_experiment, BaseVictimPolicy, ExperimentConfig, ExperimentResult, VictimPolicy,
-};
+use dws_core::{run_experiment, ExperimentConfig, ExperimentResult, VictimPolicy};
 use dws_metrics::SpanKind;
 use dws_simnet::{CrashDomain, FaultPlan, Partition};
 use dws_topology::RankMapping;
@@ -19,7 +17,8 @@ const BOUNDARY: u32 = 4;
 const FROM_NS: u64 = 300_000;
 const UNTIL_NS: u64 = 3_000_000;
 
-fn run(victim: VictimPolicy) -> ExperimentResult {
+/// One run under the paper's 1/d-skew, with or without the overlay.
+fn run(adaptive: bool) -> ExperimentResult {
     let workload = Workload {
         name: "adaptive-e2e",
         spec: TreeSpec::Binomial {
@@ -33,7 +32,9 @@ fn run(victim: VictimPolicy) -> ExperimentResult {
     };
     // 8 nodes, one rank each; ranks 0..4 are cut off from ranks 4..8
     // for most of the run's midgame.
-    let mut cfg = ExperimentConfig::new(workload, 8).with_victim(victim);
+    let mut cfg =
+        ExperimentConfig::new(workload, 8).with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 });
+    cfg.adaptive = adaptive;
     cfg.fault_plan = FaultPlan {
         partitions: vec![Partition {
             boundary: BOUNDARY,
@@ -64,10 +65,8 @@ fn doomed_requests(r: &ExperimentResult) -> u64 {
 
 #[test]
 fn adaptive_quarantines_partitioned_victims() {
-    let static_run = run(VictimPolicy::DistanceSkewed { alpha: 1.0 });
-    let adaptive_run = run(VictimPolicy::Adaptive {
-        base: BaseVictimPolicy::DistanceSkewed { alpha: 1.0 },
-    });
+    let static_run = run(false);
+    let adaptive_run = run(true);
 
     assert!(static_run.completed && adaptive_run.completed);
     assert_eq!(static_run.total_nodes, adaptive_run.total_nodes);
@@ -164,9 +163,8 @@ fn chaos_stress_128_ranks_reconciles() {
     let domain = mapping.ranks_on_slot(5, n_nodes);
     let mut cfg = ExperimentConfig::new(workload, n_nodes)
         .with_mapping(mapping)
-        .with_victim(VictimPolicy::Adaptive {
-            base: BaseVictimPolicy::DistanceSkewed { alpha: 1.0 },
-        });
+        .with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 });
+    cfg.adaptive = true;
     cfg.expect_nodes = Some(expect);
     cfg.collect_spans = true;
     let mut plan = FaultPlan::message_faults(0.02, 0.01, 0.02);
@@ -197,4 +195,58 @@ fn chaos_stress_128_ranks_reconciles() {
         expect,
         "lost-subtree accounting must balance the tree size"
     );
+}
+
+/// The overlay is one field over any policy, but the fingerprint still
+/// names it per base: `label()` and `config_json()` of the five
+/// adaptive bases on one fixed config, pinned to the strings recorded
+/// when the overlay was still a `VictimPolicy` variant of its own.
+#[test]
+fn adaptive_fingerprints_are_pinned() {
+    const JSON: &str = concat!(
+        r#"{"fingerprint":"{fp}","label":"{victim} 8RR","seed":219512481,"#,
+        r#""workload":{"name":"T3SIM-XS","spec":"Binomial { b0: 200, m: 2, q: 0.475 }","#,
+        r#""tree_seed":316,"gen_rounds":1,"base_node_ns":1031},"n_nodes":16,"n_ranks":128,"#,
+        r#""mapping":"8RR","alloc":"CompactRectangle","latency":"LatencyParams { "#,
+        r#"same_node_ns: 600, same_blade_ns: 1000, same_cube_ns: 1300, same_rack_ns: 1700, "#,
+        r#"inter_rack_ns: 3000, per_hop_ns: 5000, bytes_per_ns: 5.0, software_overhead_ns: 400 }","#,
+        r#""victim":"{victim}","steal":"","chunk_size":20,"poll_interval":4,"#,
+        r#""retry_delay_ns":2000,"probe_backoff_ns":10000,"msg_handle_ns":600,"#,
+        r#""package_chunk_ns":200,"lifeline_threshold":null,"nic_occupancy_ns":2000,"#,
+        r#""nic_bytes_per_ns":5,"link_level_network":null,"jitter":0,"clock_skew_max_ns":0,"#,
+        r#""max_sim_time_ns":null,"max_events":null,"fault_plan":{"active":false,"#,
+        r#""drop_prob":0,"dup_prob":0,"spike_prob":0,"spike_min_ns":50000,"spike_alpha":1.5,"#,
+        r#""spike_cap_ns":5000000,"slowdowns":[],"brownouts":[],"crashes":[],"partitions":[],"#,
+        r#""crash_domains":[]},"fault_tolerance":null}"#,
+    );
+    for (victim, name, fp) in [
+        (VictimPolicy::RoundRobin, "AdaptRef", "d0bd9086467e7169"),
+        (VictimPolicy::Uniform, "AdaptRand", "60bea3698cdf2aa1"),
+        (
+            VictimPolicy::DistanceSkewed { alpha: 1.0 },
+            "AdaptTofu",
+            "fe7ece3ca6c589c9",
+        ),
+        (
+            VictimPolicy::LatencySkewed { alpha: 1.0 },
+            "AdaptLat",
+            "96119d89a8d92be9",
+        ),
+        (
+            VictimPolicy::Hierarchical { local_tries: 4 },
+            "AdaptHier",
+            "e905d6c9d99ee25d",
+        ),
+    ] {
+        let mut cfg = ExperimentConfig::new(dws_uts::presets::t3sim_xs(), 16)
+            .with_mapping(RankMapping::RoundRobin { ppn: 8 })
+            .with_victim(victim);
+        cfg.adaptive = true;
+        assert_eq!(cfg.label(), format!("{name} 8RR"));
+        assert_eq!(
+            cfg.config_json().to_string(),
+            JSON.replace("{victim}", name).replace("{fp}", fp),
+            "{name}"
+        );
+    }
 }

@@ -87,15 +87,6 @@ impl BlameReport {
         self
     }
 
-    /// Nanoseconds attributed to `c`.
-    pub fn component_ns(&self, c: Component) -> u64 {
-        self.components
-            .iter()
-            .find(|&&(x, _)| x == c)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
     /// The exactness invariant: components sum to the makespan.
     pub fn check(&self) -> Result<(), String> {
         let sum: u64 = self.components.iter().map(|&(_, v)| v).sum();

@@ -196,14 +196,6 @@ impl SpanTrace {
         self.n_ranks
     }
 
-    /// Count records on `rank` matching `pred`.
-    pub fn count_rank<F: Fn(&SpanKind) -> bool>(&self, rank: usize, pred: F) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.rank == rank && pred(&r.kind))
-            .count() as u64
-    }
-
     /// Count records matching `pred` across all ranks.
     pub fn count<F: Fn(&SpanKind) -> bool>(&self, pred: F) -> u64 {
         self.records.iter().filter(|r| pred(&r.kind)).count() as u64

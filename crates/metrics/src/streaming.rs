@@ -122,14 +122,6 @@ impl Snapshot {
         }
     }
 
-    /// Window lag: the spread between the fastest and slowest shard's
-    /// simulated time, in nanoseconds (0 for a single shard).
-    pub fn shard_lag_ns(&self) -> u64 {
-        let max = self.shards.iter().map(|s| s.now_ns).max().unwrap_or(0);
-        let min = self.shards.iter().map(|s| s.now_ns).min().unwrap_or(0);
-        max - min
-    }
-
     /// The JSON tree of this snapshot (one JSONL line when printed).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
@@ -264,7 +256,6 @@ mod tests {
             .expect("valid snapshot");
         assert_eq!(back, snap);
         assert!((snap.steal_success_rate() - 0.9).abs() < 1e-12);
-        assert_eq!(snap.shard_lag_ns(), 100_000);
         assert!(snap.progress_line().contains("steals 900 ok"));
     }
 

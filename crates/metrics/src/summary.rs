@@ -101,16 +101,6 @@ impl Summary {
     pub fn display(&self, prec: usize) -> String {
         format!("{:.prec$} ± {:.prec$}", self.mean(), self.stddev())
     }
-
-    /// Welch's t-statistic against another summary — a quick robustness
-    /// check that two configurations actually differ.
-    pub fn welch_t(&self, other: &Summary) -> f64 {
-        let se2 = self.stderr().powi(2) + other.stderr().powi(2);
-        if se2 == 0.0 {
-            return 0.0;
-        }
-        (self.mean() - other.mean()) / se2.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -142,14 +132,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn welch_t_separates_distinct_means() {
-        let a = Summary::of([10.0, 10.5, 9.5, 10.2, 9.8]);
-        let b = Summary::of([12.0, 12.5, 11.5, 12.2, 11.8]);
-        assert!(a.welch_t(&b).abs() > 5.0, "t = {}", a.welch_t(&b));
-        assert!(a.welch_t(&a).abs() < 1e-9);
     }
 
     #[test]

@@ -340,20 +340,16 @@ pub struct ShardProfile {
 /// ([`Simulation::attach_streaming`]): snapshot cadence, the per-shard
 /// flight-recorder ring, and the emergency-abort budgets.
 ///
-/// Cadence is expressed in *simulated* time and event counts — both
-/// pure functions of the deterministic schedule — so the set of window
-/// barriers that emit a snapshot is identical for every thread count.
+/// Cadence is expressed in *simulated* time — a pure function of the
+/// deterministic schedule — so the set of window barriers that emit a
+/// snapshot is identical for every thread count.
 /// Wall-clock is only ever *read* when a snapshot is being written
 /// (for `wall_ms` / `events_per_sec`), never consulted for control
 /// flow, except by the explicitly wall-clock abort budgets.
 #[derive(Debug, Clone)]
 pub struct StreamingCfg {
-    /// Emit a snapshot whenever this much simulated time has elapsed
-    /// since the last one (`None` = no time-based cadence).
-    pub snapshot_every_sim_ns: Option<u64>,
-    /// Emit a snapshot whenever this many events have been processed
-    /// since the last one (`None` = no event-based cadence).
-    pub snapshot_every_events: Option<u64>,
+    /// Emit a snapshot at each multiple of this much simulated time.
+    pub snapshot_every_sim_ns: u64,
     /// Echo each snapshot's one-line rendering to stderr (the
     /// `dws run --live` terminal view).
     pub live: bool,
@@ -374,8 +370,7 @@ pub struct StreamingCfg {
 impl Default for StreamingCfg {
     fn default() -> Self {
         Self {
-            snapshot_every_sim_ns: Some(1_000_000), // one simulated ms
-            snapshot_every_events: None,
+            snapshot_every_sim_ns: 1_000_000, // one simulated ms
             live: false,
             flight_ring: 1024,
             flight_dump_path: None,
@@ -389,42 +384,31 @@ impl Default for StreamingCfg {
 /// free; windows are often microseconds of host time).
 const RSS_CHECK_EVERY_WINDOWS: u32 = 32;
 
-/// Snapshot cadence thresholds. Every worker steps its own copy from
+/// Snapshot cadence threshold. Every worker steps its own copy from
 /// published schedule state, so all threads agree on which windows
 /// emit without extra coordination.
 #[derive(Clone, Copy)]
 struct Cadence {
-    every_sim_ns: Option<u64>,
-    every_events: Option<u64>,
-    /// Next simulated-time snapshot threshold (`u64::MAX` = disabled).
+    every_sim_ns: u64,
+    /// Next simulated-time snapshot threshold.
     next_sim: u64,
-    /// Next event-count snapshot threshold (`u64::MAX` = disabled).
-    next_events: u64,
 }
 
 impl Cadence {
-    /// Whether the window ending at `end_ns` (with `events` processed)
-    /// crosses a snapshot threshold. Pure function of schedule state.
-    fn due(&self, end_ns: u64, events: u64) -> bool {
-        end_ns >= self.next_sim || events >= self.next_events
+    /// Whether the window ending at `end_ns` crosses a snapshot
+    /// threshold. Pure function of schedule state.
+    fn due(&self, end_ns: u64) -> bool {
+        end_ns >= self.next_sim
     }
 
-    /// Advance the thresholds after emitting at `(end_ns, events)` to
-    /// the next marks of the fixed grids `k · every`, so how far a
-    /// window overshot one mark never moves the next. Window ends are
+    /// Advance the threshold after emitting at `end_ns` to the next
+    /// mark of the fixed grid `k · every`, so how far a window
+    /// overshot one mark never moves the next. Window ends are
     /// schedule-deterministic, so the emission points are identical for
     /// every thread count.
-    fn advance(&mut self, end_ns: u64, events: u64) {
-        let next_mark = |at: u64, every: u64| {
-            let every = every.max(1);
-            (at / every).saturating_add(1).saturating_mul(every)
-        };
-        if let Some(every) = self.every_sim_ns {
-            self.next_sim = next_mark(end_ns, every);
-        }
-        if let Some(every) = self.every_events {
-            self.next_events = next_mark(events, every);
-        }
+    fn advance(&mut self, end_ns: u64) {
+        let every = self.every_sim_ns.max(1);
+        self.next_sim = (end_ns / every).saturating_add(1).saturating_mul(every);
     }
 }
 
@@ -449,9 +433,7 @@ impl StreamState {
         Self {
             cadence: Cadence {
                 every_sim_ns: cfg.snapshot_every_sim_ns,
-                every_events: cfg.snapshot_every_events,
-                next_sim: cfg.snapshot_every_sim_ns.unwrap_or(u64::MAX),
-                next_events: cfg.snapshot_every_events.unwrap_or(u64::MAX),
+                next_sim: cfg.snapshot_every_sim_ns,
             },
             cfg,
             accounting: OnlineAccounting::new(n_ranks),
@@ -1036,23 +1018,6 @@ impl<M> Ctx<'_, M> {
         self.state.skew_ns
     }
 
-    /// `delay_ns` stretched by the fault-plan slowdown window this rank
-    /// sits in, if any.
-    fn stretched(&self, delay_ns: u64) -> u64 {
-        if !self.shared.fault_active {
-            return delay_ns;
-        }
-        let f = self
-            .shared
-            .fault
-            .slowdown_factor(self.me, self.core.now.ns());
-        if f != 1.0 {
-            (delay_ns as f64 * f) as u64
-        } else {
-            delay_ns
-        }
-    }
-
     /// Record an active/idle transition of this rank at the current
     /// *global* time, into its shard's activity log
     /// ([`Simulation::attach_activity`], [`Simulation::attach_streaming`]).
@@ -1097,11 +1062,9 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Arm a timer to fire after `delay_ns`; `token` is returned to
-    /// [`Actor::on_timer`]. If this rank sits inside a fault-plan
-    /// slowdown window, the delay stretches by the window's factor —
-    /// the rank's local processing runs slow.
+    /// [`Actor::on_timer`].
     pub fn set_timer(&mut self, delay_ns: u64, token: u64) {
-        let at = self.core.now + self.stretched(delay_ns);
+        let at = self.core.now + delay_ns;
         // Timers are always shard-local: dst == src == me.
         let ev = Event {
             time: at,
@@ -1583,7 +1546,7 @@ impl<A: Actor> Simulation<A> {
         let events: u64 = self.shards.iter().map(|s| s.core.events).sum();
         let rows: Vec<ShardSnap> = self.shards.iter().map(|s| shard_snap(&s.core)).collect();
         let end_ns = rows.iter().map(|s| s.now_ns).max().unwrap_or(0);
-        st.cadence.advance(end_ns, events);
+        st.cadence.advance(end_ns);
         let mut live = LiveStats::default();
         for shard in &self.shards {
             live.absorb(&shard.live_stats());
@@ -2027,9 +1990,9 @@ where
                     if let Some(st) = stream.as_deref_mut() {
                         drain_published(st, &pubs[par], false);
                     }
-                    let due = end_prev.filter(|&ep| cad.due(ep, events));
+                    let due = end_prev.filter(|&ep| cad.due(ep));
                     if let Some(ep) = due {
-                        cad.advance(ep, events);
+                        cad.advance(ep);
                     }
                     if aborting || due.is_some() {
                         for (g, shard) in (first..).zip(own.iter_mut()) {
@@ -3191,7 +3154,7 @@ mod tests {
                 sim.attach_activity();
             }
             let streaming = StreamingCfg {
-                snapshot_every_sim_ns: Some(100),
+                snapshot_every_sim_ns: 100,
                 flight_ring: 0,
                 ..StreamingCfg::default()
             };
@@ -3243,7 +3206,7 @@ mod tests {
                 2,
                 threads,
                 StreamingCfg {
-                    snapshot_every_sim_ns: Some(100),
+                    snapshot_every_sim_ns: 100,
                     ..StreamingCfg::default()
                 },
             );
@@ -3274,20 +3237,18 @@ mod tests {
     #[test]
     fn snapshot_marks_stay_on_the_grid_whatever_the_window_overshoot() {
         let mut cadence = Cadence {
-            every_sim_ns: Some(1_000),
-            every_events: Some(10),
+            every_sim_ns: 1_000,
             next_sim: 1_000,
-            next_events: 10,
         };
-        // A window ending 399 ns and 3 events past the marks does not
-        // push the next marks out by that much.
-        assert!(cadence.due(1_399, 13));
-        cadence.advance(1_399, 13);
-        assert_eq!((cadence.next_sim, cadence.next_events), (2_000, 20));
+        // A window ending 399 ns past the mark does not push the next
+        // mark out by that much.
+        assert!(cadence.due(1_399));
+        cadence.advance(1_399);
+        assert_eq!(cadence.next_sim, 2_000);
         // One window may cross several marks: one emission, next mark
         // the first still ahead.
-        cadence.advance(4_000, 47);
-        assert_eq!((cadence.next_sim, cadence.next_events), (5_000, 50));
+        cadence.advance(4_000);
+        assert_eq!(cadence.next_sim, 5_000);
     }
 
     #[test]
@@ -3302,7 +3263,7 @@ mod tests {
                 3,
                 threads,
                 StreamingCfg {
-                    snapshot_every_sim_ns: Some(100),
+                    snapshot_every_sim_ns: 100,
                     flight_ring: 64,
                     flight_dump_path: Some(path.clone()),
                     wall_budget: Some(Duration::ZERO),

@@ -3,9 +3,8 @@
 //! A [`FaultPlan`] describes everything that can go wrong on the
 //! simulated interconnect and compute nodes: per-message drop and
 //! duplication probabilities, heavy-tailed latency spikes, NIC
-//! brownout windows (all traffic touching a rank is lost), per-rank
-//! slowdown windows (local timers stretch, modelling a slow or
-//! oversubscribed node), permanent rank crashes at scheduled times,
+//! brownout windows (all traffic touching a rank is lost), permanent
+//! rank crashes at scheduled times,
 //! network partitions (a rank-range cut severs all traffic across it
 //! for a window), and node-level crash domains (a whole node's ranks
 //! die together, matching the paper's 8-ranks-per-node allocations).
@@ -20,20 +19,6 @@
 //! reproducible.
 
 use crate::engine::Rank;
-
-/// A half-open time window `[from_ns, until_ns)` during which a rank's
-/// local processing runs `factor`× slower (its timers stretch).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowdownWindow {
-    /// Rank whose compute slows down.
-    pub rank: Rank,
-    /// Window start (inclusive), in simulated nanoseconds.
-    pub from_ns: u64,
-    /// Window end (exclusive).
-    pub until_ns: u64,
-    /// Stretch factor for timers armed inside the window (> 1 slows).
-    pub factor: f64,
-}
 
 /// A half-open time window `[from_ns, until_ns)` during which a rank's
 /// NIC is browned out: every message departing from or addressed to it
@@ -119,8 +104,6 @@ pub struct FaultPlan {
     pub spike_alpha: f64,
     /// Hard cap on a single spike's extra delay, in ns.
     pub spike_cap_ns: u64,
-    /// Per-rank compute slowdown windows.
-    pub slowdowns: Vec<SlowdownWindow>,
     /// Per-rank NIC brownout windows.
     pub brownouts: Vec<Brownout>,
     /// Scheduled permanent crashes.
@@ -140,7 +123,6 @@ impl Default for FaultPlan {
             spike_min_ns: 50_000,
             spike_alpha: 1.5,
             spike_cap_ns: 5_000_000,
-            slowdowns: Vec::new(),
             brownouts: Vec::new(),
             crashes: Vec::new(),
             partitions: Vec::new(),
@@ -156,7 +138,6 @@ impl FaultPlan {
         self.drop_prob > 0.0
             || self.dup_prob > 0.0
             || self.spike_prob > 0.0
-            || !self.slowdowns.is_empty()
             || !self.brownouts.is_empty()
             || !self.crashes.is_empty()
             || !self.partitions.is_empty()
@@ -176,7 +157,7 @@ impl FaultPlan {
 
     /// Validate the plan against a rank count. Rejects probabilities
     /// outside `[0, 1)`, windows and crashes naming unknown ranks,
-    /// degenerate windows, non-positive slowdown factors, and a crash
+    /// degenerate windows, and a crash
     /// of rank 0 (rank 0 owns the root of the search and the
     /// termination probe; its death is outside the recovery model).
     pub fn validate(&self, n_ranks: u32) -> Result<(), String> {
@@ -198,20 +179,6 @@ impl FaultPlan {
             }
             if self.spike_min_ns == 0 {
                 return Err("spike_min_ns must be nonzero when spikes are enabled".into());
-            }
-        }
-        for w in &self.slowdowns {
-            if w.rank >= n_ranks {
-                return Err(format!("slowdown names unknown rank {}", w.rank));
-            }
-            if w.until_ns <= w.from_ns {
-                return Err(format!("slowdown window on rank {} is empty", w.rank));
-            }
-            if w.factor <= 0.0 {
-                return Err(format!(
-                    "slowdown factor on rank {} must be positive, got {}",
-                    w.rank, w.factor
-                ));
             }
         }
         for b in &self.brownouts {
@@ -260,18 +227,6 @@ impl FaultPlan {
             }
         }
         Ok(())
-    }
-
-    /// The slowdown stretch factor in effect for `rank` at `now_ns`
-    /// (1.0 outside any window). Overlapping windows multiply.
-    pub fn slowdown_factor(&self, rank: Rank, now_ns: u64) -> f64 {
-        let mut f = 1.0;
-        for w in &self.slowdowns {
-            if w.rank == rank && (w.from_ns..w.until_ns).contains(&now_ns) {
-                f *= w.factor;
-            }
-        }
-        f
     }
 
     /// True if `rank`'s NIC is browned out at `now_ns`.
@@ -340,11 +295,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total messages that never reached their destination.
-    pub fn total_lost_messages(&self) -> u64 {
-        self.dropped + self.brownout_drops + self.partition_drops + self.crash_lost_deliveries
-    }
-
     /// Add another counter set into this one (used to total the
     /// per-shard counters of a parallel run).
     pub fn absorb(&mut self, o: &FaultStats) {
@@ -411,33 +361,6 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(plan.validate(4).is_err());
-    }
-
-    #[test]
-    fn slowdown_factor_composes_and_windows_are_half_open() {
-        let plan = FaultPlan {
-            slowdowns: vec![
-                SlowdownWindow {
-                    rank: 1,
-                    from_ns: 100,
-                    until_ns: 200,
-                    factor: 2.0,
-                },
-                SlowdownWindow {
-                    rank: 1,
-                    from_ns: 150,
-                    until_ns: 300,
-                    factor: 3.0,
-                },
-            ],
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.slowdown_factor(1, 99), 1.0);
-        assert_eq!(plan.slowdown_factor(1, 100), 2.0);
-        assert_eq!(plan.slowdown_factor(1, 150), 6.0);
-        assert_eq!(plan.slowdown_factor(1, 200), 3.0);
-        assert_eq!(plan.slowdown_factor(1, 300), 1.0);
-        assert_eq!(plan.slowdown_factor(2, 150), 1.0);
     }
 
     #[test]

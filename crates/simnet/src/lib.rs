@@ -96,7 +96,7 @@ pub use engine::{
     Actor, ConstantLatency, Ctx, LatencyFn, LiveStats, NetworkModel, ParallelConfig, PureNetwork,
     Rank, RunReport, ShardProfile, SimConfig, Simulation, StreamingCfg,
 };
-pub use fault::{Brownout, Crash, CrashDomain, FaultPlan, FaultStats, Partition, SlowdownWindow};
+pub use fault::{Brownout, Crash, CrashDomain, FaultPlan, FaultStats, Partition};
 pub use observer::{EventKind, EventRecord, FlightRecorder, NetTrace, PairTally};
 pub use profiler::{allocation_count, CountingAlloc, PerfProbe, Phase};
 pub use rng::DetRng;

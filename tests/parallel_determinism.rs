@@ -6,9 +6,7 @@
 //! matrix is `faulty_runs_are_identical_across_thread_counts` in
 //! `engine_identity.rs`, beside this file.
 
-use dws_core::{
-    run_experiment, BaseVictimPolicy, ExperimentConfig, ExperimentResult, VictimPolicy,
-};
+use dws_core::{run_experiment, ExperimentConfig, ExperimentResult, VictimPolicy};
 use dws_simnet::{CrashDomain, FaultPlan, Partition};
 use dws_topology::RankMapping;
 use dws_uts::{TreeSpec, Workload};
@@ -111,9 +109,8 @@ fn adaptive_runs_are_identical_across_thread_counts() {
         }] {
             let mut cfg = ExperimentConfig::new(workload(1200), 8)
                 .with_mapping(RankMapping::Grouped { ppn: 2 })
-                .with_victim(VictimPolicy::Adaptive {
-                    base: BaseVictimPolicy::DistanceSkewed { alpha: 1.0 },
-                });
+                .with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 });
+            cfg.adaptive = true;
             cfg.seed = seed;
             cfg.fault_plan = plan.clone();
             cfg.collect_spans = true;

@@ -57,7 +57,7 @@ fn base_config(seed: u64, threads: u32, fault: FaultPlan) -> ExperimentConfig {
 fn streamed(sink: &SharedSink, every_ns: u64) -> Option<StreamingSetup> {
     Some(StreamingSetup {
         cfg: StreamingCfg {
-            snapshot_every_sim_ns: Some(every_ns),
+            snapshot_every_sim_ns: every_ns,
             ..StreamingCfg::default()
         },
         sink: Some(Box::new(sink.clone())),
@@ -199,7 +199,7 @@ fn induced_abort_writes_a_valid_flight_dump() {
     let sink = SharedSink::default();
     let setup = StreamingSetup {
         cfg: StreamingCfg {
-            snapshot_every_sim_ns: Some(50_000),
+            snapshot_every_sim_ns: 50_000,
             flight_ring: 256,
             flight_dump_path: Some(path.clone()),
             wall_budget: Some(std::time::Duration::ZERO),
