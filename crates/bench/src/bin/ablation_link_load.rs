@@ -8,7 +8,7 @@
 //! and the hotspot factor (max/mean link load). No simulation — pure
 //! topology analysis, so it runs at full 1,024-rank scale instantly.
 
-use dws_bench::{emit, f, FigArgs};
+use dws_bench::{emit, f, FigArgs, Samples};
 use dws_core::skew_weight;
 use dws_topology::{Job, LinkLoad, RankMapping};
 use std::sync::Arc;
@@ -76,5 +76,6 @@ fn main() {
         ],
         &rows,
         None,
+        Samples::default(),
     );
 }

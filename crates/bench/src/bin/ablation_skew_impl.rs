@@ -5,7 +5,7 @@
 //! For each sampler this reports the draw cost and the worst relative
 //! deviation of its empirical histogram from the analytic PDF.
 
-use dws_bench::{emit, f, FigArgs};
+use dws_bench::{emit, f, FigArgs, Samples};
 use dws_core::{VictimPolicy, VictimSelector};
 use dws_simnet::DetRng;
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
@@ -93,5 +93,6 @@ fn main() {
         &["sampler", "ns_per_draw", "worst_pdf_deviation_pct", "draws"],
         &rows,
         None,
+        Samples::default(),
     );
 }

@@ -17,7 +17,7 @@
 //! scaling. No speedup is asserted — no host this figure has run on had
 //! the cores to calibrate a band against.
 
-use dws_bench::{emit, f, record_metric, run_logged, strategy, FigArgs};
+use dws_bench::{emit, f, run_logged, strategy, FigArgs, Samples};
 use dws_metrics::perflab::{BenchMetric, Polarity};
 use std::time::Instant;
 
@@ -31,7 +31,8 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     eprintln!("host reports {cores} available hardware threads");
-    record_metric(BenchMetric::point(
+    let mut samples = Samples::default();
+    samples.extra.push(BenchMetric::point(
         "host_cores",
         "count",
         Polarity::Neutral,
@@ -48,7 +49,8 @@ fn main() {
         cfg.threads = threads;
         cfg.collect_trace = false;
         let started = Instant::now();
-        let r = run_logged(&cfg);
+        let (r, run_sample) = run_logged(&cfg, None);
+        samples.runs.push(run_sample);
         let wall_s = started.elapsed().as_secs_f64();
         let sample = (
             r.makespan.ns(),
@@ -79,7 +81,7 @@ fn main() {
             "insufficient_cores"
         } else {
             if threads == 4 {
-                record_metric(BenchMetric::point(
+                samples.extra.push(BenchMetric::point(
                     "wall_speedup_4t",
                     "x",
                     Polarity::HigherIsBetter,
@@ -115,5 +117,6 @@ fn main() {
         ],
         &rows,
         None,
+        samples,
     );
 }

@@ -3,7 +3,7 @@
 //! (1 rank per node) — most mass stays spread across the machine, with
 //! sharp spikes on physically nearby ranks.
 
-use dws_bench::{chart, emit, FigArgs};
+use dws_bench::{chart, emit, FigArgs, Samples};
 use dws_core::VictimPolicy;
 use dws_topology::{Job, RankMapping};
 
@@ -35,5 +35,6 @@ fn main() {
         &["rank", "probability"],
         &rows,
         Some(chart("p(0,x) vs rank", &[("p", pts)])),
+        Samples::default(),
     );
 }

@@ -1,7 +1,9 @@
 //! `figures <id> [options]` runs one figure of `dws_bench::figures::FIGURES`
 //! and writes `<id>.csv` and `<id>.record.json`; with no id it lists
 //! the ids, one per line. The options are every figure binary's
-//! (`--full`, `--seed`, `--threads`, `--csv-dir`, …).
+//! (`--full`, `--seed`, `--threads`, `--csv-dir`, the streaming flags,
+//! …); every run of the figure carries them. It exits 1, writing no CSV,
+//! when a run does not complete.
 
 use dws_bench::figures::{self, FIGURES};
 use dws_bench::FigArgs;
@@ -23,5 +25,8 @@ fn main() {
         }
         std::process::exit(2);
     };
-    figures::run(fig, &args);
+    if let Err(e) = figures::run(fig, &args) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
 }

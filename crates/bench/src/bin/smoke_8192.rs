@@ -16,7 +16,7 @@
 //! Results are emitted like any figure (`results/smoke_8192.csv`, plus
 //! a BenchRecord for the trajectory store via `--trajectory`).
 
-use dws_bench::{emit, f, run_logged_streamed, FigArgs};
+use dws_bench::{emit, f, run_logged, FigArgs, Samples};
 use dws_core::VictimPolicy;
 use dws_metrics::perflab::peak_rss_bytes;
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
@@ -73,7 +73,7 @@ fn main() {
     // attaches here; the schedule is identical with it on or off, so
     // the smoke metrics stay comparable either way.
     let wall = Instant::now();
-    let res = run_logged_streamed(&cfg, args.streaming());
+    let (res, sample) = run_logged(&cfg, args.streaming());
     let wall_s = wall.elapsed().as_secs_f64();
 
     assert!(res.completed, "smoke run must observe termination");
@@ -115,5 +115,9 @@ fn main() {
             f(rss_mib, 1),
         ]],
         None,
+        Samples {
+            runs: vec![sample],
+            extra: Vec::new(),
+        },
     );
 }

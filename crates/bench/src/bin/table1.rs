@@ -6,7 +6,7 @@
 //! The scaled `T3SIM-*` presets used by the compressed-scale figures
 //! are included.
 
-use dws_bench::{emit, FigArgs};
+use dws_bench::{emit, FigArgs, Samples};
 use dws_uts::{search, TreeSpec};
 
 fn main() {
@@ -55,5 +55,6 @@ fn main() {
         ],
         &rows,
         None,
+        Samples::default(),
     );
 }

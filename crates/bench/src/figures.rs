@@ -1,45 +1,88 @@
-//! Every figure whose rows each come from one simulated run, as one
-//! table. An entry says what to run, what to read from each run and
-//! how to chart it; [`run`] is the one driver, behind `figures <id>`.
+//! Every figure that simulates, as one table. An entry says what to
+//! run, how the runs fold into rows and how to chart the rows; [`run`]
+//! is the one driver, behind `figures <id>`.
 //!
-//! Figures whose rows fold several runs (fig16, the fault-tolerance
-//! and adaptive ablations), fan one run's occupancy out into many rows
-//! (fig04, fig05, fig12, fig13), or simulate nothing stay binaries.
+//! Most rows come from one run each. fig16 folds three runs into a row,
+//! and fig04, fig05, fig12 and fig13 fan one run's occupancy curve out
+//! into many rows. `ablation_fault_crash` and `ablation_adaptive` time
+//! their faults from clean makespans, so they run a second stage built
+//! from the first stage's makespans.
 
-use crate::{chart, emit, f, run_logged, strategy, FigArgs, MAPPINGS};
+use crate::{chart, emit, f, run_logged, strategy, FigArgs, Samples, MAPPINGS, STRATEGIES};
 use dws_core::{ExperimentConfig, ExperimentResult, StealAmount, VictimPolicy};
 use dws_metrics::Component;
-use dws_simnet::FaultPlan;
+use dws_simnet::{Brownout, Crash, CrashDomain, FaultPlan, Partition};
 use dws_topology::{LatencyParams, RankMapping};
 use dws_uts::Workload;
 
-/// One run of a figure: the row's leading columns and what to simulate.
+/// One run of a figure: its leading columns and what to simulate.
 struct Cell {
-    /// Leading columns; the first one names the chart series.
+    /// Leading columns.
     lead: Vec<String>,
     /// The run.
     cfg: ExperimentConfig,
 }
 
-/// One figure: its runs, in order, and the columns each one yields.
+/// A cell that ran: its leading columns and its result.
+struct Run {
+    lead: Vec<String>,
+    r: ExperimentResult,
+}
+
+/// One figure: its runs, in order, and how they fold into rows.
 pub struct Figure {
     /// CSV and bench-record name.
     pub id: &'static str,
     /// Table title.
     title: &'static str,
-    /// Column names: the cells' leading columns, then the row's.
+    /// Column names.
     header: &'static [&'static str],
-    /// Every run, in run order.
+    /// Every run of the first stage, in run order.
     cells: fn(&FigArgs) -> Vec<Cell>,
-    /// The columns read from one run.
-    row: fn(&ExperimentResult) -> Vec<String>,
-    /// Chart title and y value: y over ranks, one series per first
-    /// leading column.
-    chart: Option<(&'static str, Metric)>,
+    /// A second stage, run after the first.
+    then: Option<Then>,
+    /// The rows, from every run of both stages, in run order.
+    rows: fn(&[Run]) -> Vec<Vec<String>>,
+    /// The chart, read from the rows.
+    chart: Option<Chart>,
 }
 
-/// A value read from one run.
-type Metric = fn(&ExperimentResult) -> f64;
+/// A second stage's runs, in run order, built from the first stage's
+/// makespans in ns.
+type Then = fn(&FigArgs, &[u64]) -> Vec<Cell>;
+
+/// A chart read from a figure's rows.
+#[derive(Clone, Copy)]
+enum Chart {
+    /// Column 2 over column 1, one series per run of equal column 0:
+    /// y over ranks (or occupancy), one series per config.
+    PerConfig(&'static str),
+    /// Every other column over column 0, one series per column, named
+    /// by its header.
+    PerColumn(&'static str),
+}
+
+impl Chart {
+    fn draw<'a>(self, header: &[&'a str], rows: &'a [Vec<String>]) -> String {
+        let num = |cell: &str| -> f64 { cell.parse().expect("charted columns are numeric") };
+        let (title, x, ys, by) = match self {
+            Chart::PerConfig(title) => (title, 1, 2..3, Some(0)),
+            Chart::PerColumn(title) => (title, 0, 1..header.len(), None),
+        };
+        let mut series: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
+        for y in ys {
+            for row in rows {
+                let label = by.map_or(header[y], |c| row[c].as_str());
+                let point = (num(&row[x]), num(&row[y]));
+                match series.last_mut() {
+                    Some((l, points)) if *l == label => points.push(point),
+                    _ => series.push((label, vec![point])),
+                }
+            }
+        }
+        chart(title, &series)
+    }
+}
 
 /// A chart line: legend label, strategy name, mapping.
 type Line = (String, &'static str, RankMapping);
@@ -71,10 +114,8 @@ fn sweep(
                 .with_steal(steal)
                 .with_mapping(mapping);
             cfg.collect_trace = false;
-            cells.push(Cell {
-                lead: vec![label.clone()],
-                cfg,
-            });
+            let lead = vec![label.clone()];
+            cells.push(Cell { lead, cfg });
         }
     }
     cells
@@ -92,6 +133,27 @@ fn reference_and(args: &FigArgs, strategy: &'static str) -> Vec<Cell> {
         args,
         std::iter::once(reference).chain(per_mapping(strategy)),
     )
+}
+
+/// A figure of one unlabelled run.
+fn one(cfg: ExperimentConfig) -> Vec<Cell> {
+    let lead = Vec::new();
+    vec![Cell { lead, cfg }]
+}
+
+/// Reference and Tofu Half at the flagship rank count, 1/N, traced.
+fn reference_vs_tofu_half(args: &FigArgs) -> Vec<Cell> {
+    ["Reference", "Tofu Half"]
+        .map(|name| {
+            let (victim, steal) = strategy(name);
+            let cfg = args
+                .config(args.large_tree(), args.flagship_ranks())
+                .with_victim(victim)
+                .with_steal(steal);
+            let lead = vec![name.to_string()];
+            Cell { lead, cfg }
+        })
+        .into()
 }
 
 /// Rank count of the single-scale ablations: `compressed`, or 1,024
@@ -139,20 +201,19 @@ fn ablation(
     cfg
 }
 
-fn speedup(r: &ExperimentResult) -> f64 {
-    r.perf.speedup()
+/// A traced small-tree run at [`ablation_ranks`] 128, the fault
+/// ablations' scale.
+fn small(args: &FigArgs, (victim, steal): (VictimPolicy, StealAmount)) -> ExperimentConfig {
+    args.config(args.small_tree(), ablation_ranks(args, 128))
+        .with_victim(victim)
+        .with_steal(steal)
 }
 
-fn failed(r: &ExperimentResult) -> f64 {
-    r.stats.failed_steals() as f64
-}
-
-fn session_ms(r: &ExperimentResult) -> f64 {
-    r.stats.avg_session_ns() / 1e6
-}
-
-fn search_ms(r: &ExperimentResult) -> f64 {
-    r.stats.avg_search_ns() / 1e9 * 1e3
+/// One row per run: its leading columns, then `row`'s.
+fn each(runs: &[Run], row: impl Fn(&ExperimentResult) -> Vec<String>) -> Vec<Vec<String>> {
+    runs.iter()
+        .map(|run| run.lead.iter().cloned().chain(row(&run.r)).collect())
+        .collect()
 }
 
 fn session_us(r: &ExperimentResult, prec: usize) -> String {
@@ -160,11 +221,107 @@ fn session_us(r: &ExperimentResult, prec: usize) -> String {
 }
 
 fn ranks_speedup(r: &ExperimentResult) -> Vec<String> {
-    vec![r.n_ranks.to_string(), f(speedup(r), 1)]
+    vec![r.n_ranks.to_string(), f(r.perf.speedup(), 1)]
 }
 
 fn ranks_failed(r: &ExperimentResult) -> Vec<String> {
     vec![r.n_ranks.to_string(), r.stats.failed_steals().to_string()]
+}
+
+/// One row per whole occupancy percent up to `upto` (by default the
+/// run's peak, at least 1) at which every picked latency (0 = SL,
+/// 1 = EL) is defined: the run's leading columns, the percent, then
+/// each picked latency in % of runtime.
+fn latencies(run: &Run, upto: Option<u32>, picked: &[usize], prec: usize) -> Vec<Vec<String>> {
+    let occ = run.r.occupancy().expect("activity trace collected");
+    let peak = (100 * occ.w_max() / occ.n_ranks()).max(1);
+    occ.latency_series(upto.unwrap_or(peak))
+        .into_iter()
+        .filter_map(|(pct, sl, el)| {
+            let values: Option<Vec<String>> = picked
+                .iter()
+                .map(|&i| [sl, el][i].map(|v| f(v * 100.0, prec)))
+                .collect();
+            let lead = run.lead.iter().cloned().chain([pct.to_string()]);
+            Some(lead.chain(values?).collect())
+        })
+        .collect()
+}
+
+/// The steal-half strategies, Reference first.
+const HALF: [&str; 3] = ["Reference Half", "Rand Half", "Tofu Half"];
+
+/// `ablation_adaptive`'s policies: static 1/d-skew, and the same with
+/// the adaptive overlay.
+const OVERLAY: [(&str, bool); 2] = [("Tofu", false), ("AdaptTofu", true)];
+
+/// A traced `ablation_adaptive` run of 1/d-skew under `mapping`.
+fn adaptive_cfg(args: &FigArgs, mapping: RankMapping, adaptive: bool) -> ExperimentConfig {
+    let n_nodes = ablation_ranks(args, 128) / mapping.ppn();
+    let mut cfg = args
+        .config(args.small_tree(), n_nodes)
+        .with_mapping(mapping)
+        .with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 });
+    cfg.adaptive = adaptive;
+    cfg
+}
+
+/// `ablation_adaptive`'s correlated faults under `mapping`, timed from
+/// the static clean makespan `t_ns`: one physical node's worth of ranks
+/// away from rank 0 (which owns the token ring and may not die) crashes
+/// at T/4, or browns out, or the network splits in half, over
+/// [T/4, 3T/4).
+fn correlated_faults(args: &FigArgs, mapping: RankMapping, t_ns: u64) -> [(&str, FaultPlan); 3] {
+    let ranks = ablation_ranks(args, 128);
+    let n_nodes = ranks / mapping.ppn();
+    let (from_ns, until_ns) = (t_ns / 4, t_ns * 3 / 4);
+    let slot = (n_nodes / 3).max(1) as usize;
+    let domain = mapping.ranks_on_slot(slot, n_nodes);
+    let brownouts = domain
+        .iter()
+        .map(|&rank| Brownout {
+            rank,
+            from_ns,
+            until_ns,
+        })
+        .collect();
+    [
+        (
+            "node-crash",
+            FaultPlan {
+                crash_domains: vec![CrashDomain {
+                    ranks: domain,
+                    at_ns: from_ns,
+                }],
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "partition",
+            FaultPlan {
+                partitions: vec![Partition {
+                    boundary: ranks / 2,
+                    from_ns,
+                    until_ns,
+                }],
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "brownout",
+            FaultPlan {
+                brownouts,
+                ..FaultPlan::default()
+            },
+        ),
+    ]
+}
+
+/// Time the last tree node was processed, before the termination wave.
+fn work_done_ns(r: &ExperimentResult) -> u64 {
+    r.occupancy()
+        .and_then(|occ| occ.last_reach_ns(0.0))
+        .unwrap_or_else(|| r.makespan.ns())
 }
 
 /// The table, in `run_all_figures.sh` order.
@@ -183,14 +340,17 @@ pub const FIGURES: &[Figure] = &[
                 per_mapping("Reference"),
             )
         },
-        row: |r| {
-            vec![
-                r.n_ranks.to_string(),
-                f(r.perf.efficiency(), 4),
-                f(r.makespan.as_secs_f64(), 4),
-            ]
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                vec![
+                    r.n_ranks.to_string(),
+                    f(r.perf.efficiency(), 4),
+                    f(r.makespan.as_secs_f64(), 4),
+                ]
+            })
         },
-        chart: Some(("efficiency vs ranks", |r| r.perf.efficiency())),
+        chart: Some(Chart::PerConfig("efficiency vs ranks")),
     },
     // Figure 3: the reference implementation at large scale (paper:
     // 1,024–8,192 ranks on T3WL).
@@ -199,14 +359,42 @@ pub const FIGURES: &[Figure] = &[
         title: "Speedup of the reference implementation at large scale",
         header: &["config", "ranks", "speedup", "makespan_s"],
         cells: |a| large(a, per_mapping("Reference")),
-        row: |r| {
-            vec![
-                r.n_ranks.to_string(),
-                f(speedup(r), 1),
-                f(r.makespan.as_secs_f64(), 4),
-            ]
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                vec![
+                    r.n_ranks.to_string(),
+                    f(r.perf.speedup(), 1),
+                    f(r.makespan.as_secs_f64(), 4),
+                ]
+            })
         },
-        chart: Some(("speedup vs ranks", speedup)),
+        chart: Some(Chart::PerConfig("speedup vs ranks")),
+    },
+    // Figure 4: starting and ending latencies of the reference
+    // implementation at 128 ranks (1/N): both stay tiny — the scheduler
+    // fills and drains the machine almost instantly at small scale.
+    Figure {
+        id: "fig04",
+        title: "Starting/ending latency, Reference 1/N, 128 ranks",
+        header: &["occupancy_%", "SL_%runtime", "EL_%runtime"],
+        cells: |a| one(a.config(a.small_tree(), 128)),
+        then: None,
+        rows: |runs| latencies(&runs[0], Some(90), &[0, 1], 3),
+        chart: Some(Chart::PerColumn("latency (% of runtime) vs occupancy (%)")),
+    },
+    // Figure 5: the same at the largest scale — the paper's smoking
+    // gun: the scheduler "struggles to provide work to most workers"
+    // (their 8,192-rank run never exceeded 43% occupancy). The rows end
+    // at the run's peak occupancy.
+    Figure {
+        id: "fig05",
+        title: "Starting/ending latency, Reference 1/N, largest scale",
+        header: &["occupancy_%", "SL_%runtime", "EL_%runtime"],
+        cells: |a| one(a.config(a.large_tree(), a.flagship_ranks())),
+        then: None,
+        rows: |runs| latencies(&runs[0], None, &[0, 1], 2),
+        chart: Some(Chart::PerColumn("latency (% of runtime) vs occupancy (%)")),
     },
     // Figures 6 and 7: uniform random selection ("Rand") under the
     // three allocations, with Reference 1/N for comparison; fewer
@@ -216,16 +404,18 @@ pub const FIGURES: &[Figure] = &[
         title: "Speedup with random victim selection",
         header: &["config", "ranks", "speedup"],
         cells: |a| reference_and(a, "Rand"),
-        row: ranks_speedup,
-        chart: Some(("speedup vs ranks", speedup)),
+        then: None,
+        rows: |runs| each(runs, ranks_speedup),
+        chart: Some(Chart::PerConfig("speedup vs ranks")),
     },
     Figure {
         id: "fig07",
         title: "Failed steals: random vs reference selection",
         header: &["config", "ranks", "failed_steals"],
         cells: |a| reference_and(a, "Rand"),
-        row: ranks_failed,
-        chart: Some(("failed steals vs ranks", failed)),
+        then: None,
+        rows: |runs| each(runs, ranks_failed),
+        chart: Some(Chart::PerConfig("failed steals vs ranks")),
     },
     // Figure 9: distance-skewed ("Tofu") selection under the three
     // allocations, with Rand 8G and Rand 1/N for reference.
@@ -240,8 +430,9 @@ pub const FIGURES: &[Figure] = &[
             ];
             large(a, rand.into_iter().chain(per_mapping("Tofu")))
         },
-        row: ranks_speedup,
-        chart: Some(("speedup vs ranks", speedup)),
+        then: None,
+        rows: |runs| each(runs, ranks_speedup),
+        chart: Some(Chart::PerConfig("speedup vs ranks")),
     },
     // Figure 10: average duration of a work-discovery session (from a
     // rank running dry until work arrives or the run ends).
@@ -256,8 +447,14 @@ pub const FIGURES: &[Figure] = &[
             ];
             large(a, baselines.into_iter().chain(per_mapping("Tofu")))
         },
-        row: |r| vec![r.n_ranks.to_string(), f(session_ms(r), 3)],
-        chart: Some(("session duration (ms) vs ranks", session_ms)),
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                let ms = r.stats.avg_session_ns() / 1e6;
+                vec![r.n_ranks.to_string(), f(ms, 3)]
+            })
+        },
+        chart: Some(Chart::PerConfig("session duration (ms) vs ranks")),
     },
     // Figure 11: the half-stealing variants, all 1/N. The paper's
     // headline: skewed selection + steal-half restores scaling.
@@ -275,8 +472,39 @@ pub const FIGURES: &[Figure] = &[
             ];
             large(a, names.map(|n| line(n, RankMapping::OneToOne)))
         },
-        row: ranks_speedup,
-        chart: Some(("speedup vs ranks", speedup)),
+        then: None,
+        rows: |runs| each(runs, ranks_speedup),
+        chart: Some(Chart::PerConfig("speedup vs ranks")),
+    },
+    // Figures 12 and 13: starting and ending latencies, Reference vs
+    // the optimized Tofu Half, at the largest scale (1/N): the
+    // optimized scheduler reaches high occupancy far earlier in the
+    // run, and keeps it until late.
+    Figure {
+        id: "fig12",
+        title: "Starting latencies: Reference vs Tofu Half (1/N)",
+        header: &["config", "occupancy_%", "SL_%runtime"],
+        cells: reference_vs_tofu_half,
+        then: None,
+        rows: |runs| {
+            runs.iter()
+                .flat_map(|run| latencies(run, None, &[0], 2))
+                .collect()
+        },
+        chart: Some(Chart::PerConfig("SL (% of runtime) vs occupancy (%)")),
+    },
+    Figure {
+        id: "fig13",
+        title: "Ending latencies: Reference vs Tofu Half (1/N)",
+        header: &["config", "occupancy_%", "EL_%runtime"],
+        cells: reference_vs_tofu_half,
+        then: None,
+        rows: |runs| {
+            runs.iter()
+                .flat_map(|run| latencies(run, None, &[1], 2))
+                .collect()
+        },
+        chart: Some(Chart::PerConfig("EL (% of runtime) vs occupancy (%)")),
     },
     // Figures 14 and 15: per-rank search time (waiting for steal
     // answers) and failed steals, Reference vs Tofu Half.
@@ -285,16 +513,58 @@ pub const FIGURES: &[Figure] = &[
         title: "Average per-rank search time (ms)",
         header: &["config", "ranks", "avg_search_ms"],
         cells: |a| reference_and(a, "Tofu Half"),
-        row: |r| vec![r.n_ranks.to_string(), f(search_ms(r), 3)],
-        chart: Some(("search time (ms) vs ranks", search_ms)),
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                let ms = r.stats.avg_search_ns() / 1e9 * 1e3;
+                vec![r.n_ranks.to_string(), f(ms, 3)]
+            })
+        },
+        chart: Some(Chart::PerConfig("search time (ms) vs ranks")),
     },
     Figure {
         id: "fig15",
         title: "Failed steals: Reference vs Tofu Half",
         header: &["config", "ranks", "failed_steals"],
         cells: |a| reference_and(a, "Tofu Half"),
-        row: ranks_failed,
-        chart: Some(("failed steals vs ranks", failed)),
+        then: None,
+        rows: |runs| each(runs, ranks_failed),
+        chart: Some(Chart::PerConfig("failed steals vs ranks")),
+    },
+    // Figure 16: runtime improvement of Rand Half and Tofu Half over
+    // Reference Half as per-node work granularity (SHA rounds per node
+    // creation) grows. As each steal carries more compute time, the
+    // latency-awareness advantage shrinks.
+    Figure {
+        id: "fig16",
+        title: "Runtime improvement over Reference Half vs work granularity",
+        header: &["sha_rounds", "rand_half_improv_%", "tofu_half_improv_%"],
+        cells: |a| {
+            let mut cells = Vec::new();
+            for rounds in [1u32, 2, 4, 8, 16, 24] {
+                for name in HALF {
+                    let mut cfg = ablation(a, a.flagship_ranks(), strategy(name));
+                    cfg.workload = cfg.workload.with_gen_rounds(rounds);
+                    let lead = vec![rounds.to_string()];
+                    cells.push(Cell { lead, cfg });
+                }
+            }
+            cells
+        },
+        then: None,
+        rows: |runs| {
+            runs.chunks(3)
+                .map(|three| {
+                    let [base, rand, tofu] = [0, 1, 2].map(|i| three[i].r.makespan.ns() as f64);
+                    vec![
+                        three[0].lead[0].clone(),
+                        f(100.0 * (base - rand) / base, 2),
+                        f(100.0 * (base - tofu) / base, 2),
+                    ]
+                })
+                .collect()
+        },
+        chart: Some(Chart::PerColumn("improvement (%) vs SHA rounds")),
     },
     // Polling interval: batching expansions between polls bounds the
     // event count, at the price of victim responsiveness.
@@ -308,7 +578,12 @@ pub const FIGURES: &[Figure] = &[
                 c.poll_interval = p
             })
         },
-        row: |r| vec![f(speedup(r), 1), r.stats.failed_steals().to_string()],
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                vec![f(r.perf.speedup(), 1), r.stats.failed_steals().to_string()]
+            })
+        },
         chart: None,
     },
     // Chunk size (the paper fixes 20): large chunks amortize steal
@@ -321,10 +596,13 @@ pub const FIGURES: &[Figure] = &[
             let chunks = [5usize, 10, 20, 50, 100].map(|c| (c, c));
             knob_sweep(a, chunks, &["Rand", "Tofu Half"], |c, &k| c.chunk_size = k)
         },
-        row: |r| {
-            let t = r.stats.total();
-            let per_steal = t.nodes_received as f64 / t.steals_ok.max(1) as f64;
-            vec![f(speedup(r), 1), f(per_steal, 1)]
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                let t = r.stats.total();
+                let per_steal = t.nodes_received as f64 / t.steals_ok.max(1) as f64;
+                vec![f(r.perf.speedup(), 1), f(per_steal, 1)]
+            })
         },
         chart: None,
     },
@@ -347,12 +625,15 @@ pub const FIGURES: &[Figure] = &[
                 })
                 .collect()
         },
-        row: |r| {
-            vec![
-                f(speedup(r), 1),
-                session_us(r, 1),
-                r.stats.failed_steals().to_string(),
-            ]
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                vec![
+                    f(r.perf.speedup(), 1),
+                    session_us(r, 1),
+                    r.stats.failed_steals().to_string(),
+                ]
+            })
         },
         chart: None,
     },
@@ -369,7 +650,8 @@ pub const FIGURES: &[Figure] = &[
             ];
             knob_sweep(a, networks, &["Rand", "Tofu"], |c, l| c.latency = l.clone())
         },
-        row: |r| vec![f(speedup(r), 1), session_us(r, 1)],
+        then: None,
+        rows: |runs| each(runs, |r| vec![f(r.perf.speedup(), 1), session_us(r, 1)]),
         chart: None,
     },
     // Shared-NIC contention on/off across mappings: without it,
@@ -391,7 +673,8 @@ pub const FIGURES: &[Figure] = &[
             }
             cells
         },
-        row: ranks_speedup,
+        then: None,
+        rows: |runs| each(runs, ranks_speedup),
         chart: None,
     },
     // Lifelines (Saraswat et al., the paper's §VI): past a threshold of
@@ -425,14 +708,17 @@ pub const FIGURES: &[Figure] = &[
             }
             cells
         },
-        row: |r| {
-            let t = r.stats.total();
-            vec![
-                f(speedup(r), 1),
-                t.steals_failed.to_string(),
-                t.lifeline_dormancies.to_string(),
-                t.lifeline_pushes.to_string(),
-            ]
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                let t = r.stats.total();
+                vec![
+                    f(r.perf.speedup(), 1),
+                    t.steals_failed.to_string(),
+                    t.lifeline_dormancies.to_string(),
+                    t.lifeline_pushes.to_string(),
+                ]
+            })
         },
         chart: None,
     },
@@ -468,12 +754,15 @@ pub const FIGURES: &[Figure] = &[
             }
             cells
         },
-        row: |r| {
-            vec![
-                f(speedup(r), 1),
-                session_us(r, 0),
-                r.stats.failed_steals().to_string(),
-            ]
+        then: None,
+        rows: |runs| {
+            each(runs, |r| {
+                vec![
+                    f(r.perf.speedup(), 1),
+                    session_us(r, 0),
+                    r.stats.failed_steals().to_string(),
+                ]
+            })
         },
         chart: None,
     },
@@ -525,7 +814,199 @@ pub const FIGURES: &[Figure] = &[
             }
             cells
         },
-        row: blame_row,
+        then: None,
+        rows: |runs| each(runs, blame_row),
+        chart: None,
+    },
+    // Victim selection under message faults: drops, duplicates and
+    // heavy-tailed latency spikes at rising rates, across all six
+    // strategies. Each run's makespan inflation over its strategy's
+    // fault-free run, and the recovery work. Skewed selection keeps
+    // steal RTTs, and so failure-detection timeouts, short; this
+    // measures how much of its advantage survives an unreliable fabric.
+    Figure {
+        id: "ablation_fault_tolerance",
+        title: "Victim policies under message faults",
+        header: &[
+            "strategy",
+            "fault_rate",
+            "speedup",
+            "slowdown_vs_clean",
+            "timeouts",
+            "retransmits",
+            "replies_discarded",
+            "late_absorbed",
+        ],
+        cells: |a| {
+            let mut cells = Vec::new();
+            for &(name, victim, steal) in STRATEGIES {
+                for rate in [0.0, 0.01, 0.02, 0.05] {
+                    let mut cfg = small(a, (victim, steal));
+                    cfg.collect_trace = false;
+                    cfg.fault_plan = FaultPlan::message_faults(rate, rate * 0.5, rate);
+                    let lead = vec![name.to_string(), f(rate, 2)];
+                    cells.push(Cell { lead, cfg });
+                }
+            }
+            cells
+        },
+        then: None,
+        rows: |runs| {
+            // Four rates per strategy, the fault-free one first.
+            let per_strategy = runs.chunks(4).map(|rates| {
+                let clean_ms = rates[0].r.makespan.ns() as f64 / 1e6;
+                each(rates, |r| {
+                    let t = r.stats.total();
+                    let ms = r.makespan.ns() as f64 / 1e6;
+                    vec![
+                        f(r.perf.speedup(), 1),
+                        f(ms / clean_ms, 2),
+                        t.steal_timeouts.to_string(),
+                        t.retransmits.to_string(),
+                        (t.dup_replies_dropped + t.stale_replies_dropped).to_string(),
+                        t.late_work_absorbed.to_string(),
+                    ]
+                })
+            });
+            per_strategy.flatten().collect()
+        },
+        chart: None,
+    },
+    // One rank (ranks/3) dies a quarter of the way into each steal-half
+    // strategy's clean makespan T: the subtree lost with it, and how
+    // long the survivors take to regain 90% occupancy.
+    Figure {
+        id: "ablation_fault_crash",
+        title: "Rank ranks/3 crash at T/4 (steal-half)",
+        header: &[
+            "strategy",
+            "crash_at_ms",
+            "slowdown_vs_clean",
+            "lost_frontier",
+            "lost_subtree",
+            "recovery_90pct_ms",
+            "token_regens",
+        ],
+        cells: |a| {
+            let clean = HALF.map(|name| {
+                let mut cfg = small(a, strategy(name));
+                cfg.collect_trace = false;
+                let lead = vec![name.to_string()];
+                Cell { lead, cfg }
+            });
+            clean.into()
+        },
+        then: Some(|a, clean| {
+            let rank = ablation_ranks(a, 128) / 3;
+            let crashes = HALF.iter().zip(clean).map(|(&name, &t_ns)| {
+                let at_ns = t_ns / 4;
+                let mut cfg = small(a, strategy(name));
+                cfg.fault_plan = FaultPlan {
+                    crashes: vec![Crash { rank, at_ns }],
+                    ..FaultPlan::default()
+                };
+                let lead = vec![name.to_string(), f(at_ns as f64 / 1e6, 2)];
+                Cell { lead, cfg }
+            });
+            crashes.collect()
+        }),
+        rows: |runs| {
+            let (clean, crashed) = runs.split_at(runs.len() / 2);
+            let rows = clean.iter().zip(crashed).map(|(clean, run)| {
+                let (r, t_ns) = (&run.r, clean.r.makespan.ns());
+                let fr = r.fault.as_ref().expect("crash plan produces a report");
+                let recovery_ms = r
+                    .occupancy()
+                    .and_then(|occ| occ.recovery_time_ns(t_ns / 4, 0.9))
+                    .map_or("never".to_string(), |ns| f(ns as f64 / 1e6, 2));
+                let cols = [
+                    f(r.makespan.ns() as f64 / t_ns as f64, 2),
+                    fr.lost_frontier_nodes.to_string(),
+                    fr.lost_subtree_nodes.to_string(),
+                    recovery_ms,
+                    r.stats.total().token_regenerations.to_string(),
+                ];
+                run.lead.iter().cloned().chain(cols).collect()
+            });
+            rows.collect()
+        },
+        chart: None,
+    },
+    // Failure-aware adaptive victim selection vs static 1/d-skew under
+    // correlated faults, across the three mappings, timed from each
+    // mapping's static clean makespan T. The engine's crash oracle
+    // shows crashes to every policy; partitions and brownouts are
+    // invisible, so the static policy keeps paying timeouts on
+    // unreachable victims while adaptive thieves quarantine them.
+    // Compare policies on `work_done_ms` (the last tree node processed):
+    // `makespan_ms` adds termination detection, whose token
+    // regeneration backoff quantizes the tail.
+    Figure {
+        id: "ablation_adaptive",
+        title: "Adaptive vs static 1/d-skew under correlated faults",
+        header: &[
+            "mapping",
+            "fault",
+            "policy",
+            "work_done_ms",
+            "slowdown_vs_clean",
+            "makespan_ms",
+            "timeouts",
+            "quarantines",
+            "probe_steals",
+            "lost_subtree",
+        ],
+        cells: |a| {
+            let mut cells = Vec::new();
+            for &mapping in MAPPINGS {
+                for (policy, adaptive) in OVERLAY {
+                    let lead = [mapping.label(), "none".into(), policy.into()].to_vec();
+                    let cfg = adaptive_cfg(a, mapping, adaptive);
+                    cells.push(Cell { lead, cfg });
+                }
+            }
+            cells
+        },
+        then: Some(|a, clean| {
+            let mut cells = Vec::new();
+            for (&mapping, t) in MAPPINGS.iter().zip(clean.chunks(OVERLAY.len())) {
+                for (fault, plan) in correlated_faults(a, mapping, t[0]) {
+                    for (policy, adaptive) in OVERLAY {
+                        let lead = [mapping.label(), fault.into(), policy.into()].to_vec();
+                        let mut cfg = adaptive_cfg(a, mapping, adaptive);
+                        cfg.fault_plan = plan.clone();
+                        cells.push(Cell { lead, cfg });
+                    }
+                }
+            }
+            cells
+        }),
+        rows: |runs| {
+            // Per mapping: its clean runs, then its faulty ones, each
+            // against its own policy's clean run.
+            let (clean, faulty) = runs.split_at(OVERLAY.len() * MAPPINGS.len());
+            let faulty = faulty.chunks(faulty.len() / MAPPINGS.len());
+            let mut rows = Vec::new();
+            for (clean, faulty) in clean.chunks(OVERLAY.len()).zip(faulty) {
+                let clean_ns: Vec<u64> = clean.iter().map(|run| work_done_ns(&run.r)).collect();
+                for (i, run) in clean.iter().chain(faulty).enumerate() {
+                    let (r, t) = (&run.r, run.r.stats.total());
+                    let work_ns = work_done_ns(r);
+                    let lost = r.fault.as_ref().map_or(0, |fr| fr.lost_subtree_nodes);
+                    let cols = [
+                        f(work_ns as f64 / 1e6, 2),
+                        f(work_ns as f64 / clean_ns[i % OVERLAY.len()] as f64, 3),
+                        f(r.makespan.ns() as f64 / 1e6, 2),
+                        t.steal_timeouts.to_string(),
+                        t.quarantines.to_string(),
+                        t.probe_steals.to_string(),
+                        lost.to_string(),
+                    ];
+                    rows.push(run.lead.iter().cloned().chain(cols).collect());
+                }
+            }
+            rows
+        },
         chart: None,
     },
 ];
@@ -567,30 +1048,57 @@ fn blame_row(r: &ExperimentResult) -> Vec<String> {
     ]
 }
 
-/// Run every cell of `fig` through [`run_logged`] and [`emit`] the
-/// table, chart, CSV and bench record.
-pub fn run(fig: &Figure, args: &FigArgs) {
-    let mut rows = Vec::new();
-    let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    for Cell { lead, cfg } in (fig.cells)(args) {
-        let r = run_logged(&cfg);
-        if let Some((_, y)) = fig.chart {
-            let point = (r.n_ranks as f64, y(&r));
-            match series.last_mut() {
-                Some((label, points)) if *label == lead[0] => points.push(point),
-                _ => series.push((lead[0].clone(), vec![point])),
-            }
-        }
-        rows.push(lead.into_iter().chain((fig.row)(&r)).collect());
+/// Run every cell of `fig` — the first stage, then the second built
+/// from its makespans — and [`emit`] the table, chart, CSV and bench
+/// record. Every run carries the streaming flags. Fails before writing
+/// anything when a run does not complete (an engine abort such as
+/// `--wall-budget`), and when `--snapshot` is given for a figure of
+/// several runs, each of which would truncate the file.
+pub fn run(fig: &Figure, args: &FigArgs) -> Result<(), String> {
+    let cells = (fig.cells)(args);
+    if args.snapshot.is_some() && (cells.len() > 1 || fig.then.is_some()) {
+        return Err(format!(
+            "{}: --snapshot streams one run, and this figure makes several",
+            fig.id
+        ));
     }
-    let chart = fig.chart.map(|(title, _)| {
-        let refs: Vec<(&str, Vec<(f64, f64)>)> = series
-            .iter()
-            .map(|(label, points)| (label.as_str(), points.clone()))
-            .collect();
-        chart(title, &refs)
-    });
-    emit(args, fig.id, fig.title, fig.header, &rows, chart);
+    let (mut runs, mut samples) = (Vec::new(), Samples::default());
+    run_cells(fig, args, cells, &mut runs, &mut samples)?;
+    if let Some(then) = fig.then {
+        let makespans: Vec<u64> = runs.iter().map(|run| run.r.makespan.ns()).collect();
+        run_cells(fig, args, then(args, &makespans), &mut runs, &mut samples)?;
+    }
+    let rows = (fig.rows)(&runs);
+    let chart = fig.chart.map(|c| c.draw(fig.header, &rows));
+    emit(args, fig.id, fig.title, fig.header, &rows, chart, samples);
+    Ok(())
+}
+
+/// Run `cells` in order through [`run_logged`], appending each to
+/// `runs` and its sample to `samples`; stop at the first run that does
+/// not complete.
+fn run_cells(
+    fig: &Figure,
+    args: &FigArgs,
+    cells: Vec<Cell>,
+    runs: &mut Vec<Run>,
+    samples: &mut Samples,
+) -> Result<(), String> {
+    for Cell { lead, cfg } in cells {
+        let (r, sample) = run_logged(&cfg, args.streaming());
+        if !r.completed {
+            return Err(format!(
+                "{}: the run [{}] {} at {} ranks did not complete",
+                fig.id,
+                lead.join(", "),
+                cfg.label(),
+                r.n_ranks
+            ));
+        }
+        runs.push(Run { lead, r });
+        samples.runs.push(sample);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -599,18 +1107,24 @@ mod tests {
     use dws_metrics::perflab;
 
     /// Each figure's bench-record fingerprint at the default scale and
-    /// seed, as the binaries it replaced recorded them: the hash of
-    /// every run's config fingerprint, in run order.
+    /// seed: the hash of every run's config fingerprint, in run order.
+    /// Each is what the binary the entry replaced recorded, except for
+    /// the two two-stage entries (see [`STAGED`]).
     const RECORDED: &[(&str, &str)] = &[
         ("fig02", "0fd6d19be33ae49b"),
         ("fig03", "2172d811a484b953"),
+        ("fig04", "54b9c1da4e4222bb"),
+        ("fig05", "9cbfc439c3c3350c"),
         ("fig06", "bc2f6bca9d0b78be"),
         ("fig07", "bc2f6bca9d0b78be"),
         ("fig09", "d777ecfa826311bb"),
         ("fig10", "e774a12fc9ea3fb8"),
         ("fig11", "cb843890dafb90e7"),
+        ("fig12", "7b69b269574c95f7"),
+        ("fig13", "7b69b269574c95f7"),
         ("fig14", "209295d3a4a3d85d"),
         ("fig15", "209295d3a4a3d85d"),
+        ("fig16", "a0b03dafbaf84708"),
         ("ablation_polling", "2a140508cb60a057"),
         ("ablation_chunk_size", "2fa24d17f16f511b"),
         ("ablation_skew_exponent", "4588e88a5666150d"),
@@ -619,7 +1133,38 @@ mod tests {
         ("ablation_lifelines", "cbb893476014a2b3"),
         ("ablation_future_selection", "0d6ef4b096aeaf30"),
         ("ablation_blame", "0d03b34f6a22254d"),
+        ("ablation_fault_tolerance", "6bd2e32f74a7af9b"),
+        ("ablation_fault_crash", "26359e62d5074221"),
+        ("ablation_adaptive", "515fa8426b41f7a9"),
     ];
+
+    /// The two-stage entries: the clean makespans (ns) their first
+    /// stage recorded at the default scale and seed, the number of
+    /// groups (strategies or mappings) each stage splits into, and the
+    /// fingerprint of the binary they replaced. That binary ran each
+    /// group's clean runs right before the faulty runs timed from them,
+    /// so its fingerprint hashes the same configs in that order.
+    const STAGED: &[(&str, &[u64], usize, &str)] = &[
+        (
+            "ablation_fault_crash",
+            &[88_355_701, 86_993_007, 84_536_503],
+            3,
+            "fac412c62c6b0a21",
+        ),
+        (
+            "ablation_adaptive",
+            &[
+                81_808_165, 83_680_687, 76_925_474, 77_152_286, 76_975_622, 78_021_628,
+            ],
+            3,
+            "6b919c7d3ae7fe85",
+        ),
+    ];
+
+    fn fingerprint<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> String {
+        let combined: String = cells.into_iter().map(|c| c.cfg.fingerprint()).collect();
+        perflab::fingerprint(&combined)
+    }
 
     #[test]
     fn figure_table_builds_the_recorded_configs() {
@@ -631,9 +1176,53 @@ mod tests {
         assert_eq!(RECORDED.len(), FIGURES.len());
         for (fig, &(id, recorded)) in FIGURES.iter().zip(RECORDED) {
             assert_eq!(fig.id, id);
-            let cells = (fig.cells)(&args);
-            let combined: String = cells.iter().map(|c| c.cfg.fingerprint()).collect();
-            assert_eq!(perflab::fingerprint(&combined), recorded, "{id}");
+            let mut cells = (fig.cells)(&args);
+            let staged = STAGED.iter().find(|s| s.0 == id);
+            assert_eq!(fig.then.is_some(), staged.is_some(), "{id}");
+            if let (Some(then), Some(&(_, clean, groups, replaced))) = (fig.then, staged) {
+                assert_eq!(cells.len(), clean.len(), "{id}");
+                let faulty = then(&args, clean);
+                let per_group = |cells: &[Cell]| cells.len() / groups;
+                let replaced_order = cells
+                    .chunks(per_group(&cells))
+                    .zip(faulty.chunks(per_group(&faulty)))
+                    .flat_map(|(clean, faulty)| clean.iter().chain(faulty));
+                assert_eq!(fingerprint(replaced_order), replaced, "{id}");
+                cells.extend(faulty);
+            }
+            assert_eq!(fingerprint(&cells), recorded, "{id}");
         }
+    }
+
+    #[test]
+    fn a_run_that_does_not_complete_fails_its_figure() {
+        let fig04 = FIGURES.iter().find(|fig| fig.id == "fig04").unwrap();
+        let aborted = FigArgs {
+            wall_budget_ns: Some(0),
+            csv_dir: None,
+            ..FigArgs::default()
+        };
+        let err = run(fig04, &aborted).unwrap_err();
+        assert!(
+            err.contains("fig04") && err.contains("did not complete"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn snapshot_of_a_figure_of_several_runs_is_refused() {
+        let path = std::env::temp_dir().join("dws_figures_refused_snapshot.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let args = FigArgs {
+            snapshot: Some(path.clone()),
+            csv_dir: None,
+            ..FigArgs::default()
+        };
+        for id in ["fig02", "ablation_fault_crash"] {
+            let fig = FIGURES.iter().find(|fig| fig.id == id).unwrap();
+            let err = run(fig, &args).unwrap_err();
+            assert!(err.contains("--snapshot"), "{err}");
+        }
+        assert!(!path.exists(), "a refused figure opens no snapshot file");
     }
 }

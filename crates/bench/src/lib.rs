@@ -3,13 +3,11 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper. Every figure prints the rows the paper plots (plus an ASCII
 //! rendition of the chart) and writes a CSV and a [`BenchRecord`] under
-//! `results/`. Figures whose rows each come from one run are entries of
+//! `results/`. Every figure that simulates is an entry of
 //! [`figures::FIGURES`], run by the `figures <id>` binary. The rest keep
-//! one binary each: rows folded from several runs (fig16,
-//! `ablation_fault_tolerance`, `ablation_adaptive`), many rows from one
-//! run's occupancy (fig04, fig05, fig12, fig13), no simulation
-//! (`table1`, fig08, `ablation_skew_impl`, `ablation_link_load`), and
-//! the engine gates `smoke_8192`, `ablation_threads` and `micro`.
+//! one binary each: the figures that simulate nothing (`table1`, fig08,
+//! `ablation_skew_impl`, `ablation_link_load`) and the engine gates
+//! `smoke_8192`, `ablation_threads` and `micro`.
 //!
 //! ## Scale mapping
 //!
@@ -30,7 +28,7 @@
 //! cargo run --release -p dws-bench --bin figures             # list the ids
 //! cargo run --release -p dws-bench --bin figures -- fig03
 //! cargo run --release -p dws-bench --bin figures -- fig03 --full
-//! cargo run --release -p dws-bench --bin fig16_granularity
+//! cargo run --release -p dws-bench --bin figures -- fig16
 //! ```
 
 pub mod figures;
@@ -45,7 +43,6 @@ use dws_simnet::{parse_duration_ns, StreamingCfg};
 use dws_topology::RankMapping;
 use dws_uts::Workload;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Command-line options shared by every figure binary.
@@ -280,9 +277,8 @@ pub const MAPPINGS: &[RankMapping] = &[
     RankMapping::Grouped { ppn: 8 },
 ];
 
-/// One simulated run, buffered so [`emit`] can fold the whole figure
-/// into a single [`BenchRecord`] for the trajectory store.
-struct RunSample {
+/// What one simulated run adds to its figure's [`BenchRecord`].
+pub struct RunSample {
     makespan_ns: f64,
     speedup: f64,
     events: f64,
@@ -290,33 +286,25 @@ struct RunSample {
     fingerprint: String,
 }
 
-static RUNS: Mutex<Vec<RunSample>> = Mutex::new(Vec::new());
-
-/// Figure-scoped extra metrics folded into the next [`BenchRecord`].
-static EXTRA_METRICS: Mutex<Vec<BenchMetric>> = Mutex::new(Vec::new());
-
-/// Attach a figure-specific metric (host facts, phase timings, …) to
-/// the [`BenchRecord`] the next [`emit`] call writes. The buffer is
-/// drained when the record is built, like the run sample buffer.
-pub fn record_metric(metric: BenchMetric) {
-    EXTRA_METRICS
-        .lock()
-        .expect("extra metric buffer poisoned")
-        .push(metric);
+/// What [`emit`] folds into a figure's [`BenchRecord`]: one sample per
+/// run, in run order, and any figure-specific metrics (host facts,
+/// phase timings, …).
+#[derive(Default)]
+pub struct Samples {
+    /// Every run's sample, in run order.
+    pub runs: Vec<RunSample>,
+    /// Metrics appended to the record as they are.
+    pub extra: Vec<BenchMetric>,
 }
 
-/// Run one configured experiment, echoing progress to stderr.
-pub fn run_logged(cfg: &ExperimentConfig) -> ExperimentResult {
-    run_logged_streamed(cfg, None)
-}
-
-/// [`run_logged`] with a streaming-telemetry attachment (see
-/// [`FigArgs::streaming`]); the schedule — and thus every bench metric
-/// except wall time — is identical with and without it.
-pub fn run_logged_streamed(
+/// Run one configured experiment with an optional streaming-telemetry
+/// attachment (see [`FigArgs::streaming`]), echoing progress to stderr.
+/// The schedule — and thus every bench metric except wall time — is
+/// identical with and without streaming.
+pub fn run_logged(
     cfg: &ExperimentConfig,
     streaming: Option<StreamingSetup>,
-) -> ExperimentResult {
+) -> (ExperimentResult, RunSample) {
     let started = std::time::Instant::now();
     eprint!(
         "  running {:24} ranks={:5} ... ",
@@ -331,19 +319,17 @@ pub fn run_logged_streamed(
         r.perf.speedup(),
         wall
     );
-    RUNS.lock()
-        .expect("sample buffer poisoned")
-        .push(RunSample {
-            makespan_ns: r.makespan.ns() as f64,
-            speedup: r.perf.speedup(),
-            events: r.report.events as f64,
-            wall_s: wall.as_secs_f64(),
-            fingerprint: r.fingerprint.clone(),
-        });
-    r
+    let sample = RunSample {
+        makespan_ns: r.makespan.ns() as f64,
+        speedup: r.perf.speedup(),
+        events: r.report.events as f64,
+        wall_s: wall.as_secs_f64(),
+        fingerprint: r.fingerprint.clone(),
+    };
+    (r, sample)
 }
 
-/// Fold every run the binary performed into one [`BenchRecord`].
+/// Fold a figure's runs into one [`BenchRecord`].
 ///
 /// The makespan/speedup metrics aggregate across *heterogeneous*
 /// configurations (the figure's whole sweep), so their CI captures the
@@ -352,8 +338,8 @@ pub fn run_logged_streamed(
 /// harness itself. The fingerprint hashes every run's config
 /// fingerprint in order, so any change to what the figure sweeps
 /// shows up as a config change in `dws diff`.
-fn figure_record(args: &FigArgs, fig_id: &str) -> BenchRecord {
-    let samples = std::mem::take(&mut *RUNS.lock().expect("sample buffer poisoned"));
+fn figure_record(args: &FigArgs, fig_id: &str, samples: Samples) -> BenchRecord {
+    let Samples { runs, extra } = samples;
     let wall_s = args.started.elapsed().as_secs_f64();
     let mut metrics = vec![BenchMetric::point(
         "wall_s_total",
@@ -361,18 +347,18 @@ fn figure_record(args: &FigArgs, fig_id: &str) -> BenchRecord {
         Polarity::LowerIsBetter,
         wall_s,
     )];
-    let fingerprint = if samples.is_empty() {
+    let fingerprint = if runs.is_empty() {
         perflab::fingerprint(fig_id)
     } else {
-        let makespans: Vec<f64> = samples.iter().map(|s| s.makespan_ns).collect();
-        let speedups: Vec<f64> = samples.iter().map(|s| s.speedup).collect();
-        let sim_wall: f64 = samples.iter().map(|s| s.wall_s).sum();
-        let events: f64 = samples.iter().map(|s| s.events).sum();
+        let makespans: Vec<f64> = runs.iter().map(|s| s.makespan_ns).collect();
+        let speedups: Vec<f64> = runs.iter().map(|s| s.speedup).collect();
+        let sim_wall: f64 = runs.iter().map(|s| s.wall_s).sum();
+        let events: f64 = runs.iter().map(|s| s.events).sum();
         metrics.push(BenchMetric::point(
             "sim_runs",
             "count",
             Polarity::Neutral,
-            samples.len() as f64,
+            runs.len() as f64,
         ));
         metrics.push(BenchMetric::from_samples(
             "makespan_ns",
@@ -394,7 +380,7 @@ fn figure_record(args: &FigArgs, fig_id: &str) -> BenchRecord {
                 events / sim_wall,
             ));
         }
-        let combined: String = samples.iter().map(|s| s.fingerprint.as_str()).collect();
+        let combined: String = runs.iter().map(|s| s.fingerprint.as_str()).collect();
         perflab::fingerprint(&combined)
     };
     if let Some(rss) = perflab::peak_rss_bytes() {
@@ -405,9 +391,7 @@ fn figure_record(args: &FigArgs, fig_id: &str) -> BenchRecord {
             rss as f64,
         ));
     }
-    metrics.extend(std::mem::take(
-        &mut *EXTRA_METRICS.lock().expect("extra metric buffer poisoned"),
-    ));
+    metrics.extend(extra);
     BenchRecord {
         schema: perflab::BENCH_SCHEMA_VERSION,
         bench: fig_id.to_string(),
@@ -418,14 +402,15 @@ fn figure_record(args: &FigArgs, fig_id: &str) -> BenchRecord {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0),
-        trials: samples.len().max(1) as u64,
+        trials: runs.len().max(1) as u64,
         threads: args.threads,
         metrics,
     }
 }
 
 /// Emit a figure: aligned table on stdout, optional ASCII chart, CSV
-/// under the configured directory.
+/// under the configured directory, and the [`BenchRecord`] folded from
+/// `samples`.
 pub fn emit(
     args: &FigArgs,
     fig_id: &str,
@@ -433,6 +418,7 @@ pub fn emit(
     header: &[&str],
     rows: &[Vec<String>],
     chart: Option<String>,
+    samples: Samples,
 ) {
     println!("== {fig_id}: {title} ==");
     println!("{}", render_table(header, rows));
@@ -446,7 +432,7 @@ pub fn emit(
         write_csv(std::io::BufWriter::new(file), header, rows).expect("cannot write CSV");
         println!("[csv written to {}]", path.display());
     }
-    let record = figure_record(args, fig_id);
+    let record = figure_record(args, fig_id, samples);
     if let Some(dir) = &args.csv_dir {
         let path = dir.join(format!("{fig_id}.record.json"));
         std::fs::write(&path, format!("{}\n", record.to_json()))

@@ -13,16 +13,14 @@ fi
 cargo build --release -p dws-bench 2>/dev/null
 rm -f results/*.record.json
 # The figure table first (one process per figure, so each record's wall
-# time and peak RSS are that figure's), then the figures with a binary
-# of their own.
+# time and peak RSS are that figure's), then the binaries that simulate
+# nothing and the engine gates.
 for id in $(./target/release/figures); do
     echo "=== $id ==="
     ./target/release/figures "$id" "$@" | tee "results/$id.out"
 done
-for bin in table1 fig04_latency_small fig05_latency_large fig08_skew_pdf \
-           fig12_sl_compare fig13_el_compare fig16_granularity \
-           ablation_fault_tolerance ablation_adaptive ablation_skew_impl \
-           ablation_link_load ablation_threads smoke_8192; do
+for bin in table1 fig08_skew_pdf ablation_skew_impl ablation_link_load \
+           ablation_threads smoke_8192; do
     echo "=== $bin ==="
     ./target/release/$bin "$@" | tee "results/$bin.out"
 done
