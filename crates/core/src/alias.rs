@@ -87,6 +87,12 @@ impl AliasTable {
         }
     }
 
+    /// Every slot's `(acceptance probability, alias outcome)`, in slot
+    /// order: what a decoded copy of the table needs.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (f64, u32)> + '_ {
+        self.prob.iter().copied().zip(self.alias.iter().copied())
+    }
+
     /// Exact probability of outcome `i` implied by the table (for
     /// verification and Figure 8's PDF dump).
     pub fn probability(&self, i: usize) -> f64 {

@@ -311,17 +311,10 @@ pub struct Worker {
     /// alternating even when work arrives in the window between a stack
     /// running dry and the idle transition being recorded.
     traced_active: bool,
-    /// Lifeline buddies this rank registers with (hypercube neighbours).
-    lifelines: Vec<Rank>,
-    /// Dormant buddies waiting for a push from this rank.
-    lifeline_waiters: Vec<Rank>,
     /// Consecutive failed steals since the last success.
     consecutive_fails: u32,
     /// Dormant: registered with lifelines, no active steal requests.
     dormant: bool,
-    /// Latency oracle for deriving fault-tolerance time scales from
-    /// the topology model (only consulted when fault tolerance is on).
-    job: Option<Arc<Job>>,
     /// Sequence number of the next steal request.
     req_seq: u64,
     /// Sequence number of the outstanding request (valid while
@@ -329,6 +322,21 @@ pub struct Worker {
     outstanding_seq: u64,
     /// Consecutive steal-request timeouts (drives exponential backoff).
     consecutive_timeouts: u32,
+    /// State only fault tolerance, lifelines or the adaptive overlay
+    /// use; `None` unless one of them is on, so the paper's protocol
+    /// tests it with one branch and never touches its cache lines.
+    rec: Option<Box<Recovery>>,
+    /// Statistics counters.
+    pub counters: StealStats,
+}
+
+/// The part of a [`Worker`] that only the protocol's extensions use —
+/// fault recovery, lifelines and the adaptive health overlay. Kept out
+/// of line so the state a fault-free event touches stays small.
+struct Recovery {
+    /// Latency oracle for deriving fault-tolerance time scales from
+    /// the topology model (only consulted when fault tolerance is on).
+    job: Option<Arc<Job>>,
     /// Next transfer id this rank will assign (starts at 1; 0 means
     /// "untracked", the fault-tolerance-off wire value).
     xfer_next: u64,
@@ -356,12 +364,34 @@ pub struct Worker {
     watchdog_attempts: u32,
     /// Rank 0: a crash has been observed; termination runs lossy.
     crash_seen: bool,
+    /// Lifeline buddies this rank registers with (hypercube neighbours).
+    lifelines: Vec<Rank>,
+    /// Dormant buddies waiting for a push from this rank.
+    lifeline_waiters: Vec<Rank>,
     /// Adaptive victim selection: per-victim health ledger. `None`
     /// (the default) keeps the draw path exactly the base policy's —
     /// zero extra RNG draws, so the schedule is untouched.
     health: Option<HealthTracker>,
-    /// Statistics counters.
-    pub counters: StealStats,
+}
+
+impl Recovery {
+    fn new(lifelines: Vec<Rank>) -> Self {
+        Self {
+            job: None,
+            xfer_next: 1,
+            unacked: Vec::new(),
+            stranded: Vec::new(),
+            absorbed: HashSet::new(),
+            token_seq_next: 1,
+            pending_token: None,
+            token_seen: HashMap::new(),
+            watchdog_attempts: 0,
+            crash_seen: false,
+            lifelines,
+            lifeline_waiters: Vec::new(),
+            health: None,
+        }
+    }
 }
 
 /// Hypercube lifeline graph: rank `me`'s buddies are `me XOR 2^k` for
@@ -399,28 +429,18 @@ impl Worker {
             service_debt_ns: 0,
             service_offset_ns: 0,
             traced_active: false,
-            lifelines: if cfg.lifeline_threshold.is_some() {
-                hypercube_lifelines(me, n_ranks)
-            } else {
-                Vec::new()
-            },
-            lifeline_waiters: Vec::new(),
             consecutive_fails: 0,
             dormant: false,
-            job: None,
             req_seq: 0,
             outstanding_seq: 0,
             consecutive_timeouts: 0,
-            xfer_next: 1,
-            token_seq_next: 1,
-            pending_token: None,
-            token_seen: HashMap::new(),
-            unacked: Vec::new(),
-            stranded: Vec::new(),
-            absorbed: HashSet::new(),
-            watchdog_attempts: 0,
-            crash_seen: false,
-            health: None,
+            rec: (cfg.fault_tolerance.is_some() || cfg.lifeline_threshold.is_some()).then(|| {
+                Box::new(Recovery::new(if cfg.lifeline_threshold.is_some() {
+                    hypercube_lifelines(me, n_ranks)
+                } else {
+                    Vec::new()
+                }))
+            }),
             counters: StealStats::default(),
             cfg,
         }
@@ -431,20 +451,34 @@ impl Worker {
     /// outcome scores and the quarantine state machine — see
     /// [`crate::health`].
     pub fn with_health(mut self, cfg: AdaptiveCfg) -> Self {
-        self.health = Some(HealthTracker::new(cfg));
+        self.rec_or_new().health = Some(HealthTracker::new(cfg));
         self
     }
 
     /// The adaptive health ledger, if the overlay is enabled.
     pub fn health(&self) -> Option<&HealthTracker> {
-        self.health.as_ref()
+        self.rec.as_ref().and_then(|r| r.health.as_ref())
     }
 
     /// Attach the topology latency model so fault-tolerance timeouts
     /// are derived from actual link latencies rather than the fallback.
     pub fn with_job(mut self, job: Arc<Job>) -> Self {
-        self.job = Some(job);
+        self.rec_or_new().job = Some(job);
         self
+    }
+
+    /// The extension state, allocated on first use by a builder.
+    fn rec_or_new(&mut self) -> &mut Recovery {
+        self.rec
+            .get_or_insert_with(|| Box::new(Recovery::new(Vec::new())))
+    }
+
+    /// The extension state of a rank whose configuration enables an
+    /// extension.
+    fn rec(&mut self) -> &mut Recovery {
+        self.rec
+            .as_deref_mut()
+            .expect("an enabled extension allocates the recovery state")
     }
 
     /// True once this rank has observed global termination.
@@ -466,7 +500,9 @@ impl Worker {
     /// sound — in-flight work always pins a non-passive rank that
     /// parks the token.
     fn passive(&self) -> bool {
-        self.stack.is_empty() && !self.computing && self.unacked.is_empty()
+        self.stack.is_empty()
+            && !self.computing
+            && self.rec.as_ref().is_none_or(|r| r.unacked.is_empty())
     }
 
     /// Is fault tolerance enabled?
@@ -479,7 +515,7 @@ impl Worker {
     /// latency model when present.
     fn rtt_ns(&self, me: Rank, peer: Rank) -> u64 {
         let ft = self.cfg.fault_tolerance.as_ref().expect("ft enabled");
-        match &self.job {
+        match self.rec.as_ref().and_then(|r| r.job.as_ref()) {
             Some(job) => {
                 let reply_bytes = 16 + self.cfg.chunk_size * NODE_WIRE_BYTES;
                 job.latency_ns(me, peer, 16) + job.latency_ns(peer, me, reply_bytes)
@@ -514,21 +550,22 @@ impl Worker {
     /// ranks, so this is a floor, backed off per regeneration).
     fn watchdog_delay_ns(&self, n_ranks: u32) -> u64 {
         let ft = self.cfg.fault_tolerance.as_ref().expect("ft enabled");
-        let hop = match &self.job {
+        let rec = self.rec.as_ref().expect("ft enabled");
+        let hop = match &rec.job {
             Some(job) => job.latency_ns(0, n_ranks.saturating_sub(1).max(1), 24),
             None => ft.fallback_rtt_ns / 2,
         };
         let base = n_ranks as u64 * (hop + self.service_slack_ns()) * ft.timeout_mult as u64;
-        base << self.watchdog_attempts.min(ft.max_backoff_doublings)
+        base << rec.watchdog_attempts.min(ft.max_backoff_doublings)
     }
 
     /// Rank 0: note any crash and switch termination to lossy mode.
     fn refresh_lossy(&mut self, ctx: &Ctx<'_, Msg>) {
-        if !self.ft_on() || self.crash_seen {
+        if !self.ft_on() || self.rec().crash_seen {
             return;
         }
         if (0..ctx.n_ranks()).any(|r| ctx.is_crashed(r)) {
-            self.crash_seen = true;
+            self.rec().crash_seen = true;
             self.term.set_lossy(true);
         }
     }
@@ -552,7 +589,9 @@ impl Worker {
     fn launch_probe(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.refresh_lossy(ctx);
         let token = self.term.launch_probe();
-        self.watchdog_attempts = 0;
+        if let Some(rec) = self.rec.as_mut() {
+            rec.watchdog_attempts = 0;
+        }
         self.forward_token(ctx, token);
         if self.ft_on() && !self.done {
             let delay = self.watchdog_delay_ns(ctx.n_ranks());
@@ -584,9 +623,10 @@ impl Worker {
             // the whole probe (the ring is only as strong as its
             // weakest of n hops). Remember the token and retransmit
             // until the successor acknowledges receipt.
-            let seq = self.token_seq_next;
-            self.token_seq_next += 1;
-            self.pending_token = Some((seq, next, token, 0));
+            let rec = self.rec();
+            let seq = rec.token_seq_next;
+            rec.token_seq_next += 1;
+            rec.pending_token = Some((seq, next, token, 0));
             let delay = self.retransmit_delay_ns(ctx.me(), next, 0);
             ctx.set_timer(delay, classed_timer(TIMER_CLASS_TOKEN_RETX, seq));
             seq
@@ -608,10 +648,10 @@ impl Worker {
     /// acknowledged this hop yet.
     fn on_token_retx_timer(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64) {
         if self.done {
-            self.pending_token = None;
+            self.rec().pending_token = None;
             return;
         }
-        let Some((pending_seq, to, token, attempt)) = self.pending_token else {
+        let Some((pending_seq, to, token, attempt)) = self.rec().pending_token else {
             return;
         };
         if pending_seq != seq {
@@ -620,7 +660,7 @@ impl Worker {
         if ctx.is_crashed(to) {
             // The successor died holding our hop: route the same token
             // around the corpse instead.
-            self.pending_token = None;
+            self.rec().pending_token = None;
             self.forward_token(ctx, token);
             return;
         }
@@ -633,7 +673,7 @@ impl Worker {
                 attempt: (attempt + 1) as u64,
             },
         );
-        self.pending_token = Some((seq, to, token, attempt + 1));
+        self.rec().pending_token = Some((seq, to, token, attempt + 1));
         let msg = Msg::Token { token, seq };
         ctx.send(to, msg.wire_bytes(), msg);
         let delay = self.retransmit_delay_ns(ctx.me(), to, attempt + 1);
@@ -653,8 +693,14 @@ impl Worker {
     /// Lifeline extension: donate one chunk to each registered dormant
     /// buddy, as far as stealable work allows.
     fn serve_lifeline_waiters(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        while !self.lifeline_waiters.is_empty() && self.stack.stealable_chunks() > 0 && !self.done {
-            let waiter = self.lifeline_waiters.remove(0);
+        loop {
+            let Some(rec) = self.rec.as_deref_mut() else {
+                return;
+            };
+            if rec.lifeline_waiters.is_empty() || self.stack.stealable_chunks() == 0 || self.done {
+                return;
+            }
+            let waiter = rec.lifeline_waiters.remove(0);
             if self.ft_on() && ctx.is_crashed(waiter) {
                 // A dead buddy gets nothing; keep the chunk.
                 continue;
@@ -681,9 +727,10 @@ impl Worker {
         if !self.ft_on() {
             return 0;
         }
-        let xfer = self.xfer_next;
-        self.xfer_next += 1;
-        self.unacked.push((xfer, to, chunks.to_vec(), 0));
+        let rec = self.rec();
+        let xfer = rec.xfer_next;
+        rec.xfer_next += 1;
+        rec.unacked.push((xfer, to, chunks.to_vec(), 0));
         let delay = self.retransmit_delay_ns(ctx.me(), to, 0) + self.service_offset_ns;
         ctx.set_timer(delay, classed_timer(TIMER_CLASS_RETRANSMIT, xfer));
         xfer
@@ -782,7 +829,7 @@ impl Worker {
         let now = ctx.now().ns();
         let ft = self.ft_on();
         let rounds = {
-            let h = self.health.as_ref().expect("adaptive overlay enabled");
+            let h = self.health().expect("adaptive overlay enabled");
             h.cfg().max_overlay_rounds.max(1)
         };
         let mut fallback = None;
@@ -797,7 +844,8 @@ impl Worker {
                 continue;
             }
             fallback = Some(v);
-            let h = self.health.as_mut().expect("adaptive overlay enabled");
+            let h = self.rec.as_mut().and_then(|r| r.health.as_mut());
+            let h = h.expect("adaptive overlay enabled");
             match h.gate(v, now) {
                 Gate::Probe => {
                     self.counters.probe_steals += 1;
@@ -824,7 +872,7 @@ impl Worker {
             if ft && ctx.is_crashed(r) {
                 continue;
             }
-            let h = self.health.as_ref().expect("adaptive overlay enabled");
+            let h = self.health().expect("adaptive overlay enabled");
             if !h.is_quarantined(r, now) {
                 return Some(r);
             }
@@ -838,7 +886,7 @@ impl Worker {
     fn send_steal_request(&mut self, ctx: &mut Ctx<'_, Msg>) {
         debug_assert!(self.outstanding.is_none());
         let t_draw = prof_start(ctx.profiler());
-        let victim = if self.health.is_some() {
+        let victim = if self.health().is_some() {
             match self.draw_victim_adaptive(ctx) {
                 Some(v) => v,
                 None => {
@@ -973,7 +1021,7 @@ impl Worker {
                 // Health updates live at exactly the sites that bump
                 // the steal counters, so span/counter reconciliation
                 // covers them too.
-                if let Some(h) = self.health.as_mut() {
+                if let Some(h) = self.rec.as_mut().and_then(|r| r.health.as_mut()) {
                     if chunks.is_empty() {
                         h.on_empty(from, rtt_ns);
                     } else {
@@ -981,7 +1029,7 @@ impl Worker {
                     }
                 }
                 if self.ft_on() && !chunks.is_empty() {
-                    if self.absorbed.contains(&(from, xfer)) {
+                    if self.rec().absorbed.contains(&(from, xfer)) {
                         // The retransmission already delivered this
                         // transfer; count the attempt as served.
                         self.counters.steals_ok += 1;
@@ -1008,7 +1056,7 @@ impl Worker {
                         self.counters.nodes_refused += nodes as u64;
                         return;
                     }
-                    self.absorbed.insert((from, xfer));
+                    self.rec().absorbed.insert((from, xfer));
                     let ack = Msg::StealAck { xfer };
                     ctx.send(from, ack.wire_bytes(), ack);
                 }
@@ -1033,7 +1081,7 @@ impl Worker {
                                 // be pushed work.
                                 self.dormant = true;
                                 self.counters.lifeline_dormancies += 1;
-                                for buddy in self.lifelines.clone() {
+                                for buddy in self.rec().lifelines.clone() {
                                     ctx.send(
                                         buddy,
                                         Msg::LifelineRequest.wire_bytes(),
@@ -1043,7 +1091,7 @@ impl Worker {
                                 if self.ft_on() {
                                     // Registrations can be dropped;
                                     // re-register on a generous backoff.
-                                    let buddy = self.lifelines[0];
+                                    let buddy = self.rec().lifelines[0];
                                     let delay = self.retransmit_delay_ns(ctx.me(), buddy, 2);
                                     ctx.set_timer(delay, TIMER_RETRY);
                                 }
@@ -1083,8 +1131,8 @@ impl Worker {
                 }
             }
             Msg::StealAck { xfer } => {
-                if let Some(pos) = self.unacked.iter().position(|(x, ..)| *x == xfer) {
-                    self.unacked.swap_remove(pos);
+                if let Some(pos) = self.rec().unacked.iter().position(|(x, ..)| *x == xfer) {
+                    self.rec().unacked.swap_remove(pos);
                     ctx.record_span(
                         0,
                         SpanKind::TransferAcked {
@@ -1101,8 +1149,9 @@ impl Worker {
                     ctx.send(from, Msg::Done.wire_bytes(), Msg::Done);
                     return;
                 }
-                if !self.lifeline_waiters.contains(&from) {
-                    self.lifeline_waiters.push(from);
+                let waiters = &mut self.rec().lifeline_waiters;
+                if !waiters.contains(&from) {
+                    waiters.push(from);
                 }
                 // An idle or freshly-polled rank with surplus serves
                 // immediately; otherwise the next batch boundary will.
@@ -1113,7 +1162,7 @@ impl Worker {
             Msg::LifelinePush { xfer, chunks } => {
                 debug_assert!(!chunks.is_empty(), "lifeline pushes always carry work");
                 if self.ft_on() {
-                    if self.absorbed.contains(&(from, xfer)) {
+                    if self.rec().absorbed.contains(&(from, xfer)) {
                         self.counters.dup_replies_dropped += 1;
                         let ack = Msg::StealAck { xfer };
                         ctx.send(from, ack.wire_bytes(), ack);
@@ -1126,7 +1175,7 @@ impl Worker {
                         self.counters.nodes_refused += nodes as u64;
                         return;
                     }
-                    self.absorbed.insert((from, xfer));
+                    self.rec().absorbed.insert((from, xfer));
                     let ack = Msg::StealAck { xfer };
                     ctx.send(from, ack.wire_bytes(), ack);
                 } else if self.done {
@@ -1148,11 +1197,12 @@ impl Worker {
                     // seqs from one sender are strictly increasing).
                     let ack = Msg::TokenAck { seq };
                     ctx.send(from, ack.wire_bytes(), ack);
-                    let last = self.token_seen.get(&from).copied().unwrap_or(0);
+                    let seen = &mut self.rec().token_seen;
+                    let last = seen.get(&from).copied().unwrap_or(0);
                     if seq <= last {
                         return;
                     }
-                    self.token_seen.insert(from, seq);
+                    seen.insert(from, seq);
                 }
                 if ctx.me() == 0 {
                     self.refresh_lossy(ctx);
@@ -1163,8 +1213,9 @@ impl Worker {
                 }
             }
             Msg::TokenAck { seq } => {
-                if self.pending_token.map(|(s, ..)| s) == Some(seq) {
-                    self.pending_token = None;
+                let rec = self.rec();
+                if rec.pending_token.map(|(s, ..)| s) == Some(seq) {
+                    rec.pending_token = None;
                 }
             }
             Msg::Done => {
@@ -1185,14 +1236,14 @@ impl Worker {
     ) {
         // Any reply — stale, duplicated, or late — proves the sender
         // is alive; lift its quarantine.
-        if let Some(h) = self.health.as_mut() {
+        if let Some(h) = self.rec.as_mut().and_then(|r| r.health.as_mut()) {
             h.on_alive(from);
         }
         if chunks.is_empty() {
             self.counters.stale_replies_dropped += 1;
             return;
         }
-        if self.absorbed.contains(&(from, xfer)) {
+        if self.rec().absorbed.contains(&(from, xfer)) {
             self.counters.dup_replies_dropped += 1;
             // Re-ack: our first ack may itself have been dropped.
             let ack = Msg::StealAck { xfer };
@@ -1206,7 +1257,7 @@ impl Worker {
         }
         // The request timed out (and was charged as failed) but its
         // work showed up after all — absorb it, work is work.
-        self.absorbed.insert((from, xfer));
+        self.rec().absorbed.insert((from, xfer));
         self.counters.late_work_absorbed += 1;
         let ack = Msg::StealAck { xfer };
         ctx.send(from, ack.wire_bytes(), ack);
@@ -1243,7 +1294,9 @@ impl Worker {
             return;
         }
         self.done = true;
-        self.pending_token = None;
+        if let Some(rec) = self.rec.as_mut() {
+            rec.pending_token = None;
+        }
         if let Some(since) = self.search_since_ns.take() {
             let dur = ctx.now().ns().saturating_sub(since);
             self.counters.sessions += 1;
@@ -1286,7 +1339,7 @@ impl Worker {
         self.counters.steals_failed += 1;
         self.consecutive_timeouts += 1;
         self.consecutive_fails += 1;
-        if let Some(h) = self.health.as_mut() {
+        if let Some(h) = self.rec.as_mut().and_then(|r| r.health.as_mut()) {
             if h.on_timeout(victim, ctx.now().ns()) {
                 self.counters.quarantines += 1;
                 ctx.record_span(
@@ -1316,20 +1369,22 @@ impl Worker {
     /// Transfer `xfer` is still unacknowledged: retransmit it, or give
     /// it up as stranded if the thief has crashed.
     fn on_retransmit_timer(&mut self, ctx: &mut Ctx<'_, Msg>, xfer: u64) {
-        let Some(pos) = self.unacked.iter().position(|(x, ..)| *x == xfer) else {
+        let rec = self.rec();
+        let Some(pos) = rec.unacked.iter().position(|(x, ..)| *x == xfer) else {
             return; // acked in the meantime
         };
-        let to = self.unacked[pos].1;
+        let to = rec.unacked[pos].1;
         if ctx.is_crashed(to) {
-            let (xfer, to, chunks, _) = self.unacked.swap_remove(pos);
+            let (xfer, to, chunks, _) = rec.unacked.swap_remove(pos);
             let nodes: u64 = chunks.iter().map(|c| c.len() as u64).sum();
+            rec.stranded.push((xfer, to, chunks));
             self.counters.nodes_stranded += nodes;
-            self.stranded.push((xfer, to, chunks));
             self.maybe_became_passive(ctx);
             return;
         }
-        self.unacked[pos].3 += 1;
-        let attempt = self.unacked[pos].3;
+        rec.unacked[pos].3 += 1;
+        let attempt = rec.unacked[pos].3;
+        let chunks = rec.unacked[pos].2.clone();
         self.counters.retransmits += 1;
         ctx.record_span(
             0,
@@ -1339,7 +1394,6 @@ impl Worker {
                 attempt: attempt as u64,
             },
         );
-        let chunks = self.unacked[pos].2.clone();
         let msg = Msg::StealReply {
             seq: u64::MAX,
             xfer,
@@ -1371,7 +1425,7 @@ impl Worker {
                 generation: token.generation as u64,
             },
         );
-        self.watchdog_attempts += 1;
+        self.rec().watchdog_attempts += 1;
         self.forward_token(ctx, token);
         if !self.done {
             let delay = self.watchdog_delay_ns(ctx.n_ranks());
@@ -1386,16 +1440,20 @@ impl Worker {
     /// acknowledged — unacked plus stranded — as `(thief, xfer, chunks)`.
     /// Consulted for lost-work reconciliation after a degraded run.
     pub fn unconfirmed_transfers(&self) -> impl Iterator<Item = (Rank, u64, &Vec<Chunk>)> + '_ {
-        self.unacked
-            .iter()
-            .map(|(x, to, c, _)| (*to, *x, c))
-            .chain(self.stranded.iter().map(|(x, to, c)| (*to, *x, c)))
+        self.rec.iter().flat_map(|rec| {
+            rec.unacked
+                .iter()
+                .map(|(x, to, c, _)| (*to, *x, c))
+                .chain(rec.stranded.iter().map(|(x, to, c)| (*to, *x, c)))
+        })
     }
 
     /// Fault tolerance: did this rank absorb transfer `xfer` from
     /// `from`? (Distinguishes lost transfers from delivered ones.)
     pub fn has_absorbed(&self, from: Rank, xfer: u64) -> bool {
-        self.absorbed.contains(&(from, xfer))
+        self.rec
+            .as_ref()
+            .is_some_and(|r| r.absorbed.contains(&(from, xfer)))
     }
 
     /// Nodes still sitting in the local stack (lost-work accounting
@@ -1482,14 +1540,14 @@ impl Actor for Worker {
                         // Fault tolerance only: periodic lifeline
                         // re-registration (a drop may have eaten the
                         // first round — or the push meant for us).
-                        for buddy in self.lifelines.clone() {
+                        for buddy in self.rec().lifelines.clone() {
                             ctx.send(
                                 buddy,
                                 Msg::LifelineRequest.wire_bytes(),
                                 Msg::LifelineRequest,
                             );
                         }
-                        let buddy = self.lifelines[0];
+                        let buddy = self.rec().lifelines[0];
                         let delay = self.retransmit_delay_ns(ctx.me(), buddy, 3);
                         ctx.set_timer(delay, TIMER_RETRY);
                     } else {
@@ -1505,5 +1563,44 @@ impl Actor for Worker {
                 _ => unreachable!("unknown timer token {other}"),
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dws_uts::presets;
+
+    fn worker(cfg: SchedulerCfg) -> Worker {
+        let selector = VictimSelector::Uniform { n: 4, me: 1 };
+        Worker::new(Arc::new(cfg), 1, 4, selector)
+    }
+
+    #[test]
+    fn only_an_enabled_extension_allocates_recovery_state() {
+        let base = SchedulerCfg::new(presets::t3sim_xs(), StealAmount::Half);
+        assert!(worker(base.clone()).rec.is_none(), "paper protocol");
+        let mut ft = base.clone();
+        ft.fault_tolerance = Some(FaultToleranceCfg::default());
+        assert!(worker(ft).rec.is_some(), "fault tolerance");
+        let mut lifelines = base.clone();
+        lifelines.lifeline_threshold = Some(4);
+        let w = worker(lifelines);
+        assert_eq!(
+            w.rec.as_ref().map(|r| r.lifelines.len()),
+            Some(2),
+            "lifelines"
+        );
+        let w = worker(base).with_health(AdaptiveCfg::default());
+        assert!(w.health().is_some(), "adaptive overlay");
+    }
+
+    #[test]
+    fn worker_hot_state_stays_small() {
+        // An upper bound, not a pin: a new field on the fault-free
+        // path should be a conscious choice (DESIGN §10.5). Cold state
+        // belongs in `Recovery`.
+        let size = std::mem::size_of::<Worker>();
+        assert!(size <= 544, "Worker is {size} bytes");
     }
 }

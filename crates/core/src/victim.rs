@@ -254,13 +254,24 @@ impl VictimContext {
 /// Memory: one table per observer slot class over `cubes · |slots|`
 /// outcomes — `N · |slots| ≤ 12·N` entries total, shared by all ranks,
 /// versus O(N²) aggregate for per-rank tables.
+///
+/// Each table is stored *decoded*: a slot holds its acceptance
+/// probability next to both of its outcomes already split into the
+/// per-axis cube offset and the target slot, and every cube's `(x, y,
+/// z)` is precomputed. A draw reads one table slot and wrap-adds with a
+/// compare-and-subtract per axis — no `/` or `%` — while consuming the
+/// RNG exactly as [`AliasTable::sample`] does.
 #[derive(Debug)]
 pub struct OffsetAliasSet {
-    /// One alias table per observer intra-cube slot class; outcomes
-    /// are offset-major `(cube_offset, target_slot)` pairs.
-    tables: Vec<AliasTable>,
+    /// The decoded alias tables of the observer intra-cube slot
+    /// classes, back to back, `outcomes` slots each.
+    tables: Vec<DecodedSlot>,
+    /// Outcomes per table: `cubes · nslots`.
+    outcomes: usize,
     /// Torus extents in cubes.
     dims: (u32, u32, u32),
+    /// `(x, y, z)` of every cube, by dense cube index.
+    cube_xyz: Vec<[u16; 3]>,
     /// Number of occupied intra-cube slot classes.
     nslots: usize,
     /// Ranks per node.
@@ -271,60 +282,136 @@ pub struct OffsetAliasSet {
     rank_cell: Vec<(u32, u32, u32)>,
 }
 
+/// One `(cube offset, target slot)` outcome, split per axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Outcome {
+    ox: u16,
+    oy: u16,
+    oz: u16,
+    slot: u16,
+}
+
+/// One alias-table slot with both of its outcomes decoded: 24 bytes,
+/// everything a draw reads from the table.
+#[derive(Debug, Clone, Copy)]
+struct DecodedSlot {
+    /// Acceptance probability of `own`.
+    prob: f64,
+    /// The slot's own outcome.
+    own: Outcome,
+    /// The fallback outcome.
+    alias: Outcome,
+}
+
+/// `a + b` on a ring of `m` positions, for `a, b < m`.
+#[inline]
+fn wrap_add(a: u16, b: u16, m: u32) -> u32 {
+    let v = a as u32 + b as u32;
+    if v >= m {
+        v - m
+    } else {
+        v
+    }
+}
+
+/// The offset-major alias tables of a symmetric job, one per observer
+/// slot class, over `(cube_offset, target_slot)` outcome indices;
+/// `OffsetAliasSet` stores them decoded.
+fn offset_alias_tables(job: &Job, alpha: f64) -> Vec<AliasTable> {
+    let sym = job
+        .torus_symmetry()
+        .expect("OffsetAliasSet requires a torus-symmetric job");
+    let (mx, my, mz) = job.machine().dims();
+    let cubes = mx as u32 * my as u32 * mz as u32;
+    let ns = sym.slots.len();
+    // Intra-cube (a, b, c) of each occupied slot, inverting the
+    // machine's in-cube id layout (c fastest, then a, then b).
+    let intra: Vec<(u16, u16, u16)> = sym
+        .slots
+        .iter()
+        .map(|&s| {
+            let c = s % CUBE_C;
+            let a = (s / CUBE_C) % CUBE_A;
+            let b = s / (CUBE_C * CUBE_A);
+            (a, b, c)
+        })
+        .collect();
+    let mut tables = Vec::with_capacity(ns);
+    let mut weights = vec![0.0f64; cubes as usize * ns];
+    for &(ai, bi, ci) in intra.iter() {
+        for off in 0..cubes {
+            let ox = (off % mx as u32) as u16;
+            let oy = ((off / mx as u32) % my as u32) as u16;
+            let oz = (off / (mx as u32 * my as u32)) as u16;
+            let dx = torus_delta(0, ox, mx) as u64;
+            let dy = torus_delta(0, oy, my) as u64;
+            let dz = torus_delta(0, oz, mz) as u64;
+            for (sj, &(aj, bj, cj)) in intra.iter().enumerate() {
+                let da = ai.abs_diff(aj) as u64;
+                let db = bi.abs_diff(bj) as u64;
+                let dc = ci.abs_diff(cj) as u64;
+                let e_sq = dx * dx + dy * dy + dz * dz + da * da + db * db + dc * dc;
+                weights[off as usize * ns + sj] = if e_sq == 0 {
+                    // Observer's own node: ppn − 1 mates at w = 1.
+                    (sym.ppn - 1) as f64
+                } else {
+                    // Same float pipeline as `skew_weight`.
+                    let w = (e_sq as f64).sqrt().powf(alpha).recip();
+                    sym.ppn as f64 * w
+                };
+            }
+        }
+        tables.push(AliasTable::new(&weights));
+    }
+    tables
+}
+
 impl OffsetAliasSet {
     /// Build the shared tables for a symmetric job.
     ///
     /// # Panics
     /// Panics if the job has no torus symmetry certificate.
     pub fn new(job: &Job, alpha: f64) -> Self {
-        let sym = job
-            .torus_symmetry()
-            .expect("OffsetAliasSet requires a torus-symmetric job");
+        let tables = offset_alias_tables(job, alpha);
+        let sym = job.torus_symmetry().expect("checked by the tables");
         let (mx, my, mz) = job.machine().dims();
-        let cubes = mx as u32 * my as u32 * mz as u32;
+        let (mx, my, mz) = (mx as u32, my as u32, mz as u32);
         let ns = sym.slots.len();
-        // Intra-cube (a, b, c) of each occupied slot, inverting the
-        // machine's in-cube id layout (c fastest, then a, then b).
-        let intra: Vec<(u16, u16, u16)> = sym
-            .slots
+        // Outcome `o` is offset-major: `o = off · ns + slot`, and `off`
+        // is x fastest, then y, then z — the dense cube index layout.
+        let decode = |o: u32| {
+            let off = o / ns as u32;
+            Outcome {
+                ox: (off % mx) as u16,
+                oy: ((off / mx) % my) as u16,
+                oz: (off / (mx * my)) as u16,
+                slot: (o % ns as u32) as u16,
+            }
+        };
+        let outcomes = tables[0].len();
+        let tables = tables
             .iter()
-            .map(|&s| {
-                let c = s % CUBE_C;
-                let a = (s / CUBE_C) % CUBE_A;
-                let b = s / (CUBE_C * CUBE_A);
-                (a, b, c)
+            .flat_map(|t| t.slots().enumerate())
+            .map(|(i, (prob, alias))| DecodedSlot {
+                prob,
+                own: decode(i as u32),
+                alias: decode(alias),
             })
             .collect();
-        let mut tables = Vec::with_capacity(ns);
-        let mut weights = vec![0.0f64; cubes as usize * ns];
-        for &(ai, bi, ci) in intra.iter() {
-            for off in 0..cubes {
-                let ox = (off % mx as u32) as u16;
-                let oy = ((off / mx as u32) % my as u32) as u16;
-                let oz = (off / (mx as u32 * my as u32)) as u16;
-                let dx = torus_delta(0, ox, mx) as u64;
-                let dy = torus_delta(0, oy, my) as u64;
-                let dz = torus_delta(0, oz, mz) as u64;
-                for (sj, &(aj, bj, cj)) in intra.iter().enumerate() {
-                    let da = ai.abs_diff(aj) as u64;
-                    let db = bi.abs_diff(bj) as u64;
-                    let dc = ci.abs_diff(cj) as u64;
-                    let e_sq = dx * dx + dy * dy + dz * dz + da * da + db * db + dc * dc;
-                    weights[off as usize * ns + sj] = if e_sq == 0 {
-                        // Observer's own node: ppn − 1 mates at w = 1.
-                        (sym.ppn - 1) as f64
-                    } else {
-                        // Same float pipeline as `skew_weight`.
-                        let w = (e_sq as f64).sqrt().powf(alpha).recip();
-                        sym.ppn as f64 * w
-                    };
-                }
-            }
-            tables.push(AliasTable::new(&weights));
-        }
+        let cube_xyz = (0..mx * my * mz)
+            .map(|c| {
+                [
+                    (c % mx) as u16,
+                    ((c / mx) % my) as u16,
+                    (c / (mx * my)) as u16,
+                ]
+            })
+            .collect();
         Self {
             tables,
-            dims: (mx as u32, my as u32, mz as u32),
+            outcomes,
+            dims: (mx, my, mz),
+            cube_xyz,
             nslots: ns,
             ppn: sym.ppn,
             ranks: sym.ranks.clone(),
@@ -337,15 +424,20 @@ impl OffsetAliasSet {
     fn draw(&self, cell: (u32, u32, u32), rng: &mut DetRng) -> Rank {
         let (my_cube, sp, my_k) = cell;
         let (mx, my, mz) = self.dims;
-        let o = self.tables[sp as usize].sample(rng);
-        let off = (o / self.nslots) as u32;
-        let sj = o % self.nslots;
+        // The two draws of `AliasTable::sample`, in its order.
+        let slot = rng.next_below(self.outcomes as u64) as usize;
+        let entry = &self.tables[sp as usize * self.outcomes + slot];
+        let o = if rng.next_f64() < entry.prob {
+            entry.own
+        } else {
+            entry.alias
+        };
         // Target cube = observer cube + offset, wrapped per axis.
-        let (cx, cy, cz) = (my_cube % mx, (my_cube / mx) % my, my_cube / (mx * my));
-        let (ox, oy, oz) = (off % mx, (off / mx) % my, off / (mx * my));
-        let cube = (cx + ox) % mx + mx * ((cy + oy) % my + my * ((cz + oz) % mz));
-        let base = (cube as usize * self.nslots + sj) * self.ppn as usize;
-        let k = if off == 0 && sj == sp as usize {
+        let [cx, cy, cz] = self.cube_xyz[my_cube as usize];
+        let cube =
+            wrap_add(cx, o.ox, mx) + mx * (wrap_add(cy, o.oy, my) + my * wrap_add(cz, o.oz, mz));
+        let base = (cube as usize * self.nslots + o.slot as usize) * self.ppn as usize;
+        let k = if cube == my_cube && o.slot as u32 == sp {
             // Own node (only reachable when ppn > 1): uniform over the
             // ppn − 1 mates, skipping the observer.
             let d = rng.next_below(self.ppn as u64 - 1) as u32;
@@ -370,15 +462,23 @@ impl OffsetAliasSet {
         let (ci, si, _) = self.rank_cell[i as usize];
         let (cj, sj, _) = self.rank_cell[j as usize];
         let (mx, my, mz) = self.dims;
-        let (cix, ciy, ciz) = (ci % mx, (ci / mx) % my, ci / (mx * my));
-        let (cjx, cjy, cjz) = (cj % mx, (cj / mx) % my, cj / (mx * my));
+        let [cix, ciy, ciz] = self.cube_xyz[ci as usize].map(u32::from);
+        let [cjx, cjy, cjz] = self.cube_xyz[cj as usize].map(u32::from);
         let (ox, oy, oz) = (
             (cjx + mx - cix) % mx,
             (cjy + my - ciy) % my,
             (cjz + mz - ciz) % mz,
         );
         let off = ox + mx * (oy + my * oz);
-        let p = self.tables[si as usize].probability(off as usize * self.nslots + sj as usize);
+        let table = &self.tables[si as usize * self.outcomes..][..self.outcomes];
+        let target = off as usize * self.nslots + sj as usize;
+        let n = table.len() as f64;
+        let mut p = table[target].prob / n;
+        for slot in table {
+            if slot.alias == table[target].own && slot.prob < 1.0 {
+                p += (1.0 - slot.prob) / n;
+            }
+        }
         if off == 0 && si == sj {
             p / (self.ppn - 1) as f64
         } else {
@@ -708,6 +808,68 @@ mod tests {
                 s[j],
                 r[j]
             );
+        }
+    }
+
+    /// `OffsetAliasSet::draw` as it was before the tables were
+    /// decoded: sample the offset-major outcome index from the raw
+    /// alias table, split it with `/` and `%`, wrap-add with `%`.
+    fn reference_draw(
+        tables: &[AliasTable],
+        job: &Job,
+        cell: (u32, u32, u32),
+        rng: &mut DetRng,
+    ) -> Rank {
+        let sym = job.torus_symmetry().expect("symmetric");
+        let nslots = sym.slots.len();
+        let ppn = sym.ppn;
+        let (mx, my, mz) = job.machine().dims();
+        let (mx, my, mz) = (mx as u32, my as u32, mz as u32);
+        let (my_cube, sp, my_k) = cell;
+        let o = tables[sp as usize].sample(rng);
+        let off = (o / nslots) as u32;
+        let sj = o % nslots;
+        let (cx, cy, cz) = (my_cube % mx, (my_cube / mx) % my, my_cube / (mx * my));
+        let (ox, oy, oz) = (off % mx, (off / mx) % my, off / (mx * my));
+        let cube = (cx + ox) % mx + mx * ((cy + oy) % my + my * ((cz + oz) % mz));
+        let base = (cube as usize * nslots + sj) * ppn as usize;
+        let k = if off == 0 && sj == sp as usize {
+            let d = rng.next_below(ppn as u64 - 1) as u32;
+            if d >= my_k {
+                d + 1
+            } else {
+                d
+            }
+        } else {
+            rng.next_below(ppn as u64) as u32
+        };
+        sym.ranks[base + k as usize]
+    }
+
+    #[test]
+    fn decoded_draw_matches_the_reference_arithmetic() {
+        // Every observer cell of a 4,096-node 1/N job and of an 8G job,
+        // 10k draws each from one seed per cell: the decoded tables
+        // must return the identical rank sequence and leave the RNG in
+        // the identical state.
+        for (nodes, mapping) in [
+            (4096, RankMapping::OneToOne),
+            (96, RankMapping::Grouped { ppn: 8 }),
+        ] {
+            let job = symmetric_job(nodes, mapping);
+            let set = OffsetAliasSet::new(&job, 1.0);
+            let tables = offset_alias_tables(&job, 1.0);
+            for me in 0..job.n_ranks() {
+                let cell = set.rank_cell[me as usize];
+                let mut a = DetRng::new(0xD1FF ^ me as u64);
+                let mut b = DetRng::new(0xD1FF ^ me as u64);
+                for i in 0..10_000 {
+                    let got = set.draw(cell, &mut a);
+                    let want = reference_draw(&tables, &job, cell, &mut b);
+                    assert_eq!(got, want, "rank {me} draw {i} ({mapping:?})");
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "rank {me}: RNG consumption");
+            }
         }
     }
 

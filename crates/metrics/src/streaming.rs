@@ -33,7 +33,9 @@ pub struct ShardSnap {
     pub windows: u64,
     /// Events processed so far.
     pub events: u64,
-    /// Events waiting in the shard's event queue.
+    /// Events waiting for the shard: its event queue plus cross-shard
+    /// deliveries still in the exchange cells, so the value is a
+    /// function of the schedule, not of thread timing.
     pub queue_depth: u64,
     /// Wall-clock nanoseconds spent executing windows.
     pub busy_ns: u64,
@@ -92,7 +94,7 @@ pub struct Snapshot {
     /// Event throughput since the previous snapshot, events/second of
     /// wall time (0 when no wall time elapsed).
     pub events_per_sec: f64,
-    /// Events waiting across all shard queues.
+    /// Events waiting across all shards (queues plus exchange cells).
     pub queue_depth: u64,
     /// Ready work units (chunks) across all ranks.
     pub ready_chunks: u64,

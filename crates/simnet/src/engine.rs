@@ -563,27 +563,29 @@ fn drain_published(
 }
 
 /// Copy `shard`'s activity transitions since the last barrier into its
-/// publish slot; with `snap`, also publish its snapshot row and summed
-/// live stats.
-fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: bool) {
+/// publish slot; with `snap = Some(inbound)`, also publish its snapshot
+/// row and summed live stats, counting `inbound` events still waiting
+/// for it in the exchange cells as queued.
+fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: Option<usize>) {
     let mut p = slot.lock().expect("publish slot poisoned");
     shard
         .core
         .drain_activity(|new| p.activity.extend_from_slice(new));
-    if snap {
-        p.snap = Some(shard_snap(&shard.core));
+    if let Some(inbound) = snap {
+        p.snap = Some(shard_snap(&shard.core, inbound));
         p.live = shard.live_stats();
     }
 }
 
-/// Snapshot row for one shard's current engine state.
-fn shard_snap<M>(core: &ShardCore<M>) -> ShardSnap {
+/// Snapshot row for one shard's current engine state; `inbound` events
+/// bound for it sit in the exchange cells.
+fn shard_snap<M>(core: &ShardCore<M>, inbound: usize) -> ShardSnap {
     ShardSnap {
         shard: core.id as u32,
         now_ns: core.now.ns(),
         windows: core.windows,
         events: core.events,
-        queue_depth: core.queue.len() as u64,
+        queue_depth: (core.queue.len() + inbound) as u64,
         busy_ns: core.busy_ns,
         wait_ns: core.wait_ns,
     }
@@ -606,7 +608,9 @@ enum EventKind<M> {
 /// An event keyed for shard-count-invariant ordering: `(time, dst,
 /// src, sseq)`. `sseq` is a per-source-rank counter, so the key is
 /// unique and depends only on per-rank histories — never on shard
-/// layout or global send interleaving.
+/// layout or global send interleaving. Outboxes and exchange cells
+/// carry whole events; a shard's queue splits them into an
+/// [`EventKey`] and a payload slot ([`EventQueue`]).
 struct Event<M> {
     time: SimTime,
     dst: Rank,
@@ -615,27 +619,86 @@ struct Event<M> {
     kind: EventKind<M>,
 }
 
-impl<M> Event<M> {
-    #[inline]
-    fn key(&self) -> (SimTime, Rank, Rank, u64) {
-        (self.time, self.dst, self.src, self.sseq)
-    }
+/// A queued event's canonical key plus the slab slot holding its
+/// payload: 32 bytes, two to a cache line, whatever the message type.
+/// The derived order is `(time, dst, src, sseq)` — the only ordering
+/// definition in the engine — and `slot` never decides it, because the
+/// key before it is unique.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
+    time: SimTime,
+    dst: Rank,
+    src: Rank,
+    sseq: u64,
+    slot: u32,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
+/// One shard's pending events: a binary min-heap of [`EventKey`]s over
+/// a payload slab with a free list. The heap sifts keys only, and a
+/// popped event's slot is reused by the next push, so steady state
+/// allocates nothing. Any exact priority queue over a unique key pops
+/// the identical sequence, so this layout cannot move an event.
+struct EventQueue<M> {
+    heap: BinaryHeap<Reverse<EventKey>>,
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl<M> EventQueue<M> {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            heap: BinaryHeap::with_capacity(n),
+            slab: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
+        }
     }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+
+    #[inline]
+    fn push(&mut self, ev: Event<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev.kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(ev.kind));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse(EventKey {
+            time: ev.time,
+            dst: ev.dst,
+            src: ev.src,
+            sseq: ev.sseq,
+            slot,
+        }));
+    }
+
+    /// Earliest pending event time.
+    #[inline]
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|k| k.0.time)
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Event<M>> {
+        let Reverse(k) = self.heap.pop()?;
+        let kind = self.slab[k.slot as usize]
+            .take()
+            .expect("queued key without a payload");
+        self.free.push(k.slot);
+        Some(Event {
+            time: k.time,
+            dst: k.dst,
+            src: k.src,
+            sseq: k.sseq,
+            kind,
+        })
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -701,7 +764,7 @@ struct ShardCore<M> {
     id: usize,
     now: SimTime,
     /// Pending events, minimum canonical key first.
-    queue: BinaryHeap<Reverse<Event<M>>>,
+    queue: EventQueue<M>,
     /// Earliest delivery time still free per (from, to) pair, one tick
     /// past its last scheduled delivery, to enforce MPI non-overtaking.
     /// Only pairs with a local sender appear. No send is scheduled
@@ -746,13 +809,15 @@ struct ShardCore<M> {
 }
 
 impl<M> ShardCore<M> {
-    /// A fresh core for shard `id` of `n_shards`, with every
-    /// observability sink detached.
-    fn new(id: usize, n_shards: usize, net: Box<dyn NetworkModel>) -> Self {
+    /// A fresh core for shard `id` of `n_shards`, owning `ranks` ranks,
+    /// with every observability sink detached.
+    fn new(id: usize, n_shards: usize, ranks: usize, net: Box<dyn NetworkModel>) -> Self {
         Self {
             id,
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            // Runs hold one or two pending events per rank (DESIGN
+            // §10.1): room for two means the queue rarely regrows.
+            queue: EventQueue::with_capacity(2 * ranks),
             fifo: PairMap::default(),
             fifo_sweep_at: FIFO_SWEEP_MIN,
             net,
@@ -792,7 +857,7 @@ impl<M> ShardCore<M> {
 
     #[inline]
     fn push_local(&mut self, ev: Event<M>) {
-        self.queue.push(Reverse(ev));
+        self.queue.push(ev);
     }
 
     /// Enqueue locally or hand off to the destination shard's outbox,
@@ -1162,12 +1227,12 @@ impl<A: Actor> Shard<A> {
     /// Process queued events with `time < end_ns` (and `time <=
     /// max_time_ns` when set), leaving later events queued.
     fn run_window(&mut self, shared: &Shared, end_ns: u64, max_time_ns: Option<u64>) {
-        while let Some(Reverse(next)) = self.core.queue.peek() {
-            let t = next.time.ns();
+        while let Some(t) = self.core.queue.peek_time() {
+            let t = t.ns();
             if t >= end_ns || max_time_ns.is_some_and(|mt| t > mt) {
                 break;
             }
-            let Reverse(ev) = self.core.queue.pop().expect("peeked");
+            let ev = self.core.queue.pop().expect("peeked");
             self.process(shared, ev);
         }
         self.core.windows += 1;
@@ -1422,7 +1487,7 @@ impl<A: Actor> Simulation<A> {
             members: (0..n).collect(),
             actors,
             states,
-            core: ShardCore::new(0, 1, net),
+            core: ShardCore::new(0, 1, n as usize, net),
         };
         Self {
             shards: vec![shard],
@@ -1517,7 +1582,7 @@ impl<A: Actor> Simulation<A> {
             for (slot, &r) in members.iter().enumerate() {
                 self.shared.rank_loc[r as usize] = (id as u32, slot as u32);
             }
-            let mut core = ShardCore::new(id, s_count, net);
+            let mut core = ShardCore::new(id, s_count, members.len(), net);
             core.spans = spans_on.then(Vec::new);
             core.net_trace = net_on.then(NetTrace::default);
             core.activity = activity_on.then(Vec::new);
@@ -1544,7 +1609,9 @@ impl<A: Actor> Simulation<A> {
             return;
         };
         let events: u64 = self.shards.iter().map(|s| s.core.events).sum();
-        let rows: Vec<ShardSnap> = self.shards.iter().map(|s| shard_snap(&s.core)).collect();
+        // The run has put what was left in the exchange cells back
+        // into the queues, so nothing is inbound.
+        let rows: Vec<ShardSnap> = self.shards.iter().map(|s| shard_snap(&s.core, 0)).collect();
         let end_ns = rows.iter().map(|s| s.now_ns).max().unwrap_or(0);
         st.cadence.advance(end_ns);
         let mut live = LiveStats::default();
@@ -1914,7 +1981,7 @@ where
                 shard.core.dirty_out = dirty;
                 prof_record(probe, Phase::Exchange, x0);
             }
-            let mn = shard.core.queue.peek().map_or(u64::MAX, |e| e.0.time.ns());
+            let mn = shard.core.queue.peek_time().map_or(u64::MAX, SimTime::ns);
             slot.min_next.store(mn, Ordering::SeqCst);
             slot.events.store(shard.core.events, Ordering::SeqCst);
             floor
@@ -1996,7 +2063,15 @@ where
                     }
                     if aborting || due.is_some() {
                         for (g, shard) in (first..).zip(own.iter_mut()) {
-                            publish_rows(shard, &snap_pubs[g], true);
+                            // Every deposit is complete at the barrier,
+                            // but whether this shard already ingested a
+                            // peer's races on `xchg_flag`: the queue plus
+                            // what still waits in its cells does not.
+                            let inbound = xchg
+                                .iter()
+                                .map(|row| row[g].lock().expect("exchange cell poisoned").len())
+                                .sum();
+                            publish_rows(shard, &snap_pubs[g], Some(inbound));
                         }
                         // Rare extra barrier: due windows and aborts
                         // only, so snapshot rows are all published
@@ -2048,7 +2123,7 @@ where
                     shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
                     shard.core.wait_ns += wait_share;
                     if cadence.is_some() {
-                        publish_rows(shard, &pubs[wpar][g], false);
+                        publish_rows(shard, &pubs[wpar][g], None);
                     }
                 }
                 dep_floor[wpar][tid].store(my_floor, Ordering::SeqCst);
@@ -2943,6 +3018,52 @@ mod tests {
         let windows = profiles[0].windows;
         assert!(windows > 0);
         assert!(profiles.iter().all(|p| p.windows == windows));
+    }
+
+    #[test]
+    fn event_key_stays_small() {
+        // An upper bound, not a pin: the heap sifts these, so a wider
+        // key is a conscious choice (DESIGN §10.1).
+        assert!(std::mem::size_of::<EventKey>() <= 32);
+    }
+
+    #[test]
+    fn event_queue_pops_in_key_order_and_recycles_slots() {
+        // Pushes interleaved with pops against a sorted-set mirror: each
+        // pop is the least queued key, carrying its own payload.
+        let mut q: EventQueue<u64> = EventQueue::with_capacity(0);
+        let mut mirror = std::collections::BTreeSet::new();
+        let mut rng = DetRng::new(11);
+        let mut peak = 0;
+        let pop_one = |q: &mut EventQueue<u64>, mirror: &mut std::collections::BTreeSet<_>| {
+            let ev = q.pop().expect("non-empty");
+            let EventKind::Timer { token } = ev.kind else {
+                panic!("only timers were queued");
+            };
+            assert_eq!(token, ev.sseq, "payload follows its key");
+            let key = (ev.time.ns(), ev.dst, ev.src, ev.sseq);
+            assert_eq!(mirror.pop_first(), Some(key), "pop is the least queued key");
+        };
+        for sseq in 0..4_000u64 {
+            let (time, dst) = (rng.next_below(500), rng.next_below(8) as Rank);
+            mirror.insert((time, dst, 3, sseq));
+            q.push(Event {
+                time: SimTime(time),
+                dst,
+                src: 3,
+                sseq,
+                kind: EventKind::Timer { token: sseq },
+            });
+            peak = peak.max(q.len());
+            if rng.next_below(3) == 0 {
+                pop_one(&mut q, &mut mirror);
+            }
+        }
+        while q.len() > 0 {
+            pop_one(&mut q, &mut mirror);
+        }
+        assert!(mirror.is_empty() && q.pop().is_none());
+        assert_eq!(q.slab.len(), peak, "slots are reused, never leaked");
     }
 
     #[test]

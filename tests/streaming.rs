@@ -241,3 +241,59 @@ fn induced_abort_writes_a_valid_flight_dump() {
     assert!(event_lines > 0, "ring events dumped");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Snapshot `queue_depth` counts every pending event, wherever the
+/// engine holds it: at a snapshot barrier a cross-shard delivery sits
+/// either in its destination's queue or, not yet ingested, in an
+/// exchange cell, and which of the two depends on thread timing. The
+/// top-level sum must be equal at every thread count and the per-shard
+/// rows equal across repeated runs at one thread count.
+#[test]
+fn snapshot_queue_depth_is_thread_invariant() {
+    let run = |threads: u32| -> Vec<Snapshot> {
+        let mut cfg = ExperimentConfig::new(presets::t3sim_m(), 64);
+        cfg.threads = threads;
+        let sink = SharedSink::default();
+        let r = run_experiment_streamed(&cfg, streamed(&sink, 200_000));
+        assert!(r.completed);
+        sink.lines()
+            .iter()
+            .map(|l| Snapshot::from_json(&parse(l).expect("valid JSON")).expect("valid snapshot"))
+            .collect()
+    };
+    let one = run(1);
+    for threads in [2u32, 4] {
+        let other = run(threads);
+        assert_eq!(one.len(), other.len(), "threads={threads}: snapshot count");
+        for (a, b) in one.iter().zip(&other) {
+            assert_eq!(a.seq, b.seq);
+            assert_eq!(
+                a.queue_depth, b.queue_depth,
+                "threads={threads} seq {}: queue_depth",
+                a.seq
+            );
+        }
+    }
+    let shard_rows = |snaps: &[Snapshot]| -> Vec<(u64, u32, u64, u64, u64, u64)> {
+        snaps
+            .iter()
+            .flat_map(|s| {
+                s.shards
+                    .iter()
+                    .map(move |r| (s.seq, r.shard, r.now_ns, r.windows, r.events, r.queue_depth))
+            })
+            .collect()
+    };
+    let first = shard_rows(&run(2));
+    assert!(
+        first.iter().any(|r| r.1 > 0),
+        "a 2-thread run has 2+ shards"
+    );
+    for _ in 0..2 {
+        assert_eq!(
+            first,
+            shard_rows(&run(2)),
+            "per-shard rows across 2-thread runs"
+        );
+    }
+}
