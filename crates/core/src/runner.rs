@@ -322,7 +322,15 @@ impl ExperimentConfig {
             (
                 "fault_tolerance",
                 match self.effective_fault_tolerance() {
-                    Some(ft) => format!("{ft:?}").into(),
+                    // `fallback_rtt_ns` is a constant nothing reads; it
+                    // stays so every pinned fingerprint stays byte-equal
+                    // until ROADMAP item 1(iii)'s re-pin drops it.
+                    Some(ft) => format!(
+                        "FaultToleranceCfg {{ timeout_mult: {}, max_backoff_doublings: {}, \
+                         fallback_rtt_ns: 200000 }}",
+                        ft.timeout_mult, ft.max_backoff_doublings
+                    )
+                    .into(),
                     None => JsonValue::Null,
                 },
             ),

@@ -38,7 +38,7 @@ use dws::core::{
 };
 use dws::metrics::lifestory;
 use dws::metrics::perflab::fingerprint;
-use dws::simnet::{Crash, FaultPlan};
+use dws::simnet::{Crash, FaultPlan, Partition};
 use dws::topology::{AllocationPolicy, CutClass, RankMapping};
 use dws::uts::{presets, TreeSpec, Workload};
 
@@ -641,5 +641,70 @@ fn window_plan_of_a_timer_fleet_matches_the_min_next_plus_lookahead_model() {
                 "{shards} shards on {threads} threads, pause {pause:?}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Recovery pin: one run through every recovery path — lifelines under
+// drops and duplicates, a partition, a crash and the adaptive overlay's
+// draw — recorded at the commit before the scheduler was split into
+// protocol and recovery modules, with `crates/` untouched.
+// ---------------------------------------------------------------------
+
+/// `dws run --tree t3sim-l --ranks 32 --lifelines 4 --victim
+/// adaptive-rand --fault-drop 0.02 --fault-dup 0.01 --fault-partition
+/// 16@200000:900000 --fault-crash 9@3000000`, spans on.
+fn recovery_run(threads: u32) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::new(presets::t3sim_l(), 32).with_victim(VictimPolicy::Uniform);
+    cfg.adaptive = true;
+    cfg.lifeline_threshold = Some(4);
+    let mut plan = FaultPlan::message_faults(0.02, 0.01, 0.0);
+    plan.partitions.push(Partition {
+        boundary: 16,
+        from_ns: 200_000,
+        until_ns: 900_000,
+    });
+    plan.crashes.push(Crash {
+        rank: 9,
+        at_ns: 3_000_000,
+    });
+    cfg.fault_plan = plan;
+    cfg.collect_spans = true;
+    cfg.threads = threads;
+    cfg
+}
+
+#[test]
+fn every_recovery_path_is_pinned_at_one_and_four_threads() {
+    for threads in [1, 4] {
+        let r = run_experiment(&recovery_run(threads));
+        let t = r.stats.total();
+        let fr = r.fault.as_ref().expect("fault plan was active");
+        let exercised = [
+            ("lifeline dormancies", t.lifeline_dormancies),
+            ("lifeline pushes", t.lifeline_pushes),
+            ("steal timeouts", t.steal_timeouts),
+            ("retransmits", t.retransmits),
+            ("duplicate replies", t.dup_replies_dropped),
+            ("stale replies", t.stale_replies_dropped),
+            ("late-work absorptions", t.late_work_absorbed),
+            ("token regenerations", t.token_regenerations),
+            ("quarantines", t.quarantines),
+            ("probe steals", t.probe_steals),
+            ("partition drops", fr.stats.partition_drops),
+            ("lost frontier nodes", fr.lost_frontier_nodes),
+        ];
+        for (path, count) in exercised {
+            assert!(count > 0, "no {path} at {threads} thread(s)");
+        }
+        assert_eq!(
+            identity_of(&r),
+            "makespan_ns=18284496 window_plan=8fe23d4e43e5e016/11317 events=132140 \
+             delivered=17398 dropped=333 duplicated=174 nodes=413863 stats=367206b8ef36aaeb \
+             json=058126b85584c013 spans=274cc4294de3961e fault=Some((FaultStats { dropped: 333, \
+             duplicated: 174, spiked: 0, brownout_drops: 0, partition_drops: 198, \
+             crash_lost_deliveries: 105, crash_lost_timers: 2 }, [9], 1960))",
+            "{threads} thread(s)"
+        );
     }
 }
