@@ -2,11 +2,17 @@
 //! reconciliation, Chrome trace well-formedness, the machine-readable
 //! run report, and the zero-overhead guarantee when tracing is off.
 
-use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
-use dws::metrics::export::{chrome_trace_with_critpath, parse};
-use dws::metrics::CriticalPath;
-use dws::simnet::{Crash, FaultPlan};
+use dws::core::{
+    run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, StealAmount,
+    StreamingSetup, VictimPolicy,
+};
+use dws::metrics::export::{chrome_trace_with_critpath, link_matrix_json, parse};
+use dws::metrics::{CriticalPath, JsonValue};
+use dws::simnet::{Crash, FaultPlan, StreamingCfg};
 use dws::uts::presets;
+use std::collections::HashMap;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn traced_config(ranks: u32) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::new(presets::t3sim_s(), ranks)
@@ -268,4 +274,174 @@ fn histograms_agree_with_counters() {
     assert_eq!(h.session_ns.count(), t.sessions);
     assert_eq!(h.session_ns.sum(), t.session_ns as u128);
     assert_eq!(h.msg_delivery_ns.count(), r.report.messages);
+}
+
+/// A snapshot sink whose bytes stay reachable after the run consumed
+/// the boxed writer.
+#[derive(Clone, Default)]
+struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Drop `keys` from a JSON object (a no-op on anything else).
+fn without(doc: &JsonValue, keys: &[&str]) -> JsonValue {
+    match doc {
+        JsonValue::Obj(pairs) => JsonValue::Obj(
+            pairs
+                .iter()
+                .filter(|(k, _)| !keys.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// Everything one run leaves behind, rendered to bytes: the Chrome
+/// trace, the report's sections, the link matrix and the snapshot
+/// lines, each `None` when the run did not record what it needs.
+struct Artifacts {
+    makespan: u64,
+    events: u64,
+    window_plan: (u64, u64),
+    per_rank: Vec<dws::metrics::StealStats>,
+    chrome: Option<String>,
+    /// `(section, bytes)` of the JSON report. `profile` and the blame
+    /// section's per-shard rows report host wall time, so they are
+    /// left out.
+    report: Vec<(String, String)>,
+    links: Option<String>,
+    /// Snapshot lines without their wall-clock fields and the per-shard
+    /// rows, whose count follows the thread count.
+    snapshots: Option<Vec<String>>,
+}
+
+fn record_run(cfg: &ExperimentConfig, stream: bool) -> (Artifacts, ExperimentResult) {
+    let sink = SharedSink::default();
+    let setup = stream.then(|| StreamingSetup {
+        cfg: StreamingCfg {
+            snapshot_every_sim_ns: 200_000,
+            ..StreamingCfg::default()
+        },
+        sink: Some(Box::new(sink.clone()) as Box<dyn Write + Send>),
+    });
+    let r = run_experiment_streamed(cfg, setup);
+    assert!(r.completed);
+    let report = match r.json_report() {
+        JsonValue::Obj(pairs) => pairs
+            .into_iter()
+            .filter(|(k, _)| k != "profile")
+            .map(|(k, v)| {
+                let v = if k == "blame" {
+                    without(&v, &["shards"])
+                } else {
+                    v
+                };
+                (k, v.to_string())
+            })
+            .collect(),
+        _ => unreachable!("the report is an object"),
+    };
+    let links = r.link_load().map(|load| {
+        let rows: Vec<(String, u64)> = load
+            .hottest(load.links_used())
+            .iter()
+            .map(|(l, units)| (format!("{l:?}"), *units))
+            .collect();
+        link_matrix_json(&rows, load.hotspot_factor()).to_string()
+    });
+    let snapshots = stream.then(|| {
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| {
+                let doc = parse(l).expect("snapshot line parses");
+                without(&doc, &["wall_ms", "events_per_sec", "shards"]).to_string()
+            })
+            .collect();
+        assert!(!lines.is_empty(), "a streamed run emits snapshots");
+        lines
+    });
+    let artifacts = Artifacts {
+        makespan: r.makespan.ns(),
+        events: r.report.events,
+        window_plan: r.window_plan,
+        per_rank: r.stats.per_rank.clone(),
+        chrome: r.chrome_trace_json().map(|d| d.to_string()),
+        report,
+        links,
+        snapshots,
+    };
+    (artifacts, r)
+}
+
+/// No combination of recorders moves the run or any artifact: every
+/// subset of {activity trace, spans with the net trace, profiler,
+/// streaming with its flight ring} at two threads, and all four at one
+/// thread, give the same schedule, and each artifact a run produces is
+/// byte-equal to the all-on run's (the Chrome trace of a run without
+/// the activity trace to the all-on run's spans rendered without it).
+#[test]
+fn recorders_never_change_the_run() {
+    let config = |bits: u8, threads: u32| {
+        let mut cfg = ExperimentConfig::new(presets::t3sim_s(), 32);
+        cfg.seed = 0x0B5E_55ED;
+        cfg.fault_plan = FaultPlan::message_faults(0.02, 0.01, 0.02);
+        cfg.threads = threads;
+        cfg.collect_trace = bits & 1 != 0;
+        cfg.collect_spans = bits & 2 != 0;
+        cfg.profile = bits & 4 != 0;
+        (cfg, bits & 8 != 0)
+    };
+    let (all_cfg, all_stream) = config(0b1111, 1);
+    let (all, all_run) = record_run(&all_cfg, all_stream);
+    let spans = all_run.spans.as_ref().expect("spans recorded");
+    let untraced_chrome =
+        chrome_trace_with_critpath(spans, None, all_run.makespan.ns(), None).to_string();
+    let all_sections: HashMap<&str, &str> = all
+        .report
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    for bits in 0..16u8 {
+        let (cfg, stream) = config(bits, 2);
+        let tag = format!(
+            "trace={} spans={} profile={} streaming={stream}",
+            cfg.collect_trace, cfg.collect_spans, cfg.profile
+        );
+        let (run, _) = record_run(&cfg, stream);
+        assert_eq!(run.makespan, all.makespan, "{tag}: makespan");
+        assert_eq!(run.events, all.events, "{tag}: events");
+        assert_eq!(run.window_plan, all.window_plan, "{tag}: window plan");
+        assert_eq!(run.per_rank, all.per_rank, "{tag}: per-rank stats");
+        if let Some(chrome) = &run.chrome {
+            let expect = if cfg.collect_trace {
+                all.chrome.as_ref().unwrap()
+            } else {
+                &untraced_chrome
+            };
+            assert!(chrome == expect, "{tag}: Chrome trace bytes");
+        }
+        for (section, bytes) in &run.report {
+            assert_eq!(
+                Some(bytes.as_str()),
+                all_sections.get(section.as_str()).copied(),
+                "{tag}: report section {section}"
+            );
+        }
+        if let Some(links) = &run.links {
+            assert_eq!(Some(links), all.links.as_ref(), "{tag}: links");
+        }
+        if let Some(snaps) = &run.snapshots {
+            assert_eq!(Some(snaps), all.snapshots.as_ref(), "{tag}: snapshots");
+        }
+    }
 }
