@@ -1056,7 +1056,8 @@ fn blame_row(r: &ExperimentResult) -> Vec<String> {
 /// several runs, each of which would truncate the file.
 pub fn run(fig: &Figure, args: &FigArgs) -> Result<(), String> {
     let cells = (fig.cells)(args);
-    if args.snapshot.is_some() && (cells.len() > 1 || fig.then.is_some()) {
+    let snapshot = args.stream_flags.iter().any(|(name, _)| name == "snapshot");
+    if snapshot && (cells.len() > 1 || fig.then.is_some()) {
         return Err(format!(
             "{}: --snapshot streams one run, and this figure makes several",
             fig.id
@@ -1198,7 +1199,7 @@ mod tests {
     fn a_run_that_does_not_complete_fails_its_figure() {
         let fig04 = FIGURES.iter().find(|fig| fig.id == "fig04").unwrap();
         let aborted = FigArgs {
-            wall_budget_ns: Some(0),
+            stream_flags: vec![("wall-budget".into(), "0".into())],
             csv_dir: None,
             ..FigArgs::default()
         };
@@ -1214,7 +1215,7 @@ mod tests {
         let path = std::env::temp_dir().join("dws_figures_refused_snapshot.jsonl");
         let _ = std::fs::remove_file(&path);
         let args = FigArgs {
-            snapshot: Some(path.clone()),
+            stream_flags: vec![("snapshot".into(), path.display().to_string())],
             csv_dir: None,
             ..FigArgs::default()
         };

@@ -35,11 +35,10 @@ pub mod figures;
 
 use dws_core::{
     run_experiment_streamed, ExperimentConfig, ExperimentResult, StealAmount, StreamingSetup,
-    VictimPolicy,
+    VictimPolicy, STREAMING_FLAGS,
 };
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, Polarity};
 use dws_metrics::{ascii_chart, render_table, write_csv};
-use dws_simnet::{parse_duration_ns, StreamingCfg};
 use dws_topology::RankMapping;
 use dws_uts::Workload;
 use std::path::PathBuf;
@@ -58,17 +57,10 @@ pub struct FigArgs {
     pub trajectory: Option<PathBuf>,
     /// Simulation worker threads for every run (`--threads`).
     pub threads: u32,
-    /// Print a live progress line per telemetry snapshot (`--live`).
-    pub live: bool,
-    /// Snapshot cadence in simulated nanoseconds (`--snapshot-every`).
-    pub snapshot_every_ns: Option<u64>,
-    /// Stream snapshot JSONL lines to this file (`--snapshot`).
-    pub snapshot: Option<PathBuf>,
-    /// Write a flight-recorder dump here on abort (`--flight-dump`).
-    pub flight_dump: Option<PathBuf>,
-    /// Engine-enforced wall-clock budget in ns (`--wall-budget`);
-    /// overrunning it aborts the run and writes the flight dump.
-    pub wall_budget_ns: Option<u64>,
+    /// The streaming flags as given, `(name, value)`: `--live` and
+    /// [`STREAMING_FLAGS`]. Each run builds its own setup from them
+    /// ([`streaming`](Self::streaming)).
+    pub stream_flags: Vec<(String, String)>,
     /// When the binary started, for the wall-clock bench metric.
     pub started: Instant,
 }
@@ -83,11 +75,7 @@ impl Default for FigArgs {
             seed: 0xD15_7EA1,
             trajectory: None,
             threads: 1,
-            live: false,
-            snapshot_every_ns: None,
-            snapshot: None,
-            flight_dump: None,
-            wall_budget_ns: None,
+            stream_flags: Vec::new(),
             started: Instant::now(),
         }
     }
@@ -131,36 +119,27 @@ impl FigArgs {
                         .expect("--threads must be an integer");
                     assert!(out.threads >= 1, "--threads must be at least 1");
                 }
-                "--live" => out.live = true,
-                "--snapshot-every" => {
-                    let d = args.next().expect("--snapshot-every needs a value");
-                    out.snapshot_every_ns =
-                        Some(parse_duration_ns(&d).expect("--snapshot-every: bad duration"));
-                }
-                "--snapshot" => {
-                    let path = args.next().expect("--snapshot needs a value");
-                    out.snapshot = Some(PathBuf::from(path));
-                }
-                "--flight-dump" => {
-                    let path = args.next().expect("--flight-dump needs a value");
-                    out.flight_dump = Some(PathBuf::from(path));
-                }
-                "--wall-budget" => {
-                    let d = args.next().expect("--wall-budget needs a value");
-                    out.wall_budget_ns =
-                        Some(parse_duration_ns(&d).expect("--wall-budget: bad duration"));
-                }
+                "--live" => out.stream_flags.push(("live".into(), String::new())),
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --full (paper-scale ranks)  --no-csv  \
                          --csv-dir <dir>  --seed <n>  --trajectory <path>  \
                          --threads <n>  --live  --snapshot <path>  \
                          --snapshot-every <dur, e.g. 500ms of simulated time>  \
-                         --flight-dump <path>  --wall-budget <dur of host time>"
+                         --flight-dump <path>  --flight-ring <n>  \
+                         --wall-budget <dur of host time>  --rss-budget-mb <n>"
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown option {other}"),
+                other => match other.strip_prefix("--") {
+                    Some(name) if STREAMING_FLAGS.contains(&name) => {
+                        let value = args
+                            .next()
+                            .unwrap_or_else(|| panic!("{other} needs a value"));
+                        out.stream_flags.push((name.to_string(), value));
+                    }
+                    _ => panic!("unknown option {other}"),
+                },
             }
         }
         out
@@ -210,32 +189,17 @@ impl FigArgs {
         cfg
     }
 
-    /// Streaming-telemetry attachment from the `--live` /
-    /// `--snapshot` / `--snapshot-every` / `--flight-dump` /
-    /// `--wall-budget` flags, or `None` when none was given. Build one
-    /// per run — the sink file is truncated on each call.
+    /// Streaming-telemetry attachment from the streaming flags, or
+    /// `None` when none was given. Build one per run — the sink file is
+    /// truncated on each call.
+    ///
+    /// # Panics
+    /// Panics on a malformed flag value or a snapshot file that cannot
+    /// be created.
     pub fn streaming(&self) -> Option<StreamingSetup> {
-        if !self.live
-            && self.snapshot.is_none()
-            && self.snapshot_every_ns.is_none()
-            && self.flight_dump.is_none()
-            && self.wall_budget_ns.is_none()
-        {
-            return None;
-        }
-        let mut cfg = StreamingCfg::default();
-        if let Some(every) = self.snapshot_every_ns {
-            cfg.snapshot_every_sim_ns = every;
-        }
-        cfg.live = self.live;
-        cfg.flight_dump_path = self.flight_dump.clone();
-        cfg.wall_budget = self.wall_budget_ns.map(std::time::Duration::from_nanos);
-        let sink: Option<Box<dyn std::io::Write + Send>> = self.snapshot.as_ref().map(|path| {
-            let file =
-                std::fs::File::create(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write + Send>
-        });
-        Some(StreamingSetup { cfg, sink })
+        let flags = self.stream_flags.iter();
+        StreamingSetup::from_flags(flags.map(|(name, value)| (name.as_str(), value.as_str())))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -484,6 +448,19 @@ mod tests {
         assert_eq!(full.large_ranks(), vec![1024, 2048, 4096, 8192]);
         assert_eq!(quick.flagship_ranks(), 512);
         assert_eq!(full.flagship_ranks(), 8192);
+    }
+
+    #[test]
+    fn streaming_flags_reach_the_shared_parser() {
+        assert!(FigArgs::default().streaming().is_none());
+        let argv = "--live --snapshot-every 2ms --flight-ring 64 --rss-budget-mb 100 --threads 2";
+        let args = FigArgs::from_args(argv.split(' ').map(String::from));
+        assert_eq!(args.threads, 2);
+        let cfg = args.streaming().expect("streaming flags given").cfg;
+        assert!(cfg.live);
+        assert_eq!(cfg.snapshot_every_sim_ns, 2_000_000);
+        assert_eq!(cfg.flight_ring, 64);
+        assert_eq!(cfg.rss_budget_bytes, Some(100 << 20));
     }
 
     #[test]

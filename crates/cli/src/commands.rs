@@ -3,11 +3,9 @@
 use crate::args::{parse, parse_mapping, parse_steal, parse_victim, Flags};
 use dws_core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, FaultToleranceCfg,
-    StreamingSetup,
+    StreamingSetup, STREAMING_FLAGS,
 };
-use dws_simnet::{
-    parse_duration_ns, Brownout, Crash, CrashDomain, FaultPlan, Partition, StreamingCfg,
-};
+use dws_simnet::{Brownout, Crash, CrashDomain, FaultPlan, Partition};
 
 use dws_metrics::export::link_matrix_json;
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, MetricDelta, Verdict};
@@ -302,50 +300,6 @@ fn write_observability(flags: &Flags, r: &ExperimentResult) -> Result<(), String
     Ok(())
 }
 
-/// Build the streaming-telemetry attachment from the `dws run` flags,
-/// or `None` when no streaming flag was given.
-fn streaming_from(flags: &Flags) -> Result<Option<StreamingSetup>, String> {
-    let wanted = flags.has("live")
-        || ["snapshot", "snapshot-every", "flight-dump", "wall-budget"]
-            .iter()
-            .any(|f| flags.get(f).is_some())
-        || flags.get("rss-budget-mb").is_some();
-    if !wanted {
-        return Ok(None);
-    }
-    let mut cfg = StreamingCfg::default();
-    if let Some(every) = flags.get("snapshot-every") {
-        cfg.snapshot_every_sim_ns = parse_duration_ns(every)?;
-    }
-    cfg.live = flags.has("live");
-    cfg.flight_ring = flags.parse_or("flight-ring", cfg.flight_ring)?;
-    cfg.flight_dump_path = flags.get("flight-dump").map(std::path::PathBuf::from);
-    if let Some(budget) = flags.get("wall-budget") {
-        cfg.wall_budget = Some(std::time::Duration::from_nanos(parse_duration_ns(budget)?));
-    }
-    if let Some(mb) = flags.parse_opt::<u64>("rss-budget-mb")? {
-        cfg.rss_budget_bytes = Some(mb * 1024 * 1024);
-    }
-    let sink: Option<Box<dyn std::io::Write + Send>> = match flags.get("snapshot") {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(Box::new(std::io::BufWriter::new(file)))
-        }
-        None => None,
-    };
-    Ok(Some(StreamingSetup { cfg, sink }))
-}
-
-/// Valued streaming-telemetry flags of `dws run`.
-const STREAM_FLAGS: &[&str] = &[
-    "snapshot",
-    "snapshot-every",
-    "flight-dump",
-    "flight-ring",
-    "wall-budget",
-    "rss-budget-mb",
-];
-
 /// Valued output-file flags of `dws run`.
 const OUTPUT_FLAGS: &[&str] = &["csv", "trace", "json", "links"];
 
@@ -357,7 +311,7 @@ pub fn run(rest: &[String]) -> Result<(), String> {
     let valued: Vec<&str> = CONFIG_FLAGS
         .iter()
         .chain(OUTPUT_FLAGS)
-        .chain(STREAM_FLAGS)
+        .chain(STREAMING_FLAGS)
         .copied()
         .collect();
     let flags = parse(rest, &valued, RUN_SWITCHES)?;
@@ -366,7 +320,11 @@ pub fn run(rest: &[String]) -> Result<(), String> {
     cfg.collect_spans =
         flags.get("trace").is_some() || flags.get("json").is_some() || flags.get("links").is_some();
     cfg.profile = flags.has("profile");
-    let streaming = streaming_from(&flags)?;
+    let stream_flags = STREAMING_FLAGS
+        .iter()
+        .filter_map(|&name| Some((name, flags.get(name)?)));
+    let live = flags.has("live").then_some(("live", ""));
+    let streaming = StreamingSetup::from_flags(stream_flags.chain(live))?;
     eprintln!(
         "running {} on {} nodes ({} ranks), tree {}...",
         cfg.label(),
@@ -1079,7 +1037,7 @@ mod tests {
                     .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
             })
         };
-        let missing: Vec<&str> = [CONFIG_FLAGS, STREAM_FLAGS, OUTPUT_FLAGS, RUN_SWITCHES]
+        let missing: Vec<&str> = [CONFIG_FLAGS, STREAMING_FLAGS, OUTPUT_FLAGS, RUN_SWITCHES]
             .concat()
             .into_iter()
             .filter(|name| !listed(name))

@@ -55,7 +55,7 @@ pub use health::{AdaptiveCfg, Gate, HealthTracker, VictimHealth};
 pub use network::NicContendedNetwork;
 pub use runner::{
     run_experiment, run_experiment_streamed, sequential_baseline, shard_plan, CutReport,
-    ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup,
+    ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup, STREAMING_FLAGS,
 };
 pub use scheduler::{FaultToleranceCfg, Msg, SchedulerCfg, StealAmount, Worker};
 pub use stack::{Chunk, ChunkedStack};

@@ -25,8 +25,8 @@ use dws_metrics::{
 };
 use dws_simnet::profiler::{allocation_count, PerfProbe};
 use dws_simnet::{
-    FaultPlan, FaultStats, NetTrace, NetworkModel, ParallelConfig, PureNetwork, RunReport,
-    SimConfig, SimTime, Simulation, StreamingCfg,
+    parse_duration_ns, FaultPlan, FaultStats, NetTrace, NetworkModel, ParallelConfig, PureNetwork,
+    Recorders, RunReport, SimConfig, SimTime, Simulation, StreamingCfg,
 };
 use dws_topology::routing::LinkLoad;
 use dws_topology::{AllocationPolicy, CutClass, Job, LatencyParams, RankMapping};
@@ -826,6 +826,57 @@ pub struct StreamingSetup {
     pub sink: Option<Box<dyn std::io::Write + Send>>,
 }
 
+/// The valued streaming flags of `dws run` and the `figures` binary,
+/// named without `--`; `--live` is the one switch.
+pub const STREAMING_FLAGS: &[&str] = &[
+    "snapshot",
+    "snapshot-every",
+    "flight-dump",
+    "flight-ring",
+    "wall-budget",
+    "rss-budget-mb",
+];
+
+impl StreamingSetup {
+    /// Map streaming flags to a setup, `None` when none was given.
+    /// `flags` are `(name, value)` pairs, named as in
+    /// [`STREAMING_FLAGS`] or `live` (whose value is ignored). Creates
+    /// (truncates) the `snapshot` file, so build one setup per run.
+    pub fn from_flags<'a>(
+        flags: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<Option<Self>, String> {
+        let mut flags = flags.into_iter().peekable();
+        if flags.peek().is_none() {
+            return Ok(None);
+        }
+        let mut cfg = StreamingCfg::default();
+        let mut sink: Option<Box<dyn std::io::Write + Send>> = None;
+        for (name, value) in flags {
+            let number = || -> Result<u64, String> {
+                value
+                    .parse()
+                    .map_err(|_| format!("--{name}: cannot parse {value:?}"))
+            };
+            match name {
+                "live" => cfg.live = true,
+                "snapshot" => {
+                    let file = std::fs::File::create(value).map_err(|e| format!("{value}: {e}"))?;
+                    sink = Some(Box::new(std::io::BufWriter::new(file)));
+                }
+                "snapshot-every" => cfg.snapshot_every_sim_ns = parse_duration_ns(value)?,
+                "flight-dump" => cfg.flight_dump_path = Some(value.into()),
+                "flight-ring" => cfg.flight_ring = number()? as usize,
+                "wall-budget" => {
+                    cfg.wall_budget = Some(Duration::from_nanos(parse_duration_ns(value)?));
+                }
+                "rss-budget-mb" => cfg.rss_budget_bytes = Some(number()? * 1024 * 1024),
+                other => return Err(format!("--{other} is not a streaming flag")),
+            }
+        }
+        Ok(Some(Self { cfg, sink }))
+    }
+}
+
 /// Run one experiment to completion (or to its limits) and verify it.
 ///
 /// # Panics
@@ -928,19 +979,12 @@ pub fn run_experiment_streamed(
     sim.configure_parallel(
         ParallelConfig::new(cfg.threads, cut.lookahead_ns).with_shard_map(shard_of),
     );
-    if cfg.collect_trace {
-        sim.attach_activity();
-    }
-    if cfg.collect_spans {
-        sim.attach_spans();
-        sim.attach_net_trace();
-    }
-    if let Some(s) = streaming {
-        sim.attach_streaming(s.cfg, s.sink);
-    }
-    if let Some(p) = &probe {
-        sim.attach_profiler(Arc::clone(p));
-    }
+    sim.record(Recorders {
+        activity: cfg.collect_trace,
+        spans: cfg.collect_spans,
+        profiler: probe.clone(),
+        streaming: streaming.map(|s| (s.cfg, s.sink)),
+    });
     let child_ns = probe.as_ref().map(|_| measure_child_ns(&cfg.workload));
     // Wall-clock and allocation accounting bracket only the simulation
     // loop; both reads are no-ops for the simulated schedule.
@@ -973,17 +1017,16 @@ pub fn run_experiment_streamed(
             .collect(),
     });
     let makespan = report.end_time;
-    let online_occupancy = sim.finish_streaming(makespan.ns());
-    let trace = cfg.collect_trace.then(|| {
-        let t = ActivityTrace::from_shard_logs(n_ranks, sim.take_activity());
+    let recorded = sim.take_recordings();
+    let trace = recorded.activity.map(|logs| {
+        let t = ActivityTrace::from_shard_logs(n_ranks, logs);
         t.check()
             .unwrap_or_else(|e| panic!("scheduler produced a malformed trace: {e}"));
         t
     });
-    let spans = cfg
-        .collect_spans
-        .then(|| SpanTrace::from_shard_logs(n_ranks as usize, sim.take_spans()));
-    let net = sim.take_net_trace();
+    let spans = recorded
+        .spans
+        .map(|logs| SpanTrace::from_shard_logs(n_ranks as usize, logs));
     let workers = sim.actors();
     let crashed_ranks = sim.crashed_ranks();
     let is_crashed = |r: usize| crashed_ranks.contains(&(r as u32));
@@ -1127,13 +1170,13 @@ pub fn run_experiment_streamed(
         completed,
         fault,
         spans,
-        net,
+        net: recorded.net,
         job,
         config,
         fingerprint,
         profile,
         victim_health,
-        online_occupancy,
+        online_occupancy: recorded.occupancy,
         window_plan,
         cut,
         engine_steals: 0,

@@ -78,16 +78,15 @@ static REGISTRY: Mutex<Vec<DumpTarget>> = Mutex::new(Vec::new());
 
 /// Register `rings` for a best-effort flight dump to `path` should the
 /// process panic. Rings are held weakly: once the owning simulation is
-/// dropped the entry goes inert. The first call installs the panic
-/// hook (chaining to the previous one).
+/// dropped the entry goes inert, and the next registration removes it.
+/// The first call installs the panic hook (chaining to the previous
+/// one).
 pub fn register_panic_dump(path: &Path, rings: &[Arc<FlightRecorder>]) {
-    REGISTRY
-        .lock()
-        .expect("flight registry poisoned")
-        .push(DumpTarget {
-            path: path.to_path_buf(),
-            rings: rings.iter().map(Arc::downgrade).collect(),
-        });
+    register(
+        &mut REGISTRY.lock().expect("flight registry poisoned"),
+        path,
+        rings,
+    );
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -95,6 +94,15 @@ pub fn register_panic_dump(path: &Path, rings: &[Arc<FlightRecorder>]) {
             dump_registered("panic");
             prev(info);
         }));
+    });
+}
+
+/// Drop the targets whose rings are all gone, then add `rings`.
+fn register(targets: &mut Vec<DumpTarget>, path: &Path, rings: &[Arc<FlightRecorder>]) {
+    targets.retain(|t| t.rings.iter().any(|r| r.strong_count() > 0));
+    targets.push(DumpTarget {
+        path: path.to_path_buf(),
+        rings: rings.iter().map(Arc::downgrade).collect(),
     });
 }
 
@@ -247,6 +255,19 @@ mod tests {
         assert_eq!(ev.get("kind").and_then(|v| v.as_str()), Some("delivered"));
         assert_eq!(ev.get("at_ns").and_then(|v| v.as_u64()), Some(5));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn registering_drops_the_targets_of_dead_rings() {
+        let mut targets = Vec::new();
+        let path = Path::new("unused.jsonl");
+        let old = vec![Arc::new(FlightRecorder::new(4))];
+        register(&mut targets, path, &old);
+        drop(old);
+        let live = vec![Arc::new(FlightRecorder::new(4))];
+        register(&mut targets, path, &live);
+        assert_eq!(targets.len(), 1);
+        assert_eq!(targets[0].rings[0].strong_count(), 1);
     }
 
     #[test]

@@ -60,7 +60,9 @@ use dws_metrics::{OnlineAccounting, ShardSnap, Snapshot, SpanKind, SpanRecord, T
 use crate::abort;
 use crate::barrier::WindowBarrier;
 use crate::fault::{FaultPlan, FaultStats};
-use crate::observer::{EventKind as ObsKind, EventRecord, FlightRecorder, NetTrace};
+use crate::observer::{
+    EventKind as ObsKind, FlightRecorder, Recorder, Recorders, Recordings, NO_PROBE,
+};
 use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
 use crate::rng::DetRng;
 use crate::time::SimTime;
@@ -201,7 +203,7 @@ pub trait Actor {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, token: u64);
 
     /// Read-only vital signs for the streaming snapshot stream
-    /// ([`Simulation::attach_streaming`]). Called between windows,
+    /// ([`Recorders::streaming`]). Called between windows,
     /// never during event dispatch, so it cannot affect the schedule.
     /// The default reports nothing; schedulers override it.
     fn live_stats(&self) -> LiveStats {
@@ -337,7 +339,7 @@ pub struct ShardProfile {
 }
 
 /// Configuration for the streaming telemetry subsystem
-/// ([`Simulation::attach_streaming`]): snapshot cadence, the per-shard
+/// ([`Recorders::streaming`]): snapshot cadence, the per-shard
 /// flight-recorder ring, and the emergency-abort budgets.
 ///
 /// Cadence is expressed in *simulated* time — a pure function of the
@@ -419,17 +421,18 @@ struct StreamState {
     sink: Option<Box<dyn Write + Send>>,
     seq: u64,
     cadence: Cadence,
-    run_started: Option<Instant>,
-    last_emit: Option<Instant>,
+    run_started: Instant,
+    last_emit: Instant,
     last_events: u64,
     rss_countdown: u32,
-    /// SIGTERM generation at attach time; only signals arriving after
-    /// that count as an abort request for this run.
+    /// SIGTERM generation when the run started; only signals arriving
+    /// after that count as an abort request for this run.
     sigterm_base: u64,
 }
 
 impl StreamState {
     fn new(cfg: StreamingCfg, sink: Option<Box<dyn Write + Send>>, n_ranks: u32) -> Self {
+        let now = Instant::now();
         Self {
             cadence: Cadence {
                 every_sim_ns: cfg.snapshot_every_sim_ns,
@@ -439,17 +442,11 @@ impl StreamState {
             accounting: OnlineAccounting::new(n_ranks),
             sink,
             seq: 0,
-            run_started: None,
-            last_emit: None,
+            run_started: now,
+            last_emit: now,
             last_events: 0,
             rss_countdown: 0,
             sigterm_base: abort::sigterm_generation(),
-        }
-    }
-
-    fn mark_started(&mut self) {
-        if self.run_started.is_none() {
-            self.run_started = Some(Instant::now());
         }
     }
 
@@ -458,21 +455,14 @@ impl StreamState {
     /// (observation only).
     fn make_snapshot(&mut self, events: u64, shards: Vec<ShardSnap>, live: LiveStats) -> Snapshot {
         let now = Instant::now();
-        let wall_ms = self
-            .run_started
-            .map(|t0| now.duration_since(t0).as_millis() as u64)
-            .unwrap_or(0);
-        let dt = self
-            .last_emit
-            .or(self.run_started)
-            .map(|t| now.duration_since(t).as_secs_f64())
-            .unwrap_or(0.0);
+        let wall_ms = now.duration_since(self.run_started).as_millis() as u64;
+        let dt = now.duration_since(self.last_emit).as_secs_f64();
         let events_per_sec = if dt > 0.0 {
             events.saturating_sub(self.last_events) as f64 / dt
         } else {
             0.0
         };
-        self.last_emit = Some(now);
+        self.last_emit = now;
         self.last_events = events;
         Snapshot {
             schema: dws_metrics::SNAPSHOT_SCHEMA_VERSION,
@@ -511,8 +501,8 @@ impl StreamState {
         if abort::sigterm_generation() > self.sigterm_base {
             return Some("sigterm");
         }
-        if let (Some(budget), Some(t0)) = (self.cfg.wall_budget, self.run_started) {
-            if t0.elapsed() >= budget {
+        if let Some(budget) = self.cfg.wall_budget {
+            if self.run_started.elapsed() >= budget {
                 return Some("wall_budget");
             }
         }
@@ -568,9 +558,9 @@ fn drain_published(
 /// for it in the exchange cells as queued.
 fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: Option<usize>) {
     let mut p = slot.lock().expect("publish slot poisoned");
-    shard
-        .core
-        .drain_activity(|new| p.activity.extend_from_slice(new));
+    if let Some(rec) = &mut shard.core.rec {
+        rec.drain_activity(|new| p.activity.extend_from_slice(new));
+    }
     if let Some(inbound) = snap {
         p.snap = Some(shard_snap(&shard.core, inbound));
         p.live = shard.live_stats();
@@ -759,7 +749,7 @@ fn crashed_at(crash_at: &[Option<u64>], rank: Rank, at: SimTime) -> bool {
 }
 
 /// Mutable per-shard engine state: event queue, FIFO map, network
-/// replica, counters, and observability sinks.
+/// replica, counters, and the shard's recorder.
 struct ShardCore<M> {
     id: usize,
     now: SimTime,
@@ -779,22 +769,8 @@ struct ShardCore<M> {
     /// Events processed (deliveries + timers + crash-lost), cumulative.
     events: u64,
     fault_stats: FaultStats,
-    net_trace: Option<NetTrace>,
-    /// Activity transitions recorded via [`Ctx::record_activity`], in
-    /// dispatch order: `(time, rank)` ascending except for `on_start`'s
-    /// batch. Kept for the whole run when `keep_activity`; otherwise
-    /// only streaming reads it, and empties it at every window barrier.
-    activity: Option<Vec<Transition>>,
-    /// Whether `activity` is retained for [`Simulation::take_activity`].
-    keep_activity: bool,
-    /// Length of the retained `activity` prefix the streaming fold has
-    /// already been handed.
-    activity_streamed: usize,
-    /// Causal spans recorded via [`Ctx::record_span`], in dispatch
-    /// order: `(time, rank)` ascending except for `on_start`'s batch.
-    spans: Option<Vec<SpanRecord>>,
-    /// Fixed-size ring of the last K canonical events (crash forensics).
-    flight: Option<Arc<FlightRecorder>>,
+    /// Everything the shard records; `None` when nothing does.
+    rec: Option<Recorder>,
     /// Events destined for other shards, exchanged at window barriers.
     outboxes: Vec<Vec<Event<M>>>,
     /// Destination shards whose outbox became non-empty since the last
@@ -802,7 +778,6 @@ struct ShardCore<M> {
     /// M outboxes, keeping the per-window cost proportional to actual
     /// cross-shard traffic rather than O(shards²).
     dirty_out: Vec<u32>,
-    profiler: Option<Arc<PerfProbe>>,
     windows: u64,
     busy_ns: u64,
     wait_ns: u64,
@@ -810,7 +785,7 @@ struct ShardCore<M> {
 
 impl<M> ShardCore<M> {
     /// A fresh core for shard `id` of `n_shards`, owning `ranks` ranks,
-    /// with every observability sink detached.
+    /// recording nothing.
     fn new(id: usize, n_shards: usize, ranks: usize, net: Box<dyn NetworkModel>) -> Self {
         Self {
             id,
@@ -826,33 +801,19 @@ impl<M> ShardCore<M> {
             messages_sent: 0,
             events: 0,
             fault_stats: FaultStats::default(),
-            net_trace: None,
-            activity: None,
-            keep_activity: false,
-            activity_streamed: 0,
-            spans: None,
-            flight: None,
+            rec: None,
             outboxes: (0..n_shards).map(|_| Vec::new()).collect(),
             dirty_out: Vec::new(),
-            profiler: None,
             windows: 0,
             busy_ns: 0,
             wait_ns: 0,
         }
     }
 
-    /// Hand the activity recorded since the last call to `sink`, the
-    /// streaming fold's input: a retained log moves its cursor past it,
-    /// a streaming-only log is emptied.
-    fn drain_activity(&mut self, sink: impl FnOnce(&[Transition])) {
-        if let Some(log) = self.activity.as_mut() {
-            sink(&log[self.activity_streamed..]);
-            if self.keep_activity {
-                self.activity_streamed = log.len();
-            } else {
-                log.clear();
-            }
-        }
+    /// The shard's self-profiling probe (empty without a recorder).
+    #[inline]
+    fn probe(&self) -> &Option<Arc<PerfProbe>> {
+        self.rec.as_ref().map_or(&NO_PROBE, |rec| &rec.profiler)
     }
 
     #[inline]
@@ -883,21 +844,12 @@ impl<M> ShardCore<M> {
         }
     }
 
-    /// Record a fault-injection outcome in the flight ring, if attached.
-    fn log_fault(&self, kind: ObsKind) {
-        self.log_event(self.now, kind);
-    }
-
-    /// Record an engine event in the flight ring, if attached; the
-    /// append is accounted to the trace-record phase.
+    /// Record a delivery, timer or fault outcome, now.
     #[inline]
-    fn log_event(&self, at: SimTime, kind: ObsKind) {
-        let Some(flight) = &self.flight else {
-            return;
-        };
-        let t0 = prof_start(&self.profiler);
-        flight.record(&EventRecord { at, kind });
-        prof_record(&self.profiler, Phase::TraceRecord, t0);
+    fn log_event(&self, kind: ObsKind) {
+        if let Some(rec) = &self.rec {
+            rec.event(self.now, kind);
+        }
     }
 }
 
@@ -920,7 +872,7 @@ impl<M: Clone> ShardCore<M> {
         let mut spike_ns = 0u64;
         let mut duplicate = false;
         if shared.fault_active {
-            let t0 = prof_start(&self.profiler);
+            let t0 = prof_start(self.probe());
             // Fixed draw order — drop, spike, dup — one draw each per
             // send, from the *sender's* fault stream, so the fault
             // schedule is a pure function of the seed and each rank's
@@ -932,8 +884,8 @@ impl<M: Clone> ShardCore<M> {
             {
                 self.fault_stats.brownout_drops += 1;
                 self.messages_sent += 1;
-                prof_record(&self.profiler, Phase::FaultEval, t0);
-                self.log_fault(ObsKind::Dropped {
+                prof_record(self.probe(), Phase::FaultEval, t0);
+                self.log_event(ObsKind::Dropped {
                     from,
                     to,
                     brownout: true,
@@ -947,15 +899,15 @@ impl<M: Clone> ShardCore<M> {
             if shared.fault.partitioned(from, to, depart_ns) {
                 self.fault_stats.partition_drops += 1;
                 self.messages_sent += 1;
-                prof_record(&self.profiler, Phase::FaultEval, t0);
-                self.log_fault(ObsKind::Partitioned { from, to });
+                prof_record(self.probe(), Phase::FaultEval, t0);
+                self.log_event(ObsKind::Partitioned { from, to });
                 return;
             }
             if u_drop < shared.fault.drop_prob {
                 self.fault_stats.dropped += 1;
                 self.messages_sent += 1;
-                prof_record(&self.profiler, Phase::FaultEval, t0);
-                self.log_fault(ObsKind::Dropped {
+                prof_record(self.probe(), Phase::FaultEval, t0);
+                self.log_event(ObsKind::Dropped {
                     from,
                     to,
                     brownout: false,
@@ -967,9 +919,9 @@ impl<M: Clone> ShardCore<M> {
                 self.fault_stats.spiked += 1;
             }
             duplicate = u_dup < shared.fault.dup_prob;
-            prof_record(&self.profiler, Phase::FaultEval, t0);
+            prof_record(self.probe(), Phase::FaultEval, t0);
             if spike_ns > 0 {
-                self.log_fault(ObsKind::Delayed { from, to, spike_ns });
+                self.log_event(ObsKind::Delayed { from, to, spike_ns });
             }
         }
         let mut delay = self.net.egress_ns(from, to, bytes, depart_ns);
@@ -991,29 +943,18 @@ impl<M: Clone> ShardCore<M> {
         let at = natural.max(*free);
         *free = at + 1;
         self.messages_sent += 1;
-        self.log_event(
-            self.now,
-            ObsKind::Sent {
-                from,
-                to,
-                bytes: bytes as u32,
-                deliver_at: at,
-            },
-        );
-        if let Some(nt) = &mut self.net_trace {
-            let t0 = prof_start(&self.profiler);
+        if let Some(rec) = &mut self.rec {
             // Network latency as experienced by the message: scheduled
             // arrival minus departure, so FIFO pushback and spikes are
             // included (receive-side NIC admission is charged later).
-            nt.record(from, to, bytes as u64, at.ns() - depart_ns);
-            prof_record(&self.profiler, Phase::TraceRecord, t0);
+            rec.sent(self.now, from, to, bytes as u32, at, at.ns() - depart_ns);
         }
         let sseq = state.next_sseq();
         if duplicate {
             // The duplicate rides one tick behind the original and is
             // exempt from FIFO ordering: it is a fault, not a message.
             self.fault_stats.duplicated += 1;
-            self.log_fault(ObsKind::Duplicated { from, to });
+            self.log_event(ObsKind::Duplicated { from, to });
             let dup = Event {
                 time: at + 1,
                 dst: to,
@@ -1084,45 +1025,40 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Record an active/idle transition of this rank at the current
-    /// *global* time, into its shard's activity log
-    /// ([`Simulation::attach_activity`], [`Simulation::attach_streaming`]).
-    /// One branch when neither is attached; no timer, message or RNG
-    /// draw depends on it, so the schedule is identical either way.
+    /// *global* time, for [`Recorders::activity`] and streaming. One
+    /// branch when nothing records; no timer, message or RNG draw
+    /// depends on it, so the schedule is identical either way.
     #[inline]
     pub fn record_activity(&mut self, active: bool) {
-        if let Some(buf) = self.core.activity.as_mut() {
-            let t0 = prof_start(&self.core.profiler);
-            buf.push(Transition {
+        if let Some(rec) = &mut self.core.rec {
+            rec.activity(Transition {
                 rank: self.me,
                 at_ns: self.core.now.ns(),
                 active,
             });
-            prof_record(&self.core.profiler, Phase::TraceRecord, t0);
         }
     }
 
-    /// The shard's self-profiling probe ([`Simulation::attach_profiler`]),
-    /// for actors that time their own phases, such as victim draws.
+    /// The shard's self-profiling probe ([`Recorders::profiler`]), for
+    /// actors that time their own phases, such as victim draws.
     #[inline]
     pub fn profiler(&self) -> &Option<Arc<PerfProbe>> {
-        &self.core.profiler
+        self.core.probe()
     }
 
     /// Record one causal span of this rank at the current *global*
-    /// time ([`Simulation::attach_spans`]). One branch when detached;
+    /// time, for [`Recorders::spans`]. One branch when nothing records;
     /// no timer, message or RNG draw depends on it, so the schedule is
     /// identical with spans on or off.
     #[inline]
     pub fn record_span(&mut self, trace: u64, kind: SpanKind) {
-        if let Some(log) = self.core.spans.as_mut() {
-            let t0 = prof_start(&self.core.profiler);
-            log.push(SpanRecord {
+        if let Some(rec) = &mut self.core.rec {
+            rec.span(SpanRecord {
                 at_ns: self.core.now.ns(),
                 rank: self.me as usize,
                 trace,
                 kind,
             });
-            prof_record(&self.core.profiler, Phase::TraceRecord, t0);
         }
     }
 
@@ -1212,7 +1148,7 @@ impl<A: Actor> Shard<A> {
             if shared.fault_active && crashed_at(&shared.crash_at, rank, SimTime::ZERO) {
                 continue;
             }
-            let t0 = prof_start(&self.core.profiler);
+            let t0 = prof_start(self.core.probe());
             let mut ctx = Ctx {
                 core: &mut self.core,
                 shared,
@@ -1220,7 +1156,7 @@ impl<A: Actor> Shard<A> {
                 me: rank,
             };
             self.actors[slot].on_start(&mut ctx);
-            prof_record(&self.core.profiler, Phase::Dispatch, t0);
+            prof_record(self.core.probe(), Phase::Dispatch, t0);
         }
     }
 
@@ -1278,14 +1214,14 @@ impl<A: Actor> Shard<A> {
                     // The destination died before this arrived; the
                     // bytes hit a dead NIC.
                     self.core.fault_stats.crash_lost_deliveries += 1;
-                    self.core.log_fault(ObsKind::CrashLost {
+                    self.core.log_event(ObsKind::CrashLost {
                         rank: dst,
                         timer: false,
                     });
                 } else {
                     self.core.delivered += 1;
                     self.core
-                        .log_event(time, ObsKind::Delivered { from: src, to: dst });
+                        .log_event(ObsKind::Delivered { from: src, to: dst });
                     self.dispatch_message(shared, dst, src, msg);
                 }
             }
@@ -1294,14 +1230,13 @@ impl<A: Actor> Shard<A> {
                 self.core.events += 1;
                 if shared.fault_active && crashed_at(&shared.crash_at, dst, time) {
                     self.core.fault_stats.crash_lost_timers += 1;
-                    self.core.log_fault(ObsKind::CrashLost {
+                    self.core.log_event(ObsKind::CrashLost {
                         rank: dst,
                         timer: true,
                     });
                 } else {
                     self.core.timers += 1;
-                    self.core
-                        .log_event(time, ObsKind::Timer { rank: dst, token });
+                    self.core.log_event(ObsKind::Timer { rank: dst, token });
                     self.dispatch_timer(shared, dst, token);
                 }
             }
@@ -1310,7 +1245,7 @@ impl<A: Actor> Shard<A> {
 
     fn dispatch_message(&mut self, shared: &Shared, rank: Rank, from: Rank, msg: A::Msg) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
-        let t0 = prof_start(&self.core.profiler);
+        let t0 = prof_start(self.core.probe());
         let mut ctx = Ctx {
             core: &mut self.core,
             shared,
@@ -1318,12 +1253,12 @@ impl<A: Actor> Shard<A> {
             me: rank,
         };
         self.actors[slot].on_message(&mut ctx, from, msg);
-        prof_record(&self.core.profiler, Phase::Dispatch, t0);
+        prof_record(self.core.probe(), Phase::Dispatch, t0);
     }
 
     fn dispatch_timer(&mut self, shared: &Shared, rank: Rank, token: u64) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
-        let t0 = prof_start(&self.core.profiler);
+        let t0 = prof_start(self.core.probe());
         let mut ctx = Ctx {
             core: &mut self.core,
             shared,
@@ -1331,7 +1266,7 @@ impl<A: Actor> Shard<A> {
             me: rank,
         };
         self.actors[slot].on_timer(&mut ctx, token);
-        prof_record(&self.core.profiler, Phase::Dispatch, t0);
+        prof_record(self.core.probe(), Phase::Dispatch, t0);
     }
 }
 
@@ -1436,7 +1371,8 @@ pub struct Simulation<A: Actor> {
     plan_digest: u64,
     plan_windows: u64,
     started: bool,
-    profiler: Option<Arc<PerfProbe>>,
+    /// What to record, until the first run gives it to the shards.
+    recorders: Option<Recorders>,
     streaming: Option<StreamState>,
 }
 
@@ -1505,23 +1441,22 @@ impl<A: Actor> Simulation<A> {
             plan_digest: FNV_OFFSET,
             plan_windows: 0,
             started: false,
-            profiler: None,
+            recorders: None,
             streaming: None,
         }
     }
 
     /// Partition the ranks into `cfg`'s shards and bound the lookahead
     /// windows by `cfg.lookahead_ns`. Must be called before the first
-    /// run (and before [`attach_streaming`](Self::attach_streaming))
-    /// and at most once. The schedule is identical for every shard and
+    /// run and at most once, before or after [`record`](Self::record).
+    /// The schedule is identical for every shard and
     /// thread count, and identical to the unconfigured one; what
     /// configuring changes is host execution and limit granularity
     /// (see [`run_parallel_with_limits`](Self::run_parallel_with_limits)).
     ///
     /// # Panics
-    /// Panics if the simulation already ran, on a second call, after
-    /// streaming was attached, or if an explicit shard map is
-    /// malformed.
+    /// Panics if the simulation already ran, on a second call, or if an
+    /// explicit shard map is malformed.
     pub fn configure_parallel(&mut self, cfg: ParallelConfig) {
         assert!(
             !self.started,
@@ -1530,10 +1465,6 @@ impl<A: Actor> Simulation<A> {
         assert!(
             self.shared.lookahead_ns == u64::MAX,
             "configure_parallel may only be called once"
-        );
-        assert!(
-            self.streaming.is_none(),
-            "configure_parallel must be called before attach_streaming"
         );
         let n = self.shared.n_ranks as usize;
         let threads = cfg.threads.max(1);
@@ -1561,9 +1492,6 @@ impl<A: Actor> Simulation<A> {
             core,
             ..
         } = old;
-        let spans_on = core.spans.is_some();
-        let net_on = core.net_trace.is_some();
-        let activity_on = core.keep_activity;
         let mut nets: Vec<Box<dyn NetworkModel>> =
             (1..s_count).map(|_| core.net.replicate()).collect();
         nets.insert(0, core.net);
@@ -1582,12 +1510,7 @@ impl<A: Actor> Simulation<A> {
             for (slot, &r) in members.iter().enumerate() {
                 self.shared.rank_loc[r as usize] = (id as u32, slot as u32);
             }
-            let mut core = ShardCore::new(id, s_count, members.len(), net);
-            core.spans = spans_on.then(Vec::new);
-            core.net_trace = net_on.then(NetTrace::default);
-            core.activity = activity_on.then(Vec::new);
-            core.keep_activity = activity_on;
-            core.profiler = self.profiler.clone();
+            let core = ShardCore::new(id, s_count, members.len(), net);
             self.shards.push(Shard {
                 members,
                 actors: shard_actors,
@@ -1622,16 +1545,19 @@ impl<A: Actor> Simulation<A> {
         st.emit(&snap);
     }
 
-    /// Sum the shards' counters into the run report.
-    fn finish_run(&self, limit_hit: bool) -> RunReport {
-        let end_time = self
-            .shards
+    /// The simulated clock: the latest shard clock.
+    fn now(&self) -> SimTime {
+        self.shards
             .iter()
             .map(|s| s.core.now)
             .max()
-            .unwrap_or(SimTime::ZERO);
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Sum the shards' counters into the run report.
+    fn finish_run(&self, limit_hit: bool) -> RunReport {
         RunReport {
-            end_time,
+            end_time: self.now(),
             events: self.shards.iter().map(|s| s.core.events).sum(),
             messages: self.shards.iter().map(|s| s.core.delivered).sum(),
             timers: self.shards.iter().map(|s| s.core.timers).sum(),
@@ -1673,152 +1599,72 @@ impl<A: Actor> Simulation<A> {
 
     /// Ranks whose scheduled crash time has passed.
     pub fn crashed_ranks(&self) -> Vec<Rank> {
-        let now = self
-            .shards
-            .iter()
-            .map(|s| s.core.now)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let now = self.now();
         (0..self.shared.n_ranks)
             .filter(|&r| crashed_at(&self.shared.crash_at, r, now))
             .collect()
     }
 
-    /// Attach a network trace (delivery-latency histogram + per-pair
-    /// traffic matrix), one per shard, until
-    /// [`take_net_trace`](Self::take_net_trace). Call before `run`;
-    /// unattached, the engine pays one branch per send and records
-    /// nothing.
-    pub fn attach_net_trace(&mut self) {
-        for shard in self.shards.iter_mut() {
-            shard.core.net_trace = Some(NetTrace::default());
-        }
-    }
-
-    /// Detach the network trace and hand it over, the shards' traces
-    /// summed into one (`None` when
-    /// [`attach_net_trace`](Self::attach_net_trace) was never called).
-    /// Histogram bins and pair tallies add, so the sum is the same for
-    /// every shard count.
-    pub fn take_net_trace(&mut self) -> Option<NetTrace> {
-        self.shards
-            .iter_mut()
-            .filter_map(|shard| shard.core.net_trace.take())
-            .reduce(|mut total, nt| {
-                total.merge(&nt);
-                total
-            })
-    }
-
-    /// Attach the causal span log: every [`Ctx::record_span`] from now
-    /// on is kept, one log per shard. Call before `run`; unattached,
-    /// a span site costs one branch and records nothing.
-    pub fn attach_spans(&mut self) {
-        for shard in self.shards.iter_mut() {
-            shard.core.spans = Some(Vec::new());
-        }
-    }
-
-    /// Detach the span log and hand it over, one `Vec` per shard in
-    /// shard order (empty when [`attach_spans`](Self::attach_spans) was
-    /// never called). A rank lives in one shard, so its records sit in
-    /// one log in the order it wrote them; a shard dispatches in
-    /// `(time, rank)` order, so each log is already sorted that way
-    /// apart from the `on_start` batch at time zero.
-    pub fn take_spans(&mut self) -> Vec<Vec<SpanRecord>> {
-        self.shards
-            .iter_mut()
-            .filter_map(|shard| shard.core.spans.take())
-            .collect()
-    }
-
-    /// Attach the activity log: every [`Ctx::record_activity`] from now
-    /// on is kept, one log per shard, until
-    /// [`take_activity`](Self::take_activity). Call before `run`; with
-    /// neither this nor streaming attached, an activity site costs one
-    /// branch and records nothing.
-    pub fn attach_activity(&mut self) {
-        for shard in self.shards.iter_mut() {
-            shard.core.activity.get_or_insert_with(Vec::new);
-            shard.core.keep_activity = true;
-        }
-    }
-
-    /// Detach the activity log and hand it over, one `Vec` per shard in
-    /// shard order (empty when [`attach_activity`](Self::attach_activity)
-    /// was never called). Each log keeps its ranks' transitions in the
-    /// order they were recorded, like [`take_spans`](Self::take_spans);
-    /// call [`finish_streaming`](Self::finish_streaming) first.
-    pub fn take_activity(&mut self) -> Vec<Vec<Transition>> {
-        self.shards
-            .iter_mut()
-            .filter(|shard| shard.core.keep_activity)
-            .filter_map(|shard| shard.core.activity.take())
-            .collect()
-    }
-
-    /// Attach a self-profiling probe (shared with the schedulers via
-    /// `Arc`). Call before `run`; unattached, every instrumentation
-    /// site costs one branch and the schedule is unaffected either
-    /// way — the probe only reads the host clock.
-    pub fn attach_profiler(&mut self, probe: Arc<PerfProbe>) {
-        self.profiler = Some(Arc::clone(&probe));
-        for shard in self.shards.iter_mut() {
-            shard.core.profiler = Some(Arc::clone(&probe));
-        }
-    }
-
-    /// Attach the streaming telemetry subsystem: per-window incremental
-    /// occupancy accounting, a periodic snapshot stream written to
-    /// `sink` as JSONL (one [`Snapshot`] per line), a per-shard flight
-    /// recorder, and the emergency-abort budgets. Call after
-    /// [`configure_parallel`](Self::configure_parallel), if that is
-    /// called at all, and before the first run.
-    ///
-    /// Streaming only ever *reads* engine state at window barriers —
-    /// the event schedule, every RNG stream, and all other run
-    /// artifacts are byte-identical with streaming on or off (enforced
-    /// by property tests in `tests/`).
+    /// Name what the run records. Call once, before the first run, in
+    /// either order with [`configure_parallel`](Self::configure_parallel):
+    /// the first run gives each shard its recorder from `recorders`.
+    /// With nothing on, every recording site costs one branch, and no
+    /// recorder touches the schedule — every RNG stream and every other
+    /// run artifact is byte-identical whatever records (enforced by
+    /// property tests in `tests/`).
     ///
     /// # Panics
     /// Panics if the simulation already started.
-    pub fn attach_streaming(&mut self, cfg: StreamingCfg, sink: Option<Box<dyn Write + Send>>) {
-        assert!(
-            !self.started,
-            "attach_streaming must be called before the first run"
-        );
-        let mut rings = Vec::new();
-        for shard in self.shards.iter_mut() {
-            // The fold reads the shard's activity log, attached or not.
-            shard.core.activity.get_or_insert_with(Vec::new);
-            if cfg.flight_ring > 0 {
-                let ring = Arc::new(FlightRecorder::new(cfg.flight_ring));
-                shard.core.flight = Some(Arc::clone(&ring));
-                rings.push(ring);
-            }
-        }
-        if let Some(path) = &cfg.flight_dump_path {
-            if !rings.is_empty() {
-                abort::register_panic_dump(path, &rings);
-            }
-            abort::install_sigterm_hook();
-        }
-        self.streaming = Some(StreamState::new(cfg, sink, self.shared.n_ranks));
+    pub fn record(&mut self, recorders: Recorders) {
+        assert!(!self.started, "record must be called before the first run");
+        self.recorders = Some(recorders);
     }
 
-    /// Close the streaming accounting at `end_ns` and return the live
-    /// fold's occupancy (O(ranks), no step list); `None` when streaming
-    /// was never attached. Call once, after the run.
-    pub fn finish_streaming(&mut self, end_ns: u64) -> Option<dws_metrics::OccupancyCurve> {
-        let mut st = self.streaming.take()?;
-        // Catch transitions recorded after the last barrier (e.g. a
-        // zero-window run whose only activity came from `on_start`).
+    /// Give every shard its recorder and start streaming (first run).
+    fn start_recorders(&mut self) {
+        let Some(mut recorders) = self.recorders.take() else {
+            return;
+        };
         for shard in self.shards.iter_mut() {
-            shard
-                .core
-                .drain_activity(|new| st.accounting.record_all(new));
+            shard.core.rec = Recorder::for_shard(&recorders);
         }
-        Some(st.accounting.finish(end_ns))
+        if let Some((cfg, sink)) = recorders.streaming.take() {
+            if let Some(path) = &cfg.flight_dump_path {
+                let rings = self.flight_rings();
+                if !rings.is_empty() {
+                    abort::register_panic_dump(path, &rings);
+                }
+                abort::install_sigterm_hook();
+            }
+            self.streaming = Some(StreamState::new(cfg, sink, self.shared.n_ranks));
+        }
+    }
+
+    /// Every shard's flight ring, in shard order.
+    fn flight_rings(&self) -> Vec<Arc<FlightRecorder>> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.core.rec.as_ref()?.flight.clone())
+            .collect()
+    }
+
+    /// Hand over everything the run recorded, and stop recording. Call
+    /// after the run; the streaming fold closes at the run's end time.
+    pub fn take_recordings(&mut self) -> Recordings {
+        let end_ns = self.now().ns();
+        let mut stream = self.streaming.take();
+        let mut out = Recordings::default();
+        for mut rec in self.shards.iter_mut().filter_map(|s| s.core.rec.take()) {
+            // Transitions recorded after the last barrier (e.g. a
+            // zero-window run whose only activity came from `on_start`)
+            // reach the fold here.
+            if let Some(st) = stream.as_mut() {
+                rec.drain_activity(|new| st.accounting.record_all(new));
+            }
+            rec.hand_over(&mut out);
+        }
+        out.occupancy = stream.map(|st| st.accounting.finish(end_ns));
+        out
     }
 
     /// The window plan executed so far, as `(fnv1a digest of the
@@ -1895,6 +1741,9 @@ where
         max_events: Option<u64>,
     ) -> RunReport {
         let first_run = !std::mem::replace(&mut self.started, true);
+        if first_run {
+            self.start_recorders();
+        }
         let m = self.shards.len();
         let n_threads = self.exec_threads as usize;
         let mt = max_time.map(|t| t.ns());
@@ -1929,22 +1778,15 @@ where
             .map(|_| (0..m).map(|_| AtomicBool::new(false)).collect())
             .collect();
         let barrier = WindowBarrier::new(n_threads);
-        // --- streaming telemetry scaffolding (empty when detached) ---
+        // --- streaming telemetry scaffolding (empty when off) ---
         // Only worker 0 holds the stream state (it folds and writes);
         // the others see its cadence copy and the abort flag.
-        if let Some(st) = self.streaming.as_mut() {
-            st.mark_started();
-        }
         let cadence0 = self.streaming.as_ref().map(|st| st.cadence);
         let dump_path = self
             .streaming
             .as_ref()
             .and_then(|st| st.cfg.flight_dump_path.clone());
-        let rings: Vec<Arc<FlightRecorder>> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.core.flight.clone())
-            .collect();
+        let rings = self.flight_rings();
         let pub_slots = || -> Vec<Mutex<ShardPub>> {
             let n = if cadence0.is_some() { m } else { 0 };
             (0..n).map(|_| Mutex::new(ShardPub::default())).collect()
@@ -1952,7 +1794,6 @@ where
         let pubs = [pub_slots(), pub_slots()];
         let snap_pubs = pub_slots();
         let abort_flag = AtomicBool::new(false);
-        let probe = &self.profiler;
         let shared = &self.shared;
         // Deposit `shard`'s cross-shard sends into thread `tid`'s batch
         // buffers (only dirty outboxes are touched), then publish its
@@ -1961,7 +1802,7 @@ where
         let deposit_and_publish = |tid: usize, shard: &mut Shard<A>, slot: &GroupSlot| -> u64 {
             let mut floor = u64::MAX;
             if !shard.core.dirty_out.is_empty() {
-                let x0 = prof_start(probe);
+                let x0 = prof_start(shard.core.probe());
                 let mut dirty = std::mem::take(&mut shard.core.dirty_out);
                 for &dst in &dirty {
                     let dst = dst as usize;
@@ -1979,7 +1820,7 @@ where
                 }
                 dirty.clear();
                 shard.core.dirty_out = dirty;
-                prof_record(probe, Phase::Exchange, x0);
+                prof_record(shard.core.probe(), Phase::Exchange, x0);
             }
             let mn = shard.core.queue.peek_time().map_or(u64::MAX, SimTime::ns);
             slot.min_next.store(mn, Ordering::SeqCst);
@@ -1995,6 +1836,8 @@ where
                       own: &mut [Shard<A>],
                       mut stream: Option<&mut StreamState>| {
             let mut sense = false;
+            // Every shard shares one probe; the barrier is timed on it.
+            let probe = own[0].core.probe().clone();
             let (mut digest, mut windows) = (digest0, windows0);
             let mut cadence = cadence0;
             let mut abort_why = "";
@@ -2033,7 +1876,7 @@ where
                     let w0 = Instant::now();
                     barrier.wait(&mut sense);
                     waited = w0.elapsed();
-                    if let Some(p) = probe {
+                    if let Some(p) = &probe {
                         p.add(Phase::Barrier, waited);
                     }
                 }
@@ -2109,14 +1952,14 @@ where
                         if !flags[g].load(Ordering::Acquire) {
                             continue;
                         }
-                        let x0 = prof_start(probe);
+                        let x0 = prof_start(&probe);
                         let mut cell = row[g].lock().expect("exchange cell poisoned");
                         flags[g].store(false, Ordering::SeqCst);
                         for ev in cell.drain(..) {
                             shard.core.push_local(ev);
                         }
                         drop(cell);
-                        prof_record(probe, Phase::Exchange, x0);
+                        prof_record(&probe, Phase::Exchange, x0);
                     }
                     shard.run_window(shared, end, mt);
                     my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[wpar][g]));
@@ -2166,6 +2009,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::EventRecord;
 
     /// Ping-pong actor: rank 0 sends `hops` pings; rank 1 echoes.
     struct PingPong {
@@ -2597,9 +2441,10 @@ mod tests {
             flight_ring: 64,
             ..StreamingCfg::default()
         };
-        sim.attach_streaming(streaming, None);
+        sim.record(streamed(streaming, None));
         sim.run();
-        let ring = sim.shards[0].core.flight.as_ref().expect("attached");
+        let rec = sim.shards[0].core.rec.as_ref();
+        let ring = rec.and_then(|r| r.flight.as_ref()).expect("recorded");
         // Three hops, each a send stamped with its scheduled delivery
         // and then that delivery, 100 ns later.
         let expected: Vec<EventRecord> = (0..3u32)
@@ -2639,10 +2484,13 @@ mod tests {
             },
         ];
         let mut sim = Simulation::new(actors, ConstantLatency(250), SimConfig::default());
-        sim.attach_net_trace();
+        sim.record(spans());
         sim.run();
-        let nt = sim.take_net_trace().expect("attached");
-        assert!(sim.take_net_trace().is_none(), "taking detaches the trace");
+        let nt = sim.take_recordings().net.expect("recorded");
+        assert!(
+            sim.take_recordings().net.is_none(),
+            "taking detaches the trace"
+        );
         assert_eq!(nt.messages(), 3);
         // Constant latency, no contention: every delivery takes 250ns.
         assert_eq!(nt.delivery_histogram().min(), 250);
@@ -2666,7 +2514,7 @@ mod tests {
             ];
             let mut sim = Simulation::new(actors, ConstantLatency(99), SimConfig::default());
             if trace {
-                sim.attach_net_trace();
+                sim.record(spans());
             }
             sim.run()
         };
@@ -2872,10 +2720,10 @@ mod tests {
         };
         let mut sim = Simulation::new(Chatter::fleet(n), ConstantLatency(1_000), cfg);
         sim.configure_parallel(layout(n, shards, threads, 1_000));
-        sim.attach_net_trace();
+        sim.record(spans());
         let report = sim.run();
         let actors: Vec<Chatter> = sim.actors().into_iter().cloned().collect();
-        let net = sim.take_net_trace().expect("attached");
+        let net = sim.take_recordings().net.expect("recorded");
         let mut pairs: Vec<PairRow> = net.pair_tallies().map(|(k, t)| (*k, *t)).collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
         (
@@ -3084,6 +2932,22 @@ mod tests {
         sim.configure_parallel(ParallelConfig::new(2, 100));
     }
 
+    /// Record spans and the network trace.
+    fn spans() -> Recorders {
+        Recorders {
+            spans: true,
+            ..Recorders::default()
+        }
+    }
+
+    /// Stream with `cfg` into `sink`.
+    fn streamed(cfg: StreamingCfg, sink: Option<Box<dyn Write + Send>>) -> Recorders {
+        Recorders {
+            streaming: Some((cfg, sink)),
+            ..Recorders::default()
+        }
+    }
+
     /// A sink that keeps the snapshot JSONL bytes reachable after the
     /// simulation consumed the `Box<dyn Write>`.
     #[derive(Clone, Default)]
@@ -3144,21 +3008,24 @@ mod tests {
         }
     }
 
-    /// `(report, span logs)` of a Spanner fleet; `attach` is 0 for
+    /// `(report, span logs)` of a Spanner fleet; `record` is 0 for
     /// never, 1 for before `configure_parallel`, 2 for after.
-    fn run_spanners(shards: u32, threads: u32, attach: u8) -> (RunReport, Vec<Vec<SpanRecord>>) {
+    fn run_spanners(shards: u32, threads: u32, record: u8) -> (RunReport, Vec<Vec<SpanRecord>>) {
         let fleet = (0..6).map(|_| Spanner { n: 6, wrote: 0 }).collect();
         let mut sim = Simulation::new(fleet, ConstantLatency(100), SimConfig::default());
-        if attach == 1 {
-            sim.attach_spans();
+        if record == 1 {
+            sim.record(spans());
         }
         sim.configure_parallel(layout(6, shards, threads, 100));
-        if attach == 2 {
-            sim.attach_spans();
+        if record == 2 {
+            sim.record(spans());
         }
         let report = sim.run();
-        let logs = sim.take_spans();
-        assert!(sim.take_spans().is_empty(), "taking detaches the log");
+        let logs = sim.take_recordings().spans.unwrap_or_default();
+        assert!(
+            sim.take_recordings().spans.is_none(),
+            "taking detaches the log"
+        );
         (report, logs)
     }
 
@@ -3179,8 +3046,8 @@ mod tests {
         // 3-hop ping-pong it starts.
         assert_eq!(merged.records().len(), 6 * (1 + 2 + 4));
 
-        for (threads, attach) in [(1, 1), (2, 2)] {
-            let (report, logs) = run_spanners(3, threads, attach);
+        for (threads, record) in [(1, 1), (2, 2)] {
+            let (report, logs) = run_spanners(3, threads, record);
             assert_eq!(report, plain);
             assert_eq!(logs.len(), 3);
             for (shard, log) in logs.iter().enumerate() {
@@ -3254,37 +3121,36 @@ mod tests {
         let mut sim = Simulation::new(flicker_fleet(n), ConstantLatency(100), SimConfig::default());
         sim.configure_parallel(layout(n, shards, threads, 100));
         let buf = SharedBuf::default();
-        sim.attach_streaming(cfg, Some(Box::new(buf.clone())));
+        sim.record(streamed(cfg, Some(Box::new(buf.clone()))));
         let report = sim.run();
         (report, sim, buf)
     }
 
     #[test]
     fn activity_log_is_the_global_clock_trace_and_both_folds_agree() {
-        for (threads, attach_first) in [(1, true), (2, false)] {
+        for threads in [1, 2] {
             let cfg = SimConfig {
                 clock_skew_max_ns: 2_000,
                 ..SimConfig::default()
             };
             let mut sim = Simulation::new(flicker_fleet(6), ConstantLatency(100), cfg);
-            if attach_first {
-                sim.attach_activity();
-            }
             sim.configure_parallel(layout(6, 2, threads, 100));
-            if !attach_first {
-                sim.attach_activity();
-            }
             let streaming = StreamingCfg {
                 snapshot_every_sim_ns: 100,
                 flight_ring: 0,
                 ..StreamingCfg::default()
             };
-            sim.attach_streaming(streaming, None);
+            sim.record(Recorders {
+                activity: true,
+                ..streamed(streaming, None)
+            });
             let end_ns = sim.run().end_time.ns();
-            let live = sim.finish_streaming(end_ns).expect("streaming attached");
-            let logs = sim.take_activity();
+            let recorded = sim.take_recordings();
+            let live = recorded.occupancy.expect("streamed");
+            let logs = recorded.activity.expect("activity recorded");
             assert_eq!(logs.len(), 2);
-            assert!(sim.take_activity().is_empty(), "taking detaches the log");
+            let again = sim.take_recordings();
+            assert!(again.activity.is_none(), "taking detaches the log");
             let trace = dws_metrics::ActivityTrace::from_shard_logs(6, logs);
             trace.check().expect("the log is well-formed");
             // Every rank's transitions are its mirror on the skewed

@@ -97,7 +97,9 @@ pub use engine::{
     Rank, RunReport, ShardProfile, SimConfig, Simulation, StreamingCfg,
 };
 pub use fault::{Brownout, Crash, CrashDomain, FaultPlan, FaultStats, Partition};
-pub use observer::{EventKind, EventRecord, FlightRecorder, NetTrace, PairTally};
+pub use observer::{
+    EventKind, EventRecord, FlightRecorder, NetTrace, PairTally, Recorders, Recordings,
+};
 pub use profiler::{allocation_count, CountingAlloc, PerfProbe, Phase};
 pub use rng::DetRng;
 pub use time::{parse_duration_ns, SimTime, MS, SEC, US};

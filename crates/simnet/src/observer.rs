@@ -1,20 +1,26 @@
-//! Event observation: taps into the simulation for crash forensics and
-//! offline analysis (link-load studies, latency distributions) without
-//! touching actor code.
-//!
-//! A [`FlightRecorder`] ring per shard is the engine's one event-level
-//! tap: every send, delivery, timer and fault outcome is one
-//! [`EventRecord`], kept while it is among the ring's last K. It is
-//! attached with streaming
-//! ([`Simulation::attach_streaming`](crate::Simulation::attach_streaming)).
-//! A [`NetTrace`] per shard tallies scheduled deliveries and is handed
-//! over, merged, by
-//! [`Simulation::take_net_trace`](crate::Simulation::take_net_trace).
+//! Everything the engine records while it runs, behind one recorder
+//! per shard with four switches: the activity log (occupancy's input),
+//! causal spans with the [`NetTrace`] riding along, a
+//! [`FlightRecorder`] ring of the shard's last K events (on with
+//! streaming), and the [`PerfProbe`]. One [`Recorders`] value names
+//! them, given once to [`Simulation::record`](crate::Simulation::record)
+//! in either order with
+//! [`configure_parallel`](crate::Simulation::configure_parallel); one
+//! [`Recordings`] from
+//! [`Simulation::take_recordings`](crate::Simulation::take_recordings)
+//! hands back what they recorded. Each event site (send, delivery,
+//! timer, fault outcome, activity, span) makes one call, one branch when
+//! nothing records, and no recorder touches a timer, message or RNG
+//! draw.
 
+use crate::engine::StreamingCfg;
+use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
 use crate::time::SimTime;
-use dws_metrics::Histogram;
+use dws_metrics::{Histogram, OccupancyCurve, SpanRecord, Transition};
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One observed engine event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,9 +268,8 @@ pub struct PairTally {
     pub bytes: u64,
 }
 
-/// Network-level trace the engine feeds when attached via
-/// [`Simulation::attach_net_trace`](crate::Simulation::attach_net_trace):
-/// a delivery-latency histogram plus a sparse (source, destination)
+/// Network-level trace the engine feeds when spans are recorded: a
+/// delivery-latency histogram plus a sparse (source, destination)
 /// traffic matrix. Recording happens at send time, once the delivery
 /// is scheduled, so the measured latency includes FIFO pushback,
 /// contention, jitter and injected spikes; dropped messages never
@@ -313,6 +318,174 @@ impl NetTrace {
         }
     }
 }
+
+/// What a run records, given to
+/// [`Simulation::record`](crate::Simulation::record) once, before the
+/// first run. The default records nothing.
+#[derive(Default)]
+pub struct Recorders {
+    /// Keep every [`Ctx::record_activity`](crate::Ctx::record_activity)
+    /// transition for [`Recordings::activity`].
+    pub activity: bool,
+    /// Keep every [`Ctx::record_span`](crate::Ctx::record_span) record
+    /// and the network trace, for [`Recordings::spans`] and
+    /// [`Recordings::net`].
+    pub spans: bool,
+    /// Self-profiling probe, shared with the actors through
+    /// [`Ctx::profiler`](crate::Ctx::profiler).
+    pub profiler: Option<Arc<PerfProbe>>,
+    /// Streaming telemetry and its JSONL snapshot sink: occupancy
+    /// folded live, snapshots, the flight rings and the abort budgets.
+    pub streaming: Option<(StreamingCfg, Option<Box<dyn Write + Send>>)>,
+}
+
+/// What a run recorded, handed over by move by
+/// [`Simulation::take_recordings`](crate::Simulation::take_recordings).
+/// Each log is one `Vec` per shard in shard order: a rank lives in one
+/// shard, so its records sit in one log in the order it wrote them,
+/// and a shard dispatches in `(time, rank)` order, so each log is
+/// sorted that way apart from the `on_start` batch at time zero.
+#[derive(Debug, Default)]
+pub struct Recordings {
+    /// Activity logs, when [`Recorders::activity`] was set.
+    pub activity: Option<Vec<Vec<Transition>>>,
+    /// Span logs, when [`Recorders::spans`] was set.
+    pub spans: Option<Vec<Vec<SpanRecord>>>,
+    /// The shards' network traces summed into one, when
+    /// [`Recorders::spans`] was set. Histogram bins and pair tallies
+    /// add, so the sum is the same for every shard count.
+    pub net: Option<NetTrace>,
+    /// The streaming fold's occupancy at the run's end (O(ranks), no
+    /// step list), when the run streamed.
+    pub occupancy: Option<OccupancyCurve>,
+}
+
+/// One shard's recorder, built from [`Recorders`] at the first run;
+/// a shard that records nothing has none.
+pub(crate) struct Recorder {
+    /// Activity in dispatch order, kept for the taker when
+    /// `keep_activity`; streaming reads the part past
+    /// `activity_streamed` at each window barrier.
+    activity: Option<Vec<Transition>>,
+    keep_activity: bool,
+    activity_streamed: usize,
+    /// Causal spans in dispatch order, and the network trace.
+    spans: Option<(Vec<SpanRecord>, NetTrace)>,
+    pub(crate) flight: Option<Arc<FlightRecorder>>,
+    pub(crate) profiler: Option<Arc<PerfProbe>>,
+}
+
+impl Recorder {
+    /// The recorder `r` gives one shard; `None` when it records nothing.
+    pub(crate) fn for_shard(r: &Recorders) -> Option<Self> {
+        let streaming = r.streaming.as_ref().map(|(cfg, _)| cfg);
+        if !r.activity && !r.spans && r.profiler.is_none() && streaming.is_none() {
+            return None;
+        }
+        let ring = streaming.map_or(0, |cfg| cfg.flight_ring);
+        Some(Self {
+            activity: (r.activity || streaming.is_some()).then(Vec::new),
+            keep_activity: r.activity,
+            activity_streamed: 0,
+            spans: r.spans.then(Default::default),
+            flight: (ring > 0).then(|| Arc::new(FlightRecorder::new(ring))),
+            profiler: r.profiler.clone(),
+        })
+    }
+
+    /// A message was scheduled for delivery at `deliver_at`,
+    /// `latency_ns` after it departed: into the flight ring and the
+    /// network trace, timed as one trace-record region.
+    #[inline]
+    pub(crate) fn sent(
+        &mut self,
+        at: SimTime,
+        from: u32,
+        to: u32,
+        bytes: u32,
+        deliver_at: SimTime,
+        latency_ns: u64,
+    ) {
+        if self.flight.is_none() && self.spans.is_none() {
+            return;
+        }
+        let t0 = prof_start(&self.profiler);
+        if let Some(flight) = &self.flight {
+            let kind = EventKind::Sent {
+                from,
+                to,
+                bytes,
+                deliver_at,
+            };
+            flight.record(&EventRecord { at, kind });
+        }
+        if let Some((_, net)) = &mut self.spans {
+            net.record(from, to, u64::from(bytes), latency_ns);
+        }
+        prof_record(&self.profiler, Phase::TraceRecord, t0);
+    }
+
+    /// Any other engine event (delivery, timer, fault outcome): into
+    /// the flight ring.
+    #[inline]
+    pub(crate) fn event(&self, at: SimTime, kind: EventKind) {
+        if let Some(flight) = &self.flight {
+            let t0 = prof_start(&self.profiler);
+            flight.record(&EventRecord { at, kind });
+            prof_record(&self.profiler, Phase::TraceRecord, t0);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn activity(&mut self, t: Transition) {
+        if let Some(log) = &mut self.activity {
+            let t0 = prof_start(&self.profiler);
+            log.push(t);
+            prof_record(&self.profiler, Phase::TraceRecord, t0);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn span(&mut self, rec: SpanRecord) {
+        if let Some((log, _)) = &mut self.spans {
+            let t0 = prof_start(&self.profiler);
+            log.push(rec);
+            prof_record(&self.profiler, Phase::TraceRecord, t0);
+        }
+    }
+
+    /// Hand the activity recorded since the last call to `sink`, the
+    /// streaming fold's input: a kept log moves its cursor past it, a
+    /// streaming-only log is emptied.
+    pub(crate) fn drain_activity(&mut self, sink: impl FnOnce(&[Transition])) {
+        if let Some(log) = &mut self.activity {
+            sink(&log[self.activity_streamed..]);
+            if self.keep_activity {
+                self.activity_streamed = log.len();
+            } else {
+                log.clear();
+            }
+        }
+    }
+
+    /// Move this shard's logs into `out`.
+    pub(crate) fn hand_over(self, out: &mut Recordings) {
+        if let Some(log) = self.activity.filter(|_| self.keep_activity) {
+            out.activity.get_or_insert_with(Vec::new).push(log);
+        }
+        if let Some((log, net)) = self.spans {
+            out.spans.get_or_insert_with(Vec::new).push(log);
+            match &mut out.net {
+                Some(total) => total.merge(&net),
+                None => out.net = Some(net),
+            }
+        }
+    }
+}
+
+/// The empty probe a shard without a recorder lends
+/// [`Ctx::profiler`](crate::Ctx::profiler).
+pub(crate) static NO_PROBE: Option<Arc<PerfProbe>> = None;
 
 #[cfg(test)]
 mod tests {

@@ -11,13 +11,15 @@
 //! and allocations-per-event, and feeds
 //! the `profile` section of the JSON run report and `dws run --profile`.
 //!
-//! The discipline mirrors the PR 2 tracer exactly: the probe handle is
-//! an `Option<Arc<PerfProbe>>`, every instrumentation site is a single
-//! branch when the probe is absent, and the probe only ever *reads*
-//! the host clock — it never touches simulated time, timers, message
-//! contents, or any RNG stream. The event schedule is therefore
-//! bit-identical with the profiler on or off (enforced by a property
-//! test in `tests/perflab.rs`).
+//! The probe is one of the engine's recorders: it is named by
+//! [`Recorders::profiler`](crate::Recorders::profiler) and each shard's
+//! recorder holds the shared `Option<Arc<PerfProbe>>`, so every
+//! instrumentation site is a single branch when the probe is absent.
+//! The probe only ever *reads* the host clock — it never touches
+//! simulated time, timers, message contents, or any RNG stream. The
+//! event schedule is therefore bit-identical with the profiler on or
+//! off (enforced by property tests in `tests/perflab.rs` and
+//! `tests/observability.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +38,8 @@ pub enum Phase {
     /// including re-draw loops).
     VictimDraw,
     /// Observability recording: span log, activity log, flight ring
-    /// and network trace appends.
+    /// and network trace appends. A send's ring and net-trace appends
+    /// are one region.
     TraceRecord,
     /// Parallel-driver barrier waits: time a worker thread spends
     /// parked at the per-window barrier (and the rare streaming /
