@@ -44,7 +44,7 @@
 //! The analyzer is read-only: it consumes traces a run already
 //! produced and never feeds anything back into the simulation.
 
-use crate::span::{SpanKind, SpanRecord, SpanTrace};
+use crate::span::{SpanKind, SpanLog, SpanRecord, SpanTrace};
 use crate::trace::ActivityTrace;
 
 /// What a stretch of the critical path (or of one rank's timeline) was
@@ -330,9 +330,10 @@ struct Analyzer<'a> {
     /// intervals closed at the makespan.
     busy: Vec<Vec<(u64, u64)>>,
     /// The run's span records, `(at_ns, rank)` ascending.
-    records: &'a [SpanRecord],
-    /// Per rank, the indices into `records` of the spans relevant to
-    /// idle classification and chain lookup, ascending in time.
+    records: &'a SpanLog,
+    /// Per rank, the byte offsets into `records` of the spans relevant
+    /// to idle classification and chain lookup, ascending in time;
+    /// each is decoded when it is read.
     rank_spans: Vec<Vec<u32>>,
     /// `(trace ID, at_ns)` of every steal request sent, sorted: the
     /// first entry of a trace is its first send (a retransmitted seq
@@ -376,8 +377,8 @@ impl<'a> Analyzer<'a> {
         // Per-rank spans and cross-rank chains.
         let records = spans.records();
         assert!(
-            u32::try_from(records.len()).is_ok(),
-            "span indices are 32-bit"
+            u32::try_from(records.encoded_bytes()).is_ok(),
+            "span offsets are 32-bit"
         );
         let mut rank_spans: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
         // The two chain tables are megabytes on an observed run. A
@@ -395,7 +396,7 @@ impl<'a> Analyzer<'a> {
                 });
         let mut requests: Vec<(u64, u64)> = Vec::with_capacity(n_requests);
         let mut serviced: Vec<Serviced> = Vec::with_capacity(n_serviced);
-        for (i, rec) in records.iter().enumerate() {
+        for (offset, rec) in records.with_offsets() {
             match rec.kind {
                 SpanKind::StealRequestSent { .. } => requests.push((rec.trace, rec.at_ns)),
                 SpanKind::StealServiced {
@@ -422,7 +423,7 @@ impl<'a> Analyzer<'a> {
                         | SpanKind::Quarantined { .. }
                 )
             {
-                rank_spans[rec.rank].push(i as u32);
+                rank_spans[rec.rank].push(offset as u32);
             }
         }
         requests.sort_unstable();
@@ -441,13 +442,19 @@ impl<'a> Analyzer<'a> {
 
     /// The record behind an entry of `rank_spans`.
     #[inline]
-    fn rec(&self, i: u32) -> &'a SpanRecord {
-        &self.records[i as usize]
+    fn rec(&self, offset: u32) -> SpanRecord {
+        self.records.at(offset as usize)
+    }
+
+    /// The `at_ns` of the record behind an entry of `rank_spans`.
+    #[inline]
+    fn at_ns(&self, offset: u32) -> u64 {
+        self.records.at_ns(offset as usize)
     }
 
     /// How many of `rank`'s relevant spans lie at or before `t`.
     fn spans_until(&self, rank: usize, t: u64) -> usize {
-        self.rank_spans[rank].partition_point(|&i| self.rec(i).at_ns <= t)
+        self.rank_spans[rank].partition_point(|&i| self.at_ns(i) <= t)
     }
 
     /// The busy interval of `rank` with `start < t <= end`, if any.
@@ -471,7 +478,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// The latest `StealOk` on `rank` in `(lo, hi]`, if any.
-    fn last_ok_in(&self, rank: usize, lo: u64, hi: u64) -> Option<&'a SpanRecord> {
+    fn last_ok_in(&self, rank: usize, lo: u64, hi: u64) -> Option<SpanRecord> {
         self.rank_spans[rank][..self.spans_until(rank, hi)]
             .iter()
             .rev()
@@ -487,7 +494,7 @@ impl<'a> Analyzer<'a> {
             return;
         }
         let mut prev = lo;
-        let mut last_kind: Option<&SpanKind> = None;
+        let mut last_kind: Option<SpanKind> = None;
         for rec in self.rank_spans[rank][self.spans_until(rank, lo)..]
             .iter()
             .map(|&i| self.rec(i))
@@ -531,7 +538,7 @@ impl<'a> Analyzer<'a> {
                 });
                 prev = m;
             }
-            last_kind = Some(&rec.kind);
+            last_kind = Some(rec.kind);
         }
         if hi > prev {
             // Trailing stretch up to the window's end (a busy start,
@@ -781,7 +788,7 @@ impl<'a> Analyzer<'a> {
                     // run was winding down (or the rank kept hunting).
                     let has_attempts = self.rank_spans[r]
                         .last()
-                        .is_some_and(|&i| self.rec(i).at_ns > cursor);
+                        .is_some_and(|&i| self.at_ns(i) > cursor);
                     if has_attempts {
                         self.classify_idle(r, cursor, t_end, &mut segs);
                     } else {

@@ -13,8 +13,9 @@
 //!   the starting/ending latencies `SL(x)` / `EL(x)` of §III;
 //! - [`steal_stats`] — failed steals, search time, and work-discovery
 //!   sessions (§V-A);
-//! - [`span`] — causal per-steal-attempt span records and the run's
-//!   merged [`SpanTrace`] (the engine records them, one log per shard);
+//! - [`span`] — causal per-steal-attempt span records, the compact
+//!   [`SpanLog`] they are kept in (one per shard while the engine
+//!   records) and the run's merged [`SpanTrace`];
 //! - [`critpath`] — happens-before reconstruction and critical-path
 //!   extraction: tiles the makespan into contiguous attributed
 //!   segments that sum to the measured makespan exactly;
@@ -83,7 +84,7 @@ pub use perflab::{
     BENCH_SCHEMA_MIN_VERSION, BENCH_SCHEMA_VERSION,
 };
 pub use report::{ascii_chart, render_table, write_csv, Perf};
-pub use span::{trace_id, SpanKind, SpanRecord, SpanTrace};
+pub use span::{trace_id, SpanIter, SpanKind, SpanLog, SpanRecord, SpanTrace};
 pub use steal_stats::{RunStats, StealStats};
 pub use streaming::{ShardSnap, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use summary::Summary;

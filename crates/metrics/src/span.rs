@@ -15,14 +15,20 @@
 //! depends on it, so the simulated event schedule is bit-for-bit
 //! identical with spans on or off. A shard dispatches in `(time, rank)`
 //! order, so [`SpanTrace::from_shard_logs`] takes the logs by move and
-//! its sort finds them (all but) sorted already.
+//! merges their few sorted runs.
+//!
+//! Spans are the one recording that grows with the event count, so a
+//! log is a [`SpanLog`]: records encoded back to back in about ten
+//! bytes each, read back as [`SpanRecord`] values.
 //!
 //! Spans are emitted at exactly the sites where the scheduler bumps
 //! its [`StealStats`](crate::StealStats) counters, which is what makes
 //! [`SpanTrace::reconcile`] an exact (not statistical) cross-check.
 
 use crate::histogram::LatencyHistograms;
-use crate::trace::merge_shard_logs;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt;
 
 /// Width of the per-thief sequence-number field in a trace ID.
 const SEQ_BITS: u32 = 40;
@@ -165,29 +171,471 @@ pub struct SpanRecord {
     pub kind: SpanKind,
 }
 
+/// Span records encoded back to back in one byte buffer: the engine's
+/// per-shard logs and the merged [`SpanTrace`] are both one.
+///
+/// A record is a tag byte followed by LEB128 varints: the absolute
+/// `at_ns`, the `rank`, then the trace ID, then the kind's fields in
+/// declaration order. The tag's low four bits name the kind and the
+/// next two say how the trace ID is stored: absent when it is 0, as the
+/// attempt's sequence number when it is `trace_id(rank, seq)` or
+/// `trace_id(peer, seq)` (the peer being the kind's first field), and
+/// raw otherwise. Every value is absolute, so a record decodes from its
+/// byte offset alone; an attempt span takes 10–14 bytes where a
+/// [`SpanRecord`] takes 56.
+///
+/// Two logs are equal when they hold the same records in the same
+/// order.
+#[derive(Clone, Default)]
+pub struct SpanLog {
+    bytes: Vec<u8>,
+    len: usize,
+    /// `(at_ns, rank)` of the last record, and the largest.
+    last: (u64, usize),
+    max: (u64, usize),
+    /// Byte offsets of the records that sort before the record ahead
+    /// of them: where each sorted run after the first begins.
+    breaks: Vec<usize>,
+}
+
+/// How a record stores its trace ID (tag bits 4–5).
+const TRACE_ZERO: u8 = 0;
+const TRACE_OF_RANK: u8 = 1;
+const TRACE_OF_PEER: u8 = 2;
+const TRACE_RAW: u8 = 3;
+
+/// A kind's tag (low four bits) and its fields in declaration order.
+fn kind_fields(kind: SpanKind) -> (u8, [u64; 3], usize) {
+    let u = |v: usize| v as u64;
+    match kind {
+        SpanKind::StealRequestSent { victim } => (0, [u(victim), 0, 0], 1),
+        SpanKind::StealRequestRecv { thief } => (1, [u(thief), 0, 0], 1),
+        SpanKind::StealReplySent { thief, nodes } => (2, [u(thief), nodes, 0], 2),
+        SpanKind::StealServiced {
+            thief,
+            queue_ns,
+            depart_delay_ns,
+        } => (3, [u(thief), queue_ns, depart_delay_ns], 3),
+        SpanKind::StealOk {
+            victim,
+            rtt_ns,
+            nodes,
+        } => (4, [u(victim), rtt_ns, nodes], 3),
+        SpanKind::StealEmpty { victim, rtt_ns } => (5, [u(victim), rtt_ns, 0], 2),
+        SpanKind::StealTimeout {
+            victim,
+            backoff_doublings,
+        } => (6, [u(victim), backoff_doublings, 0], 2),
+        SpanKind::StealAbandoned { victim } => (7, [u(victim), 0, 0], 1),
+        SpanKind::TransferAcked { thief, xfer } => (8, [u(thief), xfer, 0], 2),
+        SpanKind::Retransmit { to, xfer, attempt } => (9, [u(to), xfer, attempt], 3),
+        SpanKind::TokenHop { to, generation } => (10, [u(to), generation, 0], 2),
+        SpanKind::TokenRegenerated { generation } => (11, [generation, 0, 0], 1),
+        SpanKind::Quarantined { victim } => (12, [u(victim), 0, 0], 1),
+        SpanKind::SessionEnd { dur_ns } => (13, [dur_ns, 0, 0], 1),
+        SpanKind::Done => (14, [0; 3], 0),
+    }
+}
+
+/// Whether kind `tag`'s first field is a rank an attempt's trace ID can
+/// be minted from.
+fn has_peer(tag: u8) -> bool {
+    !matches!(tag, 11 | 13 | 14)
+}
+
+/// Append `v` to `buf` at `n` as a LEB128 varint; returns the new end.
+#[inline]
+fn put_varint(buf: &mut [u8], mut n: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        buf[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    buf[n] = v as u8;
+    n + 1
+}
+
+/// Read the LEB128 varint at `*pos`, advancing past it.
+#[inline]
+fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// The value of a varint of at most eight bytes, read as a word whose
+/// bytes past the varint are zero.
+#[inline]
+fn pack7(x: u64) -> u64 {
+    let x = x & 0x7F7F_7F7F_7F7F_7F7F;
+    let x = ((x & 0x7F00_7F00_7F00_7F00) >> 1) | (x & 0x007F_007F_007F_007F);
+    let x = ((x & 0x3FFF_0000_3FFF_0000) >> 2) | (x & 0x0000_3FFF_0000_3FFF);
+    ((x & 0x0FFF_FFFF_0000_0000) >> 4) | (x & 0x0FFF_FFFF)
+}
+
+/// [`get_varint`], faster: a one-byte value is one compare, and where
+/// eight bytes are left a longer one is read as a word, its end found
+/// from the bytes' high bits and its 7-bit groups packed with shifts
+/// and masks (in 32-bit arithmetic up to four bytes), not a byte at a
+/// time.
+#[inline(always)]
+fn varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let b = bytes[*pos];
+    if b < 0x80 {
+        *pos += 1;
+        return u64::from(b);
+    }
+    if let Some(word) = bytes.get(*pos..*pos + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let ends = !w & 0x8080_8080_8080_8080;
+        if ends != 0 {
+            // Bits up to and including the varint's last byte.
+            let bits = ends.trailing_zeros() + 1;
+            *pos += bits as usize / 8;
+            if bits <= 32 {
+                let x = (w as u32) & (u32::MAX >> (32 - bits));
+                let x = (x & 0x7F)
+                    | ((x >> 1) & 0x3F80)
+                    | ((x >> 2) & 0x1F_C000)
+                    | ((x >> 3) & 0x0FE0_0000);
+                return u64::from(x);
+            }
+            return pack7(w & (u64::MAX >> (64 - bits)));
+        }
+    }
+    get_varint(bytes, pos)
+}
+
+/// The record at `pos`, and where the next record starts.
+#[inline]
+fn decode(bytes: &[u8], mut pos: usize) -> (SpanRecord, usize) {
+    let tag = bytes[pos];
+    pos += 1;
+    let at_ns = varint(bytes, &mut pos);
+    let rank = varint(bytes, &mut pos) as usize;
+    let mode = tag >> 4;
+    let stored = if mode == TRACE_ZERO {
+        0
+    } else {
+        varint(bytes, &mut pos)
+    };
+    // Every kind but `Done` has a first field, the peer where it is a
+    // rank; the arms read the rest, so the kind is branched on once.
+    let kind = tag & 0xF;
+    let first = if kind == 14 {
+        0
+    } else {
+        varint(bytes, &mut pos)
+    };
+    let peer = first as usize;
+    let mut next = || varint(bytes, &mut pos);
+    let kind = match kind {
+        0 => SpanKind::StealRequestSent { victim: peer },
+        1 => SpanKind::StealRequestRecv { thief: peer },
+        2 => SpanKind::StealReplySent {
+            thief: peer,
+            nodes: next(),
+        },
+        3 => SpanKind::StealServiced {
+            thief: peer,
+            queue_ns: next(),
+            depart_delay_ns: next(),
+        },
+        4 => SpanKind::StealOk {
+            victim: peer,
+            rtt_ns: next(),
+            nodes: next(),
+        },
+        5 => SpanKind::StealEmpty {
+            victim: peer,
+            rtt_ns: next(),
+        },
+        6 => SpanKind::StealTimeout {
+            victim: peer,
+            backoff_doublings: next(),
+        },
+        7 => SpanKind::StealAbandoned { victim: peer },
+        8 => SpanKind::TransferAcked {
+            thief: peer,
+            xfer: next(),
+        },
+        9 => SpanKind::Retransmit {
+            to: peer,
+            xfer: next(),
+            attempt: next(),
+        },
+        10 => SpanKind::TokenHop {
+            to: peer,
+            generation: next(),
+        },
+        11 => SpanKind::TokenRegenerated { generation: first },
+        12 => SpanKind::Quarantined { victim: peer },
+        13 => SpanKind::SessionEnd { dur_ns: first },
+        14 => SpanKind::Done,
+        tag => unreachable!("span log holds an unknown kind tag {tag}"),
+    };
+    let trace = match mode {
+        TRACE_ZERO => 0,
+        TRACE_OF_RANK => trace_id(rank, stored),
+        TRACE_OF_PEER => trace_id(peer, stored),
+        _ => stored,
+    };
+    let rec = SpanRecord {
+        at_ns,
+        rank,
+        trace,
+        kind,
+    };
+    (rec, pos)
+}
+
+impl SpanLog {
+    /// Append one record.
+    #[inline]
+    pub fn push(&mut self, rec: SpanRecord) {
+        let (kind, fields, n_fields) = kind_fields(rec.kind);
+        let seq = rec.trace & ((1u64 << SEQ_BITS) - 1);
+        let (mode, stored) = if rec.trace == 0 {
+            (TRACE_ZERO, 0)
+        } else if trace_id(rec.rank, seq) == rec.trace {
+            (TRACE_OF_RANK, seq)
+        } else if has_peer(kind) && trace_id(fields[0] as usize, seq) == rec.trace {
+            (TRACE_OF_PEER, seq)
+        } else {
+            (TRACE_RAW, rec.trace)
+        };
+        // A tag byte and at most six ten-byte varints.
+        let mut buf = [0u8; 61];
+        buf[0] = mode << 4 | kind;
+        let mut n = put_varint(&mut buf, 1, rec.at_ns);
+        n = put_varint(&mut buf, n, rec.rank as u64);
+        if mode != TRACE_ZERO {
+            n = put_varint(&mut buf, n, stored);
+        }
+        for &f in &fields[..n_fields] {
+            n = put_varint(&mut buf, n, f);
+        }
+        let key = (rec.at_ns, rec.rank);
+        if key < self.last {
+            self.breaks.push(self.bytes.len());
+        }
+        self.last = key;
+        self.max = self.max.max(key);
+        self.bytes.extend_from_slice(&buf[..n]);
+        self.len += 1;
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the log holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the encoded records take.
+    pub fn encoded_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The records in log order, decoded one by one.
+    pub fn iter(&self) -> SpanIter<'_> {
+        SpanIter {
+            bytes: &self.bytes,
+            pos: 0,
+            left: self.len,
+        }
+    }
+
+    /// The records in log order, each with the byte offset
+    /// [`at`](Self::at) decodes it from.
+    pub(crate) fn with_offsets(&self) -> impl Iterator<Item = (usize, SpanRecord)> + '_ {
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            (pos < self.bytes.len()).then(|| {
+                let (rec, next) = decode(&self.bytes, pos);
+                let at = std::mem::replace(&mut pos, next);
+                (at, rec)
+            })
+        })
+    }
+
+    /// The record at byte `offset`, which must be one
+    /// [`with_offsets`](Self::with_offsets) yielded.
+    pub(crate) fn at(&self, offset: usize) -> SpanRecord {
+        decode(&self.bytes, offset).0
+    }
+
+    /// The `at_ns` of the record at byte `offset`, without decoding
+    /// the rest of it.
+    pub(crate) fn at_ns(&self, offset: usize) -> u64 {
+        varint(&self.bytes, &mut (offset + 1))
+    }
+
+    /// Merge per-shard logs into one in `(at_ns, rank)` order: the
+    /// order a stable sort of their concatenation gives, so records with
+    /// equal keys keep their log order. The logs' sorted runs (a log in
+    /// dispatch order has two: the `on_start` batch at time zero and
+    /// the rest) are merged by their next record's key, the run's place
+    /// in the concatenation breaking ties, and records move as bytes in
+    /// stretches: a run's tail is one copy once no other run is left. A
+    /// lone sorted log is moved, not copied.
+    fn merge(logs: Vec<SpanLog>) -> SpanLog {
+        // `(log, start, end)` of every sorted run, in concatenation order.
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for (l, log) in logs.iter().enumerate() {
+            let mut start = 0;
+            for &end in log.breaks.iter().chain([log.bytes.len()].iter()) {
+                if end > start {
+                    runs.push((l, start, end));
+                }
+                start = end;
+            }
+        }
+        if runs.len() <= 1 {
+            return logs.into_iter().find(|l| !l.is_empty()).unwrap_or_default();
+        }
+        let max = logs.iter().map(|l| l.max).max().unwrap_or_default();
+        let mut out = SpanLog {
+            bytes: Vec::with_capacity(logs.iter().map(|l| l.bytes.len()).sum()),
+            len: logs.iter().map(|l| l.len).sum(),
+            last: max,
+            max,
+            breaks: Vec::new(),
+        };
+        // Min-heap of run heads: `(at_ns, rank, run, offset)`.
+        let mut heads: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = runs
+            .iter()
+            .enumerate()
+            .map(|(run, &(l, start, _))| {
+                let (rec, _) = decode(&logs[l].bytes, start);
+                Reverse((rec.at_ns, rec.rank, run, start))
+            })
+            .collect();
+        while let Some(Reverse((_, _, run, from))) = heads.pop() {
+            let (l, _, end) = runs[run];
+            let bytes = &logs[l].bytes;
+            // Copy the stretch of this run that sorts before every other
+            // run's head: all of it when no other run is left.
+            let mut pos = end;
+            if let Some(&Reverse((at_ns, rank, other, _))) = heads.peek() {
+                pos = decode(bytes, from).1;
+                while pos < end {
+                    let (rec, next) = decode(bytes, pos);
+                    if (rec.at_ns, rec.rank, run) > (at_ns, rank, other) {
+                        heads.push(Reverse((rec.at_ns, rec.rank, run, pos)));
+                        break;
+                    }
+                    pos = next;
+                }
+            }
+            out.bytes.extend_from_slice(&bytes[from..pos]);
+        }
+        out
+    }
+}
+
+impl PartialEq for SpanLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for SpanLog {}
+
+impl fmt::Debug for SpanLog {
+    /// Prints what `{:?}` of the records as a slice prints.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a SpanLog {
+    type Item = SpanRecord;
+    type IntoIter = SpanIter<'a>;
+
+    fn into_iter(self) -> SpanIter<'a> {
+        self.iter()
+    }
+}
+
+impl FromIterator<SpanRecord> for SpanLog {
+    fn from_iter<I: IntoIterator<Item = SpanRecord>>(records: I) -> Self {
+        let mut log = SpanLog::default();
+        for rec in records {
+            log.push(rec);
+        }
+        log
+    }
+}
+
+impl From<Vec<SpanRecord>> for SpanLog {
+    fn from(records: Vec<SpanRecord>) -> Self {
+        records.into_iter().collect()
+    }
+}
+
+/// Iterator over a [`SpanLog`]'s records, decoded by value.
+#[derive(Clone)]
+pub struct SpanIter<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    left: usize,
+}
+
+impl Iterator for SpanIter<'_> {
+    type Item = SpanRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<SpanRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        let (rec, next) = decode(self.bytes, self.pos);
+        self.pos = next;
+        self.left -= 1;
+        Some(rec)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for SpanIter<'_> {}
+
 /// All spans of one run, merged across ranks.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTrace {
-    records: Vec<SpanRecord>,
+    records: SpanLog,
     n_ranks: usize,
 }
 
 impl SpanTrace {
     /// Build from the engine's per-shard logs over `n_ranks` ranks.
     /// Each rank's records must sit in one log, in the order the rank
-    /// wrote them; the stable sort keeps that order among records with
-    /// equal `(at_ns, rank)`. A log in dispatch order is one sorted run
-    /// (the sort is then a linear pass, and a lone log is never
-    /// copied), but nothing here depends on it.
-    pub fn from_shard_logs(n_ranks: usize, logs: Vec<Vec<SpanRecord>>) -> Self {
+    /// wrote them; the merge keeps that order among records with equal
+    /// `(at_ns, rank)`. A log in dispatch order is one sorted run apart
+    /// from the `on_start` batch, but nothing here depends on it.
+    pub fn from_shard_logs<L: Into<SpanLog>>(n_ranks: usize, logs: Vec<L>) -> Self {
         Self {
-            records: merge_shard_logs(logs, |r| (r.at_ns, r.rank)),
+            records: SpanLog::merge(logs.into_iter().map(Into::into).collect()),
             n_ranks,
         }
     }
 
     /// All records, time-ordered (ties broken by rank).
-    pub fn records(&self) -> &[SpanRecord] {
+    pub fn records(&self) -> &SpanLog {
         &self.records
     }
 
@@ -204,7 +652,8 @@ impl SpanTrace {
     /// Exact cross-check against the scheduler's own counters: for
     /// every rank, span counts must equal the [`StealStats`] fields
     /// incremented at the same program points. Any mismatch means the
-    /// tracer and the counters disagree about what happened — a bug.
+    /// tracer and the counters disagree about what happened — a bug;
+    /// so is a span of a rank the counters have no row for.
     ///
     /// [`StealStats`]: crate::StealStats
     pub fn reconcile(&self, stats: &crate::RunStats) -> Result<(), String> {
@@ -212,7 +661,12 @@ impl SpanTrace {
         let mut seen = vec![[0u64; 8]; stats.per_rank.len()];
         for r in &self.records {
             let Some(row) = seen.get_mut(r.rank) else {
-                continue;
+                return Err(format!(
+                    "rank {}: {:?} span but the counters cover {} ranks",
+                    r.rank,
+                    r.kind,
+                    seen.len()
+                ));
             };
             match r.kind {
                 SpanKind::StealRequestSent { .. } => row[0] += 1,
@@ -369,7 +823,9 @@ mod tests {
             ]
         );
         assert_eq!(trace.n_ranks(), 5);
-        assert!(SpanTrace::from_shard_logs(3, vec![]).records().is_empty());
+        assert!(SpanTrace::from_shard_logs(3, Vec::<SpanLog>::new())
+            .records()
+            .is_empty());
     }
 
     #[test]
@@ -401,6 +857,195 @@ mod tests {
                 (7, 0, SpanKind::Done),
             ]
         );
+    }
+
+    #[test]
+    fn span_log_round_trips_every_kind() {
+        // 2^55 and 2^56 take the longest varint a word read decodes
+        // and the shortest it does not.
+        const VALUES: [u64; 9] = [
+            0,
+            1,
+            127,
+            128,
+            (1 << 32) - 1,
+            1 << 55,
+            1 << 56,
+            1 << 63,
+            u64::MAX,
+        ];
+        let kinds = |j: usize| {
+            let v = |i: usize| VALUES[(j + i) % VALUES.len()];
+            let r = |i: usize| v(i) as usize;
+            [
+                SpanKind::StealRequestSent { victim: r(0) },
+                SpanKind::StealRequestRecv { thief: r(0) },
+                SpanKind::StealReplySent {
+                    thief: r(0),
+                    nodes: v(1),
+                },
+                SpanKind::StealServiced {
+                    thief: r(0),
+                    queue_ns: v(1),
+                    depart_delay_ns: v(2),
+                },
+                SpanKind::StealOk {
+                    victim: r(0),
+                    rtt_ns: v(1),
+                    nodes: v(2),
+                },
+                SpanKind::StealEmpty {
+                    victim: r(0),
+                    rtt_ns: v(1),
+                },
+                SpanKind::StealTimeout {
+                    victim: r(0),
+                    backoff_doublings: v(1),
+                },
+                SpanKind::StealAbandoned { victim: r(0) },
+                SpanKind::TransferAcked {
+                    thief: r(0),
+                    xfer: v(1),
+                },
+                SpanKind::Retransmit {
+                    to: r(0),
+                    xfer: v(1),
+                    attempt: v(2),
+                },
+                SpanKind::TokenHop {
+                    to: r(0),
+                    generation: v(1),
+                },
+                SpanKind::TokenRegenerated { generation: v(0) },
+                SpanKind::Quarantined { victim: r(0) },
+                SpanKind::SessionEnd { dur_ns: v(0) },
+                SpanKind::Done,
+            ]
+        };
+        let mut input = Vec::new();
+        for j in 0..VALUES.len() {
+            for kind in kinds(j) {
+                let peer = kind_fields(kind).1[0] as usize;
+                for rank in [0, 1, 1 << 31] {
+                    for seq in [0, 5, (1 << SEQ_BITS) - 1] {
+                        let traces = [
+                            0,
+                            trace_id(rank, seq),
+                            trace_id(peer, seq),
+                            0xDEAD_BEEF_F00D_CAFE,
+                        ];
+                        for trace in traces {
+                            input.push(SpanRecord {
+                                at_ns: VALUES[(j + rank) % VALUES.len()],
+                                rank,
+                                trace,
+                                kind,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let log: SpanLog = input.iter().copied().collect();
+        assert_eq!(log.len(), input.len());
+        assert_eq!(log.iter().len(), input.len());
+        assert_eq!(log.iter().collect::<Vec<_>>(), input);
+        let mut offsets = 0;
+        for ((offset, rec), want) in log.with_offsets().zip(&input) {
+            assert_eq!(rec, *want);
+            assert_eq!(log.at(offset), *want, "decoded at byte {offset}");
+            assert_eq!(log.at_ns(offset), want.at_ns);
+            offsets += 1;
+        }
+        assert_eq!(offsets, input.len());
+        assert_eq!(format!("{log:?}"), format!("{:?}", input.as_slice()));
+        assert_eq!(format!("{log:#?}"), format!("{:#?}", input.as_slice()));
+    }
+
+    #[test]
+    fn an_attempt_span_takes_a_dozen_bytes() {
+        let log: SpanLog = [
+            SpanRecord {
+                at_ns: 12_345_678,
+                rank: 100,
+                trace: trace_id(100, 300),
+                kind: SpanKind::StealOk {
+                    victim: 7,
+                    rtt_ns: 9_000,
+                    nodes: 40,
+                },
+            },
+            SpanRecord {
+                at_ns: 12_345_678,
+                rank: 7,
+                trace: trace_id(100, 300),
+                kind: SpanKind::StealRequestRecv { thief: 100 },
+            },
+        ]
+        .into_iter()
+        .collect();
+        // tag, 4-byte time, rank, 2-byte seq, then the fields.
+        assert_eq!(
+            log.encoded_bytes(),
+            (1 + 4 + 1 + 2 + 1 + 2 + 1) + (1 + 4 + 1 + 2 + 1)
+        );
+    }
+
+    #[test]
+    fn merge_is_a_stable_sort_of_the_concatenation() {
+        // Logs of a few sorted runs each over a small key space, so
+        // ties across logs and within a log are common.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for _ in 0..50 {
+            let logs: Vec<Vec<SpanRecord>> = (0..next(4) + 1)
+                .map(|_| {
+                    let mut log = Vec::new();
+                    for _ in 0..next(3) + 1 {
+                        let mut at = next(4);
+                        for _ in 0..next(12) {
+                            at += next(2);
+                            let rec = SpanRecord {
+                                at_ns: at,
+                                rank: next(3) as usize,
+                                trace: next(1000),
+                                kind: SpanKind::SessionEnd { dur_ns: next(300) },
+                            };
+                            log.push(rec);
+                        }
+                    }
+                    log
+                })
+                .collect();
+            let mut want: Vec<SpanRecord> = logs.concat();
+            want.sort_by_key(|r| (r.at_ns, r.rank));
+            let trace = SpanTrace::from_shard_logs(3, logs);
+            assert_eq!(trace.records().iter().collect::<Vec<_>>(), want);
+            assert_eq!(trace.records().len(), want.len());
+        }
+    }
+
+    #[test]
+    fn a_merged_log_is_one_sorted_run() {
+        let done = SpanKind::Done;
+        let merged = |log: Vec<SpanRecord>| {
+            let mut trace = SpanTrace::from_shard_logs(1, vec![log]);
+            assert!(trace.records.breaks.is_empty());
+            // A record pushed after the largest key starts no new run.
+            trace.records.push(rec(9, 0, done));
+            assert!(trace.records.breaks.is_empty());
+            trace.records().iter().map(|r| r.at_ns).collect::<Vec<_>>()
+        };
+        // The run holding the largest key ends the log, or does not.
+        let log = vec![rec(2, 0, done), rec(1, 0, done), rec(3, 0, done)];
+        assert_eq!(merged(log), vec![1, 2, 3, 9]);
+        let log = vec![rec(5, 0, done), rec(3, 0, done), rec(4, 0, done)];
+        assert_eq!(merged(log), vec![3, 4, 5, 9]);
     }
 
     fn attempt(rank: usize, victim: usize, seq: u64, at: u64, ok: bool) -> Vec<SpanRecord> {
@@ -489,6 +1134,19 @@ mod tests {
         assert_eq!(
             trace.reconcile(&stats).unwrap_err(),
             "rank 0: sessions counter 3 != 0 matching spans"
+        );
+    }
+
+    #[test]
+    fn reconcile_rejects_a_span_of_a_rank_without_counters() {
+        let trace = SpanTrace::from_shard_logs(
+            6,
+            vec![vec![rec(40, 5, SpanKind::SessionEnd { dur_ns: 40 })]],
+        );
+        let stats = RunStats::new(vec![StealStats::default(), StealStats::default()]);
+        assert_eq!(
+            trace.reconcile(&stats).unwrap_err(),
+            "rank 5: SessionEnd { dur_ns: 40 } span but the counters cover 2 ranks"
         );
     }
 

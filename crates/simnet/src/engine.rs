@@ -2010,6 +2010,7 @@ where
 mod tests {
     use super::*;
     use crate::observer::EventRecord;
+    use dws_metrics::SpanLog;
 
     /// Ping-pong actor: rank 0 sends `hops` pings; rank 1 echoes.
     struct PingPong {
@@ -3010,7 +3011,7 @@ mod tests {
 
     /// `(report, span logs)` of a Spanner fleet; `record` is 0 for
     /// never, 1 for before `configure_parallel`, 2 for after.
-    fn run_spanners(shards: u32, threads: u32, record: u8) -> (RunReport, Vec<Vec<SpanRecord>>) {
+    fn run_spanners(shards: u32, threads: u32, record: u8) -> (RunReport, Vec<SpanLog>) {
         let fleet = (0..6).map(|_| Spanner { n: 6, wrote: 0 }).collect();
         let mut sim = Simulation::new(fleet, ConstantLatency(100), SimConfig::default());
         if record == 1 {
@@ -3039,8 +3040,8 @@ mod tests {
         assert_eq!(one.len(), 1);
         // Rank 0's zero-delay timer fires after the last `on_start`:
         // the log is in dispatch order, not one sorted run.
-        let key = |r: &SpanRecord| (r.at_ns, r.rank);
-        assert!(one[0].windows(2).any(|w| key(&w[0]) > key(&w[1])));
+        let keys: Vec<(u64, usize)> = one[0].iter().map(|r| (r.at_ns, r.rank)).collect();
+        assert!(keys.windows(2).any(|w| w[0] > w[1]));
         let merged = dws_metrics::SpanTrace::from_shard_logs(6, one);
         // Per rank: one start, two at its timer, four deliveries of the
         // 3-hop ping-pong it starts.

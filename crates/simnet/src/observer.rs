@@ -16,7 +16,7 @@
 use crate::engine::StreamingCfg;
 use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
 use crate::time::SimTime;
-use dws_metrics::{Histogram, OccupancyCurve, SpanRecord, Transition};
+use dws_metrics::{Histogram, OccupancyCurve, SpanLog, SpanRecord, Transition};
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -341,7 +341,7 @@ pub struct Recorders {
 
 /// What a run recorded, handed over by move by
 /// [`Simulation::take_recordings`](crate::Simulation::take_recordings).
-/// Each log is one `Vec` per shard in shard order: a rank lives in one
+/// Each log is one per shard in shard order: a rank lives in one
 /// shard, so its records sit in one log in the order it wrote them,
 /// and a shard dispatches in `(time, rank)` order, so each log is
 /// sorted that way apart from the `on_start` batch at time zero.
@@ -349,8 +349,9 @@ pub struct Recorders {
 pub struct Recordings {
     /// Activity logs, when [`Recorders::activity`] was set.
     pub activity: Option<Vec<Vec<Transition>>>,
-    /// Span logs, when [`Recorders::spans`] was set.
-    pub spans: Option<Vec<Vec<SpanRecord>>>,
+    /// Span logs, encoded ([`SpanLog`]), when [`Recorders::spans`] was
+    /// set.
+    pub spans: Option<Vec<SpanLog>>,
     /// The shards' network traces summed into one, when
     /// [`Recorders::spans`] was set. Histogram bins and pair tallies
     /// add, so the sum is the same for every shard count.
@@ -369,8 +370,8 @@ pub(crate) struct Recorder {
     activity: Option<Vec<Transition>>,
     keep_activity: bool,
     activity_streamed: usize,
-    /// Causal spans in dispatch order, and the network trace.
-    spans: Option<(Vec<SpanRecord>, NetTrace)>,
+    /// Causal spans in dispatch order, encoded, and the network trace.
+    spans: Option<(SpanLog, NetTrace)>,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
     pub(crate) profiler: Option<Arc<PerfProbe>>,
 }

@@ -445,3 +445,34 @@ fn recorders_never_change_the_run() {
         }
     }
 }
+
+/// Spans are kept as a compact byte log, not as 56-byte records: a
+/// faulty 64-rank run with spans on stays at 16 encoded bytes per
+/// record or fewer at one and two threads, and its records are the
+/// ones the `Vec<SpanRecord>` store held. The count and the `{:?}`
+/// fingerprint were recorded with that store, before the log replaced
+/// it.
+#[test]
+fn observed_span_log_stays_compact() {
+    for threads in [1, 2] {
+        let mut cfg = traced_config(64);
+        cfg.fault_plan = FaultPlan::message_faults(0.01, 0.0, 0.0);
+        cfg.threads = threads;
+        let r = run_experiment(&cfg);
+        assert!(r.completed);
+        let spans = r.spans.as_ref().expect("spans collected");
+        spans.reconcile(&r.stats).expect("spans match the counters");
+        let records = spans.records();
+        assert_eq!(records.len(), 44_941, "{threads} thread(s)");
+        assert_eq!(
+            dws::metrics::perflab::fingerprint(&format!("{records:?}")),
+            "8df5ec69cf793260",
+            "{threads} thread(s)"
+        );
+        let per_record = records.encoded_bytes() as f64 / records.len() as f64;
+        assert!(
+            per_record <= 16.0,
+            "{per_record:.2} bytes per span at {threads} thread(s)"
+        );
+    }
+}
