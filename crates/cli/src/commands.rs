@@ -12,6 +12,8 @@ use dws_metrics::perflab::{self, BenchMetric, BenchRecord, MetricDelta, Verdict}
 use dws_metrics::{lifestory, render_table, write_csv, JsonValue, Summary};
 use dws_topology::routing::Link;
 use dws_uts::Workload;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
 /// Flags every experiment-running subcommand understands.
 const CONFIG_FLAGS: &[&str] = &[
@@ -267,22 +269,29 @@ fn link_label(l: &Link) -> String {
     )
 }
 
-/// Write a JSON document to `path` with a trailing newline.
-fn write_json(path: &str, doc: &JsonValue) -> Result<(), String> {
-    std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("{path}: {e}"))
+/// Write one artifact of `dws run` to `path` through a buffered file
+/// writer.
+fn write_artifact(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::new(File::create(path).map_err(|e| format!("{path}: {e}"))?);
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// Emit the `--trace`, `--json`, and `--links` artifacts of a traced run.
 fn write_observability(flags: &Flags, r: &ExperimentResult) -> Result<(), String> {
     if let Some(path) = flags.get("trace") {
-        let doc = r
-            .chrome_trace_json()
-            .expect("observability outputs imply collected spans");
-        write_json(path, &doc)?;
+        write_artifact(path, |out| {
+            r.write_chrome_trace(out)?;
+            writeln!(out)
+        })?;
         println!("[chrome trace written to {path} — load in Perfetto or chrome://tracing]");
     }
     if let Some(path) = flags.get("json") {
-        write_json(path, &r.json_report())?;
+        write_artifact(path, |out| writeln!(out, "{}", r.json_report()))?;
         println!("[run report written to {path}]");
     }
     if let Some(path) = flags.get("links") {
@@ -294,7 +303,8 @@ fn write_observability(flags: &Flags, r: &ExperimentResult) -> Result<(), String
             .iter()
             .map(|(l, units)| (link_label(l), *units))
             .collect();
-        write_json(path, &link_matrix_json(&rows, load.hotspot_factor()))?;
+        let doc = link_matrix_json(&rows, load.hotspot_factor());
+        write_artifact(path, |out| writeln!(out, "{doc}"))?;
         println!("[per-link load matrix written to {path}]");
     }
     Ok(())
@@ -446,14 +456,25 @@ pub fn run(rest: &[String]) -> Result<(), String> {
                 ]
             })
             .collect();
-        let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        write_csv(std::io::BufWriter::new(file), &header, &rows)
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_artifact(path, |out| write_csv(out, &header, &rows))?;
         println!("[per-rank stats written to {path}]");
     }
     write_observability(&flags, &r)?;
     if let Some(path) = flags.get("snapshot") {
         println!("[snapshot stream written to {path}; replay with `dws top {path}`]");
+    }
+    if !r.completed {
+        // An aborted run dies loudly, after writing artifacts that say
+        // `completed: false`.
+        let limits: Vec<String> = ["wall-budget", "rss-budget-mb"]
+            .iter()
+            .filter_map(|&name| Some(format!("--{name} {}", flags.get(name)?)))
+            .chain(dws_simnet::sigterm_requested().then(|| "SIGTERM".to_string()))
+            .collect();
+        return Err(format!(
+            "the run was aborted before termination by {}",
+            limits.join(" or ")
+        ));
     }
     Ok(())
 }
@@ -1043,5 +1064,29 @@ mod tests {
             .filter(|name| !listed(name))
             .collect();
         assert!(missing.is_empty(), "`dws help` omits {missing:?}");
+    }
+
+    #[test]
+    fn an_aborted_run_writes_its_artifacts_then_fails() {
+        let dir = std::env::temp_dir().join(format!("dws-aborted-run-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = dir.join("report.json");
+        let args = [
+            "--tree",
+            "t3sim-xs",
+            "--nodes",
+            "16",
+            "--wall-budget",
+            "0ns",
+            "--json",
+            json.to_str().unwrap(),
+        ]
+        .map(String::from);
+        let err = run(&args).expect_err("an aborted run fails");
+        assert!(err.contains("--wall-budget 0ns"), "{err}");
+        let report = std::fs::read_to_string(&json).unwrap();
+        let report = dws_metrics::export::parse(report.trim()).unwrap();
+        assert_eq!(report.get("completed"), Some(&JsonValue::Bool(false)));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -17,7 +17,7 @@
 use crate::health::{AdaptiveCfg, VictimHealth};
 use crate::scheduler::{FaultToleranceCfg, SchedulerCfg, StealAmount, Worker};
 use crate::victim::VictimPolicy;
-use dws_metrics::export::{chrome_trace_with_critpath, histograms_json, span_counts_json};
+use dws_metrics::export::{histograms_json, span_counts_json, write_chrome_trace};
 use dws_metrics::perflab::{self, ProfileReport};
 use dws_metrics::{
     ActivityTrace, BlameReport, JsonValue, LatencyHistograms, OccupancyCurve, Perf, RunStats,
@@ -32,6 +32,7 @@ use dws_topology::routing::LinkLoad;
 use dws_topology::{AllocationPolicy, CutClass, Job, LatencyParams, RankMapping};
 use dws_uts::{Node, Workload};
 use std::hint::black_box;
+use std::io::{self, Write};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -687,38 +688,27 @@ impl ExperimentResult {
             .get_or_init(|| {
                 let spans = self.spans.as_ref()?;
                 let trace = self.trace.as_ref()?;
-                let mut blame = BlameReport::from_run(spans, trace, self.makespan.ns());
-                if let Some(profile) = &self.profile {
-                    if !profile.shards.is_empty() {
-                        blame = blame.with_shards(
-                            profile
-                                .shards
-                                .iter()
-                                .map(|&(shard, _, _, _, busy_ns, wait_ns)| {
-                                    (shard, busy_ns, wait_ns)
-                                })
-                                .collect(),
-                        );
-                    }
-                }
-                Some(blame)
+                Some(BlameReport::from_run(spans, trace, self.makespan.ns()))
             })
             .as_ref()
     }
 
-    /// The Chrome trace-event document for this run (`dws run --trace`).
-    /// `None` unless the run collected spans. When the activity trace
-    /// is also present, the document gains a dedicated "critical path"
-    /// track with flow arrows hopping rank tracks along the path — the
-    /// blame report's path, so the run is analyzed once.
-    pub fn chrome_trace_json(&self) -> Option<JsonValue> {
-        let spans = self.spans.as_ref()?;
-        Some(chrome_trace_with_critpath(
-            spans,
+    /// Write the Chrome trace-event document for this run (`dws run
+    /// --trace`) to `out`. When the activity trace is also present, the
+    /// document gains a dedicated "critical path" track with flow
+    /// arrows hopping rank tracks along the path — the blame report's
+    /// path, so the run is analyzed once.
+    ///
+    /// # Panics
+    /// Panics unless the run collected spans.
+    pub fn write_chrome_trace(&self, out: &mut impl Write) -> io::Result<()> {
+        write_chrome_trace(
+            out,
+            self.spans.as_ref().expect("a Chrome trace needs spans"),
             self.trace.as_ref(),
             self.makespan.ns(),
             self.blame().map(|b| &b.critical_path),
-        ))
+        )
     }
 }
 
@@ -869,7 +859,11 @@ impl StreamingSetup {
                 "wall-budget" => {
                     cfg.wall_budget = Some(Duration::from_nanos(parse_duration_ns(value)?));
                 }
-                "rss-budget-mb" => cfg.rss_budget_bytes = Some(number()? * 1024 * 1024),
+                "rss-budget-mb" => {
+                    let bytes = number()?.checked_mul(1024 * 1024);
+                    let bytes = bytes.ok_or_else(|| format!("--{name}: {value} MiB overflows"))?;
+                    cfg.rss_budget_bytes = Some(bytes);
+                }
                 other => return Err(format!("--{other} is not a streaming flag")),
             }
         }
@@ -1250,4 +1244,20 @@ pub fn shard_plan(job: &Job, threads: u32) -> (CutReport, Vec<u32>) {
 pub fn sequential_baseline(workload: &Workload) -> (u64, u64) {
     let stats = dws_uts::search(workload);
     (stats.nodes, stats.nodes * workload.node_ns())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_rss_budget_past_u64_bytes_is_rejected() {
+        let budget = |mib| {
+            let setup = StreamingSetup::from_flags([("rss-budget-mb", mib)]);
+            setup.map(|s| s.expect("a flag was given").cfg.rss_budget_bytes)
+        };
+        assert_eq!(budget("17592186044415"), Ok(Some(u64::MAX - (1 << 20) + 1)));
+        let err = budget("17592186044416").expect_err("2^44 MiB is 2^64 bytes");
+        assert!(err.contains("--rss-budget-mb"), "{err}");
+    }
 }

@@ -55,10 +55,6 @@ pub struct BlameReport {
     pub per_rank: Vec<(u32, [u64; 8])>,
     /// What-if virtual speedups.
     pub whatif: Vec<WhatIf>,
-    /// Wall-clock shard accounting `(shard, busy_ns, wait_ns)` from a
-    /// profiled `--threads` run — where *host* time went, alongside
-    /// where *simulated* time went.
-    pub shards: Option<Vec<(u32, u64, u64)>>,
 }
 
 impl BlameReport {
@@ -77,14 +73,7 @@ impl BlameReport {
             critical_path: cp,
             per_rank,
             whatif,
-            shards: None,
         }
-    }
-
-    /// Attach shard wall-clock accounting (builder style).
-    pub fn with_shards(mut self, shards: Vec<(u32, u64, u64)>) -> BlameReport {
-        self.shards = Some(shards);
-        self
     }
 
     /// The exactness invariant: components sum to the makespan.
@@ -110,7 +99,7 @@ impl BlameReport {
 
     /// The `blame` section of the JSON run report.
     pub fn to_json(&self) -> JsonValue {
-        let mut pairs: Vec<(&str, JsonValue)> = vec![
+        JsonValue::obj(vec![
             ("schema", BLAME_SCHEMA_VERSION.into()),
             ("makespan_ns", self.makespan_ns.into()),
             (
@@ -171,25 +160,7 @@ impl BlameReport {
                         .collect(),
                 ),
             ),
-        ];
-        if let Some(shards) = &self.shards {
-            pairs.push((
-                "shards",
-                JsonValue::Arr(
-                    shards
-                        .iter()
-                        .map(|&(shard, busy_ns, wait_ns)| {
-                            JsonValue::obj(vec![
-                                ("shard", shard.into()),
-                                ("busy_ns", busy_ns.into()),
-                                ("wait_ns", wait_ns.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        JsonValue::obj(pairs)
+        ])
     }
 }
 
@@ -460,7 +431,10 @@ pub fn render_report(doc: &JsonValue) -> Result<String, String> {
         }
     }
 
-    if let Some(shards) = blame.get("shards").and_then(|v| v.as_arr()) {
+    // A profiled run's report says where *host* time went, alongside
+    // where *simulated* time went.
+    let shards = doc.get("profile").and_then(|p| p.get("shards"));
+    if let Some(shards) = shards.and_then(|v| v.as_arr()).filter(|s| !s.is_empty()) {
         push(&mut out, String::new());
         push(
             &mut out,
@@ -584,15 +558,29 @@ mod tests {
     }
 
     #[test]
-    fn shards_section_rides_along() {
+    fn shard_rows_come_from_the_profile() {
         let (spans, act, t) = tiny_run();
-        let report =
-            BlameReport::from_run(&spans, &act, t).with_shards(vec![(0, 100, 10), (1, 90, 20)]);
-        let json = report.to_json();
-        let shards = json.get("shards").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(shards.len(), 2);
-        let doc = JsonValue::obj(vec![("blame", json.clone())]);
+        let blame = BlameReport::from_run(&spans, &act, t).to_json();
+        assert!(blame.get("shards").is_none());
+        let row = |shard: u64, busy_ns: u64, wait_ns: u64| {
+            JsonValue::obj(vec![
+                ("shard", shard.into()),
+                ("busy_ns", busy_ns.into()),
+                ("wait_ns", wait_ns.into()),
+            ])
+        };
+        let profile = JsonValue::obj(vec![(
+            "shards",
+            JsonValue::Arr(vec![row(0, 100, 10), row(1, 90, 20)]),
+        )]);
+        let unprofiled = JsonValue::obj(vec![("blame", blame.clone())]);
+        assert!(!render_report(&unprofiled)
+            .unwrap()
+            .contains("SHARD BARRIER WAIT"));
+        let doc = JsonValue::obj(vec![("blame", blame), ("profile", profile)]);
         let text = render_report(&doc).unwrap();
         assert!(text.contains("SHARD BARRIER WAIT"));
+        assert!(text
+            .contains("  shard 1   busy        90 ns  barrier-wait        20 ns  (18.2% waiting)"));
     }
 }

@@ -6,7 +6,7 @@ use dws::core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, StealAmount,
     StreamingSetup, VictimPolicy,
 };
-use dws::metrics::export::{chrome_trace_with_critpath, link_matrix_json, parse};
+use dws::metrics::export::{link_matrix_json, parse, write_chrome_trace};
 use dws::metrics::{CriticalPath, JsonValue};
 use dws::simnet::{Crash, FaultPlan, StreamingCfg};
 use dws::uts::presets;
@@ -71,8 +71,9 @@ fn chrome_trace_is_well_formed() {
         at_ns: 2_000_000,
     });
     let r = run_experiment(&cfg);
-    let doc = r.chrome_trace_json().expect("spans collected");
-    let text = format!("{doc}");
+    let mut doc = Vec::new();
+    r.write_chrome_trace(&mut doc).unwrap();
+    let text = String::from_utf8(doc).unwrap();
     let parsed = parse(&text).expect("chrome trace must be valid JSON");
     let events = parsed
         .get("traceEvents")
@@ -186,25 +187,29 @@ fn chrome_trace_is_well_formed() {
 fn chrome_trace_is_the_same_whether_blame_ran_first() {
     let cfg = traced_config(16);
     let cold = run_experiment(&cfg);
-    let cold_doc = cold
-        .chrome_trace_json()
-        .expect("spans collected")
-        .to_string();
+    let mut cold_doc = Vec::new();
+    cold.write_chrome_trace(&mut cold_doc).unwrap();
     let warm = run_experiment(&cfg);
     let blame = warm.blame_report().expect("spans and trace collected");
     assert!(!blame.critical_path.segments().is_empty());
-    let warm_doc = warm
-        .chrome_trace_json()
-        .expect("spans collected")
-        .to_string();
+    let mut warm_doc = Vec::new();
+    warm.write_chrome_trace(&mut warm_doc).unwrap();
     assert_eq!(cold_doc, warm_doc);
 
     let spans = warm.spans.as_ref().expect("spans collected");
     let trace = warm.trace.as_ref().expect("trace collected");
     let makespan_ns = warm.makespan.ns();
     let fresh = CriticalPath::extract(spans, trace, makespan_ns);
-    let fresh_doc = chrome_trace_with_critpath(spans, Some(trace), makespan_ns, Some(&fresh));
-    assert_eq!(warm_doc, fresh_doc.to_string());
+    let mut fresh_doc = Vec::new();
+    write_chrome_trace(
+        &mut fresh_doc,
+        spans,
+        Some(trace),
+        makespan_ns,
+        Some(&fresh),
+    )
+    .unwrap();
+    assert_eq!(warm_doc, fresh_doc);
 }
 
 /// The machine-readable report round-trips through our own parser and
@@ -313,10 +318,9 @@ struct Artifacts {
     events: u64,
     window_plan: (u64, u64),
     per_rank: Vec<dws::metrics::StealStats>,
-    chrome: Option<String>,
-    /// `(section, bytes)` of the JSON report. `profile` and the blame
-    /// section's per-shard rows report host wall time, so they are
-    /// left out.
+    chrome: Option<Vec<u8>>,
+    /// `(section, bytes)` of the JSON report. `profile` reports host
+    /// wall time, so it is left out.
     report: Vec<(String, String)>,
     links: Option<String>,
     /// Snapshot lines without their wall-clock fields and the per-shard
@@ -339,14 +343,7 @@ fn record_run(cfg: &ExperimentConfig, stream: bool) -> (Artifacts, ExperimentRes
         JsonValue::Obj(pairs) => pairs
             .into_iter()
             .filter(|(k, _)| k != "profile")
-            .map(|(k, v)| {
-                let v = if k == "blame" {
-                    without(&v, &["shards"])
-                } else {
-                    v
-                };
-                (k, v.to_string())
-            })
+            .map(|(k, v)| (k, v.to_string()))
             .collect(),
         _ => unreachable!("the report is an object"),
     };
@@ -375,7 +372,11 @@ fn record_run(cfg: &ExperimentConfig, stream: bool) -> (Artifacts, ExperimentRes
         events: r.report.events,
         window_plan: r.window_plan,
         per_rank: r.stats.per_rank.clone(),
-        chrome: r.chrome_trace_json().map(|d| d.to_string()),
+        chrome: r.spans.is_some().then(|| {
+            let mut doc = Vec::new();
+            r.write_chrome_trace(&mut doc).unwrap();
+            doc
+        }),
         report,
         links,
         snapshots,
@@ -404,8 +405,15 @@ fn recorders_never_change_the_run() {
     let (all_cfg, all_stream) = config(0b1111, 1);
     let (all, all_run) = record_run(&all_cfg, all_stream);
     let spans = all_run.spans.as_ref().expect("spans recorded");
-    let untraced_chrome =
-        chrome_trace_with_critpath(spans, None, all_run.makespan.ns(), None).to_string();
+    let mut untraced_chrome = Vec::new();
+    write_chrome_trace(
+        &mut untraced_chrome,
+        spans,
+        None,
+        all_run.makespan.ns(),
+        None,
+    )
+    .unwrap();
     let all_sections: HashMap<&str, &str> = all
         .report
         .iter()
