@@ -217,6 +217,9 @@ fn config_from(flags: &Flags) -> Result<ExperimentConfig, String> {
         cfg.fault_tolerance = Some(FaultToleranceCfg::default());
     }
     if let Some(mult) = flags.parse_opt::<u32>("fault-timeout-mult")? {
+        if mult == 0 {
+            return Err("--fault-timeout-mult must be at least 1".into());
+        }
         let mut ft = cfg.effective_fault_tolerance().unwrap_or_default();
         ft.timeout_mult = mult;
         cfg.fault_tolerance = Some(ft);
@@ -240,9 +243,6 @@ fn config_from(flags: &Flags) -> Result<ExperimentConfig, String> {
             let threads = flags
                 .parse_opt::<u32>("threads")?
                 .expect("flag value present");
-            if threads == 0 {
-                return Err("--threads must be at least 1 (or `auto`)".into());
-            }
             if threads > ranks {
                 eprintln!(
                     "warning: --threads {threads} exceeds the job's {ranks} ranks; \
@@ -1064,6 +1064,26 @@ mod tests {
             .filter(|name| !listed(name))
             .collect();
         assert!(missing.is_empty(), "`dws help` omits {missing:?}");
+    }
+
+    #[test]
+    fn config_errors_name_their_flag_instead_of_running() {
+        let config_err = |extra: &[&str]| {
+            let args: Vec<String> = ["--tree", "t3sim-xs", "--ranks", "16"]
+                .iter()
+                .chain(extra)
+                .map(|s| s.to_string())
+                .collect();
+            run(&args).expect_err("the config is refused")
+        };
+        // A zero multiplier arms every recovery timer at 0 ns.
+        let err = config_err(&["--fault-drop", "0.01", "--fault-timeout-mult", "0"]);
+        assert!(err.contains("--fault-timeout-mult"), "{err}");
+        // A NaN exponent reaches the alias table's weight check.
+        for victim in ["tofu", "latskew"] {
+            let err = config_err(&["--victim", victim, "--alpha", "nan"]);
+            assert!(err.contains("alpha"), "{err}");
+        }
     }
 
     #[test]

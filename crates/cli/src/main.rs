@@ -102,7 +102,7 @@ commands:
           --fault-partition <r@a:b,..>  cut ranks below r off from the
                                         rest during [a,b)
           --fault-tolerant     force the failure-tolerant protocol on
-          --fault-timeout-mult <n>      steal-timeout RTT multiplier
+          --fault-timeout-mult <n>      steal-timeout RTT multiplier (>= 1)
           --no-trace           keep no activity trace (no occupancy,
                                SL/EL or --lifestory)
           --lifestory          print the per-rank activity chart

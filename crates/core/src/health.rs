@@ -11,12 +11,15 @@
 //! - a **score EWMA** over steal outcomes (success = 1, answered-empty
 //!   = 0.5, timeout = 0) that re-weights the base policy's draws via
 //!   bounded rejection (see `Worker::send_steal_request`), and
-//! - a **quarantine state machine**: after `quarantine_after`
+//! - a **quarantine state machine**: after `QUARANTINE_AFTER`
 //!   consecutive timeouts a victim is quarantined for an exponentially
 //!   growing probation window; the first draw landing on an expired
 //!   window is the *probe steal* — if it times out the victim is
 //!   re-quarantined with a deeper backoff, and any reply (even a stale
-//!   or duplicated one) re-admits it immediately.
+//!   or duplicated one) re-admits it immediately. The window's base is
+//!   derived from the job's latency model
+//!   (`PROBATION_BASE_BLADE_LATENCIES`), so a run whose every duration
+//!   is k times longer quarantines k times longer.
 //!
 //! Everything here is deterministic: updates are pure functions of the
 //! steal outcomes and simulated clock, and the overlay draws from the
@@ -26,45 +29,35 @@
 //! byte-identical to a build without this module.
 
 use dws_simnet::Rank;
+use dws_topology::LatencyParams;
 use std::collections::BTreeMap;
 
-/// Tuning knobs of the adaptive layer. The defaults are deliberately
-/// conservative: reachable victims keep at least `min_accept` of their
-/// base probability, so the learned distribution never starves a rank.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveCfg {
-    /// EWMA smoothing factor for the outcome score and the RTT
-    /// estimate (weight of the newest sample).
-    pub ewma_beta: f64,
-    /// Consecutive steal timeouts before a victim is quarantined.
-    pub quarantine_after: u32,
-    /// First probation window length, in simulated nanoseconds.
-    pub probation_base_ns: u64,
-    /// Cap on probation-window doublings (window length saturates at
-    /// `probation_base_ns << cap`).
-    pub probation_max_doublings: u32,
-    /// Floor on the overlay acceptance probability of a non-quarantined
-    /// victim: even a victim with score 0 keeps this share of its base
-    /// draw weight.
-    pub min_accept: f64,
-    /// Bounded-rejection budget per steal: draws from the base selector
-    /// before falling back to a deterministic scan. Keeps the overlay
-    /// O(1) on top of the base policy's O(1) draw.
-    pub max_overlay_rounds: u32,
-}
+/// EWMA smoothing factor for the outcome score and the RTT estimate
+/// (weight of the newest sample).
+const EWMA_BETA: f64 = 0.25;
 
-impl Default for AdaptiveCfg {
-    fn default() -> Self {
-        Self {
-            ewma_beta: 0.25,
-            quarantine_after: 2,
-            probation_base_ns: 1_000_000,
-            probation_max_doublings: 8,
-            min_accept: 0.15,
-            max_overlay_rounds: 8,
-        }
-    }
-}
+/// Consecutive steal timeouts before a victim is quarantined.
+const QUARANTINE_AFTER: u32 = 2;
+
+/// The first probation window, in same-blade link latencies: 1 ms at
+/// the default latency parameters. Linear in the latency model, so
+/// the window scales with every other time in the run, and non-zero on
+/// a flat network (whose per-hop cost is 0).
+const PROBATION_BASE_BLADE_LATENCIES: u64 = 1_000;
+
+/// Cap on probation-window doublings (the window saturates at the base
+/// shifted left by this).
+const PROBATION_MAX_DOUBLINGS: u32 = 8;
+
+/// Floor on the overlay acceptance probability of a non-quarantined
+/// victim: even a victim with score 0 keeps this share of its base
+/// draw weight, so the learned distribution never starves a rank.
+const MIN_ACCEPT: f64 = 0.15;
+
+/// Bounded-rejection budget per steal: draws from the base selector
+/// before falling back to a deterministic scan. Keeps the overlay O(1)
+/// on top of the base policy's O(1) draw.
+pub(crate) const MAX_OVERLAY_ROUNDS: u32 = 8;
 
 /// What the overlay should do with a drawn victim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +93,7 @@ pub struct VictimHealth {
     /// Probation-window doublings applied so far (reset on any reply).
     pub backoff_doublings: u32,
     /// A probe steal is in flight: the next timeout re-quarantines
-    /// immediately instead of counting toward `quarantine_after`.
+    /// immediately instead of counting toward `QUARANTINE_AFTER`.
     pub on_probation: bool,
     /// Times this victim entered quarantine.
     pub quarantines: u64,
@@ -134,22 +127,19 @@ impl Default for VictimHealth {
 /// iteration order deterministic for the JSON report.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    cfg: AdaptiveCfg,
+    /// First probation window length, in simulated nanoseconds.
+    probation_base_ns: u64,
     map: BTreeMap<Rank, VictimHealth>,
 }
 
 impl HealthTracker {
-    /// Fresh tracker with the given knobs.
-    pub fn new(cfg: AdaptiveCfg) -> Self {
+    /// Fresh tracker for a job under the `latency` model, which sets
+    /// the probation window.
+    pub fn new(latency: &LatencyParams) -> Self {
         Self {
-            cfg,
+            probation_base_ns: PROBATION_BASE_BLADE_LATENCIES * latency.same_blade_ns,
             map: BTreeMap::new(),
         }
-    }
-
-    /// The configured knobs.
-    pub fn cfg(&self) -> &AdaptiveCfg {
-        &self.cfg
     }
 
     fn readmit(e: &mut VictimHealth) {
@@ -159,27 +149,20 @@ impl HealthTracker {
         e.on_probation = false;
     }
 
-    /// A steal to `victim` was answered with work after `rtt_ns`.
-    pub fn on_success(&mut self, victim: Rank, rtt_ns: u64) {
-        let beta = self.cfg.ewma_beta;
+    /// A steal to `victim` was answered after `rtt_ns`: with work (full
+    /// credit), or empty — the victim is reachable but had no work
+    /// (half credit).
+    pub fn on_reply(&mut self, victim: Rank, rtt_ns: u64, with_work: bool) {
+        let beta = EWMA_BETA;
         let e = self.map.entry(victim).or_default();
-        e.successes += 1;
-        e.score = (1.0 - beta) * e.score + beta;
-        e.rtt_ewma_ns = if e.rtt_ewma_ns == 0.0 {
-            rtt_ns as f64
+        let credit = if with_work {
+            e.successes += 1;
+            1.0
         } else {
-            (1.0 - beta) * e.rtt_ewma_ns + beta * rtt_ns as f64
+            e.empties += 1;
+            0.5
         };
-        Self::readmit(e);
-    }
-
-    /// A steal to `victim` was answered empty after `rtt_ns`: the
-    /// victim is reachable but had no work — half credit.
-    pub fn on_empty(&mut self, victim: Rank, rtt_ns: u64) {
-        let beta = self.cfg.ewma_beta;
-        let e = self.map.entry(victim).or_default();
-        e.empties += 1;
-        e.score = (1.0 - beta) * e.score + beta * 0.5;
+        e.score = (1.0 - beta) * e.score + beta * credit;
         e.rtt_ewma_ns = if e.rtt_ewma_ns == 0.0 {
             rtt_ns as f64
         } else {
@@ -200,21 +183,19 @@ impl HealthTracker {
     /// A steal to `victim` timed out at simulated time `now_ns`.
     /// Returns `true` if this pushed the victim into quarantine.
     pub fn on_timeout(&mut self, victim: Rank, now_ns: u64) -> bool {
-        let cfg = self.cfg.clone();
         let e = self.map.entry(victim).or_default();
         e.timeouts += 1;
-        e.score *= 1.0 - cfg.ewma_beta;
+        e.score *= 1.0 - EWMA_BETA;
         let quarantine = if e.on_probation {
             // The probe itself timed out: straight back in, deeper.
             e.on_probation = false;
             true
         } else {
             e.consecutive_timeouts += 1;
-            e.consecutive_timeouts >= cfg.quarantine_after
+            e.consecutive_timeouts >= QUARANTINE_AFTER
         };
         if quarantine {
-            let window =
-                cfg.probation_base_ns << e.backoff_doublings.min(cfg.probation_max_doublings);
+            let window = self.probation_base_ns << e.backoff_doublings.min(PROBATION_MAX_DOUBLINGS);
             e.quarantined_until_ns = now_ns.saturating_add(window);
             e.backoff_doublings += 1;
             e.consecutive_timeouts = 0;
@@ -243,10 +224,10 @@ impl HealthTracker {
     }
 
     /// Overlay acceptance probability for a non-quarantined victim:
-    /// the score clamped to `[min_accept, 1]`; unseen victims are 1.
+    /// the score clamped to `[MIN_ACCEPT, 1]`; unseen victims are 1.
     pub fn accept_weight(&self, victim: Rank) -> f64 {
         match self.map.get(&victim) {
-            Some(e) => e.score.clamp(self.cfg.min_accept, 1.0),
+            Some(e) => e.score.clamp(MIN_ACCEPT, 1.0),
             None => 1.0,
         }
     }
@@ -279,8 +260,31 @@ mod tests {
     use super::*;
     use dws_simnet::DetRng;
 
+    /// The probation base at the default latency parameters.
+    const BASE: u64 = 1_000_000;
+
     fn tracker() -> HealthTracker {
-        HealthTracker::new(AdaptiveCfg::default())
+        HealthTracker::new(&LatencyParams::default())
+    }
+
+    #[test]
+    fn probation_base_is_linear_in_the_latency_model() {
+        let base = |p: &LatencyParams| HealthTracker::new(p).probation_base_ns;
+        assert_eq!(base(&LatencyParams::default()), BASE);
+        let d = LatencyParams::default();
+        let scaled = LatencyParams {
+            same_node_ns: 3 * d.same_node_ns,
+            same_blade_ns: 3 * d.same_blade_ns,
+            same_cube_ns: 3 * d.same_cube_ns,
+            same_rack_ns: 3 * d.same_rack_ns,
+            inter_rack_ns: 3 * d.inter_rack_ns,
+            per_hop_ns: 3 * d.per_hop_ns,
+            bytes_per_ns: d.bytes_per_ns / 3.0,
+            software_overhead_ns: 3 * d.software_overhead_ns,
+        };
+        assert_eq!(base(&scaled), 3 * BASE);
+        // A flat network has no per-hop cost; quarantine stays on.
+        assert_eq!(base(&LatencyParams::flat(2_000)), 2 * BASE);
     }
 
     #[test]
@@ -293,18 +297,17 @@ mod tests {
 
     #[test]
     fn consecutive_timeouts_quarantine_and_backoff_doubles() {
-        let cfg = AdaptiveCfg::default();
         let mut t = tracker();
         assert!(!t.on_timeout(3, 100));
         assert!(t.on_timeout(3, 200), "second timeout quarantines");
-        let until1 = 200 + cfg.probation_base_ns;
+        let until1 = 200 + BASE;
         assert!(t.is_quarantined(3, until1 - 1));
         assert!(!t.is_quarantined(3, until1));
         // Expired window: the next gate is the probe.
         assert_eq!(t.gate(3, until1), Gate::Probe);
         // Probe times out: immediate re-quarantine, doubled window.
         assert!(t.on_timeout(3, until1 + 10));
-        assert!(t.is_quarantined(3, until1 + 10 + 2 * cfg.probation_base_ns - 1));
+        assert!(t.is_quarantined(3, until1 + 10 + 2 * BASE - 1));
     }
 
     #[test]
@@ -319,15 +322,14 @@ mod tests {
         // Backoff reset: the next quarantine starts at the base window.
         t.on_timeout(7, 400);
         t.on_timeout(7, 500);
-        let base = AdaptiveCfg::default().probation_base_ns;
-        assert!(t.is_quarantined(7, 500 + base - 1));
-        assert!(!t.is_quarantined(7, 500 + base));
+        assert!(t.is_quarantined(7, 500 + BASE - 1));
+        assert!(!t.is_quarantined(7, 500 + BASE));
     }
 
     #[test]
     fn scores_track_outcomes() {
         let mut t = tracker();
-        t.on_empty(1, 1_000);
+        t.on_reply(1, 1_000, false);
         let after_empty = t.accept_weight(1);
         assert!(after_empty < 1.0 && after_empty > 0.5);
         t.on_timeout(1, 10);
@@ -337,11 +339,11 @@ mod tests {
         }
         assert_eq!(
             t.accept_weight(1),
-            AdaptiveCfg::default().min_accept,
+            MIN_ACCEPT,
             "score is floored at min_accept"
         );
         for _ in 0..50 {
-            t.on_success(1, 1_000);
+            t.on_reply(1, 1_000, true);
         }
         assert!(t.accept_weight(1) > 0.99);
     }
@@ -349,10 +351,10 @@ mod tests {
     #[test]
     fn rtt_ewma_follows_samples() {
         let mut t = tracker();
-        t.on_success(2, 1_000);
+        t.on_reply(2, 1_000, true);
         let (_, h) = t.iter().next().expect("entry exists");
         assert_eq!(h.rtt_ewma_ns, 1_000.0);
-        t.on_success(2, 2_000);
+        t.on_reply(2, 2_000, true);
         let (_, h) = t.iter().next().expect("entry exists");
         assert!(h.rtt_ewma_ns > 1_000.0 && h.rtt_ewma_ns < 2_000.0);
     }
@@ -363,11 +365,10 @@ mod tests {
     /// probation window never exceeds the configured cap.
     #[test]
     fn quarantine_gate_property() {
-        let cfg = AdaptiveCfg::default();
-        let max_window = cfg.probation_base_ns << cfg.probation_max_doublings;
+        let max_window = BASE << PROBATION_MAX_DOUBLINGS;
         for seed in 0..20u64 {
             let mut rng = DetRng::new(seed);
-            let mut t = HealthTracker::new(cfg.clone());
+            let mut t = tracker();
             let mut now = 0u64;
             let mut quarantined_at: Option<u64> = None;
             for _ in 0..400 {
@@ -375,7 +376,7 @@ mod tests {
                 let victim = 1 + rng.next_below(4) as Rank;
                 match rng.next_below(5) {
                     0 => {
-                        t.on_success(victim, 1_000);
+                        t.on_reply(victim, 1_000, true);
                         if victim == 1 {
                             quarantined_at = None;
                         }

@@ -51,13 +51,13 @@ pub mod termination;
 pub mod victim;
 
 pub use alias::AliasTable;
-pub use health::{AdaptiveCfg, Gate, HealthTracker, VictimHealth};
+pub use health::{Gate, HealthTracker, VictimHealth};
 pub use network::NicContendedNetwork;
 pub use runner::{
     run_experiment, run_experiment_streamed, sequential_baseline, shard_plan, CutReport,
     ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup, STREAMING_FLAGS,
 };
-pub use scheduler::{FaultToleranceCfg, Msg, SchedulerCfg, StealAmount, Worker};
+pub use scheduler::{FaultToleranceCfg, Msg, StealAmount, Worker};
 pub use stack::{Chunk, ChunkedStack};
 pub use termination::{Colour, TerminationState, Token, TokenAction};
 pub use victim::{

@@ -14,8 +14,8 @@
 //! - the activity trace must be well-formed,
 //! - every rank must have observed termination with an empty stack.
 
-use crate::health::{AdaptiveCfg, VictimHealth};
-use crate::scheduler::{FaultToleranceCfg, SchedulerCfg, StealAmount, Worker};
+use crate::health::VictimHealth;
+use crate::scheduler::{FaultToleranceCfg, StealAmount, Worker, MAX_BACKOFF_DOUBLINGS};
 use crate::victim::VictimPolicy;
 use dws_metrics::export::{histograms_json, span_counts_json, write_chrome_trace};
 use dws_metrics::perflab::{self, ProfileReport};
@@ -69,7 +69,12 @@ pub struct ExperimentConfig {
     pub retry_delay_ns: u64,
     /// Delay before rank 0 reissues a termination probe.
     pub probe_backoff_ns: u64,
-    /// Victim-side CPU cost per message serviced while working.
+    /// CPU cost a *working* rank pays to service one incoming message
+    /// at a poll point (MPI probe/recv/reply processing). This is the
+    /// mechanism by which failed-steal convoys slow down the very ranks
+    /// that hold work — the paper's link between failed-steal counts
+    /// (Figures 7, 15) and performance. Idle ranks answer for free:
+    /// they have nothing better to do.
     pub msg_handle_ns: u64,
     /// Victim-side CPU cost per chunk packaged into a reply.
     pub package_chunk_ns: u64,
@@ -110,10 +115,13 @@ pub struct ExperimentConfig {
     /// default plan injects nothing and leaves the event schedule
     /// byte-identical to a fault-free build.
     pub fault_plan: FaultPlan,
-    /// Failure-tolerance knobs for the steal protocol. `None` means
-    /// *auto*: enabled with defaults exactly when `fault_plan` is
-    /// active, off otherwise (so fault-free runs never pay for it).
-    /// Set explicitly to measure protocol overhead on a clean network.
+    /// Failure tolerance: steal timeouts with exponential backoff,
+    /// acknowledged work transfers with retransmission, termination
+    /// tokens with regeneration, and crashed-rank avoidance. `None`
+    /// means *auto*: enabled with defaults exactly when `fault_plan` is
+    /// active, off otherwise — and off, the paper's bare protocol runs
+    /// with zero extra timers, messages or RNG draws. Set explicitly to
+    /// measure protocol overhead on a clean network.
     pub fault_tolerance: Option<FaultToleranceCfg>,
     /// Engine self-profiling: wall-clock phase timers, events/sec and
     /// allocations-per-event, reported in the run report's `profile`
@@ -131,7 +139,12 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Paper-faithful defaults: compact allocation, K latencies,
-    /// 20-node chunks, reference victim selection and one-chunk steals.
+    /// 20-node chunks, reference victim selection and one-chunk steals;
+    /// polling every 4 expansions (the reference implementation polls
+    /// every iteration — 4 keeps the victim-service wait below the
+    /// network latency scale while bounding simulator event counts);
+    /// a 2 µs retry pause modelling the thief-side bookkeeping between
+    /// attempts.
     pub fn new(workload: Workload, n_nodes: u32) -> Self {
         Self {
             workload,
@@ -242,6 +255,17 @@ impl ExperimentConfig {
         if self.lifeline_threshold == Some(0) {
             return Err("lifeline_threshold of 0 would never steal at all".into());
         }
+        if let VictimPolicy::DistanceSkewed { alpha } | VictimPolicy::LatencySkewed { alpha } =
+            self.victim
+        {
+            if alpha.is_nan() {
+                return Err("the skew exponent alpha is NaN".into());
+            }
+        }
+        if let Some(FaultToleranceCfg { timeout_mult: 0 }) = self.fault_tolerance {
+            // Every recovery timer would fire at once, forever.
+            return Err("fault tolerance's timeout_mult must be at least 1".into());
+        }
         self.workload.spec.check()?;
         self.latency.check()?;
         self.fault_plan
@@ -329,7 +353,7 @@ impl ExperimentConfig {
                     Some(ft) => format!(
                         "FaultToleranceCfg {{ timeout_mult: {}, max_backoff_doublings: {}, \
                          fallback_rtt_ns: 200000 }}",
-                        ft.timeout_mult, ft.max_backoff_doublings
+                        ft.timeout_mult, MAX_BACKOFF_DOUBLINGS
                     )
                     .into(),
                     None => JsonValue::Null,
@@ -911,19 +935,12 @@ pub fn run_experiment_streamed(
         cfg.mapping,
         cfg.latency.clone(),
     ));
-    let sched = Arc::new(SchedulerCfg {
-        workload: cfg.workload.clone(),
-        chunk_size: cfg.chunk_size,
-        poll_interval: cfg.poll_interval,
-        steal: cfg.steal,
-        probe_backoff_ns: cfg.probe_backoff_ns,
-        retry_delay_ns: cfg.retry_delay_ns,
-        msg_handle_ns: cfg.msg_handle_ns,
-        package_chunk_ns: cfg.package_chunk_ns,
-        lifeline_threshold: cfg.lifeline_threshold,
+    // Every worker reads this one config, its "auto" fault tolerance
+    // resolved once.
+    let sched = Arc::new(ExperimentConfig {
         fault_tolerance: cfg.effective_fault_tolerance(),
+        ..cfg.clone()
     });
-    let ft_on = sched.fault_tolerance.is_some();
     let probe = if cfg.profile {
         Some(Arc::new(PerfProbe::new()))
     } else {
@@ -935,15 +952,7 @@ pub fn run_experiment_streamed(
     let workers: Vec<Worker> = (0..n_ranks)
         .map(|me| {
             let selector = cfg.victim.build(&job, me, &victim_ctx);
-            let mut w = Worker::new(Arc::clone(&sched), me, n_ranks, selector);
-            if ft_on {
-                // Timeouts derive from the placed job's latency model.
-                w = w.with_job(Arc::clone(&job));
-            }
-            if cfg.adaptive {
-                w = w.with_health(AdaptiveCfg::default());
-            }
-            w
+            Worker::new(Arc::clone(&sched), &job, me, selector)
         })
         .collect();
     let sim_cfg = SimConfig {
@@ -1249,6 +1258,24 @@ pub fn sequential_baseline(workload: &Workload) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_a_zero_timeout_mult_and_a_nan_alpha() {
+        let base = ExperimentConfig::new(dws_uts::presets::t3sim_xs(), 16);
+        let mut cfg = base.clone();
+        cfg.fault_tolerance = Some(FaultToleranceCfg { timeout_mult: 0 });
+        let err = cfg.validate().expect_err("timeout_mult 0");
+        assert!(err.contains("timeout_mult"), "{err}");
+        cfg.fault_tolerance = Some(FaultToleranceCfg { timeout_mult: 1 });
+        assert_eq!(cfg.validate(), Ok(()));
+        for victim in [
+            VictimPolicy::DistanceSkewed { alpha: f64::NAN },
+            VictimPolicy::LatencySkewed { alpha: f64::NAN },
+        ] {
+            let err = base.clone().with_victim(victim).validate();
+            assert!(err.expect_err("NaN alpha").contains("alpha"));
+        }
+    }
 
     #[test]
     fn an_rss_budget_past_u64_bytes_is_rejected() {

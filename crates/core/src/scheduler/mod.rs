@@ -4,8 +4,10 @@
 //! lifelines and the adaptive health draw, reached only through named
 //! hooks (on victim draw, request sent, work sent, reply, token, probe,
 //! timer and done) that cost one `Option` branch each when all three
-//! are off. This module holds what both share: the configuration, the
-//! messages and the timer tokens.
+//! are off. Every rank reads the run's
+//! [`ExperimentConfig`](crate::ExperimentConfig), its "auto" fault
+//! tolerance resolved by the runner. This module holds what both share:
+//! the messages and the timer tokens.
 
 mod protocol;
 mod recovery;
@@ -14,7 +16,7 @@ pub use protocol::Worker;
 
 use crate::stack::Chunk;
 use crate::termination::Token;
-use dws_uts::{Workload, NODE_WIRE_BYTES};
+use dws_uts::NODE_WIRE_BYTES;
 
 /// How much of a victim's stealable work one steal transfers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,92 +46,25 @@ impl StealAmount {
     }
 }
 
-/// Scheduler parameters shared by all ranks.
-#[derive(Debug, Clone)]
-pub struct SchedulerCfg {
-    /// The tree to search.
-    pub workload: Workload,
-    /// Nodes per chunk (paper default: 20).
-    pub chunk_size: usize,
-    /// Node expansions between message polls while working.
-    pub poll_interval: u32,
-    /// Steal granularity.
-    pub steal: StealAmount,
-    /// Delay before rank 0 relaunches a failed termination probe.
-    pub probe_backoff_ns: u64,
-    /// Pause between a failed steal reply and the next attempt
-    /// (0 = immediate retry, as the reference implementation does).
-    pub retry_delay_ns: u64,
-    /// CPU cost a *working* rank pays to service one incoming message
-    /// at a poll point (MPI probe/recv/reply processing). This is the
-    /// mechanism by which failed-steal convoys slow down the very ranks
-    /// that hold work — the paper's link between failed-steal counts
-    /// (Figures 7, 15) and performance. Idle ranks answer for free:
-    /// they have nothing better to do.
-    pub msg_handle_ns: u64,
-    /// Additional victim-side cost per chunk packaged into a steal
-    /// reply (copying nodes out of the stack into the message).
-    pub package_chunk_ns: u64,
-    /// Extension (Saraswat et al., the paper's §VI comparison point):
-    /// lifeline-based load balancing. After this many *consecutive*
-    /// failed steals a thief registers with its lifeline buddies
-    /// (hypercube neighbours) and goes dormant instead of spamming
-    /// steal requests; ranks with surplus work push chunks to their
-    /// registered dormant buddies at polling points. `None` disables
-    /// lifelines (the paper's protocol).
-    pub lifeline_threshold: Option<u32>,
-    /// Failure tolerance: steal timeouts with exponential backoff,
-    /// acknowledged work transfers with retransmission, termination
-    /// tokens with regeneration, and crashed-rank avoidance. `None`
-    /// (the default) runs the paper's bare protocol with **zero**
-    /// extra timers, messages, or RNG draws — the fault-free event
-    /// schedule is untouched.
-    pub fault_tolerance: Option<FaultToleranceCfg>,
-}
+/// Cap on exponential-backoff doublings applied after consecutive
+/// timeouts (steal requests) or repeated retransmissions.
+pub(crate) const MAX_BACKOFF_DOUBLINGS: u32 = 6;
 
-impl SchedulerCfg {
-    /// Defaults: 20-node chunks as in the paper; polling every 4
-    /// expansions (the reference implementation polls every iteration —
-    /// 4 keeps the victim-service wait below the network latency scale
-    /// while bounding simulator event counts); a 2 µs retry pause
-    /// modelling the thief-side bookkeeping between attempts.
-    pub fn new(workload: Workload, steal: StealAmount) -> Self {
-        Self {
-            workload,
-            chunk_size: 20,
-            poll_interval: 4,
-            steal,
-            probe_backoff_ns: 10_000,
-            retry_delay_ns: 2_000,
-            msg_handle_ns: 600,
-            package_chunk_ns: 200,
-            lifeline_threshold: None,
-            fault_tolerance: None,
-        }
-    }
-}
-
-/// Knobs of the failure-tolerant steal protocol. All time scales are
+/// Knob of the failure-tolerant steal protocol. All time scales are
 /// *derived from the placed job's latency model* at use time
-/// (paper-style: no magic wall-clock constants) — these are only the
-/// multipliers.
+/// (paper-style: no magic wall-clock constants) — this is only the
+/// multiplier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultToleranceCfg {
     /// Multiplier on the estimated request→reply round trip (plus one
     /// victim service interval) before a steal request is declared
-    /// lost and the thief re-selects a victim.
+    /// lost and the thief re-selects a victim. At least 1.
     pub timeout_mult: u32,
-    /// Cap on exponential-backoff doublings applied after consecutive
-    /// timeouts (steal requests) or repeated retransmissions.
-    pub max_backoff_doublings: u32,
 }
 
 impl Default for FaultToleranceCfg {
     fn default() -> Self {
-        Self {
-            timeout_mult: 4,
-            max_backoff_doublings: 6,
-        }
+        Self { timeout_mult: 4 }
     }
 }
 

@@ -46,20 +46,22 @@
 //! reached only through its hooks.
 
 use super::recovery::Recovery;
-use super::{Msg, SchedulerCfg, TIMER_PROBE, TIMER_RETRY, TIMER_WORK};
+use super::{Msg, TIMER_PROBE, TIMER_RETRY, TIMER_WORK};
 use crate::stack::{Chunk, ChunkedStack};
 use crate::termination::{TerminationState, Token, TokenAction};
 use crate::victim::VictimSelector;
+use crate::ExperimentConfig;
 use dws_metrics::{trace_id, SpanKind, StealStats};
 use dws_simnet::profiler::{prof_record, prof_start, Phase};
 use dws_simnet::{Actor, Ctx, Rank};
+use dws_topology::Job;
 use dws_uts::Node;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One rank of the distributed work-stealing computation.
 pub struct Worker {
-    pub(super) cfg: Arc<SchedulerCfg>,
+    pub(super) cfg: Arc<ExperimentConfig>,
     pub(super) stack: ChunkedStack,
     pub(super) selector: VictimSelector,
     pub(super) term: TerminationState,
@@ -82,7 +84,7 @@ pub struct Worker {
     /// Global termination flag.
     pub(super) done: bool,
     /// Accumulated message-service CPU time to charge to the next
-    /// batch (see [`SchedulerCfg::msg_handle_ns`]).
+    /// batch (see [`ExperimentConfig::msg_handle_ns`]).
     service_debt_ns: u64,
     /// While draining the poll queue: this message's position in the
     /// service order, as a delay applied to any reply it generates. A
@@ -110,12 +112,20 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Build the worker for `me`; rank 0 will seed itself with the root.
-    pub fn new(cfg: Arc<SchedulerCfg>, me: Rank, n_ranks: u32, selector: VictimSelector) -> Self {
+    /// Build the worker for rank `me` of the placed `job`; rank 0 will
+    /// seed itself with the root. `cfg.fault_tolerance` is read as
+    /// given: the runner resolves its "auto" value
+    /// ([`ExperimentConfig::effective_fault_tolerance`]) first.
+    pub fn new(
+        cfg: Arc<ExperimentConfig>,
+        job: &Arc<Job>,
+        me: Rank,
+        selector: VictimSelector,
+    ) -> Self {
         Self {
             stack: ChunkedStack::new(cfg.chunk_size),
             selector,
-            term: TerminationState::new(me, n_ranks),
+            term: TerminationState::new(me, job.n_ranks()),
             computing: false,
             pending: VecDeque::new(),
             outstanding: None,
@@ -128,7 +138,7 @@ impl Worker {
             consecutive_fails: 0,
             req_seq: 0,
             outstanding_seq: 0,
-            rec: Recovery::for_cfg(&cfg, me, n_ranks),
+            rec: Recovery::new(&cfg, job, me),
             counters: StealStats::default(),
             cfg,
         }

@@ -8,12 +8,13 @@
 
 use super::protocol::Worker;
 use super::{
-    Msg, SchedulerCfg, TIMER_CLASS_LIFELINE, TIMER_CLASS_RETRANSMIT, TIMER_CLASS_STEAL_TIMEOUT,
-    TIMER_CLASS_TOKEN_RETX, TIMER_CLASS_WATCHDOG,
+    Msg, MAX_BACKOFF_DOUBLINGS, TIMER_CLASS_LIFELINE, TIMER_CLASS_RETRANSMIT,
+    TIMER_CLASS_STEAL_TIMEOUT, TIMER_CLASS_TOKEN_RETX, TIMER_CLASS_WATCHDOG,
 };
-use crate::health::{AdaptiveCfg, Gate, HealthTracker};
+use crate::health::{Gate, HealthTracker, MAX_OVERLAY_ROUNDS};
 use crate::stack::Chunk;
 use crate::termination::Token;
+use crate::ExperimentConfig;
 use dws_metrics::{trace_id, SpanKind};
 use dws_simnet::{Ctx, Rank};
 use dws_topology::Job;
@@ -33,10 +34,9 @@ fn classed_timer(class: u64, id: u64) -> u64 {
 /// The part of a [`Worker`] that only the protocol's extensions use —
 /// fault recovery, lifelines and the adaptive health overlay. Kept out
 /// of line so the state a fault-free event touches stays small.
-#[derive(Default)]
 pub(super) struct Recovery {
     /// Latency oracle of every fault-tolerance time scale.
-    job: Option<Arc<Job>>,
+    job: Arc<Job>,
     /// Last transfer id assigned (0 is the untracked wire value).
     xfer_last: u64,
     /// Work transfers sent but not yet acknowledged:
@@ -71,17 +71,33 @@ pub(super) struct Recovery {
 }
 
 impl Recovery {
-    /// What rank `me` needs under `cfg`: `None` unless fault tolerance
-    /// or lifelines are on (the health overlay allocates it itself).
-    pub(super) fn for_cfg(cfg: &SchedulerCfg, me: Rank, n_ranks: u32) -> Option<Box<Self>> {
+    /// What rank `me` of `job` needs under `cfg`: `None` unless fault
+    /// tolerance, lifelines or the health overlay is on.
+    pub(super) fn new(cfg: &ExperimentConfig, job: &Arc<Job>, me: Rank) -> Option<Box<Self>> {
+        if cfg.fault_tolerance.is_none() && cfg.lifeline_threshold.is_none() && !cfg.adaptive {
+            return None;
+        }
         let lifelines = match cfg.lifeline_threshold {
-            Some(_) => hypercube_lifelines(me, n_ranks),
-            None if cfg.fault_tolerance.is_some() => Vec::new(),
-            None => return None,
+            Some(_) => hypercube_lifelines(me, job.n_ranks()),
+            None => Vec::new(),
         };
+        let health = cfg.adaptive.then(|| HealthTracker::new(&cfg.latency));
         Some(Box::new(Self {
+            job: Arc::clone(job),
+            xfer_last: 0,
+            unacked: Vec::new(),
+            stranded: Vec::new(),
+            absorbed: HashSet::new(),
+            consecutive_timeouts: 0,
+            token_seq_last: 0,
+            pending_token: None,
+            token_seen: HashMap::new(),
+            watchdog_attempts: 0,
+            crash_seen: false,
+            dormant: false,
             lifelines,
-            ..Self::default()
+            lifeline_waiters: Vec::new(),
+            health,
         }))
     }
 
@@ -115,25 +131,9 @@ enum Admission {
 }
 
 impl Worker {
-    /// Enable the adaptive victim-health overlay (builder style). The
-    /// base selector's draws are filtered through learned per-victim
-    /// outcome scores and the quarantine state machine — see
-    /// [`crate::health`].
-    pub fn with_health(mut self, cfg: AdaptiveCfg) -> Self {
-        self.rec.get_or_insert_default().health = Some(HealthTracker::new(cfg));
-        self
-    }
-
     /// The adaptive health ledger, if the overlay is enabled.
     pub fn health(&self) -> Option<&HealthTracker> {
         self.rec.as_ref().and_then(|r| r.health.as_ref())
-    }
-
-    /// Attach the placed job's latency model, which every
-    /// fault-tolerance timeout is derived from.
-    pub fn with_job(mut self, job: Arc<Job>) -> Self {
-        self.rec.get_or_insert_default().job = Some(job);
-        self
     }
 
     /// Fault tolerance: work transfers this rank sent that were never
@@ -169,8 +169,8 @@ impl Worker {
     }
 
     fn job(&self) -> &Job {
-        let job = self.rec.as_ref().and_then(|r| r.job.as_deref());
-        job.expect("the runner attaches the job whenever fault tolerance is on")
+        let rec = self.rec.as_deref();
+        &rec.expect("fault tolerance allocates recovery").job
     }
 
     /// The one backoff formula of every fault-tolerance timer: `hops`
@@ -181,7 +181,7 @@ impl Worker {
         let ft = self.cfg.fault_tolerance.as_ref().expect("ft enabled");
         let slack = self.cfg.poll_interval as u64 * self.cfg.workload.node_ns()
             + 4 * self.cfg.msg_handle_ns;
-        (hops * (hop_ns + slack) * ft.timeout_mult as u64) << k.min(ft.max_backoff_doublings)
+        (hops * (hop_ns + slack) * ft.timeout_mult as u64) << k.min(MAX_BACKOFF_DOUBLINGS)
     }
 
     /// Arm timer `class`/`id` at the backoff of attempt `k` over the
@@ -241,7 +241,7 @@ impl Worker {
         let h = self.rec.as_mut().and_then(|r| r.health.as_mut());
         let h = h.expect("adaptive overlay enabled");
         let mut fallback = None;
-        for round in 0..h.cfg().max_overlay_rounds.max(1) {
+        for round in 0..MAX_OVERLAY_ROUNDS {
             let v = match round {
                 0 => first,
                 _ => self.selector.next_victim(ctx.rng()),
@@ -322,11 +322,7 @@ impl Worker {
         };
         rec.consecutive_timeouts = 0;
         if let Some(h) = rec.health.as_mut() {
-            if chunks.is_empty() {
-                h.on_empty(from, rtt_ns);
-            } else {
-                h.on_success(from, rtt_ns);
-            }
+            h.on_reply(from, rtt_ns, !chunks.is_empty());
         }
         if chunks.is_empty() || !self.ft_on() {
             return true;
@@ -756,18 +752,20 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{FaultToleranceCfg, StealAmount};
+    use crate::scheduler::FaultToleranceCfg;
     use crate::victim::VictimSelector;
+    use dws_topology::RankMapping;
     use dws_uts::presets;
 
-    fn worker(cfg: SchedulerCfg) -> Worker {
+    fn worker(cfg: ExperimentConfig) -> Worker {
+        let job = Arc::new(Job::compact(4, RankMapping::OneToOne));
         let selector = VictimSelector::Uniform { n: 4, me: 1 };
-        Worker::new(Arc::new(cfg), 1, 4, selector)
+        Worker::new(Arc::new(cfg), &job, 1, selector)
     }
 
     #[test]
     fn only_an_enabled_extension_allocates_recovery_state() {
-        let base = SchedulerCfg::new(presets::t3sim_xs(), StealAmount::Half);
+        let base = ExperimentConfig::new(presets::t3sim_xs(), 4);
         assert!(worker(base.clone()).rec.is_none(), "paper protocol");
         let mut ft = base.clone();
         ft.fault_tolerance = Some(FaultToleranceCfg::default());
@@ -780,7 +778,11 @@ mod tests {
             Some(2),
             "lifelines"
         );
-        let w = worker(base).with_health(AdaptiveCfg::default());
+        assert!(w.health().is_none(), "no overlay without `adaptive`");
+        let mut adaptive = base;
+        adaptive.adaptive = true;
+        let w = worker(adaptive);
         assert!(w.health().is_some(), "adaptive overlay");
+        assert!(w.rec.as_ref().is_some_and(|r| r.lifelines.is_empty()));
     }
 }

@@ -292,10 +292,7 @@ fn observed_faulty_span_run_is_pinned_at_one_two_and_four_threads() {
             .with_victim(VictimPolicy::DistanceSkewed { alpha: 1.0 })
             .with_steal(StealAmount::Half);
         cfg.fault_plan = FaultPlan::message_faults(0.01, 0.0, 0.0);
-        cfg.fault_tolerance = Some(FaultToleranceCfg {
-            timeout_mult: 8,
-            ..FaultToleranceCfg::default()
-        });
+        cfg.fault_tolerance = Some(FaultToleranceCfg { timeout_mult: 8 });
         cfg.collect_spans = true;
         cfg.threads = threads;
         assert_eq!(
