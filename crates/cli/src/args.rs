@@ -115,6 +115,9 @@ pub fn parse_victim(
     let victim = match base {
         "reference" | "roundrobin" | "rr" => VictimPolicy::RoundRobin,
         "rand" | "uniform" => VictimPolicy::Uniform,
+        "tofu" | "skew" | "distance" if alpha < 0.0 => {
+            return Err(format!("--alpha {alpha} is below 0, which {name} refuses"));
+        }
         "tofu" | "skew" | "distance" => VictimPolicy::DistanceSkewed { alpha },
         "latskew" | "latency" => VictimPolicy::LatencySkewed { alpha },
         "hier" | "hierarchical" => VictimPolicy::Hierarchical { local_tries },

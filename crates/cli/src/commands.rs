@@ -1084,6 +1084,9 @@ mod tests {
             let err = config_err(&["--victim", victim, "--alpha", "nan"]);
             assert!(err.contains("alpha"), "{err}");
         }
+        // Tofu's rejection sampler accepts with 1/e^alpha.
+        let err = config_err(&["--victim", "tofu", "--alpha", "-1"]);
+        assert!(err.contains("--alpha"), "{err}");
     }
 
     #[test]

@@ -78,7 +78,7 @@ commands:
           --victim <v>         reference | rand | tofu | latskew | hier,
                                or adaptive[-<v>] for the failure-aware
                                overlay on <v> (bare adaptive = tofu)
-          --alpha <f>          skew exponent (default 1.0)
+          --alpha <f>          skew exponent, >= 0 for tofu (default 1.0)
           --local-tries <n>    hier: local burst length (default 4)
           --steal <s>          one | half (default one)
           --lifelines <n>      enable lifelines after n failed steals

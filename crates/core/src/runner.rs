@@ -23,7 +23,7 @@ use dws_metrics::{
     ActivityTrace, BlameReport, JsonValue, LatencyHistograms, OccupancyCurve, Perf, RunStats,
     SpanTrace, StealStats,
 };
-use dws_simnet::profiler::{allocation_count, PerfProbe};
+use dws_simnet::profiler::{allocation_count, PhaseTimes};
 use dws_simnet::{
     parse_duration_ns, FaultPlan, FaultStats, NetTrace, NetworkModel, ParallelConfig, PureNetwork,
     Recorders, RunReport, SimConfig, SimTime, Simulation, StreamingCfg,
@@ -255,12 +255,21 @@ impl ExperimentConfig {
         if self.lifeline_threshold == Some(0) {
             return Err("lifeline_threshold of 0 would never steal at all".into());
         }
-        if let VictimPolicy::DistanceSkewed { alpha } | VictimPolicy::LatencySkewed { alpha } =
-            self.victim
-        {
-            if alpha.is_nan() {
+        match self.victim {
+            VictimPolicy::DistanceSkewed { alpha } | VictimPolicy::LatencySkewed { alpha }
+                if alpha.is_nan() =>
+            {
                 return Err("the skew exponent alpha is NaN".into());
             }
+            // Above `FALLBACK_LIMIT` ranks an asymmetric job draws by
+            // rejection, accepting with 1/e^alpha: a probability only
+            // for alpha >= 0.
+            VictimPolicy::DistanceSkewed { alpha } if alpha < 0.0 => {
+                return Err(format!(
+                    "the distance skew exponent alpha is {alpha}, below 0"
+                ));
+            }
+            _ => {}
         }
         if let Some(FaultToleranceCfg { timeout_mult: 0 }) = self.fault_tolerance {
             // Every recovery timer would fire at once, forever.
@@ -941,11 +950,6 @@ pub fn run_experiment_streamed(
         fault_tolerance: cfg.effective_fault_tolerance(),
         ..cfg.clone()
     });
-    let probe = if cfg.profile {
-        Some(Arc::new(PerfProbe::new()))
-    } else {
-        None
-    };
     // One shared victim context for the whole job (builds the shared
     // offset-alias tables exactly once on symmetric jobs).
     let victim_ctx = cfg.victim.prepare(&job);
@@ -985,42 +989,55 @@ pub fn run_experiment_streamed(
     sim.record(Recorders {
         activity: cfg.collect_trace,
         spans: cfg.collect_spans,
-        profiler: probe.clone(),
+        profiler: cfg.profile,
         streaming: streaming.map(|s| (s.cfg, s.sink)),
     });
-    let child_ns = probe.as_ref().map(|_| measure_child_ns(&cfg.workload));
+    let child_ns = cfg.profile.then(|| measure_child_ns(&cfg.workload));
     // Wall-clock and allocation accounting bracket only the simulation
     // loop; both reads are no-ops for the simulated schedule.
-    let allocs_before = probe.as_ref().map(|_| allocation_count());
-    let wall_start = probe.as_ref().map(|_| Instant::now());
+    let allocs_before = allocation_count();
+    let wall_start = Instant::now();
     let report = sim.run_parallel_with_limits(cfg.max_sim_time_ns.map(SimTime), cfg.max_events);
-    let profile = probe.as_ref().map(|p| ProfileReport {
-        wall_ns: wall_start
-            .expect("wall_start set whenever probe is")
-            .elapsed()
-            .as_nanos() as u64,
-        events: report.events,
-        allocs: allocation_count() - allocs_before.expect("allocs_before set whenever probe is"),
-        peak_rss_bytes: perflab::peak_rss_bytes().unwrap_or(0),
-        tree_nodes: sim
-            .actors()
-            .iter()
-            .map(|w| w.counters.nodes_processed)
-            .sum(),
-        child_ns: child_ns.expect("child_ns set whenever probe is"),
-        phases: p
-            .snapshot()
-            .into_iter()
-            .map(|(name, calls, total_ns)| (name.to_string(), calls, total_ns))
-            .collect(),
-        shards: sim
-            .shard_profiles()
-            .into_iter()
-            .map(|s| (s.shard, s.ranks, s.events, s.windows, s.busy_ns, s.wait_ns))
-            .collect(),
-    });
+    let (wall_ns, allocs) = (
+        wall_start.elapsed().as_nanos() as u64,
+        allocation_count() - allocs_before,
+    );
     let makespan = report.end_time;
     let recorded = sim.take_recordings();
+    // The shards' profiles, summed: every phase, barrier wait included,
+    // is the sum of the shards' own counters.
+    let profile = recorded.profile.map(|shards| {
+        let mut phases = PhaseTimes::default();
+        let mut rows = Vec::with_capacity(shards.len());
+        for s in &shards {
+            phases.absorb(&s.phases);
+            rows.push((
+                s.shard,
+                s.ranks,
+                s.events,
+                s.windows,
+                s.busy_ns,
+                s.wait_ns(),
+            ));
+        }
+        ProfileReport {
+            wall_ns,
+            events: report.events,
+            allocs,
+            peak_rss_bytes: perflab::peak_rss_bytes().unwrap_or(0),
+            tree_nodes: sim
+                .actors()
+                .iter()
+                .map(|w| w.counters.nodes_processed)
+                .sum(),
+            child_ns: child_ns.expect("measured whenever the run profiles"),
+            phases: phases
+                .rows()
+                .map(|(name, calls, total_ns)| (name.to_string(), calls, total_ns))
+                .collect(),
+            shards: rows,
+        }
+    });
     let trace = recorded.activity.map(|logs| {
         let t = ActivityTrace::from_shard_logs(n_ranks, logs);
         t.check()
@@ -1274,6 +1291,25 @@ mod tests {
         ] {
             let err = base.clone().with_victim(victim).validate();
             assert!(err.expect_err("NaN alpha").contains("alpha"));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_negative_distance_skew_alpha() {
+        let base = ExperimentConfig::new(dws_uts::presets::t3sim_xs(), 16);
+        let err = base
+            .clone()
+            .with_victim(VictimPolicy::DistanceSkewed { alpha: -1.0 })
+            .validate()
+            .expect_err("negative alpha");
+        assert!(err.contains("alpha"), "{err}");
+        // Zero is uniform, and the latency skew's alias table is exact
+        // for any exponent.
+        for victim in [
+            VictimPolicy::DistanceSkewed { alpha: 0.0 },
+            VictimPolicy::LatencySkewed { alpha: -1.0 },
+        ] {
+            assert_eq!(base.clone().with_victim(victim).validate(), Ok(()));
         }
     }
 

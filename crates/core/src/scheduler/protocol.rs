@@ -52,7 +52,7 @@ use crate::termination::{TerminationState, Token, TokenAction};
 use crate::victim::VictimSelector;
 use crate::ExperimentConfig;
 use dws_metrics::{trace_id, SpanKind, StealStats};
-use dws_simnet::profiler::{prof_record, prof_start, Phase};
+use dws_simnet::profiler::Phase;
 use dws_simnet::{Actor, Ctx, Rank};
 use dws_topology::Job;
 use dws_uts::Node;
@@ -330,11 +330,11 @@ impl Worker {
 
     pub(super) fn send_steal_request(&mut self, ctx: &mut Ctx<'_, Msg>) {
         debug_assert!(self.outstanding.is_none());
-        let t_draw = prof_start(ctx.profiler());
+        let t_draw = ctx.phase_start();
         let drawn = self.selector.next_victim(ctx.rng());
         debug_assert_ne!(drawn, ctx.me());
         let victim = self.vet_victim(ctx, drawn);
-        prof_record(ctx.profiler(), Phase::VictimDraw, t_draw);
+        ctx.phase_stop(Phase::VictimDraw, t_draw);
         let Some(victim) = victim else {
             return; // nobody left to steal from
         };

@@ -58,7 +58,7 @@ pub enum VictimPolicy {
     Uniform,
     /// Distance-skewed random ("Tofu"): `w(i,j) = 1/e(i,j)^alpha`.
     DistanceSkewed {
-        /// Skew exponent; the paper uses 1.0.
+        /// Skew exponent, at least 0; the paper uses 1.0.
         alpha: f64,
     },
     /// Extension (paper §VII, "alternative victim selection

@@ -305,22 +305,6 @@ pub(crate) fn attribute(
     (path, analyzer.waterfall())
 }
 
-/// One victim-side service record of a steal chain.
-struct Serviced {
-    trace: u64,
-    at_ns: u64,
-    victim: u32,
-    queue_ns: u64,
-    depart_delay_ns: u64,
-}
-
-/// The entries of `table` (sorted by trace ID) that belong to `trace`.
-fn chain_of<T>(table: &[T], trace_of: impl Fn(&T) -> u64, trace: u64) -> &[T] {
-    let start = table.partition_point(|e| trace_of(e) < trace);
-    let len = table[start..].partition_point(|e| trace_of(e) == trace);
-    &table[start..start + len]
-}
-
 /// Shared preprocessing for path extraction and the per-rank
 /// waterfall: built once per report, read by both.
 struct Analyzer<'a> {
@@ -335,14 +319,13 @@ struct Analyzer<'a> {
     /// to idle classification and chain lookup, ascending in time;
     /// each is decoded when it is read.
     rank_spans: Vec<Vec<u32>>,
-    /// `(trace ID, at_ns)` of every steal request sent, sorted: the
-    /// first entry of a trace is its first send (a retransmitted seq
-    /// reuses the ID, and the thief started waiting at the first).
-    requests: Vec<(u64, u64)>,
-    /// Every victim-side service record, grouped by trace ID and in
-    /// time order within one. Usually one per trace; duplicated
-    /// deliveries can yield more.
-    serviced: Vec<Serviced>,
+    /// `(trace ID, byte offset)` of every steal request sent and every
+    /// victim-side service, sorted, so a trace's entries are in log
+    /// order, which is time order. Its first request is its first send
+    /// (a retransmitted seq reuses the ID, and the thief started waiting
+    /// at the first); it usually has one service, and duplicated
+    /// deliveries can yield more. Each is decoded where it is read.
+    chains: Vec<(u64, u32)>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -381,36 +364,13 @@ impl<'a> Analyzer<'a> {
             "span offsets are 32-bit"
         );
         let mut rank_spans: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
-        // The two chain tables are megabytes on an observed run. A
-        // counting pass sizes them exactly, so the report's peak memory
-        // follows the span count: grown by doubling, a table leaves its
-        // old copies behind and jumps in size whenever its count
-        // crosses a power of two.
-        let (n_requests, n_serviced) =
-            records
-                .iter()
-                .fold((0, 0), |(req, srv), rec| match rec.kind {
-                    SpanKind::StealRequestSent { .. } => (req + 1, srv),
-                    SpanKind::StealServiced { .. } => (req, srv + 1),
-                    _ => (req, srv),
-                });
-        let mut requests: Vec<(u64, u64)> = Vec::with_capacity(n_requests);
-        let mut serviced: Vec<Serviced> = Vec::with_capacity(n_serviced);
+        let mut chains: Vec<(u64, u32)> = Vec::new();
         for (offset, rec) in records.with_offsets() {
-            match rec.kind {
-                SpanKind::StealRequestSent { .. } => requests.push((rec.trace, rec.at_ns)),
-                SpanKind::StealServiced {
-                    queue_ns,
-                    depart_delay_ns,
-                    ..
-                } => serviced.push(Serviced {
-                    trace: rec.trace,
-                    at_ns: rec.at_ns,
-                    victim: rec.rank as u32,
-                    queue_ns,
-                    depart_delay_ns,
-                }),
-                _ => {}
+            if matches!(
+                rec.kind,
+                SpanKind::StealRequestSent { .. } | SpanKind::StealServiced { .. }
+            ) {
+                chains.push((rec.trace, offset as u32));
             }
             if rec.rank < n_ranks
                 && matches!(
@@ -426,8 +386,7 @@ impl<'a> Analyzer<'a> {
                 rank_spans[rec.rank].push(offset as u32);
             }
         }
-        requests.sort_unstable();
-        serviced.sort_by_key(|s| s.trace);
+        chains.sort_unstable();
 
         Analyzer {
             makespan_ns,
@@ -435,9 +394,17 @@ impl<'a> Analyzer<'a> {
             busy,
             records,
             rank_spans,
-            requests,
-            serviced,
+            chains,
         }
+    }
+
+    /// The request and service records of `trace`, in log order.
+    fn chain(&self, trace: u64) -> impl Iterator<Item = SpanRecord> + '_ {
+        let start = self.chains.partition_point(|&(t, _)| t < trace);
+        self.chains[start..]
+            .iter()
+            .take_while(move |&&(t, _)| t == trace)
+            .map(|&(_, offset)| self.rec(offset))
     }
 
     /// The record behind an entry of `rank_spans`.
@@ -584,23 +551,29 @@ impl<'a> Analyzer<'a> {
         out: &mut Vec<Segment>,
     ) -> Option<(usize, u64)> {
         let ok = self.last_ok_in(rank, lo, s)?;
-        let &(_, req) = chain_of(&self.requests, |r| r.0, ok.trace).first()?;
+        let req = self
+            .chain(ok.trace)
+            .find(|r| matches!(r.kind, SpanKind::StealRequestSent { .. }))?
+            .at_ns;
         // With duplicated deliveries the victim can service one
         // request twice; the reply that won is the latest one at or
-        // before the thief's wake-up.
-        let serviced = chain_of(&self.serviced, |v| v.trace, ok.trace);
-        let &Serviced {
-            at_ns: svc_at,
-            victim,
-            queue_ns,
-            depart_delay_ns,
-            ..
-        } = serviced
-            .iter()
-            .filter(|v| v.at_ns <= s)
-            .max_by_key(|v| v.at_ns)
-            .or_else(|| serviced.first())?;
-        let victim = victim as usize;
+        // before the thief's wake-up, else the first.
+        let (mut first, mut won) = (None, None);
+        for r in self.chain(ok.trace) {
+            if let SpanKind::StealServiced {
+                queue_ns,
+                depart_delay_ns,
+                ..
+            } = r.kind
+            {
+                let svc = (r.at_ns, r.rank, queue_ns, depart_delay_ns);
+                first = first.or(Some(svc));
+                if r.at_ns <= s {
+                    won = Some(svc);
+                }
+            }
+        }
+        let (svc_at, victim, queue_ns, depart_delay_ns) = won.or(first)?;
         if victim >= self.n_ranks {
             return None;
         }

@@ -80,8 +80,7 @@ pub use export::JsonValue;
 pub use histogram::{Histogram, LatencyHistograms};
 pub use occupancy::{OccupancyCurve, OnlineAccounting};
 pub use perflab::{
-    BenchMetric, BenchRecord, MetricDelta, Polarity, ProfileReport, Verdict,
-    BENCH_SCHEMA_MIN_VERSION, BENCH_SCHEMA_VERSION,
+    BenchMetric, BenchRecord, MetricDelta, Polarity, ProfileReport, Verdict, BENCH_SCHEMA_VERSION,
 };
 pub use report::{ascii_chart, render_table, write_csv, Perf};
 pub use span::{trace_id, SpanIter, SpanKind, SpanLog, SpanRecord, SpanTrace};

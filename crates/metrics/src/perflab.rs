@@ -30,18 +30,10 @@
 use crate::export::{parse, JsonValue};
 use crate::summary::Summary;
 
-/// Schema version stamped into every [`BenchRecord`]; bump on
-/// incompatible layout changes. Version 2 added the adaptive
-/// victim-selection counters (quarantines, probe steals, overlay
-/// rejections) to the run-report bridge. Version 3 marks the
-/// streaming-telemetry era: run reports may now derive their
-/// occupancy section from online (barrier-folded) aggregates instead
-/// of a retained trace — the values are element-identical, so
-/// version-1 and -2 records stay comparable and readable.
+/// Schema version stamped into every [`BenchRecord`], and the only
+/// one [`BenchRecord::from_json`] reads; bump on incompatible layout
+/// changes.
 pub const BENCH_SCHEMA_VERSION: u64 = 3;
-
-/// Oldest schema version [`BenchRecord::from_json`] still accepts.
-pub const BENCH_SCHEMA_MIN_VERSION: u64 = 1;
 
 /// Two-sided 95% critical value of Student's t for `df` degrees of
 /// freedom (exact table for 1–30, the normal 1.96 beyond).
@@ -98,28 +90,6 @@ impl Polarity {
             "neutral" => Some(Polarity::Neutral),
             _ => None,
         }
-    }
-
-    /// Infer a polarity from a conventional metric name. Latency-,
-    /// time-, and footprint-shaped names are lower-is-better;
-    /// throughput- and speedup-shaped names are higher-is-better;
-    /// anything unrecognized is neutral.
-    pub fn infer(name: &str) -> Polarity {
-        const LOWER: [&str; 10] = [
-            "makespan", "_ns", "rtt", "latency", "sl", "el", "rss", "alloc", "wall", "timeout",
-        ];
-        const HIGHER: [&str; 4] = ["speedup", "efficiency", "per_sec", "throughput"];
-        let lower_name = name.to_ascii_lowercase();
-        if HIGHER.iter().any(|p| lower_name.contains(p)) {
-            return Polarity::HigherIsBetter;
-        }
-        if LOWER
-            .iter()
-            .any(|p| lower_name.contains(p) || lower_name == p.trim_start_matches('_'))
-        {
-            return Polarity::LowerIsBetter;
-        }
-        Polarity::Neutral
     }
 }
 
@@ -248,10 +218,9 @@ impl BenchRecord {
                 .ok_or_else(|| format!("bench record missing numeric field {key:?}"))
         };
         let schema = get_u64("schema")?;
-        if !(BENCH_SCHEMA_MIN_VERSION..=BENCH_SCHEMA_VERSION).contains(&schema) {
+        if schema != BENCH_SCHEMA_VERSION {
             return Err(format!(
-                "unsupported bench record schema {schema} \
-                 (supported: {BENCH_SCHEMA_MIN_VERSION}..={BENCH_SCHEMA_VERSION})"
+                "unsupported bench record schema {schema} (supported: {BENCH_SCHEMA_VERSION})"
             ));
         }
         let metrics_json = doc
@@ -267,23 +236,18 @@ impl BenchRecord {
                 .get("name")
                 .and_then(|v| v.as_str())
                 .ok_or("metric missing name")?;
-            let unit = m.get("unit").and_then(|v| v.as_str()).unwrap_or("");
-            let mean = m
-                .get("mean")
-                .and_then(|v| v.as_num())
-                .ok_or_else(|| format!("metric {name:?} missing mean"))?;
-            let better = m
-                .get("better")
-                .and_then(|v| v.as_str())
-                .and_then(Polarity::from_label)
-                .unwrap_or_else(|| Polarity::infer(name));
+            let bad = |key: &str| format!("metric {name:?} missing or malformed field {key:?}");
+            let num = |key: &str| m.get(key).and_then(|v| v.as_num()).ok_or_else(|| bad(key));
+            let text = |key: &str| m.get(key).and_then(|v| v.as_str()).ok_or_else(|| bad(key));
             metrics.push(BenchMetric {
                 name: name.to_string(),
-                unit: unit.to_string(),
-                n: m.get("n").and_then(|v| v.as_u64()).unwrap_or(1),
-                mean,
-                ci95: m.get("ci95").and_then(|v| v.as_num()).unwrap_or(0.0),
-                better,
+                unit: text("unit")?.to_string(),
+                n: m.get("n")
+                    .and_then(|v| v.as_u64())
+                    .ok_or_else(|| bad("n"))?,
+                mean: num("mean")?,
+                ci95: num("ci95")?,
+                better: Polarity::from_label(text("better")?).ok_or_else(|| bad("better"))?,
             });
         }
         Ok(BenchRecord {
@@ -291,11 +255,11 @@ impl BenchRecord {
             bench: get_str("bench")?,
             git_rev: get_str("git_rev")?,
             fingerprint: get_str("fingerprint")?,
-            trial_seed: doc.get("trial_seed").and_then(|v| v.as_u64()).unwrap_or(0),
+            trial_seed: get_u64("trial_seed")?,
             unix_time_s: get_u64("unix_time_s")?,
             trials: get_u64("trials")?,
-            // Records predating the parallel engine were all serial.
-            threads: doc.get("threads").and_then(|v| v.as_u64()).unwrap_or(1) as u32,
+            threads: u32::try_from(get_u64("threads")?)
+                .map_err(|_| "bench record threads out of range".to_string())?,
             metrics,
         })
     }
@@ -320,8 +284,7 @@ pub fn append_record(path: &str, record: &BenchRecord) -> Result<(), String> {
 }
 
 /// Read a trajectory file back: every non-empty line must parse as a
-/// schema-valid [`BenchRecord`]. A whole-file JSON array of records is
-/// also accepted (the hand-edited form).
+/// schema-valid [`BenchRecord`].
 pub fn read_trajectory(path: &str) -> Result<Vec<BenchRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse_trajectory(&text).map_err(|e| format!("{path}: {e}"))
@@ -329,12 +292,6 @@ pub fn read_trajectory(path: &str) -> Result<Vec<BenchRecord>, String> {
 
 /// [`read_trajectory`] on in-memory text.
 pub fn parse_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let trimmed = text.trim_start();
-    if trimmed.starts_with('[') {
-        let doc = parse(trimmed)?;
-        let arr = doc.as_arr().ok_or("trajectory array expected")?;
-        return arr.iter().map(BenchRecord::from_json).collect();
-    }
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -738,15 +695,6 @@ mod tests {
         assert_eq!(mean_ci95(&[]), (0.0, 0.0));
     }
 
-    #[test]
-    fn polarity_inference() {
-        assert_eq!(Polarity::infer("makespan_ns"), Polarity::LowerIsBetter);
-        assert_eq!(Polarity::infer("steal_rtt_p99_ns"), Polarity::LowerIsBetter);
-        assert_eq!(Polarity::infer("events_per_sec"), Polarity::HigherIsBetter);
-        assert_eq!(Polarity::infer("speedup"), Polarity::HigherIsBetter);
-        assert_eq!(Polarity::infer("mystery_widgets"), Polarity::Neutral);
-    }
-
     fn metric(name: &str, mean: f64, ci: f64, better: Polarity) -> BenchMetric {
         BenchMetric {
             name: name.into(),
@@ -846,16 +794,17 @@ mod tests {
         assert!(!text.contains('\n'), "records must be single-line");
         let back = BenchRecord::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, rec);
-        // Wrong schema and empty metrics are rejected.
-        let mut bad = rec.clone();
-        bad.schema = 99;
-        assert!(BenchRecord::from_json(&bad.to_json()).is_err());
-        // Records from every still-supported schema version parse.
-        for v in BENCH_SCHEMA_MIN_VERSION..=BENCH_SCHEMA_VERSION {
-            let mut old = rec.clone();
-            old.schema = v;
-            let back = BenchRecord::from_json(&old.to_json()).unwrap();
-            assert_eq!(back.schema, v);
+        // Other schemas, a missing field and empty metrics are
+        // rejected.
+        for schema in [2, 99] {
+            let mut bad = rec.clone();
+            bad.schema = schema;
+            assert!(BenchRecord::from_json(&bad.to_json()).is_err());
+        }
+        for key in ["threads", "trial_seed", "n", "ci95", "unit", "better"] {
+            let text = text.replace(&format!("\"{key}\":"), "\"dropped\":");
+            let err = BenchRecord::from_json(&parse(&text).unwrap()).expect_err(key);
+            assert!(err.contains(key), "{err}");
         }
         let mut empty = rec;
         empty.metrics.clear();
@@ -863,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_parses_jsonl_and_array_forms() {
+    fn trajectory_parses_jsonl_and_rejects_other_forms() {
         let rec = BenchRecord {
             schema: BENCH_SCHEMA_VERSION,
             bench: "micro".into(),
@@ -879,8 +828,7 @@ mod tests {
         let jsonl = format!("{line}\n\n{line}\n");
         let recs = parse_trajectory(&jsonl).unwrap();
         assert_eq!(recs.len(), 2);
-        let array = format!("[{line},{line},{line}]");
-        assert_eq!(parse_trajectory(&array).unwrap().len(), 3);
+        assert!(parse_trajectory(&format!("[{line},{line}]")).is_err());
         assert!(parse_trajectory("not json\n").is_err());
     }
 

@@ -60,10 +60,8 @@ use dws_metrics::{OnlineAccounting, ShardSnap, Snapshot, SpanKind, SpanRecord, T
 use crate::abort;
 use crate::barrier::WindowBarrier;
 use crate::fault::{FaultPlan, FaultStats};
-use crate::observer::{
-    EventKind as ObsKind, FlightRecorder, Recorder, Recorders, Recordings, NO_PROBE,
-};
-use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
+use crate::observer::{EventKind as ObsKind, FlightRecorder, Recorder, Recorders, Recordings};
+use crate::profiler::{Phase, ShardProfile};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
@@ -319,25 +317,6 @@ pub struct RunReport {
     pub halted: bool,
 }
 
-/// Host-side execution profile of one shard, reported by
-/// [`Simulation::shard_profiles`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardProfile {
-    /// Shard index.
-    pub shard: u32,
-    /// Number of ranks the shard owns.
-    pub ranks: u32,
-    /// Events the shard processed.
-    pub events: u64,
-    /// Lookahead windows the shard executed.
-    pub windows: u64,
-    /// Host nanoseconds spent processing events.
-    pub busy_ns: u64,
-    /// Host nanoseconds spent waiting at window barriers (zero for
-    /// single-threaded runs).
-    pub wait_ns: u64,
-}
-
 /// Configuration for the streaming telemetry subsystem
 /// ([`Recorders::streaming`]): snapshot cadence, the per-shard
 /// flight-recorder ring, and the emergency-abort budgets.
@@ -567,17 +546,34 @@ fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: Op
     }
 }
 
+/// Book one barrier crossing that kept a worker `waited` host ns to
+/// its shards `own`: split evenly, with the remainder and the crossing
+/// on the first, so the shards' waits sum to every wait exactly.
+fn book_wait<A: Actor>(own: &mut [Shard<A>], waited: u64) {
+    let n = own.len() as u64;
+    for (i, shard) in own.iter_mut().enumerate() {
+        if let Some(rec) = &mut shard.core.rec {
+            let first = u64::from(i == 0);
+            let ns = waited / n + first * (waited % n);
+            rec.phases.add(Phase::Barrier, first, ns);
+        }
+    }
+}
+
 /// Snapshot row for one shard's current engine state; `inbound` events
 /// bound for it sit in the exchange cells.
 fn shard_snap<M>(core: &ShardCore<M>, inbound: usize) -> ShardSnap {
+    let (busy_ns, wait_ns) = core.rec.as_ref().map_or((0, 0), |rec| {
+        (rec.busy_ns, rec.phases.get(Phase::Barrier).1)
+    });
     ShardSnap {
         shard: core.id as u32,
         now_ns: core.now.ns(),
         windows: core.windows,
         events: core.events,
         queue_depth: (core.queue.len() + inbound) as u64,
-        busy_ns: core.busy_ns,
-        wait_ns: core.wait_ns,
+        busy_ns,
+        wait_ns,
     }
 }
 
@@ -779,8 +775,6 @@ struct ShardCore<M> {
     /// cross-shard traffic rather than O(shards²).
     dirty_out: Vec<u32>,
     windows: u64,
-    busy_ns: u64,
-    wait_ns: u64,
 }
 
 impl<M> ShardCore<M> {
@@ -805,15 +799,37 @@ impl<M> ShardCore<M> {
             outboxes: (0..n_shards).map(|_| Vec::new()).collect(),
             dirty_out: Vec::new(),
             windows: 0,
-            busy_ns: 0,
-            wait_ns: 0,
         }
     }
 
-    /// The shard's self-profiling probe (empty without a recorder).
+    /// Start timing a phase region: the host clock when the run
+    /// profiles, else `None` and no clock is read.
     #[inline]
-    fn probe(&self) -> &Option<Arc<PerfProbe>> {
-        self.rec.as_ref().map_or(&NO_PROBE, |rec| &rec.profiler)
+    fn phase_start(&self) -> Option<Instant> {
+        self.rec.as_ref().and_then(Recorder::phase_start)
+    }
+
+    /// Book the region started at `t0` to `phase` in the shard's
+    /// recorder.
+    #[inline]
+    fn phase_stop(&mut self, phase: Phase, t0: Option<Instant>) {
+        if let Some(rec) = &mut self.rec {
+            rec.phases.stop(phase, t0);
+        }
+    }
+
+    /// Start a window clock: the host clock when the run profiles or
+    /// streams, else `None` and no clock is read.
+    #[inline]
+    fn window_start(&self) -> Option<Instant> {
+        self.rec.as_ref().and_then(Recorder::window_start)
+    }
+
+    /// Book the host time since `b0` as the shard's busy time.
+    fn book_busy(&mut self, b0: Option<Instant>) {
+        if let (Some(b0), Some(rec)) = (b0, &mut self.rec) {
+            rec.busy_ns += b0.elapsed().as_nanos() as u64;
+        }
     }
 
     #[inline]
@@ -846,8 +862,8 @@ impl<M> ShardCore<M> {
 
     /// Record a delivery, timer or fault outcome, now.
     #[inline]
-    fn log_event(&self, kind: ObsKind) {
-        if let Some(rec) = &self.rec {
+    fn log_event(&mut self, kind: ObsKind) {
+        if let Some(rec) = &mut self.rec {
             rec.event(self.now, kind);
         }
     }
@@ -872,7 +888,7 @@ impl<M: Clone> ShardCore<M> {
         let mut spike_ns = 0u64;
         let mut duplicate = false;
         if shared.fault_active {
-            let t0 = prof_start(self.probe());
+            let t0 = self.phase_start();
             // Fixed draw order — drop, spike, dup — one draw each per
             // send, from the *sender's* fault stream, so the fault
             // schedule is a pure function of the seed and each rank's
@@ -884,7 +900,7 @@ impl<M: Clone> ShardCore<M> {
             {
                 self.fault_stats.brownout_drops += 1;
                 self.messages_sent += 1;
-                prof_record(self.probe(), Phase::FaultEval, t0);
+                self.phase_stop(Phase::FaultEval, t0);
                 self.log_event(ObsKind::Dropped {
                     from,
                     to,
@@ -899,14 +915,14 @@ impl<M: Clone> ShardCore<M> {
             if shared.fault.partitioned(from, to, depart_ns) {
                 self.fault_stats.partition_drops += 1;
                 self.messages_sent += 1;
-                prof_record(self.probe(), Phase::FaultEval, t0);
+                self.phase_stop(Phase::FaultEval, t0);
                 self.log_event(ObsKind::Partitioned { from, to });
                 return;
             }
             if u_drop < shared.fault.drop_prob {
                 self.fault_stats.dropped += 1;
                 self.messages_sent += 1;
-                prof_record(self.probe(), Phase::FaultEval, t0);
+                self.phase_stop(Phase::FaultEval, t0);
                 self.log_event(ObsKind::Dropped {
                     from,
                     to,
@@ -919,7 +935,7 @@ impl<M: Clone> ShardCore<M> {
                 self.fault_stats.spiked += 1;
             }
             duplicate = u_dup < shared.fault.dup_prob;
-            prof_record(self.probe(), Phase::FaultEval, t0);
+            self.phase_stop(Phase::FaultEval, t0);
             if spike_ns > 0 {
                 self.log_event(ObsKind::Delayed { from, to, spike_ns });
             }
@@ -1039,11 +1055,20 @@ impl<M> Ctx<'_, M> {
         }
     }
 
-    /// The shard's self-profiling probe ([`Recorders::profiler`]), for
-    /// actors that time their own phases, such as victim draws.
+    /// Start timing one of this actor's own phases, such as a victim
+    /// draw: the host clock when the run profiles
+    /// ([`Recorders::profiler`]), else `None` and no clock is read.
+    /// Pair with [`phase_stop`](Self::phase_stop).
     #[inline]
-    pub fn profiler(&self) -> &Option<Arc<PerfProbe>> {
-        self.core.probe()
+    pub fn phase_start(&self) -> Option<Instant> {
+        self.core.phase_start()
+    }
+
+    /// Book the region started at `t0` to `phase` in the shard's
+    /// profile; `None` books nothing.
+    #[inline]
+    pub fn phase_stop(&mut self, phase: Phase, t0: Option<Instant>) {
+        self.core.phase_stop(phase, t0);
     }
 
     /// Record one causal span of this rank at the current *global*
@@ -1148,7 +1173,7 @@ impl<A: Actor> Shard<A> {
             if shared.fault_active && crashed_at(&shared.crash_at, rank, SimTime::ZERO) {
                 continue;
             }
-            let t0 = prof_start(self.core.probe());
+            let t0 = self.core.phase_start();
             let mut ctx = Ctx {
                 core: &mut self.core,
                 shared,
@@ -1156,7 +1181,7 @@ impl<A: Actor> Shard<A> {
                 me: rank,
             };
             self.actors[slot].on_start(&mut ctx);
-            prof_record(self.core.probe(), Phase::Dispatch, t0);
+            self.core.phase_stop(Phase::Dispatch, t0);
         }
     }
 
@@ -1245,7 +1270,7 @@ impl<A: Actor> Shard<A> {
 
     fn dispatch_message(&mut self, shared: &Shared, rank: Rank, from: Rank, msg: A::Msg) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
-        let t0 = prof_start(self.core.probe());
+        let t0 = self.core.phase_start();
         let mut ctx = Ctx {
             core: &mut self.core,
             shared,
@@ -1253,12 +1278,12 @@ impl<A: Actor> Shard<A> {
             me: rank,
         };
         self.actors[slot].on_message(&mut ctx, from, msg);
-        prof_record(self.core.probe(), Phase::Dispatch, t0);
+        self.core.phase_stop(Phase::Dispatch, t0);
     }
 
     fn dispatch_timer(&mut self, shared: &Shared, rank: Rank, token: u64) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
-        let t0 = prof_start(self.core.probe());
+        let t0 = self.core.phase_start();
         let mut ctx = Ctx {
             core: &mut self.core,
             shared,
@@ -1266,7 +1291,7 @@ impl<A: Actor> Shard<A> {
             me: rank,
         };
         self.actors[slot].on_timer(&mut ctx, token);
-        prof_record(self.core.probe(), Phase::Dispatch, t0);
+        self.core.phase_stop(Phase::Dispatch, t0);
     }
 }
 
@@ -1654,12 +1679,25 @@ impl<A: Actor> Simulation<A> {
         let end_ns = self.now().ns();
         let mut stream = self.streaming.take();
         let mut out = Recordings::default();
-        for mut rec in self.shards.iter_mut().filter_map(|s| s.core.rec.take()) {
+        for shard in self.shards.iter_mut() {
+            let Some(mut rec) = shard.core.rec.take() else {
+                continue;
+            };
             // Transitions recorded after the last barrier (e.g. a
             // zero-window run whose only activity came from `on_start`)
             // reach the fold here.
             if let Some(st) = stream.as_mut() {
                 rec.drain_activity(|new| st.accounting.record_all(new));
+            }
+            if rec.profile {
+                out.profile.get_or_insert_with(Vec::new).push(ShardProfile {
+                    shard: shard.core.id as u32,
+                    ranks: shard.members.len() as u32,
+                    events: shard.core.events,
+                    windows: shard.core.windows,
+                    busy_ns: rec.busy_ns,
+                    phases: rec.phases,
+                });
             }
             rec.hand_over(&mut out);
         }
@@ -1674,22 +1712,6 @@ impl<A: Actor> Simulation<A> {
     /// identical pair; the window-planner property tests assert it.
     pub fn window_plan(&self) -> (u64, u64) {
         (self.plan_digest, self.plan_windows)
-    }
-
-    /// Host-side execution profile per shard (events, windows, busy and
-    /// barrier-wait time).
-    pub fn shard_profiles(&self) -> Vec<ShardProfile> {
-        self.shards
-            .iter()
-            .map(|s| ShardProfile {
-                shard: s.core.id as u32,
-                ranks: s.members.len() as u32,
-                events: s.core.events,
-                windows: s.core.windows,
-                busy_ns: s.core.busy_ns,
-                wait_ns: s.core.wait_ns,
-            })
-            .collect()
     }
 }
 
@@ -1802,7 +1824,7 @@ where
         let deposit_and_publish = |tid: usize, shard: &mut Shard<A>, slot: &GroupSlot| -> u64 {
             let mut floor = u64::MAX;
             if !shard.core.dirty_out.is_empty() {
-                let x0 = prof_start(shard.core.probe());
+                let x0 = shard.core.phase_start();
                 let mut dirty = std::mem::take(&mut shard.core.dirty_out);
                 for &dst in &dirty {
                     let dst = dst as usize;
@@ -1820,7 +1842,7 @@ where
                 }
                 dirty.clear();
                 shard.core.dirty_out = dirty;
-                prof_record(shard.core.probe(), Phase::Exchange, x0);
+                shard.core.phase_stop(Phase::Exchange, x0);
             }
             let mn = shard.core.queue.peek_time().map_or(u64::MAX, SimTime::ns);
             slot.min_next.store(mn, Ordering::SeqCst);
@@ -1836,8 +1858,6 @@ where
                       own: &mut [Shard<A>],
                       mut stream: Option<&mut StreamState>| {
             let mut sense = false;
-            // Every shard shares one probe; the barrier is timed on it.
-            let probe = own[0].core.probe().clone();
             let (mut digest, mut windows) = (digest0, windows0);
             let mut cadence = cadence0;
             let mut abort_why = "";
@@ -1848,9 +1868,9 @@ where
             let mut my_floor = u64::MAX;
             for (g, shard) in (first..).zip(own.iter_mut()) {
                 if first_run {
-                    let b0 = Instant::now();
+                    let b0 = shard.core.window_start();
                     shard.start(shared);
-                    shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
+                    shard.core.book_busy(b0);
                 }
                 my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[par][g]));
             }
@@ -1869,15 +1889,14 @@ where
                 // rendezvous fences the whole protocol: a slow
                 // reader of slot p must arrive here before any
                 // fast writer can touch p again. A lone worker has
-                // nobody to meet, so it reads no clock and reports no
-                // barrier wait.
-                let mut waited = Duration::ZERO;
+                // nobody to meet, so it reports no barrier wait; the
+                // wait is timed only when the shards' recorders keep
+                // window clocks.
                 if n_threads > 1 {
-                    let w0 = Instant::now();
+                    let w0 = own[0].core.window_start();
                     barrier.wait(&mut sense);
-                    waited = w0.elapsed();
-                    if let Some(p) = &probe {
-                        p.add(Phase::Barrier, waited);
+                    if let Some(w0) = w0 {
+                        book_wait(own, w0.elapsed().as_nanos() as u64);
                     }
                 }
                 // Fold the published plan inputs (read parity).
@@ -1942,29 +1961,27 @@ where
                 digest = fnv1a(digest, end);
                 windows += 1;
                 let wpar = 1 - par;
-                let wait_share = waited.as_nanos() as u64 / own.len() as u64;
                 let mut my_floor = u64::MAX;
                 for (g, shard) in (first..).zip(own.iter_mut()) {
-                    let b0 = Instant::now();
+                    let b0 = shard.core.window_start();
                     // Ingest batched cross-shard events deposited for
                     // this shard; the flag keeps empty cells lock-free.
                     for (row, flags) in xchg.iter().zip(xchg_flag.iter()) {
                         if !flags[g].load(Ordering::Acquire) {
                             continue;
                         }
-                        let x0 = prof_start(&probe);
+                        let x0 = shard.core.phase_start();
                         let mut cell = row[g].lock().expect("exchange cell poisoned");
                         flags[g].store(false, Ordering::SeqCst);
                         for ev in cell.drain(..) {
                             shard.core.push_local(ev);
                         }
                         drop(cell);
-                        prof_record(&probe, Phase::Exchange, x0);
+                        shard.core.phase_stop(Phase::Exchange, x0);
                     }
                     shard.run_window(shared, end, mt);
                     my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[wpar][g]));
-                    shard.core.busy_ns += b0.elapsed().as_nanos() as u64;
-                    shard.core.wait_ns += wait_share;
+                    shard.core.book_busy(b0);
                     if cadence.is_some() {
                         publish_rows(shard, &pubs[wpar][g], None);
                     }
@@ -2856,8 +2873,12 @@ mod tests {
             },
         );
         sim.configure_parallel(ParallelConfig::new(3, 1_000));
+        sim.record(Recorders {
+            profiler: true,
+            ..Recorders::default()
+        });
         sim.run();
-        let profiles = sim.shard_profiles();
+        let profiles = sim.take_recordings().profile.expect("the run profiled");
         assert_eq!(profiles.len(), 3);
         assert_eq!(
             profiles.iter().map(|p| p.events).sum::<u64>(),
@@ -2866,7 +2887,18 @@ mod tests {
         assert_eq!(profiles.iter().map(|p| u64::from(p.ranks)).sum::<u64>(), 8);
         let windows = profiles[0].windows;
         assert!(windows > 0);
-        assert!(profiles.iter().all(|p| p.windows == windows));
+        // Every shard is its worker's first: it books each crossing,
+        // the one that found the queues drained included, and is
+        // dispatched once per event and once per started rank.
+        for p in &profiles {
+            assert_eq!(p.windows, windows);
+            assert_eq!(p.phases.get(Phase::Barrier).0, windows + 1);
+            assert_eq!(p.wait_ns(), p.phases.get(Phase::Barrier).1);
+            assert_eq!(
+                p.phases.get(Phase::Dispatch).0,
+                p.events + u64::from(p.ranks)
+            );
+        }
     }
 
     #[test]

@@ -94,12 +94,12 @@ pub mod time;
 pub use abort::{install_sigterm_hook, sigterm_requested, write_flight_dump};
 pub use engine::{
     Actor, ConstantLatency, Ctx, LatencyFn, LiveStats, NetworkModel, ParallelConfig, PureNetwork,
-    Rank, RunReport, ShardProfile, SimConfig, Simulation, StreamingCfg,
+    Rank, RunReport, SimConfig, Simulation, StreamingCfg,
 };
 pub use fault::{Brownout, Crash, CrashDomain, FaultPlan, FaultStats, Partition};
 pub use observer::{
     EventKind, EventRecord, FlightRecorder, NetTrace, PairTally, Recorders, Recordings,
 };
-pub use profiler::{allocation_count, CountingAlloc, PerfProbe, Phase};
+pub use profiler::{allocation_count, CountingAlloc, Phase, PhaseTimes, ShardProfile};
 pub use rng::DetRng;
 pub use time::{parse_duration_ns, SimTime, MS, SEC, US};

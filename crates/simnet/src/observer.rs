@@ -2,9 +2,9 @@
 //! per shard with four switches: the activity log (occupancy's input),
 //! causal spans with the [`NetTrace`] riding along, a
 //! [`FlightRecorder`] ring of the shard's last K events (on with
-//! streaming), and the [`PerfProbe`]. One [`Recorders`] value names
-//! them, given once to [`Simulation::record`](crate::Simulation::record)
-//! in either order with
+//! streaming), and the profiler's host time. One [`Recorders`] value
+//! names them, given once to
+//! [`Simulation::record`](crate::Simulation::record) in either order with
 //! [`configure_parallel`](crate::Simulation::configure_parallel); one
 //! [`Recordings`] from
 //! [`Simulation::take_recordings`](crate::Simulation::take_recordings)
@@ -14,13 +14,14 @@
 //! draw.
 
 use crate::engine::StreamingCfg;
-use crate::profiler::{prof_record, prof_start, PerfProbe, Phase};
+use crate::profiler::{Phase, PhaseTimes, ShardProfile};
 use crate::time::SimTime;
 use dws_metrics::{Histogram, OccupancyCurve, SpanLog, SpanRecord, Transition};
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One observed engine event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,9 +332,10 @@ pub struct Recorders {
     /// and the network trace, for [`Recordings::spans`] and
     /// [`Recordings::net`].
     pub spans: bool,
-    /// Self-profiling probe, shared with the actors through
-    /// [`Ctx::profiler`](crate::Ctx::profiler).
-    pub profiler: Option<Arc<PerfProbe>>,
+    /// Time engine phases and windows on the host clock, per shard,
+    /// for [`Recordings::profile`]; actors time their own phases with
+    /// [`Ctx::phase_start`](crate::Ctx::phase_start).
+    pub profiler: bool,
     /// Streaming telemetry and its JSONL snapshot sink: occupancy
     /// folded live, snapshots, the flight rings and the abort budgets.
     pub streaming: Option<(StreamingCfg, Option<Box<dyn Write + Send>>)>,
@@ -359,6 +361,9 @@ pub struct Recordings {
     /// The streaming fold's occupancy at the run's end (O(ranks), no
     /// step list), when the run streamed.
     pub occupancy: Option<OccupancyCurve>,
+    /// Each shard's host-time profile, when [`Recorders::profiler`]
+    /// was set.
+    pub profile: Option<Vec<ShardProfile>>,
 }
 
 /// One shard's recorder, built from [`Recorders`] at the first run;
@@ -373,14 +378,23 @@ pub(crate) struct Recorder {
     /// Causal spans in dispatch order, encoded, and the network trace.
     spans: Option<(SpanLog, NetTrace)>,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
-    pub(crate) profiler: Option<Arc<PerfProbe>>,
+    /// Whether phase regions read the host clock (the run profiles).
+    pub(crate) profile: bool,
+    /// Whether windows read the host clock (the run profiles or
+    /// streams: snapshots report busy and wait time).
+    window_clocks: bool,
+    /// Host time per phase; its barrier row is the shard's wait.
+    pub(crate) phases: PhaseTimes,
+    /// Host time spent starting the shard's actors and running its
+    /// windows.
+    pub(crate) busy_ns: u64,
 }
 
 impl Recorder {
     /// The recorder `r` gives one shard; `None` when it records nothing.
     pub(crate) fn for_shard(r: &Recorders) -> Option<Self> {
         let streaming = r.streaming.as_ref().map(|(cfg, _)| cfg);
-        if !r.activity && !r.spans && r.profiler.is_none() && streaming.is_none() {
+        if !r.activity && !r.spans && !r.profiler && streaming.is_none() {
             return None;
         }
         let ring = streaming.map_or(0, |cfg| cfg.flight_ring);
@@ -390,8 +404,25 @@ impl Recorder {
             activity_streamed: 0,
             spans: r.spans.then(Default::default),
             flight: (ring > 0).then(|| Arc::new(FlightRecorder::new(ring))),
-            profiler: r.profiler.clone(),
+            profile: r.profiler,
+            window_clocks: r.profiler || streaming.is_some(),
+            phases: PhaseTimes::default(),
+            busy_ns: 0,
         })
+    }
+
+    /// Start timing a phase region: the host clock when the run
+    /// profiles, else `None` and no clock is read.
+    #[inline]
+    pub(crate) fn phase_start(&self) -> Option<Instant> {
+        self.profile.then(Instant::now)
+    }
+
+    /// Start a window clock: the host clock when the run profiles or
+    /// streams, else `None` and no clock is read.
+    #[inline]
+    pub(crate) fn window_start(&self) -> Option<Instant> {
+        self.window_clocks.then(Instant::now)
     }
 
     /// A message was scheduled for delivery at `deliver_at`,
@@ -410,7 +441,7 @@ impl Recorder {
         if self.flight.is_none() && self.spans.is_none() {
             return;
         }
-        let t0 = prof_start(&self.profiler);
+        let t0 = self.phase_start();
         if let Some(flight) = &self.flight {
             let kind = EventKind::Sent {
                 from,
@@ -423,35 +454,35 @@ impl Recorder {
         if let Some((_, net)) = &mut self.spans {
             net.record(from, to, u64::from(bytes), latency_ns);
         }
-        prof_record(&self.profiler, Phase::TraceRecord, t0);
+        self.phases.stop(Phase::TraceRecord, t0);
     }
 
     /// Any other engine event (delivery, timer, fault outcome): into
     /// the flight ring.
     #[inline]
-    pub(crate) fn event(&self, at: SimTime, kind: EventKind) {
+    pub(crate) fn event(&mut self, at: SimTime, kind: EventKind) {
         if let Some(flight) = &self.flight {
-            let t0 = prof_start(&self.profiler);
+            let t0 = self.phase_start();
             flight.record(&EventRecord { at, kind });
-            prof_record(&self.profiler, Phase::TraceRecord, t0);
+            self.phases.stop(Phase::TraceRecord, t0);
         }
     }
 
     #[inline]
     pub(crate) fn activity(&mut self, t: Transition) {
         if let Some(log) = &mut self.activity {
-            let t0 = prof_start(&self.profiler);
+            let t0 = self.profile.then(Instant::now);
             log.push(t);
-            prof_record(&self.profiler, Phase::TraceRecord, t0);
+            self.phases.stop(Phase::TraceRecord, t0);
         }
     }
 
     #[inline]
     pub(crate) fn span(&mut self, rec: SpanRecord) {
         if let Some((log, _)) = &mut self.spans {
-            let t0 = prof_start(&self.profiler);
+            let t0 = self.profile.then(Instant::now);
             log.push(rec);
-            prof_record(&self.profiler, Phase::TraceRecord, t0);
+            self.phases.stop(Phase::TraceRecord, t0);
         }
     }
 
@@ -483,10 +514,6 @@ impl Recorder {
         }
     }
 }
-
-/// The empty probe a shard without a recorder lends
-/// [`Ctx::profiler`](crate::Ctx::profiler).
-pub(crate) static NO_PROBE: Option<Arc<PerfProbe>> = None;
 
 #[cfg(test)]
 mod tests {

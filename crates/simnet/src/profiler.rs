@@ -1,31 +1,31 @@
 //! Engine self-profiling: wall-clock phase timers and allocation
-//! counters behind a zero-cost-when-off probe.
+//! counters, zero-cost when off.
 //!
 //! The simulator's claims are only as good as its own cost model of
 //! itself: a victim-selection policy that looks cheap in simulated
 //! nanoseconds but doubles host wall time per event is a harness
 //! regression waiting to be misread as a scheduling result. The
-//! [`PerfProbe`] accounts host wall time to six engine phases —
-//! event-loop dispatch, fault evaluation, victim drawing, trace
-//! recording, barrier wait and cross-shard exchange — plus events/sec
-//! and allocations-per-event, and feeds
-//! the `profile` section of the JSON run report and `dws run --profile`.
+//! profiler accounts host wall time to six engine phases — event-loop
+//! dispatch, fault evaluation, victim drawing, trace recording, barrier
+//! wait and cross-shard exchange — plus events/sec and
+//! allocations-per-event, and feeds the `profile` section of the JSON
+//! run report and `dws run --profile`.
 //!
-//! The probe is one of the engine's recorders: it is named by
-//! [`Recorders::profiler`](crate::Recorders::profiler) and each shard's
-//! recorder holds the shared `Option<Arc<PerfProbe>>`, so every
-//! instrumentation site is a single branch when the probe is absent.
-//! The probe only ever *reads* the host clock — it never touches
-//! simulated time, timers, message contents, or any RNG stream. The
-//! event schedule is therefore bit-identical with the profiler on or
-//! off (enforced by property tests in `tests/perflab.rs` and
-//! `tests/observability.rs`).
+//! The profiler is per shard: with
+//! [`Recorders::profiler`](crate::Recorders::profiler) on, each shard's
+//! recorder keeps its own plain [`PhaseTimes`] and window clocks, which
+//! [`Simulation::take_recordings`](crate::Simulation::take_recordings)
+//! hands over as one [`ShardProfile`] per shard. Off, every timed
+//! region is one branch and reads no clock. It only ever *reads* the
+//! host clock — it never touches simulated time, timers, message
+//! contents, or any RNG stream. The event schedule is therefore
+//! bit-identical with the profiler on or off (enforced by property
+//! tests in `tests/perflab.rs` and `tests/observability.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// The engine phases the probe accounts wall time to.
+/// The engine phases the profiler accounts wall time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Actor callback execution (`on_start` / `on_message` /
@@ -42,9 +42,8 @@ pub enum Phase {
     /// are one region.
     TraceRecord,
     /// Parallel-driver barrier waits: time a worker thread spends
-    /// parked at the per-window barrier (and the rare streaming /
-    /// abort choreography barriers), i.e. load-imbalance stall, not
-    /// useful work.
+    /// parked at the per-window barrier, i.e. load-imbalance stall,
+    /// not useful work. One call per crossing of a worker.
     Barrier,
     /// Cross-shard event exchange: draining the per-(src, dst) batch
     /// buffers into destination queues and depositing outboxes.
@@ -55,6 +54,16 @@ pub enum Phase {
 pub const PHASE_COUNT: usize = 6;
 
 impl Phase {
+    /// Every phase, in report order.
+    pub const ALL: [Phase; PHASE_COUNT] = [
+        Phase::Dispatch,
+        Phase::FaultEval,
+        Phase::VictimDraw,
+        Phase::TraceRecord,
+        Phase::Barrier,
+        Phase::Exchange,
+    ];
+
     /// Stable snake_case name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -68,75 +77,80 @@ impl Phase {
     }
 }
 
-#[derive(Debug, Default)]
-struct PhaseCell {
-    calls: AtomicU64,
-    total_ns: AtomicU64,
-}
+/// `(calls, total_ns)` of host time per [`Phase`]: plain counters that
+/// one shard's recorder owns, summed across shards after the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes([(u64, u64); PHASE_COUNT]);
 
-/// Wall-clock phase accumulator, shared between the engine's shards via
-/// `Arc`; actors time their own phases through [`crate::Ctx::profiler`].
-///
-/// Counters are relaxed atomics: the simulation is single-threaded,
-/// the atomics only buy `Sync` for the shared handle, and relaxed
-/// increments cost the same as plain adds on x86 and close to it on
-/// ARM.
-#[derive(Debug, Default)]
-pub struct PerfProbe {
-    phases: [PhaseCell; PHASE_COUNT],
-}
-
-impl PerfProbe {
-    /// A fresh probe with all counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Account `elapsed` host time to `phase`.
+impl PhaseTimes {
+    /// Account `calls` regions totalling `ns` host nanoseconds to
+    /// `phase`.
     #[inline]
-    pub fn add(&self, phase: Phase, elapsed: std::time::Duration) {
-        let cell = &self.phases[phase as usize];
-        cell.calls.fetch_add(1, Ordering::Relaxed);
-        cell.total_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    pub fn add(&mut self, phase: Phase, calls: u64, ns: u64) {
+        let cell = &mut self.0[phase as usize];
+        cell.0 += calls;
+        cell.1 += ns;
     }
 
-    /// `(name, calls, total_ns)` per phase, in declaration order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64, u64)> {
-        [
-            Phase::Dispatch,
-            Phase::FaultEval,
-            Phase::VictimDraw,
-            Phase::TraceRecord,
-            Phase::Barrier,
-            Phase::Exchange,
-        ]
-        .iter()
-        .map(|p| {
-            let cell = &self.phases[*p as usize];
-            (
-                p.name(),
-                cell.calls.load(Ordering::Relaxed),
-                cell.total_ns.load(Ordering::Relaxed),
-            )
+    /// Book one region of `phase` started at `t0`; `None` (the
+    /// profiler is off) books nothing and reads no clock.
+    #[inline]
+    pub fn stop(&mut self, phase: Phase, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            self.add(phase, 1, t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// `(calls, total_ns)` of `phase`.
+    pub fn get(&self, phase: Phase) -> (u64, u64) {
+        self.0[phase as usize]
+    }
+
+    /// Add every phase of `other` into this one.
+    pub fn absorb(&mut self, other: &PhaseTimes) {
+        for phase in Phase::ALL {
+            let (calls, ns) = other.get(phase);
+            self.add(phase, calls, ns);
+        }
+    }
+
+    /// `(name, calls, total_ns)` per phase, in [`Phase::ALL`] order.
+    pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
+        Phase::ALL.iter().map(|p| {
+            let (calls, ns) = self.get(*p);
+            (p.name(), calls, ns)
         })
-        .collect()
     }
 }
 
-/// Start timing an instrumented region: `None` (and no clock read)
-/// when the probe is off. Pair with [`prof_record`].
-#[inline]
-pub fn prof_start(probe: &Option<Arc<PerfProbe>>) -> Option<Instant> {
-    probe.as_ref().map(|_| Instant::now())
+/// What one shard's profiler measured, handed over by
+/// [`Simulation::take_recordings`](crate::Simulation::take_recordings)
+/// when the run profiled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardProfile {
+    /// Shard index.
+    pub shard: u32,
+    /// Number of ranks the shard owns.
+    pub ranks: u32,
+    /// Events the shard processed.
+    pub events: u64,
+    /// Lookahead windows the shard executed.
+    pub windows: u64,
+    /// Host nanoseconds spent starting the shard's actors and running
+    /// its windows (ingest, events, deposit).
+    pub busy_ns: u64,
+    /// Host time per phase. The barrier row is the shard's share of
+    /// its worker's barrier waits — the worker's waits split evenly
+    /// over its shards, the remainder and the call count on its first
+    /// — so the shards' rows sum to every wait exactly.
+    pub phases: PhaseTimes,
 }
 
-/// Finish timing a region started with [`prof_start`]. A `None` start
-/// is a no-op, so call sites stay branch-free in source.
-#[inline]
-pub fn prof_record(probe: &Option<Arc<PerfProbe>>, phase: Phase, t0: Option<Instant>) {
-    if let (Some(t0), Some(p)) = (t0, probe.as_ref()) {
-        p.add(phase, t0.elapsed());
+impl ShardProfile {
+    /// Host nanoseconds this shard's worker spent parked at window
+    /// barriers, booked to this shard (zero at one thread).
+    pub fn wait_ns(&self) -> u64 {
+        self.phases.get(Phase::Barrier).1
     }
 }
 
@@ -185,32 +199,24 @@ pub fn allocation_count() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
-    fn probe_accumulates_per_phase() {
-        let probe = PerfProbe::new();
-        probe.add(Phase::Dispatch, Duration::from_nanos(100));
-        probe.add(Phase::Dispatch, Duration::from_nanos(50));
-        probe.add(Phase::VictimDraw, Duration::from_nanos(7));
-        let snap = probe.snapshot();
-        assert_eq!(snap.len(), PHASE_COUNT);
-        assert_eq!(snap[0], ("dispatch", 2, 150));
-        assert_eq!(snap[1], ("fault_eval", 0, 0));
-        assert_eq!(snap[2], ("victim_draw", 1, 7));
-        assert_eq!(snap[3], ("trace_record", 0, 0));
-    }
-
-    #[test]
-    fn prof_helpers_are_inert_without_a_probe() {
-        let off: Option<Arc<PerfProbe>> = None;
-        assert!(prof_start(&off).is_none());
-        prof_record(&off, Phase::Dispatch, None);
-        let on = Some(Arc::new(PerfProbe::new()));
-        let t0 = prof_start(&on);
-        assert!(t0.is_some());
-        prof_record(&on, Phase::FaultEval, t0);
-        let snap = on.as_ref().unwrap().snapshot();
-        assert_eq!(snap[1].1, 1);
+    fn phase_times_accumulate_and_absorb_per_phase() {
+        let mut a = PhaseTimes::default();
+        a.add(Phase::Dispatch, 1, 100);
+        a.add(Phase::Dispatch, 1, 50);
+        a.add(Phase::VictimDraw, 1, 7);
+        let mut b = PhaseTimes::default();
+        b.add(Phase::Barrier, 1, 9);
+        b.add(Phase::Dispatch, 2, 1);
+        b.absorb(&a);
+        let rows: Vec<_> = b.rows().collect();
+        assert_eq!(rows.len(), PHASE_COUNT);
+        assert_eq!(rows[0], ("dispatch", 4, 151));
+        assert_eq!(rows[1], ("fault_eval", 0, 0));
+        assert_eq!(rows[2], ("victim_draw", 1, 7));
+        assert_eq!(rows[3], ("trace_record", 0, 0));
+        assert_eq!(rows[4], ("barrier_wait", 1, 9));
+        assert_eq!(rows[5], ("exchange", 0, 0));
     }
 }

@@ -86,30 +86,6 @@ impl JobAllocation {
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
     }
-
-    /// Average pairwise hop count over a deterministic sample of node
-    /// pairs (all pairs when small). Reported by ablation benches.
-    pub fn average_hops(&self, machine: &Machine) -> f64 {
-        let n = self.nodes.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        // Cap the exact all-pairs computation; beyond that, stride.
-        let stride = (n * n / 250_000).max(1);
-        let mut k = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if k.is_multiple_of(stride) {
-                    total += machine.hops(self.nodes[i], self.nodes[j]) as u64;
-                    pairs += 1;
-                }
-                k += 1;
-            }
-        }
-        total as f64 / pairs as f64
-    }
 }
 
 /// Choose a near-cubic box of cubes covering `count` nodes, then emit
@@ -243,8 +219,19 @@ mod tests {
         let m = Machine::k_computer();
         let compact = JobAllocation::allocate(&m, 1024, AllocationPolicy::CompactRectangle);
         let strip = JobAllocation::allocate(&m, 1024, AllocationPolicy::LinearStrip);
-        let ch = compact.average_hops(&m);
-        let sh = strip.average_hops(&m);
+        let average_hops = |a: &JobAllocation| {
+            let nodes = a.nodes();
+            let (mut total, mut pairs) = (0u64, 0u64);
+            for (i, &x) in nodes.iter().enumerate() {
+                for &y in &nodes[i + 1..] {
+                    total += u64::from(m.hops(x, y));
+                    pairs += 1;
+                }
+            }
+            total as f64 / pairs as f64
+        };
+        let ch = average_hops(&compact);
+        let sh = average_hops(&strip);
         assert!(
             ch < sh,
             "compact allocation should have lower average hops ({ch} vs {sh})"

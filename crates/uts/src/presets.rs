@@ -52,12 +52,6 @@ impl Workload {
         self.gen_rounds = rounds;
         self
     }
-
-    /// Same workload with a different seed (for variance studies).
-    pub fn with_seed(mut self, seed: i32) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 fn binomial(name: &'static str, seed: i32, b0: u32, m: u32, q: f64) -> Workload {

@@ -5,9 +5,10 @@
 
 use dws::core::{run_experiment, ExperimentConfig, ExperimentResult, StealAmount, VictimPolicy};
 use dws::metrics::perflab::{
-    self, BenchMetric, BenchRecord, Polarity, Verdict, BENCH_SCHEMA_VERSION,
+    self, BenchMetric, BenchRecord, Polarity, ProfileReport, Verdict, BENCH_SCHEMA_VERSION,
 };
 use dws::metrics::write_csv;
+use dws::simnet::FaultPlan;
 use dws::uts::presets;
 
 fn seeded_config(ranks: u32) -> ExperimentConfig {
@@ -89,6 +90,81 @@ fn profiler_does_not_perturb_schedule() {
             .expect("dispatch phase missing");
         assert!(dispatch.1 > 0, "no dispatch calls timed");
     }
+}
+
+/// The per-shard profile adds up: every dispatch and victim draw is
+/// counted once, the fault evaluations do not depend on the thread
+/// count, the shard rows cover every rank and event once, and the
+/// barrier-wait phase is the sum of the shards' waits — one ledger.
+#[test]
+fn profile_counts_are_exact_and_thread_invariant() {
+    let run = |threads: u32, drop: f64| {
+        let mut cfg = seeded_config(32);
+        cfg.threads = threads;
+        cfg.profile = true;
+        if drop > 0.0 {
+            cfg.fault_plan = FaultPlan::message_faults(drop, 0.0, 0.0);
+        }
+        let r = run_experiment(&cfg);
+        let p = r.profile.clone().expect("profiled run has no profile");
+        (r, p)
+    };
+    // `(calls, total_ns)` of one phase.
+    let phase = |p: &ProfileReport, phase: &str| {
+        p.phases
+            .iter()
+            .find(|(name, _, _)| name == phase)
+            .map(|&(_, calls, ns)| (calls, ns))
+            .unwrap_or_else(|| panic!("phase {phase} missing"))
+    };
+    let mut fault_evals = Vec::new();
+    for drop in [0.0, 0.01] {
+        for threads in [1, 2] {
+            let (r, p) = run(threads, drop);
+            let at = format!("threads {threads}, drop {drop}");
+            let names: Vec<&str> = p.phases.iter().map(|(n, _, _)| n.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "dispatch",
+                    "fault_eval",
+                    "victim_draw",
+                    "trace_record",
+                    "barrier_wait",
+                    "exchange"
+                ],
+                "{at}"
+            );
+            // Each event and each rank's start is one dispatch.
+            assert_eq!(
+                phase(&p, "dispatch").0,
+                r.report.events + u64::from(r.n_ranks),
+                "{at}"
+            );
+            if drop == 0.0 {
+                assert_eq!(
+                    phase(&p, "victim_draw").0,
+                    r.stats.total().steal_attempts,
+                    "{at}"
+                );
+                assert_eq!(phase(&p, "fault_eval").0, 0, "{at}");
+            } else {
+                fault_evals.push(phase(&p, "fault_eval").0);
+            }
+            let ranks: u32 = p.shards.iter().map(|s| s.1).sum();
+            assert_eq!(ranks, r.n_ranks, "{at}");
+            let events: u64 = p.shards.iter().map(|s| s.2).sum();
+            assert_eq!(events, p.events, "{at}");
+            let barrier_ns = phase(&p, "barrier_wait").1;
+            let wait_ns: u64 = p.shards.iter().map(|s| s.5).sum();
+            assert_eq!(barrier_ns, wait_ns, "{at}");
+            if threads == 1 {
+                assert_eq!(barrier_ns, 0, "{at}: a lone worker waits at no barrier");
+            }
+        }
+    }
+    assert!(fault_evals[0] > 0);
+    assert_eq!(fault_evals[0], fault_evals[1]);
 }
 
 /// Profiling must not change the config fingerprint: observability
