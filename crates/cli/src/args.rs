@@ -115,8 +115,18 @@ pub fn parse_victim(
     let victim = match base {
         "reference" | "roundrobin" | "rr" => VictimPolicy::RoundRobin,
         "rand" | "uniform" => VictimPolicy::Uniform,
-        "tofu" | "skew" | "distance" if alpha < 0.0 => {
-            return Err(format!("--alpha {alpha} is below 0, which {name} refuses"));
+        // `ExperimentConfig::validate`'s bounds: tofu's rejection
+        // sampler needs alpha >= 0, and past ±32 the weights 1/x^alpha
+        // leave f64.
+        "tofu" | "skew" | "distance" if !(0.0..=32.0).contains(&alpha) => {
+            return Err(format!(
+                "--alpha {alpha} is outside [0, 32], which {name} refuses"
+            ));
+        }
+        "latskew" | "latency" if !(-32.0..=32.0).contains(&alpha) => {
+            return Err(format!(
+                "--alpha {alpha} is outside [-32, 32], which {name} refuses"
+            ));
         }
         "tofu" | "skew" | "distance" => VictimPolicy::DistanceSkewed { alpha },
         "latskew" | "latency" => VictimPolicy::LatencySkewed { alpha },

@@ -46,9 +46,10 @@ const CONFIG_FLAGS: &[&str] = &[
     "alloc",
 ];
 
+/// The `--tree` preset at `--gen-rounds` SHA rounds a node.
 fn workload_flag(flags: &Flags, default: &str) -> Result<Workload, String> {
     let name = flags.get("tree").unwrap_or(default);
-    dws_uts::presets::by_name(name).ok_or_else(|| {
+    let workload = dws_uts::presets::by_name(name).ok_or_else(|| {
         format!(
             "unknown preset {name:?}; available: {}",
             dws_uts::presets::all()
@@ -57,7 +58,11 @@ fn workload_flag(flags: &Flags, default: &str) -> Result<Workload, String> {
                 .collect::<Vec<_>>()
                 .join(", ")
         )
-    })
+    })?;
+    match flags.parse_or("gen-rounds", 1u32)? {
+        0 => Err("--gen-rounds must be at least 1".into()),
+        rounds => Ok(workload.with_gen_rounds(rounds)),
+    }
 }
 
 /// Split a `rank@rest` fault spec.
@@ -175,8 +180,7 @@ fn parse_alloc(name: &str) -> Result<dws_topology::AllocationPolicy, String> {
 }
 
 fn config_from(flags: &Flags) -> Result<ExperimentConfig, String> {
-    let workload =
-        workload_flag(flags, "t3wl")?.with_gen_rounds(flags.parse_or("gen-rounds", 1u32)?);
+    let workload = workload_flag(flags, "t3wl")?;
     let n_nodes: u32 = flags.parse_or("nodes", 128)?;
     let mut cfg = ExperimentConfig::new(workload, n_nodes);
     cfg.mapping = parse_mapping(flags.get("mapping").unwrap_or("1/N"))?;
@@ -502,8 +506,7 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
         ],
         &[],
     )?;
-    let workload =
-        workload_flag(&flags, "t3sim-l")?.with_gen_rounds(flags.parse_or("gen-rounds", 1u32)?);
+    let workload = workload_flag(&flags, "t3sim-l")?;
     let n_nodes: u32 = flags.parse_or("nodes", 64)?;
     let mapping = parse_mapping(flags.get("mapping").unwrap_or("1/N"))?;
     let steal = parse_steal(flags.get("steal").unwrap_or("half"))?;
@@ -601,7 +604,7 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
 /// `dws tree`
 pub fn tree(rest: &[String]) -> Result<(), String> {
     let flags = parse(rest, &["tree", "limit", "gen-rounds"], &[])?;
-    let w = workload_flag(&flags, "t3sim-l")?.with_gen_rounds(flags.parse_or("gen-rounds", 1u32)?);
+    let w = workload_flag(&flags, "t3sim-l")?;
     let limit: u64 = flags.parse_or("limit", 60_000_000u64)?;
     eprintln!("measuring {}...", w.name);
     let shape = dws_uts::measure_shape(&w, limit)
@@ -1014,7 +1017,7 @@ pub fn why(rest: &[String]) -> Result<(), String> {
 /// `dws shmem`
 pub fn shmem(rest: &[String]) -> Result<(), String> {
     let flags = parse(rest, &["tree", "workers", "gen-rounds"], &[])?;
-    let w = workload_flag(&flags, "t3sim-l")?.with_gen_rounds(flags.parse_or("gen-rounds", 1u32)?);
+    let w = workload_flag(&flags, "t3sim-l")?;
     let workers: usize = flags.parse_or("workers", 4usize)?;
     eprintln!("searching {} with {workers} threads...", w.name);
     let result = dws_shmem::parallel_search(&w, workers);
@@ -1087,6 +1090,14 @@ mod tests {
         // Tofu's rejection sampler accepts with 1/e^alpha.
         let err = config_err(&["--victim", "tofu", "--alpha", "-1"]);
         assert!(err.contains("--alpha"), "{err}");
+        // Every weight 1/x^alpha underflows to 0.
+        for (victim, alpha) in [("latskew", "100"), ("latskew", "inf"), ("tofu", "700")] {
+            let err = config_err(&["--victim", victim, "--alpha", alpha]);
+            assert!(err.contains("--alpha"), "{err}");
+        }
+        // `with_gen_rounds` asserts at least one round.
+        let err = config_err(&["--gen-rounds", "0"]);
+        assert!(err.contains("--gen-rounds"), "{err}");
     }
 
     #[test]

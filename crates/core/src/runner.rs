@@ -137,6 +137,11 @@ pub struct ExperimentConfig {
     pub threads: u32,
 }
 
+/// The largest skew exponent `validate` accepts, either sign: `x^32`
+/// stays finite for every `x` below 4·10⁹, far above any distance or
+/// latency in ns the models produce. The figures use at most 8.
+const MAX_SKEW_ALPHA: f64 = 32.0;
+
 impl ExperimentConfig {
     /// Paper-faithful defaults: compact allocation, K latencies,
     /// 20-node chunks, reference victim selection and one-chunk steals;
@@ -267,6 +272,16 @@ impl ExperimentConfig {
             VictimPolicy::DistanceSkewed { alpha } if alpha < 0.0 => {
                 return Err(format!(
                     "the distance skew exponent alpha is {alpha}, below 0"
+                ));
+            }
+            // Beyond it the weights 1/x^alpha can all round to 0 (or
+            // overflow) for distances and latencies the models
+            // produce, and `AliasTable::new` panics.
+            VictimPolicy::DistanceSkewed { alpha } | VictimPolicy::LatencySkewed { alpha }
+                if alpha.abs() > MAX_SKEW_ALPHA =>
+            {
+                return Err(format!(
+                    "the skew exponent alpha is {alpha}, beyond ±{MAX_SKEW_ALPHA}"
                 ));
             }
             _ => {}
@@ -1308,6 +1323,27 @@ mod tests {
         for victim in [
             VictimPolicy::DistanceSkewed { alpha: 0.0 },
             VictimPolicy::LatencySkewed { alpha: -1.0 },
+        ] {
+            assert_eq!(base.clone().with_victim(victim).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_skew_alpha_whose_weights_leave_f64() {
+        let base = ExperimentConfig::new(dws_uts::presets::t3sim_xs(), 16);
+        for alpha in [100.0, f64::INFINITY] {
+            for victim in [
+                VictimPolicy::DistanceSkewed { alpha },
+                VictimPolicy::LatencySkewed { alpha },
+                VictimPolicy::LatencySkewed { alpha: -alpha },
+            ] {
+                let err = base.clone().with_victim(victim).validate();
+                assert!(err.expect_err("alpha out of range").contains("alpha"));
+            }
+        }
+        for victim in [
+            VictimPolicy::DistanceSkewed { alpha: 32.0 },
+            VictimPolicy::LatencySkewed { alpha: -32.0 },
         ] {
             assert_eq!(base.clone().with_victim(victim).validate(), Ok(()));
         }

@@ -506,44 +506,34 @@ struct ShardPub {
     live: LiveStats,
 }
 
-/// Drain every shard's published activity into the streaming
-/// accounting and fold; when `collect`, also take the published
-/// snapshot rows and live stats (worker 0, after the extra barrier).
-fn drain_published(
-    st: &mut StreamState,
-    pubs: &[Mutex<ShardPub>],
-    collect: bool,
-) -> (Vec<ShardSnap>, LiveStats) {
-    let mut snaps = Vec::new();
+/// Fold every shard's published activity into the streaming
+/// accounting and take their snapshot rows and live stats (worker 0,
+/// after a mark's extra barrier).
+fn drain_published(st: &mut StreamState, pubs: &[Mutex<ShardPub>]) -> (Vec<ShardSnap>, LiveStats) {
+    let mut snaps = Vec::with_capacity(pubs.len());
     let mut live = LiveStats::default();
     for slot in pubs {
         let mut p = slot.lock().expect("publish slot poisoned");
         st.accounting.record_all(&p.activity);
         p.activity.clear();
-        if collect {
-            if let Some(s) = p.snap.take() {
-                snaps.push(s);
-            }
-            live.absorb(&p.live);
-        }
+        snaps.extend(p.snap.take());
+        live.absorb(&p.live);
     }
     st.accounting.fold();
     (snaps, live)
 }
 
-/// Copy `shard`'s activity transitions since the last barrier into its
-/// publish slot; with `snap = Some(inbound)`, also publish its snapshot
-/// row and summed live stats, counting `inbound` events still waiting
-/// for it in the exchange cells as queued.
-fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, snap: Option<usize>) {
+/// Publish `shard`'s part of a snapshot into its slot: the activity
+/// transitions it recorded since the last mark, its row — counting
+/// `inbound` events waiting for it in the exchange cells as queued —
+/// and its summed live stats.
+fn publish_rows<A: Actor>(shard: &mut Shard<A>, slot: &Mutex<ShardPub>, inbound: usize) {
     let mut p = slot.lock().expect("publish slot poisoned");
     if let Some(rec) = &mut shard.core.rec {
         rec.drain_activity(|new| p.activity.extend_from_slice(new));
     }
-    if let Some(inbound) = snap {
-        p.snap = Some(shard_snap(&shard.core, inbound));
-        p.live = shard.live_stats();
-    }
+    p.snap = Some(shard_snap(&shard.core, inbound));
+    p.live = shard.live_stats();
 }
 
 /// Book one barrier crossing that kept a worker `waited` host ns to
@@ -1167,21 +1157,12 @@ impl<A: Actor> Shard<A> {
     }
 
     fn start(&mut self, shared: &Shared) {
-        for slot in 0..self.actors.len() {
-            let rank = self.members[slot];
+        for i in 0..self.members.len() {
+            let rank = self.members[i];
             // A rank crashed at time zero never runs at all.
-            if shared.fault_active && crashed_at(&shared.crash_at, rank, SimTime::ZERO) {
-                continue;
+            if !(shared.fault_active && crashed_at(&shared.crash_at, rank, SimTime::ZERO)) {
+                self.dispatch(shared, rank, Call::Start);
             }
-            let t0 = self.core.phase_start();
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                shared,
-                state: &mut self.states[slot],
-                me: rank,
-            };
-            self.actors[slot].on_start(&mut ctx);
-            self.core.phase_stop(Phase::Dispatch, t0);
         }
     }
 
@@ -1247,7 +1228,7 @@ impl<A: Actor> Shard<A> {
                     self.core.delivered += 1;
                     self.core
                         .log_event(ObsKind::Delivered { from: src, to: dst });
-                    self.dispatch_message(shared, dst, src, msg);
+                    self.dispatch(shared, dst, Call::Message { from: src, msg });
                 }
             }
             EventKind::Timer { token } => {
@@ -1262,13 +1243,16 @@ impl<A: Actor> Shard<A> {
                 } else {
                     self.core.timers += 1;
                     self.core.log_event(ObsKind::Timer { rank: dst, token });
-                    self.dispatch_timer(shared, dst, token);
+                    self.dispatch(shared, dst, Call::Timer { token });
                 }
             }
         }
     }
 
-    fn dispatch_message(&mut self, shared: &Shared, rank: Rank, from: Rank, msg: A::Msg) {
+    /// Run one actor callback for `rank`, timed as one dispatch.
+    /// Inlined so each call site keeps only its own callback.
+    #[inline(always)]
+    fn dispatch(&mut self, shared: &Shared, rank: Rank, call: Call<A::Msg>) {
         let slot = shared.rank_loc[rank as usize].1 as usize;
         let t0 = self.core.phase_start();
         let mut ctx = Ctx {
@@ -1277,22 +1261,21 @@ impl<A: Actor> Shard<A> {
             state: &mut self.states[slot],
             me: rank,
         };
-        self.actors[slot].on_message(&mut ctx, from, msg);
+        let actor = &mut self.actors[slot];
+        match call {
+            Call::Start => actor.on_start(&mut ctx),
+            Call::Message { from, msg } => actor.on_message(&mut ctx, from, msg),
+            Call::Timer { token } => actor.on_timer(&mut ctx, token),
+        }
         self.core.phase_stop(Phase::Dispatch, t0);
     }
+}
 
-    fn dispatch_timer(&mut self, shared: &Shared, rank: Rank, token: u64) {
-        let slot = shared.rank_loc[rank as usize].1 as usize;
-        let t0 = self.core.phase_start();
-        let mut ctx = Ctx {
-            core: &mut self.core,
-            shared,
-            state: &mut self.states[slot],
-            me: rank,
-        };
-        self.actors[slot].on_timer(&mut ctx, token);
-        self.core.phase_stop(Phase::Dispatch, t0);
-    }
+/// The actor callback one dispatch runs.
+enum Call<M> {
+    Start,
+    Message { from: Rank, msg: M },
+    Timer { token: u64 },
 }
 
 /// What the (identical, per-shard) window decision concluded.
@@ -1367,7 +1350,8 @@ fn split_by_thread<S>(mut rest: &mut [S], threads: usize) -> Vec<(usize, &mut [S
 /// fences each slot's reuse — a writer touches parity `p` again only
 /// after every reader of `p` has passed the barrier in between.
 struct GroupSlot {
-    /// Earliest pending event time (`u64::MAX` = idle).
+    /// Earliest event the shard holds, queued or deposited for a peer
+    /// (`u64::MAX` = none).
     min_next: AtomicU64,
     /// Cumulative events processed by the shard.
     events: AtomicU64,
@@ -1547,15 +1531,23 @@ impl<A: Actor> Simulation<A> {
         self.shared.lookahead_ns = cfg.lookahead_ns.max(1);
     }
 
-    /// Closing snapshot at normal completion: every streamed run ends
-    /// with one forced emission carrying the final totals, so even a
-    /// run shorter than the snapshot cadence leaves at least one line
-    /// in the stream. The end time is the schedule-derived maximum
-    /// shard clock, so the line is identical across thread counts.
-    fn stream_final(&mut self) {
+    /// Closing snapshot: every streamed run call ends with one forced
+    /// emission carrying the final totals, so even a run shorter than
+    /// the snapshot cadence leaves at least one line in the stream. It
+    /// first folds the activity the shards recorded since the last
+    /// mark. The end time is the schedule-derived maximum shard clock,
+    /// so the line is identical across thread counts. An aborted run
+    /// also writes its flight dump, with this snapshot.
+    fn stream_final(&mut self, abort_why: Option<&str>) {
         let Some(st) = self.streaming.as_mut() else {
             return;
         };
+        for shard in self.shards.iter_mut() {
+            if let Some(rec) = &mut shard.core.rec {
+                rec.drain_activity(|new| st.accounting.record_all(new));
+            }
+        }
+        st.accounting.fold();
         let events: u64 = self.shards.iter().map(|s| s.core.events).sum();
         // The run has put what was left in the exchange cells back
         // into the queues, so nothing is inbound.
@@ -1568,6 +1560,10 @@ impl<A: Actor> Simulation<A> {
         }
         let snap = st.make_snapshot(events, rows, live);
         st.emit(&snap);
+        let dump_path = st.cfg.flight_dump_path.clone();
+        if let (Some(reason), Some(path)) = (abort_why, dump_path) {
+            let _ = abort::write_flight_dump(&path, reason, &self.flight_rings(), Some(&snap));
+        }
     }
 
     /// The simulated clock: the latest shard clock.
@@ -1677,18 +1673,12 @@ impl<A: Actor> Simulation<A> {
     /// after the run; the streaming fold closes at the run's end time.
     pub fn take_recordings(&mut self) -> Recordings {
         let end_ns = self.now().ns();
-        let mut stream = self.streaming.take();
+        let stream = self.streaming.take();
         let mut out = Recordings::default();
         for shard in self.shards.iter_mut() {
-            let Some(mut rec) = shard.core.rec.take() else {
+            let Some(rec) = shard.core.rec.take() else {
                 continue;
             };
-            // Transitions recorded after the last barrier (e.g. a
-            // zero-window run whose only activity came from `on_start`)
-            // reach the fold here.
-            if let Some(st) = stream.as_mut() {
-                rec.drain_activity(|new| st.accounting.record_all(new));
-            }
             if rec.profile {
                 out.profile.get_or_insert_with(Vec::new).push(ShardProfile {
                     shard: shard.core.id as u32,
@@ -1749,14 +1739,15 @@ where
     /// before any worker starts: worker `t` gets the `&mut` slice of
     /// shards `g` with `g·T/M == t` and keeps it for the whole call.
     ///
-    /// Protocol: ONE barrier per window. Each iteration reads last
-    /// window's published plan inputs from parity `k & 1` slots,
-    /// derives the identical verdict on every thread, runs the
-    /// worker's own shards, and publishes into the other parity.
-    /// Cross-shard events travel through per-(source thread,
-    /// destination shard) batch buffers; each thread's earliest deposit
-    /// is published as an in-flight floor so no pending event ever
-    /// escapes the global minimum.
+    /// Protocol: ONE barrier per window, and every channel between
+    /// threads is double-buffered by window parity. Iteration `k`
+    /// reads what window `k - 1` wrote into parity `k & 1` — the plan
+    /// slots and the exchange cells — after the barrier, derives the
+    /// identical verdict on every thread, runs the worker's own shards,
+    /// and writes into the other parity. Cross-shard events travel
+    /// through per-(source thread, destination shard) batch cells; a
+    /// shard's published minimum covers what it deposited, so no
+    /// pending event ever escapes the global minimum.
     pub fn run_parallel_with_limits(
         &mut self,
         max_time: Option<SimTime>,
@@ -1770,89 +1761,73 @@ where
         let n_threads = self.exec_threads as usize;
         let mt = max_time.map(|t| t.ns());
         let (digest0, windows0) = (self.plan_digest, self.plan_windows);
-        // Published plan inputs, double-buffered by window parity.
         let slots: [Vec<GroupSlot>; 2] = [
             (0..m).map(|_| GroupSlot::new()).collect(),
             (0..m).map(|_| GroupSlot::new()).collect(),
         ];
-        // Earliest event each thread deposited into the exchange cells
-        // last window (`u64::MAX` = none): events in flight between
-        // queues, folded into the global minima so the verdict never
-        // misses them.
-        let dep_floor: [Vec<AtomicU64>; 2] = [
-            (0..n_threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            (0..n_threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        ];
-        // Per-(source thread, destination shard) batch buffers. A
-        // depositor locks only cells in its own row, the owner drains
-        // only its shard's column, so contention is a rare two-party
-        // overlap instead of an all-threads pile-up on one inbox.
+        // Per-(source thread, destination shard) batch buffers, each
+        // with a non-empty flag so owners skip the lock (and the clock)
+        // for the common empty case. A parity's cells are written only
+        // in the windows of that parity and drained whole after the
+        // next barrier, so the flags are exact.
         type XchgRow<M> = Vec<Mutex<Vec<Event<M>>>>;
-        let xchg: Vec<XchgRow<A::Msg>> = (0..n_threads)
-            .map(|_| (0..m).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        // Non-empty hint per exchange cell: owners skip the lock (and
-        // the clock) for the overwhelmingly common empty case. Set
-        // under the cell lock; a racing reader that misses a same-
-        // window deposit just ingests it next window, before it can
-        // matter (cross-shard events always land past the window end).
-        let xchg_flag: Vec<Vec<AtomicBool>> = (0..n_threads)
-            .map(|_| (0..m).map(|_| AtomicBool::new(false)).collect())
-            .collect();
+        let cells = || -> Vec<XchgRow<A::Msg>> {
+            (0..n_threads)
+                .map(|_| (0..m).map(|_| Mutex::new(Vec::new())).collect())
+                .collect()
+        };
+        let flags = || -> Vec<Vec<AtomicBool>> {
+            (0..n_threads)
+                .map(|_| (0..m).map(|_| AtomicBool::new(false)).collect())
+                .collect()
+        };
+        let xchg = [cells(), cells()];
+        let xchg_flag = [flags(), flags()];
         let barrier = WindowBarrier::new(n_threads);
         // --- streaming telemetry scaffolding (empty when off) ---
         // Only worker 0 holds the stream state (it folds and writes);
         // the others see its cadence copy and the abort flag.
         let cadence0 = self.streaming.as_ref().map(|st| st.cadence);
-        let dump_path = self
-            .streaming
-            .as_ref()
-            .and_then(|st| st.cfg.flight_dump_path.clone());
-        let rings = self.flight_rings();
-        let pub_slots = || -> Vec<Mutex<ShardPub>> {
-            let n = if cadence0.is_some() { m } else { 0 };
-            (0..n).map(|_| Mutex::new(ShardPub::default())).collect()
-        };
-        let pubs = [pub_slots(), pub_slots()];
-        let snap_pubs = pub_slots();
+        let snap_pubs: Vec<Mutex<ShardPub>> = (0..if cadence0.is_some() { m } else { 0 })
+            .map(|_| Mutex::new(ShardPub::default()))
+            .collect();
         let abort_flag = AtomicBool::new(false);
         let shared = &self.shared;
-        // Deposit `shard`'s cross-shard sends into thread `tid`'s batch
-        // buffers (only dirty outboxes are touched), then publish its
-        // plan inputs into `slot`. Returns the earliest deposited event
-        // time.
-        let deposit_and_publish = |tid: usize, shard: &mut Shard<A>, slot: &GroupSlot| -> u64 {
-            let mut floor = u64::MAX;
-            if !shard.core.dirty_out.is_empty() {
-                let x0 = shard.core.phase_start();
-                let mut dirty = std::mem::take(&mut shard.core.dirty_out);
-                for &dst in &dirty {
-                    let dst = dst as usize;
-                    let out = &mut shard.core.outboxes[dst];
-                    for ev in out.iter() {
-                        floor = floor.min(ev.time.ns());
+        // Deposit `shard`'s cross-shard sends into thread `tid`'s cells
+        // of parity `par` (only dirty outboxes are touched), then
+        // publish its plan inputs into `slot`: the earliest event it
+        // holds, queued or deposited.
+        let deposit_and_publish =
+            |tid: usize, par: usize, shard: &mut Shard<A>, slot: &GroupSlot| {
+                let mut min_next = shard.core.queue.peek_time().map_or(u64::MAX, SimTime::ns);
+                if !shard.core.dirty_out.is_empty() {
+                    let x0 = shard.core.phase_start();
+                    let mut dirty = std::mem::take(&mut shard.core.dirty_out);
+                    for &dst in &dirty {
+                        let dst = dst as usize;
+                        let out = &mut shard.core.outboxes[dst];
+                        for ev in out.iter() {
+                            min_next = min_next.min(ev.time.ns());
+                        }
+                        let mut cell = xchg[par][tid][dst].lock().expect("exchange cell poisoned");
+                        if cell.is_empty() {
+                            std::mem::swap(&mut *cell, out);
+                        } else {
+                            cell.append(out);
+                        }
+                        xchg_flag[par][tid][dst].store(true, Ordering::Release);
                     }
-                    let mut cell = xchg[tid][dst].lock().expect("exchange cell poisoned");
-                    if cell.is_empty() {
-                        std::mem::swap(&mut *cell, out);
-                    } else {
-                        cell.append(out);
-                    }
-                    xchg_flag[tid][dst].store(true, Ordering::Release);
+                    dirty.clear();
+                    shard.core.dirty_out = dirty;
+                    shard.core.phase_stop(Phase::Exchange, x0);
                 }
-                dirty.clear();
-                shard.core.dirty_out = dirty;
-                shard.core.phase_stop(Phase::Exchange, x0);
-            }
-            let mn = shard.core.queue.peek_time().map_or(u64::MAX, SimTime::ns);
-            slot.min_next.store(mn, Ordering::SeqCst);
-            slot.events.store(shard.core.events, Ordering::SeqCst);
-            floor
-        };
+                slot.min_next.store(min_next, Ordering::SeqCst);
+                slot.events.store(shard.core.events, Ordering::SeqCst);
+            };
         // One worker over its own shards `first..first + own.len()`;
         // every thread runs an identical copy and returns the identical
-        // `(plan digest, windows, limit hit, aborted)`. `stream` is
-        // `Some` on worker 0 of a streamed run.
+        // `(plan digest, windows, limit hit)`, and worker 0 the abort
+        // reason. `stream` is `Some` on worker 0 of a streamed run.
         let worker = |tid: usize,
                       first: usize,
                       own: &mut [Shard<A>],
@@ -1860,34 +1835,32 @@ where
             let mut sense = false;
             let (mut digest, mut windows) = (digest0, windows0);
             let mut cadence = cadence0;
-            let mut abort_why = "";
             let mut par = 0usize;
             let mut end_prev: Option<u64> = None;
             // Prologue: the first run call starts the worker's shards'
             // actors; every call publishes the initial plan inputs.
-            let mut my_floor = u64::MAX;
             for (g, shard) in (first..).zip(own.iter_mut()) {
                 if first_run {
                     let b0 = shard.core.window_start();
                     shard.start(shared);
                     shard.core.book_busy(b0);
                 }
-                my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[par][g]));
+                deposit_and_publish(tid, par, shard, &slots[par][g]);
             }
-            dep_floor[par][tid].store(my_floor, Ordering::SeqCst);
             loop {
                 // Worker 0 checks the emergency-abort budgets and
                 // publishes the flag before the barrier; everyone
-                // reads it after, so all threads agree.
-                if let Some(reason) = stream.as_deref_mut().and_then(|st| st.abort_reason()) {
-                    abort_why = reason;
+                // reads it after, so all threads stop together, as at
+                // a limit.
+                let abort_why = stream.as_deref_mut().and_then(|st| st.abort_reason());
+                if abort_why.is_some() {
                     abort_flag.store(true, Ordering::SeqCst);
                 }
                 // THE barrier — one per window. Everything below
                 // reads parity `par` (written last iteration)
                 // and writes parity `1 - par`, so this single
                 // rendezvous fences the whole protocol: a slow
-                // reader of slot p must arrive here before any
+                // reader of parity p must arrive here before any
                 // fast writer can touch p again. A lone worker has
                 // nobody to meet, so it reports no barrier wait; the
                 // wait is timed only when the shards' recorders keep
@@ -1899,6 +1872,9 @@ where
                         book_wait(own, w0.elapsed().as_nanos() as u64);
                     }
                 }
+                if abort_flag.load(Ordering::SeqCst) {
+                    return (digest, windows, true, abort_why);
+                }
                 // Fold the published plan inputs (read parity).
                 // Every thread derives the identical verdict —
                 // leaderless by design.
@@ -1908,71 +1884,50 @@ where
                     min_next = min_next.min(slot.min_next.load(Ordering::SeqCst));
                     events += slot.events.load(Ordering::SeqCst);
                 }
-                for f in &dep_floor[par] {
-                    min_next = min_next.min(f.load(Ordering::SeqCst));
-                }
-                // Streaming: worker 0 folds last window's activity; a
-                // due tick (or an abort) snapshots the post-window
-                // state.
+                // Streaming: at a due mark every shard publishes what
+                // it recorded since the last one, and after one extra
+                // barrier worker 0 folds it and snapshots the
+                // post-window state.
                 if let Some(cad) = cadence.as_mut() {
-                    let aborting = abort_flag.load(Ordering::SeqCst);
-                    if let Some(st) = stream.as_deref_mut() {
-                        drain_published(st, &pubs[par], false);
-                    }
-                    let due = end_prev.filter(|&ep| cad.due(ep));
-                    if let Some(ep) = due {
+                    if let Some(ep) = end_prev.filter(|&ep| cad.due(ep)) {
                         cad.advance(ep);
-                    }
-                    if aborting || due.is_some() {
                         for (g, shard) in (first..).zip(own.iter_mut()) {
-                            // Every deposit is complete at the barrier,
-                            // but whether this shard already ingested a
-                            // peer's races on `xchg_flag`: the queue plus
-                            // what still waits in its cells does not.
-                            let inbound = xchg
+                            // Parity `par` holds exactly the deposits
+                            // bound for `g` it has not ingested yet.
+                            let inbound = xchg[par]
                                 .iter()
                                 .map(|row| row[g].lock().expect("exchange cell poisoned").len())
                                 .sum();
-                            publish_rows(shard, &snap_pubs[g], Some(inbound));
+                            publish_rows(shard, &snap_pubs[g], inbound);
                         }
-                        // Rare extra barrier: due windows and aborts
-                        // only, so snapshot rows are all published
-                        // before worker 0 reads.
+                        // Every row is published before worker 0 reads.
                         barrier.wait(&mut sense);
                         if let Some(st) = stream.as_deref_mut() {
-                            let (rows, live) = drain_published(st, &snap_pubs, true);
+                            let (rows, live) = drain_published(st, &snap_pubs);
                             let snap = st.make_snapshot(events, rows, live);
                             st.emit(&snap);
-                            if let Some(path) = dump_path.as_ref().filter(|_| aborting) {
-                                let _ =
-                                    abort::write_flight_dump(path, abort_why, &rings, Some(&snap));
-                            }
                         }
-                    }
-                    if aborting {
-                        return (digest, windows, true, true);
                     }
                 }
                 let min_next = Some(min_next).filter(|&t| t != u64::MAX);
                 let end = match decide(min_next, events, mt, max_events, shared.lookahead_ns) {
-                    Verdict::Stop { limit } => return (digest, windows, limit, false),
+                    Verdict::Stop { limit } => return (digest, windows, limit, None),
                     Verdict::Window { end } => end,
                 };
                 digest = fnv1a(digest, end);
                 windows += 1;
                 let wpar = 1 - par;
-                let mut my_floor = u64::MAX;
                 for (g, shard) in (first..).zip(own.iter_mut()) {
                     let b0 = shard.core.window_start();
-                    // Ingest batched cross-shard events deposited for
-                    // this shard; the flag keeps empty cells lock-free.
-                    for (row, flags) in xchg.iter().zip(xchg_flag.iter()) {
+                    // Ingest every cross-shard event deposited for this
+                    // shard last window.
+                    for (row, flags) in xchg[par].iter().zip(&xchg_flag[par]) {
                         if !flags[g].load(Ordering::Acquire) {
                             continue;
                         }
                         let x0 = shard.core.phase_start();
+                        flags[g].store(false, Ordering::Relaxed);
                         let mut cell = row[g].lock().expect("exchange cell poisoned");
-                        flags[g].store(false, Ordering::SeqCst);
                         for ev in cell.drain(..) {
                             shard.core.push_local(ev);
                         }
@@ -1980,20 +1935,16 @@ where
                         shard.core.phase_stop(Phase::Exchange, x0);
                     }
                     shard.run_window(shared, end, mt);
-                    my_floor = my_floor.min(deposit_and_publish(tid, shard, &slots[wpar][g]));
+                    deposit_and_publish(tid, wpar, shard, &slots[wpar][g]);
                     shard.core.book_busy(b0);
-                    if cadence.is_some() {
-                        publish_rows(shard, &pubs[wpar][g], None);
-                    }
                 }
-                dep_floor[wpar][tid].store(my_floor, Ordering::SeqCst);
                 end_prev = Some(end);
                 par = wpar;
             }
         };
         let stream = self.streaming.as_mut();
         let mut runs = split_by_thread(&mut self.shards, n_threads).into_iter();
-        let (digest, windows, limit_hit, aborted) = std::thread::scope(|scope| {
+        let (digest, windows, limit_hit, abort_why) = std::thread::scope(|scope| {
             let (first0, own0) = runs.next().expect("at least one worker");
             for (tid, (first, own)) in (1..).zip(runs) {
                 let worker = &worker;
@@ -2001,10 +1952,10 @@ where
             }
             worker(0, first0, own0, stream)
         });
-        // Events still parked in the exchange buffers (a limit stop can
-        // land between deposit and ingest) go back into their owners'
-        // queues so a resumed run sees them.
-        for row in xchg {
+        // Events still parked in the exchange cells (a stop lands
+        // between deposit and ingest) go back into their owners' queues
+        // so a resumed run sees them.
+        for row in xchg.into_iter().flatten() {
             for (g, cell) in row.into_iter().enumerate() {
                 let mut evs = cell.into_inner().expect("exchange cell poisoned");
                 for ev in evs.drain(..) {
@@ -2014,11 +1965,7 @@ where
         }
         self.plan_digest = digest;
         self.plan_windows = windows;
-        // An abort already emitted its final snapshot (and the flight
-        // dump) inside the loop; a normal stop emits the closing one.
-        if !aborted {
-            self.stream_final();
-        }
+        self.stream_final(abort_why);
         self.finish_run(limit_hit)
     }
 }

@@ -94,8 +94,9 @@ fn profiler_does_not_perturb_schedule() {
 
 /// The per-shard profile adds up: every dispatch and victim draw is
 /// counted once, the fault evaluations do not depend on the thread
-/// count, the shard rows cover every rank and event once, and the
-/// barrier-wait phase is the sum of the shards' waits — one ledger.
+/// count, the shard rows cover every rank and event once, the
+/// barrier-wait phase is the sum of the shards' waits — one ledger —
+/// and repeated runs at one thread count make equal exchange calls.
 #[test]
 fn profile_counts_are_exact_and_thread_invariant() {
     let run = |threads: u32, drop: f64| {
@@ -165,6 +166,16 @@ fn profile_counts_are_exact_and_thread_invariant() {
     }
     assert!(fault_evals[0] > 0);
     assert_eq!(fault_evals[0], fault_evals[1]);
+    // The exchange cells are double-buffered by window parity, so at a
+    // fixed thread count the exchange calls are a schedule count.
+    for threads in [2, 3] {
+        let exchange = || phase(&run(threads, 0.0).1, "exchange").0;
+        let first = exchange();
+        assert!(first > 0, "threads {threads}: nothing crossed a shard");
+        for _ in 0..2 {
+            assert_eq!(exchange(), first, "threads {threads}");
+        }
+    }
 }
 
 /// Profiling must not change the config fingerprint: observability
