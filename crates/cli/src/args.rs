@@ -11,16 +11,36 @@ use std::collections::BTreeMap;
 pub struct Flags {
     values: BTreeMap<String, String>,
     bools: Vec<String>,
+    /// Positional arguments, in order ([`parse_paths`] only).
+    pub paths: Vec<String>,
 }
 
+/// The error the parsers return for `--help` or `-h` where a flag may
+/// stand (not as a flag's value): the caller prints the usage instead.
+pub const HELP: &str = "help requested";
+
 /// Parse `args` against the allowed flag lists. `valued` flags take one
-/// argument, `boolean` flags take none.
+/// argument, `boolean` flags take none, and a positional argument is
+/// an error.
 pub fn parse(args: &[String], valued: &[&str], boolean: &[&str]) -> Result<Flags, String> {
+    let flags = parse_paths(args, valued, boolean)?;
+    match flags.paths.first() {
+        Some(a) => Err(format!("unexpected positional argument {a:?}")),
+        None => Ok(flags),
+    }
+}
+
+/// [`parse`], keeping positional arguments in [`Flags::paths`].
+pub fn parse_paths(args: &[String], valued: &[&str], boolean: &[&str]) -> Result<Flags, String> {
     let mut out = Flags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a == "--help" || a == "-h" {
+            return Err(HELP.into());
+        }
         let Some(name) = a.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument {a:?}"));
+            out.paths.push(a.clone());
+            continue;
         };
         if boolean.contains(&name) {
             out.bools.push(name.to_string());
@@ -173,6 +193,14 @@ mod tests {
         assert!(parse(&args(&["--bogus"]), &["tree"], &[]).is_err());
         assert!(parse(&args(&["--tree"]), &["tree"], &[]).is_err());
         assert!(parse(&args(&["positional"]), &["tree"], &[]).is_err());
+    }
+
+    #[test]
+    fn positionals_are_kept_in_order() {
+        let f = parse_paths(&args(&["a.json", "--tol", "0.1", "b.json"]), &["tol"], &[])
+            .expect("valid");
+        assert_eq!(f.paths, ["a.json", "b.json"]);
+        assert_eq!(f.get("tol"), Some("0.1"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::{parse, parse_mapping, parse_steal, parse_victim, Flags};
+use crate::args::{parse, parse_mapping, parse_paths, parse_steal, parse_victim, Flags};
 use dws_core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, FaultToleranceCfg,
     StreamingSetup, STREAMING_FLAGS,
@@ -808,27 +808,12 @@ fn fmt_num(v: f64) -> String {
 /// noise-aware verdict. Exits 2 when any metric regresses, so CI can
 /// gate on it.
 pub fn diff(rest: &[String]) -> Result<(), String> {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut flag_args: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            flag_args.push(a.clone());
-            if a == "--tol" {
-                if let Some(v) = it.next() {
-                    flag_args.push(v.clone());
-                }
-            }
-        } else {
-            paths.push(a);
-        }
-    }
-    let flags = parse(&flag_args, &["tol"], &[])?;
+    let flags = parse_paths(rest, &["tol"], &[])?;
     let tol: f64 = flags.parse_or("tol", 0.02)?;
     if !(0.0..10.0).contains(&tol) {
         return Err(format!("--tol {tol} outside [0, 10)"));
     }
-    let [a_spec, b_spec] = paths[..] else {
+    let [a_spec, b_spec] = &flags.paths[..] else {
         return Err("diff needs exactly two artifacts: dws diff <a> <b> [--tol f]".into());
     };
     let a = load_diff_side(a_spec)?;
@@ -905,11 +890,10 @@ pub fn diff(rest: &[String]) -> Result<(), String> {
 /// histogram quantiles are summarized instead of a replay. Errors when
 /// the file holds neither, so CI can use it as a stream validator.
 pub fn top(rest: &[String]) -> Result<(), String> {
-    let (path, flag_rest) = match rest.split_first() {
-        Some((p, r)) if !p.starts_with("--") => (p.as_str(), r),
-        _ => return Err("usage: dws top <snapshots.jsonl | report.json> [--tail <n>]".into()),
+    let flags = parse_paths(rest, &["tail"], &[])?;
+    let [path] = &flags.paths[..] else {
+        return Err("usage: dws top <snapshots.jsonl | report.json> [--tail <n>]".into());
     };
-    let flags = parse(flag_rest, &["tail"], &[])?;
     let tail: usize = flags.parse_or("tail", usize::MAX)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut snaps: Vec<dws_metrics::Snapshot> = Vec::new();
@@ -998,11 +982,9 @@ fn print_histogram_quantiles(histograms: &JsonValue) {
 /// Exits 2 when the attribution-sum invariant fails, so CI can gate on
 /// it.
 pub fn why(rest: &[String]) -> Result<(), String> {
-    let (p, flag_rest) = rest
-        .split_first()
-        .filter(|(p, _)| !p.starts_with("--"))
-        .ok_or("usage: dws why <report.json> (write one with `dws run --json`)")?;
-    parse(flag_rest, &[], &[])?;
+    let [p] = &parse_paths(rest, &[], &[])?.paths[..] else {
+        return Err("usage: dws why <report.json> (write one with `dws run --json`)".into());
+    };
     let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
     let doc = dws_metrics::export::parse(text.trim()).map_err(|e| format!("{p}: {e}"))?;
     if let Err(e) = dws_metrics::blame::verify_report(&doc) {
@@ -1098,6 +1080,33 @@ mod tests {
         // `with_gen_rounds` asserts at least one round.
         let err = config_err(&["--gen-rounds", "0"]);
         assert!(err.contains("--gen-rounds"), "{err}");
+    }
+
+    #[test]
+    fn help_after_any_command_prints_usage_instead_of_running() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let help = Err(crate::args::HELP.to_string());
+        for cmd in [
+            "run", "chaos", "tree", "shmem", "diff", "top", "why", "help",
+        ] {
+            for flag in ["--help", "-h"] {
+                assert_eq!(crate::dispatch(cmd, &args(&[flag])), help, "{cmd} {flag}");
+            }
+        }
+        // After other flags and positionals, before any work is done.
+        for (cmd, rest) in [
+            ("run", &["--tree", "t3sim-xs", "-h"][..]),
+            ("diff", &["a.json", "b.json", "--help"]),
+            ("top", &["missing.jsonl", "--tail", "3", "-h"]),
+            ("why", &["missing.json", "-h"]),
+        ] {
+            assert_eq!(crate::dispatch(cmd, &args(rest)), help, "{cmd} {rest:?}");
+        }
+        // An unknown command stays an error, and a flag's value is a value.
+        let err = crate::dispatch("bogus", &args(&["--help"])).unwrap_err();
+        assert!(err.starts_with("unknown command \"bogus\""), "{err}");
+        let flags = parse(&args(&["--json", "-h"]), &["json"], &[]).unwrap();
+        assert_eq!(flags.get("json"), Some("-h"));
     }
 
     #[test]

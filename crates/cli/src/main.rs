@@ -31,21 +31,11 @@ fn main() {
         }
     };
     let started = std::time::Instant::now();
-    let result = match cmd {
-        "run" => commands::run(rest),
-        "chaos" => commands::chaos(rest),
-        "tree" => commands::tree(rest),
-        "shmem" => commands::shmem(rest),
-        "diff" => commands::diff(rest),
-        "top" => commands::top(rest),
-        "why" => commands::why(rest),
-        "help" | "--help" | "-h" => {
+    if let Err(e) = dispatch(cmd, rest) {
+        if e == args::HELP {
             println!("{}", usage());
-            Ok(())
+            return;
         }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
-    };
-    if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -60,6 +50,22 @@ fn main() {
             "host: wall {:.2} s, peak RSS {rss}",
             started.elapsed().as_secs_f64()
         );
+    }
+}
+
+/// Run one command. `dws help`, and `--help` or `-h` wherever a known
+/// command takes a flag, return [`args::HELP`].
+fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
+    match cmd {
+        "run" => commands::run(rest),
+        "chaos" => commands::chaos(rest),
+        "tree" => commands::tree(rest),
+        "shmem" => commands::shmem(rest),
+        "diff" => commands::diff(rest),
+        "top" => commands::top(rest),
+        "why" => commands::why(rest),
+        "help" | "--help" | "-h" => Err(args::HELP.into()),
+        other => Err(format!("unknown command {other:?}\n{}", usage())),
     }
 }
 

@@ -58,7 +58,7 @@ pub use runner::{
     ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup, STREAMING_FLAGS,
 };
 pub use scheduler::{FaultToleranceCfg, Msg, StealAmount, Worker};
-pub use stack::{Chunk, ChunkedStack};
+pub use stack::ChunkedStack;
 pub use termination::{Colour, TerminationState, Token, TokenAction};
 pub use victim::{
     skew_weight, OffsetAliasSet, VictimContext, VictimPolicy, VictimSelector, FALLBACK_LIMIT,

@@ -1092,9 +1092,9 @@ pub fn run_experiment_streamed(
             if is_crashed(r) {
                 lost_frontier.extend(w.stack_nodes().copied());
             }
-            for (to, xfer, chunks) in w.unconfirmed_transfers() {
+            for (to, xfer, nodes) in w.unconfirmed_transfers() {
                 if !sim.actor(to).has_absorbed(r as u32, xfer) {
-                    lost_frontier.extend(chunks.iter().flatten().copied());
+                    lost_frontier.extend_from_slice(nodes);
                 }
             }
         }

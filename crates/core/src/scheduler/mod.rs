@@ -14,9 +14,8 @@ mod recovery;
 
 pub use protocol::Worker;
 
-use crate::stack::Chunk;
 use crate::termination::Token;
-use dws_uts::NODE_WIRE_BYTES;
+use dws_uts::{Node, NODE_WIRE_BYTES};
 
 /// How much of a victim's stealable work one steal transfers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +82,9 @@ pub enum Msg {
     StealRequest {
         /// Thief-local request sequence number.
         seq: u64,
+        /// The thief's empty buffer, lent for the reply to fill as an MPI
+        /// thief posts its receive buffer. Not on the wire.
+        buf: Vec<Node>,
     },
     /// Reply: the stolen chunks; empty means the steal failed.
     StealReply {
@@ -92,8 +94,8 @@ pub enum Msg {
         seq: u64,
         /// Victim-local transfer id (0 for empty replies).
         xfer: u64,
-        /// Chunks transferred to the thief (empty on failure).
-        chunks: Vec<Chunk>,
+        /// Whole chunks for the thief, oldest node first (empty on failure).
+        nodes: Vec<Node>,
     },
     /// Failure-tolerant protocol: "transfer `xfer` arrived; stop
     /// retransmitting it."
@@ -108,8 +110,8 @@ pub enum Msg {
     LifelinePush {
         /// Sender-local transfer id (0 with fault tolerance off).
         xfer: u64,
-        /// Chunks donated to the dormant rank (never empty).
-        chunks: Vec<Chunk>,
+        /// One whole chunk donated to the dormant rank.
+        nodes: Vec<Node>,
     },
     /// Termination-detection token. `seq` is a sender-local sequence
     /// number for per-hop acknowledgement (0 with fault tolerance off).
@@ -138,8 +140,8 @@ impl Msg {
             | Msg::LifelineRequest
             | Msg::StealAck { .. }
             | Msg::TokenAck { .. } => 16,
-            Msg::StealReply { chunks, .. } | Msg::LifelinePush { chunks, .. } => {
-                16 + chunks.iter().map(|c| c.len()).sum::<usize>() * NODE_WIRE_BYTES
+            Msg::StealReply { nodes, .. } | Msg::LifelinePush { nodes, .. } => {
+                16 + nodes.len() * NODE_WIRE_BYTES
             }
             Msg::Token { .. } => 24,
             Msg::Done => 8,

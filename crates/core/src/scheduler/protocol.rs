@@ -47,7 +47,7 @@
 
 use super::recovery::Recovery;
 use super::{Msg, TIMER_PROBE, TIMER_RETRY, TIMER_WORK};
-use crate::stack::{Chunk, ChunkedStack};
+use crate::stack::ChunkedStack;
 use crate::termination::{TerminationState, Token, TokenAction};
 use crate::victim::VictimSelector;
 use crate::ExperimentConfig;
@@ -63,6 +63,8 @@ use std::sync::Arc;
 pub struct Worker {
     pub(super) cfg: Arc<ExperimentConfig>,
     pub(super) stack: ChunkedStack,
+    /// The empty buffer this rank lends with its next steal request.
+    spare: Vec<Node>,
     pub(super) selector: VictimSelector,
     pub(super) term: TerminationState,
     /// True while a WORK timer is outstanding (the rank is "computing"
@@ -124,6 +126,7 @@ impl Worker {
     ) -> Self {
         Self {
             stack: ChunkedStack::new(cfg.chunk_size),
+            spare: Vec::new(),
             selector,
             term: TerminationState::new(me, job.n_ranks()),
             computing: false,
@@ -235,14 +238,14 @@ impl Worker {
         }
     }
 
-    /// Count `chunks` as given away, bill their packaging to the next
-    /// batch, and tell termination detection; returns the packaging
-    /// time.
-    pub(super) fn hand_over(&mut self, chunks: &[Chunk]) -> u64 {
-        let nodes: usize = chunks.iter().map(|c| c.len()).sum();
-        self.counters.chunks_given += chunks.len() as u64;
-        self.counters.nodes_given += nodes as u64;
-        let package = chunks.len() as u64 * self.cfg.package_chunk_ns;
+    /// Count the chunks of `nodes` as given away, bill their packaging
+    /// to the next batch, and tell termination detection; returns the
+    /// packaging time.
+    pub(super) fn hand_over(&mut self, nodes: &[Node]) -> u64 {
+        let chunks = (nodes.len() / self.stack.chunk_size()) as u64;
+        self.counters.chunks_given += chunks;
+        self.counters.nodes_given += nodes.len() as u64;
+        let package = chunks * self.cfg.package_chunk_ns;
         self.service_debt_ns += package;
         self.term.on_work_sent();
         package
@@ -296,15 +299,15 @@ impl Worker {
     /// transfer. An idle rank books its search session, records the
     /// transition and resumes; a rank already busy again (another
     /// transfer got here first) just absorbs it.
-    pub(super) fn receive_work(&mut self, ctx: &mut Ctx<'_, Msg>, chunks: Vec<Chunk>) {
+    pub(super) fn receive_work(&mut self, ctx: &mut Ctx<'_, Msg>, nodes: Vec<Node>) {
         // A sound detector never announces Done with work in flight.
         assert!(!self.done, "rank {} received work after Done", ctx.me());
         let idle = self.stack.is_empty() && !self.computing;
-        let nodes: usize = chunks.iter().map(|c| c.len()).sum();
-        self.counters.chunks_received += chunks.len() as u64;
-        self.counters.nodes_received += nodes as u64;
+        self.counters.chunks_received += (nodes.len() / self.stack.chunk_size()) as u64;
+        self.counters.nodes_received += nodes.len() as u64;
         self.term.on_work_received();
-        self.stack.receive_chunks(chunks);
+        let emptied = self.stack.receive_chunks(nodes);
+        self.keep_spare(emptied);
         if !idle {
             return;
         }
@@ -316,6 +319,14 @@ impl Worker {
             self.traced_active = true;
         }
         self.start_batch(ctx);
+    }
+
+    /// Keep the larger of `buf` (empty) and the current spare as the
+    /// buffer the next steal request lends.
+    pub(super) fn keep_spare(&mut self, buf: Vec<Node>) {
+        if buf.capacity() > self.spare.capacity() {
+            self.spare = buf;
+        }
     }
 
     /// End the open work-discovery session, if any.
@@ -346,7 +357,8 @@ impl Worker {
         self.counters.steal_attempts += 1;
         let (id, v) = (trace_id(ctx.me() as usize, seq), victim as usize);
         ctx.record_span(id, SpanKind::StealRequestSent { victim: v });
-        let msg = Msg::StealRequest { seq };
+        let buf = std::mem::take(&mut self.spare);
+        let msg = Msg::StealRequest { seq, buf };
         ctx.send(victim, msg.wire_bytes(), msg);
         self.on_request_sent(ctx, victim, seq);
     }
@@ -377,22 +389,31 @@ impl Worker {
     /// earlier when it sat in the pending queue (tracing only).
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, from: Rank, msg: Msg, arrived_ns: u64) {
         match msg {
-            Msg::StealRequest { seq } => self.on_steal_request(ctx, from, seq, arrived_ns),
-            Msg::StealReply { seq, xfer, chunks } => {
-                self.on_steal_reply(ctx, from, seq, xfer, chunks)
+            Msg::StealRequest { seq, buf } => {
+                self.on_steal_request(ctx, from, seq, buf, arrived_ns)
+            }
+            Msg::StealReply { seq, xfer, nodes } => {
+                self.on_steal_reply(ctx, from, seq, xfer, nodes)
             }
             Msg::Token { token, seq } => self.on_token(ctx, from, token, seq),
             Msg::Done => self.finish(ctx),
             Msg::StealAck { xfer } => self.on_steal_ack(ctx, from, xfer),
             Msg::LifelineRequest => self.on_lifeline_request(ctx, from),
-            Msg::LifelinePush { xfer, chunks } => self.on_lifeline_push(ctx, from, xfer, chunks),
+            Msg::LifelinePush { xfer, nodes } => self.on_lifeline_push(ctx, from, xfer, nodes),
             Msg::TokenAck { seq } => self.on_token_ack(seq),
         }
     }
 
-    /// A thief asks for work: answer with the stealable chunks the
-    /// steal amount allows, or an empty reply.
-    fn on_steal_request(&mut self, ctx: &mut Ctx<'_, Msg>, from: Rank, seq: u64, arrived_ns: u64) {
+    /// A thief asks for work: answer in its lent buffer `nodes` with
+    /// the stealable chunks the steal amount allows, or nothing.
+    fn on_steal_request(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: Rank,
+        seq: u64,
+        mut nodes: Vec<Node>,
+        arrived_ns: u64,
+    ) {
         // The thief minted trace_id(from, seq); recomputing it here
         // links both sides of the attempt with no extra wire fields.
         let (attempt_id, thief) = (trace_id(from as usize, seq), from as usize);
@@ -400,19 +421,17 @@ impl Worker {
         if self.gossip_done(ctx, from) {
             return;
         }
-        let chunks = if self.done {
-            Vec::new()
-        } else {
+        if !self.done {
             let want = self.cfg.steal.want(self.stack.stealable_chunks());
-            self.stack.steal_chunks(want)
-        };
-        let mut xfer = 0;
-        if !chunks.is_empty() {
-            self.service_offset_ns += self.hand_over(&chunks);
-            xfer = self.on_work_sent(ctx, from, &chunks);
+            self.stack.steal_into(want, &mut nodes);
         }
-        let nodes = chunks.iter().map(|c| c.len() as u64).sum();
-        ctx.record_span(attempt_id, SpanKind::StealReplySent { thief, nodes });
+        let mut xfer = 0;
+        if !nodes.is_empty() {
+            self.service_offset_ns += self.hand_over(&nodes);
+            xfer = self.on_work_sent(ctx, from, &nodes);
+        }
+        let n = nodes.len() as u64;
+        ctx.record_span(attempt_id, SpanKind::StealReplySent { thief, nodes: n });
         ctx.record_span(
             attempt_id,
             SpanKind::StealServiced {
@@ -421,7 +440,7 @@ impl Worker {
                 depart_delay_ns: self.service_offset_ns,
             },
         );
-        let reply = Msg::StealReply { seq, xfer, chunks };
+        let reply = Msg::StealReply { seq, xfer, nodes };
         ctx.send_delayed(from, reply.wire_bytes(), self.service_offset_ns, reply);
     }
 
@@ -433,22 +452,23 @@ impl Worker {
         from: Rank,
         seq: u64,
         xfer: u64,
-        chunks: Vec<Chunk>,
+        nodes: Vec<Node>,
     ) {
         if self.outstanding != Some(from) || seq != self.outstanding_seq {
             // Only recovery makes these: the request timed out, or this
             // is a duplicated or retransmitted delivery.
-            self.on_unexpected_reply(ctx, from, xfer, chunks);
+            self.on_unexpected_reply(ctx, from, xfer, nodes);
             return;
         }
         self.outstanding = None;
         let rtt_ns = self.end_wait(ctx);
         let attempt_id = trace_id(ctx.me() as usize, seq);
-        if !self.on_reply(ctx, from, xfer, &chunks, rtt_ns, attempt_id) {
+        if !self.on_reply(ctx, from, xfer, &nodes, rtt_ns, attempt_id) {
             return;
         }
         let victim = from as usize;
-        if chunks.is_empty() {
+        if nodes.is_empty() {
+            self.keep_spare(nodes);
             self.counters.steals_failed += 1;
             self.consecutive_fails += 1;
             ctx.record_span(attempt_id, SpanKind::StealEmpty { victim, rtt_ns });
@@ -466,16 +486,14 @@ impl Worker {
             return;
         }
         self.counters.steals_ok += 1;
-        let nodes = chunks.iter().map(|c| c.len() as u64).sum();
-        ctx.record_span(
-            attempt_id,
-            SpanKind::StealOk {
-                victim,
-                rtt_ns,
-                nodes,
-            },
-        );
-        self.receive_work(ctx, chunks);
+        let n = nodes.len() as u64;
+        let span = SpanKind::StealOk {
+            victim,
+            rtt_ns,
+            nodes: n,
+        };
+        ctx.record_span(attempt_id, span);
+        self.receive_work(ctx, nodes);
     }
 
     /// A ring token arrived: hold it while active, else pass it on (or,
@@ -595,6 +613,6 @@ mod tests {
         // path should be a conscious choice (DESIGN §10.5). Cold state
         // belongs in `Recovery`.
         let size = std::mem::size_of::<Worker>();
-        assert!(size <= 544, "Worker is {size} bytes");
+        assert!(size <= 480, "Worker is {size} bytes");
     }
 }

@@ -12,13 +12,12 @@ use super::{
     TIMER_CLASS_STEAL_TIMEOUT, TIMER_CLASS_TOKEN_RETX, TIMER_CLASS_WATCHDOG,
 };
 use crate::health::{Gate, HealthTracker, MAX_OVERLAY_ROUNDS};
-use crate::stack::Chunk;
 use crate::termination::Token;
 use crate::ExperimentConfig;
 use dws_metrics::{trace_id, SpanKind};
 use dws_simnet::{Ctx, Rank};
 use dws_topology::Job;
-use dws_uts::NODE_WIRE_BYTES;
+use dws_uts::{Node, NODE_WIRE_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -40,12 +39,12 @@ pub(super) struct Recovery {
     /// Last transfer id assigned (0 is the untracked wire value).
     xfer_last: u64,
     /// Work transfers sent but not yet acknowledged:
-    /// `(xfer, thief, chunks, attempt)`. Non-empty keeps this rank
+    /// `(xfer, thief, nodes, attempt)`. Non-empty keeps this rank
     /// non-passive — the unacked-gating that lets degraded termination
     /// drop Safra's message counts without losing soundness.
-    unacked: Vec<(u64, Rank, Vec<Chunk>, u32)>,
+    unacked: Vec<(u64, Rank, Vec<Node>, u32)>,
     /// Transfers given up on as their thief crashed (lost-work ledger).
-    stranded: Vec<(u64, Rank, Vec<Chunk>)>,
+    stranded: Vec<(u64, Rank, Vec<Node>)>,
     /// Transfers already absorbed, by `(victim, xfer)`.
     absorbed: HashSet<(Rank, u64)>,
     /// Consecutive steal-request timeouts (drives exponential backoff).
@@ -137,14 +136,14 @@ impl Worker {
     }
 
     /// Fault tolerance: work transfers this rank sent that were never
-    /// acknowledged — unacked plus stranded — as `(thief, xfer, chunks)`.
+    /// acknowledged — unacked plus stranded — as `(thief, xfer, nodes)`.
     /// Consulted for lost-work reconciliation after a degraded run.
-    pub fn unconfirmed_transfers(&self) -> impl Iterator<Item = (Rank, u64, &Vec<Chunk>)> + '_ {
+    pub fn unconfirmed_transfers(&self) -> impl Iterator<Item = (Rank, u64, &Vec<Node>)> + '_ {
         self.rec.iter().flat_map(|rec| {
             rec.unacked
                 .iter()
-                .map(|(x, to, c, _)| (*to, *x, c))
-                .chain(rec.stranded.iter().map(|(x, to, c)| (*to, *x, c)))
+                .map(|(x, to, n, _)| (*to, *x, n))
+                .chain(rec.stranded.iter().map(|(x, to, n)| (*to, *x, n)))
         })
     }
 
@@ -286,19 +285,15 @@ impl Worker {
         self.arm_rtt_timer(ctx, victim, k, TIMER_CLASS_STEAL_TIMEOUT, seq, 0);
     }
 
-    /// Hook, on work sent: track the chunks under a new transfer id
-    /// until acked; returns it, or 0 with fault tolerance off.
+    /// Hook, on work sent: track a copy of the nodes under a new
+    /// transfer id until acked; returns it, or 0 with fault tolerance
+    /// off.
     #[inline]
-    pub(super) fn on_work_sent(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        to: Rank,
-        chunks: &[Chunk],
-    ) -> u64 {
+    pub(super) fn on_work_sent(&mut self, ctx: &mut Ctx<'_, Msg>, to: Rank, nodes: &[Node]) -> u64 {
         let Some(rec) = self.ft_rec() else { return 0 };
         rec.xfer_last += 1;
         let xfer = rec.xfer_last;
-        rec.unacked.push((xfer, to, chunks.to_vec(), 0));
+        rec.unacked.push((xfer, to, nodes.to_vec(), 0));
         let offset = self.service_offset_ns;
         self.arm_rtt_timer(ctx, to, 0, TIMER_CLASS_RETRANSMIT, xfer, offset);
         xfer
@@ -313,7 +308,7 @@ impl Worker {
         ctx: &mut Ctx<'_, Msg>,
         from: Rank,
         xfer: u64,
-        chunks: &[Chunk],
+        nodes: &[Node],
         rtt_ns: u64,
         attempt_id: u64,
     ) -> bool {
@@ -322,15 +317,15 @@ impl Worker {
         };
         rec.consecutive_timeouts = 0;
         if let Some(h) = rec.health.as_mut() {
-            h.on_reply(from, rtt_ns, !chunks.is_empty());
+            h.on_reply(from, rtt_ns, !nodes.is_empty());
         }
-        if chunks.is_empty() || !self.ft_on() {
+        if nodes.is_empty() || !self.ft_on() {
             return true;
         }
         // Refused: the sender crashed after transmitting (a live
         // sender's unacked transfer blocks termination), and `on_done`
         // already charged the attempt as abandoned.
-        let admission = self.admit(ctx, from, xfer, chunks);
+        let admission = self.admit(ctx, from, xfer, nodes);
         if admission == Admission::Duplicate {
             // A retransmission delivered it first: the attempt is served.
             self.counters.steals_ok += 1;
@@ -351,19 +346,20 @@ impl Worker {
         ctx: &mut Ctx<'_, Msg>,
         from: Rank,
         xfer: u64,
-        chunks: Vec<Chunk>,
+        nodes: Vec<Node>,
     ) {
         debug_assert!(self.ft_on(), "unexpected steal reply");
         // Any reply proves the sender is alive; lift its quarantine.
         if let Some(h) = self.rec.as_mut().and_then(|r| r.health.as_mut()) {
             h.on_alive(from);
         }
-        if chunks.is_empty() {
+        if nodes.is_empty() {
             self.counters.stale_replies_dropped += 1;
-        } else if self.admit(ctx, from, xfer, &chunks) == Admission::New {
+            self.keep_spare(nodes);
+        } else if self.admit(ctx, from, xfer, &nodes) == Admission::New {
             // Its request timed out (charged as failed); work is work.
             self.counters.late_work_absorbed += 1;
-            self.receive_work(ctx, chunks);
+            self.receive_work(ctx, nodes);
         }
     }
 
@@ -375,15 +371,14 @@ impl Worker {
         ctx: &mut Ctx<'_, Msg>,
         from: Rank,
         xfer: u64,
-        chunks: &[Chunk],
+        nodes: &[Node],
     ) -> Admission {
         let rec = self.rec.as_mut().expect("ft enabled");
         let admission = if rec.absorbed.contains(&(from, xfer)) {
             self.counters.dup_replies_dropped += 1;
             Admission::Duplicate
         } else if self.done {
-            let nodes: usize = chunks.iter().map(|c| c.len()).sum();
-            self.counters.nodes_refused += nodes as u64;
+            self.counters.nodes_refused += nodes.len() as u64;
             return Admission::Refused;
         } else {
             rec.absorbed.insert((from, xfer));
@@ -465,12 +460,12 @@ impl Worker {
             if self.ft_on() && ctx.is_crashed(waiter) {
                 continue; // a dead buddy gets nothing; keep the chunk
             }
-            let chunks = self.stack.steal_chunks(1);
-            debug_assert_eq!(chunks.len(), 1);
-            self.hand_over(&chunks);
-            self.counters.lifeline_pushes += chunks.len() as u64;
-            let xfer = self.on_work_sent(ctx, waiter, &chunks);
-            let msg = Msg::LifelinePush { xfer, chunks };
+            let nodes = self.stack.steal_chunks(1);
+            debug_assert_eq!(nodes.len(), self.stack.chunk_size());
+            self.hand_over(&nodes);
+            self.counters.lifeline_pushes += 1;
+            let xfer = self.on_work_sent(ctx, waiter, &nodes);
+            let msg = Msg::LifelinePush { xfer, nodes };
             ctx.send_delayed(waiter, msg.wire_bytes(), self.service_offset_ns, msg);
         }
     }
@@ -496,11 +491,11 @@ impl Worker {
         ctx: &mut Ctx<'_, Msg>,
         from: Rank,
         xfer: u64,
-        chunks: Vec<Chunk>,
+        nodes: Vec<Node>,
     ) {
-        debug_assert!(!chunks.is_empty(), "lifeline pushes always carry work");
-        if !self.ft_on() || self.admit(ctx, from, xfer, &chunks) == Admission::New {
-            self.receive_work(ctx, chunks);
+        debug_assert!(!nodes.is_empty(), "lifeline pushes always carry work");
+        if !self.ft_on() || self.admit(ctx, from, xfer, &nodes) == Admission::New {
+            self.receive_work(ctx, nodes);
         }
     }
 
@@ -692,16 +687,16 @@ impl Worker {
         let entry = &mut rec.unacked[pos];
         let to = entry.1;
         if ctx.is_crashed(to) {
-            let (xfer, to, chunks, _) = rec.unacked.swap_remove(pos);
-            self.counters.nodes_stranded += chunks.iter().map(|c| c.len() as u64).sum::<u64>();
-            rec.stranded.push((xfer, to, chunks));
+            let (xfer, to, nodes, _) = rec.unacked.swap_remove(pos);
+            self.counters.nodes_stranded += nodes.len() as u64;
+            rec.stranded.push((xfer, to, nodes));
             self.release_if_passive(ctx);
             return;
         }
         entry.3 += 1;
-        let (k, chunks) = (entry.3, entry.2.clone());
+        let (k, nodes) = (entry.3, entry.2.clone());
         let seq = u64::MAX; // can never match a live request
-        self.retransmit(ctx, to, k, Msg::StealReply { seq, xfer, chunks });
+        self.retransmit(ctx, to, k, Msg::StealReply { seq, xfer, nodes });
     }
 
     /// Rank 0's watchdog fired with the probe still out: the token is

@@ -1,47 +1,33 @@
 //! The chunked work stack (UTS `StealStack`).
 //!
 //! Work items (tree nodes) are managed in fixed-size *chunks* (paper
-//! §II-A, default 20 nodes): memory is allocated per chunk rather than
-//! per node, and a chunk is also the unit of stealing. The chunk
-//! currently being filled or drained by the owner — the newest one — is
-//! *private*: "if there is only one incomplete chunk in the stack of a
-//! process, no work can be stolen, as the first chunk is always
-//! considered private".
+//! §II-A, default 20 nodes), and a chunk is the unit of stealing. The
+//! chunk currently being filled or drained by the owner — the newest
+//! one — is *private*: "if there is only one incomplete chunk in the
+//! stack of a process, no work can be stolen, as the first chunk is
+//! always considered private".
 //!
 //! The owner works LIFO (depth-first) from the newest chunk; thieves
 //! take the **oldest** chunks, which hold nodes closest to the root and
 //! therefore, in expectation, the largest subtrees — the classic
 //! steal-from-the-bottom discipline.
+//!
+//! The chunks are stored flat, in one vector. Every chunk but the newest
+//! is full: a push opens a chunk only when the newest is full, an
+//! emptied newest chunk is gone at once, and thieves take only whole
+//! non-newest chunks. So chunk `i` is always `nodes[base + i ·
+//! chunk_size ..]`, and no chunk list needs to be kept.
 
 use dws_uts::Node;
-use std::collections::VecDeque;
-
-/// One stealable unit of work.
-pub type Chunk = Vec<Node>;
-
-/// Upper bound on recycled chunks kept per stack. Bounds the pool's
-/// footprint at `POOL_CAP * chunk_size * size_of::<Node>()` while still
-/// absorbing the push/pop churn of a depth-first traversal, whose live
-/// chunk count oscillates far more slowly than its node count.
-const POOL_CAP: usize = 32;
 
 /// A chunked LIFO work stack with steal-from-the-bottom semantics.
 #[derive(Debug, Clone)]
 pub struct ChunkedStack {
-    /// Chunks, oldest at the front. The back chunk is the owner's
-    /// private working chunk.
-    chunks: VecDeque<Chunk>,
+    /// The live nodes are `nodes[base..]`, oldest first; the prefix
+    /// before `base` was stolen and is dead.
+    nodes: Vec<Node>,
+    base: usize,
     chunk_size: usize,
-    /// Total nodes across all chunks (kept incrementally).
-    len: usize,
-    /// Recycled empty chunks, reused by `push` so steady-state traversal
-    /// does not allocate. Invisible to `check()` and all accounting.
-    pool: Vec<Chunk>,
-    /// Recycled steal-reply carrier vectors: `receive_chunks` banks the
-    /// emptied carrier, `steal_chunks` reuses one. Ranks share a process
-    /// in simulation, so carriers circulate instead of being reallocated
-    /// per steal.
-    carrier_pool: Vec<Vec<Chunk>>,
 }
 
 impl ChunkedStack {
@@ -52,20 +38,9 @@ impl ChunkedStack {
     pub fn new(chunk_size: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         Self {
-            chunks: VecDeque::new(),
+            nodes: Vec::new(),
+            base: 0,
             chunk_size,
-            len: 0,
-            pool: Vec::new(),
-            carrier_pool: Vec::new(),
-        }
-    }
-
-    /// Return an emptied chunk to the pool (or drop it if full).
-    #[inline]
-    fn recycle(&mut self, c: Chunk) {
-        debug_assert!(c.is_empty());
-        if self.pool.len() < POOL_CAP {
-            self.pool.push(c);
         }
     }
 
@@ -78,125 +53,100 @@ impl ChunkedStack {
     /// Total nodes in the stack.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len() - self.base
     }
 
     /// True iff no work is available.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.len() == self.base
     }
 
     /// Push one node (owner side).
+    #[inline]
     pub fn push(&mut self, node: Node) {
-        match self.chunks.back_mut() {
-            Some(back) if back.len() < self.chunk_size => back.push(node),
-            _ => {
-                let mut c = self
-                    .pool
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(self.chunk_size));
-                c.push(node);
-                self.chunks.push_back(c);
-            }
-        }
-        self.len += 1;
+        self.nodes.push(node);
     }
 
     /// Pop the most recently pushed node (owner side, depth-first).
+    #[inline]
     pub fn pop(&mut self) -> Option<Node> {
-        loop {
-            let back = self.chunks.back_mut()?;
-            if let Some(node) = back.pop() {
-                self.len -= 1;
-                if back.is_empty() {
-                    let c = self.chunks.pop_back().expect("back chunk exists");
-                    self.recycle(c);
-                }
-                return Some(node);
-            }
-            // Empty working chunk left behind by a previous steal or
-            // drain: recycle and continue with the next newest.
-            let c = self.chunks.pop_back().expect("back chunk exists");
-            self.recycle(c);
+        // An empty stack always has `base == 0` (steals leave the
+        // private chunk, and draining resets it).
+        let node = self.nodes.pop()?;
+        if self.nodes.len() == self.base {
+            self.nodes.clear();
+            self.base = 0;
         }
+        Some(node)
     }
 
     /// Number of chunks a thief may take right now: every chunk except
     /// the newest (private) one.
     #[inline]
     pub fn stealable_chunks(&self) -> usize {
-        self.chunks.len().saturating_sub(1)
+        // Most victims of a failed steal hold one chunk or less: answer
+        // them without a division.
+        match self.len() {
+            len if len <= self.chunk_size => 0,
+            len => (len - 1) / self.chunk_size,
+        }
     }
 
-    /// Steal up to `want` chunks from the bottom (oldest end). Returns
-    /// the chunks actually taken; empty if nothing is stealable.
-    pub fn steal_chunks(&mut self, want: usize) -> Vec<Chunk> {
+    /// Steal up to `want` chunks from the bottom (oldest end), appending
+    /// their nodes, oldest first, to `buf`. Appends nothing if nothing
+    /// is stealable.
+    pub fn steal_into(&mut self, want: usize, buf: &mut Vec<Node>) {
         let take = want.min(self.stealable_chunks());
-        let mut out = self.carrier_pool.pop().unwrap_or_default();
-        out.reserve(take);
-        for _ in 0..take {
-            let c = self
-                .chunks
-                .pop_front()
-                .expect("stealable_chunks bounds the loop");
-            self.len -= c.len();
-            out.push(c);
+        if take == 0 {
+            return;
         }
+        let end = self.base + take * self.chunk_size;
+        buf.extend_from_slice(&self.nodes[self.base..end]);
+        let live = self.nodes.len() - end;
+        if end > live {
+            // The dead prefix outgrew the live part: compact, copying
+            // fewer nodes than the prefix held.
+            self.nodes.copy_within(end.., 0);
+            self.nodes.truncate(live);
+            self.base = 0;
+        } else {
+            self.base = end;
+        }
+    }
+
+    /// Steal into a new vector (see [`steal_into`](Self::steal_into)).
+    pub fn steal_chunks(&mut self, want: usize) -> Vec<Node> {
+        let mut out = Vec::new();
+        self.steal_into(want, &mut out);
         out
     }
 
-    /// Receive stolen chunks (thief side): they become the oldest
-    /// entries of this stack, preserving their root-proximity ordering.
-    pub fn receive_chunks(&mut self, mut chunks: Vec<Chunk>) {
-        for c in chunks.drain(..).rev() {
-            assert!(
-                c.len() <= self.chunk_size,
-                "received chunk of {} nodes exceeds chunk size {}",
-                c.len(),
-                self.chunk_size
-            );
-            if c.is_empty() {
-                self.recycle(c);
-                continue;
-            }
-            self.len += c.len();
-            self.chunks.push_front(c);
+    /// Receive stolen chunks (thief side), oldest node first: they
+    /// become the oldest entries of this stack, preserving their
+    /// root-proximity ordering. Returns an empty buffer for the next
+    /// transfer — the stack's old storage when it was empty and takes
+    /// `nodes` over whole, else `nodes` emptied.
+    ///
+    /// # Panics
+    /// Panics unless `nodes` is whole chunks.
+    pub fn receive_chunks(&mut self, mut nodes: Vec<Node>) -> Vec<Node> {
+        let (n, size) = (nodes.len(), self.chunk_size);
+        assert!(n.is_multiple_of(size), "{n} nodes, not whole chunks");
+        if self.is_empty() {
+            std::mem::swap(&mut self.nodes, &mut nodes);
+        } else {
+            self.nodes
+                .splice(self.base..self.base, nodes.iter().copied());
         }
-        if self.carrier_pool.len() < POOL_CAP {
-            self.carrier_pool.push(chunks);
-        }
+        nodes.clear();
+        nodes
     }
 
-    /// Iterate over every node currently in the stack, oldest chunk
-    /// first (lost-work accounting after a faulty run).
+    /// Iterate over every node currently in the stack, oldest first
+    /// (lost-work accounting after a faulty run).
     pub fn iter_nodes(&self) -> impl Iterator<Item = &Node> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter())
-    }
-
-    /// Number of recycled chunks currently pooled (test visibility).
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Internal consistency check (used by tests and debug assertions):
-    /// cached length matches contents; no empty stored chunks except
-    /// possibly the working chunk; no oversized chunks.
-    pub fn check(&self) -> Result<(), String> {
-        let actual: usize = self.chunks.iter().map(|c| c.len()).sum();
-        if actual != self.len {
-            return Err(format!("cached len {} != actual {}", self.len, actual));
-        }
-        for (i, c) in self.chunks.iter().enumerate() {
-            if c.len() > self.chunk_size {
-                return Err(format!("chunk {i} oversize: {}", c.len()));
-            }
-            if c.is_empty() && i + 1 != self.chunks.len() {
-                return Err(format!("empty non-working chunk at {i}"));
-            }
-        }
-        Ok(())
+        self.nodes[self.base..].iter()
     }
 }
 
@@ -212,30 +162,34 @@ mod tests {
         }
     }
 
+    fn filled(chunk_size: usize, n: u32) -> ChunkedStack {
+        let mut s = ChunkedStack::new(chunk_size);
+        (0..n).for_each(|i| s.push(node(i)));
+        s
+    }
+
+    fn heights(nodes: &[Node]) -> Vec<u32> {
+        nodes.iter().map(|n| n.height).collect()
+    }
+
     #[test]
     fn push_pop_is_lifo() {
-        let mut s = ChunkedStack::new(3);
-        for i in 0..7 {
-            s.push(node(i));
-        }
+        let mut s = filled(3, 7);
         assert_eq!(s.len(), 7);
         for i in (0..7).rev() {
             assert_eq!(s.pop().expect("non-empty").height, i);
         }
         assert!(s.pop().is_none());
         assert!(s.is_empty());
-        s.check().expect("consistent");
     }
 
     #[test]
     fn private_chunk_is_never_stealable() {
-        let mut s = ChunkedStack::new(20);
         // 19 nodes: one incomplete chunk -> nothing stealable.
-        for i in 0..19 {
-            s.push(node(i));
-        }
+        let mut s = filled(20, 19);
         assert_eq!(s.stealable_chunks(), 0);
         assert!(s.steal_chunks(1).is_empty());
+        assert_eq!(s.len(), 19);
         // 21 nodes: one full + one partial; the full (oldest) is fair game.
         s.push(node(19));
         s.push(node(20));
@@ -244,53 +198,38 @@ mod tests {
 
     #[test]
     fn exactly_full_chunk_is_private() {
-        let mut s = ChunkedStack::new(20);
-        for i in 0..20 {
-            s.push(node(i));
-        }
         // A single chunk — even complete — is the working chunk.
-        assert_eq!(s.stealable_chunks(), 0);
+        assert_eq!(filled(20, 20).stealable_chunks(), 0);
     }
 
     #[test]
     fn steal_takes_oldest_chunks() {
-        let mut s = ChunkedStack::new(2);
-        for i in 0..6 {
-            s.push(node(i));
-        }
         // Chunks: [0,1] [2,3] [4,5]; stealable = 2 oldest.
-        let got = s.steal_chunks(1);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].iter().map(|n| n.height).collect::<Vec<_>>(), [0, 1]);
+        let mut s = filled(2, 6);
+        assert_eq!(heights(&s.steal_chunks(1)), [0, 1]);
         assert_eq!(s.len(), 4);
         // Owner still pops newest first.
         assert_eq!(s.pop().expect("has work").height, 5);
-        s.check().expect("consistent");
+        assert_eq!(heights(&s.steal_chunks(9)), [2, 3]);
+        assert_eq!(s.pop().expect("has work").height, 4);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn steal_want_is_clamped() {
-        let mut s = ChunkedStack::new(2);
-        for i in 0..6 {
-            s.push(node(i));
-        }
+        let mut s = filled(2, 6);
         let got = s.steal_chunks(99);
-        assert_eq!(got.len(), 2, "only non-private chunks leave");
+        assert_eq!(heights(&got), [0, 1, 2, 3], "only non-private chunks leave");
         assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn receive_preserves_order_and_count() {
-        let mut victim = ChunkedStack::new(2);
-        for i in 0..6 {
-            victim.push(node(i));
-        }
-        let loot = victim.steal_chunks(2);
+        let loot = filled(2, 6).steal_chunks(2);
         let mut thief = ChunkedStack::new(2);
         thief.push(node(100));
         thief.receive_chunks(loot);
         assert_eq!(thief.len(), 5);
-        thief.check().expect("consistent");
         // Thief pops its own newest work first...
         assert_eq!(thief.pop().expect("work").height, 100);
         // ...then drains received chunks newest-chunk-first.
@@ -299,84 +238,50 @@ mod tests {
         // ("stealing half... make it possible for a thief to be stolen
         // himself as soon as it retrieves work").
         let mut thief2 = ChunkedStack::new(2);
-        let mut victim2 = ChunkedStack::new(2);
-        for i in 0..6 {
-            victim2.push(node(i));
-        }
-        thief2.receive_chunks(victim2.steal_chunks(2));
+        thief2.receive_chunks(filled(2, 6).steal_chunks(2));
         assert_eq!(thief2.stealable_chunks(), 1);
     }
 
     #[test]
-    fn receive_skips_empty_chunks() {
-        let mut s = ChunkedStack::new(4);
-        s.receive_chunks(vec![vec![], vec![node(1)]]);
-        assert_eq!(s.len(), 1);
-        s.check().expect("consistent");
+    fn receive_reuses_storage() {
+        // An empty stack takes the buffer over and hands its own back.
+        let mut s = ChunkedStack::new(2);
+        s.push(node(0));
+        s.pop();
+        let old_cap = s.nodes.capacity();
+        let spare = s.receive_chunks(filled(2, 4).steal_chunks(1));
+        assert!(spare.is_empty() && spare.capacity() == old_cap);
+        // A non-empty stack copies the nodes in front of its own and
+        // hands the emptied buffer back.
+        let mut s = filled(2, 8);
+        let loot = s.steal_chunks(2);
+        let back = s.receive_chunks(loot);
+        assert!(back.is_empty() && back.capacity() >= 4);
+        assert_eq!(
+            heights(&s.iter_nodes().copied().collect::<Vec<_>>()),
+            (0..8).collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    #[should_panic(expected = "exceeds chunk size")]
-    fn receive_rejects_oversized_chunk() {
-        let mut s = ChunkedStack::new(1);
-        s.receive_chunks(vec![vec![node(1), node(2)]]);
+    fn dead_prefix_is_compacted_once_it_outgrows_the_live_part() {
+        let mut s = filled(2, 10);
+        s.steal_chunks(2);
+        assert_eq!((s.base, s.nodes.len()), (4, 10));
+        s.steal_chunks(1);
+        assert_eq!((s.base, s.nodes.len()), (0, 4));
+        assert_eq!(heights(&s.nodes), [6, 7, 8, 9]);
     }
 
     #[test]
-    fn interleaved_push_pop_steal_stays_consistent() {
-        let mut s = ChunkedStack::new(3);
-        let mut expected_len = 0usize;
-        for round in 0..50u32 {
-            for i in 0..(round % 7) {
-                s.push(node(round * 100 + i));
-                expected_len += 1;
-            }
-            if round % 3 == 0 && s.pop().is_some() {
-                expected_len -= 1;
-            }
-            if round % 5 == 0 {
-                let stolen = s.steal_chunks(1);
-                expected_len -= stolen.iter().map(|c| c.len()).sum::<usize>();
-            }
-            assert_eq!(s.len(), expected_len);
-            s.check().expect("consistent");
-        }
+    #[should_panic(expected = "not whole chunks")]
+    fn receive_rejects_partial_chunks() {
+        ChunkedStack::new(2).receive_chunks(vec![node(1)]);
     }
 
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_size_rejected() {
         ChunkedStack::new(0);
-    }
-
-    #[test]
-    fn drained_chunks_are_recycled_and_pool_is_bounded() {
-        let mut s = ChunkedStack::new(2);
-        // Fill then fully drain: every chunk should land in the pool.
-        for i in 0..10 {
-            s.push(node(i));
-        }
-        while s.pop().is_some() {}
-        assert_eq!(s.pooled(), 5);
-        // Refilling draws from the pool instead of allocating.
-        for i in 0..10 {
-            s.push(node(i));
-        }
-        assert_eq!(s.pooled(), 0);
-        s.check().expect("consistent");
-        // The pool never exceeds its cap no matter how much churn.
-        let mut s = ChunkedStack::new(1);
-        for i in 0..(POOL_CAP as u32 * 4) {
-            s.push(node(i));
-        }
-        while s.pop().is_some() {}
-        assert_eq!(s.pooled(), POOL_CAP);
-        // LIFO behavior is unchanged by recycling.
-        for i in 0..5 {
-            s.push(node(i));
-        }
-        for i in (0..5).rev() {
-            assert_eq!(s.pop().expect("work").height, i);
-        }
     }
 }

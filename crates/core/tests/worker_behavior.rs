@@ -33,7 +33,7 @@ fn wire_sizes_scale_with_payload() {
     let empty = Msg::StealReply {
         seq: 0,
         xfer: 0,
-        chunks: vec![],
+        nodes: vec![],
     };
     let node = Node {
         state: RngState::from_seed(0),
@@ -42,14 +42,19 @@ fn wire_sizes_scale_with_payload() {
     let full = Msg::StealReply {
         seq: 0,
         xfer: 0,
-        chunks: vec![vec![node; 20]],
+        nodes: vec![node; 20],
     };
     assert!(full.wire_bytes() > empty.wire_bytes());
     assert_eq!(
         full.wire_bytes() - empty.wire_bytes(),
         20 * dws_uts::NODE_WIRE_BYTES
     );
-    assert!(Msg::StealRequest { seq: 0 }.wire_bytes() < 64);
+    // The lent receive buffer is not on the wire.
+    let request = Msg::StealRequest {
+        seq: 0,
+        buf: Vec::with_capacity(100),
+    };
+    assert_eq!(request.wire_bytes(), 16);
 }
 
 #[test]

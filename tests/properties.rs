@@ -12,6 +12,7 @@ use dws::metrics::{ActivityTrace, OccupancyCurve, Transition};
 use dws::simnet::DetRng;
 use dws::topology::{coord::torus_delta, Machine, NodeId};
 use dws::uts::{sha1::Sha1, Node, RngState};
+use std::collections::VecDeque;
 
 /// Iterations per property. Each case derives everything from one seed.
 const CASES: u64 = 300;
@@ -78,9 +79,55 @@ fn alias_sampling_respects_support() {
     }
 }
 
-/// Model-based test of the chunked stack: a shadow count tracks every
-/// push/pop/steal; the stack's bookkeeping must agree and its internal
-/// invariants must hold after every operation.
+/// Reference model of the chunked stack: the chunk list itself, newest
+/// chunk at the back, as the stack was stored before it was flattened.
+struct ChunkList {
+    chunks: VecDeque<Vec<Node>>,
+    size: usize,
+}
+
+impl ChunkList {
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    fn push(&mut self, node: Node) {
+        match self.chunks.back_mut() {
+            Some(back) if back.len() < self.size => back.push(node),
+            _ => self.chunks.push_back(vec![node]),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Node> {
+        let back = self.chunks.back_mut()?;
+        let node = back.pop();
+        if back.is_empty() {
+            self.chunks.pop_back();
+        }
+        node
+    }
+
+    /// Every chunk but the newest (private) one.
+    fn stealable(&self) -> usize {
+        self.chunks.len().saturating_sub(1)
+    }
+
+    fn steal(&mut self, want: usize) -> Vec<Vec<Node>> {
+        let take = want.min(self.stealable());
+        self.chunks.drain(..take).collect()
+    }
+
+    fn receive(&mut self, loot: Vec<Vec<Node>>) {
+        for chunk in loot.into_iter().rev() {
+            self.chunks.push_front(chunk);
+        }
+    }
+}
+
+/// Differential test of the flat chunked stack against the chunk list:
+/// over random push/pop/steal/receive runs, both pop the same nodes,
+/// give thieves the same nodes, and agree on length and stealable
+/// chunks after every operation.
 #[test]
 fn chunked_stack_model() {
     for case in 0..CASES {
@@ -88,53 +135,56 @@ fn chunked_stack_model() {
         let chunk_size = rng.next_range(1, 40) as usize;
         let n_ops = rng.next_range(1, 200);
         let mut stack = ChunkedStack::new(chunk_size);
-        let mut loot: Vec<Vec<Node>> = Vec::new();
-        let mut count = 0usize;
+        let mut model = ChunkList {
+            chunks: VecDeque::new(),
+            size: chunk_size,
+        };
+        let mut loot: Vec<Vec<Vec<Node>>> = Vec::new();
+        let mut tag = 0u32;
         for _ in 0..n_ops {
-            let op = rng.next_below(4);
-            let arg = rng.next_below(30) as u32;
-            match op {
+            let arg = rng.next_below(30) as usize;
+            match rng.next_below(4) {
                 0 => {
-                    for i in 0..arg {
-                        stack.push(Node {
-                            state: RngState::from_seed(i as i32),
-                            height: i,
-                        });
-                        count += 1;
+                    for _ in 0..arg {
+                        let node = Node {
+                            state: RngState::from_seed(tag as i32),
+                            height: tag,
+                        };
+                        tag += 1;
+                        stack.push(node);
+                        model.push(node);
                     }
                 }
-                1 => {
-                    if stack.pop().is_some() {
-                        count -= 1;
-                    }
-                }
+                1 => assert_eq!(stack.pop(), model.pop(), "case {case}: pop"),
                 2 => {
-                    let stolen = stack.steal_chunks(arg as usize % 4 + 1);
-                    for c in &stolen {
-                        assert!(!c.is_empty(), "case {case}: stole empty chunk");
-                        assert!(c.len() <= chunk_size, "case {case}: oversized chunk");
-                        count -= c.len();
-                    }
-                    loot.extend(stolen);
+                    let want = arg % 4 + 1;
+                    let stolen = model.steal(want);
+                    assert_eq!(
+                        stack.steal_chunks(want),
+                        stolen.concat(),
+                        "case {case}: steal"
+                    );
+                    loot.push(stolen);
                 }
                 _ => {
-                    if let Some(c) = loot.pop() {
-                        count += c.len();
-                        stack.receive_chunks(vec![c]);
+                    if let Some(chunks) = loot.pop() {
+                        stack.receive_chunks(chunks.concat());
+                        model.receive(chunks);
                     }
                 }
             }
-            assert_eq!(stack.len(), count, "case {case}: length drift");
-            if let Err(e) = stack.check() {
-                panic!("case {case}: invariant violated: {e}");
-            }
+            assert_eq!(stack.len(), model.len(), "case {case}: length");
+            assert_eq!(
+                stack.stealable_chunks(),
+                model.stealable(),
+                "case {case}: stealable"
+            );
         }
-        // Drain: every node must come back out.
-        let mut drained = 0usize;
-        while stack.pop().is_some() {
-            drained += 1;
+        // Drain: every node comes back out, in the same order.
+        while let Some(node) = model.pop() {
+            assert_eq!(stack.pop(), Some(node), "case {case}: drain");
         }
-        assert_eq!(drained, count, "case {case}: drain mismatch");
+        assert!(stack.is_empty(), "case {case}: drain left nodes");
     }
 }
 
