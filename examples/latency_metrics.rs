@@ -11,13 +11,11 @@ use dws::metrics::ascii_chart;
 use dws::uts::presets;
 
 fn main() {
-    // Skewed rank clocks do not move the metrics: the paper had to
-    // correct its traces for skew, the engine records this one on the
-    // global clock.
-    let mut cfg = ExperimentConfig::new(presets::t3xxl(), 128)
+    // The paper had to correct its traces for clock skew; the engine
+    // records this one on the global clock.
+    let cfg = ExperimentConfig::new(presets::t3xxl(), 128)
         .with_victim(VictimPolicy::RoundRobin)
         .with_steal(StealAmount::OneChunk);
-    cfg.clock_skew_max_ns = 50_000;
     let r = run_experiment(&cfg);
     let occ = r.occupancy().expect("trace collection is on by default");
 

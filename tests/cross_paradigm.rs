@@ -71,7 +71,6 @@ fn same_seed_reproduces_bit_identical_runs() {
     let run = || {
         let mut cfg = ExperimentConfig::new(workload.clone(), 8).with_victim(VictimPolicy::Uniform);
         cfg.jitter = 0.3;
-        cfg.clock_skew_max_ns = 10_000;
         run_experiment(&cfg)
     };
     let a = run();

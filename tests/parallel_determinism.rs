@@ -67,7 +67,6 @@ fn report_is_identical_across_thread_counts() {
                 cfg.seed = seed;
                 cfg.victim = VictimPolicy::Uniform;
                 cfg.jitter = 0.2;
-                cfg.clock_skew_max_ns = 1_500;
                 cfg.collect_spans = true;
                 cfg.nic_occupancy_ns = nic_occupancy_ns;
                 let baseline = run_at(&cfg, 1);

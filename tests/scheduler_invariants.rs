@@ -1,6 +1,6 @@
 //! Invariant checks over full distributed runs: work conservation,
-//! trace well-formedness (the trace is on the global clock whatever the
-//! ranks' clock skew, and under latency jitter), and the mathematical
+//! trace well-formedness (the trace is on the global clock, also under
+//! latency jitter), and the mathematical
 //! properties of the occupancy/latency metrics.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
@@ -11,7 +11,6 @@ fn noisy_config() -> ExperimentConfig {
         .with_victim(VictimPolicy::Uniform)
         .with_steal(StealAmount::Half);
     cfg.jitter = 0.25;
-    cfg.clock_skew_max_ns = 20_000;
     cfg
 }
 
@@ -37,7 +36,7 @@ fn skewed_run_traces_on_the_global_clock() {
     let n = trace.check().expect("valid trace");
     assert!(n > 0);
     // Recorded on the global clock and merged once: sorted, and no
-    // transition past the makespan whatever the ranks' skew.
+    // transition past the makespan.
     let key = |t: &dws::metrics::Transition| (t.at_ns, t.rank);
     assert!(trace
         .transitions()

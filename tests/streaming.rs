@@ -48,7 +48,6 @@ fn base_config(seed: u64, threads: u32, fault: FaultPlan) -> ExperimentConfig {
     cfg.seed = seed;
     cfg.threads = threads;
     cfg.jitter = 0.2;
-    cfg.clock_skew_max_ns = 1_500;
     cfg.collect_spans = true;
     cfg.fault_plan = fault;
     cfg
