@@ -82,8 +82,8 @@ pub enum Msg {
     StealRequest {
         /// Thief-local request sequence number.
         seq: u64,
-        /// The thief's empty buffer, lent for the reply to fill as an MPI
-        /// thief posts its receive buffer. Not on the wire.
+        /// The storage of the thief's empty stack, lent for the reply to
+        /// fill as an MPI thief posts its receive buffer. Not on the wire.
         buf: Vec<Node>,
     },
     /// Reply: the stolen chunks; empty means the steal failed.

@@ -63,8 +63,6 @@ use std::sync::Arc;
 pub struct Worker {
     pub(super) cfg: Arc<ExperimentConfig>,
     pub(super) stack: ChunkedStack,
-    /// The empty buffer this rank lends with its next steal request.
-    spare: Vec<Node>,
     pub(super) selector: VictimSelector,
     pub(super) term: TerminationState,
     /// True while a WORK timer is outstanding (the rank is "computing"
@@ -126,7 +124,6 @@ impl Worker {
     ) -> Self {
         Self {
             stack: ChunkedStack::new(cfg.chunk_size),
-            spare: Vec::new(),
             selector,
             term: TerminationState::new(me, job.n_ranks()),
             computing: false,
@@ -306,8 +303,7 @@ impl Worker {
         self.counters.chunks_received += (nodes.len() / self.stack.chunk_size()) as u64;
         self.counters.nodes_received += nodes.len() as u64;
         self.term.on_work_received();
-        let emptied = self.stack.receive_chunks(nodes);
-        self.keep_spare(emptied);
+        self.stack.receive_chunks(nodes);
         if !idle {
             return;
         }
@@ -319,14 +315,6 @@ impl Worker {
             self.traced_active = true;
         }
         self.start_batch(ctx);
-    }
-
-    /// Keep the larger of `buf` (empty) and the current spare as the
-    /// buffer the next steal request lends.
-    pub(super) fn keep_spare(&mut self, buf: Vec<Node>) {
-        if buf.capacity() > self.spare.capacity() {
-            self.spare = buf;
-        }
     }
 
     /// End the open work-discovery session, if any.
@@ -357,7 +345,9 @@ impl Worker {
         self.counters.steal_attempts += 1;
         let (id, v) = (trace_id(ctx.me() as usize, seq), victim as usize);
         ctx.record_span(id, SpanKind::StealRequestSent { victim: v });
-        let buf = std::mem::take(&mut self.spare);
+        // Every caller hunts with an empty stack, so the request lends
+        // the stack's own storage.
+        let buf = self.stack.lend();
         let msg = Msg::StealRequest { seq, buf };
         ctx.send(victim, msg.wire_bytes(), msg);
         self.on_request_sent(ctx, victim, seq);
@@ -468,7 +458,7 @@ impl Worker {
         }
         let victim = from as usize;
         if nodes.is_empty() {
-            self.keep_spare(nodes);
+            self.stack.receive_chunks(nodes);
             self.counters.steals_failed += 1;
             self.consecutive_fails += 1;
             ctx.record_span(attempt_id, SpanKind::StealEmpty { victim, rtt_ns });
@@ -613,6 +603,6 @@ mod tests {
         // path should be a conscious choice (DESIGN §10.5). Cold state
         // belongs in `Recovery`.
         let size = std::mem::size_of::<Worker>();
-        assert!(size <= 480, "Worker is {size} bytes");
+        assert!(size <= 456, "Worker is {size} bytes");
     }
 }

@@ -355,7 +355,7 @@ impl Worker {
         }
         if nodes.is_empty() {
             self.counters.stale_replies_dropped += 1;
-            self.keep_spare(nodes);
+            self.stack.receive_chunks(nodes);
         } else if self.admit(ctx, from, xfer, &nodes) == Admission::New {
             // Its request timed out (charged as failed); work is work.
             self.counters.late_work_absorbed += 1;

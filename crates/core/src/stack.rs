@@ -122,25 +122,33 @@ impl ChunkedStack {
         out
     }
 
+    /// Lend this empty stack's storage (thief side), as an MPI thief
+    /// posts its receive buffer: the victim fills it, and the reply
+    /// brings it home through [`receive_chunks`](Self::receive_chunks).
+    ///
+    /// # Panics
+    /// Panics unless the stack is empty.
+    pub fn lend(&mut self) -> Vec<Node> {
+        assert!(self.is_empty(), "only an empty stack lends its storage");
+        std::mem::take(&mut self.nodes)
+    }
+
     /// Receive stolen chunks (thief side), oldest node first: they
     /// become the oldest entries of this stack, preserving their
-    /// root-proximity ordering. Returns an empty buffer for the next
-    /// transfer — the stack's old storage when it was empty and takes
-    /// `nodes` over whole, else `nodes` emptied.
+    /// root-proximity ordering. An empty stack takes `nodes` over as
+    /// its storage, unless `nodes` carries no work and holds less room
+    /// than the storage it would replace.
     ///
     /// # Panics
     /// Panics unless `nodes` is whole chunks.
-    pub fn receive_chunks(&mut self, mut nodes: Vec<Node>) -> Vec<Node> {
+    pub fn receive_chunks(&mut self, nodes: Vec<Node>) {
         let (n, size) = (nodes.len(), self.chunk_size);
         assert!(n.is_multiple_of(size), "{n} nodes, not whole chunks");
-        if self.is_empty() {
-            std::mem::swap(&mut self.nodes, &mut nodes);
-        } else {
-            self.nodes
-                .splice(self.base..self.base, nodes.iter().copied());
+        if !self.is_empty() {
+            self.nodes.splice(self.base..self.base, nodes);
+        } else if n > 0 || nodes.capacity() > self.nodes.capacity() {
+            self.nodes = nodes;
         }
-        nodes.clear();
-        nodes
     }
 
     /// Iterate over every node currently in the stack, oldest first
@@ -243,24 +251,47 @@ mod tests {
     }
 
     #[test]
-    fn receive_reuses_storage() {
-        // An empty stack takes the buffer over and hands its own back.
-        let mut s = ChunkedStack::new(2);
-        s.push(node(0));
-        s.pop();
-        let old_cap = s.nodes.capacity();
-        let spare = s.receive_chunks(filled(2, 4).steal_chunks(1));
-        assert!(spare.is_empty() && spare.capacity() == old_cap);
-        // A non-empty stack copies the nodes in front of its own and
-        // hands the emptied buffer back.
+    fn lent_storage_comes_home() {
+        // An empty stack lends its storage whole and keeps none.
+        let mut s = filled(2, 8);
+        while s.pop().is_some() {}
+        let cap = s.nodes.capacity();
+        let lent = s.lend();
+        assert!(lent.is_empty() && lent.capacity() == cap);
+        assert_eq!(s.nodes.capacity(), 0);
+        // The request times out and a newer one lends the empty
+        // placeholder. The stale empty reply restores the storage; the
+        // newer reply's buffer, or any smaller one, does not displace it.
+        let placeholder = s.lend();
+        assert_eq!(placeholder.capacity(), 0);
+        s.receive_chunks(lent);
+        assert_eq!(s.nodes.capacity(), cap);
+        s.receive_chunks(placeholder);
+        s.receive_chunks(Vec::with_capacity(2));
+        assert_eq!(s.nodes.capacity(), cap);
+        // A buffer with work is taken whatever its room.
+        let loot = filled(2, 4).steal_chunks(1);
+        let loot_cap = loot.capacity();
+        s.receive_chunks(loot);
+        assert_eq!((s.len(), s.nodes.capacity()), (2, loot_cap));
+    }
+
+    #[test]
+    fn receive_into_a_busy_stack_keeps_node_order() {
+        // A non-empty stack copies the nodes in front of its own.
         let mut s = filled(2, 8);
         let loot = s.steal_chunks(2);
-        let back = s.receive_chunks(loot);
-        assert!(back.is_empty() && back.capacity() >= 4);
+        s.receive_chunks(loot);
         assert_eq!(
             heights(&s.iter_nodes().copied().collect::<Vec<_>>()),
             (0..8).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "only an empty stack lends")]
+    fn a_busy_stack_does_not_lend() {
+        filled(2, 1).lend();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The steal path allocates nothing in steady state: each rank's work
-//! stack is one flat vector, and a thief lends its empty receive buffer
-//! with every request, which the victim fills and the reply brings
-//! home (DESIGN §10.2).
+//! stack is one flat vector, and a thief, whose stack is empty, lends
+//! that stack's storage with every request, which the victim fills and
+//! the reply brings home (DESIGN §10.2).
 //!
 //! A binary of its own, so the counting allocator sees this test's
 //! allocations alone.
@@ -25,9 +25,10 @@ fn allocations(cfg: &ExperimentConfig) -> (u64, u64) {
 /// run allocates beyond its setup (the same configuration stopped
 /// before its first event) must stay below a few allocations per rank,
 /// while the run steals more often than that: steals do not allocate.
-/// A rank's stack and lent buffer grow by doubling to their high-water
-/// mark, about 6 allocations a rank here at 16 to 128 ranks, whatever
-/// the steal count; the chunk-list stack made about 20 a rank.
+/// A rank's one buffer grows by doubling to its high-water mark: 118
+/// allocations for the 32 ranks here, whatever the steal count. A
+/// second lent buffer kept beside the stack made 202, and the
+/// chunk-list stack about 20 a rank.
 #[test]
 fn steals_allocate_nothing_in_steady_state() {
     let ranks = 32;
@@ -39,7 +40,7 @@ fn steals_allocate_nothing_in_steady_state() {
     setup.max_events = Some(0);
     let (setup_allocs, _) = allocations(&setup);
     let (run_allocs, steals_ok) = allocations(&cfg);
-    let bound = 8 * ranks as u64;
+    let bound = 5 * ranks as u64;
     let extra = run_allocs.saturating_sub(setup_allocs);
     assert!(
         steals_ok > bound,
