@@ -31,7 +31,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "poll",
     "gen-rounds",
     "jitter",
-    "skew-ns",
     "fault-drop",
     "fault-dup",
     "fault-spike",
@@ -209,7 +208,6 @@ fn config_from(flags: &Flags) -> Result<ExperimentConfig, String> {
     cfg.chunk_size = flags.parse_or("chunk", cfg.chunk_size)?;
     cfg.poll_interval = flags.parse_or("poll", cfg.poll_interval)?;
     cfg.jitter = flags.parse_or("jitter", 0.0)?;
-    cfg.clock_skew_max_ns = flags.parse_or("skew-ns", 0u64)?;
     if let Some(name) = flags.get("alloc") {
         cfg.alloc = parse_alloc(name)?;
     }

@@ -93,7 +93,6 @@ commands:
           --poll <n>           poll interval in node expansions
           --gen-rounds <n>     SHA rounds per node creation (default 1)
           --jitter <f>         latency jitter fraction
-          --skew-ns <n>        max per-rank clock skew
           --threads <n>        simulation worker threads (default 1;
                                auto = the host's); results are
                                bit-identical for every n

@@ -92,8 +92,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Latency jitter fraction (0 disables).
     pub jitter: f64,
-    /// Maximum per-rank clock skew in ns (0 = synchronized).
-    pub clock_skew_max_ns: u64,
     /// Keep the engine's activity log and merge it into
     /// [`ExperimentResult::trace`], checked, after the run. Off, an
     /// activity site costs one branch unless streaming folds it live.
@@ -171,7 +169,6 @@ impl ExperimentConfig {
             nic_bytes_per_ns: 5.0,
             seed: 0xD15_7EA1,
             jitter: 0.0,
-            clock_skew_max_ns: 0,
             collect_trace: true,
             collect_spans: false,
             max_sim_time_ns: None,
@@ -364,7 +361,10 @@ impl ExperimentConfig {
             // re-pin drops it.
             ("link_level_network", JsonValue::Null),
             ("jitter", self.jitter.into()),
-            ("clock_skew_max_ns", self.clock_skew_max_ns.into()),
+            // Every rank reads the one global clock; the key stays, as
+            // a constant, so every pinned fingerprint stays byte-equal
+            // until ROADMAP item 1(iii)'s re-pin drops it.
+            ("clock_skew_max_ns", 0u64.into()),
             ("max_sim_time_ns", opt_u64(self.max_sim_time_ns)),
             ("max_events", opt_u64(self.max_events)),
             ("fault_plan", fault_plan_json(&self.fault_plan)),
@@ -977,7 +977,6 @@ pub fn run_experiment_streamed(
     let sim_cfg = SimConfig {
         seed: cfg.seed,
         latency_jitter: cfg.jitter,
-        clock_skew_max_ns: cfg.clock_skew_max_ns,
         fault: cfg.fault_plan.clone(),
     };
     let net: Box<dyn NetworkModel> = if cfg.nic_occupancy_ns > 0 {

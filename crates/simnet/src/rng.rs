@@ -1,7 +1,7 @@
 //! Deterministic random-number streams for the simulator.
 //!
 //! Every source of randomness in a simulation — victim draws, latency
-//! jitter, clock skew — must be reproducible from a single seed so that
+//! jitter, message faults — must be reproducible from a single seed so that
 //! experiments can be re-run bit-for-bit. We implement xoshiro256**
 //! seeded through SplitMix64 (the reference seeding procedure), rather
 //! than relying on `rand`'s unspecified `SmallRng` algorithm, so results
