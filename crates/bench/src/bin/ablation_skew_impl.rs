@@ -6,6 +6,7 @@
 //! deviation of its empirical histogram from the analytic PDF.
 
 use dws_bench::{emit, f, FigArgs, Samples};
+use dws_core::victim::skew_weights_by_sq;
 use dws_core::{VictimPolicy, VictimSelector};
 use dws_simnet::DetRng;
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
@@ -44,11 +45,7 @@ fn main() {
         (
             "rejection_oracle",
             Arc::clone(&compact),
-            VictimSelector::SkewedRejection {
-                job: Arc::clone(&compact),
-                me,
-                alpha: 1.0,
-            },
+            VictimSelector::rejection(&compact, me, skew_weights_by_sq(&compact, 1.0)),
         ),
     ];
 

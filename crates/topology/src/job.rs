@@ -144,7 +144,14 @@ impl Job {
     /// nodes in 6-D Tofu space (0.0 when they share a node).
     #[inline]
     pub fn euclidean(&self, i: Rank, j: Rank) -> f64 {
-        self.rank_coords[i as usize].euclidean(&self.rank_coords[j as usize], self.machine.dims())
+        (self.euclidean_sq(i, j) as f64).sqrt()
+    }
+
+    /// `e(i, j)²`, exact in integers.
+    #[inline]
+    pub fn euclidean_sq(&self, i: Rank, j: Rank) -> u64 {
+        self.rank_coords[i as usize]
+            .euclidean_sq(&self.rank_coords[j as usize], self.machine.dims())
     }
 
     /// Network hops between the ranks' nodes.
