@@ -459,30 +459,41 @@ impl Actor for Gossip {
 /// simulation unconfigured.
 type Layout = Option<(u32, u32)>;
 
+/// Where [`drive`] pauses a run: at every multiple of a simulated time
+/// or of an event count. A time limit clips per event; an event limit
+/// stops between windows, with the last window's cross-shard sends
+/// still deposited for their shards.
+#[derive(Debug, Clone, Copy)]
+enum Pause {
+    Ns(u64),
+    Events(u64),
+}
+
 /// Run `sim` to completion: uninterrupted through `run`, or stepped
-/// through `run_with_limits` every `pause_every_ns` until the queue
-/// drains.
-fn drive<A>(sim: &mut Simulation<A>, pause_every_ns: Option<u64>) -> RunReport
+/// through `run_with_limits` at every `pause` until the queue drains.
+fn drive<A>(sim: &mut Simulation<A>, pause: Option<Pause>) -> RunReport
 where
     A: Actor + Send,
     A::Msg: Send,
 {
-    let Some(step) = pause_every_ns else {
+    let Some(pause) = pause else {
         return sim.run();
     };
-    let mut until = step;
-    loop {
-        let r = sim.run_with_limits(Some(SimTime(until)), None);
+    for k in 1.. {
+        let r = match pause {
+            Pause::Ns(step) => sim.run_with_limits(Some(SimTime(k * step)), None),
+            Pause::Events(step) => sim.run_with_limits(None, Some(k * step)),
+        };
         if !r.halted {
             return r;
         }
-        until += step;
     }
+    unreachable!("the pauses never run out")
 }
 
 /// One gossip run as `(pinned line, window plan)`, [`drive`]n
 /// uninterrupted or paused.
-fn gossip(fault: FaultPlan, layout: Layout, pause_every_ns: Option<u64>) -> (String, (u64, u64)) {
+fn gossip(fault: FaultPlan, layout: Layout, pause: Option<Pause>) -> (String, (u64, u64)) {
     let cfg = SimConfig {
         seed: 0xD15_7EA1,
         latency_jitter: 0.3,
@@ -495,7 +506,7 @@ fn gossip(fault: FaultPlan, layout: Layout, pause_every_ns: Option<u64>) -> (Str
             ParallelConfig::new(threads, GOSSIP_LATENCY_NS).with_shard_map(map.collect()),
         );
     }
-    let report = drive(&mut sim, pause_every_ns);
+    let report = drive(&mut sim, pause);
     let lists: String = sim
         .actors()
         .iter()
@@ -511,11 +522,13 @@ fn gossip(fault: FaultPlan, layout: Layout, pause_every_ns: Option<u64>) -> (Str
 }
 
 /// The unconfigured run must reproduce `pinned`, and every configured
-/// layout must reproduce the unconfigured run, uninterrupted and
-/// paused every 700 ns; configured layouts also share one window plan
-/// per drive mode.
+/// layout must reproduce the unconfigured run, uninterrupted, paused
+/// every 700 ns and paused every 97 events; configured layouts also
+/// share one window plan per drive mode. An event pause stops between
+/// windows, so its plan is the uninterrupted one.
 fn assert_gossip_pinned(fault: FaultPlan, pinned: &str) {
-    for pause in [None, Some(700)] {
+    let mut plans = Vec::new();
+    for pause in [None, Some(Pause::Ns(700)), Some(Pause::Events(97))] {
         let (legacy, _) = gossip(fault.clone(), None, pause);
         assert_eq!(legacy, pinned, "unconfigured run, pause {pause:?}");
         let mut plan = None;
@@ -529,7 +542,9 @@ fn assert_gossip_pinned(fault: FaultPlan, pinned: &str) {
                 "layout {layout:?}, pause {pause:?}"
             );
         }
+        plans.push(plan);
     }
+    assert_eq!(plans[2], plans[0], "an event pause moved the window plan");
 }
 
 #[test]
@@ -590,7 +605,8 @@ impl Actor for Ticker {
 /// pending timer and retires every timer before that end (and, when
 /// paused, not past the pause), successors included. A paused run stops
 /// planning when the earliest timer lies past the pause and resumes
-/// there on the next call.
+/// there on the next call; a run paused on an event count stops between
+/// windows, so it plans as an uninterrupted one.
 fn model_plan(pause_every_ns: Option<u64>) -> (u64, u64) {
     let mut pending: BTreeSet<(u64, Rank, u64)> = (0..TICK_RANKS)
         .map(|r| (tick_delay_ns(r, 0), r, 0))
@@ -619,8 +635,11 @@ fn model_plan(pause_every_ns: Option<u64>) -> (u64, u64) {
 
 #[test]
 fn window_plan_of_a_timer_fleet_matches_the_min_next_plus_lookahead_model() {
-    for pause in [None, Some(700)] {
-        let model = model_plan(pause);
+    for pause in [None, Some(Pause::Ns(700)), Some(Pause::Events(37))] {
+        let model = model_plan(match pause {
+            Some(Pause::Ns(step)) => Some(step),
+            _ => None,
+        });
         assert!(model.1 > 10, "the fleet spans many windows");
         for (shards, threads) in [(1, 1), (4, 1), (4, 2)] {
             let fleet = (0..TICK_RANKS).map(|_| Ticker).collect();
