@@ -54,8 +54,8 @@ pub use alias::AliasTable;
 pub use health::{Gate, HealthTracker, VictimHealth};
 pub use network::NicContendedNetwork;
 pub use runner::{
-    run_experiment, run_experiment_streamed, sequential_baseline, shard_plan, CutReport,
-    ExperimentConfig, ExperimentResult, FaultReport, StreamingSetup, STREAMING_FLAGS,
+    run_experiment, run_experiment_streamed, shard_plan, CutReport, ExperimentConfig,
+    ExperimentResult, FaultReport, StreamingSetup, STREAMING_FLAGS,
 };
 pub use scheduler::{FaultToleranceCfg, Msg, StealAmount, Worker};
 pub use stack::ChunkedStack;

@@ -1280,12 +1280,6 @@ pub fn shard_plan(job: &Job, threads: u32) -> (CutReport, Vec<u32>) {
     (report, shard_of)
 }
 
-/// Measure the sequential baseline: tree size and exact `T₁`.
-pub fn sequential_baseline(workload: &Workload) -> (u64, u64) {
-    let stats = dws_uts::search(workload);
-    (stats.nodes, stats.nodes * workload.node_ns())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

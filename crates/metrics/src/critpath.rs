@@ -577,9 +577,10 @@ impl<'a> Analyzer<'a> {
         if victim >= self.n_ranks {
             return None;
         }
-        // Clamp the chain into [lo.max? , s] and enforce ordering so
-        // clock-skewed or duplicated records can never produce
-        // negative segments.
+        // Clamp the chain into [lo, s] in order (req ≤ arrival ≤
+        // depart): every rank reads one clock, so only a duplicated
+        // delivery can stitch records out of order into a negative
+        // segment.
         let req = req.clamp(lo, s);
         let arrival = svc_at.saturating_sub(queue_ns).clamp(req, s);
         let depart = (svc_at.saturating_add(depart_delay_ns)).clamp(arrival, s);

@@ -32,8 +32,6 @@ pub enum GeoShape {
     Fixed,
     /// Branching factor decreases linearly, reaching zero at `gen_mx`.
     Linear,
-    /// Branching factor decays exponentially with depth.
-    ExpDec,
     /// Branching factor oscillates with depth (period `gen_mx`).
     Cyclic,
 }
@@ -239,7 +237,6 @@ fn geometric_children(node: &Node, b0: f64, gen_mx: u32, shape: GeoShape) -> u32
     let b_i = match shape {
         GeoShape::Fixed => b0,
         GeoShape::Linear => b0 * (1.0 - d / h),
-        GeoShape::ExpDec => b0 * (d / h).exp2().recip(), // b0 * 2^(-d/h)
         GeoShape::Cyclic => {
             if d > 5.0 * h {
                 0.0
