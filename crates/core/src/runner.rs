@@ -29,8 +29,9 @@ use dws_simnet::{
     Recorders, RunReport, SimConfig, SimTime, Simulation, StreamingCfg,
 };
 use dws_topology::routing::LinkLoad;
-use dws_topology::{AllocationPolicy, CutClass, Job, LatencyParams, RankMapping};
+use dws_topology::{AllocationPolicy, CutClass, Job, LatencyParams, RankMapping, TofuCoord};
 use dws_uts::{Node, Workload};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::io::{self, Write};
 use std::sync::{Arc, OnceLock};
@@ -577,22 +578,21 @@ impl ExperimentResult {
 
     /// Route every traced message over its dimension-ordered Tofu path
     /// and accumulate per-link byte loads. `None` unless the run
-    /// collected spans (the network trace rides with them).
+    /// collected spans (the network trace rides with them). The rank
+    /// pairs' bytes are summed per node pair first, so each node pair
+    /// is routed once; same-node traffic crosses no link.
     pub fn link_load(&self) -> Option<LinkLoad> {
         let net = self.net.as_ref()?;
-        let mut pairs: Vec<((u32, u32), u64)> = net
-            .pair_tallies()
-            .map(|(&(from, to), tally)| ((from, to), tally.bytes))
-            .collect();
-        pairs.sort_unstable_by_key(|(k, _)| *k);
+        let mut node_pairs: HashMap<(TofuCoord, TofuCoord), u64> = HashMap::new();
+        for (&(from, to), tally) in net.pair_tallies() {
+            let (src, dst) = (self.job.coord_of(from), self.job.coord_of(to));
+            if src != dst {
+                *node_pairs.entry((src, dst)).or_insert(0) += tally.bytes;
+            }
+        }
         let mut load = LinkLoad::new();
-        for ((from, to), bytes) in pairs {
-            load.add_route(
-                self.job.machine(),
-                self.job.coord_of(from),
-                self.job.coord_of(to),
-                bytes,
-            );
+        for ((src, dst), bytes) in node_pairs {
+            load.add_route(self.job.machine(), src, dst, bytes);
         }
         Some(load)
     }

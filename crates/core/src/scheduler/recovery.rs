@@ -43,6 +43,9 @@ pub(super) struct Recovery {
     /// non-passive — the unacked-gating that lets degraded termination
     /// drop Safra's message counts without losing soundness.
     unacked: Vec<(u64, Rank, Vec<Node>, u32)>,
+    /// Storage for the next transfer's copy: the largest acked copy,
+    /// emptied, so steady-state transfers allocate nothing.
+    spare: Vec<Node>,
     /// Transfers given up on as their thief crashed (lost-work ledger).
     stranded: Vec<(u64, Rank, Vec<Node>)>,
     /// Transfers already absorbed, by `(victim, xfer)`.
@@ -85,6 +88,7 @@ impl Recovery {
             job: Arc::clone(job),
             xfer_last: 0,
             unacked: Vec::new(),
+            spare: Vec::new(),
             stranded: Vec::new(),
             absorbed: HashSet::new(),
             consecutive_timeouts: 0,
@@ -285,15 +289,17 @@ impl Worker {
         self.arm_rtt_timer(ctx, victim, k, TIMER_CLASS_STEAL_TIMEOUT, seq, 0);
     }
 
-    /// Hook, on work sent: track a copy of the nodes under a new
-    /// transfer id until acked; returns it, or 0 with fault tolerance
-    /// off.
+    /// Hook, on work sent: track a copy of the nodes, made in the spare
+    /// buffer, under a new transfer id until acked; returns it, or 0
+    /// with fault tolerance off.
     #[inline]
     pub(super) fn on_work_sent(&mut self, ctx: &mut Ctx<'_, Msg>, to: Rank, nodes: &[Node]) -> u64 {
         let Some(rec) = self.ft_rec() else { return 0 };
         rec.xfer_last += 1;
         let xfer = rec.xfer_last;
-        rec.unacked.push((xfer, to, nodes.to_vec(), 0));
+        let mut copy = std::mem::take(&mut rec.spare);
+        copy.extend_from_slice(nodes);
+        rec.unacked.push((xfer, to, copy, 0));
         let offset = self.service_offset_ns;
         self.arm_rtt_timer(ctx, to, 0, TIMER_CLASS_RETRANSMIT, xfer, offset);
         xfer
@@ -499,11 +505,16 @@ impl Worker {
         }
     }
 
-    /// `StealAck`: transfer `xfer` arrived; stop retransmitting it.
+    /// `StealAck`: transfer `xfer` arrived; stop retransmitting it and
+    /// keep its copy's storage as the spare if it is the larger.
     pub(super) fn on_steal_ack(&mut self, ctx: &mut Ctx<'_, Msg>, from: Rank, xfer: u64) {
         let Some(rec) = &mut self.rec else { return };
         if let Some(pos) = rec.unacked.iter().position(|(x, ..)| *x == xfer) {
-            rec.unacked.swap_remove(pos);
+            let (.., mut copy, _) = rec.unacked.swap_remove(pos);
+            if copy.capacity() > rec.spare.capacity() {
+                copy.clear();
+                rec.spare = copy;
+            }
             let thief = from as usize;
             ctx.record_span(0, SpanKind::TransferAcked { thief, xfer });
             self.release_if_passive(ctx);

@@ -12,6 +12,7 @@
 
 use crate::coord::TofuCoord;
 use crate::machine::Machine;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// One directed link of the torus: a node coordinate plus the axis the
@@ -29,8 +30,14 @@ pub struct Link {
 /// Enumerate the links of the dimension-ordered route from `src` to
 /// `dst`, taking the shorter way around each torus axis.
 pub fn route(machine: &Machine, src: TofuCoord, dst: TofuCoord) -> Vec<Link> {
-    let dims = machine.dims();
     let mut links = Vec::new();
+    walk_route(machine, src, dst, |link| links.push(link));
+    links
+}
+
+/// Visit the links of [`route`] in order without collecting them.
+fn walk_route(machine: &Machine, src: TofuCoord, dst: TofuCoord, mut visit: impl FnMut(Link)) {
+    let dims = machine.dims();
     let mut cur = src;
     // Torus axes: choose direction by shorter wrap.
     type Get = fn(&TofuCoord) -> u16;
@@ -47,7 +54,7 @@ pub fn route(machine: &Machine, src: TofuCoord, dst: TofuCoord) -> Vec<Link> {
             let forward = (q + extent - p) % extent;
             let backward = (p + extent - q) % extent;
             let positive = forward <= backward;
-            links.push(Link {
+            visit(Link {
                 from: cur,
                 axis,
                 positive,
@@ -69,7 +76,7 @@ pub fn route(machine: &Machine, src: TofuCoord, dst: TofuCoord) -> Vec<Link> {
     for (axis, get, get_mut) in mesh_axes {
         while get(&cur) != get(&dst) {
             let positive = get(&cur) < get(&dst);
-            links.push(Link {
+            visit(Link {
                 from: cur,
                 axis,
                 positive,
@@ -79,7 +86,6 @@ pub fn route(machine: &Machine, src: TofuCoord, dst: TofuCoord) -> Vec<Link> {
         }
     }
     debug_assert_eq!(cur, dst, "route must land on the destination");
-    links
 }
 
 /// Accumulated traffic per link, in arbitrary units (e.g. bytes or
@@ -105,12 +111,13 @@ impl LinkLoad {
         dst: TofuCoord,
         amount: u64,
     ) -> usize {
-        let links = route(machine, src, dst);
-        for link in &links {
-            *self.loads.entry(*link).or_insert(0) += amount;
-            self.total += amount;
-        }
-        links.len()
+        let mut hops = 0;
+        walk_route(machine, src, dst, |link| {
+            *self.loads.entry(link).or_insert(0) += amount;
+            hops += 1;
+        });
+        self.total += amount * hops as u64;
+        hops
     }
 
     /// Total link-units charged (traffic × hops).
@@ -123,13 +130,10 @@ impl LinkLoad {
         self.loads.len()
     }
 
-    /// The heaviest `n` links, descending.
+    /// The heaviest `n` links, descending; ties in their `Debug` order.
     pub fn hottest(&self, n: usize) -> Vec<(Link, u64)> {
         let mut v: Vec<(Link, u64)> = self.loads.iter().map(|(l, &u)| (*l, u)).collect();
-        v.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)))
-        });
+        v.sort_by_cached_key(|&(link, units)| (Reverse(units), format!("{link:?}")));
         v.truncate(n);
         v
     }

@@ -9,6 +9,7 @@ use dws::core::{
 use dws::metrics::export::{link_matrix_json, parse, write_chrome_trace};
 use dws::metrics::{CriticalPath, JsonValue};
 use dws::simnet::{Crash, FaultPlan, StreamingCfg};
+use dws::topology::{LinkLoad, RankMapping};
 use dws::uts::presets;
 use std::collections::HashMap;
 use std::io::Write;
@@ -266,6 +267,52 @@ fn tracing_does_not_perturb_the_run() {
     assert_eq!(a.report.timers, b.report.timers);
     assert_eq!(a.stats.per_rank, b.stats.per_rank);
     assert!(a.spans.is_some() && b.spans.is_none());
+}
+
+/// `link_load` sums the traffic per node pair and routes each node
+/// pair once. Routing every communicating rank pair on its own, as the
+/// oracle here does, must charge every link the same units, with eight
+/// ranks a node (where same-node pairs cross no link) and with one.
+#[test]
+fn link_load_per_node_pair_matches_routing_every_rank_pair() {
+    for (mapping, nodes) in [
+        (RankMapping::RoundRobin { ppn: 8 }, 8),
+        (RankMapping::OneToOne, 16),
+    ] {
+        let r = run_experiment(&traced_config(nodes).with_mapping(mapping));
+        let net = r.net.as_ref().expect("spans carry the network trace");
+        let mut oracle = LinkLoad::new();
+        let mut same_node = 0;
+        for (&(from, to), tally) in net.pair_tallies() {
+            let (src, dst) = (r.job.coord_of(from), r.job.coord_of(to));
+            same_node += usize::from(src == dst);
+            oracle.add_route(r.job.machine(), src, dst, tally.bytes);
+        }
+        let load = r.link_load().expect("spans were collected");
+        let label = mapping.label();
+        assert!(load.links_used() > 0, "{label}: no link carried traffic");
+        assert_eq!(
+            same_node > 0,
+            matches!(mapping, RankMapping::RoundRobin { .. }),
+            "{label}: {same_node} same-node rank pairs"
+        );
+        assert_eq!(
+            load.hottest(load.links_used()),
+            oracle.hottest(oracle.links_used()),
+            "{label}"
+        );
+        assert_eq!(
+            load.total_link_units(),
+            oracle.total_link_units(),
+            "{label}"
+        );
+        assert_eq!(load.links_used(), oracle.links_used(), "{label}");
+        assert_eq!(
+            load.hotspot_factor().to_bits(),
+            oracle.hotspot_factor().to_bits(),
+            "{label}"
+        );
+    }
 }
 
 /// Latency histograms distilled from the spans agree with the
