@@ -3,7 +3,7 @@
 //! the ids, one per line. The options are every figure binary's
 //! (`--full`, `--seed`, `--threads`, `--csv-dir`, the streaming flags,
 //! …); every run of the figure carries them. It exits 1, writing no CSV,
-//! when a run does not complete.
+//! when a run does not complete, and 2 on an unknown id or option.
 
 use dws_bench::figures::{self, FIGURES};
 use dws_bench::FigArgs;
@@ -11,7 +11,7 @@ use dws_bench::FigArgs;
 fn main() {
     let mut argv = std::env::args().skip(1).peekable();
     let id = argv.next_if(|a| !a.starts_with('-'));
-    let args = FigArgs::from_args(argv);
+    let args = FigArgs::parse_from(argv);
     let Some(id) = id else {
         for fig in FIGURES {
             println!("{}", fig.id);

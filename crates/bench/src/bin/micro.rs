@@ -24,56 +24,114 @@ static ALLOC: dws_simnet::CountingAlloc = dws_simnet::CountingAlloc;
 /// Timed batches per benchmark; doubles as the record's trial count.
 const BATCHES: usize = 7;
 
-/// The benchmarks a run times: the command-line filters, and the
-/// metrics of the benchmarks they selected.
-struct Bench {
-    /// Substring filters over benchmark names; empty runs everything.
-    only: Vec<String>,
-    metrics: Vec<BenchMetric>,
+/// The benchmarks, in run order: name, inner iterations per call, and
+/// the loop to time.
+const BENCHES: &[(&str, u64, fn())] = &[
+    ("chase_lev/owner_push_pop_64", 1_000, owner_push_pop_64),
+    ("chase_lev/uncontended_steal", 10_000, uncontended_steal),
+    ("end_to_end/threads_4_xs_tree", 1, threads_4_xs_tree),
+];
+
+fn owner_push_pop_64() {
+    let (w, _s) = dws_shmem::new_deque::<u64>(1024);
+    for _ in 0..1_000 {
+        for i in 0..64u64 {
+            w.push(black_box(i));
+        }
+        for _ in 0..64 {
+            black_box(w.pop());
+        }
+    }
 }
 
-impl Bench {
-    /// Time `f` (which runs `iters` inner iterations per call) if the
-    /// filters select `name`: print the best per-iteration time across
-    /// the batches (the minimum is the stablest location estimator for
-    /// short loops), and keep all batch samples so the bench record can
-    /// carry a mean and 95% CI.
-    fn time<F: FnMut()>(&mut self, name: &str, iters: u64, mut f: F) {
-        if !self.only.is_empty() && !self.only.iter().any(|o| name.contains(o.as_str())) {
-            return;
-        }
-        // Warm-up batch: populate caches and branch predictors.
-        f();
-        let mut samples = Vec::with_capacity(BATCHES);
-        for _ in 0..BATCHES {
-            let start = Instant::now();
-            f();
-            samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let unit = if best >= 1e6 {
-            format!("{:.3} ms", best / 1e6)
-        } else if best >= 1e3 {
-            format!("{:.3} µs", best / 1e3)
-        } else {
-            format!("{best:.1} ns")
-        };
-        println!("{name:44} {unit:>12} /iter");
-        self.metrics.push(BenchMetric::from_samples(
-            name,
-            "ns/iter",
-            Polarity::LowerIsBetter,
-            &samples,
-        ));
+fn uncontended_steal() {
+    let (w, s) = dws_shmem::new_deque::<u64>(1024);
+    for i in 0..20_000u64 {
+        w.push(i);
     }
+    for _ in 0..10_000 {
+        black_box(s.steal());
+    }
+}
+
+fn threads_4_xs_tree() {
+    black_box(
+        dws_shmem::parallel_search(&presets::t3sim_xs(), 4)
+            .stats
+            .nodes,
+    );
+}
+
+/// What the command line asks for.
+#[derive(Debug)]
+struct Options {
+    /// Substring filters over benchmark names; empty runs everything.
+    only: Vec<String>,
+    /// Where the bench record goes (`None` under `--no-json`).
+    json_path: Option<String>,
+}
+
+impl Options {
+    fn selects(&self, name: &str) -> bool {
+        self.only.is_empty() || self.only.iter().any(|o| name.contains(o.as_str()))
+    }
+}
+
+/// Parse `[--json <path> | --no-json] [filter...]`. An unknown
+/// `--flag`, or filters that select no benchmark, are errors: a run
+/// that times nothing would still write a record for a gate to diff.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut opts = Options {
+        only: Vec::new(),
+        json_path: Some("results/BENCH_micro.json".to_string()),
+    };
+    let mut it = argv.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--json" => opts.json_path = it.next().or(opts.json_path),
+            "--no-json" => opts.json_path = None,
+            flag if flag.starts_with("--") => return Err(format!("unknown option {flag}")),
+            _ => opts.only.push(a),
+        }
+    }
+    if !BENCHES.iter().any(|(name, ..)| opts.selects(name)) {
+        return Err(format!("the filters {:?} select no benchmark", opts.only));
+    }
+    Ok(opts)
+}
+
+/// Time `f` (which runs `iters` inner iterations per call): print the
+/// best per-iteration time across the batches (the minimum is the
+/// stablest location estimator for short loops), and keep all batch
+/// samples so the bench record can carry a mean and 95% CI.
+fn time(name: &str, iters: u64, f: fn()) -> BenchMetric {
+    // Warm-up batch: populate caches and branch predictors.
+    f();
+    let mut samples = Vec::with_capacity(BATCHES);
+    for _ in 0..BATCHES {
+        let start = Instant::now();
+        f();
+        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    let unit = if best >= 1e6 {
+        format!("{:.3} ms", best / 1e6)
+    } else if best >= 1e3 {
+        format!("{:.3} µs", best / 1e3)
+    } else {
+        format!("{best:.1} ns")
+    };
+    println!("{name:44} {unit:>12} /iter");
+    BenchMetric::from_samples(name, "ns/iter", Polarity::LowerIsBetter, &samples)
 }
 
 /// Fold the timed benchmarks into a [`BenchRecord`]: one metric per
 /// benchmark (mean ns/iter with a 95% CI across batches), plus the
 /// process-wide allocation count and peak RSS. The fingerprint hashes
 /// the benchmark names that ran, so filtered runs do not diff against
-/// full ones — but deliberately not the trial seed.
-fn build_record(started: Instant, trial_seed: u64, mut metrics: Vec<BenchMetric>) -> BenchRecord {
+/// full ones. No benchmark draws from a seeded stream, so the record's
+/// seed is 0.
+fn build_record(started: Instant, mut metrics: Vec<BenchMetric>) -> BenchRecord {
     let names: String = metrics.iter().map(|m| m.name.as_str()).collect();
     metrics.push(BenchMetric::point(
         "wall_s_total",
@@ -100,7 +158,7 @@ fn build_record(started: Instant, trial_seed: u64, mut metrics: Vec<BenchMetric>
         bench: "micro".to_string(),
         git_rev: perflab::git_rev(),
         fingerprint: perflab::fingerprint(&names),
-        trial_seed,
+        trial_seed: 0,
         unix_time_s: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -122,71 +180,63 @@ fn write_record(path: &str, record: &BenchRecord) -> std::io::Result<()> {
 
 fn main() {
     let started = Instant::now();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut only: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = Some("results/BENCH_micro.json".to_string());
-    let mut trajectory: Option<String> = None;
-    // Stamped on the record for trajectory bookkeeping; no benchmark
-    // here draws from a seeded stream.
-    let mut trial_seed = 0;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_path = it.next().or(json_path),
-            "--no-json" => json_path = None,
-            "--trajectory" => trajectory = it.next(),
-            "--trial-seed" => {
-                trial_seed = it
-                    .next()
-                    .expect("--trial-seed needs a value")
-                    .parse()
-                    .expect("--trial-seed must be an integer");
-            }
-            _ => only.push(a),
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("micro: {e}; usage: micro [--json <path> | --no-json] [filter...]");
+        eprintln!("the benchmarks (a filter selects those whose name contains it):");
+        for (name, ..) in BENCHES {
+            eprintln!("  {name}");
         }
-    }
-    let mut b = Bench {
-        only,
-        metrics: Vec::new(),
-    };
-    b.time("chase_lev/owner_push_pop_64", 1_000, || {
-        let (w, _s) = dws_shmem::new_deque::<u64>(1024);
-        for _ in 0..1_000 {
-            for i in 0..64u64 {
-                w.push(black_box(i));
-            }
-            for _ in 0..64 {
-                black_box(w.pop());
-            }
-        }
+        std::process::exit(2)
     });
-    b.time("chase_lev/uncontended_steal", 10_000, || {
-        let (w, s) = dws_shmem::new_deque::<u64>(1024);
-        for i in 0..20_000u64 {
-            w.push(i);
-        }
-        for _ in 0..10_000 {
-            black_box(s.steal());
-        }
-    });
-    b.time("end_to_end/threads_4_xs_tree", 1, || {
-        black_box(
-            dws_shmem::parallel_search(&presets::t3sim_xs(), 4)
-                .stats
-                .nodes,
-        );
-    });
-    let record = build_record(started, trial_seed, b.metrics);
-    if let Some(path) = json_path {
+    let metrics = BENCHES
+        .iter()
+        .filter(|(name, ..)| opts.selects(name))
+        .map(|&(name, iters, f)| time(name, iters, f))
+        .collect();
+    let record = build_record(started, metrics);
+    if let Some(path) = opts.json_path {
         match write_record(&path, &record) {
             Ok(()) => println!("[results written to {path}]"),
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
     }
-    if let Some(path) = trajectory {
-        match perflab::append_record(&path, &record) {
-            Ok(()) => println!("[record appended to {path}]"),
-            Err(e) => eprintln!("warning: could not append to {path}: {e}"),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &str) -> Result<Options, String> {
+        parse_args(argv.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn filters_and_json_flags_parse() {
+        let opts = parse("--no-json chase_lev").unwrap();
+        assert_eq!(opts.json_path, None);
+        assert_eq!(opts.only, ["chase_lev"]);
+        assert!(opts.selects("chase_lev/uncontended_steal"));
+        assert!(!opts.selects("end_to_end/threads_4_xs_tree"));
+        let opts = parse("--json perf/a.json").unwrap();
+        assert_eq!(opts.json_path.as_deref(), Some("perf/a.json"));
+        assert!(BENCHES.iter().all(|(name, ..)| opts.selects(name)));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        for argv in ["--trial-seed 1", "chase_lev --bogus"] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains("unknown option --"), "{argv}: {err}");
         }
+    }
+
+    #[test]
+    fn filters_that_select_nothing_are_an_error() {
+        for argv in ["nothing_matches", "--no-json 1"] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains("select no benchmark"), "{argv}: {err}");
+        }
+        // One matching filter among others selects.
+        assert!(parse("nothing_matches steal").is_ok());
     }
 }

@@ -13,8 +13,8 @@
 //! - wall clock must stay under [`WALL_BUDGET_S`];
 //! - peak resident memory must stay under [`RSS_BUDGET_MIB`].
 //!
-//! Results are emitted like any figure (`results/smoke_8192.csv`, plus
-//! a BenchRecord for the trajectory store via `--trajectory`).
+//! Results are emitted like any figure: `results/smoke_8192.csv` and
+//! its BenchRecord, `results/smoke_8192.record.json`.
 
 use dws_bench::{emit, f, run_logged, FigArgs, Samples};
 use dws_core::VictimPolicy;

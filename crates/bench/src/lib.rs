@@ -53,8 +53,6 @@ pub struct FigArgs {
     pub csv_dir: Option<PathBuf>,
     /// Seed override for variance studies.
     pub seed: u64,
-    /// Append this figure's [`BenchRecord`] to a trajectory file.
-    pub trajectory: Option<PathBuf>,
     /// Simulation worker threads for every run (`--threads`).
     pub threads: u32,
     /// The streaming flags as given, `(name, value)`: `--live` and
@@ -73,7 +71,6 @@ impl Default for FigArgs {
             full: false,
             csv_dir: Some(PathBuf::from("results")),
             seed: 0xD15_7EA1,
-            trajectory: None,
             threads: 1,
             stream_flags: Vec::new(),
             started: Instant::now(),
@@ -81,68 +78,68 @@ impl Default for FigArgs {
     }
 }
 
+/// The options line every figure binary prints for `--help` and after
+/// a bad option.
+const OPTIONS: &str = "options: --full (paper-scale ranks)  --no-csv  \
+     --csv-dir <dir>  --seed <n>  --threads <n>  --live  --snapshot <path>  \
+     --snapshot-every <dur, e.g. 500ms of simulated time>  \
+     --flight-dump <path>  --flight-ring <n>  \
+     --wall-budget <dur of host time>  --rss-budget-mb <n>";
+
 impl FigArgs {
-    /// Parse from `std::env::args` (see [`FigArgs::from_args`]).
+    /// Parse from `std::env::args` (see [`FigArgs::parse_from`]).
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1))
+    }
+
+    /// [`FigArgs::from_args`], or exit 2 printing the error and the
+    /// options line.
+    pub fn parse_from(args: impl Iterator<Item = String>) -> Self {
+        Self::from_args(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{OPTIONS}");
+            std::process::exit(2)
+        })
     }
 
     /// Parse options: recognizes `--full`, `--no-csv`,
-    /// `--csv-dir <dir>`, `--seed <n>`, `--trajectory <path>`,
-    /// `--threads <n>` and the streaming flags.
-    pub fn from_args(mut args: impl Iterator<Item = String>) -> Self {
+    /// `--csv-dir <dir>`, `--seed <n>`, `--threads <n>` and the
+    /// streaming flags; `--help` prints them and exits. An unknown
+    /// option or a bad value is an error naming the flag.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         while let Some(a) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
                 "--full" => out.full = true,
                 "--no-csv" => out.csv_dir = None,
-                "--csv-dir" => {
-                    let dir = args.next().expect("--csv-dir needs a value");
-                    out.csv_dir = Some(PathBuf::from(dir));
-                }
+                "--csv-dir" => out.csv_dir = Some(PathBuf::from(value()?)),
                 "--seed" => {
-                    out.seed = args
-                        .next()
-                        .expect("--seed needs a value")
+                    let v = value()?;
+                    out.seed = v
                         .parse()
-                        .expect("--seed must be an integer");
-                }
-                "--trajectory" => {
-                    let path = args.next().expect("--trajectory needs a value");
-                    out.trajectory = Some(PathBuf::from(path));
+                        .map_err(|_| format!("--seed must be an integer, got {v:?}"))?;
                 }
                 "--threads" => {
-                    out.threads = args
-                        .next()
-                        .expect("--threads needs a value")
-                        .parse()
-                        .expect("--threads must be an integer");
-                    assert!(out.threads >= 1, "--threads must be at least 1");
+                    let v = value()?;
+                    out.threads = match v.parse() {
+                        Ok(n) if n >= 1 => n,
+                        _ => return Err(format!("--threads must be at least 1, got {v:?}")),
+                    };
                 }
                 "--live" => out.stream_flags.push(("live".into(), String::new())),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "options: --full (paper-scale ranks)  --no-csv  \
-                         --csv-dir <dir>  --seed <n>  --trajectory <path>  \
-                         --threads <n>  --live  --snapshot <path>  \
-                         --snapshot-every <dur, e.g. 500ms of simulated time>  \
-                         --flight-dump <path>  --flight-ring <n>  \
-                         --wall-budget <dur of host time>  --rss-budget-mb <n>"
-                    );
+                    eprintln!("{OPTIONS}");
                     std::process::exit(0);
                 }
                 other => match other.strip_prefix("--") {
                     Some(name) if STREAMING_FLAGS.contains(&name) => {
-                        let value = args
-                            .next()
-                            .unwrap_or_else(|| panic!("{other} needs a value"));
-                        out.stream_flags.push((name.to_string(), value));
+                        out.stream_flags.push((name.to_string(), value()?));
                     }
-                    _ => panic!("unknown option {other}"),
+                    _ => return Err(format!("unknown option {other}")),
                 },
             }
         }
-        out
+        Ok(out)
     }
 
     /// Rank counts for the paper's small-scale experiments
@@ -403,11 +400,6 @@ pub fn emit(
             .expect("cannot write bench record");
         println!("[bench record written to {}]", path.display());
     }
-    if let Some(traj) = &args.trajectory {
-        perflab::append_record(&traj.to_string_lossy(), &record)
-            .expect("cannot append to trajectory");
-        println!("[bench record appended to {}]", traj.display());
-    }
 }
 
 /// Convenience: format a float with fixed precision.
@@ -454,13 +446,27 @@ mod tests {
     fn streaming_flags_reach_the_shared_parser() {
         assert!(FigArgs::default().streaming().is_none());
         let argv = "--live --snapshot-every 2ms --flight-ring 64 --rss-budget-mb 100 --threads 2";
-        let args = FigArgs::from_args(argv.split(' ').map(String::from));
+        let args = FigArgs::from_args(argv.split(' ').map(String::from)).unwrap();
         assert_eq!(args.threads, 2);
         let cfg = args.streaming().expect("streaming flags given").cfg;
         assert!(cfg.live);
         assert_eq!(cfg.snapshot_every_sim_ns, 2_000_000);
         assert_eq!(cfg.flight_ring, 64);
         assert_eq!(cfg.rss_budget_bytes, Some(100 << 20));
+    }
+
+    #[test]
+    fn a_bad_option_is_an_error_naming_its_flag() {
+        for (argv, flag) in [
+            ("--trajectory p", "--trajectory"),
+            ("--seed x", "--seed"),
+            ("--threads 0", "--threads"),
+            ("--threads", "--threads"),
+            ("--snapshot", "--snapshot"),
+        ] {
+            let err = FigArgs::from_args(argv.split(' ').map(String::from)).unwrap_err();
+            assert!(err.contains(flag), "{argv}: {err}");
+        }
     }
 
     #[test]

@@ -731,62 +731,31 @@ struct DiffSide {
     label: String,
 }
 
-/// Load a diffable artifact. `spec` is a path to a run report
-/// (`dws run --json`), a single bench record, or a trajectory file —
-/// optionally suffixed `@N` to pick entry `N` of a trajectory
-/// (negative counts from the end; a bare trajectory means `@-1`).
-fn load_diff_side(spec: &str) -> Result<DiffSide, String> {
-    let (path, index) = match spec.rsplit_once('@') {
-        Some((p, idx)) if idx.parse::<i64>().is_ok() && !p.is_empty() => {
-            (p, Some(idx.parse::<i64>().expect("checked")))
-        }
-        _ => (spec, None),
-    };
+/// Load a diffable artifact: a run report (`dws run --json`) or a
+/// single bench record. Anything else is an error naming the path.
+fn load_diff_side(path: &str) -> Result<DiffSide, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let from_record = |rec: &BenchRecord, label: String| DiffSide {
-        metrics: rec.metrics.clone(),
-        fingerprint: Some(rec.fingerprint.clone()),
-        label,
-    };
-    let pick = |records: &[BenchRecord], idx: i64| -> Result<DiffSide, String> {
-        let n = records.len() as i64;
-        let at = if idx < 0 { n + idx } else { idx };
-        if at < 0 || at >= n {
-            return Err(format!(
-                "{spec}: index {idx} out of range (trajectory has {n} entries)"
-            ));
-        }
-        let rec = &records[at as usize];
-        Ok(from_record(
-            rec,
-            format!("{path}@{at} ({}, {})", rec.bench, rec.git_rev),
-        ))
-    };
-    if let Some(idx) = index {
-        return pick(&perflab::read_trajectory(path)?, idx);
+    let doc = dws_metrics::export::parse(text.trim()).map_err(|e| {
+        format!("{path}: not a run report or a bench record (not one JSON document: {e})")
+    })?;
+    if perflab::is_run_report(&doc) {
+        let label = doc
+            .get("label")
+            .and_then(|v| v.as_str())
+            .unwrap_or("run report");
+        return Ok(DiffSide {
+            metrics: perflab::metrics_from_run_report(&doc),
+            fingerprint: perflab::fingerprint_of_doc(&doc),
+            label: format!("{path} ({label})"),
+        });
     }
-    if let Ok(doc) = dws_metrics::export::parse(text.trim()) {
-        if perflab::is_run_report(&doc) {
-            let label = doc
-                .get("label")
-                .and_then(|v| v.as_str())
-                .unwrap_or("run report");
-            return Ok(DiffSide {
-                metrics: perflab::metrics_from_run_report(&doc),
-                fingerprint: perflab::fingerprint_of_doc(&doc),
-                label: format!("{path} ({label})"),
-            });
-        }
-        if let Ok(rec) = BenchRecord::from_json(&doc) {
-            let label = format!("{path} ({}, {})", rec.bench, rec.git_rev);
-            return Ok(from_record(&rec, label));
-        }
-    }
-    // Multi-line trajectory without an index: compare its latest entry.
-    pick(
-        &perflab::parse_trajectory(&text).map_err(|e| format!("{path}: {e}"))?,
-        -1,
-    )
+    let rec = BenchRecord::from_json(&doc)
+        .map_err(|e| format!("{path}: not a run report or a bench record ({e})"))?;
+    Ok(DiffSide {
+        label: format!("{path} ({}, {})", rec.bench, rec.git_rev),
+        fingerprint: Some(rec.fingerprint),
+        metrics: rec.metrics,
+    })
 }
 
 /// Compact number formatting for the diff table.
@@ -1105,6 +1074,54 @@ mod tests {
         assert!(err.starts_with("unknown command \"bogus\""), "{err}");
         let flags = parse(&args(&["--json", "-h"]), &["json"], &[]).unwrap();
         assert_eq!(flags.get("json"), Some("-h"));
+    }
+
+    #[test]
+    fn diff_loads_one_report_or_one_record_per_file() {
+        let dir = std::env::temp_dir().join(format!("dws-diff-sides-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let rec = BenchRecord {
+            schema: perflab::BENCH_SCHEMA_VERSION,
+            bench: "micro".into(),
+            git_rev: "abc1234".into(),
+            fingerprint: perflab::fingerprint("micro"),
+            trial_seed: 0,
+            unix_time_s: 1,
+            trials: 7,
+            threads: 1,
+            metrics: vec![BenchMetric::point(
+                "m",
+                "ns",
+                perflab::Polarity::LowerIsBetter,
+                5.0,
+            )],
+        };
+        let line = rec.to_json().to_string();
+        // A bench record, labelled with its bench and rev; a name with
+        // `@` in it is a path like any other.
+        for name in ["record.json", "record.json@0", "record@-1"] {
+            std::fs::write(path(name), format!("{line}\n")).unwrap();
+            let side = load_diff_side(&path(name)).unwrap();
+            assert_eq!(side.label, format!("{} (micro, abc1234)", path(name)));
+            assert_eq!(side.fingerprint, Some(rec.fingerprint.clone()));
+            assert_eq!(side.metrics, rec.metrics);
+        }
+        // A `dws run --json` report.
+        let report = path("report.json");
+        let args = ["--tree", "t3sim-xs", "--ranks", "4", "--json", &report].map(String::from);
+        run(&args).unwrap();
+        let side = load_diff_side(&report).unwrap();
+        assert!(side.metrics.iter().any(|m| m.name == "makespan_ns"));
+        assert!(side.fingerprint.is_some());
+        // Two records in one file are neither artifact.
+        let jsonl = path("two.jsonl");
+        std::fs::write(&jsonl, format!("{line}\n{line}\n")).unwrap();
+        let err = load_diff_side(&jsonl)
+            .err()
+            .expect("a JSON-lines file is refused");
+        assert!(err.starts_with(&jsonl), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -146,9 +146,8 @@ commands:
           --tree <preset> --workers <n>
   diff    compare two runs or bench records metric by metric
           dws diff <a> <b> [--tol <f>]
-          each side is a run report (dws run --json), a bench record,
-          or a trajectory file; <path>@N picks trajectory entry N
-          (negative counts from the end; bare trajectory means @-1)
+          each side is a run report (dws run --json) or a bench
+          record (a figure's <id>.record.json, micro --json)
           verdict per metric: regression / improvement / within-noise,
           significant iff |delta| > max(ci95_a + ci95_b, tol*|a|)
           exit code 2 if any metric regressed (for CI gating)

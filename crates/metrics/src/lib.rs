@@ -30,7 +30,7 @@
 //! - [`streaming`] — the periodic [`Snapshot`] JSONL stream;
 //! - [`report`] — efficiency/speedup math, text tables, CSV output and
 //!   terminal ASCII charts for regenerating the paper's figures;
-//! - [`perflab`] — benchmark trajectory records ([`BenchRecord`]),
+//! - [`perflab`] — benchmark records ([`BenchRecord`]),
 //!   repeated-trial 95% confidence intervals, and noise-aware
 //!   cross-run regression diffing for `dws diff`.
 //!

@@ -1,17 +1,14 @@
-//! Perf-lab: benchmark trajectory records and cross-run regression
-//! diffing.
+//! Perf-lab: benchmark records and cross-run regression diffing.
 //!
 //! The paper's whole argument rests on comparing runs, and the
 //! harness's own trustworthiness rests on noticing when *it* gets
 //! slower. This module gives both comparisons one vocabulary:
 //!
-//! - [`BenchRecord`] — one entry of the benchmark trajectory: what was
-//!   measured (named metrics with repeated-trial mean + 95% CI), under
-//!   which code (`git_rev`) and configuration (`fingerprint`), when;
-//! - the **trajectory store** — an append-only JSON-lines file
-//!   (`BENCH_trajectory.json`) written by [`append_record`] and read
-//!   back by [`read_trajectory`], so the performance history of the
-//!   repository survives across sessions and CI runs;
+//! - [`BenchRecord`] — one benchmark measurement: what was measured
+//!   (named metrics with repeated-trial mean + 95% CI), under which
+//!   code (`git_rev`) and configuration (`fingerprint`), when. Each
+//!   figure writes one to `results/<id>.record.json`, `micro` one to
+//!   the path it is given;
 //! - [`verdict`] / [`compare`] — noise-aware per-metric diffing: a
 //!   delta is significant only when it exceeds both the combined 95%
 //!   confidence half-widths of the two samples and a relative
@@ -27,7 +24,7 @@
 //! measured; following Gast et al. (arXiv:1805.00857), distributions
 //! are reported with confidence bounds, never as bare points.
 
-use crate::export::{parse, JsonValue};
+use crate::export::JsonValue;
 use crate::summary::Summary;
 
 /// Schema version stamped into every [`BenchRecord`], and the only
@@ -139,8 +136,8 @@ impl BenchMetric {
     }
 }
 
-/// One entry of the benchmark trajectory: everything needed to compare
-/// this measurement against any other entry, now or years later.
+/// One benchmark measurement: everything needed to compare it against
+/// any other record, now or years later.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
@@ -153,8 +150,8 @@ pub struct BenchRecord {
     /// Configuration fingerprint: two records with equal fingerprints
     /// measured the same thing and may be diffed without caveats.
     pub fingerprint: String,
-    /// Per-trial RNG seed offset (trials within one record share it;
-    /// distinct trajectory entries of the same config vary it).
+    /// Seed the benchmark ran under (a figure's `--seed`; 0 where no
+    /// benchmark draws from a seeded stream).
     pub trial_seed: u64,
     /// Unix timestamp (seconds) of the measurement.
     pub unix_time_s: u64,
@@ -170,8 +167,7 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
-    /// Serialize to a single-line JSON object (the trajectory-store
-    /// line format).
+    /// Serialize to a single-line JSON object.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
             ("schema", self.schema.into()),
@@ -263,44 +259,6 @@ impl BenchRecord {
             metrics,
         })
     }
-}
-
-/// Append one record to an append-only trajectory file (JSON lines:
-/// one single-line record object per line). Creates the file and any
-/// parent directories on first use.
-pub fn append_record(path: &str, record: &BenchRecord) -> Result<(), String> {
-    use std::io::Write as _;
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("{path}: {e}"))?;
-    writeln!(file, "{}", record.to_json()).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Read a trajectory file back: every non-empty line must parse as a
-/// schema-valid [`BenchRecord`].
-pub fn read_trajectory(path: &str) -> Result<Vec<BenchRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_trajectory(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// [`read_trajectory`] on in-memory text.
-pub fn parse_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(BenchRecord::from_json(&doc).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
 }
 
 /// The outcome of comparing one metric across two runs.
@@ -503,8 +461,8 @@ pub fn fingerprint_of_doc(doc: &JsonValue) -> Option<String> {
 
 /// Deterministic 64-bit FNV-1a fingerprint of a canonical
 /// configuration string, rendered as 16 hex digits. One shared
-/// implementation so run reports, bench records, and trajectory
-/// entries are fingerprint-compatible.
+/// implementation so run reports and bench records are
+/// fingerprint-compatible.
 pub fn fingerprint(canonical: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canonical.as_bytes() {
@@ -664,6 +622,7 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::parse;
 
     #[test]
     fn t_table_brackets_the_normal() {
@@ -809,27 +768,6 @@ mod tests {
         let mut empty = rec;
         empty.metrics.clear();
         assert!(BenchRecord::from_json(&empty.to_json()).is_err());
-    }
-
-    #[test]
-    fn trajectory_parses_jsonl_and_rejects_other_forms() {
-        let rec = BenchRecord {
-            schema: BENCH_SCHEMA_VERSION,
-            bench: "micro".into(),
-            git_rev: "r".into(),
-            fingerprint: "f".into(),
-            trial_seed: 0,
-            unix_time_s: 1,
-            trials: 1,
-            threads: 1,
-            metrics: vec![BenchMetric::point("m", "ns", Polarity::LowerIsBetter, 5.0)],
-        };
-        let line = rec.to_json().to_string();
-        let jsonl = format!("{line}\n\n{line}\n");
-        let recs = parse_trajectory(&jsonl).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert!(parse_trajectory(&format!("[{line},{line}]")).is_err());
-        assert!(parse_trajectory("not json\n").is_err());
     }
 
     #[test]

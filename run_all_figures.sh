@@ -1,16 +1,16 @@
 #!/bin/bash
-# Regenerate every table/figure at default (compressed) scale, then
-# consolidate each figure's bench record into the trajectory store.
+# Regenerate every table/figure at default (compressed) scale; each
+# writes its CSV and its bench record (<id>.record.json) under results/.
 # Usage: ./run_all_figures.sh [--full]
 set -euo pipefail
 cd "$(dirname "$0")"
-# Trajectory hygiene: records regenerated from a dirty tree carry a
-# "-dirty" git rev and pollute cross-run regression diffs. Warn loudly.
+# Records regenerated from a dirty tree carry a "-dirty" git rev, so
+# no record names the code that produced it.
 if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
     echo "WARNING: working tree is dirty — bench records will be stamped" >&2
-    echo "         with a '-dirty' revision; commit first for clean trajectory entries" >&2
+    echo "         with a '-dirty' revision; commit first so each record names its code" >&2
 fi
-cargo build --release -p dws-bench 2>/dev/null
+cargo build --release -p dws-bench
 rm -f results/*.record.json
 # The figure table first (one process per figure, so each record's wall
 # time and peak RSS are that figure's), then the binaries that simulate
@@ -24,8 +24,4 @@ for bin in table1 fig08_skew_pdf ablation_skew_impl ablation_link_load \
     echo "=== $bin ==="
     ./target/release/$bin "$@" | tee "results/$bin.out"
 done
-# One trajectory entry per figure run: the per-figure records are
-# single-line JSON, so concatenation is valid JSON-lines.
-cat results/*.record.json >> results/BENCH_trajectory.json
-echo "[figure records appended to results/BENCH_trajectory.json]"
 echo "ALL FIGURES DONE"

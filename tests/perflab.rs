@@ -1,7 +1,7 @@
 //! Perf-lab end-to-end checks: the engine self-profiler must not
-//! perturb the simulation, bench records must round-trip through the
-//! trajectory store, and cross-run diffing must flag real regressions
-//! while staying quiet on identical-seed runs.
+//! perturb the simulation, bench records must round-trip through their
+//! JSON text, and cross-run diffing must flag real regressions while
+//! staying quiet on identical-seed runs.
 
 use dws::core::{run_experiment, ExperimentConfig, ExperimentResult, StealAmount, VictimPolicy};
 use dws::metrics::perflab::{
@@ -239,10 +239,9 @@ fn worse_configuration_registers_regression() {
     assert!(perflab::any_regression(&deltas));
 }
 
-/// BenchRecord → JSON text → parse → BenchRecord must round-trip, and
-/// the trajectory store must append and read back in order.
+/// BenchRecord → JSON text → parse → BenchRecord must round-trip.
 #[test]
-fn record_round_trip_and_trajectory_store() {
+fn record_round_trip() {
     let rec = BenchRecord {
         schema: BENCH_SCHEMA_VERSION,
         bench: "roundtrip".to_string(),
@@ -270,20 +269,6 @@ fn record_round_trip_and_trajectory_store() {
     assert_eq!(back.metrics[0].name, "lat");
     assert!((back.metrics[0].mean - 11.0).abs() < 1e-12);
     assert!(back.metrics[0].ci95 > 0.0);
-
-    let dir = std::env::temp_dir().join(format!("dws_perflab_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("traj.json");
-    let path_str = path.to_str().expect("utf-8 temp path");
-    let mut second = rec.clone();
-    second.trial_seed = 4;
-    perflab::append_record(path_str, &rec).expect("append 1");
-    perflab::append_record(path_str, &second).expect("append 2");
-    let all = perflab::read_trajectory(path_str).expect("read back");
-    assert_eq!(all.len(), 2);
-    assert_eq!(all[0].trial_seed, 3);
-    assert_eq!(all[1].trial_seed, 4);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The run report's own metrics must survive the JSON round trip the
