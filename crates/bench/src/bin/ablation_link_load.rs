@@ -14,7 +14,7 @@ use dws_topology::{Job, LinkLoad, RankMapping};
 use std::sync::Arc;
 
 fn main() {
-    let args = FigArgs::parse();
+    let args = FigArgs::parse_unstreamed();
     let n = if args.full { 4096 } else { 1024 };
     let job = Arc::new(Job::compact(n, RankMapping::OneToOne));
     let machine = job.machine().clone();

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let args = FigArgs::parse();
+    let args = FigArgs::parse_unstreamed();
     let ranks: u32 = if args.full { 1024 } else { 256 };
     let draws: u32 = if args.full { 2_000_000 } else { 500_000 };
     let policy = VictimPolicy::DistanceSkewed { alpha: 1.0 };

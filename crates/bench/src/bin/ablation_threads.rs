@@ -24,7 +24,7 @@ use std::time::Instant;
 const THREAD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 fn main() {
-    let args = FigArgs::parse();
+    let args = FigArgs::parse_unstreamed();
     let tree = args.large_tree();
     let ranks = args.flagship_ranks();
     let cores = std::thread::available_parallelism()

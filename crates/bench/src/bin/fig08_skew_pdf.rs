@@ -8,7 +8,7 @@ use dws_core::VictimPolicy;
 use dws_topology::{Job, RankMapping};
 
 fn main() {
-    let args = FigArgs::parse();
+    let args = FigArgs::parse_unstreamed();
     let n = 1024u32; // the paper's exact deployment for this figure
     let job = Job::compact(n, RankMapping::OneToOne);
     let policy = VictimPolicy::DistanceSkewed { alpha: 1.0 };

@@ -73,7 +73,11 @@ fn main() {
     // attaches here; the schedule is identical with it on or off, so
     // the smoke metrics stay comparable either way.
     let wall = Instant::now();
-    let (res, sample) = run_logged(&cfg, args.streaming());
+    let streaming = args.streaming().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    let (res, sample) = run_logged(&cfg, streaming);
     let wall_s = wall.elapsed().as_secs_f64();
 
     assert!(res.completed, "smoke run must observe termination");

@@ -10,7 +10,7 @@ use dws_bench::{emit, FigArgs, Samples};
 use dws_uts::{search, TreeSpec};
 
 fn main() {
-    let args = FigArgs::parse();
+    let args = FigArgs::parse_unstreamed();
     let mut rows = Vec::new();
     for w in dws_uts::presets::all() {
         let TreeSpec::Binomial { b0, m, q } = w.spec else {

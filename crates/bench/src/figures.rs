@@ -1056,7 +1056,7 @@ fn blame_row(r: &ExperimentResult) -> Vec<String> {
 /// several runs, each of which would truncate the file.
 pub fn run(fig: &Figure, args: &FigArgs) -> Result<(), String> {
     let cells = (fig.cells)(args);
-    let snapshot = args.stream_flags.iter().any(|(name, _)| name == "snapshot");
+    let snapshot = args.stream.as_ref().is_some_and(|s| s.snapshot.is_some());
     if snapshot && (cells.len() > 1 || fig.then.is_some()) {
         return Err(format!(
             "{}: --snapshot streams one run, and this figure makes several",
@@ -1086,7 +1086,7 @@ fn run_cells(
     samples: &mut Samples,
 ) -> Result<(), String> {
     for Cell { lead, cfg } in cells {
-        let (r, sample) = run_logged(&cfg, args.streaming());
+        let (r, sample) = run_logged(&cfg, args.streaming()?);
         if !r.completed {
             return Err(format!(
                 "{}: the run [{}] {} at {} ranks did not complete",
@@ -1105,6 +1105,7 @@ fn run_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dws_core::StreamingSpec;
     use dws_metrics::perflab;
 
     /// Each figure's bench-record fingerprint at the default scale and
@@ -1199,7 +1200,7 @@ mod tests {
     fn a_run_that_does_not_complete_fails_its_figure() {
         let fig04 = FIGURES.iter().find(|fig| fig.id == "fig04").unwrap();
         let aborted = FigArgs {
-            stream_flags: vec![("wall-budget".into(), "0".into())],
+            stream: StreamingSpec::parse([("wall-budget", "0")]).unwrap(),
             csv_dir: None,
             ..FigArgs::default()
         };
@@ -1215,7 +1216,7 @@ mod tests {
         let path = std::env::temp_dir().join("dws_figures_refused_snapshot.jsonl");
         let _ = std::fs::remove_file(&path);
         let args = FigArgs {
-            stream_flags: vec![("snapshot".into(), path.display().to_string())],
+            stream: StreamingSpec::parse([("snapshot", path.to_str().unwrap())]).unwrap(),
             csv_dir: None,
             ..FigArgs::default()
         };

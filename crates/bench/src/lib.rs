@@ -35,7 +35,7 @@ pub mod figures;
 
 use dws_core::{
     run_experiment_streamed, ExperimentConfig, ExperimentResult, StealAmount, StreamingSetup,
-    VictimPolicy, STREAMING_FLAGS,
+    StreamingSpec, VictimPolicy, STREAMING_FLAGS,
 };
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, Polarity};
 use dws_metrics::{ascii_chart, render_table, write_csv};
@@ -55,10 +55,10 @@ pub struct FigArgs {
     pub seed: u64,
     /// Simulation worker threads for every run (`--threads`).
     pub threads: u32,
-    /// The streaming flags as given, `(name, value)`: `--live` and
-    /// [`STREAMING_FLAGS`]. Each run builds its own setup from them
-    /// ([`streaming`](Self::streaming)).
-    pub stream_flags: Vec<(String, String)>,
+    /// The streaming flags (`--live` and [`STREAMING_FLAGS`]), parsed;
+    /// `None` when none was given. Each run opens its own setup from
+    /// them ([`streaming`](Self::streaming)).
+    pub stream: Option<StreamingSpec>,
     /// When the binary started, for the wall-clock bench metric.
     pub started: Instant,
 }
@@ -72,19 +72,29 @@ impl Default for FigArgs {
             csv_dir: Some(PathBuf::from("results")),
             seed: 0xD15_7EA1,
             threads: 1,
-            stream_flags: Vec::new(),
+            stream: None,
             started: Instant::now(),
         }
     }
 }
 
 /// The options line every figure binary prints for `--help` and after
-/// a bad option.
+/// a bad option; a binary that streams its runs adds
+/// [`STREAMING_OPTIONS`].
 const OPTIONS: &str = "options: --full (paper-scale ranks)  --no-csv  \
-     --csv-dir <dir>  --seed <n>  --threads <n>  --live  --snapshot <path>  \
+     --csv-dir <dir>  --seed <n>  --threads <n>";
+
+/// The streaming flags' part of the options line.
+const STREAMING_OPTIONS: &str = "  --live  --snapshot <path>  \
      --snapshot-every <dur, e.g. 500ms of simulated time>  \
      --flight-dump <path>  --flight-ring <n>  \
      --wall-budget <dur of host time>  --rss-budget-mb <n>";
+
+/// The options line of a binary that streams its runs, or not.
+fn options(streams: bool) -> String {
+    let streaming = if streams { STREAMING_OPTIONS } else { "" };
+    format!("{OPTIONS}{streaming}")
+}
 
 impl FigArgs {
     /// Parse from `std::env::args` (see [`FigArgs::parse_from`]).
@@ -92,11 +102,21 @@ impl FigArgs {
         Self::parse_from(std::env::args().skip(1))
     }
 
+    /// [`FigArgs::parse`] for a binary that streams no run, where a
+    /// streaming flag would be ignored: it is an error naming the flag.
+    pub fn parse_unstreamed() -> Self {
+        Self::or_exit(Self::from_args_with(std::env::args().skip(1), false), false)
+    }
+
     /// [`FigArgs::from_args`], or exit 2 printing the error and the
     /// options line.
     pub fn parse_from(args: impl Iterator<Item = String>) -> Self {
-        Self::from_args(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{OPTIONS}");
+        Self::or_exit(Self::from_args(args), true)
+    }
+
+    fn or_exit(parsed: Result<Self, String>, streams: bool) -> Self {
+        parsed.unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{}", options(streams));
             std::process::exit(2)
         })
     }
@@ -104,9 +124,18 @@ impl FigArgs {
     /// Parse options: recognizes `--full`, `--no-csv`,
     /// `--csv-dir <dir>`, `--seed <n>`, `--threads <n>` and the
     /// streaming flags; `--help` prints them and exits. An unknown
-    /// option or a bad value is an error naming the flag.
-    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// option or a bad value, streaming values included, is an error
+    /// naming the flag.
+    pub fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
+        Self::from_args_with(args, true)
+    }
+
+    fn from_args_with(
+        mut args: impl Iterator<Item = String>,
+        streams: bool,
+    ) -> Result<Self, String> {
         let mut out = Self::default();
+        let mut stream_flags: Vec<(String, String)> = Vec::new();
         while let Some(a) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
@@ -126,19 +155,29 @@ impl FigArgs {
                         _ => return Err(format!("--threads must be at least 1, got {v:?}")),
                     };
                 }
-                "--live" => out.stream_flags.push(("live".into(), String::new())),
                 "--help" | "-h" => {
-                    eprintln!("{OPTIONS}");
+                    eprintln!("{}", options(streams));
                     std::process::exit(0);
                 }
-                other => match other.strip_prefix("--") {
-                    Some(name) if STREAMING_FLAGS.contains(&name) => {
-                        out.stream_flags.push((name.to_string(), value()?));
+                other => {
+                    let name = other
+                        .strip_prefix("--")
+                        .filter(|&name| name == "live" || STREAMING_FLAGS.contains(&name))
+                        .ok_or_else(|| format!("unknown option {other}"))?;
+                    if !streams {
+                        return Err(format!("{other}: this binary streams no run"));
                     }
-                    _ => return Err(format!("unknown option {other}")),
-                },
+                    let v = if name == "live" {
+                        String::new()
+                    } else {
+                        value()?
+                    };
+                    stream_flags.push((name.to_string(), v));
+                }
             }
         }
+        let flags = stream_flags.iter();
+        out.stream = StreamingSpec::parse(flags.map(|(name, v)| (name.as_str(), v.as_str())))?;
         Ok(out)
     }
 
@@ -187,16 +226,11 @@ impl FigArgs {
     }
 
     /// Streaming-telemetry attachment from the streaming flags, or
-    /// `None` when none was given. Build one per run — the sink file is
-    /// truncated on each call.
-    ///
-    /// # Panics
-    /// Panics on a malformed flag value or a snapshot file that cannot
-    /// be created.
-    pub fn streaming(&self) -> Option<StreamingSetup> {
-        let flags = self.stream_flags.iter();
-        StreamingSetup::from_flags(flags.map(|(name, value)| (name.as_str(), value.as_str())))
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// `None` when none was given. Build one per run — the snapshot
+    /// file is created (truncated) on each call; failing to create it
+    /// is the error.
+    pub fn streaming(&self) -> Result<Option<StreamingSetup>, String> {
+        self.stream.as_ref().map(StreamingSpec::open).transpose()
     }
 }
 
@@ -444,11 +478,15 @@ mod tests {
 
     #[test]
     fn streaming_flags_reach_the_shared_parser() {
-        assert!(FigArgs::default().streaming().is_none());
+        assert!(FigArgs::default().streaming().unwrap().is_none());
         let argv = "--live --snapshot-every 2ms --flight-ring 64 --rss-budget-mb 100 --threads 2";
         let args = FigArgs::from_args(argv.split(' ').map(String::from)).unwrap();
         assert_eq!(args.threads, 2);
-        let cfg = args.streaming().expect("streaming flags given").cfg;
+        let cfg = args
+            .streaming()
+            .unwrap()
+            .expect("streaming flags given")
+            .cfg;
         assert!(cfg.live);
         assert_eq!(cfg.snapshot_every_sim_ns, 2_000_000);
         assert_eq!(cfg.flight_ring, 64);
@@ -463,10 +501,42 @@ mod tests {
             ("--threads 0", "--threads"),
             ("--threads", "--threads"),
             ("--snapshot", "--snapshot"),
+            ("--snapshot-every x", "--snapshot-every"),
+            ("--wall-budget -1s", "--wall-budget"),
+            ("--flight-ring x", "--flight-ring"),
+            ("--rss-budget-mb 17592186044416", "--rss-budget-mb"),
         ] {
             let err = FigArgs::from_args(argv.split(' ').map(String::from)).unwrap_err();
             assert!(err.contains(flag), "{argv}: {err}");
         }
+    }
+
+    #[test]
+    fn parsing_creates_no_snapshot_file() {
+        let path = std::env::temp_dir().join("dws_bench_parse_only_snapshot.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let argv = ["--snapshot".to_string(), path.display().to_string()];
+        let args = FigArgs::from_args(argv.into_iter()).unwrap();
+        assert!(!path.exists(), "parsing opened the snapshot file");
+        assert!(args.streaming().unwrap().unwrap().sink.is_some());
+        assert!(path.exists(), "each run's setup creates it");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_binary_that_streams_no_run_refuses_streaming_flags() {
+        let unstreamed =
+            |argv: &str| FigArgs::from_args_with(argv.split(' ').map(String::from), false);
+        for (argv, flag) in [
+            ("--no-csv --live", "--live"),
+            ("--snapshot p", "--snapshot"),
+            ("--wall-budget 1s --no-csv", "--wall-budget"),
+        ] {
+            let err = unstreamed(argv).unwrap_err();
+            assert!(err.starts_with(flag), "{argv}: {err}");
+        }
+        let args = unstreamed("--no-csv --seed 7 --full").unwrap();
+        assert_eq!((args.csv_dir, args.seed, args.full), (None, 7, true));
     }
 
     #[test]

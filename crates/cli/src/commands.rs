@@ -3,7 +3,7 @@
 use crate::args::{parse, parse_mapping, parse_paths, parse_steal, parse_victim, Flags};
 use dws_core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, FaultToleranceCfg,
-    StreamingSetup, STREAMING_FLAGS,
+    StreamingSpec, STREAMING_FLAGS,
 };
 use dws_simnet::{Brownout, Crash, CrashDomain, FaultPlan, Partition};
 
@@ -336,7 +336,8 @@ pub fn run(rest: &[String]) -> Result<(), String> {
         .iter()
         .filter_map(|&name| Some((name, flags.get(name)?)));
     let live = flags.has("live").then_some(("live", ""));
-    let streaming = StreamingSetup::from_flags(stream_flags.chain(live))?;
+    let spec = StreamingSpec::parse(stream_flags.chain(live))?;
+    let streaming = spec.map(|spec| spec.open()).transpose()?;
     eprintln!(
         "running {} on {} nodes ({} ranks), tree {}...",
         cfg.label(),

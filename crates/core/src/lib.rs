@@ -55,7 +55,7 @@ pub use health::{Gate, HealthTracker, VictimHealth};
 pub use network::NicContendedNetwork;
 pub use runner::{
     run_experiment, run_experiment_streamed, shard_plan, CutReport, ExperimentConfig,
-    ExperimentResult, FaultReport, StreamingSetup, STREAMING_FLAGS,
+    ExperimentResult, FaultReport, StreamingSetup, StreamingSpec, STREAMING_FLAGS,
 };
 pub use scheduler::{FaultToleranceCfg, Msg, StealAmount, Worker};
 pub use stack::ChunkedStack;

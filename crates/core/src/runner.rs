@@ -875,12 +875,22 @@ pub const STREAMING_FLAGS: &[&str] = &[
     "rss-budget-mb",
 ];
 
-impl StreamingSetup {
-    /// Map streaming flags to a setup, `None` when none was given.
-    /// `flags` are `(name, value)` pairs, named as in
-    /// [`STREAMING_FLAGS`] or `live` (whose value is ignored). Creates
-    /// (truncates) the `snapshot` file, so build one setup per run.
-    pub fn from_flags<'a>(
+/// Streaming flags parsed and checked, nothing created yet: a
+/// [`StreamingSetup`] without its snapshot file. A parse error shows
+/// before any run starts; [`open`](Self::open) makes one setup per run.
+#[derive(Debug, Clone)]
+pub struct StreamingSpec {
+    /// Snapshot cadence, flight-recorder, and budget knobs.
+    pub cfg: StreamingCfg,
+    /// The `--snapshot` file, if one was given.
+    pub snapshot: Option<std::path::PathBuf>,
+}
+
+impl StreamingSpec {
+    /// Parse streaming flags, `None` when none was given. `flags` are
+    /// `(name, value)` pairs, named as in [`STREAMING_FLAGS`] or `live`
+    /// (whose value is ignored). Touches no file.
+    pub fn parse<'a>(
         flags: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> Result<Option<Self>, String> {
         let mut flags = flags.into_iter().peekable();
@@ -888,25 +898,21 @@ impl StreamingSetup {
             return Ok(None);
         }
         let mut cfg = StreamingCfg::default();
-        let mut sink: Option<Box<dyn std::io::Write + Send>> = None;
+        let mut snapshot = None;
         for (name, value) in flags {
             let number = || -> Result<u64, String> {
                 value
                     .parse()
                     .map_err(|_| format!("--{name}: cannot parse {value:?}"))
             };
+            let duration = || parse_duration_ns(value).map_err(|e| format!("--{name}: {e}"));
             match name {
                 "live" => cfg.live = true,
-                "snapshot" => {
-                    let file = std::fs::File::create(value).map_err(|e| format!("{value}: {e}"))?;
-                    sink = Some(Box::new(std::io::BufWriter::new(file)));
-                }
-                "snapshot-every" => cfg.snapshot_every_sim_ns = parse_duration_ns(value)?,
+                "snapshot" => snapshot = Some(value.into()),
+                "snapshot-every" => cfg.snapshot_every_sim_ns = duration()?,
                 "flight-dump" => cfg.flight_dump_path = Some(value.into()),
                 "flight-ring" => cfg.flight_ring = number()? as usize,
-                "wall-budget" => {
-                    cfg.wall_budget = Some(Duration::from_nanos(parse_duration_ns(value)?));
-                }
+                "wall-budget" => cfg.wall_budget = Some(Duration::from_nanos(duration()?)),
                 "rss-budget-mb" => {
                     let bytes = number()?.checked_mul(1024 * 1024);
                     let bytes = bytes.ok_or_else(|| format!("--{name}: {value} MiB overflows"))?;
@@ -915,7 +921,23 @@ impl StreamingSetup {
                 other => return Err(format!("--{other} is not a streaming flag")),
             }
         }
-        Ok(Some(Self { cfg, sink }))
+        Ok(Some(Self { cfg, snapshot }))
+    }
+
+    /// The setup for one run: creates (truncates) the snapshot file.
+    pub fn open(&self) -> Result<StreamingSetup, String> {
+        let sink = match &self.snapshot {
+            Some(path) => {
+                let file =
+                    std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
+                Some(Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write + Send>)
+            }
+            None => None,
+        };
+        Ok(StreamingSetup {
+            cfg: self.cfg.clone(),
+            sink,
+        })
     }
 }
 
@@ -1345,8 +1367,8 @@ mod tests {
     #[test]
     fn an_rss_budget_past_u64_bytes_is_rejected() {
         let budget = |mib| {
-            let setup = StreamingSetup::from_flags([("rss-budget-mb", mib)]);
-            setup.map(|s| s.expect("a flag was given").cfg.rss_budget_bytes)
+            let spec = StreamingSpec::parse([("rss-budget-mb", mib)]);
+            spec.map(|s| s.expect("a flag was given").cfg.rss_budget_bytes)
         };
         assert_eq!(budget("17592186044415"), Ok(Some(u64::MAX - (1 << 20) + 1)));
         let err = budget("17592186044416").expect_err("2^44 MiB is 2^64 bytes");

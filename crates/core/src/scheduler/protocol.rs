@@ -407,8 +407,8 @@ impl Worker {
         // The thief minted trace_id(from, seq); recomputing it here
         // links both sides of the attempt with no extra wire fields.
         let (attempt_id, thief) = (trace_id(from as usize, seq), from as usize);
-        ctx.record_span(attempt_id, SpanKind::StealRequestRecv { thief });
         if self.gossip_done(ctx, from) {
+            ctx.record_span(attempt_id, SpanKind::StealRequestRecv { thief });
             return;
         }
         if !self.done {
@@ -420,12 +420,11 @@ impl Worker {
             self.service_offset_ns += self.hand_over(&nodes);
             xfer = self.on_work_sent(ctx, from, &nodes);
         }
-        let n = nodes.len() as u64;
-        ctx.record_span(attempt_id, SpanKind::StealReplySent { thief, nodes: n });
         ctx.record_span(
             attempt_id,
             SpanKind::StealServiced {
                 thief,
+                nodes: nodes.len() as u64,
                 queue_ns: ctx.now().ns().saturating_sub(arrived_ns),
                 depart_delay_ns: self.service_offset_ns,
             },

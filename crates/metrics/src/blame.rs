@@ -478,6 +478,7 @@ mod tests {
             trace: id,
             kind: SpanKind::StealServiced {
                 thief: 1,
+                nodes: 4,
                 queue_ns: 100,
                 depart_delay_ns: 50,
             },

@@ -315,17 +315,36 @@ struct Analyzer<'a> {
     busy: Vec<Vec<(u64, u64)>>,
     /// The run's span records, `(at_ns, rank)` ascending.
     records: &'a SpanLog,
-    /// Per rank, the byte offsets into `records` of the spans relevant
-    /// to idle classification and chain lookup, ascending in time;
-    /// each is decoded when it is read.
-    rank_spans: Vec<Vec<u32>>,
+    /// The byte offsets into `records` of the spans relevant to idle
+    /// classification and chain lookup, rank by rank, each rank's
+    /// ascending in time; each is decoded when it is read.
+    rank_spans: Vec<u32>,
+    /// Where each rank's offsets start in `rank_spans`, and where the
+    /// last one ends: `n_ranks + 1` entries.
+    rank_bounds: Vec<u32>,
     /// `(trace ID, byte offset)` of every steal request sent and every
-    /// victim-side service, sorted, so a trace's entries are in log
-    /// order, which is time order. Its first request is its first send
-    /// (a retransmitted seq reuses the ID, and the thief started waiting
-    /// at the first); it usually has one service, and duplicated
-    /// deliveries can yield more. Each is decoded where it is read.
+    /// victim-side service of the attempts that ended in `StealOk`, the
+    /// only traces a chain is looked up for; sorted, so a trace's
+    /// entries are in log order, which is time order. Its first request
+    /// is its first send (a retransmitted seq reuses the ID, and the
+    /// thief started waiting at the first); it usually has one service,
+    /// and duplicated deliveries can yield more. Each is decoded where
+    /// it is read.
     chains: Vec<(u64, u32)>,
+}
+
+/// Whether `kind` enters a rank's span index: the thief-side records
+/// that tile idle windows and find the steal that ended one.
+fn rank_indexed(kind: SpanKind) -> bool {
+    matches!(
+        kind,
+        SpanKind::StealRequestSent { .. }
+            | SpanKind::StealOk { .. }
+            | SpanKind::StealEmpty { .. }
+            | SpanKind::StealTimeout { .. }
+            | SpanKind::StealAbandoned { .. }
+            | SpanKind::Quarantined { .. }
+    )
 }
 
 impl<'a> Analyzer<'a> {
@@ -357,33 +376,43 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        // Per-rank spans and cross-rank chains.
+        // Per-rank spans and cross-rank chains, in two passes: the
+        // first counts each rank's indexed spans and collects the
+        // traces that delivered work, the second fills both indexes.
         let records = spans.records();
         assert!(
             u32::try_from(records.encoded_bytes()).is_ok(),
             "span offsets are 32-bit"
         );
-        let mut rank_spans: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
-        let mut chains: Vec<(u64, u32)> = Vec::new();
+        let mut rank_bounds = vec![0u32; n_ranks + 1];
+        let mut ok_traces: Vec<u64> = Vec::new();
+        for rec in records {
+            if rec.rank < n_ranks && rank_indexed(rec.kind) {
+                rank_bounds[rec.rank + 1] += 1;
+            }
+            if matches!(rec.kind, SpanKind::StealOk { .. }) {
+                ok_traces.push(rec.trace);
+            }
+        }
+        for r in 0..n_ranks {
+            rank_bounds[r + 1] += rank_bounds[r];
+        }
+        ok_traces.sort_unstable();
+        ok_traces.dedup();
+        let mut rank_spans = vec![0u32; rank_bounds[n_ranks] as usize];
+        let mut next = rank_bounds[..n_ranks].to_vec();
+        let mut chains: Vec<(u64, u32)> = Vec::with_capacity(2 * ok_traces.len());
         for (offset, rec) in records.with_offsets() {
             if matches!(
                 rec.kind,
                 SpanKind::StealRequestSent { .. } | SpanKind::StealServiced { .. }
-            ) {
+            ) && ok_traces.binary_search(&rec.trace).is_ok()
+            {
                 chains.push((rec.trace, offset as u32));
             }
-            if rec.rank < n_ranks
-                && matches!(
-                    rec.kind,
-                    SpanKind::StealRequestSent { .. }
-                        | SpanKind::StealOk { .. }
-                        | SpanKind::StealEmpty { .. }
-                        | SpanKind::StealTimeout { .. }
-                        | SpanKind::StealAbandoned { .. }
-                        | SpanKind::Quarantined { .. }
-                )
-            {
-                rank_spans[rec.rank].push(offset as u32);
+            if rec.rank < n_ranks && rank_indexed(rec.kind) {
+                rank_spans[next[rec.rank] as usize] = offset as u32;
+                next[rec.rank] += 1;
             }
         }
         chains.sort_unstable();
@@ -394,17 +423,25 @@ impl<'a> Analyzer<'a> {
             busy,
             records,
             rank_spans,
+            rank_bounds,
             chains,
         }
     }
 
-    /// The request and service records of `trace`, in log order.
+    /// The request and service records of `trace`, in log order; none
+    /// unless `trace` ended in `StealOk`.
     fn chain(&self, trace: u64) -> impl Iterator<Item = SpanRecord> + '_ {
         let start = self.chains.partition_point(|&(t, _)| t < trace);
         self.chains[start..]
             .iter()
             .take_while(move |&&(t, _)| t == trace)
             .map(|&(_, offset)| self.rec(offset))
+    }
+
+    /// The byte offsets of `rank`'s indexed spans, ascending in time.
+    #[inline]
+    fn rank_spans(&self, rank: usize) -> &[u32] {
+        &self.rank_spans[self.rank_bounds[rank] as usize..self.rank_bounds[rank + 1] as usize]
     }
 
     /// The record behind an entry of `rank_spans`.
@@ -421,7 +458,8 @@ impl<'a> Analyzer<'a> {
 
     /// How many of `rank`'s relevant spans lie at or before `t`.
     fn spans_until(&self, rank: usize, t: u64) -> usize {
-        self.rank_spans[rank].partition_point(|&i| self.at_ns(i) <= t)
+        self.rank_spans(rank)
+            .partition_point(|&i| self.at_ns(i) <= t)
     }
 
     /// The busy interval of `rank` with `start < t <= end`, if any.
@@ -446,7 +484,7 @@ impl<'a> Analyzer<'a> {
 
     /// The latest `StealOk` on `rank` in `(lo, hi]`, if any.
     fn last_ok_in(&self, rank: usize, lo: u64, hi: u64) -> Option<SpanRecord> {
-        self.rank_spans[rank][..self.spans_until(rank, hi)]
+        self.rank_spans(rank)[..self.spans_until(rank, hi)]
             .iter()
             .rev()
             .map(|&i| self.rec(i))
@@ -462,7 +500,7 @@ impl<'a> Analyzer<'a> {
         }
         let mut prev = lo;
         let mut last_kind: Option<SpanKind> = None;
-        for rec in self.rank_spans[rank][self.spans_until(rank, lo)..]
+        for rec in self.rank_spans(rank)[self.spans_until(rank, lo)..]
             .iter()
             .map(|&i| self.rec(i))
         {
@@ -661,10 +699,8 @@ impl<'a> Analyzer<'a> {
         // Strict-progress backstop: the walk must shrink `cur_t` every
         // iteration; any stall (malformed traces) downgrades the rest
         // of the timeline to IdleOther instead of spinning.
-        let budget = 4
-            * (self.rank_spans.iter().map(Vec::len).sum::<usize>()
-                + self.busy.iter().map(Vec::len).sum::<usize>())
-            + 64;
+        let budget =
+            4 * (self.rank_spans.len() + self.busy.iter().map(Vec::len).sum::<usize>()) + 64;
         let mut steps = 0usize;
         while cur_t > 0 {
             steps += 1;
@@ -760,7 +796,8 @@ impl<'a> Analyzer<'a> {
                 if t_end > cursor {
                     // Trailing idle: after this rank's last work, the
                     // run was winding down (or the rank kept hunting).
-                    let has_attempts = self.rank_spans[r]
+                    let has_attempts = self
+                        .rank_spans(r)
                         .last()
                         .is_some_and(|&i| self.at_ns(i) > cursor);
                     if has_attempts {
@@ -839,6 +876,7 @@ mod tests {
             // reply departed 100 later at 800.
             kind: SpanKind::StealServiced {
                 thief: 1,
+                nodes: 4,
                 queue_ns: 300,
                 depart_delay_ns: 100,
             },
@@ -901,6 +939,7 @@ mod tests {
             trace: id,
             kind: SpanKind::StealServiced {
                 thief: 1,
+                nodes: 4,
                 queue_ns: 0,
                 depart_delay_ns: 100,
             },
@@ -1078,6 +1117,7 @@ mod tests {
             trace: id,
             kind: SpanKind::StealServiced {
                 thief: 1,
+                nodes: 4,
                 queue_ns: 0,
                 depart_delay_ns,
             },
@@ -1122,6 +1162,86 @@ mod tests {
                 (600, 900, Component::Compute),
             ]
         );
+    }
+
+    #[test]
+    fn the_chain_index_holds_only_the_attempts_that_delivered_work() {
+        // Rank 1 asks rank 0 four times: attempt 0 is refused, attempt
+        // 1 times out unserviced, attempt 2 is served once, and attempt
+        // 3's request, duplicated, is served twice. Rank 0 is done by
+        // then and repeats `Done` to a fifth request.
+        let id = |seq| trace_id(1, seq);
+        let span = |at_ns, rank, seq, kind| SpanRecord {
+            at_ns,
+            rank,
+            trace: id(seq),
+            kind,
+        };
+        let sent = SpanKind::StealRequestSent { victim: 0 };
+        let served = |nodes| SpanKind::StealServiced {
+            thief: 1,
+            nodes,
+            queue_ns: 0,
+            depart_delay_ns: 5,
+        };
+        let ok = SpanKind::StealOk {
+            victim: 0,
+            rtt_ns: 100,
+            nodes: 4,
+        };
+        let log = vec![
+            span(0, 1, 0, sent),
+            span(50, 0, 0, served(0)),
+            span(
+                100,
+                1,
+                0,
+                SpanKind::StealEmpty {
+                    victim: 0,
+                    rtt_ns: 100,
+                },
+            ),
+            span(200, 1, 1, sent),
+            span(
+                600,
+                1,
+                1,
+                SpanKind::StealTimeout {
+                    victim: 0,
+                    backoff_doublings: 1,
+                },
+            ),
+            span(700, 1, 2, sent),
+            span(750, 0, 2, served(4)),
+            span(800, 1, 2, ok),
+            span(900, 1, 3, sent),
+            span(950, 0, 3, served(4)),
+            span(960, 0, 3, served(2)),
+            span(1000, 1, 3, ok),
+            span(1100, 1, 4, sent),
+            span(1150, 0, 4, SpanKind::StealRequestRecv { thief: 1 }),
+        ];
+        let spans = SpanTrace::from_shard_logs(2, vec![log.clone()]);
+        let analyzer = Analyzer::new(&spans, &ActivityTrace::new(2), 2000);
+        let indexed = |offsets: &[u32]| -> Vec<SpanRecord> {
+            offsets.iter().map(|&o| analyzer.rec(o)).collect()
+        };
+        let chains: Vec<u32> = analyzer
+            .chains
+            .iter()
+            .map(|&(trace, offset)| {
+                assert_eq!(analyzer.rec(offset).trace, trace);
+                offset
+            })
+            .collect();
+        assert_eq!(indexed(&chains), [log[5], log[6], log[8], log[9], log[10]]);
+        assert_eq!(analyzer.chain(id(3)).count(), 3);
+        assert_eq!(analyzer.chain(id(0)).count(), 0);
+        // Each rank's index holds its thief-side records, exactly.
+        assert!(analyzer.rank_spans(0).is_empty());
+        let thief: Vec<SpanRecord> = log.iter().filter(|r| r.rank == 1).copied().collect();
+        assert_eq!(indexed(analyzer.rank_spans(1)), thief);
+        assert_eq!(analyzer.rank_spans.len(), thief.len());
     }
 
     #[test]

@@ -452,7 +452,9 @@ pub fn link_matrix_json(links: &[(String, u64)], hotspot_factor: f64) -> JsonVal
 }
 
 /// Span counts per kind — the machine-readable reconciliation surface —
-/// from one pass over the records.
+/// from one pass over the records. A [`SpanKind::StealServiced`] also
+/// counts as the request received and the reply sent it stands for, so
+/// `steal_request_recv` and `steal_reply_sent` keep their meaning.
 pub fn span_counts_json(spans: &SpanTrace) -> JsonValue {
     const KEYS: [&str; 15] = [
         "steal_request_sent",
@@ -476,8 +478,11 @@ pub fn span_counts_json(spans: &SpanTrace) -> JsonValue {
         let key = match r.kind {
             SpanKind::StealRequestSent { .. } => 0,
             SpanKind::StealRequestRecv { .. } => 1,
-            SpanKind::StealReplySent { .. } => 2,
-            SpanKind::StealServiced { .. } => 3,
+            SpanKind::StealServiced { .. } => {
+                counts[1] += 1;
+                counts[2] += 1;
+                3
+            }
             SpanKind::StealOk { .. } => 4,
             SpanKind::StealEmpty { .. } => 5,
             SpanKind::StealTimeout { .. } => 6,
@@ -649,24 +654,24 @@ fn record_events(r: SpanRecord, open: &mut Vec<(usize, u64)>) -> Vec<Event> {
                 flow_event("s", at_ns, rank, trace),
             ];
         }
-        SpanKind::StealRequestRecv { .. } | SpanKind::StealReplySent { .. } => {
-            let extra = vec![async_extra(trace)];
-            return vec![
-                event("service", "steal", "n", at_ns, rank, extra),
-                flow_event("t", at_ns, rank, trace),
-            ];
-        }
+        SpanKind::StealRequestRecv { .. } => return service_step(at_ns, rank, trace).to_vec(),
         SpanKind::StealServiced {
             queue_ns,
             depart_delay_ns,
             ..
         } => {
+            // One `service` step for the request's arrival and one for
+            // the reply's departure, as their own records drew them, so
+            // the trace is the one the three victim records made.
+            let mut events = service_step(at_ns, rank, trace).to_vec();
+            events.extend(service_step(at_ns, rank, trace));
             let service = args(vec![
                 ("queue_ns", queue_ns.into()),
                 ("depart_delay_ns", depart_delay_ns.into()),
             ]);
             let extra = vec![async_extra(trace), service];
-            return vec![event("serviced", "steal", "n", at_ns, rank, extra)];
+            events.push(event("serviced", "steal", "n", at_ns, rank, extra));
+            return events;
         }
         SpanKind::Quarantined { victim } => {
             let victim = args(vec![("victim", victim.into())]);
@@ -697,6 +702,16 @@ fn record_events(r: SpanRecord, open: &mut Vec<(usize, u64)>) -> Vec<Event> {
     ];
     events.extend(instant.map(|name| recovery(name, vec![])));
     events
+}
+
+/// A victim-side step of attempt `trace`: a `service` instant on the
+/// attempt's async track and the flow arrow through it.
+fn service_step(at_ns: u64, rank: usize, trace: u64) -> [Event; 2] {
+    let extra = vec![async_extra(trace)];
+    [
+        event("service", "steal", "n", at_ns, rank, extra),
+        flow_event("t", at_ns, rank, trace),
+    ]
 }
 
 /// The critical path as its own track `tid`: one `X` slice per
@@ -1023,6 +1038,53 @@ mod tests {
         assert_eq!(j.get("links_used").unwrap().as_u64(), Some(2));
         assert_eq!(j.get("total_link_units").unwrap().as_u64(), Some(10));
         parse(&j.to_string()).unwrap();
+    }
+
+    /// The victim's one service record draws what its three records
+    /// (request received, reply sent, serviced) drew, and counts as all
+    /// three. Both literals were recorded from the three-record log.
+    #[test]
+    fn a_service_record_draws_and_counts_as_the_three_it_replaced() {
+        let id = trace_id(0, 3);
+        let span = |at_ns, rank, kind| SpanRecord {
+            at_ns,
+            rank,
+            trace: id,
+            kind,
+        };
+        let spans = SpanTrace::from_shard_logs(
+            2,
+            vec![vec![
+                span(100, 0, SpanKind::StealRequestSent { victim: 1 }),
+                span(
+                    500,
+                    1,
+                    SpanKind::StealServiced {
+                        thief: 0,
+                        nodes: 4,
+                        queue_ns: 30,
+                        depart_delay_ns: 20,
+                    },
+                ),
+                span(
+                    900,
+                    0,
+                    SpanKind::StealOk {
+                        victim: 1,
+                        rtt_ns: 800,
+                        nodes: 4,
+                    },
+                ),
+            ]],
+        );
+        assert_eq!(
+            chrome_text(&spans, None, 1000),
+            r#"{"traceEvents":[{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"rank 0"}},{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":0,"tid":1,"args":{"name":"rank 1"}},{"name":"steal","cat":"steal","ph":"b","ts":0.1,"pid":0,"tid":0,"id":"3","args":{"victim":1}},{"name":"steal chain","cat":"steal-flow","ph":"s","ts":0.1,"pid":0,"tid":0,"id":"3"},{"name":"service","cat":"steal","ph":"n","ts":0.5,"pid":0,"tid":1,"id":"3"},{"name":"steal chain","cat":"steal-flow","ph":"t","ts":0.5,"pid":0,"tid":1,"id":"3"},{"name":"service","cat":"steal","ph":"n","ts":0.5,"pid":0,"tid":1,"id":"3"},{"name":"steal chain","cat":"steal-flow","ph":"t","ts":0.5,"pid":0,"tid":1,"id":"3"},{"name":"serviced","cat":"steal","ph":"n","ts":0.5,"pid":0,"tid":1,"id":"3","args":{"queue_ns":30,"depart_delay_ns":20}},{"name":"steal","cat":"steal","ph":"e","ts":0.9,"pid":0,"tid":0,"id":"3","args":{"outcome":"ok","nodes":4}},{"name":"steal chain","cat":"steal-flow","ph":"f","ts":0.9,"pid":0,"tid":0,"id":"3","bp":"e"}],"displayTimeUnit":"ns"}"#
+        );
+        assert_eq!(
+            span_counts_json(&spans).to_string(),
+            r#"{"steal_request_sent":1,"steal_request_recv":1,"steal_reply_sent":1,"steal_serviced":1,"steal_ok":1,"steal_empty":0,"steal_timeout":0,"steal_abandoned":0,"transfer_acked":0,"retransmit":0,"token_hop":0,"token_regenerated":0,"quarantined":0,"session_end":0,"done":0}"#
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! (timeout → retransmit → ack) chain can be stitched back together
 //! across ranks without widening any message. Token-ring and
 //! termination events ride the same record stream so a post-mortem can
-//! interleave protocol recovery with steal traffic.
+//! interleave protocol recovery with steal traffic. An attempt answered
+//! at the first try is three records: the thief's request, the
+//! victim's [`SpanKind::StealServiced`] (what it gave and when the
+//! reply left) and the thief's outcome.
 //!
 //! The paper can only be reproduced if observation is free. Spans are
 //! recorded where the order already is: the engine keeps one log per
@@ -53,30 +56,25 @@ pub enum SpanKind {
         /// Rank the request was addressed to.
         victim: usize,
     },
-    /// Victim received (and serviced) a steal request from `thief`.
+    /// Victim received a steal request from `thief` after it was done:
+    /// it repeats `Done` to the thief and services nothing.
     StealRequestRecv {
         /// Rank that asked for work.
         thief: usize,
     },
-    /// Victim sent its reply carrying `nodes` tree nodes (0 = refusal).
-    StealReplySent {
-        /// Rank the reply goes back to.
-        thief: usize,
-        /// Tree nodes in the reply; 0 for an empty-handed refusal.
-        nodes: u64,
-    },
-    /// Victim-side service accounting for one request: how long the
-    /// request sat in the victim's pending queue before being handled
-    /// (`queue_ns`, zero when the victim was idle and handled it
-    /// immediately) and how much victim-side CPU debt delays the
-    /// reply's departure past the handling instant (`depart_delay_ns`).
-    /// Recorded at the same instant as the matching
-    /// [`StealReplySent`](Self::StealReplySent), so the reply actually
-    /// leaves at `at_ns + depart_delay_ns` — the missing ingredient for
-    /// attributing queue-at-victim time on the critical path.
+    /// Victim received, serviced and answered one steal request: the
+    /// one record of the victim's side of an attempt. The reply carries
+    /// `nodes` tree nodes (0 = refusal); the request sat `queue_ns` in
+    /// the victim's pending queue before being handled (zero when the
+    /// victim was idle and handled it immediately), and victim-side CPU
+    /// debt delays the reply's departure `depart_delay_ns` past the
+    /// handling instant `at_ns` — the ingredients for attributing
+    /// queue-at-victim time on the critical path.
     StealServiced {
         /// Rank that asked for work.
         thief: usize,
+        /// Tree nodes in the reply; 0 for an empty-handed refusal.
+        nodes: u64,
         /// Arrival → handling wait in the victim's pending queue.
         queue_ns: u64,
         /// Handling instant → reply departure (victim CPU debt).
@@ -205,42 +203,42 @@ const TRACE_OF_PEER: u8 = 2;
 const TRACE_RAW: u8 = 3;
 
 /// A kind's tag (low four bits) and its fields in declaration order.
-fn kind_fields(kind: SpanKind) -> (u8, [u64; 3], usize) {
+fn kind_fields(kind: SpanKind) -> (u8, [u64; 4], usize) {
     let u = |v: usize| v as u64;
     match kind {
-        SpanKind::StealRequestSent { victim } => (0, [u(victim), 0, 0], 1),
-        SpanKind::StealRequestRecv { thief } => (1, [u(thief), 0, 0], 1),
-        SpanKind::StealReplySent { thief, nodes } => (2, [u(thief), nodes, 0], 2),
+        SpanKind::StealRequestSent { victim } => (0, [u(victim), 0, 0, 0], 1),
+        SpanKind::StealRequestRecv { thief } => (1, [u(thief), 0, 0, 0], 1),
         SpanKind::StealServiced {
             thief,
+            nodes,
             queue_ns,
             depart_delay_ns,
-        } => (3, [u(thief), queue_ns, depart_delay_ns], 3),
+        } => (2, [u(thief), nodes, queue_ns, depart_delay_ns], 4),
         SpanKind::StealOk {
             victim,
             rtt_ns,
             nodes,
-        } => (4, [u(victim), rtt_ns, nodes], 3),
-        SpanKind::StealEmpty { victim, rtt_ns } => (5, [u(victim), rtt_ns, 0], 2),
+        } => (3, [u(victim), rtt_ns, nodes, 0], 3),
+        SpanKind::StealEmpty { victim, rtt_ns } => (4, [u(victim), rtt_ns, 0, 0], 2),
         SpanKind::StealTimeout {
             victim,
             backoff_doublings,
-        } => (6, [u(victim), backoff_doublings, 0], 2),
-        SpanKind::StealAbandoned { victim } => (7, [u(victim), 0, 0], 1),
-        SpanKind::TransferAcked { thief, xfer } => (8, [u(thief), xfer, 0], 2),
-        SpanKind::Retransmit { to, xfer, attempt } => (9, [u(to), xfer, attempt], 3),
-        SpanKind::TokenHop { to, generation } => (10, [u(to), generation, 0], 2),
-        SpanKind::TokenRegenerated { generation } => (11, [generation, 0, 0], 1),
-        SpanKind::Quarantined { victim } => (12, [u(victim), 0, 0], 1),
-        SpanKind::SessionEnd { dur_ns } => (13, [dur_ns, 0, 0], 1),
-        SpanKind::Done => (14, [0; 3], 0),
+        } => (5, [u(victim), backoff_doublings, 0, 0], 2),
+        SpanKind::StealAbandoned { victim } => (6, [u(victim), 0, 0, 0], 1),
+        SpanKind::TransferAcked { thief, xfer } => (7, [u(thief), xfer, 0, 0], 2),
+        SpanKind::Retransmit { to, xfer, attempt } => (8, [u(to), xfer, attempt, 0], 3),
+        SpanKind::TokenHop { to, generation } => (9, [u(to), generation, 0, 0], 2),
+        SpanKind::TokenRegenerated { generation } => (10, [generation, 0, 0, 0], 1),
+        SpanKind::Quarantined { victim } => (11, [u(victim), 0, 0, 0], 1),
+        SpanKind::SessionEnd { dur_ns } => (12, [dur_ns, 0, 0, 0], 1),
+        SpanKind::Done => (13, [0; 4], 0),
     }
 }
 
 /// Whether kind `tag`'s first field is a rank an attempt's trace ID can
 /// be minted from.
 fn has_peer(tag: u8) -> bool {
-    !matches!(tag, 11 | 13 | 14)
+    !matches!(tag, 10 | 12 | 13)
 }
 
 /// Append `v` to `buf` at `n` as a LEB128 varint; returns the new end.
@@ -330,7 +328,7 @@ fn decode(bytes: &[u8], mut pos: usize) -> (SpanRecord, usize) {
     // Every kind but `Done` has a first field, the peer where it is a
     // rank; the arms read the rest, so the kind is branched on once.
     let kind = tag & 0xF;
-    let first = if kind == 14 {
+    let first = if kind == 13 {
         0
     } else {
         varint(bytes, &mut pos)
@@ -340,46 +338,43 @@ fn decode(bytes: &[u8], mut pos: usize) -> (SpanRecord, usize) {
     let kind = match kind {
         0 => SpanKind::StealRequestSent { victim: peer },
         1 => SpanKind::StealRequestRecv { thief: peer },
-        2 => SpanKind::StealReplySent {
+        2 => SpanKind::StealServiced {
             thief: peer,
             nodes: next(),
-        },
-        3 => SpanKind::StealServiced {
-            thief: peer,
             queue_ns: next(),
             depart_delay_ns: next(),
         },
-        4 => SpanKind::StealOk {
+        3 => SpanKind::StealOk {
             victim: peer,
             rtt_ns: next(),
             nodes: next(),
         },
-        5 => SpanKind::StealEmpty {
+        4 => SpanKind::StealEmpty {
             victim: peer,
             rtt_ns: next(),
         },
-        6 => SpanKind::StealTimeout {
+        5 => SpanKind::StealTimeout {
             victim: peer,
             backoff_doublings: next(),
         },
-        7 => SpanKind::StealAbandoned { victim: peer },
-        8 => SpanKind::TransferAcked {
+        6 => SpanKind::StealAbandoned { victim: peer },
+        7 => SpanKind::TransferAcked {
             thief: peer,
             xfer: next(),
         },
-        9 => SpanKind::Retransmit {
+        8 => SpanKind::Retransmit {
             to: peer,
             xfer: next(),
             attempt: next(),
         },
-        10 => SpanKind::TokenHop {
+        9 => SpanKind::TokenHop {
             to: peer,
             generation: next(),
         },
-        11 => SpanKind::TokenRegenerated { generation: first },
-        12 => SpanKind::Quarantined { victim: peer },
-        13 => SpanKind::SessionEnd { dur_ns: first },
-        14 => SpanKind::Done,
+        10 => SpanKind::TokenRegenerated { generation: first },
+        11 => SpanKind::Quarantined { victim: peer },
+        12 => SpanKind::SessionEnd { dur_ns: first },
+        13 => SpanKind::Done,
         tag => unreachable!("span log holds an unknown kind tag {tag}"),
     };
     let trace = match mode {
@@ -412,8 +407,8 @@ impl SpanLog {
         } else {
             (TRACE_RAW, rec.trace)
         };
-        // A tag byte and at most six ten-byte varints.
-        let mut buf = [0u8; 61];
+        // A tag byte and at most seven ten-byte varints.
+        let mut buf = [0u8; 71];
         buf[0] = mode << 4 | kind;
         let mut n = put_varint(&mut buf, 1, rec.at_ns);
         n = put_varint(&mut buf, n, rec.rank as u64);
@@ -880,14 +875,11 @@ mod tests {
             [
                 SpanKind::StealRequestSent { victim: r(0) },
                 SpanKind::StealRequestRecv { thief: r(0) },
-                SpanKind::StealReplySent {
-                    thief: r(0),
-                    nodes: v(1),
-                },
                 SpanKind::StealServiced {
                     thief: r(0),
-                    queue_ns: v(1),
-                    depart_delay_ns: v(2),
+                    nodes: v(1),
+                    queue_ns: v(2),
+                    depart_delay_ns: v(3),
                 },
                 SpanKind::StealOk {
                     victim: r(0),

@@ -36,6 +36,9 @@
 //! (its faulty thread-count check included) is what the root
 //! `cargo test -q` sees.
 
+mod common;
+
+use common::five_record_form;
 use dws::core::{
     run_experiment, ExperimentConfig, ExperimentResult, FaultToleranceCfg, StealAmount,
     VictimPolicy,
@@ -95,7 +98,7 @@ fn identity_of(r: &ExperimentResult) -> String {
         line += &format!(
             " json={} spans={} fault={ledger:?}",
             fingerprint(&r.json_report().to_string()),
-            fingerprint(&format!("{:?}", spans.records())),
+            fingerprint(&five_record_form(spans.records()).1),
         );
     }
     line

@@ -2,6 +2,9 @@
 //! reconciliation, Chrome trace well-formedness, the machine-readable
 //! run report, and the zero-overhead guarantee when tracing is off.
 
+mod common;
+
+use common::five_record_form;
 use dws::core::{
     run_experiment, run_experiment_streamed, ExperimentConfig, ExperimentResult, StealAmount,
     StreamingSetup, VictimPolicy,
@@ -503,10 +506,13 @@ fn recorders_never_change_the_run() {
 
 /// Spans are kept as a compact byte log, not as 56-byte records: a
 /// faulty 64-rank run with spans on stays at 16 encoded bytes per
-/// record or fewer at one and two threads, and its records are the
-/// ones the `Vec<SpanRecord>` store held. The count and the `{:?}`
-/// fingerprint were recorded with that store, before the log replaced
-/// it.
+/// record or fewer at one and two threads, and at three records per
+/// steal attempt or fewer (the request, the victim's one service record
+/// and the outcome). Its records are the ones the `Vec<SpanRecord>`
+/// store held: the five-record count and `{:?}` fingerprint were
+/// recorded with that store, before the log replaced it and before the
+/// victim's three records became one, and are checked against the log
+/// expanded back to that form.
 #[test]
 fn observed_span_log_stays_compact() {
     for threads in [1, 2] {
@@ -518,11 +524,21 @@ fn observed_span_log_stays_compact() {
         let spans = r.spans.as_ref().expect("spans collected");
         spans.reconcile(&r.stats).expect("spans match the counters");
         let records = spans.records();
-        assert_eq!(records.len(), 44_941, "{threads} thread(s)");
+        let (five_record_count, five_record_text) = five_record_form(records);
+        assert_eq!(five_record_count, 44_941, "{threads} thread(s)");
         assert_eq!(
-            dws::metrics::perflab::fingerprint(&format!("{records:?}")),
+            dws::metrics::perflab::fingerprint(&five_record_text),
             "8df5ec69cf793260",
             "{threads} thread(s)"
+        );
+        assert_eq!(records.len(), 27_311, "{threads} thread(s)");
+        // 26,760 records of 8,955 attempts; the five-record form held
+        // 4.96 an attempt.
+        let attempts = r.stats.total().steal_attempts;
+        let attempt_records = records.iter().filter(|r| r.trace != 0).count() as u64;
+        assert!(
+            attempt_records <= 3 * attempts,
+            "{attempt_records} records of {attempts} steal attempts at {threads} thread(s)"
         );
         let per_record = records.encoded_bytes() as f64 / records.len() as f64;
         assert!(
